@@ -27,10 +27,14 @@ __all__ = [
     "OutcomeStates",
     "ShotDataset",
     "circuit_unitary",
+    "coefficient_matrix",
+    "matrix_from_pairs",
+    "matrix_to_pairs",
     "mixing_layers",
     "output_states",
     "plusminus_states",
     "rotation_gate",
+    "row_matrix",
     "sample_shots",
     "scale_coefficients",
     "select_operator",
@@ -128,10 +132,10 @@ class CircuitSpec:
         if self.unitary_source is not None:
             doc["unitaries"] = self.unitary_source
         else:
-            doc["unitaries"] = {"kind": "explicit", "data": [_mat_to_json(u) for u in self.unitaries]}
+            doc["unitaries"] = {"kind": "explicit", "data": [matrix_to_pairs(u) for u in self.unitaries]}
         doc["mixing"] = self.mixing
         if self.mixing == "secret":
-            doc["mixing_matrix"] = _mat_to_json(self.mixing_matrix)
+            doc["mixing_matrix"] = matrix_to_pairs(self.mixing_matrix)
         doc["variant"] = self.variant
         return json.dumps(doc)
 
@@ -147,7 +151,7 @@ class CircuitSpec:
         if mixing == "secret":
             if "mixing_matrix" not in doc:
                 raise ValueError("secret mixing requires a mixing_matrix entry")
-            mixing_matrix = _mat_from_json(doc["mixing_matrix"])
+            mixing_matrix = matrix_from_pairs(doc["mixing_matrix"])
         return cls(
             k=k,
             n=n,
@@ -160,15 +164,18 @@ class CircuitSpec:
         )
 
 
-def _mat_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+def matrix_to_pairs(m: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` float pairs, one list per matrix row."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _mat_from_json(data: list) -> np.ndarray:
+def matrix_from_pairs(data: list) -> np.ndarray:
+    """Inverse of :func:`matrix_to_pairs`; keeps every bit, signed zeros included."""
     arr = np.array(data, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]
 
 
 _PAULI = {
@@ -210,7 +217,7 @@ def _unitaries_from_json(source: dict, k: int, big_n: int) -> tuple[np.ndarray, 
     if kind == "permutation":
         return tuple(permutation_matrix(p) for p in source["data"])
     if kind == "explicit":
-        return tuple(_mat_from_json(m) for m in source["data"])
+        return tuple(matrix_from_pairs(m) for m in source["data"])
     raise ValueError(f"unknown unitary source kind {kind!r}")
 
 
@@ -255,6 +262,30 @@ def mixing_layers(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
         f = dft_matrix(spec.k)
         return f, f.conj().T
     return hadamard_matrix(spec.k), spec.mixing_matrix
+
+
+def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
+    """2K x K matrix C so that stacking the outcome states factors as ``C @ X``.
+
+    Row ``r * K + i`` holds the coefficient multiplying ``U_t psi`` in
+    phi[i, r].  For Hadamard mixing this is ``s[i, t] w_t / K`` on top and
+    ``s[i, t] r_t / K`` below, with ``s[i, t] = +-1``; the columns are
+    orthogonal with squared norm 1/K for every supported mixing.
+    """
+    g1, g2 = mixing_layers(spec)
+    w = spec.weights
+    r = np.sqrt(1.0 - w * w)
+    if spec.variant == "cyclic":
+        r = -r
+    prep = g1[:, 0]
+    c = np.vstack([g2 * (prep * w), g2 * (prep * r)])
+    return c if np.iscomplexobj(c) else c.astype(float)
+
+
+def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
+    """K x N matrix X whose row t is ``U_t psi``."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.stack([u @ psi for u in spec.unitaries])
 
 
 def select_operator(spec: CircuitSpec) -> np.ndarray:
@@ -309,20 +340,15 @@ def _check_state(psi: np.ndarray, big_n: int) -> np.ndarray:
 
 
 def output_states(spec: CircuitSpec, psi: np.ndarray) -> OutcomeStates:
-    """Evaluate all outcome states directly from the closed-form sums.
+    """Evaluate all outcome states as ``C @ X``.
 
     This path never builds the full circuit unitary; it applies each U_t to
-    psi once and combines the rows with the mixing/rotation coefficients.
+    psi once and combines the rows with :func:`coefficient_matrix`.  The
+    dense :func:`circuit_unitary` applied to the extended input is the
+    independent oracle these states are tested against.
     """
     psi = _check_state(psi, spec.big_n)
-    g1, g2 = mixing_layers(spec)
-    rows = np.stack([u @ psi for u in spec.unitaries])
-    w = spec.weights
-    r = np.sqrt(1.0 - w * w)
-    if spec.variant == "cyclic":
-        r = -r
-    prep = g1[:, 0]
-    states = np.vstack([(g2 * (prep * w)) @ rows, (g2 * (prep * r)) @ rows])
+    states = coefficient_matrix(spec) @ row_matrix(spec, psi)
     probs = np.einsum("ij,ij->i", states, states.conj()).real
     return OutcomeStates(k=spec.k, states=_readonly(states), probabilities=_readonly(probs))
 

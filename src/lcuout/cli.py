@@ -21,27 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import CircuitSpec, circuit_unitary, output_states, success_probabilities
-from .linalg import numerical_rank, random_state
-from .outputs import (
-    coefficient_matrix,
-    extract_target,
-    invert_with_C,
-    matrix_from_csv,
-    matrix_to_csv,
-    output_matrix,
-    row_matrix,
-)
-from .recovery import (
-    als_complete,
-    factorized_complete,
-    make_mask,
-    observe,
-    recovery_errors,
-    svp_complete,
-    sweep,
-)
-from .structure import csd_assemble, involution_check, shuffle, similarity_check, singular_multiset_check
+from .circuit import CircuitSpec, output_states, success_probabilities
+from .linalg import random_state
+from .outputs import coefficient_matrix, extract_target, matrix_from_csv, matrix_to_csv, output_matrix, row_matrix
+from .recovery import complete, make_mask, observe, random_instance, recovery_errors, sweep
+from .structure import verify
 from .trapdoor import (
     PublicParams,
     eval_trapdoor,
@@ -49,9 +33,9 @@ from .trapdoor import (
     invert_with_key,
     involution_encrypt_decrypt,
     key_from_json,
+    key_spec,
     key_to_json,
     keygen,
-    phase_retrieval_attack,
 )
 
 SWEEP_COLUMNS = (
@@ -147,69 +131,14 @@ DEFAULT_VERIFY = {
 
 
 def cmd_verify(config: dict, seed: int, out: str) -> int:
-    """Run the structural check battery on one circuit spec."""
-    checks = []
-
-    def add(name, residual, threshold=1e-10, skipped=False):
-        checks.append(
-            {
-                "name": name,
-                "residual": None if residual is None else float(residual),
-                "threshold": threshold,
-                "skipped": skipped,
-                "pass": bool(skipped or (residual is not None and residual < threshold)),
-            }
-        )
-
-    spec = None
+    """Validate one circuit spec, then run :func:`lcuout.structure.verify` on it."""
     try:
         spec = _spec_from_config(config)
-        add("spec-validation", 0.0)
     except (ValueError, KeyError) as exc:
-        checks.append(
-            {"name": "spec-validation", "error": str(exc), "threshold": None, "skipped": False, "pass": False}
-        )
-    if spec is not None:
-        dim = spec.extended_dim
-        v = circuit_unitary(spec)
-        add("unitarity", np.linalg.norm(v.conj().T @ v - np.eye(dim)))
-        sh = shuffle(spec)
-        add("block-structure", sh.block_residual)
-        if spec.mixing == "secret":
-            add("similarity", None, skipped=True)
-            add("singular-multiset", None, skipped=True)
-            add("csd", None, skipped=True)
-            add("involution", None, skipped=True)
-        else:
-            add("similarity", similarity_check(sh))
-            add("singular-multiset", max(singular_multiset_check(sh)))
-            if spec.variant == "reflection" and np.all(spec.weights >= 0):
-                csd = csd_assemble(spec)
-                res = max(
-                    np.linalg.norm(csd.q1 @ np.diag(csd.sigma_w) @ csd.q2.conj().T - sh.a),
-                    np.linalg.norm(csd.q1 @ np.diag(csd.sigma_r) @ csd.q2.conj().T - sh.b),
-                    float(np.abs(csd.sigma_w**2 + csd.sigma_r**2 - 1.0).max()),
-                )
-                add("csd", res)
-            else:
-                add("csd", None, skipped=True)
-            if spec.variant == "reflection":
-                gen = np.random.Generator(np.random.Philox(key=seed + 1))
-                alt_w = gen.uniform(0.1, 1.0, spec.k)
-                spec_alt = CircuitSpec(
-                    k=spec.k, n=spec.n, weights=alt_w, unitaries=spec.unitaries,
-                    mixing=spec.mixing, variant=spec.variant,
-                )
-                add("involution", max(involution_check(spec, spec_alt)))
-            else:
-                add("involution", None, skipped=True)
-        psi = random_state(spec.big_n, seed)
-        phi = output_matrix(spec, psi)
-        c = coefficient_matrix(spec)
-        x = row_matrix(spec, psi)
-        add("factorization", np.linalg.norm(phi - c @ x), 1e-12)
-        add("column-orthogonality", np.abs(c.conj().T @ c - np.eye(spec.k) / spec.k).max(), 1e-12)
-        add("rank", 0.0 if numerical_rank(phi) <= spec.k else 1.0, 0.5)
+        checks = [{"name": "spec-validation", "error": str(exc), "threshold": None, "skipped": False, "pass": False}]
+    else:
+        valid = {"name": "spec-validation", "residual": 0.0, "threshold": 1e-10, "skipped": False, "pass": True}
+        checks = [valid] + verify(spec, seed)
     passed = all(c["pass"] for c in checks)
     report = {"tool": f"lcuout {__version__}", "config_hash": _config_hash(config), "seed": seed, "checks": checks, "passed": passed}
     _write_json(f"{out}_verify.json", report)
@@ -353,7 +282,7 @@ def cmd_trapdoor(action: str, config: dict, seed: int, out: str, args) -> int:
     if action == "eval":
         key = key_from_json(Path(args.key).read_text())
         if args.dump == "amplitudes":
-            spec = _key_spec_for(key, pub)
+            spec = key_spec(key, pub)
             _write_matrix_csv(f"{out}_amplitudes.csv", "trapdoor eval", config, output_matrix(spec, psi))
             print(f"wrote {out}_amplitudes.csv")
         else:
@@ -364,7 +293,7 @@ def cmd_trapdoor(action: str, config: dict, seed: int, out: str, args) -> int:
 
     if action == "invert":
         key = key_from_json(Path(args.key).read_text())
-        spec = _key_spec_for(key, pub)
+        spec = key_spec(key, pub)
         phi_true = output_matrix(spec, psi)
         if args.phi is not None:
             obs = matrix_from_csv(Path(args.phi).read_text())
@@ -418,12 +347,6 @@ def cmd_trapdoor(action: str, config: dict, seed: int, out: str, args) -> int:
     raise SystemExit(2)
 
 
-def _key_spec_for(key, pub):
-    from .trapdoor import _key_spec
-
-    return _key_spec(key, pub)
-
-
 # -- completion ---------------------------------------------------------------
 
 DEFAULT_COMPLETE = {
@@ -439,14 +362,12 @@ DEFAULT_COMPLETE = {
 
 def cmd_complete(method: str, config: dict, seed: int | None, out: str) -> int:
     """One seeded completion run; reports errors and iteration count."""
-    from .recovery import _random_instance
-
     config = dict(config)
     if seed is not None:
         config["seed"] = seed
     base = int(config["seed"])
     k, n = int(config["k"]), int(config["n"])
-    spec, psi = _random_instance(k, n, base)
+    spec, psi = random_instance(k, n, base)
     phi = output_matrix(spec, psi)
     mask = make_mask(
         2 * k, 2**n, base + 1, mode=config.get("mask_mode", "uniform"),
@@ -454,15 +375,7 @@ def cmd_complete(method: str, config: dict, seed: int | None, out: str) -> int:
     )
     entries = observe(phi, mask, float(config.get("sigma", 0.0)), seed=base + 2)
     t0 = time.perf_counter()
-    comments = []
-    if method == "svp":
-        z, iters = svp_complete(entries, k, **config.get("svp", {}))
-    elif method == "als":
-        z, iters = als_complete(entries, k, seed=base + 3, **config.get("als", {}))
-    else:
-        result = factorized_complete(entries, coefficient_matrix(spec))
-        z, iters = result.phi, 1
-        comments.append(f"underdetermined-columns: {len(result.underdetermined)}")
+    z, iters, under = complete(method, entries, coefficient_matrix(spec), base + 3, config)
     err_phi, err_target = recovery_errors(z, phi)
     row = {
         "method": method,
@@ -475,8 +388,8 @@ def cmd_complete(method: str, config: dict, seed: int | None, out: str) -> int:
         "seconds": time.perf_counter() - t0,
     }
     _sweep_to_csv(f"{out}_complete_{method}.csv", f"complete {method}", config, [row])
-    for c in comments:
-        print(c)
+    if method == "factorized":
+        print(f"underdetermined-columns: {len(under)}")
     print(f"{method}: err_phi={err_phi:.3e} err_target={err_target:.3e} iters={iters}")
     return 0
 

@@ -17,7 +17,15 @@ import json
 
 import numpy as np
 
-from .circuit import CircuitSpec, OutcomeStates, ShotDataset, mixing_layers, output_states
+from .circuit import (
+    CircuitSpec,
+    ShotDataset,
+    coefficient_matrix,
+    matrix_from_pairs,
+    matrix_to_pairs,
+    output_states,
+    row_matrix,
+)
 
 __all__ = [
     "coefficient_matrix",
@@ -33,35 +41,11 @@ __all__ = [
 ]
 
 
-def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
-    """2K x K matrix so that stacking the outcome states factors as C @ X.
-
-    Row ``r * K + i`` holds the coefficient multiplying ``U_t psi`` in
-    phi[i, r].  For Hadamard mixing this is ``s[i, t] w_t / K`` on top and
-    ``s[i, t] r_t / K`` below, with ``s[i, t] = +-1``; the columns are
-    orthogonal with squared norm 1/K for every supported mixing.
-    """
-    g1, g2 = mixing_layers(spec)
-    w = spec.weights
-    r = np.sqrt(1.0 - w * w)
-    if spec.variant == "cyclic":
-        r = -r
-    prep = g1[:, 0]
-    c = np.vstack([g2 * (prep * w), g2 * (prep * r)])
-    return c if np.iscomplexobj(c) else c.astype(float)
-
-
-def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
-    """K x N matrix whose row t is ``U_t psi``."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.stack([u @ psi for u in spec.unitaries])
-
-
 def output_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
-    """2K x N matrix of all outcome states, assembled from the direct sums.
+    """2K x N matrix of all outcome states, ``Phi = C @ X``.
 
-    Built via :func:`output_states` rather than ``C @ X`` so the factored
-    form stays an independent cross-check.
+    A writable copy of :func:`~lcuout.circuit.output_states`; the dense
+    circuit unitary is the oracle it is tested against.
     """
     return np.array(output_states(spec, psi).states)
 
@@ -126,15 +110,14 @@ def matrix_from_csv(text: str) -> np.ndarray:
 def matrix_to_json(m: np.ndarray) -> str:
     """JSON document with shape metadata and [re, im] entry pairs."""
     m = np.asarray(m, dtype=complex)
-    data = [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    return json.dumps({"shape": list(m.shape), "data": data})
+    return json.dumps({"shape": list(m.shape), "data": matrix_to_pairs(m)})
 
 
 def matrix_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
     if "data" not in doc or "shape" not in doc:
         raise ValueError("matrix document needs 'shape' and 'data' keys")
-    arr = np.array(doc["data"], dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2 or list(arr.shape[:2]) != list(doc["shape"]):
+    m = matrix_from_pairs(doc["data"])
+    if list(m.shape) != list(doc["shape"]):
         raise ValueError("shape metadata disagrees with payload")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return m

@@ -24,9 +24,11 @@ __all__ = [
     "ObservationMask",
     "ObservedEntries",
     "als_complete",
+    "complete",
     "factorized_complete",
     "make_mask",
     "observe",
+    "random_instance",
     "recovery_errors",
     "svp_complete",
     "sweep",
@@ -280,7 +282,8 @@ def recovery_errors(phi_hat: np.ndarray, phi_true: np.ndarray) -> tuple[float, f
     return float(rel_phi), float(rel_target)
 
 
-def _random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]:
+def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]:
+    """Seeded Hadamard-mixed spec (weights on [0.1, 1], Haar unitaries) and input state."""
     gen = rng(seed)
     weights = gen.uniform(0.1, 1.0, k)
     unitaries = tuple(haar_random_unitary(2**n, gen) for _ in range(k))
@@ -290,6 +293,25 @@ def _random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray
 
 
 _METHODS = ("svp", "als", "factorized")
+
+
+def complete(method: str, entries: ObservedEntries, c: np.ndarray, seed: int, config: dict):
+    """Complete Phi at rank ``c.shape[1]`` with one of ``_METHODS``.
+
+    ``seed`` starts ALS; solver keyword overrides come from ``config["svp"]``
+    or ``config["als"]``.  Returns ``(phi, iterations, underdetermined)``,
+    with 1 iteration for the direct factorized solve and ``()`` for the others.
+    """
+    if method == "svp":
+        z, iters = svp_complete(entries, c.shape[1], **config.get("svp", {}))
+        return z, iters, ()
+    if method == "als":
+        z, iters = als_complete(entries, c.shape[1], seed=seed, **config.get("als", {}))
+        return z, iters, ()
+    if method == "factorized":
+        result = factorized_complete(entries, c)
+        return result.phi, 1, result.underdetermined
+    raise ValueError(f"unknown method {method!r}")
 
 
 def sweep(config: dict) -> list[dict]:
@@ -312,8 +334,6 @@ def sweep(config: dict) -> list[dict]:
     seed = int(config.get("seed", 0))
     mode = config.get("mask_mode", "uniform")
     min_per_column = config.get("min_per_column")
-    svp_opts = dict(config.get("svp", {}))
-    als_opts = dict(config.get("als", {}))
     if ("fractions" in config) == ("sigmas" in config):
         raise ValueError("config must sweep exactly one of 'fractions' or 'sigmas'")
     if "fractions" in config:
@@ -327,7 +347,7 @@ def sweep(config: dict) -> list[dict]:
 
     cases = []
     for inst in range(instances):
-        spec, psi = _random_instance(k, n, seed + 7919 * (inst + 1))
+        spec, psi = random_instance(k, n, seed + 7919 * (inst + 1))
         phi = output_matrix(spec, psi)
         c = coefficient_matrix(spec)
         cases.append((phi, c))
@@ -345,12 +365,7 @@ def sweep(config: dict) -> list[dict]:
                         density=fraction, min_per_column=min_per_column,
                     )
                     entries = observe(phi, mask, sigma, seed=mask_seed + 1)
-                    if method == "svp":
-                        z, iters = svp_complete(entries, k, **svp_opts)
-                    elif method == "als":
-                        z, iters = als_complete(entries, k, seed=mask_seed + 2, **als_opts)
-                    else:
-                        z, iters = factorized_complete(entries, c).phi, 1
+                    z, iters, _ = complete(method, entries, c, mask_seed + 2, config)
                     ep, et = recovery_errors(z, phi)
                     errs_phi.append(ep)
                     errs_target.append(et)

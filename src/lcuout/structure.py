@@ -7,17 +7,19 @@ system turns the circuit unitary V into
 
 with ``A = Q (sum_t w_t U_t on the diagonal) Q^dag`` and ``Q = G (x) I_N``,
 so A carries the weights as an N-fold multiset of singular values and the
-cosine-sine factors of U can be written down explicitly.
+cosine-sine factors of U can be written down explicitly.  :func:`verify`
+runs every check of this module, plus the Phi = C X factorization against
+the dense circuit, as one battery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import CircuitSpec, circuit_unitary, mixing_layers
-from .linalg import kron, svd
+from .circuit import CircuitSpec, circuit_unitary, coefficient_matrix, mixing_layers, row_matrix
+from .linalg import kron, numerical_rank, random_state, rng, svd
 
 __all__ = [
     "CsdFactors",
@@ -27,6 +29,7 @@ __all__ = [
     "shuffle",
     "similarity_check",
     "singular_multiset_check",
+    "verify",
 ]
 
 _BLOCK_ATOL = 1e-12
@@ -188,3 +191,53 @@ def involution_check(spec: CircuitSpec, spec_alt: CircuitSpec) -> tuple[float, f
     u_alt_sq = u_alt_sq @ u_alt_sq
     key_cancel_residual = float(np.linalg.norm(u_sq - u_alt_sq))
     return structure_residual, key_cancel_residual
+
+
+def verify(spec: CircuitSpec, seed: int) -> list[dict]:
+    """Run the structural check battery on one circuit spec.
+
+    One record (``name``, ``residual``, ``threshold``, ``skipped``, ``pass``)
+    per check: unitarity, block-structure, similarity, singular-multiset,
+    csd (factor residuals), csd-sigma (``sigma_w^2 + sigma_r^2 = 1``),
+    involution, factorization (C X against the dense circuit's outcome rows),
+    column-orthogonality, rank.  Checks that do not apply are skipped and
+    pass.  ``seed`` draws psi (``random_state(N, seed)``) and the involution
+    check's second weight vector (``rng(seed + 1)``).
+    """
+    checks = []
+
+    def add(name, residual, threshold=1e-10):
+        skipped = residual is None
+        residual = None if skipped else float(residual)
+        checks.append({"name": name, "residual": residual, "threshold": threshold, "skipped": skipped,
+                       "pass": skipped or residual < threshold})
+
+    v = circuit_unitary(spec)
+    add("unitarity", np.linalg.norm(v.conj().T @ v - np.eye(spec.extended_dim)))
+    sh = shuffle(spec)
+    add("block-structure", sh.block_residual, 1e-12)
+    public, reflection = spec.mixing != "secret", spec.variant == "reflection"
+    add("similarity", similarity_check(sh) if public else None)
+    add("singular-multiset", max(singular_multiset_check(sh)) if public else None)
+    csd = csd_assemble(spec) if public and reflection and np.all(spec.weights >= 0) else None
+    add("csd", None if csd is None else max(
+        np.linalg.norm(csd.q1 @ np.diag(csd.sigma_w) @ csd.q2.conj().T - sh.a),
+        np.linalg.norm(csd.q1 @ np.diag(csd.sigma_r) @ csd.q2.conj().T - sh.b),
+    ))
+    add("csd-sigma", None if csd is None else np.abs(csd.sigma_w**2 + csd.sigma_r**2 - 1.0).max(), 1e-12)
+    if public and reflection:
+        spec_alt = replace(spec, weights=rng(seed + 1).uniform(0.1, 1.0, spec.k))
+        add("involution", max(involution_check(spec, spec_alt)))
+    else:
+        add("involution", None)
+    big_n = spec.big_n
+    psi = random_state(big_n, seed)
+    ext = np.zeros(spec.extended_dim, dtype=complex)
+    ext[:big_n] = psi  # index 0, rotation 0 block
+    # dense outcome (i, r) sits in block i * 2 + r; Phi keeps it in row r * K + i
+    phi = (v @ ext).reshape(spec.k, 2, big_n).transpose(1, 0, 2).reshape(2 * spec.k, big_n)
+    c = coefficient_matrix(spec)
+    add("factorization", np.linalg.norm(c @ row_matrix(spec, psi) - phi), 1e-12)
+    add("column-orthogonality", np.abs(c.conj().T @ c - np.eye(spec.k) / spec.k).max(), 1e-12)
+    add("rank", 0.0 if numerical_rank(phi) <= spec.k else 1.0, 0.5)
+    return checks

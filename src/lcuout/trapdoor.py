@@ -37,6 +37,7 @@ __all__ = [
     "involution_encrypt_decrypt",
     "key_from_json",
     "key_to_json",
+    "key_spec",
     "keygen",
     "mixing_from_key",
     "phase_retrieval_attack",
@@ -126,7 +127,8 @@ def mixing_from_key(key: SecretKey) -> np.ndarray:
     return w @ householder
 
 
-def _key_spec(key: SecretKey, pub: PublicParams) -> CircuitSpec:
+def key_spec(key: SecretKey, pub: PublicParams) -> CircuitSpec:
+    """The key holder's circuit: the public unitaries with the secret weights (and mixing)."""
     if key.scheme != pub.scheme:
         raise ValueError(f"key scheme {key.scheme!r} does not match public {pub.scheme!r}")
     if key.weights.shape != (pub.k,):
@@ -157,7 +159,7 @@ def eval_trapdoor(
     seed: int = 0,
 ) -> EvalOutput:
     """Run the circuit and publish outcome magnitudes (never the phases)."""
-    spec = _key_spec(key, pub)
+    spec = key_spec(key, pub)
     if shots is None:
         out = output_states(spec, psi)
         return EvalOutput(magnitudes=np.abs(out.states) ** 2, shots=None)
@@ -182,7 +184,7 @@ def invert_with_key(
     Returns the recovered X, the combined state sum_t w_t U_t psi, and any
     columns with too few observations to be pinned down.
     """
-    spec = _key_spec(key, pub)
+    spec = key_spec(key, pub)
     c = coefficient_matrix(spec)
     if isinstance(obs, ObservedEntries):
         result = factorized_complete(obs, c)
@@ -359,8 +361,8 @@ def involution_encrypt_decrypt(
     for t, u in enumerate(pub.unitaries):
         if np.linalg.norm(u @ u - np.eye(big_n)) > 1e-10:
             raise ValueError(f"unitary {t} is not an involution")
-    v1 = circuit_unitary(_key_spec(key, pub))
-    v2 = circuit_unitary(_key_spec(key2, pub))
+    v1 = circuit_unitary(key_spec(key, pub))
+    v2 = circuit_unitary(key_spec(key2, pub))
     psi = np.asarray(psi, dtype=complex)
     ext = np.zeros(2 * pub.k * big_n, dtype=complex)
     ext[:big_n] = psi  # index 0, rotation 0 block

@@ -1,0 +1,107 @@
+"""Property tests for the single sources of truth: the C formula and the matrix codecs."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcuout.circuit import CircuitSpec
+from lcuout.linalg import haar_random_unitary, numerical_rank, random_state, rng
+from lcuout.outputs import (
+    coefficient_matrix,
+    matrix_from_csv,
+    matrix_from_json,
+    matrix_to_csv,
+    matrix_to_json,
+    output_matrix,
+)
+
+# r = sqrt(1 - w^2) vanishes at the endpoints, so they are drawn on purpose
+weights_in_range = st.one_of(st.sampled_from([-1.0, 1.0, -0.0, 0.0]), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 4, 8]),
+    n=st.integers(1, 3),
+    mixing=st.sampled_from(["hadamard", "dft"]),
+    variant=st.sampled_from(["reflection", "cyclic"]),
+    weights=st.lists(weights_in_range, min_size=8, max_size=8),
+    seed=st.integers(0, 2**32),
+)
+def test_coefficient_columns_orthonormal_up_to_k_and_rank_bounded(k, n, mixing, variant, weights, seed):
+    gen = rng(seed)
+    spec = CircuitSpec(k=k, n=n, weights=np.array(weights[:k]), mixing=mixing, variant=variant,
+                       unitaries=tuple(haar_random_unitary(2**n, gen) for _ in range(k)))
+    c = coefficient_matrix(spec)
+    assert c.shape == (2 * k, k)
+    assert np.abs(c.conj().T @ c - np.eye(k) / k).max() < 1e-12
+    assert numerical_rank(output_matrix(spec, random_state(2**n, gen))) <= k
+
+
+# finite doubles, with signed zeros and subnormals always in the draw
+finite = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def complex_matrices(draw, max_side=4):
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    parts = draw(st.lists(finite, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype == np.complex128 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_matrices())
+def test_json_round_trip_is_bit_exact(m):
+    assert same_bits(matrix_from_json(matrix_to_json(m)), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_matrices())
+def test_csv_round_trip_is_bit_exact(m):
+    assert same_bits(matrix_from_csv(matrix_to_csv(m)), m)
+
+
+# off-support entries small enough that a permutation-times-phases matrix stays unitary
+tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-300, 1e-20])
+
+
+@st.composite
+def unitaries(draw, dim):
+    """Phased permutation matrix whose zero entries are replaced by signed zeros or subnormals."""
+    m = np.array(draw(st.lists(tiny, min_size=2 * dim * dim, max_size=2 * dim * dim))).view(complex)
+    m = m.reshape(dim, dim)
+    images = draw(st.permutations(range(dim)))
+    for j, i in enumerate(images):
+        theta = draw(st.floats(-math.pi, math.pi))
+        m[i, j] = complex(math.cos(theta), math.sin(theta))
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.sampled_from([1, 2, 4]), n=st.integers(1, 2),
+       secret=st.booleans(), variant=st.sampled_from(["reflection", "cyclic"]))
+def test_explicit_spec_json_round_trip_is_bit_exact(data, k, n, secret, variant):
+    weights = np.array(data.draw(st.lists(weights_in_range, min_size=k, max_size=k)))
+    spec = CircuitSpec(
+        k=k, n=n, weights=weights, variant=variant,
+        unitaries=tuple(data.draw(unitaries(2**n)) for _ in range(k)),
+        mixing="secret" if secret else "hadamard",
+        mixing_matrix=data.draw(unitaries(k)) if secret else None,
+    )
+    again = CircuitSpec.from_json(spec.to_json())
+    assert (again.k, again.n, again.mixing, again.variant) == (k, n, spec.mixing, variant)
+    assert again.weights.tobytes() == spec.weights.tobytes()
+    assert all(same_bits(a, b) for a, b in zip(again.unitaries, spec.unitaries))
+    if secret:
+        assert same_bits(again.mixing_matrix, spec.mixing_matrix)
+    else:
+        assert again.mixing_matrix is None

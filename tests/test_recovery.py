@@ -4,18 +4,19 @@ import pytest
 from lcuout.outputs import coefficient_matrix, output_matrix
 from lcuout.recovery import (
     als_complete,
+    complete,
     factorized_complete,
     make_mask,
     observe,
+    random_instance,
     recovery_errors,
     svp_complete,
     sweep,
-    _random_instance,
 )
 
 
 def instance(seed=77, k=4, n=8):
-    spec, psi = _random_instance(k, n, seed)
+    spec, psi = random_instance(k, n, seed)
     return output_matrix(spec, psi), coefficient_matrix(spec)
 
 
@@ -195,6 +196,26 @@ def test_factorized_noise_grows_linearly():
         ent = observe(phi, mask, sigma, seed=37)
         errs.append(recovery_errors(factorized_complete(ent, c).phi, phi)[0])
     assert 5 < errs[1] / errs[0] < 20
+
+
+def test_complete_dispatches_to_each_solver():
+    phi, c = instance(33, n=4)
+    entries = observe(phi, make_mask(8, 16, 34, "column_guaranteed", density=0.6, min_per_column=4), 0.0)
+    config = {"svp": {"max_iters": 7}, "als": {"max_iters": 5}}
+    z, iters, under = complete("svp", entries, c, 9, config)
+    z_ref, iters_ref = svp_complete(entries, 4, max_iters=7)
+    np.testing.assert_array_equal(z, z_ref)
+    assert (iters, under) == (iters_ref, ())
+    z, iters, under = complete("als", entries, c, 9, config)
+    z_ref, iters_ref = als_complete(entries, 4, seed=9, max_iters=5)
+    np.testing.assert_array_equal(z, z_ref)
+    assert (iters, under) == (iters_ref, ())
+    z, iters, under = complete("factorized", entries, c, 9, config)
+    ref = factorized_complete(entries, c)
+    np.testing.assert_array_equal(z, ref.phi)
+    assert (iters, under) == (1, ref.underdetermined)
+    with pytest.raises(ValueError):
+        complete("nuclear", entries, c, 9, config)
 
 
 def test_recovery_errors_oracle():

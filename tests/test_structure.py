@@ -9,6 +9,7 @@ from lcuout.structure import (
     shuffle,
     similarity_check,
     singular_multiset_check,
+    verify,
 )
 
 
@@ -158,3 +159,37 @@ def test_structure_suite_twenty_seeded_specs():
             assert max(singular_multiset_check(sh)) < 1e-10
             cases += 1
     assert cases == 20
+
+
+def _skipped(checks):
+    return {c["name"] for c in checks if c["skipped"]}
+
+
+def test_verify_runs_every_check_on_a_public_reflection_spec():
+    checks = verify(make_spec(k=4, n=2, seed=40), seed=3)
+    assert [c["name"] for c in checks] == [
+        "unitarity", "block-structure", "similarity", "singular-multiset", "csd", "csd-sigma",
+        "involution", "factorization", "column-orthogonality", "rank",
+    ]
+    assert _skipped(checks) == set()
+    assert all(c["pass"] and c["residual"] < c["threshold"] for c in checks)
+
+
+@pytest.mark.parametrize("variant, weights, skipped", [
+    ("cyclic", None, {"csd", "csd-sigma", "involution"}),
+    ("reflection", [0.9, -0.4, 1.0, -1.0], {"csd", "csd-sigma"}),
+])
+def test_verify_skips_checks_that_do_not_apply(variant, weights, skipped):
+    checks = verify(make_spec(k=4, n=2, seed=41, variant=variant, weights=weights), seed=5)
+    assert _skipped(checks) == skipped
+    assert all(c["pass"] for c in checks)
+
+
+def test_verify_secret_mixing_keeps_only_the_mixing_free_checks():
+    gen = rng(42)
+    spec = CircuitSpec(k=2, n=1, weights=np.array([0.9, 0.5]),
+                       unitaries=tuple(haar_random_unitary(2, gen) for _ in range(2)),
+                       mixing="secret", mixing_matrix=haar_random_unitary(2, 43))
+    checks = verify(spec, seed=1)
+    assert _skipped(checks) == {"similarity", "singular-multiset", "csd", "csd-sigma", "involution"}
+    assert all(c["pass"] for c in checks)

@@ -14,12 +14,12 @@ from lcuout.trapdoor import (
     invert_with_key,
     involution_encrypt_decrypt,
     key_from_json,
+    key_spec,
     key_to_json,
     keygen,
     mixing_from_key,
     phase_retrieval_attack,
 )
-from lcuout.trapdoor import _key_spec
 
 
 def make_pub(k=4, n=4, seed=0, scheme="hadamard", variant="reflection"):
@@ -82,7 +82,7 @@ def test_eval_trapdoor_exact_magnitudes():
     key = keygen(4, "hadamard", 2)
     psi = random_state(16, 3)
     out = eval_trapdoor(key, pub, psi)
-    phi = output_matrix(_key_spec(key, pub), psi)
+    phi = output_matrix(key_spec(key, pub), psi)
     np.testing.assert_allclose(out.magnitudes, np.abs(phi) ** 2, atol=1e-14)
     assert out.shots is None
     assert abs(out.magnitudes.sum() - 1.0) < 1e-10
@@ -104,7 +104,7 @@ def test_invert_with_key_exact_round_trip(scheme):
     pub = make_pub(seed=8, scheme=scheme)
     key = keygen(4, scheme, 9)
     psi = random_state(16, 10)
-    spec = _key_spec(key, pub)
+    spec = key_spec(key, pub)
     phi = output_matrix(spec, psi)
     res = invert_with_key(key, pub, phi)
     truth = key.weights @ row_matrix(spec, psi)
@@ -117,7 +117,7 @@ def test_invert_with_key_masked_observations():
     pub = make_pub(n=8, seed=11)
     key = keygen(4, "hadamard", 12)
     psi = random_state(256, 13)
-    spec = _key_spec(key, pub)
+    spec = key_spec(key, pub)
     phi = output_matrix(spec, psi)
     mask = make_mask(8, 256, 14, "column_guaranteed", density=0.7, min_per_column=4)
     res = invert_with_key(key, pub, observe(phi, mask, 0.0))
@@ -134,7 +134,7 @@ def test_hadamard_attack_recovers_weights_from_amplitudes():
         pub = make_pub(seed=100 + seed)
         key = keygen(4, "hadamard", 200 + seed)
         psi = random_state(16, 300 + seed)
-        phi = output_matrix(_key_spec(key, pub), psi)
+        phi = output_matrix(key_spec(key, pub), psi)
         res = hadamard_attack(pub, phi)
         assert np.all(res.recoverable)
         assert np.abs(res.weights - key.weights).max() < 1e-10
@@ -161,7 +161,7 @@ def test_phase_retrieval_objective_vanishes_at_truth():
     pub = make_pub(k=2, n=3, seed=19)
     key = keygen(2, "hadamard", 20)
     psi = random_state(8, 21)
-    spec = _key_spec(key, pub)
+    spec = key_spec(key, pub)
     p = np.abs(output_matrix(spec, psi)) ** 2
     z_true = pub.unitaries[0] @ psi
     res = phase_retrieval_attack(pub, p, restarts=1, iters=5, init=(key.weights, z_true))
@@ -174,7 +174,7 @@ def test_phase_retrieval_probe_runs_blind():
     pub = make_pub(k=2, n=2, seed=22)
     key = keygen(2, "hadamard", 23)
     psi = random_state(4, 24)
-    p = np.abs(output_matrix(_key_spec(key, pub), psi)) ** 2
+    p = np.abs(output_matrix(key_spec(key, pub), psi)) ** 2
     res = phase_retrieval_attack(pub, p, restarts=2, iters=50, seed=25)
     assert np.isfinite(res.objective)
     assert res.weights.shape == (2,)
@@ -187,7 +187,7 @@ def test_phase_retrieval_with_known_state_recovers_k1_weight():
     pub = make_pub(k=1, n=3, seed=26)
     key = keygen(1, "hadamard", 27)
     psi = random_state(8, 28)
-    p = np.abs(output_matrix(_key_spec(key, pub), psi)) ** 2
+    p = np.abs(output_matrix(key_spec(key, pub), psi)) ** 2
     res = phase_retrieval_attack(pub, p, psi=psi, restarts=4, iters=200, seed=29)
     assert abs(abs(res.weights[0]) - key.weights[0]) < 1e-4
 
@@ -223,8 +223,8 @@ def test_single_application_with_different_keys_does_not_decrypt():
     key1, key2 = keygen(4, "hadamard", 40), keygen(4, "hadamard", 41)
     from lcuout.circuit import circuit_unitary
 
-    v1 = circuit_unitary(_key_spec(key1, pub))
-    v2 = circuit_unitary(_key_spec(key2, pub))
+    v1 = circuit_unitary(key_spec(key1, pub))
+    v2 = circuit_unitary(key_spec(key2, pub))
     ext = np.zeros(32, dtype=complex)
     ext[:4] = psi
     fid_cross = abs(np.vdot(ext, v2 @ (v1 @ ext))) ** 2
