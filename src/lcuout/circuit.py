@@ -89,8 +89,8 @@ class CircuitSpec:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.k,):
             raise ValueError(f"expected {self.k} weights, got shape {w.shape}")
-        if np.any(np.abs(w) > 1 + 1e-12):
-            raise ValueError("weights must lie in [-1, 1]")
+        if not np.all(np.abs(w) <= 1 + 1e-12):
+            raise ValueError("weights must be finite and lie in [-1, 1]")
         object.__setattr__(self, "weights", _readonly(np.clip(w, -1.0, 1.0)))
         if len(self.unitaries) != self.k:
             raise ValueError(f"expected {self.k} unitaries, got {len(self.unitaries)}")
@@ -334,8 +334,8 @@ def _check_state(psi: np.ndarray, big_n: int) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (big_n,):
         raise ValueError(f"state has shape {psi.shape}, expected {(big_n,)}")
-    if abs(np.linalg.norm(psi) - 1.0) > _ATOL:
-        raise ValueError("input state must be normalized")
+    if not abs(np.linalg.norm(psi) - 1.0) <= _ATOL:
+        raise ValueError("input state must be finite and normalized")
     return psi
 
 

@@ -76,6 +76,8 @@ def make_mask(
     ``min_per_column`` observations (with ``density=None`` each column gets
     exactly that many).
     """
+    if density is not None and not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     gen = rng(seed)
     if mode == "uniform":
         if density is None:
@@ -112,8 +114,8 @@ def observe(
     m = mask.mask if isinstance(mask, ObservationMask) else np.asarray(mask, dtype=bool)
     if m.shape != phi.shape:
         raise ValueError(f"mask shape {m.shape} does not match matrix {phi.shape}")
-    if sigma < 0:
-        raise ValueError("noise level must be non-negative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"noise level must be finite and non-negative, got {sigma}")
     values = np.where(m, phi, 0.0)
     if sigma > 0:
         gen = rng(seed)
@@ -173,9 +175,10 @@ def svp_complete(
 
 
 def _batched_ridge_rows(
-    mask: np.ndarray, values: np.ndarray, basis: np.ndarray, ridge: float
+    mask: np.ndarray, values: np.ndarray, basis: np.ndarray, ridge: float | np.ndarray
 ) -> np.ndarray:
-    # Solve, for every row i: min over a of |basis[cols_i] a - values[i, cols_i]|^2 + lam |a|^2
+    # Solve, for every row i: min over a of |basis[cols_i] a - values[i, cols_i]|^2 + lam_i |a|^2
+    # with lam_i = ridge_i tr(G_i) / rank; ``ridge`` is a scalar or one scale per row
     rank = basis.shape[1]
     gram = np.einsum("ij,ja,jb->iab", mask, basis.conj(), basis)
     rhs = np.einsum("ij,ja,ij->ia", mask, basis.conj(), values)
@@ -227,46 +230,29 @@ class FactorizedResult:
     underdetermined: tuple[int, ...]
 
 
-def factorized_complete(
-    entries: ObservedEntries, c: np.ndarray, ridge: float | None = None
-) -> FactorizedResult:
+def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedResult:
     """Solve each column of Phi = C X from its observed rows.
 
     Column j with observed rows O solves the normal equations
-    ``(C_O^dag C_O + lam I) x_j = C_O^dag phi_obs_j``.  Determined columns
-    (at least K observations) are solved with ``lam = 0`` so the recovery
-    stays unbiased; the default ridge ``lam = 1e-10 tr(C_O^dag C_O)/K``
-    kicks in only where the normal matrix is singular — underdetermined
-    columns, which are still solved but reported.  If every column is
-    underdetermined the data cannot pin down X at all and the call fails.
-    An explicit ``ridge`` applies to all columns.
+    ``(C_O^dag C_O + lam I) x_j = C_O^dag phi_obs_j``, all columns in one
+    batched solve.  A column is underdetermined when ``C_O`` has rank below
+    K: too few observed rows, or rows on which a column of C vanishes (the
+    rotation-0 rows carry ``w_t`` and the rotation-1 rows ``r_t``, so a zero
+    weight or ``|w_t| = 1`` hides ``U_t psi`` from one half of C).
+    Determined columns are solved with ``lam = 0`` so the recovery stays
+    unbiased; underdetermined ones get ``lam = 1e-10 tr(C_O^dag C_O)/K``, are
+    still solved, and are reported (a column with no observations comes out
+    0).  If every column is underdetermined the data cannot pin down X at
+    all and the call fails.
     """
     _check_entries(entries)
     mask, b = entries.mask, entries.values
     k = c.shape[1]
-    cols = b.shape[1]
-    x = np.zeros((k, cols), dtype=complex)
-    under: list[int] = []
-    eye = np.eye(k)
-    for j in range(cols):
-        obs = mask[:, j]
-        m = int(obs.sum())
-        if m < k:
-            under.append(j)
-        if m == 0:
-            continue
-        co = c[obs]
-        gram = co.conj().T @ co
-        rhs = co.conj().T @ b[obs, j]
-        lam = ridge if ridge is not None else (0.0 if m >= k else 1e-10 * np.trace(gram).real / k)
-        try:
-            x[:, j] = np.linalg.solve(gram + lam * eye, rhs)
-        except np.linalg.LinAlgError:
-            lam = max(lam, 1e-10 * np.trace(gram).real / k)
-            x[:, j] = np.linalg.solve(gram + lam * eye, rhs)
-    if len(under) == cols:
+    under = np.linalg.matrix_rank(mask.T[:, :, None] * c) < k
+    if under.all():
         raise ValueError("every column is underdetermined; too few observations")
-    return FactorizedResult(phi=c @ x, x=x, underdetermined=tuple(under))
+    x = _batched_ridge_rows(mask.T, b.T, c, np.where(under, 1e-10, 0.0)).T
+    return FactorizedResult(phi=c @ x, x=x, underdetermined=tuple(map(int, np.flatnonzero(under))))
 
 
 def recovery_errors(phi_hat: np.ndarray, phi_true: np.ndarray) -> tuple[float, float]:

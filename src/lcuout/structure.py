@@ -35,37 +35,33 @@ __all__ = [
 _BLOCK_ATOL = 1e-12
 
 
-def _shuffle_permutation(k: int, big_n: int) -> np.ndarray:
-    """Map rotation-major position (r, i, m) to its index-major source (i, r, m)."""
-    r, i, m = np.meshgrid(np.arange(2), np.arange(k), np.arange(big_n), indexing="ij")
-    return ((i * 2 + r) * big_n + m).ravel()
-
-
 @dataclass(frozen=True)
 class ShuffledUnitary:
     """Circuit unitary in the rotation-major basis, split into K*N blocks.
 
     ``u`` equals ``[[a, b], [b, -a]]`` for the reflection variant and
-    ``[[a, b], [-b, a]]`` for the cyclic one.
+    ``[[a, b], [-b, a]]`` for the cyclic one.  Row and column
+    ``(r * K + i) * N + m`` hold rotation r, index i, system state m.
     """
 
     spec: CircuitSpec
     u: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    perm: np.ndarray
     block_residual: float
 
 
 def shuffle(spec: CircuitSpec) -> ShuffledUnitary:
     """Regroup the circuit unitary's basis and extract the A/B blocks.
 
-    For ``k == 1`` the permutation is the identity on the 2N space.
+    The dense circuit orders its basis index x rotation x system; swapping
+    the index and rotation axes on both sides makes it rotation-major.  For
+    ``k == 1`` the regrouped unitary is the circuit unitary itself.
     """
-    v = circuit_unitary(spec)
-    perm = _shuffle_permutation(spec.k, spec.big_n)
-    u = v[np.ix_(perm, perm)]
-    half = spec.k * spec.big_n
+    k, big_n = spec.k, spec.big_n
+    half = k * big_n
+    v = circuit_unitary(spec).reshape(k, 2, big_n, k, 2, big_n)
+    u = v.transpose(1, 0, 2, 4, 3, 5).reshape(2 * half, 2 * half)
     a, b = u[:half, :half], u[:half, half:]
     if spec.variant == "reflection":
         lower = np.block([b, -a])
@@ -74,7 +70,7 @@ def shuffle(spec: CircuitSpec) -> ShuffledUnitary:
     residual = float(np.abs(u[half:] - lower).max())
     if residual > 1e6 * _BLOCK_ATOL:
         raise AssertionError("shuffled unitary lost its two-block symmetry")
-    return ShuffledUnitary(spec=spec, u=u, a=a, b=b, perm=perm, block_residual=residual)
+    return ShuffledUnitary(spec=spec, u=u, a=a, b=b, block_residual=residual)
 
 
 def _diag_blocks(spec: CircuitSpec, scale: np.ndarray) -> np.ndarray:
@@ -162,14 +158,15 @@ def csd_assemble(spec: CircuitSpec) -> CsdFactors:
     return CsdFactors(q1=q1, q2=q, sigma_w=sigma_w, sigma_r=sigma_r)
 
 
-def involution_check(spec: CircuitSpec, spec_alt: CircuitSpec) -> tuple[float, float]:
-    """Verify that squaring the circuit erases the weights.
+def involution_check(shuffled: ShuffledUnitary, shuffled_alt: ShuffledUnitary) -> tuple[float, float]:
+    """Verify that squaring the regrouped circuit erases the weights.
 
     Returns ``(structure_residual, key_cancel_residual)`` where the first is
     ``|U^2 - I_2 (x) Q diag(U_t^2) Q^dag|_F`` and the second compares U^2
-    across the two weight choices.  Both specs must agree on everything but
-    the weights.
+    across the two weight choices.  The two specs must agree on everything
+    but the weights and use the reflection variant.
     """
+    spec, spec_alt = shuffled.spec, shuffled_alt.spec
     same = (
         spec.k == spec_alt.k
         and spec.n == spec_alt.n
@@ -182,13 +179,11 @@ def involution_check(spec: CircuitSpec, spec_alt: CircuitSpec) -> tuple[float, f
     if spec.variant != "reflection":
         raise ValueError("weight cancellation in U^2 needs the reflection variant")
     q = _public_mixing_q(spec)
-    u_sq = shuffle(spec).u
-    u_sq = u_sq @ u_sq
+    u_sq = shuffled.u @ shuffled.u
     blocks = _diag_blocks(spec, np.ones(spec.k))
     target = kron(np.eye(2), q @ (blocks @ blocks) @ q.conj().T)
     structure_residual = float(np.linalg.norm(u_sq - target))
-    u_alt_sq = shuffle(spec_alt).u
-    u_alt_sq = u_alt_sq @ u_alt_sq
+    u_alt_sq = shuffled_alt.u @ shuffled_alt.u
     key_cancel_residual = float(np.linalg.norm(u_sq - u_alt_sq))
     return structure_residual, key_cancel_residual
 
@@ -200,9 +195,11 @@ def verify(spec: CircuitSpec, seed: int) -> list[dict]:
     per check: unitarity, block-structure, similarity, singular-multiset,
     csd (factor residuals), csd-sigma (``sigma_w^2 + sigma_r^2 = 1``),
     involution, factorization (C X against the dense circuit's outcome rows),
-    column-orthogonality, rank.  Checks that do not apply are skipped and
-    pass.  ``seed`` draws psi (``random_state(N, seed)``) and the involution
-    check's second weight vector (``rng(seed + 1)``).
+    column-orthogonality, rank.  Every check reads the one regrouped unitary
+    of ``spec`` (plus one of the alternative spec for involution).  Checks
+    that do not apply are skipped and pass.  ``seed`` draws psi
+    (``random_state(N, seed)``) and the involution check's second weight
+    vector (``rng(seed + 1)``).
     """
     checks = []
 
@@ -212,30 +209,28 @@ def verify(spec: CircuitSpec, seed: int) -> list[dict]:
         checks.append({"name": name, "residual": residual, "threshold": threshold, "skipped": skipped,
                        "pass": skipped or residual < threshold})
 
-    v = circuit_unitary(spec)
-    add("unitarity", np.linalg.norm(v.conj().T @ v - np.eye(spec.extended_dim)))
     sh = shuffle(spec)
+    add("unitarity", np.linalg.norm(sh.u.conj().T @ sh.u - np.eye(spec.extended_dim)))
     add("block-structure", sh.block_residual, 1e-12)
     public, reflection = spec.mixing != "secret", spec.variant == "reflection"
     add("similarity", similarity_check(sh) if public else None)
     add("singular-multiset", max(singular_multiset_check(sh)) if public else None)
     csd = csd_assemble(spec) if public and reflection and np.all(spec.weights >= 0) else None
     add("csd", None if csd is None else max(
-        np.linalg.norm(csd.q1 @ np.diag(csd.sigma_w) @ csd.q2.conj().T - sh.a),
-        np.linalg.norm(csd.q1 @ np.diag(csd.sigma_r) @ csd.q2.conj().T - sh.b),
+        np.linalg.norm((csd.q1 * csd.sigma_w) @ csd.q2.conj().T - sh.a),
+        np.linalg.norm((csd.q1 * csd.sigma_r) @ csd.q2.conj().T - sh.b),
     ))
     add("csd-sigma", None if csd is None else np.abs(csd.sigma_w**2 + csd.sigma_r**2 - 1.0).max(), 1e-12)
     if public and reflection:
         spec_alt = replace(spec, weights=rng(seed + 1).uniform(0.1, 1.0, spec.k))
-        add("involution", max(involution_check(spec, spec_alt)))
+        add("involution", max(involution_check(sh, shuffle(spec_alt))))
     else:
         add("involution", None)
     big_n = spec.big_n
     psi = random_state(big_n, seed)
-    ext = np.zeros(spec.extended_dim, dtype=complex)
-    ext[:big_n] = psi  # index 0, rotation 0 block
-    # dense outcome (i, r) sits in block i * 2 + r; Phi keeps it in row r * K + i
-    phi = (v @ ext).reshape(spec.k, 2, big_n).transpose(1, 0, 2).reshape(2 * spec.k, big_n)
+    # psi enters in the index 0, rotation 0 block; outcome (i, r) leaves in
+    # rotation-major block r * K + i, which is Phi's row order
+    phi = (sh.u[:, :big_n] @ psi).reshape(2 * spec.k, big_n)
     c = coefficient_matrix(spec)
     add("factorization", np.linalg.norm(c @ row_matrix(spec, psi) - phi), 1e-12)
     add("column-orthogonality", np.abs(c.conj().T @ c - np.eye(spec.k) / spec.k).max(), 1e-12)

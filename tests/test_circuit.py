@@ -90,6 +90,12 @@ def test_spec_weight_clipping_tolerance():
         CircuitSpec(k=1, n=1, weights=np.array([1.0 + 1e-6]), unitaries=u)
 
 
+def test_spec_rejects_nan_weights():
+    u = (np.eye(2, dtype=complex),) * 2
+    with pytest.raises(ValueError, match="finite"):
+        CircuitSpec(k=2, n=1, weights=np.array([0.5, np.nan]), unitaries=u)
+
+
 def test_spec_json_round_trip_haar_source():
     spec = CircuitSpec.from_json(json.dumps({
         "K": 4, "n": 2, "weights": [1.0, 0.5, 0.25, 0.75],
@@ -224,6 +230,12 @@ def test_probabilities_sum_to_one_and_match_states():
     for i in range(8):
         for r in range(2):
             assert abs(out.probability(i, r) - np.linalg.norm(out.state(i, r)) ** 2) < 1e-14
+
+
+def test_output_states_rejects_nan_state():
+    spec = make_spec(k=2, n=1, seed=3)
+    with pytest.raises(ValueError, match="finite"):
+        output_states(spec, np.array([np.nan, 1.0]))
 
 
 def test_success_probabilities_identity():

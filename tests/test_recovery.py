@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from lcuout.circuit import CircuitSpec
+from lcuout.linalg import haar_random_unitary, random_state, rng
 from lcuout.outputs import coefficient_matrix, output_matrix
 from lcuout.recovery import (
     als_complete,
@@ -44,6 +46,12 @@ def test_make_mask_column_guaranteed():
         make_mask(8, 200, 2, "nope", density=0.5)
 
 
+@pytest.mark.parametrize("mode", ["uniform", "column_guaranteed"])
+def test_make_mask_rejects_density_outside_unit_interval(mode):
+    with pytest.raises(ValueError, match="density"):
+        make_mask(8, 16, 1, mode, density=1.7, min_per_column=4)
+
+
 def test_observe_masks_and_noise():
     phi, _ = instance(5, n=6)
     mask = make_mask(8, 64, 6, "uniform", density=0.5)
@@ -59,6 +67,12 @@ def test_observe_masks_and_noise():
         observe(phi, mask, -1.0)
     with pytest.raises(ValueError):
         observe(phi[:4], mask, 0.0)
+
+
+def test_observe_rejects_nan_noise_level():
+    phi, _ = instance(5, n=4)
+    with pytest.raises(ValueError, match="noise"):
+        observe(phi, np.ones_like(phi, dtype=bool), float("nan"))
 
 
 def test_observe_noise_is_seeded():
@@ -179,13 +193,18 @@ def test_factorized_all_underdetermined_raises():
         factorized_complete(observe(phi, mask, 0.0), c)
 
 
-def test_factorized_explicit_ridge_biases():
-    phi, c = instance(33, n=6)
-    mask = make_mask(8, 64, 34, "column_guaranteed", min_per_column=6)
-    ent = observe(phi, mask, 0.0)
-    clean = recovery_errors(factorized_complete(ent, c).phi, phi)[0]
-    biased = recovery_errors(factorized_complete(ent, c, ridge=1e-2).phi, phi)[0]
-    assert clean < 1e-10 < biased
+def test_factorized_flags_rank_deficient_columns():
+    # r_0 = 0 puts a zero in column 0 of every rotation-1 row of C, so a
+    # column seen only through those K rows has enough rows but rank K - 1
+    gen = rng(38)
+    spec = CircuitSpec(k=4, n=3, weights=np.array([1.0, 0.5, 0.3, 0.8]),
+                       unitaries=tuple(haar_random_unitary(8, gen) for _ in range(4)))
+    phi, c = output_matrix(spec, random_state(8, gen)), coefficient_matrix(spec)
+    mask = make_mask(8, 8, 39, "column_guaranteed", min_per_column=4).mask.copy()
+    mask[:, 0] = [False] * 4 + [True] * 4
+    res = factorized_complete(observe(phi, mask, 0.0), c)
+    assert res.underdetermined == (0,)
+    assert np.linalg.norm((res.phi - phi)[:, 1:]) < 1e-10
 
 
 def test_factorized_noise_grows_linearly():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,11 @@ def test_shuffle_recovers_two_block_form():
     assert sh.block_residual < 1e-12
     half = spec.k * spec.big_n
     v = circuit_unitary(spec)
-    # the permutation really is a relabeling of V
-    np.testing.assert_array_equal(sh.u, v[np.ix_(sh.perm, sh.perm)])
+    # entry by entry, U is V with each (index i, rotation r) block moved to r * K + i
+    k, big_n = spec.k, spec.big_n
+    for r, i, m, s, j, mp in product(range(2), range(k), range(big_n), range(2), range(k), range(big_n)):
+        assert sh.u[(r * k + i) * big_n + m, (s * k + j) * big_n + mp] == \
+            v[(i * 2 + r) * big_n + m, (j * 2 + s) * big_n + mp]
     np.testing.assert_allclose(sh.u[:half, :half], sh.a, atol=0)
     np.testing.assert_allclose(sh.u[half:, half:], -sh.a, atol=1e-12)
     np.testing.assert_allclose(sh.u[half:, :half], sh.b, atol=1e-12)
@@ -47,7 +52,7 @@ def test_shuffle_cyclic_flips_the_lower_left_sign():
 def test_shuffle_k1_is_identity_permutation():
     spec = make_spec(k=1, n=2, seed=3)
     sh = shuffle(spec)
-    np.testing.assert_array_equal(sh.perm, np.arange(8))
+    np.testing.assert_array_equal(sh.u, circuit_unitary(spec))
 
 
 @pytest.mark.parametrize("k,mixing", [(2, "hadamard"), (4, "hadamard"), (8, "hadamard"),
@@ -117,10 +122,10 @@ def test_involution_square_for_involutory_unitaries():
              permutation_matrix([3, 1, 2, 0]), permutation_matrix([0, 2, 1, 3]))
     spec = CircuitSpec(k=4, n=2, weights=np.array([1.0, 0.7, 0.4, 0.9]), unitaries=perms)
     spec_alt = CircuitSpec(k=4, n=2, weights=np.array([0.2, 0.9, 0.4, 0.7]), unitaries=perms)
-    structure_res, cancel_res = involution_check(spec, spec_alt)
+    sh = shuffle(spec)
+    structure_res, cancel_res = involution_check(sh, shuffle(spec_alt))
     assert structure_res < 1e-10
     assert cancel_res < 1e-10
-    sh = shuffle(spec)
     u2 = sh.u @ sh.u
     np.testing.assert_allclose(u2, np.eye(u2.shape[0]), atol=1e-10)
 
@@ -130,7 +135,7 @@ def test_involution_square_weight_independence_haar():
     base = make_spec(k=4, n=2, seed=17, weights=[1.0, 1.0, 0.5, 0.5])
     alt = CircuitSpec(k=4, n=2, weights=np.array([0.2, 0.9, 0.4, 0.7]),
                       unitaries=base.unitaries)
-    structure_res, cancel_res = involution_check(base, alt)
+    structure_res, cancel_res = involution_check(shuffle(base), shuffle(alt))
     assert structure_res < 1e-10
     assert cancel_res < 1e-10
 
@@ -140,11 +145,11 @@ def test_involution_check_requires_reflection_and_same_unitaries():
     alt = CircuitSpec(k=2, n=1, weights=np.array([0.3, 0.6]),
                       unitaries=spec.unitaries, variant="cyclic")
     with pytest.raises(ValueError):
-        involution_check(spec, alt)
+        involution_check(shuffle(spec), shuffle(alt))
     a = make_spec(k=2, n=1, seed=19)
     b = make_spec(k=2, n=1, seed=20)  # different unitaries
     with pytest.raises(ValueError):
-        involution_check(a, b)
+        involution_check(shuffle(a), shuffle(b))
 
 
 def test_structure_suite_twenty_seeded_specs():
