@@ -26,6 +26,7 @@ from .linalg import (
     random_state,
     rng,
     svd,
+    truncate_rank,
 )
 from .outputs import (
     coefficient_matrix,

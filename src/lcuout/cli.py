@@ -6,7 +6,9 @@ config and seeds.  CSV files carry '#'-prefixed header lines recording the
 tool version, the config hash, and the seeds; wall-clock timings go into
 trailing '#' comments so re-runs stay byte-identical outside comments.
 
-Exit codes: 0 success, 1 for a failed verification check, 2 usage/config error.
+Exit codes: 0 success, 1 for a failed verification or internal self-check,
+2 usage/config error, 3 numerical failure (a linear-algebra routine did not
+converge).
 """
 
 from __future__ import annotations
@@ -452,9 +454,15 @@ def main(argv=None) -> int:
             return cmd_trapdoor(args.action, config, args.seed or 0, args.out, args)
         if args.command == "complete":
             return cmd_complete(args.method, _load_config(args.config, DEFAULT_COMPLETE), args.seed, args.out)
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, so caught first
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"a check failed: {exc}", file=sys.stderr)
+        return 1
     raise SystemExit(2)
 
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: SVD, structured unitaries, seeded sampling.
+"""Dense linear-algebra kernel: SVD, rank truncation, structured unitaries, seeded sampling.
 
 Everything is plain numpy.  Randomness always flows through :func:`rng`,
 a counter-based Philox generator keyed by an explicit 64-bit seed, so every
@@ -21,7 +21,12 @@ __all__ = [
     "random_state",
     "rng",
     "svd",
+    "truncate_rank",
 ]
+
+# truncate_rank falls back to the SVD when the Gram eigenvalues at the cut are
+# this close relative to the largest one (the Gram squares the conditioning)
+GRAM_GAP_RTOL = 1e-8
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -50,6 +55,35 @@ def svd(a: np.ndarray) -> SvdResult:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     return SvdResult(u, s, vh)
+
+
+def truncate_rank(a: np.ndarray, rank: int) -> np.ndarray:
+    """Best rank-``rank`` approximation of a 2-D array (Eckart-Young).
+
+    Forms the Gram matrix on the smaller side (``a a^H`` for wide inputs,
+    ``a^H a`` for tall ones), takes its eigendecomposition and projects ``a``
+    onto the top ``rank`` eigenvectors, which for a 2K x N iterate costs a
+    2K x 2K ``eigh`` instead of a thin SVD.  The Gram squares the condition
+    number, so when the eigenvalue gap at the cut is at most
+    ``GRAM_GAP_RTOL`` times the largest eigenvalue (a near-degenerate cut, a
+    rank-deficient or a zero input) the result comes from :func:`svd`
+    instead.  Returns ``a`` itself when ``rank >= min(a.shape)``.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    if rank >= min(a.shape):
+        return a
+    wide = a.shape[0] <= a.shape[1]
+    gram = a @ a.conj().T if wide else a.conj().T @ a
+    lam, vecs = np.linalg.eigh(gram)  # ascending
+    if lam[-rank] - lam[-rank - 1] <= GRAM_GAP_RTOL * lam[-1]:
+        u, s, vh = svd(a)
+        return (u[:, :rank] * s[:rank]) @ vh[:rank]
+    top = vecs[:, -rank:]
+    return top @ (top.conj().T @ a) if wide else (a @ top) @ top.conj().T
 
 
 def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:

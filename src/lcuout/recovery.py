@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitSpec
-from .linalg import haar_random_unitary, random_state, rng, svd
+from .linalg import haar_random_unitary, random_state, rng, truncate_rank
 from .outputs import coefficient_matrix, extract_target, invert_with_C, output_matrix
 
 __all__ = [
@@ -138,12 +138,16 @@ def svp_complete(
     tol: float = 1e-12,
     max_iters: int = 500,
 ) -> tuple[np.ndarray, int]:
-    """Singular-value projection: gradient step on observed entries, rank-K SVD truncation.
+    """Singular-value projection: gradient step on observed entries, rank-K truncation.
 
-    The step size defaults to the reciprocal observation density and is
-    halved within an iteration until the observed residual decreases, which
-    keeps the sweep monotone even at sparse masks where the raw step would
-    diverge.  Iteration stops when the residual stalls (relative change
+    Each trial step is truncated to rank K by :func:`lcuout.linalg.truncate_rank`:
+    an ``eigh`` of the 2K x 2K Gram matrix and a projection onto its top K
+    eigenvectors, falling back to the thin SVD when the Gram spectrum has no
+    clear gap at K.  The step size defaults to the reciprocal observation
+    density and is halved within an iteration until the observed residual
+    decreases, which keeps the sweep monotone even at sparse masks where the
+    raw step would diverge; the masked residual of the accepted step is the
+    next gradient.  Iteration stops when the residual stalls (relative change
     below ``tol``), when no step length helps, or after ``max_iters``
     rounds.  Returns the completed matrix and the number of iterations used.
     """
@@ -152,22 +156,22 @@ def svp_complete(
     if mu is None:
         mu = 1.0 / mask.mean()
     z = np.zeros_like(b)
+    g = np.where(mask, b, 0.0)
     b_norm = np.linalg.norm(b)
     prev = b_norm
     iters = 0
     for iters in range(1, max_iters + 1):
-        g = np.where(mask, b - z, 0.0)
         mu_try = mu
         for _ in range(16):
-            u, s, vh = svd(z + mu_try * g)
-            z_new = (u[:, :rank] * s[:rank]) @ vh[:rank]
-            cur = np.linalg.norm(np.where(mask, b - z_new, 0.0))
+            z_new = truncate_rank(z + mu_try * g, rank)
+            g_new = np.where(mask, b - z_new, 0.0)
+            cur = np.linalg.norm(g_new)
             if cur <= prev:
                 break
             mu_try *= 0.5
         else:
             break
-        z = z_new
+        z, g = z_new, g_new
         if cur <= 1e-15 * b_norm or prev - cur <= tol * max(prev, 1e-300):
             break
         prev = cur

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import lcuout.cli
+import lcuout.recovery
 from lcuout.cli import main
 from lcuout.outputs import matrix_from_csv
 
@@ -167,3 +169,23 @@ def test_key_file_round_trips_byte_identically(tmp_path):
     assert main(["trapdoor", "keygen", "--seed", "9", "--out", out1]) == 0
     assert main(["trapdoor", "keygen", "--seed", "9", "--out", out2]) == 0
     assert (tmp_path / "k1_key.json").read_bytes() == (tmp_path / "k2_key.json").read_bytes()
+
+
+def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def no_convergence(a, rank):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(lcuout.recovery, "truncate_rank", no_convergence)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 2, "n": 3, "fraction": 0.8, "seed": 1}))
+    assert main(["complete", "svp", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failed_self_check_exits_1(tmp_path, monkeypatch, capsys):
+    def disagree(*args):
+        raise AssertionError("closed-form p00 disagrees with simulation")
+
+    monkeypatch.setattr(lcuout.cli, "success_probabilities", disagree)
+    assert main(["fig2", "--out", str(tmp_path / "f")]) == 1
+    assert "a check failed" in capsys.readouterr().err

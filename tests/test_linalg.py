@@ -10,6 +10,7 @@ from lcuout.linalg import (
     random_state,
     rng,
     svd,
+    truncate_rank,
 )
 
 
@@ -126,3 +127,59 @@ def test_kron_matches_elementwise_definition():
     bc = b + 1j * gen.standard_normal((3, 3))
     expect = np.array([[ac[i // 3 % 2, j // 3] * bc[i % 3, j % 3] for j in range(6)] for i in range(6)])
     np.testing.assert_allclose(kron(ac, bc), expect, atol=1e-14)
+
+
+def svd_truncation(a, rank):
+    u, s, vh = svd(a)
+    return (u[:, :rank] * s[:rank]) @ vh[:rank]
+
+
+@pytest.mark.parametrize("shape", [(8, 64), (64, 8), (5, 5)])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_truncate_rank_matches_svd_truncation(shape, complex_input):
+    gen = rng(31)
+    a = gen.standard_normal(shape)
+    if complex_input:
+        a = a + 1j * gen.standard_normal(shape)
+    for rank in range(1, min(shape)):
+        out = truncate_rank(a, rank)
+        assert out.shape == a.shape and out.dtype == a.dtype
+        assert np.linalg.norm(out - svd_truncation(a, rank)) <= 1e-12 * np.linalg.norm(a)
+
+
+def test_truncate_rank_degenerate_cut_uses_svd():
+    # sigma_2 == sigma_3: no gap at the cut, so the Gram route must not decide
+    gen = rng(32)
+    u = haar_random_unitary(6, gen)[:, :4]
+    v = haar_random_unitary(40, gen)[:4]
+    a = (u * np.array([3.0, 2.0, 2.0, 1.0])) @ v
+    np.testing.assert_array_equal(truncate_rank(a, 2), svd_truncation(a, 2))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_truncate_rank_zero_and_rank_deficient_inputs(rank):
+    gen = rng(33)
+    deficient = (gen.standard_normal((6, 2)) + 1j * gen.standard_normal((6, 2))) @ (
+        gen.standard_normal((2, 30)) + 1j * gen.standard_normal((2, 30))
+    )
+    for a in (np.zeros((6, 30), dtype=complex), deficient):
+        out = truncate_rank(a, rank)
+        assert np.all(np.isfinite(out))
+        s = np.linalg.svd(a, compute_uv=False)
+        # Eckart-Young: the best rank-r approximation leaves exactly the tail
+        residual = np.linalg.norm(a - out)
+        assert abs(residual - np.sqrt(np.sum(s[rank:] ** 2))) <= 1e-12 * max(np.linalg.norm(a), 1.0)
+        assert np.linalg.matrix_rank(out, tol=1e-10 * max(s[0], 1.0)) <= rank
+
+
+@pytest.mark.parametrize("shape, rank", [((4, 9), 4), ((4, 9), 7), ((9, 4), 4), ((3, 3), 3)])
+def test_truncate_rank_full_rank_request_returns_input(shape, rank):
+    a = rng(34).standard_normal(shape)
+    assert truncate_rank(a, rank) is a
+
+
+def test_truncate_rank_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        truncate_rank(np.ones(4), 1)
+    with pytest.raises(ValueError):
+        truncate_rank(np.ones((4, 4)), 0)

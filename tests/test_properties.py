@@ -1,4 +1,4 @@
-"""Property tests for the single sources of truth: the C formula and the matrix codecs."""
+"""Property tests for the single sources of truth: the C formula, the matrix codecs and the mask draw."""
 
 import math
 
@@ -16,6 +16,7 @@ from lcuout.outputs import (
     matrix_to_json,
     output_matrix,
 )
+from lcuout.recovery import make_mask
 
 # r = sqrt(1 - w^2) vanishes at the endpoints, so they are drawn on purpose
 weights_in_range = st.one_of(st.sampled_from([-1.0, 1.0, -0.0, 0.0]), st.floats(-1.0, 1.0))
@@ -105,3 +106,25 @@ def test_explicit_spec_json_round_trip_is_bit_exact(data, k, n, secret, variant)
         assert same_bits(again.mixing_matrix, spec.mixing_matrix)
     else:
         assert again.mixing_matrix is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 10), cols=st.integers(1, 40), seed=st.integers(0, 2**63 - 1),
+       density=st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_make_mask_is_seeded_and_tops_up_every_column(data, rows, cols, seed, density):
+    min_per_column = data.draw(st.integers(1, rows))
+    guaranteed = make_mask(rows, cols, seed, "column_guaranteed", density=density, min_per_column=min_per_column)
+    again = make_mask(rows, cols, seed, "column_guaranteed", density=density, min_per_column=min_per_column)
+    for m in (guaranteed, again):
+        assert m.mask.dtype == bool and m.mask.shape == (rows, cols)
+    np.testing.assert_array_equal(guaranteed.mask, again.mask)
+    per_column = guaranteed.mask.sum(axis=0)
+    if density is None:
+        assert np.all(per_column == min_per_column)
+        return
+    assert np.all(per_column >= min_per_column)
+    uniform = make_mask(rows, cols, seed, "uniform", density=density)
+    assert uniform.mask.dtype == bool and uniform.mask.shape == (rows, cols)
+    np.testing.assert_array_equal(uniform.mask, make_mask(rows, cols, seed, "uniform", density=density).mask)
+    # both modes start from the same first draw of the seed's stream
+    assert np.all(guaranteed.mask[uniform.mask])
