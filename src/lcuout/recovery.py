@@ -141,9 +141,9 @@ def svp_complete(
     """Singular-value projection: gradient step on observed entries, rank-K truncation.
 
     Each trial step is truncated to rank K by :func:`lcuout.linalg.truncate_rank`:
-    an ``eigh`` of the 2K x 2K Gram matrix and a projection onto its top K
-    eigenvectors, falling back to the thin SVD when the Gram spectrum has no
-    clear gap at K.  The step size defaults to the reciprocal observation
+    an ``eigh`` of the smaller-side Gram matrix (2K x 2K for N >= 2K) and a
+    projection onto its top K eigenvectors, falling back to the thin SVD when
+    the Gram spectrum has no clear gap at K.  The step size defaults to the reciprocal observation
     density and is halved within an iteration until the observed residual
     decreases, which keeps the sweep monotone even at sparse masks where the
     raw step would diverge; the masked residual of the accepted step is the
