@@ -7,7 +7,9 @@ coefficient-hiding trapdoor protocol built on top of it.
 """
 
 from .circuit import (
+    CheckFailed,
     CircuitSpec,
+    apply_circuit,
     circuit_unitary,
     output_states,
     plusminus_states,

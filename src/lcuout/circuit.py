@@ -23,9 +23,11 @@ import numpy as np
 from .linalg import dft_matrix, haar_random_unitary, hadamard_matrix, kron, rng
 
 __all__ = [
+    "CheckFailed",
     "CircuitSpec",
     "OutcomeStates",
     "ShotDataset",
+    "apply_circuit",
     "circuit_unitary",
     "coefficient_matrix",
     "matrix_from_pairs",
@@ -44,6 +46,15 @@ __all__ = [
 _MIXINGS = ("hadamard", "dft", "secret")
 _VARIANTS = ("reflection", "cyclic")
 _ATOL = 1e-10
+
+
+class CheckFailed(RuntimeError):
+    """A library self-check found a residual above its threshold."""
+
+    def __init__(self, check: str, residual: float):
+        super().__init__(f"{check} check failed: residual {residual:.3e}")
+        self.check = check
+        self.residual = residual
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -100,7 +111,7 @@ class CircuitSpec:
             u = np.asarray(u, dtype=complex)
             if u.shape != (big_n, big_n):
                 raise ValueError(f"unitary {t} has shape {u.shape}, expected {(big_n, big_n)}")
-            if not np.allclose(u.conj().T @ u, np.eye(big_n), atol=_ATOL):
+            if not np.allclose(u.conj().T @ u, np.eye(big_n), rtol=0, atol=_ATOL):
                 raise ValueError(f"matrix {t} is not unitary")
             us.append(_readonly(u))
         object.__setattr__(self, "unitaries", tuple(us))
@@ -110,7 +121,7 @@ class CircuitSpec:
             m = np.asarray(self.mixing_matrix, dtype=complex)
             if m.shape != (self.k, self.k):
                 raise ValueError(f"mixing matrix has shape {m.shape}, expected {(self.k, self.k)}")
-            if not np.allclose(m.conj().T @ m, np.eye(self.k), atol=_ATOL):
+            if not np.allclose(m.conj().T @ m, np.eye(self.k), rtol=0, atol=_ATOL):
                 raise ValueError("mixing matrix is not unitary")
             object.__setattr__(self, "mixing_matrix", _readonly(m))
         elif self.mixing_matrix is not None:
@@ -303,12 +314,33 @@ def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
     """Dense circuit unitary ``V = (G2 x I_2N) M (G1 x I_2N)``.
 
     For ``k == 1`` the mixing layers are the scalar 1 and ``V`` is just the
-    select operator on rotation x system.
+    select operator on rotation x system.  Building it costs two (2KN)^3
+    products; the package itself uses :func:`apply_circuit`, and this dense
+    form is the oracle the tests compare it against.
     """
     g1, g2 = mixing_layers(spec)
     eye = np.eye(2 * spec.big_n)
     m = select_operator(spec)
     return kron(g2, eye) @ m @ kron(g1, eye)
+
+
+def apply_circuit(spec: CircuitSpec, v: np.ndarray) -> np.ndarray:
+    """``circuit_unitary(spec) @ v`` without forming the (2KN)^2 matrix.
+
+    ``v`` has length 2KN in the index x rotation x system order of
+    :func:`circuit_unitary`.  Applies ``G1 (x) I``, then ``R_t (x) U_t`` on
+    index block t, then ``G2 (x) I``, in O(K N^2 + K^2 N).
+    """
+    k, big_n = spec.k, spec.big_n
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (spec.extended_dim,):
+        raise ValueError(f"vector has shape {v.shape}, expected {(spec.extended_dim,)}")
+    g1, g2 = mixing_layers(spec)
+    rot = np.stack([rotation_gate(w, spec.variant) for w in spec.weights])
+    x = np.tensordot(g1, v.reshape(k, 2, big_n), axes=1)  # (t, s, m)
+    x = np.stack(spec.unitaries) @ x.transpose(0, 2, 1)  # (t, m, s): U_t on both rotation halves
+    x = rot @ x.transpose(0, 2, 1)  # (t, r, m)
+    return np.tensordot(g2, x, axes=1).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -367,15 +399,16 @@ def success_probabilities(
         raise ValueError("closed-form success probabilities assume Hadamard mixing")
     psi = _check_state(psi, spec.big_n)
     c, beta = scale_coefficients(alpha)
-    if not np.allclose(beta, spec.weights, atol=1e-12):
+    if not np.allclose(beta, spec.weights, rtol=0, atol=1e-12):
         raise ValueError("spec weights must equal the rescaled coefficients")
     t_psi = sum(a * (u @ psi) for a, u in zip(np.asarray(alpha, dtype=float), spec.unitaries))
     target_sq = float(np.vdot(t_psi, t_psi).real)
     p00 = target_sq / (c * spec.k) ** 2
     p_std = target_sq / float(np.sum(np.abs(alpha))) ** 2
     out = output_states(spec, psi)
-    if abs(p00 - out.probability(0, 0)) > 1e-12:
-        raise AssertionError("closed-form p00 disagrees with simulation")
+    p00_gap = abs(p00 - out.probability(0, 0))
+    if p00_gap > 1e-12:
+        raise CheckFailed("closed-form p00", p00_gap)
     p0_any = out.probability(0, 0) + out.probability(0, 1)
     return p00, p0_any, p_std
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import CircuitSpec, output_states, success_probabilities
+from .circuit import CheckFailed, CircuitSpec, output_states, success_probabilities
 from .linalg import random_state
 from .outputs import coefficient_matrix, extract_target, matrix_from_csv, matrix_to_csv, output_matrix, row_matrix
 from .recovery import complete, make_mask, observe, random_instance, recovery_errors, sweep
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (CheckFailed, AssertionError) as exc:
         print(f"a check failed: {exc}", file=sys.stderr)
         return 1
     raise SystemExit(2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, circuit_unitary, mixing_layers, output_states, sample_shots
+from .circuit import CircuitSpec, apply_circuit, mixing_layers, output_states, sample_shots
 from .linalg import haar_random_unitary, hadamard_matrix, rng
 from .outputs import coefficient_matrix, extract_target, invert_with_C, output_matrix
 from .recovery import ObservedEntries, factorized_complete
@@ -361,10 +361,11 @@ def involution_encrypt_decrypt(
     for t, u in enumerate(pub.unitaries):
         if np.linalg.norm(u @ u - np.eye(big_n)) > 1e-10:
             raise ValueError(f"unitary {t} is not an involution")
-    v1 = circuit_unitary(key_spec(key, pub))
-    v2 = circuit_unitary(key_spec(key2, pub))
+    spec, spec2 = key_spec(key, pub), key_spec(key2, pub)
     psi = np.asarray(psi, dtype=complex)
     ext = np.zeros(2 * pub.k * big_n, dtype=complex)
     ext[:big_n] = psi  # index 0, rotation 0 block
-    result = v2 @ (v2 @ (v1 @ (v1 @ ext)))
+    result = ext
+    for s in (spec, spec, spec2, spec2):
+        result = apply_circuit(s, result)
     return float(np.abs(np.vdot(ext, result)) ** 2)

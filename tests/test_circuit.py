@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import lcuout.circuit
 from lcuout.circuit import (
+    CheckFailed,
     CircuitSpec,
+    apply_circuit,
     circuit_unitary,
     mixing_layers,
     output_states,
@@ -88,6 +91,20 @@ def test_spec_weight_clipping_tolerance():
     assert spec.weights[0] == 1.0
     with pytest.raises(ValueError):
         CircuitSpec(k=1, n=1, weights=np.array([1.0 + 1e-6]), unitaries=u)
+
+
+def test_spec_rejects_nearly_unitary_matrix():
+    # max |U^dag U - I| = 8e-6: inside numpy's default rtol, far outside 1e-10
+    u = haar_random_unitary(4, rng(3)) * (1 + 4e-6)
+    with pytest.raises(ValueError, match="not unitary"):
+        CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(u,))
+
+
+def test_spec_rejects_nearly_unitary_mixing_matrix():
+    gen = rng(4)
+    with pytest.raises(ValueError, match="mixing matrix is not unitary"):
+        CircuitSpec(k=2, n=1, weights=np.ones(2), unitaries=tuple(haar_random_unitary(2, gen) for _ in range(2)),
+                    mixing="secret", mixing_matrix=np.eye(2) * (1 + 4e-6))
 
 
 def test_spec_rejects_nan_weights():
@@ -188,6 +205,12 @@ def test_circuit_unitary_is_unitary(k, mixing, variant):
     np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
 
 
+def test_apply_circuit_rejects_a_vector_of_the_wrong_length():
+    spec = make_spec(k=2, n=1, seed=6)
+    with pytest.raises(ValueError, match="expected"):
+        apply_circuit(spec, np.ones(spec.big_n))
+
+
 # ---- output states ------------------------------------------------------------
 
 @pytest.mark.parametrize("mixing", ["hadamard", "dft"])
@@ -264,6 +287,26 @@ def test_success_probabilities_requires_matching_weights():
     dft_spec = make_spec(k=2, n=1, weights=[1.0, 0.5], mixing="dft")
     with pytest.raises(ValueError):
         success_probabilities(dft_spec, psi, np.array([2.0, 1.0]))
+
+
+def test_success_probabilities_rejects_weights_off_by_more_than_1e_12():
+    spec = make_spec(k=2, n=1, weights=[1.0, 0.5])
+    with pytest.raises(ValueError, match="rescaled coefficients"):
+        success_probabilities(spec, random_state(2, 0), np.array([1.0, 0.5 + 4e-6]))
+
+
+def test_success_probabilities_self_check_raises_check_failed(monkeypatch):
+    real = lcuout.circuit.output_states
+
+    def skewed(spec, psi):
+        out = real(spec, psi)
+        return type(out)(k=out.k, states=out.states, probabilities=out.probabilities * 1.01)
+
+    monkeypatch.setattr(lcuout.circuit, "output_states", skewed)
+    spec = make_spec(k=2, n=1, weights=[1.0, 0.5])
+    with pytest.raises(CheckFailed, match="closed-form p00 check failed: residual") as info:
+        success_probabilities(spec, random_state(2, 0), np.array([1.0, 0.5]))
+    assert info.value.check == "closed-form p00" and info.value.residual > 1e-12
 
 
 def test_plusminus_states():

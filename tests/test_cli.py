@@ -5,6 +5,7 @@ import pytest
 
 import lcuout.cli
 import lcuout.recovery
+from lcuout.circuit import CheckFailed
 from lcuout.cli import main
 from lcuout.outputs import matrix_from_csv
 
@@ -189,3 +190,12 @@ def test_failed_self_check_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lcuout.cli, "success_probabilities", disagree)
     assert main(["fig2", "--out", str(tmp_path / "f")]) == 1
     assert "a check failed" in capsys.readouterr().err
+
+
+def test_check_failed_exits_1(tmp_path, monkeypatch, capsys):
+    def disagree(*args):
+        raise CheckFailed("closed-form p00", 3e-9)
+
+    monkeypatch.setattr(lcuout.cli, "success_probabilities", disagree)
+    assert main(["fig2", "--out", str(tmp_path / "f")]) == 1
+    assert "a check failed: closed-form p00 check failed: residual 3.000e-09" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""The package modules and the acceptance gate use only public names of other lcuout modules."""
+"""The package modules and the acceptance gate use only public names of other lcuout modules,
+and only the tests use the dense circuit oracle."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,38 @@ def test_detector_sees_private_imports():
         "import lcuout._internal\n"
     )
     assert sorted(private_imports(source)) == [".trapdoor._hidden", "lcuout._internal", "lcuout.recovery._helper"]
+
+
+DENSE_ORACLE = {"circuit_unitary", "select_operator"}
+
+
+def dense_oracle_uses(source: str) -> list[str]:
+    """Every import or reference of the dense (2KN)^2 circuit builders in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [a.name for a in node.names if a.name.split(".")[-1] in DENSE_ORACLE]
+        elif isinstance(node, ast.Name) and node.id in DENSE_ORACLE:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in DENSE_ORACLE:
+            found.append(node.attr)
+    return found
+
+
+# circuit.py defines the oracle; __init__.py only re-exports it as public API
+PRODUCTION = [p for p in sorted((ROOT / "src" / "lcuout").glob("*.py")) if p.name not in ("circuit.py", "__init__.py")]
+
+
+@pytest.mark.parametrize("path", PRODUCTION, ids=lambda p: p.name)
+def test_dense_circuit_oracle_stays_out_of_production(path):
+    assert dense_oracle_uses(path.read_text()) == []
+
+
+def test_detector_sees_dense_oracle_uses():
+    source = (
+        "from .circuit import CircuitSpec, circuit_unitary\n"
+        "import lcuout.circuit\n"
+        "def f(spec):\n"
+        "    return lcuout.circuit.select_operator(spec) @ apply_circuit(spec, v)\n"
+    )
+    assert dense_oracle_uses(source) == ["circuit_unitary", "select_operator"]

@@ -1,4 +1,4 @@
-"""Property tests for the single sources of truth: the C formula, the matrix codecs and the mask draw."""
+"""Property tests for the single sources of truth: the C formula, the circuit operator, the codecs and the mask draw."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcuout.circuit import CircuitSpec
+from lcuout.circuit import CircuitSpec, apply_circuit, circuit_unitary
 from lcuout.linalg import haar_random_unitary, numerical_rank, random_state, rng
 from lcuout.outputs import (
     coefficient_matrix,
@@ -39,6 +39,26 @@ def test_coefficient_columns_orthonormal_up_to_k_and_rank_bounded(k, n, mixing, 
     assert c.shape == (2 * k, k)
     assert np.abs(c.conj().T @ c - np.eye(k) / k).max() < 1e-12
     assert numerical_rank(output_matrix(spec, random_state(2**n, gen))) <= k
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 4]),
+    n=st.integers(1, 3),
+    mixing=st.sampled_from(["hadamard", "dft", "secret"]),
+    variant=st.sampled_from(["reflection", "cyclic"]),
+    weights=st.lists(weights_in_range, min_size=4, max_size=4),
+    seed=st.integers(0, 2**32),
+)
+def test_apply_circuit_matches_the_dense_unitary(k, n, mixing, variant, weights, seed):
+    gen = rng(seed)
+    spec = CircuitSpec(k=k, n=n, weights=np.array(weights[:k]), mixing=mixing, variant=variant,
+                       unitaries=tuple(haar_random_unitary(2**n, gen) for _ in range(k)),
+                       mixing_matrix=haar_random_unitary(k, gen) if mixing == "secret" else None)
+    # a random vector over every index and rotation block, not only psi (+) 0
+    v = gen.standard_normal(spec.extended_dim) + 1j * gen.standard_normal(spec.extended_dim)
+    v /= np.linalg.norm(v)
+    assert np.abs(apply_circuit(spec, v) - circuit_unitary(spec) @ v).max() < 1e-12
 
 
 # finite doubles, with signed zeros and subnormals always in the draw

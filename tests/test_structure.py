@@ -1,10 +1,18 @@
-from itertools import product
+import copy
 
 import numpy as np
 import pytest
 
-from lcuout.circuit import CircuitSpec, circuit_unitary, permutation_matrix
-from lcuout.linalg import haar_random_unitary, kron, rng
+import lcuout.structure
+from lcuout.circuit import (
+    CheckFailed,
+    CircuitSpec,
+    circuit_unitary,
+    coefficient_matrix,
+    mixing_layers,
+    permutation_matrix,
+)
+from lcuout.linalg import haar_random_unitary, kron, numerical_rank, random_state, rng
 from lcuout.structure import (
     csd_assemble,
     involution_check,
@@ -24,35 +32,59 @@ def make_spec(k=4, n=2, seed=0, mixing="hadamard", variant="reflection", weights
                        mixing=mixing, variant=variant)
 
 
+def regrouped(spec):
+    """circuit_unitary(spec) with each (index i, rotation r) block moved to r * K + i."""
+    k, big_n = spec.k, spec.big_n
+    perm = [(i * 2 + r) * big_n + m for r in range(2) for i in range(k) for m in range(big_n)]
+    return circuit_unitary(spec)[np.ix_(perm, perm)]
+
+
 def test_shuffle_recovers_two_block_form():
     spec = make_spec(k=4, n=2, seed=1)
     sh = shuffle(spec)
     assert sh.block_residual < 1e-12
     half = spec.k * spec.big_n
-    v = circuit_unitary(spec)
-    # entry by entry, U is V with each (index i, rotation r) block moved to r * K + i
-    k, big_n = spec.k, spec.big_n
-    for r, i, m, s, j, mp in product(range(2), range(k), range(big_n), range(2), range(k), range(big_n)):
-        assert sh.u[(r * k + i) * big_n + m, (s * k + j) * big_n + mp] == \
-            v[(i * 2 + r) * big_n + m, (j * 2 + s) * big_n + mp]
-    np.testing.assert_allclose(sh.u[:half, :half], sh.a, atol=0)
-    np.testing.assert_allclose(sh.u[half:, half:], -sh.a, atol=1e-12)
-    np.testing.assert_allclose(sh.u[half:, :half], sh.b, atol=1e-12)
+    u = regrouped(spec)
+    # entry by entry against the dense circuit: U = [[A, B], [B, -A]]
+    np.testing.assert_allclose(sh.a, u[:half, :half], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sh.b, u[:half, half:], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u[half:, :half], sh.b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u[half:, half:], -sh.a, rtol=0, atol=1e-12)
 
 
 def test_shuffle_cyclic_flips_the_lower_left_sign():
     spec = make_spec(k=4, n=1, seed=2, variant="cyclic")
     sh = shuffle(spec)
     half = spec.k * spec.big_n
-    np.testing.assert_allclose(sh.u[half:, :half], -sh.b, atol=1e-12)
-    np.testing.assert_allclose(sh.u[half:, half:], sh.a, atol=1e-12)
+    u = regrouped(spec)
+    np.testing.assert_allclose(sh.a, u[:half, :half], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sh.b, u[:half, half:], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u[half:, :half], -sh.b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u[half:, half:], sh.a, rtol=0, atol=1e-12)
     assert sh.block_residual < 1e-12
 
 
 def test_shuffle_k1_is_identity_permutation():
     spec = make_spec(k=1, n=2, seed=3)
     sh = shuffle(spec)
-    np.testing.assert_array_equal(sh.u, circuit_unitary(spec))
+    v = circuit_unitary(spec)
+    np.testing.assert_array_equal(regrouped(spec), v)
+    big_n = spec.big_n
+    np.testing.assert_array_equal(sh.a, v[:big_n, :big_n])
+    np.testing.assert_array_equal(sh.b, v[:big_n, big_n:])
+    np.testing.assert_array_equal(v[big_n:, :big_n], sh.b)
+    np.testing.assert_array_equal(v[big_n:, big_n:], -sh.a)
+
+
+def test_shuffle_raises_check_failed_when_block_symmetry_breaks(monkeypatch):
+    # a rotation gate that is not symmetric breaks B = lower-left block
+    def lopsided(w, variant="reflection"):
+        r = np.sqrt(1.0 - w * w)
+        return np.array([[w, r], [0.5 * r, -w]])
+
+    monkeypatch.setattr(lcuout.structure, "rotation_gate", lopsided)
+    with pytest.raises(CheckFailed, match="two-block symmetry check failed: residual"):
+        shuffle(make_spec(k=2, n=1, seed=4))
 
 
 @pytest.mark.parametrize("k,mixing", [(2, "hadamard"), (4, "hadamard"), (8, "hadamard"),
@@ -126,7 +158,7 @@ def test_involution_square_for_involutory_unitaries():
     structure_res, cancel_res = involution_check(sh, shuffle(spec_alt))
     assert structure_res < 1e-10
     assert cancel_res < 1e-10
-    u2 = sh.u @ sh.u
+    u2 = regrouped(spec) @ regrouped(spec)
     np.testing.assert_allclose(u2, np.eye(u2.shape[0]), atol=1e-10)
 
 
@@ -198,3 +230,102 @@ def test_verify_secret_mixing_keeps_only_the_mixing_free_checks():
     checks = verify(spec, seed=1)
     assert _skipped(checks) == {"similarity", "singular-multiset", "csd", "csd-sigma", "involution"}
     assert all(c["pass"] for c in checks)
+
+
+# ---- the blockwise battery against the dense (2KN)^2 oracle -------------------
+
+def dense_battery(spec, seed):
+    """Residual of every verify check, taken on the regrouped dense circuit unitary."""
+    k, big_n = spec.k, spec.big_n
+    half = k * big_n
+    u = regrouped(spec)
+    a, b = u[:half, :half], u[:half, half:]
+    w = spec.weights
+    r = np.sqrt(1.0 - w * w)
+    lower = np.block([b, -a]) if spec.variant == "reflection" else np.block([-b, a])
+    out = {
+        "unitarity": np.linalg.norm(u.conj().T @ u - np.eye(2 * half)),
+        "block-structure": np.abs(u[half:] - lower).max(),
+    }
+    public, reflection = spec.mixing != "secret", spec.variant == "reflection"
+    if public:
+        q = kron(mixing_layers(spec)[1], np.eye(big_n))
+
+        def diag_blocks(scale):
+            d = np.zeros((half, half), dtype=complex)
+            for t, ut in enumerate(spec.unitaries):
+                d[t * big_n:(t + 1) * big_n, t * big_n:(t + 1) * big_n] = scale[t] * ut
+            return d
+
+        out["similarity"] = max(np.linalg.norm(q.conj().T @ a @ q - diag_blocks(w)) / np.linalg.norm(a),
+                                np.linalg.norm(q.conj().T @ b @ q - diag_blocks(r)) / max(np.linalg.norm(b), 1e-300))
+        out["singular-multiset"] = max(
+            np.abs(np.linalg.svd(a, compute_uv=False) - np.sort(np.repeat(np.abs(w), big_n))[::-1]).max(),
+            np.abs(np.linalg.svd(b, compute_uv=False) - np.sort(np.repeat(r, big_n))[::-1]).max())
+        if reflection and np.all(w >= 0):
+            q1 = q @ diag_blocks(np.ones(k))
+            out["csd"] = max(np.linalg.norm((q1 * np.repeat(w, big_n)) @ q.conj().T - a),
+                             np.linalg.norm((q1 * np.repeat(r, big_n)) @ q.conj().T - b))
+            out["csd-sigma"] = np.abs(np.repeat(w, big_n) ** 2 + np.repeat(r, big_n) ** 2 - 1.0).max()
+        if reflection:
+            spec_alt = copy.copy(spec)
+            object.__setattr__(spec_alt, "weights", rng(seed + 1).uniform(0.1, 1.0, k))
+            u_alt = regrouped(spec_alt)
+            blocks = diag_blocks(np.ones(k))
+            u_sq = u @ u
+            out["involution"] = max(np.linalg.norm(u_sq - kron(np.eye(2), q @ (blocks @ blocks) @ q.conj().T)),
+                                    np.linalg.norm(u_sq - u_alt @ u_alt))
+    psi = random_state(big_n, seed)
+    phi = (u[:, :big_n] @ psi).reshape(2 * k, big_n)
+    c = coefficient_matrix(spec)
+    x = np.stack([ut @ psi for ut in spec.unitaries])
+    out["factorization"] = np.linalg.norm(c @ x - phi)
+    out["column-orthogonality"] = np.abs(c.conj().T @ c - np.eye(k) / k).max()
+    out["rank"] = 0.0 if numerical_rank(phi) <= k else 1.0
+    return out
+
+
+ORACLE_CASES = [
+    (k, n, mixing, variant, signed)
+    for k, n in [(1, 2), (2, 3), (4, 2), (4, 3)]
+    for mixing in ("hadamard", "dft")
+    for variant in ("reflection", "cyclic")
+    for signed in (False, True)
+]
+
+
+@pytest.mark.parametrize("k, n, mixing, variant, signed", ORACLE_CASES)
+def test_verify_residuals_match_the_dense_oracle(k, n, mixing, variant, signed):
+    weights = rng(60 + k).uniform(-1.0 if signed else 0.1, 1.0, k)
+    if signed:
+        weights[0] = -1.0  # r_t = 0 on a negative weight
+    spec = make_spec(k=k, n=n, seed=61 + n, mixing=mixing, variant=variant, weights=weights)
+    dense = dense_battery(spec, seed=7)
+    checks = verify(spec, seed=7)
+    assert {c["name"] for c in checks if not c["skipped"]} == set(dense)
+    for c in checks:
+        if not c["skipped"]:
+            assert abs(c["residual"] - dense[c["name"]]) <= 1e-12, c["name"]
+            assert c["pass"] == (dense[c["name"]] < c["threshold"])
+
+
+def test_verify_secret_mixing_matches_the_dense_oracle():
+    gen = rng(62)
+    spec = CircuitSpec(k=4, n=2, weights=gen.uniform(0.1, 1.0, 4),
+                       unitaries=tuple(haar_random_unitary(4, gen) for _ in range(4)),
+                       mixing="secret", mixing_matrix=haar_random_unitary(4, 63))
+    dense = dense_battery(spec, seed=8)
+    for c in verify(spec, seed=8):
+        if not c["skipped"]:
+            assert abs(c["residual"] - dense[c["name"]]) <= 1e-12, c["name"]
+
+
+def test_perturbed_unitary_fails_the_same_checks_as_the_dense_oracle():
+    # scaled after validation, so the spec itself no longer holds unitaries
+    spec = make_spec(k=4, n=2, seed=64)
+    object.__setattr__(spec, "unitaries", (spec.unitaries[0] * (1 + 1e-6),) + spec.unitaries[1:])
+    dense = dense_battery(spec, seed=9)
+    checks = verify(spec, seed=9)
+    failed = {c["name"] for c in checks if not c["pass"]}
+    assert failed == {name for c in checks if (name := c["name"]) in dense and dense[name] >= c["threshold"]}
+    assert failed == {"unitarity", "singular-multiset"}
