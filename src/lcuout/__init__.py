@@ -12,18 +12,15 @@ from .circuit import (
     apply_circuit,
     circuit_unitary,
     output_states,
-    plusminus_states,
     rotation_gate,
     sample_shots,
     scale_coefficients,
-    select_operator,
     success_probabilities,
 )
 from .linalg import (
     dft_matrix,
     hadamard_matrix,
     haar_random_unitary,
-    kron,
     numerical_rank,
     random_state,
     rng,
@@ -32,7 +29,6 @@ from .linalg import (
 )
 from .outputs import (
     coefficient_matrix,
-    empirical_magnitudes,
     extract_target,
     invert_with_C,
     output_matrix,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import dft_matrix, haar_random_unitary, hadamard_matrix, kron, rng
+from .linalg import dft_matrix, haar_random_unitary, hadamard_matrix, rng
 
 __all__ = [
     "CheckFailed",
@@ -34,12 +34,10 @@ __all__ = [
     "matrix_to_pairs",
     "mixing_layers",
     "output_states",
-    "plusminus_states",
     "rotation_gate",
     "row_matrix",
     "sample_shots",
     "scale_coefficients",
-    "select_operator",
     "success_probabilities",
 ]
 
@@ -203,7 +201,7 @@ def pauli_string_matrix(label: str) -> np.ndarray:
     for ch in label:
         if ch not in _PAULI:
             raise ValueError(f"unknown Pauli letter {ch!r} in {label!r}")
-        m = kron(m, _PAULI[ch])
+        m = np.kron(m, _PAULI[ch])
     return m
 
 
@@ -299,29 +297,23 @@ def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
     return np.stack([u @ psi for u in spec.unitaries])
 
 
-def select_operator(spec: CircuitSpec) -> np.ndarray:
-    """Block-diagonal select operator ``M = sum_t |t><t| (x) R_t (x) U_t``."""
-    big_n = spec.big_n
-    block = 2 * big_n
-    m = np.zeros((spec.k * block, spec.k * block), dtype=complex)
-    for t in range(spec.k):
-        r = rotation_gate(spec.weights[t], spec.variant)
-        m[t * block : (t + 1) * block, t * block : (t + 1) * block] = kron(r, spec.unitaries[t])
-    return m
-
-
 def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
     """Dense circuit unitary ``V = (G2 x I_2N) M (G1 x I_2N)``.
 
-    For ``k == 1`` the mixing layers are the scalar 1 and ``V`` is just the
-    select operator on rotation x system.  Building it costs two (2KN)^3
-    products; the package itself uses :func:`apply_circuit`, and this dense
-    form is the oracle the tests compare it against.
+    ``M = sum_t |t><t| (x) R_t (x) U_t`` is the block-diagonal select
+    operator.  For ``k == 1`` the mixing layers are the scalar 1 and ``V`` is
+    just ``R_0 (x) U_0``.  Building it costs two (2KN)^3 products; the
+    package itself uses :func:`apply_circuit`, and this dense form is the
+    oracle the tests compare it against.
     """
     g1, g2 = mixing_layers(spec)
-    eye = np.eye(2 * spec.big_n)
-    m = select_operator(spec)
-    return kron(g2, eye) @ m @ kron(g1, eye)
+    block = 2 * spec.big_n
+    m = np.zeros((spec.k * block, spec.k * block), dtype=complex)
+    for t in range(spec.k):
+        r = rotation_gate(spec.weights[t], spec.variant)
+        m[t * block : (t + 1) * block, t * block : (t + 1) * block] = np.kron(r, spec.unitaries[t])
+    eye = np.eye(block)
+    return np.kron(g2, eye) @ m @ np.kron(g1, eye)
 
 
 def apply_circuit(spec: CircuitSpec, v: np.ndarray) -> np.ndarray:
@@ -426,9 +418,6 @@ class ShotDataset:
     shots: int
     counts: np.ndarray
 
-    def count(self, i: int, r: int, m: int) -> int:
-        return int(self.counts[r * self.k + i, m])
-
 
 def sample_shots(spec: CircuitSpec, psi: np.ndarray, shots: int, seed: int) -> ShotDataset:
     """Draw measurement outcomes by inverse-CDF sampling of the exact distribution."""
@@ -441,14 +430,3 @@ def sample_shots(spec: CircuitSpec, psi: np.ndarray, shots: int, seed: int) -> S
     draws = np.searchsorted(cdf, rng(seed).random(shots), side="right")
     counts = np.bincount(draws, minlength=p.size).reshape(out.states.shape)
     return ShotDataset(k=spec.k, shots=shots, counts=_readonly(counts))
-
-
-def plusminus_states(spec: CircuitSpec, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States seen when the rotation qubit is read in the |+>/|-> basis.
-
-    Returns ``(plus, minus)`` arrays of shape (K, N):
-    ``(phi[i,0] +- phi[i,1]) / sqrt(2)`` for each index outcome i.
-    """
-    out = output_states(spec, psi)
-    top, bottom = out.states[: spec.k], out.states[spec.k :]
-    return (top + bottom) / np.sqrt(2), (top - bottom) / np.sqrt(2)

@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import CheckFailed, CircuitSpec, output_states, success_probabilities
+from .circuit import CheckFailed, CircuitSpec, coefficient_matrix, output_states, row_matrix, success_probabilities
 from .linalg import random_state
-from .outputs import coefficient_matrix, extract_target, matrix_from_csv, matrix_to_csv, output_matrix, row_matrix
+from .outputs import extract_target, matrix_from_csv, matrix_to_csv, output_matrix
 from .recovery import complete, make_mask, observe, random_instance, recovery_errors, sweep
 from .structure import verify
 from .trapdoor import (
@@ -99,7 +99,7 @@ def _spec_from_config(config: dict) -> CircuitSpec:
     return CircuitSpec.from_json(json.dumps(config))
 
 
-def _pub_from_config(config: dict) -> tuple[PublicParams, CircuitSpec]:
+def _pub_from_config(config: dict) -> PublicParams:
     spec = _spec_from_config(
         {
             "K": config["K"],
@@ -110,14 +110,13 @@ def _pub_from_config(config: dict) -> tuple[PublicParams, CircuitSpec]:
             "variant": config.get("variant", "reflection"),
         }
     )
-    pub = PublicParams(
+    return PublicParams(
         k=spec.k,
         n=spec.n,
         unitaries=spec.unitaries,
         scheme=config.get("scheme", "hadamard"),
         variant=spec.variant,
     )
-    return pub, spec
 
 
 # -- verify -------------------------------------------------------------------
@@ -278,7 +277,7 @@ def cmd_trapdoor(action: str, config: dict, seed: int, out: str, args) -> int:
         print(f"wrote {out}_key.json")
         return 0
 
-    pub, _ = _pub_from_config(config)
+    pub = _pub_from_config(config)
     psi = random_state(2**pub.n, int(config.get("psi_seed", 0)))
 
     if action == "eval":
@@ -364,6 +363,9 @@ DEFAULT_COMPLETE = {
 
 def cmd_complete(method: str, config: dict, seed: int | None, out: str) -> int:
     """One seeded completion run; reports errors and iteration count."""
+    for key in ("svp", "als"):
+        if key in config:
+            raise ValueError(f"config key {key!r} is not supported: the solver settings are fixed")
     config = dict(config)
     if seed is not None:
         config["seed"] = seed
@@ -377,7 +379,7 @@ def cmd_complete(method: str, config: dict, seed: int | None, out: str) -> int:
     )
     entries = observe(phi, mask, float(config.get("sigma", 0.0)), seed=base + 2)
     t0 = time.perf_counter()
-    z, iters, under = complete(method, entries, coefficient_matrix(spec), base + 3, config)
+    z, iters, under = complete(method, entries, coefficient_matrix(spec), base + 3)
     err_phi, err_target = recovery_errors(z, phi)
     row = {
         "method": method,

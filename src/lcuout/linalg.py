@@ -16,7 +16,6 @@ __all__ = [
     "dft_matrix",
     "hadamard_matrix",
     "haar_random_unitary",
-    "kron",
     "numerical_rank",
     "random_state",
     "rng",
@@ -143,8 +142,3 @@ def random_state(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     gen = _as_generator(seed)
     z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
     return z / np.linalg.norm(z)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product ``(a kron b)[i*p + k, j*q + l] = a[i, j] * b[k, l]``."""
-    return np.kron(a, b)

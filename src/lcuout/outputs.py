@@ -19,7 +19,6 @@ import numpy as np
 
 from .circuit import (
     CircuitSpec,
-    ShotDataset,
     coefficient_matrix,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -29,7 +28,6 @@ from .circuit import (
 
 __all__ = [
     "coefficient_matrix",
-    "empirical_magnitudes",
     "extract_target",
     "invert_with_C",
     "matrix_from_csv",
@@ -72,14 +70,6 @@ def extract_target(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     if x.shape[0] != alpha.shape[0]:
         raise ValueError(f"{alpha.shape[0]} coefficients for {x.shape[0]} rows")
     return alpha @ x
-
-
-def empirical_magnitudes(dataset: ShotDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-outcome empirical probabilities and raw counts from sampled shots."""
-    if dataset.shots < 1:
-        raise ValueError("empty dataset")
-    counts = np.array(dataset.counts)
-    return counts / dataset.shots, counts
 
 
 # -- plain-text serialization -------------------------------------------------

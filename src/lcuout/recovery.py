@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec
+from .circuit import CircuitSpec, coefficient_matrix
 from .linalg import haar_random_unitary, random_state, rng, truncate_rank
-from .outputs import coefficient_matrix, extract_target, invert_with_C, output_matrix
+from .outputs import output_matrix
 
 __all__ = [
     "FactorizedResult",
-    "ObservationMask",
     "ObservedEntries",
     "als_complete",
     "complete",
@@ -35,17 +34,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObservationMask:
-    """Boolean pattern of observed entries plus how it was drawn."""
-
-    mask: np.ndarray
-    mode: str
-    seed: int
-
-    @property
-    def density(self) -> float:
-        return float(self.mask.mean())
+# fixed solver settings: SVP's stall tolerance, ALS's ridge scale and stall tolerance
+SVP_TOL = 1e-12
+ALS_RIDGE = 1e-10
+ALS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -54,7 +46,6 @@ class ObservedEntries:
 
     values: np.ndarray
     mask: np.ndarray
-    sigma: float
 
     @property
     def count(self) -> int:
@@ -68,8 +59,8 @@ def make_mask(
     mode: str = "uniform",
     density: float | None = None,
     min_per_column: int | None = None,
-) -> ObservationMask:
-    """Draw an observation pattern.
+) -> np.ndarray:
+    """Draw a boolean ``rows x cols`` observation pattern (True = observed).
 
     ``uniform`` keeps each entry independently with probability ``density``.
     ``column_guaranteed`` additionally tops up every column to at least
@@ -99,19 +90,19 @@ def make_mask(
                 mask[gen.choice(missing, size=short, replace=False), j] = True
     else:
         raise ValueError(f"unknown mask mode {mode!r}")
-    return ObservationMask(mask=mask, mode=mode, seed=seed)
+    return mask
 
 
-def observe(
-    phi: np.ndarray, mask: ObservationMask | np.ndarray, sigma: float = 0.0, seed: int = 0
-) -> ObservedEntries:
+def observe(phi: np.ndarray, mask: np.ndarray, sigma: float = 0.0, seed: int = 0) -> ObservedEntries:
     """Mask the matrix and add complex Gaussian noise of total std ``sigma``.
 
-    Each observed entry gains ``sigma/sqrt(2) * (g1 + i g2)`` with standard
-    normal g1, g2, so E|noise|^2 = sigma^2.
+    ``mask`` is a boolean array of ``phi``'s shape, as drawn by
+    :func:`make_mask`.  Each observed entry gains
+    ``sigma/sqrt(2) * (g1 + i g2)`` with standard normal g1, g2, so
+    E|noise|^2 = sigma^2.
     """
     phi = np.asarray(phi, dtype=complex)
-    m = mask.mask if isinstance(mask, ObservationMask) else np.asarray(mask, dtype=bool)
+    m = np.asarray(mask, dtype=bool)
     if m.shape != phi.shape:
         raise ValueError(f"mask shape {m.shape} does not match matrix {phi.shape}")
     if not 0 <= sigma < np.inf:
@@ -123,7 +114,7 @@ def observe(
             sigma / np.sqrt(2)
         )
         values = values + np.where(m, noise, 0.0)
-    return ObservedEntries(values=values, mask=m, sigma=float(sigma))
+    return ObservedEntries(values=values, mask=m)
 
 
 def _check_entries(entries: ObservedEntries) -> None:
@@ -131,30 +122,24 @@ def _check_entries(entries: ObservedEntries) -> None:
         raise ValueError("no observed entries")
 
 
-def svp_complete(
-    entries: ObservedEntries,
-    rank: int,
-    mu: float | None = None,
-    tol: float = 1e-12,
-    max_iters: int = 500,
-) -> tuple[np.ndarray, int]:
+def svp_complete(entries: ObservedEntries, rank: int, max_iters: int = 500) -> tuple[np.ndarray, int]:
     """Singular-value projection: gradient step on observed entries, rank-K truncation.
 
     Each trial step is truncated to rank K by :func:`lcuout.linalg.truncate_rank`:
     an ``eigh`` of the smaller-side Gram matrix (2K x 2K for N >= 2K) and a
     projection onto its top K eigenvectors, falling back to the thin SVD when
-    the Gram spectrum has no clear gap at K.  The step size defaults to the reciprocal observation
-    density and is halved within an iteration until the observed residual
-    decreases, which keeps the sweep monotone even at sparse masks where the
-    raw step would diverge; the masked residual of the accepted step is the
-    next gradient.  Iteration stops when the residual stalls (relative change
-    below ``tol``), when no step length helps, or after ``max_iters``
-    rounds.  Returns the completed matrix and the number of iterations used.
+    the Gram spectrum has no clear gap at K.  The step size starts at the
+    reciprocal observation density and is halved within an iteration until
+    the observed residual decreases, which keeps the sweep monotone even at
+    sparse masks where the raw step would diverge; the masked residual of the
+    accepted step is the next gradient.  Iteration stops when the residual
+    stalls (relative change at most ``SVP_TOL`` = 1e-12), when no step length
+    helps, or after ``max_iters`` rounds.  Returns the completed matrix and
+    the number of iterations used.
     """
     _check_entries(entries)
     mask, b = entries.mask, entries.values
-    if mu is None:
-        mu = 1.0 / mask.mean()
+    mu = 1.0 / mask.mean()
     z = np.zeros_like(b)
     g = np.where(mask, b, 0.0)
     b_norm = np.linalg.norm(b)
@@ -172,7 +157,7 @@ def svp_complete(
         else:
             break
         z, g = z_new, g_new
-        if cur <= 1e-15 * b_norm or prev - cur <= tol * max(prev, 1e-300):
+        if cur <= 1e-15 * b_norm or prev - cur <= SVP_TOL * max(prev, 1e-300):
             break
         prev = cur
     return z, iters
@@ -192,18 +177,16 @@ def _batched_ridge_rows(
 
 
 def als_complete(
-    entries: ObservedEntries,
-    rank: int,
-    seed: int = 0,
-    ridge: float = 1e-10,
-    tol: float = 1e-10,
-    max_iters: int = 200,
+    entries: ObservedEntries, rank: int, seed: int = 0, max_iters: int = 200
 ) -> tuple[np.ndarray, int]:
     """Alternating least squares on the observed entries with a small ridge.
 
     Factors start as seeded complex Gaussians scaled so the product matches
-    the observed Frobenius mass.  Returns the completed matrix and the number
-    of sweeps used.
+    the observed Frobenius mass.  Each half-step solves ridge-regularized
+    least squares with ``lam = ALS_RIDGE tr(G)/K`` (``ALS_RIDGE`` = 1e-10);
+    sweeps stop when the masked residual changes by at most ``ALS_TOL`` =
+    1e-10 relative, or after ``max_iters``.  Returns the completed matrix and
+    the number of sweeps used.
     """
     _check_entries(entries)
     mask, b = entries.mask, entries.values
@@ -215,11 +198,11 @@ def als_complete(
     prev = np.inf
     iters = 0
     for iters in range(1, max_iters + 1):
-        left = _batched_ridge_rows(mask, b, right.conj(), ridge)
-        right = _batched_ridge_rows(mask.T, b.T, left, ridge).conj()
+        left = _batched_ridge_rows(mask, b, right.conj(), ALS_RIDGE)
+        right = _batched_ridge_rows(mask.T, b.T, left, ALS_RIDGE).conj()
         z = left @ right.conj().T
         cur = np.linalg.norm(np.where(mask, b - z, 0.0))
-        if np.isfinite(prev) and abs(prev - cur) <= tol * max(prev, 1e-300):
+        if np.isfinite(prev) and abs(prev - cur) <= ALS_TOL * max(prev, 1e-300):
             break
         prev = cur
     return left @ right.conj().T, iters
@@ -285,18 +268,19 @@ def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]
 _METHODS = ("svp", "als", "factorized")
 
 
-def complete(method: str, entries: ObservedEntries, c: np.ndarray, seed: int, config: dict):
+def complete(method: str, entries: ObservedEntries, c: np.ndarray, seed: int):
     """Complete Phi at rank ``c.shape[1]`` with one of ``_METHODS``.
 
-    ``seed`` starts ALS; solver keyword overrides come from ``config["svp"]``
-    or ``config["als"]``.  Returns ``(phi, iterations, underdetermined)``,
-    with 1 iteration for the direct factorized solve and ``()`` for the others.
+    ``seed`` starts ALS; both iterative solvers run at their default
+    ``max_iters`` (500 for SVP, 200 for ALS).  Returns ``(phi, iterations,
+    underdetermined)``, with 1 iteration for the direct factorized solve and
+    ``()`` for the others.
     """
     if method == "svp":
-        z, iters = svp_complete(entries, c.shape[1], **config.get("svp", {}))
+        z, iters = svp_complete(entries, c.shape[1])
         return z, iters, ()
     if method == "als":
-        z, iters = als_complete(entries, c.shape[1], seed=seed, **config.get("als", {}))
+        z, iters = als_complete(entries, c.shape[1], seed=seed)
         return z, iters, ()
     if method == "factorized":
         result = factorized_complete(entries, c)
@@ -310,9 +294,14 @@ def sweep(config: dict) -> list[dict]:
     Config keys: ``k``, ``n``, ``instances``, ``masks_per_instance``,
     ``methods``, ``seed``, plus either ``fractions`` (with fixed ``sigma``)
     or ``sigmas`` (with fixed ``fraction``) as the swept parameter; optional
-    ``mask_mode``/``min_per_column`` and per-solver overrides under ``svp``
-    and ``als``.  Returns one aggregate dict per (method, parameter value).
+    ``mask_mode``/``min_per_column``.  The solvers run at their fixed
+    settings, so a config that still carries the ``svp`` or ``als`` override
+    keys is rejected.  Returns one aggregate dict per (method, parameter
+    value).
     """
+    for key in ("svp", "als"):
+        if key in config:
+            raise ValueError(f"config key {key!r} is not supported: the solver settings are fixed")
     k = int(config.get("k", 4))
     n = int(config["n"])
     instances = int(config.get("instances", 10))
@@ -355,7 +344,7 @@ def sweep(config: dict) -> list[dict]:
                         density=fraction, min_per_column=min_per_column,
                     )
                     entries = observe(phi, mask, sigma, seed=mask_seed + 1)
-                    z, iters, _ = complete(method, entries, c, mask_seed + 2, config)
+                    z, iters, _ = complete(method, entries, c, mask_seed + 2)
                     ep, et = recovery_errors(z, phi)
                     errs_phi.append(ep)
                     errs_target.append(et)

@@ -12,8 +12,8 @@ cosine-sine factors of U can be written down explicitly.
 Every N x N block of U is a K-term combination ``sum_t coef[r, i, s, j, t]
 U_t`` of the circuit's unitaries, so the checks here work on the K x K
 coefficient algebra and on the N x N products ``U_t^dag U_u`` and
-``U_t U_u``.  The largest arrays are KN x KN (A, B and the CS factors);
-no (2KN)^2 array is held.  :func:`verify` runs every check of this module, plus
+``U_t U_u``.  The largest arrays are the KN x KN blocks A and B; no
+(2KN)^2 array is held.  :func:`verify` runs every check of this module, plus
 the Phi = C X factorization against the layer-by-layer circuit
 :func:`~lcuout.circuit.apply_circuit`, as one battery.
 """
@@ -34,7 +34,7 @@ from .circuit import (
     rotation_gate,
     row_matrix,
 )
-from .linalg import kron, numerical_rank, random_state, rng
+from .linalg import numerical_rank, random_state, rng
 
 __all__ = [
     "CsdFactors",
@@ -159,21 +159,17 @@ def singular_multiset_check(shuffled: ShuffledUnitary) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CsdFactors:
-    """Explicit cosine-sine factorization of the two-block unitary.
+    """Closed-form cosine-sine factorization of the two-block unitary, kept as its K x K mixing.
 
-    ``a = q1 @ diag(sigma_w) @ q2^dag`` and ``b = q1 @ diag(sigma_r) @ q2^dag``
-    share the outer factors; ``sigma_w**2 + sigma_r**2 == 1`` entrywise, and
-    each central 2x2 block has trace 0 and determinant -1.
+    ``a = L diag(sigma_w) Q^dag`` and ``b = L diag(sigma_r) Q^dag`` share the
+    KN x KN outer factors ``Q = g (x) I_N`` and ``L = Q diag(U_t)`` (block
+    (i, t) of L is ``g[i, t] U_t``), which are never formed;
+    ``sigma_w**2 + sigma_r**2 == 1`` entrywise.
     """
 
-    q1: np.ndarray
-    q2: np.ndarray
+    g: np.ndarray
     sigma_w: np.ndarray
     sigma_r: np.ndarray
-
-    def central_block(self, j: int) -> np.ndarray:
-        sw, sr = self.sigma_w[j], self.sigma_r[j]
-        return np.array([[sw, sr], [sr, -sw]])
 
 
 def csd_assemble(spec: CircuitSpec) -> CsdFactors:
@@ -181,34 +177,30 @@ def csd_assemble(spec: CircuitSpec) -> CsdFactors:
 
     Valid for the reflection variant with non-negative weights and a public
     mixing layer; the polar choice puts each U_t inside the left factor:
-    ``q1 = Q diag(U_t)`` (block (i, t) is ``G[i, t] U_t``) and ``q2 = Q``.
+    ``L = Q diag(U_t)`` (block (i, t) is ``G[i, t] U_t``) and the right
+    factor is ``Q``, so both are fixed by ``G`` and the spec's unitaries and
+    only ``G`` is stored.
     """
     if spec.variant != "reflection":
         raise ValueError("closed-form CS factors assume the reflection variant")
     if np.any(spec.weights < 0):
         raise ValueError("closed-form CS factors need non-negative weights")
-    g = _public_mixing(spec)
-    big_n = spec.big_n
     w = spec.weights
     r = np.sqrt(1.0 - w * w)
-    q1 = _assemble(g[:, :, None, None] * np.stack(spec.unitaries))
-    sigma_w = np.repeat(w, big_n)
-    sigma_r = np.repeat(r, big_n)
-    return CsdFactors(q1=q1, q2=kron(g, np.eye(big_n)), sigma_w=sigma_w, sigma_r=sigma_r)
+    return CsdFactors(g=_public_mixing(spec), sigma_w=np.repeat(w, spec.big_n), sigma_r=np.repeat(r, spec.big_n))
 
 
 def _csd_residual(shuffled: ShuffledUnitary, csd: CsdFactors) -> float:
-    """Larger of ``|q1 diag(sigma_w) q2^dag - A|_F`` and ``|q1 diag(sigma_r) q2^dag - B|_F``.
+    """Larger of ``|L diag(sigma_w) Q^dag - A|_F`` and ``|L diag(sigma_r) Q^dag - B|_F``.
 
     With the closed-form factors of :func:`csd_assemble`, block (i, j) of
-    ``q1 diag(sigma) q2^dag`` is ``sum_t G[i, t] sigma_t conj(G[j, t]) U_t``.
+    ``L diag(sigma) Q^dag`` is ``sum_t G[i, t] sigma_t conj(G[j, t]) U_t``.
     """
     spec = shuffled.spec
-    g = _public_mixing(spec)
     us = np.stack(spec.unitaries)
     res = []
     for s, sigma in ((0, csd.sigma_w), (1, csd.sigma_r)):
-        product = np.einsum("it,t,jt->ijt", g, sigma[:: spec.big_n], g.conj())
+        product = np.einsum("it,t,jt->ijt", csd.g, sigma[:: spec.big_n], csd.g.conj())
         res.append(np.linalg.norm(_combine(product - shuffled.coef[0, :, s], us)))
     return float(max(res))
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, apply_circuit, mixing_layers, output_states, sample_shots
+from .circuit import CircuitSpec, apply_circuit, coefficient_matrix, mixing_layers, output_states, sample_shots
 from .linalg import haar_random_unitary, hadamard_matrix, rng
-from .outputs import coefficient_matrix, extract_target, invert_with_C, output_matrix
+from .outputs import extract_target, invert_with_C
 from .recovery import ObservedEntries, factorized_complete
 
 __all__ = [

@@ -13,14 +13,12 @@ from lcuout.circuit import (
     output_states,
     pauli_string_matrix,
     permutation_matrix,
-    plusminus_states,
     rotation_gate,
     sample_shots,
     scale_coefficients,
-    select_operator,
     success_probabilities,
 )
-from lcuout.linalg import dft_matrix, hadamard_matrix, haar_random_unitary, kron, random_state, rng
+from lcuout.linalg import dft_matrix, hadamard_matrix, haar_random_unitary, random_state, rng
 
 
 def make_spec(k=4, n=2, seed=0, mixing="hadamard", variant="reflection", weights=None):
@@ -140,7 +138,7 @@ def test_spec_json_round_trip_explicit_and_secret():
 def test_pauli_string_matrix():
     np.testing.assert_array_equal(pauli_string_matrix("Y"), [[0, -1j], [1j, 0]])
     xz = pauli_string_matrix("XZ")
-    np.testing.assert_array_equal(xz, kron(pauli_string_matrix("X"), pauli_string_matrix("Z")))
+    np.testing.assert_array_equal(xz, np.kron(pauli_string_matrix("X"), pauli_string_matrix("Z")))
     np.testing.assert_allclose(xz @ xz, np.eye(4), atol=1e-15)
     with pytest.raises(ValueError):
         pauli_string_matrix("XQ")
@@ -181,17 +179,6 @@ def test_mixing_layers_secret_prepares_uniform_then_mixes():
     g1, g2 = mixing_layers(spec)
     np.testing.assert_array_equal(g1, hadamard_matrix(4))
     np.testing.assert_array_equal(g2, mix)
-
-
-def test_select_operator_block_structure():
-    spec = make_spec(k=2, n=1, seed=5)
-    m = select_operator(spec)
-    w = spec.weights
-    blocks = [kron(rotation_gate(w[t]), spec.unitaries[t]) for t in range(2)]
-    expect = np.zeros((8, 8), dtype=complex)
-    expect[:4, :4] = blocks[0]
-    expect[4:, 4:] = blocks[1]
-    np.testing.assert_allclose(m, expect, atol=1e-15)
 
 
 @pytest.mark.parametrize("mixing", ["hadamard", "dft"])
@@ -307,19 +294,6 @@ def test_success_probabilities_self_check_raises_check_failed(monkeypatch):
     with pytest.raises(CheckFailed, match="closed-form p00 check failed: residual") as info:
         success_probabilities(spec, random_state(2, 0), np.array([1.0, 0.5]))
     assert info.value.check == "closed-form p00" and info.value.residual > 1e-12
-
-
-def test_plusminus_states():
-    spec = make_spec(k=4, n=2, seed=13)
-    psi = random_state(4, 14)
-    plus, minus = plusminus_states(spec, psi)
-    out = output_states(spec, psi)
-    for i in range(4):
-        np.testing.assert_allclose(plus[i], (out.state(i, 0) + out.state(i, 1)) / np.sqrt(2), atol=1e-14)
-        np.testing.assert_allclose(minus[i], (out.state(i, 0) - out.state(i, 1)) / np.sqrt(2), atol=1e-14)
-    # total probability is preserved by the basis change
-    total = np.linalg.norm(plus) ** 2 + np.linalg.norm(minus) ** 2
-    assert abs(total - 1.0) < 1e-10
 
 
 # ---- sampling -----------------------------------------------------------------

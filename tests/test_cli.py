@@ -158,6 +158,21 @@ def test_complete_commands(tmp_path, method):
     assert err < 1e-5
 
 
+def test_config_with_removed_solver_keys_is_rejected(tmp_path, capsys):
+    # the per-solver overrides are gone; a config that still carries one must fail, not run on defaults
+    for key in ("svp", "als"):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            lcuout.recovery.sweep({**SMALL_SWEEP, "n": 6, key: {"max_iters": 3}})
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({**SMALL_SWEEP, key: {"max_iters": 3}}))
+        assert main(["fig3", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"k": 2, "n": 3, "fraction": 0.8, "seed": 1, key: {"max_iters": 3}}))
+        assert main(["complete", key, "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_missing_required_flags_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["trapdoor", "eval", "--out", str(tmp_path / "x")])

@@ -1,5 +1,5 @@
 """The package modules and the acceptance gate use only public names of other lcuout modules,
-and only the tests use the dense circuit oracle."""
+only the tests use the dense circuit oracle, and no package module imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -48,7 +48,7 @@ def test_detector_sees_private_imports():
     assert sorted(private_imports(source)) == [".trapdoor._hidden", "lcuout._internal", "lcuout.recovery._helper"]
 
 
-DENSE_ORACLE = {"circuit_unitary", "select_operator"}
+DENSE_ORACLE = {"circuit_unitary"}
 
 
 def dense_oracle_uses(source: str) -> list[str]:
@@ -78,6 +78,45 @@ def test_detector_sees_dense_oracle_uses():
         "from .circuit import CircuitSpec, circuit_unitary\n"
         "import lcuout.circuit\n"
         "def f(spec):\n"
-        "    return lcuout.circuit.select_operator(spec) @ apply_circuit(spec, v)\n"
+        "    return lcuout.circuit.circuit_unitary(spec) @ apply_circuit(spec, v)\n"
     )
-    assert dense_oracle_uses(source) == ["circuit_unitary", "select_operator"]
+    assert dense_oracle_uses(source) == ["circuit_unitary", "circuit_unitary"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports but neither references nor lists in its ``__all__``."""
+    tree = ast.parse(source)
+    imported, used, exported = [], set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used | exported]
+
+
+MODULES = [p for p in sorted((ROOT / "src" / "lcuout").glob("*.py")) if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detector_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .circuit import CircuitSpec, output_states\n"
+        "from .outputs import extract_target as target, invert_with_C\n"
+        "__all__ = ['CircuitSpec']\n"
+        "def f(x: np.ndarray):\n"
+        "    return target(x)\n"
+    )
+    assert unused_imports(source) == ["json", "os", "output_states", "invert_with_C"]

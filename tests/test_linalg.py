@@ -5,7 +5,6 @@ from lcuout.linalg import (
     dft_matrix,
     haar_random_unitary,
     hadamard_matrix,
-    kron,
     numerical_rank,
     random_state,
     rng,
@@ -110,23 +109,6 @@ def test_numerical_rank():
     # tolerance is relative to the top singular value
     assert numerical_rank(np.diag([1.0, 1e-14])) == 1
     assert numerical_rank(np.diag([1.0, 1e-6]), tol=1e-8) == 2
-
-
-def test_kron_matches_elementwise_definition():
-    gen = rng(8)
-    a = gen.standard_normal((2, 2))
-    b = gen.standard_normal((3, 3))
-    out = kron(a, b)
-    for i in range(2):
-        for j in range(2):
-            for p in range(3):
-                for q in range(3):
-                    assert out[i * 3 + p, j * 3 + q] == a[i, j] * b[p, q]
-    # complex path agrees up to multiply rounding
-    ac = a + 1j * gen.standard_normal((2, 2))
-    bc = b + 1j * gen.standard_normal((3, 3))
-    expect = np.array([[ac[i // 3 % 2, j // 3] * bc[i % 3, j % 3] for j in range(6)] for i in range(6)])
-    np.testing.assert_allclose(kron(ac, bc), expect, atol=1e-14)
 
 
 def svd_truncation(a, rank):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from lcuout.circuit import CircuitSpec, output_states, sample_shots, scale_coefficients
+from lcuout.circuit import CircuitSpec, output_states, scale_coefficients
 from lcuout.linalg import hadamard_matrix, haar_random_unitary, random_state, rng
 from lcuout.outputs import (
     coefficient_matrix,
-    empirical_magnitudes,
     extract_target,
     invert_with_C,
     matrix_from_csv,
@@ -121,17 +120,6 @@ def test_extract_target_scaling_consistency():
     direct = sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries))
     np.testing.assert_allclose(t_psi, direct, atol=1e-10)
     np.testing.assert_allclose(t_psi, k * c_scale * phi[0], atol=1e-10)
-
-
-def test_empirical_magnitudes():
-    spec = make_spec(k=2, n=2, seed=14)
-    psi = random_state(4, 15)
-    data = sample_shots(spec, psi, shots=100_000, seed=16)
-    phat, counts = empirical_magnitudes(data)
-    np.testing.assert_array_equal(counts, data.counts)
-    assert abs(phat.sum() - 1.0) < 1e-12
-    exact = np.abs(output_states(spec, psi).states) ** 2
-    assert np.abs(phat - exact).max() < 0.01
 
 
 # ---- serialization -------------------------------------------------------------

@@ -136,15 +136,15 @@ def test_make_mask_is_seeded_and_tops_up_every_column(data, rows, cols, seed, de
     guaranteed = make_mask(rows, cols, seed, "column_guaranteed", density=density, min_per_column=min_per_column)
     again = make_mask(rows, cols, seed, "column_guaranteed", density=density, min_per_column=min_per_column)
     for m in (guaranteed, again):
-        assert m.mask.dtype == bool and m.mask.shape == (rows, cols)
-    np.testing.assert_array_equal(guaranteed.mask, again.mask)
-    per_column = guaranteed.mask.sum(axis=0)
+        assert m.dtype == bool and m.shape == (rows, cols)
+    np.testing.assert_array_equal(guaranteed, again)
+    per_column = guaranteed.sum(axis=0)
     if density is None:
         assert np.all(per_column == min_per_column)
         return
     assert np.all(per_column >= min_per_column)
     uniform = make_mask(rows, cols, seed, "uniform", density=density)
-    assert uniform.mask.dtype == bool and uniform.mask.shape == (rows, cols)
-    np.testing.assert_array_equal(uniform.mask, make_mask(rows, cols, seed, "uniform", density=density).mask)
+    assert uniform.dtype == bool and uniform.shape == (rows, cols)
+    np.testing.assert_array_equal(uniform, make_mask(rows, cols, seed, "uniform", density=density))
     # both modes start from the same first draw of the seed's stream
-    assert np.all(guaranteed.mask[uniform.mask])
+    assert np.all(guaranteed[uniform])

@@ -26,18 +26,18 @@ def instance(seed=77, k=4, n=8):
 
 def test_make_mask_uniform():
     mask = make_mask(8, 512, 1, "uniform", density=0.6)
-    assert mask.mask.shape == (8, 512)
-    assert 0.55 < mask.density < 0.65
-    np.testing.assert_array_equal(mask.mask, make_mask(8, 512, 1, "uniform", density=0.6).mask)
+    assert mask.shape == (8, 512)
+    assert 0.55 < mask.mean() < 0.65
+    np.testing.assert_array_equal(mask, make_mask(8, 512, 1, "uniform", density=0.6))
     with pytest.raises(ValueError):
         make_mask(8, 512, 1, "uniform")
 
 
 def test_make_mask_column_guaranteed():
     mask = make_mask(8, 200, 2, "column_guaranteed", density=0.4, min_per_column=4)
-    assert mask.mask.sum(axis=0).min() >= 4
+    assert mask.sum(axis=0).min() >= 4
     exact = make_mask(8, 200, 3, "column_guaranteed", min_per_column=5)
-    np.testing.assert_array_equal(exact.mask.sum(axis=0), np.full(200, 5))
+    np.testing.assert_array_equal(exact.sum(axis=0), np.full(200, 5))
     with pytest.raises(ValueError):
         make_mask(8, 200, 2, "column_guaranteed")
     with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ def test_observe_masks_and_noise():
     phi, _ = instance(5, n=6)
     mask = make_mask(8, 64, 6, "uniform", density=0.5)
     ent = observe(phi, mask, 0.0)
-    assert ent.count == mask.mask.sum()
+    assert ent.count == mask.sum()
     np.testing.assert_array_equal(ent.values[~ent.mask], 0.0)
     np.testing.assert_array_equal(ent.values[ent.mask], phi[ent.mask])
     noisy = observe(phi, mask, 1e-2, seed=7)
@@ -117,7 +117,7 @@ def test_svp_uniform_mask_floor_comes_from_deficient_columns():
     # no method can reconstruct them; the error concentrates there
     phi, _ = instance(16)
     mask = make_mask(8, 256, 17, "uniform", density=0.7)
-    deficient = mask.mask.sum(axis=0) < 4
+    deficient = mask.sum(axis=0) < 4
     assert deficient.any()
     z, _ = svp_complete(observe(phi, mask, 0.0), 4, max_iters=800)
     err_all = recovery_errors(z, phi)[0]
@@ -175,7 +175,7 @@ def test_factorized_exact_at_k_observations_per_column():
 
 def test_factorized_flags_underdetermined_columns():
     phi, c = instance(29, n=4)
-    mask = make_mask(8, 16, 30, "column_guaranteed", min_per_column=4).mask.copy()
+    mask = make_mask(8, 16, 30, "column_guaranteed", min_per_column=4)
     mask[:, 3] = False
     mask[:2, 3] = True  # two observations < K
     res = factorized_complete(observe(phi, mask, 0.0), c)
@@ -200,7 +200,7 @@ def test_factorized_flags_rank_deficient_columns():
     spec = CircuitSpec(k=4, n=3, weights=np.array([1.0, 0.5, 0.3, 0.8]),
                        unitaries=tuple(haar_random_unitary(8, gen) for _ in range(4)))
     phi, c = output_matrix(spec, random_state(8, gen)), coefficient_matrix(spec)
-    mask = make_mask(8, 8, 39, "column_guaranteed", min_per_column=4).mask.copy()
+    mask = make_mask(8, 8, 39, "column_guaranteed", min_per_column=4)
     mask[:, 0] = [False] * 4 + [True] * 4
     res = factorized_complete(observe(phi, mask, 0.0), c)
     assert res.underdetermined == (0,)
@@ -220,21 +220,20 @@ def test_factorized_noise_grows_linearly():
 def test_complete_dispatches_to_each_solver():
     phi, c = instance(33, n=4)
     entries = observe(phi, make_mask(8, 16, 34, "column_guaranteed", density=0.6, min_per_column=4), 0.0)
-    config = {"svp": {"max_iters": 7}, "als": {"max_iters": 5}}
-    z, iters, under = complete("svp", entries, c, 9, config)
-    z_ref, iters_ref = svp_complete(entries, 4, max_iters=7)
+    z, iters, under = complete("svp", entries, c, 9)
+    z_ref, iters_ref = svp_complete(entries, 4)
     np.testing.assert_array_equal(z, z_ref)
     assert (iters, under) == (iters_ref, ())
-    z, iters, under = complete("als", entries, c, 9, config)
-    z_ref, iters_ref = als_complete(entries, 4, seed=9, max_iters=5)
+    z, iters, under = complete("als", entries, c, 9)
+    z_ref, iters_ref = als_complete(entries, 4, seed=9)
     np.testing.assert_array_equal(z, z_ref)
     assert (iters, under) == (iters_ref, ())
-    z, iters, under = complete("factorized", entries, c, 9, config)
+    z, iters, under = complete("factorized", entries, c, 9)
     ref = factorized_complete(entries, c)
     np.testing.assert_array_equal(z, ref.phi)
     assert (iters, under) == (1, ref.underdetermined)
     with pytest.raises(ValueError):
-        complete("nuclear", entries, c, 9, config)
+        complete("nuclear", entries, c, 9)
 
 
 def test_recovery_errors_oracle():

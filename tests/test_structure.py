@@ -12,7 +12,7 @@ from lcuout.circuit import (
     mixing_layers,
     permutation_matrix,
 )
-from lcuout.linalg import haar_random_unitary, kron, numerical_rank, random_state, rng
+from lcuout.linalg import haar_random_unitary, numerical_rank, random_state, rng
 from lcuout.structure import (
     csd_assemble,
     involution_check,
@@ -119,26 +119,22 @@ def test_singular_multisets_dft():
 
 
 def test_csd_assemble_reconstructs_blocks():
-    spec = make_spec(k=4, n=2, seed=13)
-    sh = shuffle(spec)
-    csd = csd_assemble(spec)
-    q1, q2 = csd.q1, csd.q2
-    dim = spec.k * spec.big_n
-    np.testing.assert_allclose(q1.conj().T @ q1, np.eye(dim), atol=1e-10)
-    np.testing.assert_allclose(q2.conj().T @ q2, np.eye(dim), atol=1e-10)
-    np.testing.assert_allclose(q1 @ np.diag(csd.sigma_w) @ q2.conj().T, sh.a, atol=1e-10)
-    np.testing.assert_allclose(q1 @ np.diag(csd.sigma_r) @ q2.conj().T, sh.b, atol=1e-10)
-    np.testing.assert_allclose(csd.sigma_w**2 + csd.sigma_r**2, np.ones(dim), atol=1e-12)
-
-
-def test_csd_central_blocks_are_reflections():
-    spec = make_spec(k=2, n=1, seed=14)
-    csd = csd_assemble(spec)
-    for j in range(4):
-        m = csd.central_block(j)
-        w, r = csd.sigma_w[j], csd.sigma_r[j]
-        np.testing.assert_allclose(m, [[w, r], [r, -w]], atol=1e-15)
-        np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-12)
+    for mixing in ("hadamard", "dft"):
+        spec = make_spec(k=4, n=2, seed=13, mixing=mixing)
+        sh = shuffle(spec)
+        csd = csd_assemble(spec)
+        # the dense KN x KN factors as the oracle: q2 = g (x) I_N and q1 = q2 diag(U_t)
+        big_n, dim = spec.big_n, spec.k * spec.big_n
+        q2 = np.kron(csd.g, np.eye(big_n))
+        diag_u = np.zeros((dim, dim), dtype=complex)
+        for t, u in enumerate(spec.unitaries):
+            diag_u[t * big_n:(t + 1) * big_n, t * big_n:(t + 1) * big_n] = u
+        q1 = q2 @ diag_u
+        np.testing.assert_allclose(q1.conj().T @ q1, np.eye(dim), atol=1e-10)
+        np.testing.assert_allclose(q2.conj().T @ q2, np.eye(dim), atol=1e-10)
+        np.testing.assert_allclose(q1 @ np.diag(csd.sigma_w) @ q2.conj().T, sh.a, atol=1e-10)
+        np.testing.assert_allclose(q1 @ np.diag(csd.sigma_r) @ q2.conj().T, sh.b, atol=1e-10)
+        np.testing.assert_allclose(csd.sigma_w**2 + csd.sigma_r**2, np.ones(dim), atol=1e-12)
 
 
 def test_csd_assemble_rejects_cyclic_and_negative_weights():
@@ -249,7 +245,7 @@ def dense_battery(spec, seed):
     }
     public, reflection = spec.mixing != "secret", spec.variant == "reflection"
     if public:
-        q = kron(mixing_layers(spec)[1], np.eye(big_n))
+        q = np.kron(mixing_layers(spec)[1], np.eye(big_n))
 
         def diag_blocks(scale):
             d = np.zeros((half, half), dtype=complex)
@@ -273,7 +269,7 @@ def dense_battery(spec, seed):
             u_alt = regrouped(spec_alt)
             blocks = diag_blocks(np.ones(k))
             u_sq = u @ u
-            out["involution"] = max(np.linalg.norm(u_sq - kron(np.eye(2), q @ (blocks @ blocks) @ q.conj().T)),
+            out["involution"] = max(np.linalg.norm(u_sq - np.kron(np.eye(2), q @ (blocks @ blocks) @ q.conj().T)),
                                     np.linalg.norm(u_sq - u_alt @ u_alt))
     psi = random_state(big_n, seed)
     phi = (u[:, :big_n] @ psi).reshape(2 * k, big_n)
