@@ -409,12 +409,11 @@ def success_probabilities(
 class ShotDataset:
     """Measurement counts over the full (i, r, k) outcome grid.
 
-    ``counts[r * k + i, m]`` is the number of shots that returned index i,
+    ``counts[r * K + i, m]`` is the number of shots that returned index i,
     rotation bit r, and system basis state m; rows follow the same layout as
     :class:`OutcomeStates`.
     """
 
-    k: int
     shots: int
     counts: np.ndarray
 
@@ -429,4 +428,4 @@ def sample_shots(spec: CircuitSpec, psi: np.ndarray, shots: int, seed: int) -> S
     cdf[-1] = 1.0  # guard the top bin against float round-off
     draws = np.searchsorted(cdf, rng(seed).random(shots), side="right")
     counts = np.bincount(draws, minlength=p.size).reshape(out.states.shape)
-    return ShotDataset(k=spec.k, shots=shots, counts=_readonly(counts))
+    return ShotDataset(shots=shots, counts=_readonly(counts))

@@ -12,9 +12,13 @@ cosine-sine factors of U can be written down explicitly.
 Every N x N block of U is a K-term combination ``sum_t coef[r, i, s, j, t]
 U_t`` of the circuit's unitaries, so the checks here work on the K x K
 coefficient algebra and on the N x N products ``U_t^dag U_u`` and
-``U_t U_u``.  The largest arrays are the KN x KN blocks A and B; no
-(2KN)^2 array is held.  :func:`verify` runs every check of this module, plus
-the Phi = C X factorization against the layer-by-layer circuit
+``U_t U_u^dag``, t <= u.  A Frobenius norm of a block combination is a quadratic form of
+its coefficients in the Gram matrix ``tr(X^dag Y)`` of the matrices it
+combines, so no combination is formed except by :func:`shuffle`, one block
+row at a time.  The largest arrays are the K^2 stacks of N x N products;
+neither A, B nor U is built, and no singular value of A or B is computed.
+:func:`verify` runs every check of this module, plus the Phi = C X
+factorization against the layer-by-layer circuit
 :func:`~lcuout.circuit.apply_circuit`, as one battery.
 """
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,16 +61,58 @@ class ShuffledUnitary:
 
     Block ``(r, i), (s, j)`` of the regrouped unitary U (rows and columns
     ``(r * K + i) * N + m`` hold rotation r, index i, system state m) is
-    ``sum_t coef[r, i, s, j, t] U_t``.  U equals ``[[a, b], [b, -a]]`` for
-    the reflection variant and ``[[a, b], [-b, a]]`` for the cyclic one;
-    only the upper blocks ``a`` and ``b`` are assembled.
+    ``sum_t coef[r, i, s, j, t] U_t``.  U equals ``[[A, B], [B, -A]]`` for
+    the reflection variant and ``[[A, B], [-B, A]]`` for the cyclic one,
+    where A has the blocks ``coef[0, :, 0]`` and B the blocks
+    ``coef[0, :, 1]``; neither is assembled.  The trace Gram matrix of the
+    unitaries and the products ``U_t^dag U_u`` with their Gram matrix are
+    computed on first use and kept.
     """
 
     spec: CircuitSpec
     coef: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
     block_residual: float
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """``traces[t, u] = tr(U_t^dag U_u)``, the Gram matrix of the unitaries."""
+        flat = np.stack(self.spec.unitaries).reshape(self.spec.k, -1)
+        return flat.conj() @ flat.T
+
+    @cached_property
+    def adjoint_basis(self) -> np.ndarray:
+        """``E_tu = U_t^dag U_u - delta_tu I`` at index ``t * K + u``, and ``I`` at the last index.
+
+        ``E_tt`` is the deviation of U_t from unitarity.
+        """
+        k, big_n = self.spec.k, self.spec.big_n
+        basis = np.empty((k * k + 1, big_n, big_n), dtype=complex)
+        _paired_products([u.conj().T for u in self.spec.unitaries], self.spec.unitaries, basis[:-1])
+        diag = np.arange(big_n)
+        for t in range(k):
+            basis[t * k + t, diag, diag] -= 1.0
+        basis[-1] = np.eye(big_n)
+        return basis
+
+    @cached_property
+    def adjoint_gram(self) -> np.ndarray:
+        """Gram matrix ``tr(X^dag Y)`` of :attr:`adjoint_basis`."""
+        flat = self.adjoint_basis.reshape(len(self.adjoint_basis), -1)
+        return flat.conj() @ flat.T
+
+
+def _paired_products(left: list[np.ndarray], right: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Write ``left[t] @ right[u]`` to ``out[t * K + u]``, for factors whose (u, t) product is the (t, u) one's adjoint.
+
+    Only the products with t <= u are multiplied out.  Returns ``out``.
+    """
+    k = len(left)
+    for t in range(k):
+        for u in range(t, k):
+            np.matmul(left[t], right[u], out=out[t * k + u])
+            if u > t:
+                out[u * k + t] = out[t * k + u].conj().T
+    return out
 
 
 def _combine(coef: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -75,15 +122,16 @@ def _combine(coef: np.ndarray, mats: np.ndarray) -> np.ndarray:
     )
 
 
-def _assemble(blocks: np.ndarray) -> np.ndarray:
-    """(K, K, N, N) blocks as one KN x KN matrix."""
-    k, _, big_n, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(k * big_n, k * big_n)
+def _frobenius(coef: np.ndarray, gram: np.ndarray) -> float:
+    """Frobenius norm of the block matrix ``sum_t coef[..., t] mats[t]``.
 
-
-def _frobenius(coef: np.ndarray, mats: np.ndarray) -> float:
-    """Frobenius norm of the block matrix ``sum_t coef[a, c, t] mats[t]``, one block row at a time."""
-    return float(np.linalg.norm([np.linalg.norm(_combine(row, mats)) for row in coef]))
+    ``gram[t, u] = tr(mats[t]^dag mats[u])``.  Each block contributes the quadratic form ``c^dag gram c`` of its
+    coefficients.  Its rounding error is about eps times the same form in
+    absolute values, so the norm is accurate unless large terms cancel: the
+    callers pass coefficients that are small for a correct circuit.
+    """
+    c = coef.reshape(-1, gram.shape[0])
+    return float(np.sqrt(max(np.einsum("at,tu,au->", c.conj(), gram, c).real, 0.0)))
 
 
 def _block_coefficients(spec: CircuitSpec) -> np.ndarray:
@@ -94,23 +142,25 @@ def _block_coefficients(spec: CircuitSpec) -> np.ndarray:
 
 
 def shuffle(spec: CircuitSpec) -> ShuffledUnitary:
-    """Regroup the circuit unitary's basis and extract the A/B blocks.
+    """Regroup the circuit unitary's basis into block coefficients.
 
     The circuit orders its basis index x rotation x system; the regrouped
     unitary is rotation-major.  The lower block row is compared with
     ``[B, -A]`` (reflection) or ``[-B, A]`` (cyclic) through the difference
-    of its coefficients.
+    of its coefficients, entry by entry, K blocks at a time.  Blocks whose
+    coefficient differences are all exactly zero are exactly zero and are
+    not formed.
     """
+    k = spec.k
     us = np.stack(spec.unitaries)
     coef = _block_coefficients(spec)
-    a = _assemble(_combine(coef[0, :, 0], us))
-    b = _assemble(_combine(coef[0, :, 1], us))
     sign = 1.0 if spec.variant == "reflection" else -1.0
     lower_gap = np.stack([coef[1, :, 0] - sign * coef[0, :, 1], coef[1, :, 1] + sign * coef[0, :, 0]])
-    residual = float(np.abs(_combine(lower_gap, us)).max())
+    rows = lower_gap.reshape(2 * k, k, k)
+    residual = max((float(np.abs(_combine(row, us)).max()) for row in rows if row.any()), default=0.0)
     if residual > 1e6 * _BLOCK_ATOL:
         raise CheckFailed("two-block symmetry", residual)
-    return ShuffledUnitary(spec=spec, coef=coef, a=a, b=b, block_residual=residual)
+    return ShuffledUnitary(spec=spec, coef=coef, block_residual=residual)
 
 
 def _public_mixing(spec: CircuitSpec) -> np.ndarray:
@@ -118,6 +168,11 @@ def _public_mixing(spec: CircuitSpec) -> np.ndarray:
     if spec.mixing == "secret":
         raise ValueError("structure checks need a public mixing layer, not a secret one")
     return mixing_layers(spec)[1]
+
+
+def _conjugated_diagonal(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Coefficients of ``Q diag(scale_t U_t) Q^dag``: block (i, j) is ``sum_t G[i, t] scale_t conj(G[j, t]) U_t``."""
+    return np.einsum("it,t,jt->ijt", g, scale, g.conj())
 
 
 def similarity_check(shuffled: ShuffledUnitary) -> float:
@@ -129,32 +184,51 @@ def similarity_check(shuffled: ShuffledUnitary) -> float:
     q = _public_mixing(spec)
     w = spec.weights
     r = np.sqrt(1.0 - w * w)
-    us = np.stack(spec.unitaries)
     diag = np.arange(spec.k)
     res = []
     for s, scale in ((0, w), (1, r)):
+        block = shuffled.coef[0, :, s]
         # Q^dag (sum_v coef U_v) Q = sum_v sim[t, u, v] U_v, block by block
-        sim = np.einsum("it,ijv,ju->tuv", q.conj(), shuffled.coef[0, :, s], q)
+        sim = np.einsum("it,ijv,ju->tuv", q.conj(), block, q)
         sim[diag, diag, diag] -= scale
-        res.append(np.linalg.norm(_combine(sim, us)))
-    return float(max(res[0] / np.linalg.norm(shuffled.a), res[1] / max(np.linalg.norm(shuffled.b), 1e-300)))
+        res.append(_frobenius(sim, shuffled.traces) / max(_frobenius(block, shuffled.traces), 1e-300))
+    return float(max(res))
 
 
 def singular_multiset_check(shuffled: ShuffledUnitary) -> tuple[float, float]:
-    """Compare the singular values of A and B against the weight multisets.
+    """Certified bounds on how far the singular values of A and B lie from the weight multisets.
 
-    Every |w_t| (resp. r_t) must appear exactly N times; returns the maximum
-    absolute deviations for A and B.
+    Every |w_t| (resp. r_t) should appear exactly N times among the singular
+    values of A (resp. B).  With ``M_w = diag(w_t U_t)``,
+    ``eta_t = |U_t^dag U_t - I|_F`` and ``gamma = |G^dag G - I|_F`` (Frobenius
+    norms, upper bounds on the spectral norms the argument needs), the i-th
+    largest singular value of A lies within
+
+        |A - Q M_w Q^dag|_F + max_t |w_t| eta_t + gamma max_t |w_t| (1 + max_t eta_t)
+
+    of the i-th largest entry of the multiset: the first term by Mirsky's
+    theorem, the second because ``|sigma(U_t) - 1| <= |U_t^dag U_t - I|_2``,
+    and the third because the singular values of ``Q M_w Q^dag`` lie within
+    a factor ``1 +- gamma`` of those of M_w.  B takes the same bound with r_t
+    in place of w_t.  The bound holds for both variants and for signed
+    weights; the first term is exactly 0 when A's coefficients equal
+    ``G[i, t] w_t conj(G[j, t])`` bit for bit and large when they follow
+    another formula.  No singular value is computed.  Returns the bounds for
+    A and B, each at least the maximum deviation it bounds.
     """
     spec = shuffled.spec
-    big_n = spec.big_n
-    w = np.abs(spec.weights)
+    k = spec.k
+    g = _public_mixing(spec)
+    w = spec.weights
     r = np.sqrt(1.0 - w * w)
-    expect_a = np.sort(np.repeat(w, big_n))[::-1]
-    expect_b = np.sort(np.repeat(r, big_n))[::-1]
-    dev_a = float(np.max(np.abs(np.linalg.svd(shuffled.a, compute_uv=False) - expect_a)))
-    dev_b = float(np.max(np.abs(np.linalg.svd(shuffled.b, compute_uv=False) - expect_b)))
-    return dev_a, dev_b
+    eta = np.sqrt(np.maximum(np.diagonal(shuffled.adjoint_gram)[np.arange(k) * (k + 1)].real, 0.0))
+    gamma = np.linalg.norm(g.conj().T @ g - np.eye(k))
+    bounds = []
+    for s, scale in ((0, w), (1, r)):
+        gap = _frobenius(shuffled.coef[0, :, s] - _conjugated_diagonal(g, scale), shuffled.traces)
+        size = np.abs(scale)
+        bounds.append(float(gap + np.max(size * eta) + gamma * size.max() * (1.0 + eta.max())))
+    return bounds[0], bounds[1]
 
 
 @dataclass(frozen=True)
@@ -196,26 +270,28 @@ def _csd_residual(shuffled: ShuffledUnitary, csd: CsdFactors) -> float:
     With the closed-form factors of :func:`csd_assemble`, block (i, j) of
     ``L diag(sigma) Q^dag`` is ``sum_t G[i, t] sigma_t conj(G[j, t]) U_t``.
     """
-    spec = shuffled.spec
-    us = np.stack(spec.unitaries)
-    res = []
-    for s, sigma in ((0, csd.sigma_w), (1, csd.sigma_r)):
-        product = np.einsum("it,t,jt->ijt", csd.g, sigma[:: spec.big_n], csd.g.conj())
-        res.append(np.linalg.norm(_combine(product - shuffled.coef[0, :, s], us)))
-    return float(max(res))
+    big_n = shuffled.spec.big_n
+    return max(
+        _frobenius(_conjugated_diagonal(csd.g, sigma[::big_n]) - shuffled.coef[0, :, s], shuffled.traces)
+        for s, sigma in ((0, csd.sigma_w), (1, csd.sigma_r))
+    )
 
 
 def _unitarity_residual(shuffled: ShuffledUnitary) -> float:
-    """``|U^dag U - I|_F`` from the K^2 products ``U_t^dag U_u``."""
-    spec = shuffled.spec
-    k, big_n = spec.k, spec.big_n
-    us = np.stack(spec.unitaries)
+    """``|U^dag U - I|_F`` from the products ``U_t^dag U_u``, t <= u.
+
+    Block (a, c) of ``U^dag U - I`` is ``sum_tu p[a, c, t, u] U_t^dag U_u -
+    delta_ac I``.  Over the basis of :attr:`ShuffledUnitary.adjoint_gram`
+    its coefficients are ``p[a, c, t, u]`` on ``E_tu`` and
+    ``sum_t p[a, c, t, t] - delta_ac`` on I, all at rounding level for a
+    unitary circuit, so the norm taken from that Gram matrix does not cancel.
+    """
+    k = shuffled.spec.k
     c = shuffled.coef.reshape(2 * k, 2 * k, k)
-    gram = np.einsum("bat,bcu->actu", c.conj(), c).reshape(2 * k, 2 * k, k * k)
-    prods = us.conj().transpose(0, 2, 1)[:, None] @ us[None]
-    # the identity joins as one more matrix, with coefficient -1 on the diagonal blocks
-    mats = np.concatenate([prods.reshape(k * k, big_n, big_n), np.eye(big_n)[None]])
-    return _frobenius(np.concatenate([gram, -np.eye(2 * k)[:, :, None]], axis=2), mats)
+    p = np.einsum("bat,bcu->actu", c.conj(), c)
+    on_identity = np.trace(p, axis1=2, axis2=3) - np.eye(2 * k)
+    return _frobenius(np.concatenate([p.reshape(2 * k, 2 * k, k * k), on_identity[:, :, None]], axis=2),
+                      shuffled.adjoint_gram)
 
 
 def involution_check(shuffled: ShuffledUnitary, shuffled_alt: ShuffledUnitary) -> tuple[float, float]:
@@ -223,8 +299,11 @@ def involution_check(shuffled: ShuffledUnitary, shuffled_alt: ShuffledUnitary) -
 
     Returns ``(structure_residual, key_cancel_residual)`` where the first is
     ``|U^2 - I_2 (x) Q diag(U_t^2) Q^dag|_F`` and the second compares U^2
-    across the two weight choices.  Both are evaluated on the K^2 products
-    ``U_t U_u``, which the two specs share.  The two specs must agree on
+    across the two weight choices.  Both are quadratic forms in the Gram
+    matrix of the K^2 products ``U_t U_u``, which the two specs share.  That
+    Gram matrix is taken from traces of the products ``U_t^dag U_v`` that the
+    unitarity check forms and of ``conj(U_u) U_w^T``, of which only those
+    with u <= w are multiplied out.  The two specs must agree on
     everything but the weights and use the reflection variant.
     """
     spec, spec_alt = shuffled.spec, shuffled_alt.spec
@@ -240,9 +319,15 @@ def involution_check(shuffled: ShuffledUnitary, shuffled_alt: ShuffledUnitary) -
     if spec.variant != "reflection":
         raise ValueError("weight cancellation in U^2 needs the reflection variant")
     g = _public_mixing(spec)
-    k, big_n = spec.k, spec.big_n
-    us = np.stack(spec.unitaries)
-    prods = (us[:, None] @ us[None]).reshape(k * k, big_n, big_n)
+    k = spec.k
+    # tr((U_t U_u)^dag U_v U_w) = sum_ij (U_t^dag U_v)[i, j] (conj(U_u) U_w^T)[i, j], and the
+    # U_t^dag U_v are the adjoint basis with I added back on t = v, whose row is the basis's last
+    basis = shuffled.adjoint_basis.reshape(k * k + 1, -1)
+    transposed = _paired_products([u.conj() for u in spec.unitaries], [u.T for u in spec.unitaries],
+                                  np.empty((k * k, spec.big_n, spec.big_n), dtype=complex))
+    m = basis @ transposed.reshape(k * k, -1).T
+    m = m[:-1] + np.eye(k).reshape(k * k, 1) * m[-1]
+    prods_gram = m.reshape(k, k, k, k).transpose(0, 2, 1, 3).reshape(k * k, k * k)
 
     def square(sh: ShuffledUnitary) -> np.ndarray:
         c = sh.coef.reshape(2 * k, 2 * k, k)
@@ -251,7 +336,7 @@ def involution_check(shuffled: ShuffledUnitary, shuffled_alt: ShuffledUnitary) -
     # I_2 (x) Q diag(U_t^2) Q^dag puts G[i, t] conj(G[j, t]) on U_t U_t in both diagonal rotation blocks
     target = np.einsum("rs,it,jt,tu->risjtu", np.eye(2), g, g.conj(), np.eye(k)).reshape(2 * k, 2 * k, k * k)
     u_sq = square(shuffled)
-    return _frobenius(u_sq - target, prods), _frobenius(u_sq - square(shuffled_alt), prods)
+    return _frobenius(u_sq - target, prods_gram), _frobenius(u_sq - square(shuffled_alt), prods_gram)
 
 
 def verify(spec: CircuitSpec, seed: int) -> list[dict]:

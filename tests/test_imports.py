@@ -120,3 +120,32 @@ def test_detector_sees_unused_imports():
         "    return target(x)\n"
     )
     assert unused_imports(source) == ["json", "os", "output_states", "invert_with_C"]
+
+
+def svd_references(source: str) -> list[str]:
+    """Every ``svd`` that ``source`` imports or references, as a name or an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [a.name for a in node.names if a.name.split(".")[-1] == "svd"]
+        elif isinstance(node, ast.Name) and node.id == "svd":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "svd":
+            found.append(ast.unparse(node))
+    return sorted(found)
+
+
+def test_structure_takes_no_svd():
+    # the singular-multiset check bounds the singular values instead of computing them; the rank
+    # check reaches linalg.svd only through numerical_rank
+    assert svd_references((ROOT / "src" / "lcuout" / "structure.py").read_text()) == []
+
+
+def test_detector_sees_svd_references():
+    source = (
+        "import numpy as np\n"
+        "from .linalg import numerical_rank, svd\n"
+        "def f(a):\n"
+        "    return np.linalg.svd(a, compute_uv=False), numerical_rank(a), np.linalg.norm(a, 2)\n"
+    )
+    assert svd_references(source) == ["np.linalg.svd", "svd"]
