@@ -390,10 +390,13 @@ def success_probabilities(
     if spec.mixing != "hadamard":
         raise ValueError("closed-form success probabilities assume Hadamard mixing")
     psi = _check_state(psi, spec.big_n)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (spec.k,):
+        raise ValueError(f"alpha must have shape ({spec.k},), got {alpha.shape}")
     c, beta = scale_coefficients(alpha)
     if not np.allclose(beta, spec.weights, rtol=0, atol=1e-12):
         raise ValueError("spec weights must equal the rescaled coefficients")
-    t_psi = sum(a * (u @ psi) for a, u in zip(np.asarray(alpha, dtype=float), spec.unitaries))
+    t_psi = sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries))
     target_sq = float(np.vdot(t_psi, t_psi).real)
     p00 = target_sq / (c * spec.k) ** 2
     p_std = target_sq / float(np.sum(np.abs(alpha))) ** 2

@@ -11,12 +11,15 @@ cosine-sine factors of U can be written down explicitly.
 
 Every N x N block of U is a K-term combination ``sum_t coef[r, i, s, j, t]
 U_t`` of the circuit's unitaries, so the checks here work on the K x K
-coefficient algebra and on the N x N products ``U_t^dag U_u`` and
-``U_t U_u^dag``, t <= u.  A Frobenius norm of a block combination is a quadratic form of
-its coefficients in the Gram matrix ``tr(X^dag Y)`` of the matrices it
-combines, so no combination is formed except by :func:`shuffle`, one block
-row at a time.  The largest arrays are the K^2 stacks of N x N products;
-neither A, B nor U is built, and no singular value of A or B is computed.
+coefficient algebra.  A Frobenius norm of a block combination is a quadratic
+form of its coefficients in the trace Gram matrix ``tr(U_t^dag U_u)``, so no
+combination is formed.  The identities that involve products of blocks
+(``U^dag U = I``, the weight-free square U^2 and the two-block form) hold for
+any matrices U_t, so their residuals are certified upper bounds built from
+the coefficients and from two numbers per unitary, ``eta_t = |U_t^dag U_t -
+I|_F`` and ``|U_t|_F``.  The K products ``U_t^dag U_t`` are the only N x N
+products multiplied out; neither A, B nor U is built, and no singular value
+of A or B is computed.
 :func:`verify` runs every check of this module, plus the Phi = C X
 factorization against the layer-by-layer circuit
 :func:`~lcuout.circuit.apply_circuit`, as one battery.
@@ -65,8 +68,8 @@ class ShuffledUnitary:
     the reflection variant and ``[[A, B], [-B, A]]`` for the cyclic one,
     where A has the blocks ``coef[0, :, 0]`` and B the blocks
     ``coef[0, :, 1]``; neither is assembled.  The trace Gram matrix of the
-    unitaries and the products ``U_t^dag U_u`` with their Gram matrix are
-    computed on first use and kept.
+    unitaries and that of the unitarity defects ``E_t = U_t^dag U_t - I`` are
+    computed on first use and kept; the defects themselves are not.
     """
 
     spec: CircuitSpec
@@ -80,46 +83,38 @@ class ShuffledUnitary:
         return flat.conj() @ flat.T
 
     @cached_property
-    def adjoint_basis(self) -> np.ndarray:
-        """``E_tu = U_t^dag U_u - delta_tu I`` at index ``t * K + u``, and ``I`` at the last index.
+    def defect_gram(self) -> np.ndarray:
+        """Gram matrix ``tr(X^dag Y)`` of ``E_t = U_t^dag U_t - I`` at index t < K and of I at index K.
 
-        ``E_tt`` is the deviation of U_t from unitarity.
+        The K products ``U_t^dag U_t`` are the only N x N products this
+        module multiplies out.  ``defect_gram[K, t] = tr(E_t) = |U_t|_F^2 - N``.
         """
         k, big_n = self.spec.k, self.spec.big_n
-        basis = np.empty((k * k + 1, big_n, big_n), dtype=complex)
-        _paired_products([u.conj().T for u in self.spec.unitaries], self.spec.unitaries, basis[:-1])
+        defects = np.empty((k, big_n, big_n), dtype=complex)
         diag = np.arange(big_n)
-        for t in range(k):
-            basis[t * k + t, diag, diag] -= 1.0
-        basis[-1] = np.eye(big_n)
-        return basis
+        for t, u in enumerate(self.spec.unitaries):
+            np.matmul(u.conj().T, u, out=defects[t])
+            defects[t, diag, diag] -= 1.0
+        flat = defects.reshape(k, -1)
+        gram = np.full((k + 1, k + 1), big_n, dtype=complex)
+        gram[:k, :k] = flat.conj() @ flat.T
+        gram[k, :k] = np.trace(defects, axis1=1, axis2=2)
+        gram[:k, k] = gram[k, :k].conj()
+        return gram
 
-    @cached_property
-    def adjoint_gram(self) -> np.ndarray:
-        """Gram matrix ``tr(X^dag Y)`` of :attr:`adjoint_basis`."""
-        flat = self.adjoint_basis.reshape(len(self.adjoint_basis), -1)
-        return flat.conj() @ flat.T
+    @property
+    def eta(self) -> np.ndarray:
+        """``eta_t = |U_t^dag U_t - I|_F``, an upper bound on ``|U_t^dag U_t - I|_2``."""
+        return np.sqrt(np.maximum(np.diagonal(self.defect_gram)[:-1].real, 0.0))
 
+    @property
+    def product_bound(self) -> np.ndarray:
+        """``s_t |U_u|_F`` at [t, u], an upper bound on ``|U_t^dag U_u|_F`` and ``|U_t U_u|_F``.
 
-def _paired_products(left: list[np.ndarray], right: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Write ``left[t] @ right[u]`` to ``out[t * K + u]``, for factors whose (u, t) product is the (t, u) one's adjoint.
-
-    Only the products with t <= u are multiplied out.  Returns ``out``.
-    """
-    k = len(left)
-    for t in range(k):
-        for u in range(t, k):
-            np.matmul(left[t], right[u], out=out[t * k + u])
-            if u > t:
-                out[u * k + t] = out[t * k + u].conj().T
-    return out
-
-
-def _combine(coef: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Blocks ``sum_t coef[..., t] mats[t]``, shape ``coef.shape[:-1] + mats.shape[1:]``."""
-    return (coef.reshape(-1, mats.shape[0]) @ mats.reshape(mats.shape[0], -1)).reshape(
-        coef.shape[:-1] + mats.shape[1:]
-    )
+        ``s_t = sqrt(1 + eta_t) >= |U_t|_2``, since ``|U_t|_2^2 = |U_t^dag U_t|_2 <= 1 + eta_t``.
+        """
+        norms = np.sqrt(np.maximum(self.spec.big_n + self.defect_gram[-1, :-1].real, 0.0))
+        return np.outer(np.sqrt(1.0 + self.eta), norms)
 
 
 def _frobenius(coef: np.ndarray, gram: np.ndarray) -> float:
@@ -147,17 +142,16 @@ def shuffle(spec: CircuitSpec) -> ShuffledUnitary:
     The circuit orders its basis index x rotation x system; the regrouped
     unitary is rotation-major.  The lower block row is compared with
     ``[B, -A]`` (reflection) or ``[-B, A]`` (cyclic) through the difference
-    of its coefficients, entry by entry, K blocks at a time.  Blocks whose
-    coefficient differences are all exactly zero are exactly zero and are
-    not formed.
+    ``dc`` of its coefficients: a lower block differs from its target by
+    ``sum_t dc_t U_t``, whose largest entry is at most ``sum_t |dc_t|
+    max|U_t|``.  The largest such bound is the block residual; no block is
+    formed.
     """
-    k = spec.k
-    us = np.stack(spec.unitaries)
     coef = _block_coefficients(spec)
     sign = 1.0 if spec.variant == "reflection" else -1.0
     lower_gap = np.stack([coef[1, :, 0] - sign * coef[0, :, 1], coef[1, :, 1] + sign * coef[0, :, 0]])
-    rows = lower_gap.reshape(2 * k, k, k)
-    residual = max((float(np.abs(_combine(row, us)).max()) for row in rows if row.any()), default=0.0)
+    peaks = np.array([np.abs(u).max() for u in spec.unitaries])
+    residual = float((np.abs(lower_gap) @ peaks).max())
     if residual > 1e6 * _BLOCK_ATOL:
         raise CheckFailed("two-block symmetry", residual)
     return ShuffledUnitary(spec=spec, coef=coef, block_residual=residual)
@@ -170,9 +164,12 @@ def _public_mixing(spec: CircuitSpec) -> np.ndarray:
     return mixing_layers(spec)[1]
 
 
-def _conjugated_diagonal(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Coefficients of ``Q diag(scale_t U_t) Q^dag``: block (i, j) is ``sum_t G[i, t] scale_t conj(G[j, t]) U_t``."""
-    return np.einsum("it,t,jt->ijt", g, scale, g.conj())
+def _diagonal_gap(shuffled: ShuffledUnitary, g: np.ndarray, scale: np.ndarray, s: int) -> float:
+    """``|A - Q diag(scale_t U_t) Q^dag|_F`` for s = 0, and the same for B for s = 1.
+
+    Block (i, j) of ``Q diag(scale_t U_t) Q^dag`` is ``sum_t G[i, t] scale_t conj(G[j, t]) U_t``.
+    """
+    return _frobenius(shuffled.coef[0, :, s] - np.einsum("it,t,jt->ijt", g, scale, g.conj()), shuffled.traces)
 
 
 def similarity_check(shuffled: ShuffledUnitary) -> float:
@@ -221,11 +218,11 @@ def singular_multiset_check(shuffled: ShuffledUnitary) -> tuple[float, float]:
     g = _public_mixing(spec)
     w = spec.weights
     r = np.sqrt(1.0 - w * w)
-    eta = np.sqrt(np.maximum(np.diagonal(shuffled.adjoint_gram)[np.arange(k) * (k + 1)].real, 0.0))
+    eta = shuffled.eta
     gamma = np.linalg.norm(g.conj().T @ g - np.eye(k))
     bounds = []
     for s, scale in ((0, w), (1, r)):
-        gap = _frobenius(shuffled.coef[0, :, s] - _conjugated_diagonal(g, scale), shuffled.traces)
+        gap = _diagonal_gap(shuffled, g, scale, s)
         size = np.abs(scale)
         bounds.append(float(gap + np.max(size * eta) + gamma * size.max() * (1.0 + eta.max())))
     return bounds[0], bounds[1]
@@ -271,40 +268,44 @@ def _csd_residual(shuffled: ShuffledUnitary, csd: CsdFactors) -> float:
     ``L diag(sigma) Q^dag`` is ``sum_t G[i, t] sigma_t conj(G[j, t]) U_t``.
     """
     big_n = shuffled.spec.big_n
-    return max(
-        _frobenius(_conjugated_diagonal(csd.g, sigma[::big_n]) - shuffled.coef[0, :, s], shuffled.traces)
-        for s, sigma in ((0, csd.sigma_w), (1, csd.sigma_r))
-    )
+    return max(_diagonal_gap(shuffled, csd.g, sigma[::big_n], s) for s, sigma in ((0, csd.sigma_w), (1, csd.sigma_r)))
 
 
 def _unitarity_residual(shuffled: ShuffledUnitary) -> float:
-    """``|U^dag U - I|_F`` from the products ``U_t^dag U_u``, t <= u.
+    """Certified upper bound on ``|U^dag U - I|_F``.
 
-    Block (a, c) of ``U^dag U - I`` is ``sum_tu p[a, c, t, u] U_t^dag U_u -
-    delta_ac I``.  Over the basis of :attr:`ShuffledUnitary.adjoint_gram`
-    its coefficients are ``p[a, c, t, u]`` on ``E_tu`` and
-    ``sum_t p[a, c, t, t] - delta_ac`` on I, all at rounding level for a
-    unitary circuit, so the norm taken from that Gram matrix does not cancel.
+    With ``p[a, c, t, u] = sum_b conj(coef[b, a, t]) coef[b, c, u]``, block
+    (a, c) of ``U^dag U - I`` is ``sum_t p_actt E_t + (sum_t p_actt -
+    delta_ac) I + sum_{t != u} p_actu U_t^dag U_u``.  The first two terms are
+    taken exactly from :attr:`ShuffledUnitary.defect_gram`, in which their
+    coefficients (at rounding level for a unitary circuit) do not cancel; the
+    cross term is at most ``cross_ac = sum_{t != u} |p_actu| s_t |U_u|_F``
+    (:attr:`ShuffledUnitary.product_bound`).  Returns ``sqrt(sum_ac (exact_ac + cross_ac)^2)``.
     """
     k = shuffled.spec.k
     c = shuffled.coef.reshape(2 * k, 2 * k, k)
     p = np.einsum("bat,bcu->actu", c.conj(), c)
+    diag = np.arange(k)
+    on_defects = p[:, :, diag, diag]
     on_identity = np.trace(p, axis1=2, axis2=3) - np.eye(2 * k)
-    return _frobenius(np.concatenate([p.reshape(2 * k, 2 * k, k * k), on_identity[:, :, None]], axis=2),
-                      shuffled.adjoint_gram)
+    x = np.concatenate([on_defects, on_identity[:, :, None]], axis=2)
+    exact = np.sqrt(np.maximum(np.einsum("act,tu,acu->ac", x.conj(), shuffled.defect_gram, x).real, 0.0))
+    cross = np.abs(p)
+    cross[:, :, diag, diag] = 0.0
+    return float(np.sqrt(np.sum((exact + np.einsum("actu,tu->ac", cross, shuffled.product_bound)) ** 2)))
 
 
 def involution_check(shuffled: ShuffledUnitary, shuffled_alt: ShuffledUnitary) -> tuple[float, float]:
     """Verify that squaring the regrouped circuit erases the weights.
 
-    Returns ``(structure_residual, key_cancel_residual)`` where the first is
-    ``|U^2 - I_2 (x) Q diag(U_t^2) Q^dag|_F`` and the second compares U^2
-    across the two weight choices.  Both are quadratic forms in the Gram
-    matrix of the K^2 products ``U_t U_u``, which the two specs share.  That
-    Gram matrix is taken from traces of the products ``U_t^dag U_v`` that the
-    unitarity check forms and of ``conj(U_u) U_w^T``, of which only those
-    with u <= w are multiplied out.  The two specs must agree on
-    everything but the weights and use the reflection variant.
+    Returns ``(structure_residual, key_cancel_residual)``, certified upper
+    bounds on ``|U^2 - I_2 (x) Q diag(U_t^2) Q^dag|_F`` and on the distance
+    between U^2 for the two weight choices.  Block (a, c) of either difference
+    is ``sum_tu d_actu U_t U_u`` for a coefficient difference d, so each bound
+    is ``sqrt(sum_ac (sum_tu |d_actu| s_t |U_u|_F)^2)``, since
+    ``|U_t U_u|_F <= s_t |U_u|_F`` (:attr:`ShuffledUnitary.product_bound`).
+    The two specs must agree on everything but the weights and use the
+    reflection variant.
     """
     spec, spec_alt = shuffled.spec, shuffled_alt.spec
     same = (
@@ -320,23 +321,19 @@ def involution_check(shuffled: ShuffledUnitary, shuffled_alt: ShuffledUnitary) -
         raise ValueError("weight cancellation in U^2 needs the reflection variant")
     g = _public_mixing(spec)
     k = spec.k
-    # tr((U_t U_u)^dag U_v U_w) = sum_ij (U_t^dag U_v)[i, j] (conj(U_u) U_w^T)[i, j], and the
-    # U_t^dag U_v are the adjoint basis with I added back on t = v, whose row is the basis's last
-    basis = shuffled.adjoint_basis.reshape(k * k + 1, -1)
-    transposed = _paired_products([u.conj() for u in spec.unitaries], [u.T for u in spec.unitaries],
-                                  np.empty((k * k, spec.big_n, spec.big_n), dtype=complex))
-    m = basis @ transposed.reshape(k * k, -1).T
-    m = m[:-1] + np.eye(k).reshape(k * k, 1) * m[-1]
-    prods_gram = m.reshape(k, k, k, k).transpose(0, 2, 1, 3).reshape(k * k, k * k)
+    bound = shuffled.product_bound
 
     def square(sh: ShuffledUnitary) -> np.ndarray:
         c = sh.coef.reshape(2 * k, 2 * k, k)
-        return np.einsum("abt,bcu->actu", c, c).reshape(2 * k, 2 * k, k * k)
+        return np.einsum("abt,bcu->actu", c, c)
+
+    def residual(d: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(np.einsum("actu,tu->ac", np.abs(d), bound) ** 2)))
 
     # I_2 (x) Q diag(U_t^2) Q^dag puts G[i, t] conj(G[j, t]) on U_t U_t in both diagonal rotation blocks
-    target = np.einsum("rs,it,jt,tu->risjtu", np.eye(2), g, g.conj(), np.eye(k)).reshape(2 * k, 2 * k, k * k)
+    target = np.einsum("rs,it,jt,tu->risjtu", np.eye(2), g, g.conj(), np.eye(k)).reshape(2 * k, 2 * k, k, k)
     u_sq = square(shuffled)
-    return _frobenius(u_sq - target, prods_gram), _frobenius(u_sq - square(shuffled_alt), prods_gram)
+    return residual(u_sq - target), residual(u_sq - square(shuffled_alt))
 
 
 def verify(spec: CircuitSpec, seed: int) -> list[dict]:

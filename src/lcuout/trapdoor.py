@@ -97,12 +97,30 @@ def key_to_json(key: SecretKey) -> str:
 
 
 def key_from_json(text: str) -> SecretKey:
+    """Parse a key written by :func:`key_to_json`.
+
+    Raises ``ValueError`` for a document that is not a JSON object, an
+    unknown scheme, weights that are not a finite 1-D array, and a
+    secret-mixing key whose gamma is not an integer in [0, 2**64): without a
+    fixed gamma, :func:`mixing_from_key` would draw a different mixing
+    unitary on every call.
+    """
     doc = json.loads(text)
-    return SecretKey(
-        scheme=doc["scheme"],
-        weights=np.array(doc["weights"], dtype=float),
-        gamma=doc.get("gamma"),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("a key file must hold a JSON object")
+    scheme = doc["scheme"]
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    try:
+        weights = np.array(doc["weights"], dtype=float)
+        if weights.ndim != 1 or not np.all(np.isfinite(weights)):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError("key weights must be a finite 1-D array") from None
+    gamma = doc.get("gamma")
+    if scheme == "secret_mixing" and not (type(gamma) is int and 0 <= gamma < 2**64):
+        raise ValueError(f"a secret-mixing key needs an integer gamma in [0, 2**64), got {gamma!r}")
+    return SecretKey(scheme=scheme, weights=weights, gamma=gamma)
 
 
 def mixing_from_key(key: SecretKey) -> np.ndarray:

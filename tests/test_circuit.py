@@ -276,6 +276,13 @@ def test_success_probabilities_requires_matching_weights():
         success_probabilities(dft_spec, psi, np.array([2.0, 1.0]))
 
 
+def test_success_probabilities_rejects_a_wrong_length_alpha():
+    # [2.0] rescales to [1.0], which broadcasts against the four unit weights
+    spec = make_spec(k=4, n=1, weights=[1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="alpha must have shape"):
+        success_probabilities(spec, random_state(2, 0), np.array([2.0]))
+
+
 def test_success_probabilities_rejects_weights_off_by_more_than_1e_12():
     spec = make_spec(k=2, n=1, weights=[1.0, 0.5])
     with pytest.raises(ValueError, match="rescaled coefficients"):

@@ -187,6 +187,13 @@ def test_key_file_round_trips_byte_identically(tmp_path):
     assert (tmp_path / "k1_key.json").read_bytes() == (tmp_path / "k2_key.json").read_bytes()
 
 
+def test_secret_mixing_key_without_gamma_exits_2(tmp_path, capsys):
+    key = tmp_path / "k_key.json"
+    key.write_text(json.dumps({"scheme": "secret_mixing", "weights": [0.5, 0.5, 0.5, 0.5]}))
+    assert main(["trapdoor", "eval", "--key", str(key), "--out", str(tmp_path / "e")]) == 2
+    assert "gamma" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     def no_convergence(a, rank):
         raise np.linalg.LinAlgError("eigh did not converge")

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,7 +381,7 @@ def test_perturbed_unitary_fails_the_same_checks_as_the_dense_oracle():
 @given(
     k=st.sampled_from([1, 2, 4, 8]),
     n=st.integers(1, 3),
-    mixing=st.sampled_from(["hadamard", "dft"]),
+    mixing=st.sampled_from(["hadamard", "dft", "secret"]),
     variant=st.sampled_from(["reflection", "cyclic"]),
     signed=st.booleans(),
     scaled=st.booleans(),
@@ -388,8 +390,12 @@ def test_perturbed_unitary_fails_the_same_checks_as_the_dense_oracle():
 )
 def test_multiset_bound_covers_the_dense_svd_of_perturbed_unitaries(k, n, mixing, variant, signed, scaled, p, seed):
     gen = rng(seed)
-    spec = make_spec(k=k, n=n, seed=seed, mixing=mixing, variant=variant,
-                     weights=gen.uniform(-1.0 if signed else 0.0, 1.0, k))
+    weights = gen.uniform(-1.0 if signed else 0.0, 1.0, k)
+    if mixing == "secret":
+        spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=tuple(haar_random_unitary(2**n, gen) for _ in range(k)),
+                           mixing="secret", mixing_matrix=haar_random_unitary(k, gen), variant=variant)
+    else:
+        spec = make_spec(k=k, n=n, seed=seed, mixing=mixing, variant=variant, weights=weights)
     # one U_t scaled or perturbed by 10^-p after validation
     us = list(spec.unitaries)
     t = seed % k
@@ -397,10 +403,41 @@ def test_multiset_bound_covers_the_dense_svd_of_perturbed_unitaries(k, n, mixing
     us[t] = us[t] * (1 + 10.0**-p) if scaled else us[t] + 10.0**-p * (gen.standard_normal(shape)
                                                                        + 1j * gen.standard_normal(shape))
     object.__setattr__(spec, "unitaries", tuple(us))
+    # unitarity, involution and block-structure are certified bounds too
+    dense = dense_battery(spec, seed)
+    bounds = {c["name"]: c["residual"] for c in verify(spec, seed) if not c["skipped"]}
+    for name in ("unitarity", "involution", "block-structure"):
+        if name in dense:
+            assert dense[name] <= bounds[name] + certificate_slack(spec), name
+    if mixing != "secret":
+        devs = svd_deviations(spec, *regrouped_blocks(spec))
+        for dev, bound in zip(devs, singular_multiset_check(shuffle(spec))):
+            assert dev <= bound + certificate_slack(spec)
+
+
+def test_bounds_cover_the_dense_residuals_of_coefficients_off_the_formula():
+    # the cross terms U_t^dag U_u (t != u) of U^dag U and every term of U^2 vanish only for the circuit's own
+    # coefficients; moved off it, the bounds must still cover the dense residuals (they read 2.1-2.3x them)
+    spec = make_spec(k=4, n=2, seed=67)
+    k, big_n = spec.k, spec.big_n
     sh = shuffle(spec)
-    devs = svd_deviations(spec, *regrouped_blocks(spec))
-    for dev, bound in zip(devs, singular_multiset_check(sh)):
-        assert dev <= bound + certificate_slack(spec)
+    coef = sh.coef.copy()
+    coef[..., 0] += 1e-6 * rng(68).standard_normal(coef.shape[:-1])
+    moved = dataclasses.replace(sh, coef=coef)
+    us = np.stack(spec.unitaries)
+    u, u_ref = (np.einsum("act,tmn->amcn", c.reshape(2 * k, 2 * k, k), us).reshape(2 * k * big_n, -1)
+                for c in (coef, sh.coef))
+    squares = np.zeros((k * big_n, k * big_n), dtype=complex)
+    for t, ut in enumerate(spec.unitaries):
+        squares[t * big_n:(t + 1) * big_n, t * big_n:(t + 1) * big_n] = ut @ ut
+    q = np.kron(mixing_layers(spec)[1], np.eye(big_n))
+    dense = (np.linalg.norm(u.conj().T @ u - np.eye(len(u))),
+             np.linalg.norm(u @ u - np.kron(np.eye(2), q @ squares @ q.conj().T)),
+             np.linalg.norm(u @ u - u_ref @ u_ref))
+    bounds = (lcuout.structure._unitarity_residual(moved),) + involution_check(moved, sh)
+    for d, b in zip(dense, bounds):
+        assert d > 1e-7
+        assert d <= b <= 4 * d
 
 
 def test_wrong_weights_in_a_fail_the_singular_multiset_check(monkeypatch):
@@ -421,3 +458,21 @@ def test_wrong_weights_in_a_fail_the_singular_multiset_check(monkeypatch):
     assert devs[0] > 1e-3
     for dev, bound in zip(devs, singular_multiset_check(sh)):
         assert dev <= bound + certificate_slack(spec)
+
+
+# Peak allocation of one verify call at K=4, n=7, in units of K N x N complex matrices (K N^2 16 bytes): 2.02
+# measured, since each of the two trace Grams holds a stack of K N x N matrices and its conjugate.  Building the
+# K^2 products U_t^dag U_u and U_t U_u^dag and their Gram matrices instead peaked at 9.5 units; c = 3 leaves a
+# margin of 1.5.
+VERIFY_PEAK_UNITS = 3
+
+
+def test_verify_builds_no_stack_of_products():
+    spec = make_spec(k=4, n=7, seed=66)
+    tracemalloc.start()
+    try:
+        verify(spec, seed=11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= VERIFY_PEAK_UNITS * spec.k * spec.big_n**2 * 16

@@ -64,6 +64,31 @@ def test_key_json_never_leaks_the_mixing_matrix():
     assert back.gamma == key.gamma
 
 
+@pytest.mark.parametrize("doc", [
+    [0.6, 0.8],
+    {"scheme": "secret", "weights": [0.6, 0.8], "gamma": 3},
+    {"scheme": "secret_mixing", "weights": [0.6, 0.8]},
+    {"scheme": "secret_mixing", "weights": [0.6, 0.8], "gamma": None},
+    {"scheme": "secret_mixing", "weights": [0.6, 0.8], "gamma": -1},
+    {"scheme": "secret_mixing", "weights": [0.6, 0.8], "gamma": 2**64},
+    {"scheme": "secret_mixing", "weights": [0.6, 0.8], "gamma": 3.0},
+    {"scheme": "secret_mixing", "weights": [0.6, 0.8], "gamma": True},
+    {"scheme": "hadamard", "weights": [[0.6, 0.8]], "gamma": None},
+    {"scheme": "hadamard", "weights": 0.6, "gamma": None},
+    {"scheme": "hadamard", "weights": [0.6, float("nan")], "gamma": None},
+    {"scheme": "hadamard", "weights": ["a", "b"], "gamma": None},
+    {"scheme": "hadamard", "weights": {"a": 1}, "gamma": None},
+])
+def test_key_from_json_rejects_malformed_keys(doc):
+    with pytest.raises(ValueError):
+        key_from_json(json.dumps(doc))
+
+
+def test_key_from_json_accepts_the_largest_gamma():
+    key = key_from_json(json.dumps({"scheme": "secret_mixing", "weights": [0.6, 0.8], "gamma": 2**64 - 1}))
+    np.testing.assert_array_equal(mixing_from_key(key), mixing_from_key(key))
+
+
 def test_mixing_from_key_structure():
     key = keygen(4, "secret_mixing", 11)
     w = mixing_from_key(key)
