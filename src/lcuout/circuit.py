@@ -14,8 +14,9 @@ the rotation-0 branch and the matching ``r_t`` combination on rotation-1.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "sample_shots",
     "scale_coefficients",
     "success_probabilities",
+    "unitaries_from_json",
 ]
 
 _MIXINGS = ("hadamard", "dft", "secret")
@@ -82,9 +84,24 @@ class CircuitSpec:
     mixing: str = "hadamard"
     mixing_matrix: np.ndarray | None = None
     variant: str = "reflection"
-    unitary_source: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        self._check_parameters()
+        if len(self.unitaries) != self.k:
+            raise ValueError(f"expected {self.k} unitaries, got {len(self.unitaries)}")
+        big_n = self.big_n
+        us = []
+        for t, u in enumerate(self.unitaries):
+            u = np.asarray(u, dtype=complex)
+            if u.shape != (big_n, big_n):
+                raise ValueError(f"unitary {t} has shape {u.shape}, expected {(big_n, big_n)}")
+            if not np.allclose(u.conj().T @ u, np.eye(big_n), rtol=0, atol=_ATOL):
+                raise ValueError(f"matrix {t} is not unitary")
+            us.append(_readonly(u))
+        object.__setattr__(self, "unitaries", tuple(us))
+
+    def _check_parameters(self):
+        """Check and freeze everything but the unitaries: sizes, mixing, variant, weights."""
         if self.k < 1:
             raise ValueError(f"need at least one unitary, got k={self.k}")
         if self.n < 1:
@@ -101,18 +118,6 @@ class CircuitSpec:
         if not np.all(np.abs(w) <= 1 + 1e-12):
             raise ValueError("weights must be finite and lie in [-1, 1]")
         object.__setattr__(self, "weights", _readonly(np.clip(w, -1.0, 1.0)))
-        if len(self.unitaries) != self.k:
-            raise ValueError(f"expected {self.k} unitaries, got {len(self.unitaries)}")
-        big_n = self.big_n
-        us = []
-        for t, u in enumerate(self.unitaries):
-            u = np.asarray(u, dtype=complex)
-            if u.shape != (big_n, big_n):
-                raise ValueError(f"unitary {t} has shape {u.shape}, expected {(big_n, big_n)}")
-            if not np.allclose(u.conj().T @ u, np.eye(big_n), rtol=0, atol=_ATOL):
-                raise ValueError(f"matrix {t} is not unitary")
-            us.append(_readonly(u))
-        object.__setattr__(self, "unitaries", tuple(us))
         if self.mixing == "secret":
             if self.mixing_matrix is None:
                 raise ValueError("secret mixing requires an explicit mixing matrix")
@@ -125,6 +130,20 @@ class CircuitSpec:
         elif self.mixing_matrix is not None:
             raise ValueError(f"mixing matrix only applies to secret mixing, not {self.mixing!r}")
 
+    def with_weights(self, weights: np.ndarray, mixing_matrix: np.ndarray | None = None) -> "CircuitSpec":
+        """The same unitaries under other weights, and under secret mixing if ``mixing_matrix`` is given.
+
+        Every check of :meth:`__post_init__` but the unitary loop runs again;
+        the unitaries are shared by identity, not copied or re-checked.
+        """
+        spec = copy.copy(self)
+        object.__setattr__(spec, "weights", weights)
+        if mixing_matrix is not None:
+            object.__setattr__(spec, "mixing", "secret")
+            object.__setattr__(spec, "mixing_matrix", mixing_matrix)
+        spec._check_parameters()
+        return spec
+
     @property
     def big_n(self) -> int:
         """System dimension N = 2**n."""
@@ -135,26 +154,11 @@ class CircuitSpec:
         """Dimension of the full index x rotation x system space."""
         return 2 * self.k * self.big_n
 
-    def to_json(self) -> str:
-        """Serialize to the interchange JSON schema."""
-        doc: dict = {"K": self.k, "n": self.n, "weights": list(map(float, self.weights))}
-        if self.unitary_source is not None:
-            doc["unitaries"] = self.unitary_source
-        else:
-            doc["unitaries"] = {"kind": "explicit", "data": [matrix_to_pairs(u) for u in self.unitaries]}
-        doc["mixing"] = self.mixing
-        if self.mixing == "secret":
-            doc["mixing_matrix"] = matrix_to_pairs(self.mixing_matrix)
-        doc["variant"] = self.variant
-        return json.dumps(doc)
-
     @classmethod
     def from_json(cls, text: str) -> "CircuitSpec":
         """Load a spec from the interchange JSON schema."""
         doc = json.loads(text)
-        k, n = int(doc["K"]), int(doc["n"])
-        source = doc["unitaries"]
-        unitaries = _unitaries_from_json(source, k, 2**n)
+        k, n, unitaries = unitaries_from_json(doc)
         mixing = doc.get("mixing", "hadamard")
         mixing_matrix = None
         if mixing == "secret":
@@ -169,7 +173,6 @@ class CircuitSpec:
             mixing=mixing,
             mixing_matrix=mixing_matrix,
             variant=doc.get("variant", "reflection"),
-            unitary_source=source if source.get("kind") != "explicit" else None,
         )
 
 
@@ -216,17 +219,31 @@ def permutation_matrix(images: Sequence[int]) -> np.ndarray:
     return m
 
 
-def _unitaries_from_json(source: dict, k: int, big_n: int) -> tuple[np.ndarray, ...]:
+def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
+    """``(K, n, unitaries)`` of a spec or public-parameter document, unchecked.
+
+    Raises ``ValueError`` for a document or ``unitaries`` source that is not
+    a JSON object, a ``K`` or ``n`` that is not an integer, and an unknown
+    source kind; :class:`CircuitSpec` checks the matrices themselves.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("a circuit document must be a JSON object")
+    k, n = doc["K"], doc["n"]
+    if not all(type(v) is int for v in (k, n)):
+        raise ValueError(f"K and n must be integers, got K={k!r}, n={n!r}")
+    source = doc["unitaries"]
+    if not isinstance(source, dict):
+        raise ValueError("the unitaries entry must be a JSON object with a 'kind'")
     kind = source.get("kind")
     if kind == "haar":
         gen = rng(int(source["seed"]))
-        return tuple(haar_random_unitary(big_n, gen) for _ in range(k))
+        return k, n, tuple(haar_random_unitary(2**n, gen) for _ in range(k))
     if kind == "pauli_strings":
-        return tuple(pauli_string_matrix(s) for s in source["data"])
+        return k, n, tuple(pauli_string_matrix(s) for s in source["data"])
     if kind == "permutation":
-        return tuple(permutation_matrix(p) for p in source["data"])
+        return k, n, tuple(permutation_matrix(p) for p in source["data"])
     if kind == "explicit":
-        return tuple(matrix_from_pairs(m) for m in source["data"])
+        return k, n, tuple(matrix_from_pairs(m) for m in source["data"])
     raise ValueError(f"unknown unitary source kind {kind!r}")
 
 

@@ -23,10 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import CheckFailed, CircuitSpec, coefficient_matrix, output_states, row_matrix, success_probabilities
+from .circuit import (
+    CheckFailed, CircuitSpec, coefficient_matrix, output_states, row_matrix, success_probabilities, unitaries_from_json,
+)
 from .linalg import random_state
 from .outputs import extract_target, matrix_from_csv, matrix_to_csv, output_matrix
-from .recovery import complete, make_mask, observe, random_instance, recovery_errors, sweep
+from .recovery import complete, make_mask, observe, random_instance, recovery_errors, reject_solver_overrides, sweep
 from .structure import verify
 from .trapdoor import (
     PublicParams,
@@ -92,7 +94,10 @@ def _write_json(path, doc):
 def _load_config(path, default):
     if path is None:
         return dict(default)
-    return json.loads(Path(path).read_text())
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise ValueError("a config file must hold a JSON object")
+    return config
 
 
 def _spec_from_config(config: dict) -> CircuitSpec:
@@ -100,23 +105,9 @@ def _spec_from_config(config: dict) -> CircuitSpec:
 
 
 def _pub_from_config(config: dict) -> PublicParams:
-    spec = _spec_from_config(
-        {
-            "K": config["K"],
-            "n": config["n"],
-            "weights": [0.0] * config["K"],
-            "unitaries": config["unitaries"],
-            "mixing": "hadamard",
-            "variant": config.get("variant", "reflection"),
-        }
-    )
-    return PublicParams(
-        k=spec.k,
-        n=spec.n,
-        unitaries=spec.unitaries,
-        scheme=config.get("scheme", "hadamard"),
-        variant=spec.variant,
-    )
+    k, n, unitaries = unitaries_from_json(config)
+    scheme, variant = config.get("scheme", "hadamard"), config.get("variant", "reflection")
+    return PublicParams(k=k, n=n, unitaries=unitaries, scheme=scheme, variant=variant)
 
 
 # -- verify -------------------------------------------------------------------
@@ -176,7 +167,7 @@ def cmd_fig2(config: dict, seed: int, out: str) -> int:
     rows = []
     for a in config["a_grid"]:
         alpha = np.array([1.0] * half + [float(a)] * (k - half))
-        spec = CircuitSpec(k=k, n=n, weights=alpha / np.abs(alpha).max(), unitaries=spec0.unitaries)
+        spec = spec0.with_weights(alpha / np.abs(alpha).max())
         p00, p0_any, p_std = success_probabilities(spec, psi, alpha)
         p00_sim = output_states(spec, psi).probability(0, 0)
         rows.append((float(a), p00_sim, p00, p0_any, p_std))
@@ -363,9 +354,7 @@ DEFAULT_COMPLETE = {
 
 def cmd_complete(method: str, config: dict, seed: int | None, out: str) -> int:
     """One seeded completion run; reports errors and iteration count."""
-    for key in ("svp", "als"):
-        if key in config:
-            raise ValueError(f"config key {key!r} is not supported: the solver settings are fixed")
+    reject_solver_overrides(config)
     config = dict(config)
     if seed is not None:
         config["seed"] = seed

@@ -6,22 +6,17 @@ weights, and row t of X is ``U_t psi``.  C has orthogonal columns of norm
 ``1/sqrt(K)``, so ``X = K C^dag Phi`` inverts the map and the combined state
 ``T psi = sum_t alpha_t U_t psi`` is one further row combination away.
 
-Also provides plain-text round-trip serialization for the complex matrices:
-CSV cells are ``re+imj`` at 17 significant digits (bit-exact), JSON carries
-explicit shape metadata.
+Also provides the plain-text round-trip CSV codec for complex matrices:
+cells are ``re+imj`` at 17 significant digits (bit-exact).
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
 from .circuit import (
     CircuitSpec,
     coefficient_matrix,
-    matrix_from_pairs,
-    matrix_to_pairs,
     output_states,
     row_matrix,
 )
@@ -31,9 +26,7 @@ __all__ = [
     "extract_target",
     "invert_with_C",
     "matrix_from_csv",
-    "matrix_from_json",
     "matrix_to_csv",
-    "matrix_to_json",
     "output_matrix",
     "row_matrix",
 ]
@@ -95,19 +88,3 @@ def matrix_from_csv(text: str) -> np.ndarray:
     if not rows:
         raise ValueError("no matrix rows found")
     return np.array(rows, dtype=complex)
-
-
-def matrix_to_json(m: np.ndarray) -> str:
-    """JSON document with shape metadata and [re, im] entry pairs."""
-    m = np.asarray(m, dtype=complex)
-    return json.dumps({"shape": list(m.shape), "data": matrix_to_pairs(m)})
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    doc = json.loads(text)
-    if "data" not in doc or "shape" not in doc:
-        raise ValueError("matrix document needs 'shape' and 'data' keys")
-    m = matrix_from_pairs(doc["data"])
-    if list(m.shape) != list(doc["shape"]):
-        raise ValueError("shape metadata disagrees with payload")
-    return m

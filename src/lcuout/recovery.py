@@ -288,6 +288,13 @@ def complete(method: str, entries: ObservedEntries, c: np.ndarray, seed: int):
     raise ValueError(f"unknown method {method!r}")
 
 
+def reject_solver_overrides(config: dict) -> None:
+    """Raise ``ValueError`` if ``config`` carries the retired ``svp``/``als`` solver-setting keys."""
+    for key in ("svp", "als"):
+        if key in config:
+            raise ValueError(f"config key {key!r} is not supported: the solver settings are fixed")
+
+
 def sweep(config: dict) -> list[dict]:
     """Run a seeded grid of completion experiments and aggregate the errors.
 
@@ -299,9 +306,7 @@ def sweep(config: dict) -> list[dict]:
     keys is rejected.  Returns one aggregate dict per (method, parameter
     value).
     """
-    for key in ("svp", "als"):
-        if key in config:
-            raise ValueError(f"config key {key!r} is not supported: the solver settings are fixed")
+    reject_solver_overrides(config)
     k = int(config.get("k", 4))
     n = int(config["n"])
     instances = int(config.get("instances", 10))

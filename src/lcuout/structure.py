@@ -27,7 +27,6 @@ factorization against the layer-by-layer circuit
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -368,10 +367,9 @@ def verify(spec: CircuitSpec, seed: int) -> list[dict]:
     add("csd", None if csd is None else _csd_residual(sh, csd))
     add("csd-sigma", None if csd is None else np.abs(csd.sigma_w**2 + csd.sigma_r**2 - 1.0).max(), 1e-12)
     if public and reflection:
-        # a copy with other (in-range) weights: the shared unitaries are not validated
-        # again, so a spec whose unitaries fail the unitarity check still gets this one
-        spec_alt = copy.copy(spec)
-        object.__setattr__(spec_alt, "weights", rng(seed + 1).uniform(0.1, 1.0, spec.k))
+        # the same unitaries under other weights: they are shared, not checked again,
+        # so a spec whose unitaries fail the unitarity check still gets this one
+        spec_alt = spec.with_weights(rng(seed + 1).uniform(0.1, 1.0, spec.k))
         add("involution", max(involution_check(sh, shuffle(spec_alt))))
     else:
         add("involution", None)

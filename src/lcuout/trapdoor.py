@@ -15,7 +15,7 @@ the circuit cancels the weights whenever every U_t is an involution).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,17 +48,27 @@ _SCHEMES = ("hadamard", "secret_mixing")
 
 @dataclass(frozen=True)
 class PublicParams:
-    """Everything the evaluating party publishes: sizes, unitaries, scheme."""
+    """Everything the evaluating party publishes: sizes, unitaries, scheme.
+
+    Building it checks the unitaries once, through ``base_spec``, the
+    zero-weight circuit over them, and keeps its read-only copies as
+    ``unitaries``.  Every circuit over them (:func:`key_spec`, the attacks)
+    derives from ``base_spec`` with ``CircuitSpec.with_weights``.
+    """
 
     k: int
     n: int
     unitaries: tuple[np.ndarray, ...]
     scheme: str = "hadamard"
     variant: str = "reflection"
+    base_spec: CircuitSpec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        base = CircuitSpec(k=self.k, n=self.n, weights=[0.0] * self.k, unitaries=self.unitaries, variant=self.variant)
+        object.__setattr__(self, "base_spec", base)
+        object.__setattr__(self, "unitaries", base.unitaries)
 
 
 @dataclass(frozen=True)
@@ -146,19 +156,18 @@ def mixing_from_key(key: SecretKey) -> np.ndarray:
 
 
 def key_spec(key: SecretKey, pub: PublicParams) -> CircuitSpec:
-    """The key holder's circuit: the public unitaries with the secret weights (and mixing)."""
+    """The key holder's circuit: the public unitaries with the secret weights (and mixing).
+
+    Derived from ``pub.base_spec``, so it shares the public unitaries, which
+    were checked when ``pub`` was built; the weights and the secret mixing
+    matrix are checked here.
+    """
     if key.scheme != pub.scheme:
         raise ValueError(f"key scheme {key.scheme!r} does not match public {pub.scheme!r}")
     if key.weights.shape != (pub.k,):
         raise ValueError("key length does not match the public parameters")
-    if key.scheme == "secret_mixing":
-        return CircuitSpec(
-            k=pub.k, n=pub.n, weights=key.weights, unitaries=pub.unitaries,
-            mixing="secret", mixing_matrix=mixing_from_key(key), variant=pub.variant,
-        )
-    return CircuitSpec(
-        k=pub.k, n=pub.n, weights=key.weights, unitaries=pub.unitaries, variant=pub.variant
-    )
+    mixing_matrix = mixing_from_key(key) if key.scheme == "secret_mixing" else None
+    return pub.base_spec.with_weights(key.weights, mixing_matrix)
 
 
 @dataclass(frozen=True)
@@ -255,8 +264,7 @@ def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
         else:
             ratio = (a / b).real  # w/r
             weights[t] = ratio / np.sqrt(1.0 + ratio * ratio)
-    spec_hat = CircuitSpec(k=k, n=pub.n, weights=weights, unitaries=pub.unitaries, variant=pub.variant)
-    c_hat = coefficient_matrix(spec_hat)
+    c_hat = coefficient_matrix(pub.base_spec.with_weights(weights))
     x_hat = invert_with_C(c_hat, phi)
     residual = float(np.linalg.norm(c_hat @ x_hat - phi) / np.linalg.norm(phi))
     return AttackResult(weights=weights, recoverable=recoverable, residual=residual)
@@ -270,7 +278,7 @@ class PhaseRetrievalResult:
 
 
 def _attack_c_and_grad(pub: PublicParams, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    spec = CircuitSpec(k=pub.k, n=pub.n, weights=w, unitaries=pub.unitaries, variant=pub.variant)
+    spec = pub.base_spec.with_weights(w)
     c = coefficient_matrix(spec)
     g1, g2 = mixing_layers(spec)
     prep = g1[:, 0]

@@ -9,6 +9,7 @@ from lcuout.circuit import (
     CircuitSpec,
     apply_circuit,
     circuit_unitary,
+    matrix_to_pairs,
     mixing_layers,
     output_states,
     pauli_string_matrix,
@@ -111,28 +112,57 @@ def test_spec_rejects_nan_weights():
         CircuitSpec(k=2, n=1, weights=np.array([0.5, np.nan]), unitaries=u)
 
 
+def test_with_weights_shares_the_unitaries_and_checks_the_parameters():
+    spec = make_spec(k=4, n=2, seed=12)
+    weights = spec.weights
+    other = spec.with_weights(np.array([0.2, -0.4, 1.0, 0.0]))
+    assert other.unitaries is spec.unitaries and other.mixing == "hadamard"
+    np.testing.assert_array_equal(other.weights, [0.2, -0.4, 1.0, 0.0])
+    assert not other.weights.flags.writeable
+    assert spec.weights is weights
+    mix = haar_random_unitary(4, 13)
+    secret = spec.with_weights(weights, mix)
+    assert secret.unitaries is spec.unitaries and secret.mixing == "secret"
+    np.testing.assert_array_equal(secret.mixing_matrix, mix)
+    np.testing.assert_array_equal(secret.with_weights(0.5 * weights).mixing_matrix, mix)
+    for w, m, match in [
+        (np.array([0.5, 1.5, 0.5, 0.5]), None, r"lie in \[-1, 1\]"),
+        (np.array([0.5, np.nan, 0.5, 0.5]), None, "finite"),
+        (np.ones(3), None, "expected 4 weights"),
+        (weights, np.eye(4) * (1 + 4e-6), "mixing matrix is not unitary"),
+        (weights, np.eye(2), "mixing matrix has shape"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            spec.with_weights(w, m)
+
+
 def test_spec_json_round_trip_haar_source():
-    spec = CircuitSpec.from_json(json.dumps({
-        "K": 4, "n": 2, "weights": [1.0, 0.5, 0.25, 0.75],
-        "unitaries": {"kind": "haar", "seed": 3},
-    }))
-    again = CircuitSpec.from_json(spec.to_json())
+    doc = {"K": 4, "n": 2, "weights": [1.0, 0.5, 0.25, 0.75], "unitaries": {"kind": "haar", "seed": 3}}
+    spec = CircuitSpec.from_json(json.dumps(doc))
+    gen = rng(3)
+    drawn = [haar_random_unitary(4, gen) for _ in range(4)]
+    np.testing.assert_array_equal(spec.weights, doc["weights"])
+    for a, b in zip(spec.unitaries, drawn):
+        np.testing.assert_array_equal(a, b)
+    # the same seed gives the same draw, and the drawn matrices written out explicitly load bit for bit
+    doc["unitaries"] = {"kind": "explicit", "data": [matrix_to_pairs(u) for u in drawn]}
+    again = CircuitSpec.from_json(json.dumps(doc))
     np.testing.assert_array_equal(spec.weights, again.weights)
     for a, b in zip(spec.unitaries, again.unitaries):
         np.testing.assert_array_equal(a, b)
-    assert json.loads(spec.to_json())["unitaries"]["kind"] == "haar"
 
 
 def test_spec_json_round_trip_explicit_and_secret():
-    w = np.array([0.9, 0.4])
     mix = haar_random_unitary(2, 5)
-    spec = CircuitSpec(k=2, n=1, weights=w,
-                       unitaries=(pauli_string_matrix("X"), pauli_string_matrix("Z")),
-                       mixing="secret", mixing_matrix=mix)
-    again = CircuitSpec.from_json(spec.to_json())
-    np.testing.assert_allclose(again.mixing_matrix, mix, atol=1e-15)
-    np.testing.assert_allclose(again.unitaries[0], [[0, 1], [1, 0]], atol=1e-15)
-    assert again.variant == "reflection"
+    spec = CircuitSpec.from_json(json.dumps({
+        "K": 2, "n": 1, "weights": [0.9, 0.4], "mixing": "secret", "mixing_matrix": matrix_to_pairs(mix),
+        "unitaries": {"kind": "explicit", "data": [matrix_to_pairs(pauli_string_matrix(p)) for p in "XZ"]},
+    }))
+    np.testing.assert_array_equal(spec.weights, [0.9, 0.4])
+    np.testing.assert_array_equal(spec.mixing_matrix, mix)
+    np.testing.assert_array_equal(spec.unitaries[0], [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(spec.unitaries[1], [[1, 0], [0, -1]])
+    assert spec.variant == "reflection"
 
 
 def test_pauli_string_matrix():

@@ -5,9 +5,10 @@ import pytest
 
 import lcuout.cli
 import lcuout.recovery
-from lcuout.circuit import CheckFailed
+from lcuout.circuit import CheckFailed, CircuitSpec
 from lcuout.cli import main
 from lcuout.outputs import matrix_from_csv
+from lcuout.trapdoor import key_to_json, keygen
 
 SMALL_SWEEP = {
     "k": 4, "sizes": [64], "fractions": [0.6, 0.9], "sigma": 0.0,
@@ -171,6 +172,54 @@ def test_config_with_removed_solver_keys_is_rejected(tmp_path, capsys):
         assert main(["complete", key, "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("argv", [["trapdoor", "invert", "--density", "0.7"], ["trapdoor", "demo-involution"],
+                                  ["fig2"], ["verify"]])
+def test_each_command_checks_its_unitaries_once(tmp_path, monkeypatch, argv):
+    checked = []
+    post_init = CircuitSpec.__post_init__
+
+    def counted(spec):
+        checked.append(spec.k)
+        post_init(spec)
+
+    monkeypatch.setattr(CircuitSpec, "__post_init__", counted)
+    key = tmp_path / "k_key.json"
+    key.write_text(key_to_json(keygen(4, "hadamard", 0)))
+    extra = ["--key", str(key)] if "invert" in argv else []
+    assert main([*argv, *extra, "--out", str(tmp_path / "o")]) == 0
+    assert len(checked) == 1
+
+
+MALFORMED = {
+    "not-an-object": [1, 2],
+    "unitaries-not-an-object": {"K": 4, "n": 2, "weights": [1.0] * 4, "unitaries": [1, 2]},
+    "K-not-an-integer": {"K": None, "n": 2, "weights": [1.0] * 4, "unitaries": {"kind": "haar", "seed": 1}},
+}
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["verify"], "not-an-object"), (["fig3"], "not-an-object"), (["complete", "svp"], "not-an-object"),
+    (["trapdoor", "eval"], "not-an-object"), (["trapdoor", "eval"], "unitaries-not-an-object"),
+    (["trapdoor", "eval"], "K-not-an-integer"), (["verify"], "unitaries-not-an-object"),
+    (["verify"], "K-not-an-integer"),
+])
+def test_malformed_config_is_rejected_without_a_traceback(tmp_path, capsys, command, doc):
+    # a config error exits 2; verify reports an invalid spec as a failed spec-validation record (exit 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(MALFORMED[doc]))
+    key = tmp_path / "k_key.json"
+    key.write_text(key_to_json(keygen(4, "hadamard", 0)))
+    extra = ["--key", str(key)] if command[0] == "trapdoor" else []
+    code = main([*command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")])
+    if command == ["verify"] and doc != "not-an-object":
+        assert code == 1
+        (check,) = json.loads((tmp_path / "o_verify.json").read_text())["checks"]
+        assert check["name"] == "spec-validation" and not check["pass"] and check["error"]
+    else:
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_required_flags_exit_2(tmp_path):

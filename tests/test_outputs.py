@@ -8,9 +8,7 @@ from lcuout.outputs import (
     extract_target,
     invert_with_C,
     matrix_from_csv,
-    matrix_from_json,
     matrix_to_csv,
-    matrix_to_json,
     output_matrix,
     row_matrix,
 )
@@ -141,12 +139,3 @@ def test_csv_skips_comment_lines():
 def test_csv_real_values_parse():
     back = matrix_from_csv("0.5,0.25\n-1,2\n")
     np.testing.assert_array_equal(back, [[0.5, 0.25], [-1.0, 2.0]])
-
-
-def test_json_round_trip_exact():
-    gen = rng(18)
-    m = gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2))
-    back = matrix_from_json(matrix_to_json(m))
-    np.testing.assert_array_equal(back, m)
-    with pytest.raises(ValueError):
-        matrix_from_json('{"shape": [2, 2], "entries": [[1, 2]]}')

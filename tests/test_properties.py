@@ -1,19 +1,18 @@
 """Property tests for the single sources of truth: the C formula, the circuit operator, the codecs and the mask draw."""
 
+import json
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcuout.circuit import CircuitSpec, apply_circuit, circuit_unitary
+from lcuout.circuit import CircuitSpec, apply_circuit, circuit_unitary, matrix_from_pairs, matrix_to_pairs
 from lcuout.linalg import haar_random_unitary, numerical_rank, random_state, rng
 from lcuout.outputs import (
     coefficient_matrix,
     matrix_from_csv,
-    matrix_from_json,
     matrix_to_csv,
-    matrix_to_json,
     output_matrix,
 )
 from lcuout.recovery import make_mask
@@ -82,7 +81,7 @@ def same_bits(a, b):
 @settings(max_examples=200, deadline=None)
 @given(complex_matrices())
 def test_json_round_trip_is_bit_exact(m):
-    assert same_bits(matrix_from_json(matrix_to_json(m)), m)
+    assert same_bits(matrix_from_pairs(json.loads(json.dumps(matrix_to_pairs(m)))), m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,20 +111,21 @@ def unitaries(draw, dim):
        secret=st.booleans(), variant=st.sampled_from(["reflection", "cyclic"]))
 def test_explicit_spec_json_round_trip_is_bit_exact(data, k, n, secret, variant):
     weights = np.array(data.draw(st.lists(weights_in_range, min_size=k, max_size=k)))
-    spec = CircuitSpec(
-        k=k, n=n, weights=weights, variant=variant,
-        unitaries=tuple(data.draw(unitaries(2**n)) for _ in range(k)),
-        mixing="secret" if secret else "hadamard",
-        mixing_matrix=data.draw(unitaries(k)) if secret else None,
-    )
-    again = CircuitSpec.from_json(spec.to_json())
-    assert (again.k, again.n, again.mixing, again.variant) == (k, n, spec.mixing, variant)
-    assert again.weights.tobytes() == spec.weights.tobytes()
-    assert all(same_bits(a, b) for a, b in zip(again.unitaries, spec.unitaries))
+    us = [data.draw(unitaries(2**n)) for _ in range(k)]
+    mix = data.draw(unitaries(k)) if secret else None
+    doc = {"K": k, "n": n, "weights": weights.tolist(), "variant": variant,
+           "unitaries": {"kind": "explicit", "data": [matrix_to_pairs(u) for u in us]},
+           "mixing": "secret" if secret else "hadamard"}
     if secret:
-        assert same_bits(again.mixing_matrix, spec.mixing_matrix)
+        doc["mixing_matrix"] = matrix_to_pairs(mix)
+    spec = CircuitSpec.from_json(json.dumps(doc))
+    assert (spec.k, spec.n, spec.mixing, spec.variant) == (k, n, doc["mixing"], variant)
+    assert spec.weights.tobytes() == weights.tobytes()
+    assert all(same_bits(a, b) for a, b in zip(spec.unitaries, us))
+    if secret:
+        assert same_bits(spec.mixing_matrix, mix)
     else:
-        assert again.mixing_matrix is None
+        assert spec.mixing_matrix is None
 
 
 @settings(max_examples=100, deadline=None)

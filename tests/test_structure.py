@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import tracemalloc
 
@@ -311,9 +310,7 @@ def dense_battery(spec, seed):
                              np.linalg.norm((q1 * np.repeat(r, big_n)) @ q.conj().T - b))
             out["csd-sigma"] = np.abs(np.repeat(w, big_n) ** 2 + np.repeat(r, big_n) ** 2 - 1.0).max()
         if reflection:
-            spec_alt = copy.copy(spec)
-            object.__setattr__(spec_alt, "weights", rng(seed + 1).uniform(0.1, 1.0, k))
-            u_alt = regrouped(spec_alt)
+            u_alt = regrouped(spec.with_weights(rng(seed + 1).uniform(0.1, 1.0, k)))
             blocks = diag_blocks(np.ones(k))
             u_sq = u @ u
             out["involution"] = max(np.linalg.norm(u_sq - np.kron(np.eye(2), q @ (blocks @ blocks) @ q.conj().T)),
@@ -445,9 +442,7 @@ def test_wrong_weights_in_a_fail_the_singular_multiset_check(monkeypatch):
     right = lcuout.structure._block_coefficients
 
     def wrong(spec):
-        other = copy.copy(spec)
-        object.__setattr__(other, "weights", 0.9 * spec.weights)
-        return right(other)
+        return right(spec.with_weights(0.9 * spec.weights))
 
     monkeypatch.setattr(lcuout.structure, "_block_coefficients", wrong)
     spec = make_spec(k=4, n=2, seed=65)

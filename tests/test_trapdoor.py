@@ -34,6 +34,22 @@ def pauli_pub(seed=0):
     return PublicParams(k=4, n=2, unitaries=unitaries, scheme="hadamard", variant="reflection")
 
 
+def test_public_params_check_their_unitaries_when_built():
+    for scheme in ("hadamard", "secret_mixing"):
+        pub = make_pub(k=4, n=2, seed=3, scheme=scheme)
+        assert pub.unitaries is pub.base_spec.unitaries
+        assert key_spec(keygen(4, scheme, 1), pub).unitaries is pub.unitaries
+    us = make_pub(k=4, n=2, seed=4).unitaries
+    for k, unitaries, match in [
+        (4, us[:3] + (us[3] * (1 + 1e-6),), "matrix 3 is not unitary"),
+        (4, us[:3] + (np.eye(2),), "unitary 3 has shape"),
+        (4, us[:3], "expected 4 unitaries"),
+        (3, us[:3], "power-of-two"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            PublicParams(k=k, n=2, unitaries=unitaries)
+
+
 # ---- keys ---------------------------------------------------------------------
 
 def test_keygen_ranges_and_determinism():
