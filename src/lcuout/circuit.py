@@ -31,6 +31,7 @@ __all__ = [
     "apply_circuit",
     "circuit_unitary",
     "coefficient_matrix",
+    "coefficients",
     "matrix_from_pairs",
     "matrix_to_pairs",
     "mixing_layers",
@@ -223,8 +224,8 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
     """``(K, n, unitaries)`` of a spec or public-parameter document, unchecked.
 
     Raises ``ValueError`` for a document or ``unitaries`` source that is not
-    a JSON object, a ``K`` or ``n`` that is not an integer, and an unknown
-    source kind; :class:`CircuitSpec` checks the matrices themselves.
+    a JSON object, a ``K``, ``n`` or Haar ``seed`` that is not an integer,
+    and an unknown source kind; :class:`CircuitSpec` checks the matrices themselves.
     """
     if not isinstance(doc, dict):
         raise ValueError("a circuit document must be a JSON object")
@@ -236,7 +237,10 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
         raise ValueError("the unitaries entry must be a JSON object with a 'kind'")
     kind = source.get("kind")
     if kind == "haar":
-        gen = rng(int(source["seed"]))
+        seed = source["seed"]
+        if type(seed) is not int:
+            raise ValueError(f"the Haar seed must be an integer, got {seed!r}")
+        gen = rng(seed)
         return k, n, tuple(haar_random_unitary(2**n, gen) for _ in range(k))
     if kind == "pauli_strings":
         return k, n, tuple(pauli_string_matrix(s) for s in source["data"])
@@ -274,6 +278,16 @@ def scale_coefficients(alpha: np.ndarray) -> tuple[float, np.ndarray]:
     return c, alpha / c
 
 
+def _index_layers(k: int, mixing: str, mixing_matrix: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    if mixing == "hadamard":
+        h = hadamard_matrix(k)
+        return h, h
+    if mixing == "dft":
+        f = dft_matrix(k)
+        return f, f.conj().T
+    return hadamard_matrix(k), mixing_matrix
+
+
 def mixing_layers(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Index-register layers ``(G1, G2)`` so that ``V = (G2 . ) M (G1 . )``.
 
@@ -281,31 +295,43 @@ def mixing_layers(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
     then its inverse; secret mixing prepares the uniform superposition with
     a Hadamard layer and mixes the outcomes with the secret unitary W.
     """
-    if spec.mixing == "hadamard":
-        h = hadamard_matrix(spec.k)
-        return h, h
-    if spec.mixing == "dft":
-        f = dft_matrix(spec.k)
-        return f, f.conj().T
-    return hadamard_matrix(spec.k), spec.mixing_matrix
+    return _index_layers(spec.k, spec.mixing, spec.mixing_matrix)
+
+
+def coefficients(
+    weights: np.ndarray,
+    mixing: str = "hadamard",
+    variant: str = "reflection",
+    mixing_matrix: np.ndarray | None = None,
+) -> np.ndarray:
+    """2K x K matrix C of K rotation weights under a mixing and a rotation variant.
+
+    Row ``r * K + i`` holds the coefficient multiplying ``U_t psi`` in
+    phi[i, r].  For Hadamard mixing this is ``s[i, t] w_t / K`` on top and
+    ``s[i, t] r_t / K`` below, with ``s[i, t] = +-1`` and
+    ``r_t = sqrt(1 - w_t^2)`` (negated for the cyclic variant); the columns
+    are orthogonal with squared norm 1/K for every supported mixing.  Only
+    the Hadamard order is checked (K must be a power of two); the weights
+    must lie in [-1, 1] and secret mixing needs its K x K unitary, which
+    :class:`CircuitSpec` checks before :func:`coefficient_matrix` applies
+    this formula to it.
+    """
+    w = np.asarray(weights, dtype=float)
+    g1, g2 = _index_layers(w.shape[0], mixing, mixing_matrix)
+    r = np.sqrt(1.0 - w * w)
+    if variant == "cyclic":
+        r = -r
+    prep = g1[:, 0]
+    c = np.vstack([g2 * (prep * w), g2 * (prep * r)])
+    return c if np.iscomplexobj(c) else c.astype(float)
 
 
 def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
     """2K x K matrix C so that stacking the outcome states factors as ``C @ X``.
 
-    Row ``r * K + i`` holds the coefficient multiplying ``U_t psi`` in
-    phi[i, r].  For Hadamard mixing this is ``s[i, t] w_t / K`` on top and
-    ``s[i, t] r_t / K`` below, with ``s[i, t] = +-1``; the columns are
-    orthogonal with squared norm 1/K for every supported mixing.
+    The :func:`coefficients` of the spec's weights, mixing and variant.
     """
-    g1, g2 = mixing_layers(spec)
-    w = spec.weights
-    r = np.sqrt(1.0 - w * w)
-    if spec.variant == "cyclic":
-        r = -r
-    prep = g1[:, 0]
-    c = np.vstack([g2 * (prep * w), g2 * (prep * r)])
-    return c if np.iscomplexobj(c) else c.astype(float)
+    return coefficients(spec.weights, spec.mixing, spec.variant, spec.mixing_matrix)
 
 
 def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:

@@ -91,6 +91,13 @@ def _write_json(path, doc):
     _target(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _int_value(name: str, value) -> int:
+    # a bool or a float is not an integer, and a null must not reach int()
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _load_config(path, default):
     if path is None:
         return dict(default)
@@ -158,12 +165,12 @@ def cmd_fig2(config: dict, seed: int, out: str) -> int:
     Coefficients are (1, .., 1, a, .., a) with the first half pinned at 1;
     the a-grid sweeps the second half.
     """
-    k, n = int(config["k"]), int(config["n"])
+    k, n = _int_value("k", config["k"]), _int_value("n", config["n"])
     half = k // 2
     spec0 = _spec_from_config(
         {"K": k, "n": n, "weights": [1.0] * k, "unitaries": {"kind": "haar", "seed": config["unitary_seed"]}}
     )
-    psi = random_state(2**n, int(config["psi_seed"]))
+    psi = random_state(2**n, _int_value("psi_seed", config["psi_seed"]))
     rows = []
     for a in config["a_grid"]:
         alpha = np.array([1.0] * half + [float(a)] * (k - half))
@@ -206,8 +213,8 @@ def cmd_fig3(config: dict, seed: int | None, out: str) -> int:
     if seed is not None:
         config["seed"] = seed
     for size in config["sizes"]:
-        n = int(size).bit_length() - 1
-        if 2**n != int(size):
+        n = _int_value("a size", size).bit_length() - 1
+        if 2**n != size:
             raise ValueError(f"sizes must be powers of two, got {size}")
         sub = {key: v for key, v in config.items() if key != "sizes"}
         sub["n"] = n
@@ -263,13 +270,13 @@ DEFAULT_INVOLUTION = {
 
 def cmd_trapdoor(action: str, config: dict, seed: int, out: str, args) -> int:
     if action == "keygen":
-        key = keygen(int(config["K"]), config.get("scheme", "hadamard"), seed)
+        key = keygen(_int_value("K", config["K"]), config.get("scheme", "hadamard"), seed)
         _target(f"{out}_key.json").write_text(key_to_json(key) + "\n")
         print(f"wrote {out}_key.json")
         return 0
 
     pub = _pub_from_config(config)
-    psi = random_state(2**pub.n, int(config.get("psi_seed", 0)))
+    psi = random_state(2**pub.n, _int_value("psi_seed", config.get("psi_seed", 0)))
 
     if action == "eval":
         key = key_from_json(Path(args.key).read_text())

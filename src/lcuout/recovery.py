@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, coefficient_matrix
+from .circuit import CircuitSpec, coefficients
 from .linalg import haar_random_unitary, random_state, rng, truncate_rank
-from .outputs import output_matrix
 
 __all__ = [
     "FactorizedResult",
@@ -31,6 +30,7 @@ __all__ = [
     "recovery_errors",
     "svp_complete",
     "sweep",
+    "sweep_instance",
 ]
 
 
@@ -256,13 +256,37 @@ def recovery_errors(phi_hat: np.ndarray, phi_true: np.ndarray) -> tuple[float, f
 
 
 def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]:
-    """Seeded Hadamard-mixed spec (weights on [0.1, 1], Haar unitaries) and input state."""
+    """Seeded Hadamard-mixed spec (weights on [0.1, 1], Haar unitaries) and input state.
+
+    Draws the K weights, then K Haar unitaries by QR, then psi, from one
+    generator, and checks the spec.  This is for callers that need the
+    unitaries themselves, such as ``lcuout complete``; a sweep needs only
+    the rows ``U_t psi`` and draws them directly with :func:`sweep_instance`.
+    """
     gen = rng(seed)
     weights = gen.uniform(0.1, 1.0, k)
     unitaries = tuple(haar_random_unitary(2**n, gen) for _ in range(k))
     spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=unitaries)
     psi = random_state(2**n, gen)
     return spec, psi
+
+
+def sweep_instance(k: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded Hadamard-mixed, reflection-variant ``(weights, C, X)`` with no unitary built.
+
+    The weights are :func:`random_instance`'s for the same seed, bit for
+    bit; row t of X is then a :func:`random_state` of dimension 2**n from
+    the same generator.  For a fixed psi and a Haar U_t, ``U_t psi`` is
+    uniform on the unit sphere (the Haar measure is unitarily invariant), so
+    X has the distribution of :func:`random_instance`'s rows ``U_t psi``,
+    though not its draws, without K N x N QRs and a unitarity check.
+    """
+    if k < 1 or n < 1:
+        raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    gen = rng(seed)
+    weights = gen.uniform(0.1, 1.0, k)
+    c = coefficients(weights)
+    return weights, c, np.stack([random_state(2**n, gen) for _ in range(k)])
 
 
 _METHODS = ("svp", "als", "factorized")
@@ -303,8 +327,12 @@ def sweep(config: dict) -> list[dict]:
     or ``sigmas`` (with fixed ``fraction``) as the swept parameter; optional
     ``mask_mode``/``min_per_column``.  The solvers run at their fixed
     settings, so a config that still carries the ``svp`` or ``als`` override
-    keys is rejected.  Returns one aggregate dict per (method, parameter
-    value).
+    keys is rejected, and so is a grid with nothing to average: no instance,
+    no mask per instance, no method or no swept value.  Instance ``i`` is
+    :func:`sweep_instance` at seed ``seed + 7919 (i + 1)``: K weights and K
+    random states, which is :func:`random_instance` in distribution, with no
+    unitary built.  Every method completes the same masks and noise.
+    Returns one aggregate dict per (method, parameter value).
     """
     reject_solver_overrides(config)
     k = int(config.get("k", 4))
@@ -328,13 +356,16 @@ def sweep(config: dict) -> list[dict]:
         params = [float(s) for s in config["sigmas"]]
         fraction = float(config["fraction"])
         grid = [(s, fraction, s) for s in params]
+    if instances < 1 or masks_per < 1 or not methods or not grid:
+        raise ValueError(
+            "a sweep needs at least one instance, mask per instance, method and swept value; got "
+            f"instances={instances}, masks_per_instance={masks_per}, {len(methods)} methods, {len(grid)} values"
+        )
 
     cases = []
     for inst in range(instances):
-        spec, psi = random_instance(k, n, seed + 7919 * (inst + 1))
-        phi = output_matrix(spec, psi)
-        c = coefficient_matrix(spec)
-        cases.append((phi, c))
+        _, c, x = sweep_instance(k, n, seed + 7919 * (inst + 1))
+        cases.append((c @ x, c))
 
     rows = []
     for method in methods:

@@ -222,6 +222,57 @@ def test_malformed_config_is_rejected_without_a_traceback(tmp_path, capsys, comm
         assert capsys.readouterr().err.startswith("error: ")
 
 
+NULL_INTEGER = {
+    "haar-seed": {**lcuout.cli.DEFAULT_TRAPDOOR, "unitaries": {"kind": "haar", "seed": None}},
+    "verify-haar-seed": {**lcuout.cli.DEFAULT_VERIFY, "unitaries": {"kind": "haar", "seed": None}},
+    "trapdoor-psi-seed": {**lcuout.cli.DEFAULT_TRAPDOOR, "psi_seed": None},
+    "keygen-K": {**lcuout.cli.DEFAULT_TRAPDOOR, "K": None},
+    "fig2-k": {**lcuout.cli.DEFAULT_FIG2, "k": None},
+    "fig2-n": {**lcuout.cli.DEFAULT_FIG2, "n": None},
+    "fig2-psi-seed": {**lcuout.cli.DEFAULT_FIG2, "psi_seed": None},
+    "fig2-unitary-seed": {**lcuout.cli.DEFAULT_FIG2, "unitary_seed": None},
+    "fig3-size": {**SMALL_SWEEP, "sizes": [None]},
+    "fig3-size-float": {**SMALL_SWEEP, "sizes": [64.0]},
+}
+
+
+NULL_INTEGER_CASES = [
+    (["trapdoor", "eval"], "haar-seed"), (["trapdoor", "demo-involution"], "haar-seed"),
+    (["verify"], "verify-haar-seed"), (["trapdoor", "eval"], "trapdoor-psi-seed"),
+    (["trapdoor", "invert"], "trapdoor-psi-seed"), (["trapdoor", "keygen"], "keygen-K"),
+    (["fig2"], "fig2-k"), (["fig2"], "fig2-n"), (["fig2"], "fig2-psi-seed"), (["fig2"], "fig2-unitary-seed"),
+    (["fig3"], "fig3-size"), (["fig3"], "fig3-size-float"),
+]
+
+
+@pytest.mark.parametrize("command, doc", NULL_INTEGER_CASES, ids=[f"{'-'.join(c)}:{d}" for c, d in NULL_INTEGER_CASES])
+def test_null_integer_in_a_config_is_a_config_error(tmp_path, capsys, command, doc):
+    # exit 2 with a one-line error, not a TypeError traceback; verify records a failed spec-validation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(NULL_INTEGER[doc]))
+    key = tmp_path / "k_key.json"
+    key.write_text(key_to_json(keygen(4, "hadamard", 0)))
+    extra = ["--key", str(key)] if command[1:] in (["eval"], ["invert"]) else []
+    code = main([*command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")])
+    if command == ["verify"]:
+        assert code == 1
+        (check,) = json.loads((tmp_path / "o_verify.json").read_text())["checks"]
+        assert check["name"] == "spec-validation" and not check["pass"] and "integer" in check["error"]
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "integer" in err
+
+
+@pytest.mark.parametrize("change", [{"instances": 0}, {"masks_per_instance": 0}, {"methods": []}, {"fractions": []}])
+def test_fig3_with_nothing_to_average_exits_2(tmp_path, capsys, change):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_SWEEP, **change}))
+    assert main(["fig3", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 2
+    assert "at least one instance" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_missing_required_flags_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["trapdoor", "eval", "--out", str(tmp_path / "x")])

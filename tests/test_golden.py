@@ -29,21 +29,21 @@ FIELDS = ("mean_err_phi", "std_err_phi", "mean_err_target", "std_err_target", "m
 
 # (method, param, mean_err_phi, std_err_phi, mean_err_target, std_err_target, mean_iters)
 GOLDEN_FIG3 = [
-    ("svp", 0.3, 0.73939144735175877, 0.033392700331461148, 0.64541495379737657, 0.036902539072085537, 500),
-    ("svp", 0.6, 0.25384066932858784, 0.026386734379353873, 0.24039760816874189, 0.049900515450605559, 500),
-    ("svp", 0.9, 0.0077158671303119526, 0.013364273787562836, 0.0057012264785645276, 0.0098748137050672456, 349.5),
-    ("svp", 0.95, 1.8947510442677628e-15, 3.5076244060844423e-16, 1.3777380585940177e-15, 4.2371916759601444e-16, 132.25),
-    ("factorized", 0.3, 0.64119642409040789, 0.015290911518956058, 0.58329740533880736, 0.012548154507991448, 1),
-    ("factorized", 0.6, 0.24324686994453676, 0.021702906637113904, 0.23703226012708881, 0.045582524163665303, 1),
-    ("factorized", 0.9, 1.0318454803542989e-15, 1.3770863542649192e-15, 5.4158107657763072e-16, 4.392126969081963e-16, 1),
-    ("factorized", 0.95, 2.0565127697789918e-16, 2.6800773883572004e-17, 2.3063742243218479e-16, 2.745815091344532e-17, 1),
+    ("svp", 0.3, 0.74210974917881889, 0.035738620629536699, 0.65174038061526796, 0.035788988304302598, 500),
+    ("svp", 0.6, 0.22397194639754486, 0.036589150173055932, 0.17846206909867346, 0.023953993979675493, 500),
+    ("svp", 0.9, 0.0098922705470705953, 0.017133914628427921, 0.0045507414146469596, 0.0078821152681502419, 354.25),
+    ("svp", 0.95, 1.8190643930658444e-15, 3.1796364327292308e-16, 1.1769989426144059e-15, 2.9244591449407426e-16, 130.25),
+    ("factorized", 0.3, 0.64255387333171721, 0.017199349405709323, 0.60673215631804644, 0.021648539321208912, 1),
+    ("factorized", 0.6, 0.21167793520276107, 0.045962773531944043, 0.16993261721947384, 0.023023435894583503, 1),
+    ("factorized", 0.9, 9.7173691353191571e-16, 1.2528366710292701e-15, 4.0584929232728468e-16, 2.6212927306133707e-16, 1),
+    ("factorized", 0.95, 2.0249352467861488e-16, 1.0040444747456135e-17, 2.1090323607629245e-16, 2.9814063220254116e-17, 1),
 ]
 
 GOLDEN_FIG4 = [
-    ("svp", 0.001, 0.024086412276763745, 0.0024730821965424431, 0.023085876640945711, 0.0021277711066744983, 216.75),
-    ("svp", 0.01, 0.2451871483093479, 0.028704511739564426, 0.22706324298635711, 0.027782971268524328, 198.75),
-    ("factorized", 0.001, 0.022659535265956821, 0.002306354791372952, 0.021603877973577455, 0.0019090816752076784, 1),
-    ("factorized", 0.01, 0.22659535265956804, 0.023063547913729297, 0.21603877973577454, 0.019090816752076745, 1),
+    ("svp", 0.001, 0.023652278820091289, 0.0019204744510333675, 0.021766069642136104, 0.0023605700279696945, 193.75),
+    ("svp", 0.01, 0.23769228348210694, 0.019632636641275899, 0.22079924310051266, 0.021941781881330124, 175),
+    ("factorized", 0.001, 0.022659535265956834, 0.0023063547913729824, 0.020746633643443674, 0.0026862901786236198, 1),
+    ("factorized", 0.01, 0.22659535265956809, 0.023063547913729318, 0.20746633643443663, 0.026862901786235682, 1),
 ]
 
 SVP_ITERATION_CAP = 500

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import lcuout.linalg
+import lcuout.recovery
 from lcuout.circuit import CircuitSpec
-from lcuout.linalg import haar_random_unitary, random_state, rng
+from lcuout.linalg import haar_random_unitary, numerical_rank, random_state, rng
 from lcuout.outputs import coefficient_matrix, output_matrix
 from lcuout.recovery import (
     als_complete,
@@ -14,6 +16,7 @@ from lcuout.recovery import (
     recovery_errors,
     svp_complete,
     sweep,
+    sweep_instance,
 )
 
 
@@ -281,3 +284,62 @@ def test_sweep_rejects_bad_configs():
         sweep({**base, "methods": ["svp"], "fractions": [0.5], "sigmas": [0.1], "fraction": 0.5})
     with pytest.raises(ValueError):
         sweep({**base, "methods": ["magic"], "fractions": [0.5]})
+
+
+@pytest.mark.parametrize("change", [
+    {"instances": 0}, {"masks_per_instance": 0}, {"methods": []}, {"fractions": []},
+    {"fractions": None, "sigmas": [], "fraction": 0.5},
+], ids=["no-instances", "no-masks", "no-methods", "no-fractions", "no-sigmas"])
+def test_sweep_rejects_a_grid_with_nothing_to_average(change):
+    config = {"k": 2, "n": 2, "instances": 1, "masks_per_instance": 1, "seed": 0,
+              "methods": ["factorized"], "fractions": [0.9], **change}
+    config = {key: v for key, v in config.items() if v is not None}
+    with pytest.raises(ValueError, match="at least one instance"):
+        sweep(config)
+
+
+@pytest.mark.parametrize("seed", [0, 616, 2**40 + 3])
+def test_sweep_instance_matches_random_instance_in_weights_and_c(seed):
+    weights, c, x = sweep_instance(4, 6, seed)
+    spec, _ = random_instance(4, 6, seed)
+    assert (spec.mixing, spec.variant) == ("hadamard", "reflection")
+    np.testing.assert_array_equal(weights, spec.weights)
+    np.testing.assert_array_equal(c, coefficient_matrix(spec))
+    assert x.shape == (4, 64)
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
+    assert numerical_rank(c @ x) <= 4
+
+
+def test_sweep_draws_states_not_unitaries(monkeypatch):
+    built = []
+    haar, post_init = haar_random_unitary, CircuitSpec.__post_init__
+
+    def counted_haar(*args):
+        built.append("haar")
+        return haar(*args)
+
+    def counted_spec(spec):
+        built.append("spec")
+        post_init(spec)
+
+    monkeypatch.setattr(lcuout.linalg, "haar_random_unitary", counted_haar)
+    monkeypatch.setattr(lcuout.recovery, "haar_random_unitary", counted_haar)
+    monkeypatch.setattr(CircuitSpec, "__post_init__", counted_spec)
+    # the factorized solve is reached through the module global, so it can be wrapped by name
+    seen = []
+    solve = lcuout.recovery.factorized_complete
+
+    def recorded(entries, c):
+        seen.append((entries.values.copy(), c))
+        return solve(entries, c)
+
+    monkeypatch.setattr(lcuout.recovery, "factorized_complete", recorded)
+    config = {"k": 4, "n": 5, "instances": 2, "masks_per_instance": 2, "seed": 11,
+              "methods": ["svp", "factorized"], "fractions": [1.0], "sigma": 0.0}
+    sweep(config)
+    assert built == []
+    assert len(seen) == 4
+    for i, (values, c) in enumerate(seen):
+        _, c_inst, x = sweep_instance(4, 5, 11 + 7919 * (i // 2 + 1))
+        np.testing.assert_array_equal(values, c_inst @ x)
+        np.testing.assert_array_equal(c, c_inst)
