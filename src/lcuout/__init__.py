@@ -30,7 +30,6 @@ from .linalg import (
 from .outputs import (
     coefficient_matrix,
     extract_target,
-    invert_with_C,
     output_matrix,
     row_matrix,
 )
@@ -58,7 +57,6 @@ from .trapdoor import (
     invert_with_key,
     involution_encrypt_decrypt,
     keygen,
-    phase_retrieval_attack,
 )
 
 __version__ = "0.1.0"

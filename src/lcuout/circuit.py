@@ -27,15 +27,16 @@ __all__ = [
     "CheckFailed",
     "CircuitSpec",
     "OutcomeStates",
-    "ShotDataset",
     "apply_circuit",
     "circuit_unitary",
     "coefficient_matrix",
     "coefficients",
+    "integer_value",
     "matrix_from_pairs",
     "matrix_to_pairs",
     "mixing_layers",
     "output_states",
+    "real_value",
     "rotation_gate",
     "row_matrix",
     "sample_shots",
@@ -220,6 +221,20 @@ def permutation_matrix(images: Sequence[int]) -> np.ndarray:
     return m
 
 
+def integer_value(name: str, value) -> int:
+    """``value`` if it is an integer; ``ValueError`` for a bool, a float, a string or a null."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def real_value(name: str, value) -> float:
+    """``value`` as a float if it is an int or a float; ``ValueError`` for a bool, a string or a null."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
     """``(K, n, unitaries)`` of a spec or public-parameter document, unchecked.
 
@@ -229,18 +244,13 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
     """
     if not isinstance(doc, dict):
         raise ValueError("a circuit document must be a JSON object")
-    k, n = doc["K"], doc["n"]
-    if not all(type(v) is int for v in (k, n)):
-        raise ValueError(f"K and n must be integers, got K={k!r}, n={n!r}")
+    k, n = integer_value("K", doc["K"]), integer_value("n", doc["n"])
     source = doc["unitaries"]
     if not isinstance(source, dict):
         raise ValueError("the unitaries entry must be a JSON object with a 'kind'")
     kind = source.get("kind")
     if kind == "haar":
-        seed = source["seed"]
-        if type(seed) is not int:
-            raise ValueError(f"the Haar seed must be an integer, got {seed!r}")
-        gen = rng(seed)
+        gen = rng(integer_value("the Haar seed", source["seed"]))
         return k, n, tuple(haar_random_unitary(2**n, gen) for _ in range(k))
     if kind == "pauli_strings":
         return k, n, tuple(pauli_string_matrix(s) for s in source["data"])
@@ -451,21 +461,13 @@ def success_probabilities(
     return p00, p0_any, p_std
 
 
-@dataclass(frozen=True)
-class ShotDataset:
-    """Measurement counts over the full (i, r, k) outcome grid.
+def sample_shots(spec: CircuitSpec, psi: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Measurement counts over the full (i, r, m) outcome grid, by inverse-CDF sampling.
 
-    ``counts[r * K + i, m]`` is the number of shots that returned index i,
-    rotation bit r, and system basis state m; rows follow the same layout as
-    :class:`OutcomeStates`.
+    Returns a read-only integer array whose entry ``[r * K + i, m]`` counts
+    the shots that returned index i, rotation bit r and system basis state
+    m; rows follow the layout of :class:`OutcomeStates`.
     """
-
-    shots: int
-    counts: np.ndarray
-
-
-def sample_shots(spec: CircuitSpec, psi: np.ndarray, shots: int, seed: int) -> ShotDataset:
-    """Draw measurement outcomes by inverse-CDF sampling of the exact distribution."""
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
     out = output_states(spec, psi)
@@ -473,5 +475,4 @@ def sample_shots(spec: CircuitSpec, psi: np.ndarray, shots: int, seed: int) -> S
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard the top bin against float round-off
     draws = np.searchsorted(cdf, rng(seed).random(shots), side="right")
-    counts = np.bincount(draws, minlength=p.size).reshape(out.states.shape)
-    return ShotDataset(shots=shots, counts=_readonly(counts))
+    return _readonly(np.bincount(draws, minlength=p.size).reshape(out.states.shape))

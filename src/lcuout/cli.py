@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .circuit import (
-    CheckFailed, CircuitSpec, coefficient_matrix, output_states, row_matrix, success_probabilities, unitaries_from_json,
+    CheckFailed, CircuitSpec, coefficient_matrix, integer_value, output_states, real_value, row_matrix,
+    success_probabilities, unitaries_from_json,
 )
 from .linalg import random_state
 from .outputs import extract_target, matrix_from_csv, matrix_to_csv, output_matrix
@@ -89,13 +90,6 @@ def _write_matrix_csv(path, command, config, matrix):
 
 def _write_json(path, doc):
     _target(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _int_value(name: str, value) -> int:
-    # a bool or a float is not an integer, and a null must not reach int()
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _load_config(path, default):
@@ -165,19 +159,20 @@ def cmd_fig2(config: dict, seed: int, out: str) -> int:
     Coefficients are (1, .., 1, a, .., a) with the first half pinned at 1;
     the a-grid sweeps the second half.
     """
-    k, n = _int_value("k", config["k"]), _int_value("n", config["n"])
+    k, n = integer_value("k", config["k"]), integer_value("n", config["n"])
     half = k // 2
     spec0 = _spec_from_config(
         {"K": k, "n": n, "weights": [1.0] * k, "unitaries": {"kind": "haar", "seed": config["unitary_seed"]}}
     )
-    psi = random_state(2**n, _int_value("psi_seed", config["psi_seed"]))
+    psi = random_state(2**n, integer_value("psi_seed", config["psi_seed"]))
+    a_grid = [real_value("an a_grid value", a) for a in config["a_grid"]]
     rows = []
-    for a in config["a_grid"]:
-        alpha = np.array([1.0] * half + [float(a)] * (k - half))
+    for a in a_grid:
+        alpha = np.array([1.0] * half + [a] * (k - half))
         spec = spec0.with_weights(alpha / np.abs(alpha).max())
         p00, p0_any, p_std = success_probabilities(spec, psi, alpha)
         p00_sim = output_states(spec, psi).probability(0, 0)
-        rows.append((float(a), p00_sim, p00, p0_any, p_std))
+        rows.append((a, p00_sim, p00, p0_any, p_std))
     _write_csv(
         f"{out}_fig2.csv", "fig2", config,
         ("a", "p00_sim", "p00_analytic", "p0any_sim", "p_std_analytic"), rows,
@@ -213,7 +208,7 @@ def cmd_fig3(config: dict, seed: int | None, out: str) -> int:
     if seed is not None:
         config["seed"] = seed
     for size in config["sizes"]:
-        n = _int_value("a size", size).bit_length() - 1
+        n = integer_value("a size", size).bit_length() - 1
         if 2**n != size:
             raise ValueError(f"sizes must be powers of two, got {size}")
         sub = {key: v for key, v in config.items() if key != "sizes"}
@@ -270,13 +265,13 @@ DEFAULT_INVOLUTION = {
 
 def cmd_trapdoor(action: str, config: dict, seed: int, out: str, args) -> int:
     if action == "keygen":
-        key = keygen(_int_value("K", config["K"]), config.get("scheme", "hadamard"), seed)
+        key = keygen(integer_value("K", config["K"]), config.get("scheme", "hadamard"), seed)
         _target(f"{out}_key.json").write_text(key_to_json(key) + "\n")
         print(f"wrote {out}_key.json")
         return 0
 
     pub = _pub_from_config(config)
-    psi = random_state(2**pub.n, _int_value("psi_seed", config.get("psi_seed", 0)))
+    psi = random_state(2**pub.n, integer_value("psi_seed", config.get("psi_seed", 0)))
 
     if action == "eval":
         key = key_from_json(Path(args.key).read_text())
@@ -285,8 +280,8 @@ def cmd_trapdoor(action: str, config: dict, seed: int, out: str, args) -> int:
             _write_matrix_csv(f"{out}_amplitudes.csv", "trapdoor eval", config, output_matrix(spec, psi))
             print(f"wrote {out}_amplitudes.csv")
         else:
-            evl = eval_trapdoor(key, pub, psi, shots=args.shots, seed=seed)
-            _write_matrix_csv(f"{out}_magnitudes.csv", "trapdoor eval", config, evl.magnitudes)
+            magnitudes = eval_trapdoor(key, pub, psi, shots=args.shots, seed=seed)
+            _write_matrix_csv(f"{out}_magnitudes.csv", "trapdoor eval", config, magnitudes)
             print(f"wrote {out}_magnitudes.csv")
         return 0
 
@@ -365,21 +360,24 @@ def cmd_complete(method: str, config: dict, seed: int | None, out: str) -> int:
     config = dict(config)
     if seed is not None:
         config["seed"] = seed
-    base = int(config["seed"])
-    k, n = int(config["k"]), int(config["n"])
+    base = integer_value("seed", config["seed"])
+    k, n = integer_value("k", config["k"]), integer_value("n", config["n"])
+    fraction = real_value("fraction", config["fraction"]) if "fraction" in config else None
+    min_per_column = integer_value("min_per_column", config["min_per_column"]) if "min_per_column" in config else None
+    sigma = real_value("sigma", config.get("sigma", 0.0))
     spec, psi = random_instance(k, n, base)
     phi = output_matrix(spec, psi)
     mask = make_mask(
         2 * k, 2**n, base + 1, mode=config.get("mask_mode", "uniform"),
-        density=config.get("fraction"), min_per_column=config.get("min_per_column"),
+        density=fraction, min_per_column=min_per_column,
     )
-    entries = observe(phi, mask, float(config.get("sigma", 0.0)), seed=base + 2)
+    entries = observe(phi, mask, sigma, seed=base + 2)
     t0 = time.perf_counter()
     z, iters, under = complete(method, entries, coefficient_matrix(spec), base + 3)
     err_phi, err_target = recovery_errors(z, phi)
     row = {
         "method": method,
-        "param": float(config.get("fraction", 0.0)),
+        "param": 0.0 if fraction is None else fraction,
         "mean_err_phi": err_phi,
         "std_err_phi": 0.0,
         "mean_err_target": err_target,

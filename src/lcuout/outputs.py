@@ -1,10 +1,12 @@
-"""The rank-K output matrix Phi = C X and its exact linear inversion.
+"""The rank-K output matrix Phi = C X and the target row combination.
 
 Stacking all 2K outcome states row-wise gives ``Phi = C @ X`` where C is the
 2K x K coefficient matrix determined by the mixing layer and the rotation
 weights, and row t of X is ``U_t psi``.  C has orthogonal columns of norm
-``1/sqrt(K)``, so ``X = K C^dag Phi`` inverts the map and the combined state
-``T psi = sum_t alpha_t U_t psi`` is one further row combination away.
+``1/sqrt(K)``, so X is determined by Phi; the one solver of Phi = C X, for a
+full matrix (every entry observed) or a partial one, is
+:func:`lcuout.recovery.factorized_complete`.  The combined state
+``T psi = sum_t alpha_t U_t psi`` is one further row combination of X away.
 
 Also provides the plain-text round-trip CSV codec for complex matrices:
 cells are ``re+imj`` at 17 significant digits (bit-exact).
@@ -24,7 +26,6 @@ from .circuit import (
 __all__ = [
     "coefficient_matrix",
     "extract_target",
-    "invert_with_C",
     "matrix_from_csv",
     "matrix_to_csv",
     "output_matrix",
@@ -39,21 +40,6 @@ def output_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
     circuit unitary is the oracle it is tested against.
     """
     return np.array(output_states(spec, psi).states)
-
-
-def invert_with_C(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Recover X from Phi = C X by solving the normal equations.
-
-    For the orthogonal-column C produced by :func:`coefficient_matrix` this
-    reduces to ``X = K C^dag Phi``; a general full-column-rank C gets the
-    least-squares pseudo-solution.  Rank-deficient C is rejected.
-    """
-    c = np.asarray(c)
-    gram = c.conj().T @ c
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
-        raise ValueError("coefficient matrix is numerically rank deficient")
-    return np.linalg.solve(gram, c.conj().T @ np.asarray(phi, dtype=complex))
 
 
 def extract_target(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:

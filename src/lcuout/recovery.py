@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, coefficients
+from .circuit import CircuitSpec, coefficients, integer_value, real_value
 from .linalg import haar_random_unitary, random_state, rng, truncate_rank
 
 __all__ = [
@@ -335,26 +335,26 @@ def sweep(config: dict) -> list[dict]:
     Returns one aggregate dict per (method, parameter value).
     """
     reject_solver_overrides(config)
-    k = int(config.get("k", 4))
-    n = int(config["n"])
-    instances = int(config.get("instances", 10))
-    masks_per = int(config.get("masks_per_instance", 5))
+    k = integer_value("k", config.get("k", 4))
+    n = integer_value("n", config["n"])
+    instances = integer_value("instances", config.get("instances", 10))
+    masks_per = integer_value("masks_per_instance", config.get("masks_per_instance", 5))
     methods = list(config.get("methods", ["svp", "factorized"]))
     for m in methods:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r}")
-    seed = int(config.get("seed", 0))
+    seed = integer_value("seed", config.get("seed", 0))
     mode = config.get("mask_mode", "uniform")
-    min_per_column = config.get("min_per_column")
+    min_per_column = integer_value("min_per_column", config["min_per_column"]) if "min_per_column" in config else None
     if ("fractions" in config) == ("sigmas" in config):
         raise ValueError("config must sweep exactly one of 'fractions' or 'sigmas'")
     if "fractions" in config:
-        params = [float(p) for p in config["fractions"]]
-        fixed_sigma = float(config.get("sigma", 0.0))
+        params = [real_value("a fraction", p) for p in config["fractions"]]
+        fixed_sigma = real_value("sigma", config.get("sigma", 0.0))
         grid = [(p, p, fixed_sigma) for p in params]
     else:
-        params = [float(s) for s in config["sigmas"]]
-        fraction = float(config["fraction"])
+        params = [real_value("a sigma", s) for s in config["sigmas"]]
+        fraction = real_value("fraction", config["fraction"])
         grid = [(s, fraction, s) for s in params]
     if instances < 1 or masks_per < 1 or not methods or not grid:
         raise ValueError(

@@ -6,10 +6,14 @@ encodes the normalized weights).  Publishing only outcome magnitudes makes
 recovering the weights a phase-retrieval problem, while the key holder can
 rebuild the coefficient matrix C and invert the linear map exactly.
 
-Also included: the linear attack that breaks the Hadamard scheme when full
-complex amplitudes leak, a projected-gradient phase-retrieval probe for the
-magnitudes-only setting, and the involution encrypt/decrypt demo (squaring
-the circuit cancels the weights whenever every U_t is an involution).
+The key holder's inversion and the attack's fit both go through
+:func:`lcuout.recovery.factorized_complete`, the one solver of Phi = C X; a
+full matrix is passed to it as entries that are all observed.
+
+Also included: the closed-form attack that breaks the Hadamard scheme when
+full complex amplitudes leak and fails on magnitudes alone, and the
+involution encrypt/decrypt demo (squaring the circuit cancels the weights
+whenever every U_t is an involution).
 """
 
 from __future__ import annotations
@@ -19,16 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CircuitSpec, apply_circuit, coefficient_matrix, mixing_layers, output_states, sample_shots
+from .circuit import CircuitSpec, apply_circuit, coefficient_matrix, output_states, sample_shots
 from .linalg import haar_random_unitary, hadamard_matrix, rng
-from .outputs import extract_target, invert_with_C
+from .outputs import extract_target
 from .recovery import ObservedEntries, factorized_complete
 
 __all__ = [
     "AttackResult",
-    "EvalOutput",
     "InversionResult",
-    "PhaseRetrievalResult",
     "PublicParams",
     "SecretKey",
     "eval_trapdoor",
@@ -40,7 +42,6 @@ __all__ = [
     "key_spec",
     "keygen",
     "mixing_from_key",
-    "phase_retrieval_attack",
 ]
 
 _SCHEMES = ("hadamard", "secret_mixing")
@@ -170,28 +171,23 @@ def key_spec(key: SecretKey, pub: PublicParams) -> CircuitSpec:
     return pub.base_spec.with_weights(key.weights, mixing_matrix)
 
 
-@dataclass(frozen=True)
-class EvalOutput:
-    """Published magnitudes |Phi|^2 per outcome, exact or shot-estimated."""
-
-    magnitudes: np.ndarray
-    shots: int | None
-
-
 def eval_trapdoor(
     key: SecretKey,
     pub: PublicParams,
     psi: np.ndarray,
     shots: int | None = None,
     seed: int = 0,
-) -> EvalOutput:
-    """Run the circuit and publish outcome magnitudes (never the phases)."""
+) -> np.ndarray:
+    """Run the circuit and publish the outcome magnitudes |Phi|^2, never the phases.
+
+    Exact probabilities when ``shots`` is None, else the frequencies
+    ``counts / shots`` of :func:`~lcuout.circuit.sample_shots`; either way a
+    2K x N array in the row layout of Phi.
+    """
     spec = key_spec(key, pub)
     if shots is None:
-        out = output_states(spec, psi)
-        return EvalOutput(magnitudes=np.abs(out.states) ** 2, shots=None)
-    data = sample_shots(spec, psi, shots, seed)
-    return EvalOutput(magnitudes=data.counts / shots, shots=shots)
+        return np.abs(output_states(spec, psi).states) ** 2
+    return sample_shots(spec, psi, shots, seed) / shots
 
 
 @dataclass(frozen=True)
@@ -201,24 +197,35 @@ class InversionResult:
     underdetermined: tuple[int, ...]
 
 
+def _entries(pub: PublicParams, obs: ObservedEntries | np.ndarray) -> ObservedEntries:
+    # a full matrix becomes entries with every position observed; both must be 2K x 2**n
+    if not isinstance(obs, ObservedEntries):
+        phi = np.asarray(obs, dtype=complex)
+        obs = ObservedEntries(values=phi, mask=np.ones(phi.shape, dtype=bool))
+    expected = (2 * pub.k, 2**pub.n)
+    for name, a in (("matrix", obs.values), ("mask", obs.mask)):
+        if a.shape != expected:
+            raise ValueError(f"expected a 2K x 2**n = {expected[0]} x {expected[1]} {name}, got shape {a.shape}")
+    return obs
+
+
 def invert_with_key(
     key: SecretKey, pub: PublicParams, obs: ObservedEntries | np.ndarray
 ) -> InversionResult:
-    """Key-holder inversion: rebuild C, complete/solve Phi = C X, combine rows.
+    """Key-holder inversion: rebuild C, solve Phi = C X, combine rows.
 
-    ``obs`` is either the exact complex output matrix or partial observed
-    entries; the partial case runs the per-column factorized completion.
-    Returns the recovered X, the combined state sum_t w_t U_t psi, and any
-    columns with too few observations to be pinned down.
+    ``obs`` is either the exact complex output matrix, solved as entries
+    that are all observed, or partial observed entries; both go through the
+    per-column :func:`~lcuout.recovery.factorized_complete`.  Returns the
+    recovered X, the combined state sum_t w_t U_t psi, and any columns with
+    too few observations to be pinned down.  Raises ``ValueError`` unless
+    the matrix (and mask) is 2K x 2**n.
     """
-    spec = key_spec(key, pub)
-    c = coefficient_matrix(spec)
-    if isinstance(obs, ObservedEntries):
-        result = factorized_complete(obs, c)
-        x, under = result.x, result.underdetermined
-    else:
-        x, under = invert_with_C(c, np.asarray(obs, dtype=complex)), ()
-    return InversionResult(x=x, target=extract_target(x, key.weights), underdetermined=under)
+    entries = _entries(pub, obs)
+    result = factorized_complete(entries, coefficient_matrix(key_spec(key, pub)))
+    return InversionResult(
+        x=result.x, target=extract_target(result.x, key.weights), underdetermined=result.underdetermined
+    )
 
 
 @dataclass(frozen=True)
@@ -236,14 +243,14 @@ def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
     column of each row yields r_t/w_t and hence w_t, up to the sign
     convention w_t = +1 when r_t = 0.  The returned residual is the relative
     misfit of the rank-K factorization rebuilt from the recovered weights —
-    against magnitude-only data it stays large, which is the point.
+    against magnitude-only data it stays large, which is the point.  Raises
+    ``ValueError`` unless ``phi`` is 2K x 2**n.
     """
     if pub.scheme != "hadamard":
         raise ValueError("this linear attack applies to the Hadamard scheme")
-    phi = np.asarray(phi, dtype=complex)
+    entries = _entries(pub, phi)
+    phi = entries.values
     k = pub.k
-    if phi.shape[0] != 2 * k:
-        raise ValueError(f"expected 2K = {2 * k} rows, got {phi.shape[0]}")
     s = hadamard_matrix(k) * np.sqrt(k)
     y0 = s.T @ phi[:k]  # equals diag(w) X: s^T s = K I and phi = (1/K) s diag(w) X
     y1 = s.T @ phi[k:]
@@ -264,110 +271,9 @@ def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
         else:
             ratio = (a / b).real  # w/r
             weights[t] = ratio / np.sqrt(1.0 + ratio * ratio)
-    c_hat = coefficient_matrix(pub.base_spec.with_weights(weights))
-    x_hat = invert_with_C(c_hat, phi)
-    residual = float(np.linalg.norm(c_hat @ x_hat - phi) / np.linalg.norm(phi))
+    fit = factorized_complete(entries, coefficient_matrix(pub.base_spec.with_weights(weights)))
+    residual = float(np.linalg.norm(fit.phi - phi) / np.linalg.norm(phi))
     return AttackResult(weights=weights, recoverable=recoverable, residual=residual)
-
-
-@dataclass(frozen=True)
-class PhaseRetrievalResult:
-    weights: np.ndarray
-    state: np.ndarray
-    objective: float
-
-
-def _attack_c_and_grad(pub: PublicParams, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    spec = pub.base_spec.with_weights(w)
-    c = coefficient_matrix(spec)
-    g1, g2 = mixing_layers(spec)
-    prep = g1[:, 0]
-    r = np.sqrt(np.maximum(1.0 - w * w, 1e-24))
-    drdw = -w / r if pub.variant == "reflection" else w / r
-    dc = np.vstack([g2 * prep, g2 * (prep * drdw)])
-    return c, dc
-
-
-def phase_retrieval_attack(
-    pub: PublicParams,
-    magnitudes: np.ndarray,
-    psi: np.ndarray | None = None,
-    restarts: int = 8,
-    iters: int = 300,
-    seed: int = 0,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
-) -> PhaseRetrievalResult:
-    """Projected gradient descent on the magnitude misfit (difficulty probe).
-
-    Minimizes ``| |C(w) X(z)|^2 - p |_F^2`` over the weights and the single
-    free system row z (rows of X are tied through the public unitaries:
-    ``X_t = U_t U_1^dag z``).  When ``psi`` is granted to the attacker, z is
-    fixed at ``U_1 psi`` and only the weights move.  Weights stay clamped to
-    [-1, 1]; restarts are seeded.  Nothing here is expected to succeed for
-    K > 1 — the returned objective documents how hard the landscape is.
-    """
-    if pub.scheme != "hadamard":
-        raise ValueError("the phase-retrieval probe targets the Hadamard scheme")
-    p = np.asarray(magnitudes, dtype=float)
-    k, big_n = pub.k, 2**pub.n
-    if p.shape != (2 * k, big_n):
-        raise ValueError(f"expected magnitudes of shape {(2 * k, big_n)}, got {p.shape}")
-    links = [u @ pub.unitaries[0].conj().T for u in pub.unitaries]
-    clamp = 1.0 - 1e-12
-
-    def objective_parts(w, z):
-        c, dc = _attack_c_and_grad(pub, w)
-        x = np.stack([a @ z for a in links])
-        y = c @ x
-        resid = np.abs(y) ** 2 - p
-        f = float(np.sum(resid**2))
-        return f, c, dc, x, y, resid
-
-    def gradients(c, dc, x, y, resid):
-        gc = resid * y.conj()
-        grad_w = 4.0 * np.sum((dc * (gc @ x.T)).real, axis=0)
-        rows = c.T.conj() @ (resid * y)
-        grad_z = 2.0 * sum(a.conj().T @ rows[t] for t, a in enumerate(links))
-        return grad_w, grad_z
-
-    gen = rng(seed)
-    col_energy = np.sqrt(np.maximum(p.sum(axis=0), 0.0))
-    top_energy = np.sqrt(min(max(p[:k].sum(), 0.0), 1.0))
-    starts = []
-    if init is not None:
-        starts.append((np.asarray(init[0], dtype=float).copy(), np.asarray(init[1], dtype=complex).copy()))
-    energy_w = np.full(k, top_energy if k == 1 else 0.6)
-    starts.append((energy_w, col_energy.astype(complex)))
-    while len(starts) < restarts + 1:
-        w0 = gen.uniform(0.15, 0.95, k)
-        phase = np.exp(2j * np.pi * gen.random(big_n))
-        starts.append((w0, col_energy * phase))
-
-    best = None
-    for w, z in starts:
-        if psi is not None:
-            z = pub.unitaries[0] @ np.asarray(psi, dtype=complex)
-        w = np.clip(w, -clamp, clamp)
-        f, c, dc, x, y, resid = objective_parts(w, z)
-        step = 0.1
-        for _ in range(iters):
-            grad_w, grad_z = gradients(c, dc, x, y, resid)
-            moved = False
-            for _ in range(40):
-                w_new = np.clip(w - step * grad_w, -clamp, clamp)
-                z_new = z if psi is not None else z - step * grad_z
-                f_new, c2, dc2, x2, y2, r2 = objective_parts(w_new, z_new)
-                if f_new < f:
-                    w, z, f, c, dc, x, y, resid = w_new, z_new, f_new, c2, dc2, x2, y2, r2
-                    step *= 1.25
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved or f < 1e-24:
-                break
-        if best is None or f < best[2]:
-            best = (w, z, f)
-    return PhaseRetrievalResult(weights=best[0], state=best[1], objective=best[2])
 
 
 def involution_encrypt_decrypt(

@@ -7,7 +7,7 @@ import lcuout.cli
 import lcuout.recovery
 from lcuout.circuit import CheckFailed, CircuitSpec
 from lcuout.cli import main
-from lcuout.outputs import matrix_from_csv
+from lcuout.outputs import matrix_from_csv, matrix_to_csv
 from lcuout.trapdoor import key_to_json, keygen
 
 SMALL_SWEEP = {
@@ -15,6 +15,9 @@ SMALL_SWEEP = {
     "instances": 2, "masks_per_instance": 2, "methods": ["svp", "factorized"],
     "seed": 515,
 }
+
+
+SMALL_FIG4 = {**lcuout.cli.DEFAULT_FIG4, "n": 4, "instances": 1, "masks_per_instance": 1}
 
 
 def read_body(path):
@@ -233,6 +236,21 @@ NULL_INTEGER = {
     "fig2-unitary-seed": {**lcuout.cli.DEFAULT_FIG2, "unitary_seed": None},
     "fig3-size": {**SMALL_SWEEP, "sizes": [None]},
     "fig3-size-float": {**SMALL_SWEEP, "sizes": [64.0]},
+    "fig3-instances-bool": {**SMALL_SWEEP, "instances": True},
+    "fig3-fraction-string": {**SMALL_SWEEP, "fractions": ["0.6"]},
+    "fig3-sigma": {**SMALL_SWEEP, "sigma": None},
+    "fig2-a": {**lcuout.cli.DEFAULT_FIG2, "a_grid": [None]},
+    "fig4-n": {**SMALL_FIG4, "n": None},
+    "fig4-seed": {**SMALL_FIG4, "seed": None},
+    "fig4-sigma": {**SMALL_FIG4, "sigmas": [None]},
+    "fig4-sigma-bool": {**SMALL_FIG4, "sigmas": [True]},
+    "fig4-fraction-string": {**SMALL_FIG4, "fraction": "0.7"},
+    "fig4-min-per-column-float": {**SMALL_FIG4, "min_per_column": 4.5},
+    "fig4-min-per-column-bool": {**SMALL_FIG4, "min_per_column": True},
+    "complete-seed": {**lcuout.cli.DEFAULT_COMPLETE, "seed": None},
+    "complete-k": {**lcuout.cli.DEFAULT_COMPLETE, "k": None},
+    "complete-sigma": {**lcuout.cli.DEFAULT_COMPLETE, "sigma": None},
+    "complete-fraction-bool": {**lcuout.cli.DEFAULT_COMPLETE, "fraction": True},
 }
 
 
@@ -242,12 +260,19 @@ NULL_INTEGER_CASES = [
     (["trapdoor", "invert"], "trapdoor-psi-seed"), (["trapdoor", "keygen"], "keygen-K"),
     (["fig2"], "fig2-k"), (["fig2"], "fig2-n"), (["fig2"], "fig2-psi-seed"), (["fig2"], "fig2-unitary-seed"),
     (["fig3"], "fig3-size"), (["fig3"], "fig3-size-float"),
+    (["fig3"], "fig3-instances-bool"), (["fig3"], "fig3-fraction-string"), (["fig3"], "fig3-sigma"),
+    (["fig2"], "fig2-a"), (["fig4"], "fig4-n"), (["fig4"], "fig4-seed"), (["fig4"], "fig4-sigma"),
+    (["fig4"], "fig4-sigma-bool"), (["fig4"], "fig4-fraction-string"),
+    (["fig4"], "fig4-min-per-column-float"), (["fig4"], "fig4-min-per-column-bool"),
+    (["complete", "svp"], "complete-seed"), (["complete", "factorized"], "complete-k"),
+    (["complete", "svp"], "complete-sigma"), (["complete", "factorized"], "complete-fraction-bool"),
 ]
 
 
 @pytest.mark.parametrize("command, doc", NULL_INTEGER_CASES, ids=[f"{'-'.join(c)}:{d}" for c, d in NULL_INTEGER_CASES])
 def test_null_integer_in_a_config_is_a_config_error(tmp_path, capsys, command, doc):
-    # exit 2 with a one-line error, not a TypeError traceback; verify records a failed spec-validation
+    # a null, bool or string where a number belongs: exit 2 with a one-line error, not a TypeError
+    # traceback or a silent cast; verify records a failed spec-validation
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(NULL_INTEGER[doc]))
     key = tmp_path / "k_key.json"
@@ -257,11 +282,26 @@ def test_null_integer_in_a_config_is_a_config_error(tmp_path, capsys, command, d
     if command == ["verify"]:
         assert code == 1
         (check,) = json.loads((tmp_path / "o_verify.json").read_text())["checks"]
-        assert check["name"] == "spec-validation" and not check["pass"] and "integer" in check["error"]
+        assert check["name"] == "spec-validation" and not check["pass"] and "must be an integer" in check["error"]
     else:
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "integer" in err
+        assert err.startswith("error: ") and ("must be an integer" in err or "must be a real number" in err)
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("action", ["invert", "attack"])
+@pytest.mark.parametrize("shape", [(8, 1), (7, 16)])
+def test_trapdoor_phi_that_is_not_2k_by_2_to_the_n_exits_2(tmp_path, capsys, action, shape):
+    # K = 4, n = 4 in the default config, so --phi must be 8 x 16
+    phi = tmp_path / "phi.csv"
+    phi.write_text(matrix_to_csv(np.ones(shape)))
+    key = tmp_path / "k_key.json"
+    key.write_text(key_to_json(keygen(4, "hadamard", 0)))
+    code = main(["trapdoor", action, "--key", str(key), "--phi", str(phi), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "expected a 2K x 2**n = 8 x 16 matrix" in capsys.readouterr().err
+    assert list(tmp_path.glob("o_*")) == []
 
 
 @pytest.mark.parametrize("change", [{"instances": 0}, {"masks_per_instance": 0}, {"methods": []}, {"fractions": []}])

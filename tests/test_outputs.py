@@ -6,12 +6,12 @@ from lcuout.linalg import hadamard_matrix, haar_random_unitary, random_state, rn
 from lcuout.outputs import (
     coefficient_matrix,
     extract_target,
-    invert_with_C,
     matrix_from_csv,
     matrix_to_csv,
     output_matrix,
     row_matrix,
 )
+from lcuout.recovery import factorized_complete, observe
 
 
 def make_spec(k=4, n=2, seed=0, mixing="hadamard", variant="reflection", weights=None):
@@ -87,20 +87,30 @@ def test_output_matrix_rank_bound():
     assert s.size == 8 and np.all(s[4:] < 1e-10 * s[0])
 
 
-def test_invert_with_C_round_trip():
-    spec = make_spec(k=4, n=4, seed=10)
+def solve_full(c, phi):
+    """X from Phi = C X through the one solver, with every entry observed."""
+    return factorized_complete(observe(phi, np.ones(phi.shape, dtype=bool)), c)
+
+
+def test_full_mask_factorized_solve_inverts_phi():
+    # C^dag C = I/K for every mixing, so the exact inverse is X = K C^dag Phi
+    base = make_spec(k=4, n=4, seed=10)
     psi = random_state(16, 11)
-    phi = output_matrix(spec, psi)
-    c = coefficient_matrix(spec)
-    x = invert_with_C(c, phi)
-    np.testing.assert_allclose(x, row_matrix(spec, psi), atol=1e-12)
+    for spec in (base, make_spec(k=4, n=4, seed=10, mixing="dft"),
+                 base.with_weights(base.weights, haar_random_unitary(4, rng(12)))):
+        phi = output_matrix(spec, psi)
+        c = coefficient_matrix(spec)
+        result = solve_full(c, phi)
+        assert result.underdetermined == ()
+        np.testing.assert_allclose(result.x, row_matrix(spec, psi), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.x, 4 * c.conj().T @ phi, rtol=0, atol=1e-12)
 
 
-def test_invert_with_C_rejects_rank_deficient():
+def test_full_mask_with_rank_deficient_c_is_rejected():
     c = np.zeros((8, 4), dtype=complex)
     c[:, 0] = 1.0
-    with pytest.raises(ValueError):
-        invert_with_C(c, np.zeros((8, 16), dtype=complex))
+    with pytest.raises(ValueError, match="every column is underdetermined"):
+        solve_full(c, np.zeros((8, 16), dtype=complex))
 
 
 def test_extract_target_scaling_consistency():
@@ -113,7 +123,7 @@ def test_extract_target_scaling_consistency():
                        unitaries=tuple(haar_random_unitary(8, gen) for _ in range(k)))
     psi = random_state(8, 13)
     phi = output_matrix(spec, psi)
-    x = invert_with_C(coefficient_matrix(spec), phi)
+    x = solve_full(coefficient_matrix(spec), phi).x
     t_psi = extract_target(x, alpha)
     direct = sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries))
     np.testing.assert_allclose(t_psi, direct, atol=1e-10)
