@@ -62,10 +62,18 @@ def make_mask(
 ) -> np.ndarray:
     """Draw a boolean ``rows x cols`` observation pattern (True = observed).
 
-    ``uniform`` keeps each entry independently with probability ``density``.
-    ``column_guaranteed`` additionally tops up every column to at least
-    ``min_per_column`` observations (with ``density=None`` each column gets
-    exactly that many).
+    ``uniform`` keeps each entry independently with probability ``density``
+    and takes no ``min_per_column``.  ``column_guaranteed`` draws the same
+    first pattern (none at all with ``density=None``) and then tops every
+    column up to ``min_per_column`` observations: a column that holds
+    ``count`` of them gains ``max(min_per_column - count, 0)`` more, so with
+    ``density=None`` every column ends with exactly ``min_per_column``.  The
+    top-up draws one uniform key per entry, gives the observed entries the
+    key +inf, and observes each short column's lowest-keyed rows (a stable
+    sort, so exactly the shortfall is added).  The keys of a column's
+    missing rows are independent and identically distributed, so the rows
+    added are a uniformly random subset of them, as a draw without
+    replacement would give, in one pass over all columns.
     """
     if density is not None and not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
@@ -73,21 +81,22 @@ def make_mask(
     if mode == "uniform":
         if density is None:
             raise ValueError("uniform mode needs a density")
+        if min_per_column is not None:
+            raise ValueError("min_per_column applies only to column_guaranteed mode, not uniform")
         mask = gen.random((rows, cols)) < density
     elif mode == "column_guaranteed":
         if min_per_column is None:
             raise ValueError("column_guaranteed mode needs min_per_column")
-        if not 0 < min_per_column <= rows:
+        if not 0 < integer_value("min_per_column", min_per_column) <= rows:
             raise ValueError(f"min_per_column must lie in 1..{rows}")
         if density is None:
             mask = np.zeros((rows, cols), dtype=bool)
         else:
             mask = gen.random((rows, cols)) < density
-        for j in range(cols):
-            short = min_per_column - int(mask[:, j].sum())
-            if short > 0:
-                missing = np.flatnonzero(~mask[:, j])
-                mask[gen.choice(missing, size=short, replace=False), j] = True
+        short = min_per_column - mask.sum(axis=0)
+        keys = np.where(mask, np.inf, gen.random((rows, cols)))
+        # each entry's rank among its column's keys: the inverse of the stable sort order
+        mask |= np.argsort(np.argsort(keys, axis=0, kind="stable"), axis=0) < short
     else:
         raise ValueError(f"unknown mask mode {mode!r}")
     return mask
@@ -163,17 +172,26 @@ def svp_complete(entries: ObservedEntries, rank: int, max_iters: int = 500) -> t
     return z, iters
 
 
+def _ridged_grams(mask: np.ndarray, basis: np.ndarray, ridge: float | np.ndarray) -> np.ndarray:
+    # G_i = sum_j mask[i, j] basis[j]^dag basis[j] + lam_i I with lam_i = ridge_i tr(G_i) / rank;
+    # ``ridge`` is a scalar or one scale per row of ``mask``
+    rank = basis.shape[1]
+    gram = np.einsum("ij,ja,jb->iab", mask, basis.conj(), basis)
+    lam = ridge * np.trace(gram, axis1=1, axis2=2).real / rank
+    return gram + (lam[:, None, None] + 1e-300) * np.eye(rank)
+
+
+def _solve_rows(gram: np.ndarray, mask: np.ndarray, values: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # Solve gram[i] a_i = sum_j mask[i, j] basis[j]^dag values[i, j] for every row i
+    rhs = np.einsum("ij,ja,ij->ia", mask, basis.conj(), values)
+    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+
+
 def _batched_ridge_rows(
     mask: np.ndarray, values: np.ndarray, basis: np.ndarray, ridge: float | np.ndarray
 ) -> np.ndarray:
     # Solve, for every row i: min over a of |basis[cols_i] a - values[i, cols_i]|^2 + lam_i |a|^2
-    # with lam_i = ridge_i tr(G_i) / rank; ``ridge`` is a scalar or one scale per row
-    rank = basis.shape[1]
-    gram = np.einsum("ij,ja,jb->iab", mask, basis.conj(), basis)
-    rhs = np.einsum("ij,ja,ij->ia", mask, basis.conj(), values)
-    lam = ridge * np.trace(gram, axis1=1, axis2=2).real / rank
-    gram = gram + (lam[:, None, None] + 1e-300) * np.eye(rank)
-    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    return _solve_rows(_ridged_grams(mask, basis, ridge), mask, values, basis)
 
 
 def als_complete(
@@ -231,14 +249,34 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
     still solved, and are reported (a column with no observations comes out
     0).  If every column is underdetermined the data cannot pin down X at
     all and the call fails.
+
+    ``C_O`` depends on the column only through its observation pattern, and
+    2K rows allow at most 2**(2K) patterns, so the rank check and the ridged
+    Gram matrix are computed once per distinct pattern (columns are grouped
+    by their mask bits, packed into bytes) and shared by every column that
+    has it.  ``c`` needs one row per mask row and between 1 and that many
+    columns; any other shape is a ``ValueError``.
     """
     _check_entries(entries)
     mask, b = entries.mask, entries.values
+    c = np.asarray(c)
+    if c.ndim != 2 or c.shape[0] != mask.shape[0] or not 1 <= c.shape[1] <= c.shape[0]:
+        raise ValueError(
+            f"coefficient matrix of shape {c.shape} does not fit a mask of shape {mask.shape}: "
+            "it needs one row per mask row and between 1 and that many columns"
+        )
     k = c.shape[1]
-    under = np.linalg.matrix_rank(mask.T[:, :, None] * c) < k
+    packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
+    _, first, inverse = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1])))[:, 0], return_index=True, return_inverse=True
+    )
+    patterns = mask[:, first].T
+    under_pattern = np.linalg.matrix_rank(patterns[:, :, None] * c) < k
+    under = under_pattern[inverse]
     if under.all():
         raise ValueError("every column is underdetermined; too few observations")
-    x = _batched_ridge_rows(mask.T, b.T, c, np.where(under, 1e-10, 0.0)).T
+    gram = _ridged_grams(patterns, c, np.where(under_pattern, 1e-10, 0.0))[inverse]
+    x = _solve_rows(gram, mask.T, b.T, c).T
     return FactorizedResult(phi=c @ x, x=x, underdetermined=tuple(map(int, np.flatnonzero(under))))
 
 

@@ -290,6 +290,17 @@ def test_null_integer_in_a_config_is_a_config_error(tmp_path, capsys, command, d
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("command, base", [(["fig4"], SMALL_FIG4), (["complete", "factorized"], lcuout.cli.DEFAULT_COMPLETE)])
+def test_min_per_column_under_a_uniform_mask_exits_2(tmp_path, capsys, command, base):
+    # a uniform mask has no top-up, so a min_per_column there is an error rather than ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, "mask_mode": "uniform"}))
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "min_per_column" in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 @pytest.mark.parametrize("action", ["invert", "attack"])
 @pytest.mark.parametrize("shape", [(8, 1), (7, 16)])
 def test_trapdoor_phi_that_is_not_2k_by_2_to_the_n_exits_2(tmp_path, capsys, action, shape):

@@ -40,10 +40,10 @@ GOLDEN_FIG3 = [
 ]
 
 GOLDEN_FIG4 = [
-    ("svp", 0.001, 0.023652278820091289, 0.0019204744510333675, 0.021766069642136104, 0.0023605700279696945, 193.75),
-    ("svp", 0.01, 0.23769228348210694, 0.019632636641275899, 0.22079924310051266, 0.021941781881330124, 175),
-    ("factorized", 0.001, 0.022659535265956834, 0.0023063547913729824, 0.020746633643443674, 0.0026862901786236198, 1),
-    ("factorized", 0.01, 0.22659535265956809, 0.023063547913729318, 0.20746633643443663, 0.026862901786235682, 1),
+    ("svp", 0.001, 0.023982501734639006, 0.0024315297075875584, 0.021430389387630401, 0.0031894024219258988, 203),
+    ("svp", 0.01, 0.23947213221876404, 0.023368561996749609, 0.21780325781859383, 0.03097518655775652, 197),
+    ("factorized", 0.001, 0.022504400320593313, 0.0024463239021959259, 0.019862007737443624, 0.0028997706706522025, 1),
+    ("factorized", 0.01, 0.22504400320593299, 0.024463239021958967, 0.19862007737443615, 0.028997706706521745, 1),
 ]
 
 SVP_ITERATION_CAP = 500

@@ -1,9 +1,11 @@
-"""Property tests for the single sources of truth: the C formula, the circuit operator, the codecs and the mask draw."""
+"""Property tests for the single sources of truth: the C formula, the circuit operator, the codecs, the mask draw
+and the factorized solve."""
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,7 @@ from lcuout.outputs import (
     matrix_to_csv,
     output_matrix,
 )
-from lcuout.recovery import make_mask
+from lcuout.recovery import ObservedEntries, factorized_complete, make_mask
 
 # r = sqrt(1 - w^2) vanishes at the endpoints, so they are drawn on purpose
 weights_in_range = st.one_of(st.sampled_from([-1.0, 1.0, -0.0, 0.0]), st.floats(-1.0, 1.0))
@@ -139,12 +141,71 @@ def test_make_mask_is_seeded_and_tops_up_every_column(data, rows, cols, seed, de
         assert m.dtype == bool and m.shape == (rows, cols)
     np.testing.assert_array_equal(guaranteed, again)
     per_column = guaranteed.sum(axis=0)
-    if density is None:
-        assert np.all(per_column == min_per_column)
+    base_count = 0
+    if density is not None:
+        uniform = make_mask(rows, cols, seed, "uniform", density=density)
+        assert uniform.dtype == bool and uniform.shape == (rows, cols)
+        np.testing.assert_array_equal(uniform, make_mask(rows, cols, seed, "uniform", density=density))
+        # both modes start from the same first draw of the seed's stream
+        assert np.all(guaranteed[uniform])
+        base_count = uniform.sum(axis=0)
+    # a column that already holds enough entries is left alone; a short one ends with exactly min_per_column
+    np.testing.assert_array_equal(per_column, np.maximum(base_count, min_per_column))
+
+
+def test_make_mask_top_up_picks_every_subset_equally_often():
+    # with density=None each column is one top-up: 2 of 4 rows, C(4, 2) = 6 subsets, 1000 columns expected
+    # per subset; the chi-square statistic has 5 degrees of freedom and exceeds 20.52 with probability 0.001
+    cols = 6000
+    mask = make_mask(4, cols, 2024, "column_guaranteed", min_per_column=2)
+    codes = (mask * (1 << np.arange(4))[:, None]).sum(axis=0)
+    counts = np.bincount(codes, minlength=16)
+    subsets = [a | b for a in (1, 2, 4, 8) for b in (1, 2, 4, 8) if a < b]
+    assert counts[subsets].sum() == cols
+    chi2 = ((counts[subsets] - cols / 6) ** 2 / (cols / 6)).sum()
+    assert chi2 < 20.52, (counts[subsets], chi2)
+
+
+def per_column_factorized(mask, values, c):
+    """Inline reference of the factorized solve: one rank check and one set of normal equations per column."""
+    k = c.shape[1]
+    x = np.empty((k, mask.shape[1]), dtype=complex)
+    under = []
+    for j in range(mask.shape[1]):
+        m = mask[:, j]
+        deficient = np.linalg.matrix_rank(m[:, None] * c) < k
+        gram = np.einsum("j,ja,jb->ab", m, c.conj(), c)
+        lam = (1e-10 if deficient else 0.0) * np.trace(gram).real / k
+        rhs = np.einsum("j,ja,j->a", m, c.conj(), values[:, j])
+        x[:, j] = np.linalg.solve(gram + (lam + 1e-300) * np.eye(k), rhs)
+        if deficient:
+            under.append(j)
+    return x, tuple(under)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 5), cols=st.integers(1, 60), density=st.floats(0.05, 1.0),
+       zero_row=st.booleans(), zero_block=st.booleans(), seed=st.integers(0, 2**32))
+def test_factorized_solve_per_pattern_matches_a_per_column_reference_bit_for_bit(
+    k, cols, density, zero_row, zero_block, seed
+):
+    # 2K up to 10 rows, so a pattern's packed key spans two bytes; a zero row of C, or one column of C
+    # zeroed on its first K rows, leaves some columns with K or more observations underdetermined
+    gen = rng(seed)
+    c = gen.standard_normal((2 * k, k)) + 1j * gen.standard_normal((2 * k, k))
+    if zero_row:
+        c[gen.integers(2 * k)] = 0
+    if zero_block:
+        c[:k, gen.integers(k)] = 0
+    mask = gen.random((2 * k, cols)) < density
+    values = np.where(mask, gen.standard_normal(mask.shape) + 1j * gen.standard_normal(mask.shape), 0)
+    entries = ObservedEntries(values=values, mask=mask)
+    x, under = per_column_factorized(mask, values, c)
+    if len(under) == cols:
+        with pytest.raises(ValueError):
+            factorized_complete(entries, c)
         return
-    assert np.all(per_column >= min_per_column)
-    uniform = make_mask(rows, cols, seed, "uniform", density=density)
-    assert uniform.dtype == bool and uniform.shape == (rows, cols)
-    np.testing.assert_array_equal(uniform, make_mask(rows, cols, seed, "uniform", density=density))
-    # both modes start from the same first draw of the seed's stream
-    assert np.all(guaranteed[uniform])
+    result = factorized_complete(entries, c)
+    assert result.underdetermined == under
+    assert result.x.tobytes() == x.tobytes()
+    assert result.phi.tobytes() == (c @ x).tobytes()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,15 @@ def test_make_mask_column_guaranteed():
 def test_make_mask_rejects_density_outside_unit_interval(mode):
     with pytest.raises(ValueError, match="density"):
         make_mask(8, 16, 1, mode, density=1.7, min_per_column=4)
+
+
+def test_make_mask_rejects_min_per_column_it_would_not_honour():
+    # uniform mode has no top-up to apply it to, and a bool or a float is not a count
+    with pytest.raises(ValueError, match="min_per_column"):
+        make_mask(8, 16, 1, "uniform", density=0.5, min_per_column=4)
+    for value in (True, 4.0):
+        with pytest.raises(ValueError, match="min_per_column"):
+            make_mask(8, 16, 1, "column_guaranteed", min_per_column=value)
 
 
 def test_observe_masks_and_noise():
@@ -208,6 +219,14 @@ def test_factorized_flags_rank_deficient_columns():
     res = factorized_complete(observe(phi, mask, 0.0), c)
     assert res.underdetermined == (0,)
     assert np.linalg.norm((res.phi - phi)[:, 1:]) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (8,), (8, 0), (8, 9), (2, 8, 4)])
+def test_factorized_rejects_a_coefficient_matrix_that_does_not_fit_the_mask(shape):
+    phi, _ = instance(40, n=3)
+    entries = observe(phi, make_mask(8, 8, 41, "uniform", density=0.9), 0.0)
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} does not fit a mask of shape (8, 8)")):
+        factorized_complete(entries, np.ones(shape, dtype=complex))
 
 
 def test_factorized_noise_grows_linearly():
