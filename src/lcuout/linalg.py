@@ -62,7 +62,10 @@ def truncate_rank(a: np.ndarray, rank: int) -> np.ndarray:
     Forms the Gram matrix on the smaller side (``a a^H`` for wide inputs,
     ``a^H a`` for tall ones), takes its eigendecomposition and projects ``a``
     onto the top ``rank`` eigenvectors, which for a 2K x N iterate costs a
-    2K x 2K ``eigh`` instead of a thin SVD.  The Gram squares the condition
+    2K x 2K ``eigh`` instead of a thin SVD.  The projection is one matmul
+    with the small-side projector ``P = top top^H``: ``P a`` for wide
+    inputs, ``a P`` for tall ones, which passes over ``a`` once instead of
+    twice through ``top^H a``.  The Gram squares the condition
     number, so when the eigenvalue gap at the cut is at most
     ``GRAM_GAP_RTOL`` times the largest eigenvalue (a near-degenerate cut, a
     rank-deficient or a zero input) the result comes from :func:`svd`
@@ -82,7 +85,8 @@ def truncate_rank(a: np.ndarray, rank: int) -> np.ndarray:
         u, s, vh = svd(a)
         return (u[:, :rank] * s[:rank]) @ vh[:rank]
     top = vecs[:, -rank:]
-    return top @ (top.conj().T @ a) if wide else (a @ top) @ top.conj().T
+    proj = top @ top.conj().T
+    return proj @ a if wide else a @ proj
 
 
 def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:

@@ -131,35 +131,51 @@ def _check_entries(entries: ObservedEntries) -> None:
         raise ValueError("no observed entries")
 
 
+def _check_iterative(entries: ObservedEntries, rank: int, max_iters: int) -> None:
+    _check_entries(entries)
+    for name, value in (("rank", rank), ("max_iters", max_iters)):
+        if integer_value(name, value) < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def svp_complete(entries: ObservedEntries, rank: int, max_iters: int = 500) -> tuple[np.ndarray, int]:
     """Singular-value projection: gradient step on observed entries, rank-K truncation.
 
-    Each trial step is truncated to rank K by :func:`lcuout.linalg.truncate_rank`:
-    an ``eigh`` of the smaller-side Gram matrix (2K x 2K for N >= 2K) and a
-    projection onto its top K eigenvectors, falling back to the thin SVD when
+    Each trial step ``z + mu g`` is truncated to rank K by
+    :func:`lcuout.linalg.truncate_rank`, once per trial: an ``eigh`` of the
+    smaller-side Gram matrix (2K x 2K for N >= 2K) and one matmul with the
+    projector onto its top K eigenvectors, falling back to the thin SVD when
     the Gram spectrum has no clear gap at K.  The step size starts at the
     reciprocal observation density and is halved within an iteration until
     the observed residual decreases, which keeps the sweep monotone even at
     sparse masks where the raw step would diverge; the masked residual of the
-    accepted step is the next gradient.  Iteration stops when the residual
-    stalls (relative change at most ``SVP_TOL`` = 1e-12), when no step length
-    helps, or after ``max_iters`` rounds.  Returns the completed matrix and
-    the number of iterations used.
+    accepted step is the next gradient.  That residual is ``b - z_new``
+    zeroed off the mask in place, by a multiply with a float copy of the mask
+    made once per call, and its norm is ``sqrt(<g, g>)`` from one ``vdot``.
+    Iteration stops when the residual stalls (relative change at most
+    ``SVP_TOL`` = 1e-12), when no step length helps, or after ``max_iters``
+    rounds.  ``rank`` and ``max_iters`` must be integers of at least 1, else
+    ``ValueError``.  Returns the completed matrix and the number of
+    iterations used.
     """
-    _check_entries(entries)
+    _check_iterative(entries, rank, max_iters)
     mask, b = entries.mask, entries.values
+    keep = mask.astype(float)
     mu = 1.0 / mask.mean()
     z = np.zeros_like(b)
-    g = np.where(mask, b, 0.0)
-    b_norm = np.linalg.norm(b)
+    g = b * keep
+    b_norm = np.sqrt(np.vdot(b, b).real)
     prev = b_norm
     iters = 0
     for iters in range(1, max_iters + 1):
         mu_try = mu
         for _ in range(16):
-            z_new = truncate_rank(z + mu_try * g, rank)
-            g_new = np.where(mask, b - z_new, 0.0)
-            cur = np.linalg.norm(g_new)
+            a = g * mu_try
+            a += z
+            z_new = truncate_rank(a, rank)
+            g_new = b - z_new
+            g_new *= keep
+            cur = np.sqrt(np.vdot(g_new, g_new).real)
             if cur <= prev:
                 break
             mu_try *= 0.5
@@ -203,10 +219,11 @@ def als_complete(
     the observed Frobenius mass.  Each half-step solves ridge-regularized
     least squares with ``lam = ALS_RIDGE tr(G)/K`` (``ALS_RIDGE`` = 1e-10);
     sweeps stop when the masked residual changes by at most ``ALS_TOL`` =
-    1e-10 relative, or after ``max_iters``.  Returns the completed matrix and
-    the number of sweeps used.
+    1e-10 relative, or after ``max_iters``.  ``rank`` and ``max_iters`` must
+    be integers of at least 1, else ``ValueError``.  Returns the completed
+    matrix and the number of sweeps used.
     """
-    _check_entries(entries)
+    _check_iterative(entries, rank, max_iters)
     mask, b = entries.mask, entries.values
     rows, cols = b.shape
     gen = rng(seed)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lcuout.linalg
 from lcuout.linalg import (
     dft_matrix,
     haar_random_unitary,
@@ -136,6 +137,23 @@ def test_truncate_rank_degenerate_cut_uses_svd():
     v = haar_random_unitary(40, gen)[:4]
     a = (u * np.array([3.0, 2.0, 2.0, 1.0])) @ v
     np.testing.assert_array_equal(truncate_rank(a, 2), svd_truncation(a, 2))
+
+
+def test_truncate_rank_tall_complex_input_with_a_gap(monkeypatch):
+    # a clear gap at the cut keeps the Gram route, here its tall branch a P, with no SVD fallback
+    gen = rng(35)
+    u = haar_random_unitary(48, gen)[:, :6]
+    v = haar_random_unitary(6, gen)
+    a = (u * np.array([4.0, 3.0, 2.5, 0.1, 0.05, 0.01])) @ v
+    expected = svd_truncation(a, 3)
+
+    def no_svd(_):
+        raise AssertionError("the SVD fallback ran despite a clear gap")
+
+    monkeypatch.setattr(lcuout.linalg, "svd", no_svd)
+    out = truncate_rank(a, 3)
+    assert out.shape == a.shape and out.dtype == a.dtype
+    assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
