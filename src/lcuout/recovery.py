@@ -42,10 +42,27 @@ ALS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ObservedEntries:
-    """Observed (possibly noisy) entries; unobserved positions hold zero."""
+    """Observed (possibly noisy) entries; unobserved positions hold zero.
+
+    ``values`` must be a 2-D array of finite numbers and ``mask`` an array
+    of the same shape, stored as booleans; anything else is a
+    ``ValueError``.
+    """
 
     values: np.ndarray
     mask: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values)
+        mask = np.asarray(self.mask, dtype=bool)
+        if values.ndim != 2 or mask.shape != values.shape:
+            raise ValueError(
+                f"observed values of shape {values.shape} need a 2-D mask of the same shape, got {mask.shape}"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError("observed values must be finite")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def count(self) -> int:
@@ -188,26 +205,17 @@ def svp_complete(entries: ObservedEntries, rank: int, max_iters: int = 500) -> t
     return z, iters
 
 
-def _ridged_grams(mask: np.ndarray, basis: np.ndarray, ridge: float | np.ndarray) -> np.ndarray:
-    # G_i = sum_j mask[i, j] basis[j]^dag basis[j] + lam_i I with lam_i = ridge_i tr(G_i) / rank;
-    # ``ridge`` is a scalar or one scale per row of ``mask``
+def _batched_ridge_rows(
+    mask: np.ndarray, values: np.ndarray, basis: np.ndarray, ridge: float
+) -> np.ndarray:
+    # Solve, for every row i: min over a of |basis[cols_i] a - values[i, cols_i]|^2 + lam_i |a|^2,
+    # with lam_i = ridge tr(G_i) / rank and G_i = sum_j mask[i, j] basis[j]^dag basis[j]
     rank = basis.shape[1]
     gram = np.einsum("ij,ja,jb->iab", mask, basis.conj(), basis)
     lam = ridge * np.trace(gram, axis1=1, axis2=2).real / rank
-    return gram + (lam[:, None, None] + 1e-300) * np.eye(rank)
-
-
-def _solve_rows(gram: np.ndarray, mask: np.ndarray, values: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # Solve gram[i] a_i = sum_j mask[i, j] basis[j]^dag values[i, j] for every row i
+    gram = gram + (lam[:, None, None] + 1e-300) * np.eye(rank)
     rhs = np.einsum("ij,ja,ij->ia", mask, basis.conj(), values)
     return np.linalg.solve(gram, rhs[..., None])[..., 0]
-
-
-def _batched_ridge_rows(
-    mask: np.ndarray, values: np.ndarray, basis: np.ndarray, ridge: float | np.ndarray
-) -> np.ndarray:
-    # Solve, for every row i: min over a of |basis[cols_i] a - values[i, cols_i]|^2 + lam_i |a|^2
-    return _solve_rows(_ridged_grams(mask, basis, ridge), mask, values, basis)
 
 
 def als_complete(
@@ -252,27 +260,39 @@ class FactorizedResult:
     underdetermined: tuple[int, ...]
 
 
+def _observation_patterns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The distinct columns of ``mask``, one per row of ``patterns``, and for every column the index of its
+    # pattern; columns are grouped by their mask bits packed into bytes, so 2K rows cost ceil(2K/8) bytes
+    packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
+    _, first, inverse = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1])))[:, 0], return_index=True, return_inverse=True
+    )
+    return mask[:, first].T, inverse
+
+
 def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedResult:
     """Solve each column of Phi = C X from its observed rows.
 
-    Column j with observed rows O solves the normal equations
-    ``(C_O^dag C_O + lam I) x_j = C_O^dag phi_obs_j``, all columns in one
-    batched solve.  A column is underdetermined when ``C_O`` has rank below
-    K: too few observed rows, or rows on which a column of C vanishes (the
-    rotation-0 rows carry ``w_t`` and the rotation-1 rows ``r_t``, so a zero
-    weight or ``|w_t| = 1`` hides ``U_t psi`` from one half of C).
-    Determined columns are solved with ``lam = 0`` so the recovery stays
-    unbiased; underdetermined ones get ``lam = 1e-10 tr(C_O^dag C_O)/K``, are
-    still solved, and are reported (a column with no observations comes out
-    0).  If every column is underdetermined the data cannot pin down X at
-    all and the call fails.
+    Column j with observed rows O gets the minimum-norm least-squares
+    solution ``x_j = pinv(C_O) phi_obs_j``.  A column is underdetermined
+    when ``C_O`` has rank below K: too few observed rows, or rows on which a
+    column of C vanishes (the rotation-0 rows carry ``w_t`` and the
+    rotation-1 rows ``r_t``, so a zero weight or ``|w_t| = 1`` hides
+    ``U_t psi`` from one half of C).  Determined columns are solved exactly,
+    so the recovery stays unbiased; underdetermined ones are still solved,
+    with no component in the null space of ``C_O``, and are reported (a
+    column with no observations comes out 0).  If every column is
+    underdetermined the data cannot pin down X at all and the call fails.
 
     ``C_O`` depends on the column only through its observation pattern, and
-    2K rows allow at most 2**(2K) patterns, so the rank check and the ridged
-    Gram matrix are computed once per distinct pattern (columns are grouped
-    by their mask bits, packed into bytes) and shared by every column that
-    has it.  ``c`` needs one row per mask row and between 1 and that many
-    columns; any other shape is a ``ValueError``.
+    2K rows allow at most 2**(2K) patterns, so the work is done once per
+    distinct pattern: one batched thin SVD of the patterns' ``C_O`` gives
+    both the rank, as singular values above ``np.linalg.matrix_rank``'s
+    default cutoff ``s_max * 2K * eps``, and the pseudo-inverse
+    ``V diag(1/s) U^dag`` on those values, whose columns on unobserved rows
+    are zero.  Every column then takes its pattern's pseudo-inverse times its
+    observed values.  ``c`` needs one row per mask row and between 1 and that
+    many columns; any other shape is a ``ValueError``.
     """
     _check_entries(entries)
     mask, b = entries.mask, entries.values
@@ -283,17 +303,17 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
             "it needs one row per mask row and between 1 and that many columns"
         )
     k = c.shape[1]
-    packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
-    _, first, inverse = np.unique(
-        packed.view(np.dtype((np.void, packed.shape[1])))[:, 0], return_index=True, return_inverse=True
-    )
-    patterns = mask[:, first].T
-    under_pattern = np.linalg.matrix_rank(patterns[:, :, None] * c) < k
-    under = under_pattern[inverse]
+    patterns, inverse = _observation_patterns(mask)
+    co = patterns[:, :, None] * c
+    u, s, vh = np.linalg.svd(co, full_matrices=False)
+    kept = s > s[:, :1] * max(co.shape[1:]) * np.finfo(s.dtype).eps
+    under = (kept.sum(axis=1) < k)[inverse]
     if under.all():
         raise ValueError("every column is underdetermined; too few observations")
-    gram = _ridged_grams(patterns, c, np.where(under_pattern, 1e-10, 0.0))[inverse]
-    x = _solve_rows(gram, mask.T, b.T, c).T
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    pinv = (vh.conj().transpose(0, 2, 1) * inv_s[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    pinv *= patterns[:, None, :]
+    x = np.einsum("jab,bj->aj", pinv[inverse], b)
     return FactorizedResult(phi=c @ x, x=x, underdetermined=tuple(map(int, np.flatnonzero(under))))
 
 
@@ -301,10 +321,16 @@ def recovery_errors(phi_hat: np.ndarray, phi_true: np.ndarray) -> tuple[float, f
     """Relative Frobenius error of the matrix and 2-norm error of the target row.
 
     The target row is row 0 (index outcome 0, rotation 0), which carries the
-    combined state ``T psi`` up to the known factor K c.
+    combined state ``T psi`` up to the known factor K c.  Both matrices
+    must be 2-D of one shape, and neither ``phi_true`` nor its row 0 may be
+    zero, else ``ValueError``.
     """
     phi_hat = np.asarray(phi_hat)
     phi_true = np.asarray(phi_true)
+    if phi_true.ndim != 2 or phi_hat.shape != phi_true.shape:
+        raise ValueError(f"recovered matrix of shape {phi_hat.shape} does not match the true {phi_true.shape}")
+    if not phi_true[:1].any():
+        raise ValueError("the true matrix or its target row is zero, so a relative error is undefined")
     rel_phi = np.linalg.norm(phi_hat - phi_true) / np.linalg.norm(phi_true)
     rel_target = np.linalg.norm(phi_hat[0] - phi_true[0]) / np.linalg.norm(phi_true[0])
     return float(rel_phi), float(rel_target)
@@ -387,7 +413,18 @@ def sweep(config: dict) -> list[dict]:
     :func:`sweep_instance` at seed ``seed + 7919 (i + 1)``: K weights and K
     random states, which is :func:`random_instance` in distribution, with no
     unitary built.  Every method completes the same masks and noise.
-    Returns one aggregate dict per (method, parameter value).
+
+    The runs go instance by instance and mask by mask.  Mask ``r`` of
+    instance ``i`` has seed ``s = seed + 104729 (i + 1) + 13 (r + 1)`` and
+    is drawn once per distinct fraction, then observed once per swept value
+    (noise seed ``s + 1``) and completed by every method (ALS seed
+    ``s + 2``), so at most one instance's masks for one ``r`` are alive at a
+    time.  :func:`make_mask` and :func:`observe` are pure functions of their
+    arguments, so this order gives the rows a method-by-method loop would.
+    Returns one aggregate dict per (method, parameter value), methods outer;
+    its ``seconds`` is the time spent in that row's completions and their
+    error evaluation, not in the shared instance build, mask draws or
+    observations.
     """
     reject_solver_overrides(config)
     k = integer_value("k", config.get("k", 4))
@@ -416,30 +453,30 @@ def sweep(config: dict) -> list[dict]:
             "a sweep needs at least one instance, mask per instance, method and swept value; got "
             f"instances={instances}, masks_per_instance={masks_per}, {len(methods)} methods, {len(grid)} values"
         )
-
-    cases = []
+    # every run's (err_phi, err_target, iterations, seconds), one list per output row: [method][swept value]
+    runs = [[[] for _ in grid] for _ in methods]
     for inst in range(instances):
         _, c, x = sweep_instance(k, n, seed + 7919 * (inst + 1))
-        cases.append((c @ x, c))
-
-    rows = []
-    for method in methods:
-        for param, fraction, sigma in grid:
-            errs_phi, errs_target, iter_counts = [], [], []
-            t0 = time.perf_counter()
-            for inst, (phi, c) in enumerate(cases):
-                for rep in range(masks_per):
-                    mask_seed = seed + 104729 * (inst + 1) + 13 * (rep + 1)
-                    mask = make_mask(
+        phi = c @ x
+        for rep in range(masks_per):
+            mask_seed = seed + 104729 * (inst + 1) + 13 * (rep + 1)
+            masks = {}
+            for g, (_, fraction, sigma) in enumerate(grid):
+                if fraction not in masks:
+                    masks[fraction] = make_mask(
                         phi.shape[0], phi.shape[1], mask_seed, mode,
                         density=fraction, min_per_column=min_per_column,
                     )
-                    entries = observe(phi, mask, sigma, seed=mask_seed + 1)
+                entries = observe(phi, masks[fraction], sigma, seed=mask_seed + 1)
+                for m, method in enumerate(methods):
+                    t0 = time.perf_counter()
                     z, iters, _ = complete(method, entries, c, mask_seed + 2)
                     ep, et = recovery_errors(z, phi)
-                    errs_phi.append(ep)
-                    errs_target.append(et)
-                    iter_counts.append(iters)
+                    runs[m][g].append((ep, et, iters, time.perf_counter() - t0))
+    rows = []
+    for m, method in enumerate(methods):
+        for g, (param, _, _) in enumerate(grid):
+            errs_phi, errs_target, iter_counts, seconds = zip(*runs[m][g])
             rows.append(
                 {
                     "method": method,
@@ -449,7 +486,7 @@ def sweep(config: dict) -> list[dict]:
                     "mean_err_target": float(np.mean(errs_target)),
                     "std_err_target": float(np.std(errs_target)),
                     "mean_iters": float(np.mean(iter_counts)),
-                    "seconds": time.perf_counter() - t0,
+                    "seconds": sum(seconds),
                 }
             )
     return rows

@@ -198,15 +198,15 @@ class InversionResult:
 
 
 def _entries(pub: PublicParams, obs: ObservedEntries | np.ndarray) -> ObservedEntries:
-    # a full matrix becomes entries with every position observed; both must be 2K x 2**n
-    if not isinstance(obs, ObservedEntries):
-        phi = np.asarray(obs, dtype=complex)
-        obs = ObservedEntries(values=phi, mask=np.ones(phi.shape, dtype=bool))
+    # a full matrix becomes entries with every position observed; it must be 2K x 2**n (entries carry a mask
+    # of their values' shape)
+    values = obs.values if isinstance(obs, ObservedEntries) else np.asarray(obs, dtype=complex)
     expected = (2 * pub.k, 2**pub.n)
-    for name, a in (("matrix", obs.values), ("mask", obs.mask)):
-        if a.shape != expected:
-            raise ValueError(f"expected a 2K x 2**n = {expected[0]} x {expected[1]} {name}, got shape {a.shape}")
-    return obs
+    if values.shape != expected:
+        raise ValueError(f"expected a 2K x 2**n = {expected[0]} x {expected[1]} matrix, got shape {values.shape}")
+    if isinstance(obs, ObservedEntries):
+        return obs
+    return ObservedEntries(values=values, mask=np.ones(values.shape, dtype=bool))
 
 
 def invert_with_key(
@@ -219,7 +219,7 @@ def invert_with_key(
     per-column :func:`~lcuout.recovery.factorized_complete`.  Returns the
     recovered X, the combined state sum_t w_t U_t psi, and any columns with
     too few observations to be pinned down.  Raises ``ValueError`` unless
-    the matrix (and mask) is 2K x 2**n.
+    the matrix is 2K x 2**n.
     """
     entries = _entries(pub, obs)
     result = factorized_complete(entries, coefficient_matrix(key_spec(key, pub)))

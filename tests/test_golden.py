@@ -1,7 +1,8 @@
 """Golden aggregates of two reduced figure sweeps.
 
-The literals are the ``sweep`` rows of the thin-SVD SVP and the batched
-factorized solve, printed with 17 significant digits.  They gate numerical
+The literals are the ``sweep`` rows of the thin-SVD SVP and the
+per-pattern pseudo-inverse factorized solve, printed with 17 significant
+digits.  They gate numerical
 refactors of the completion path: the factorized solve is direct and must
 stay at rounding level, while SVP takes data-dependent backtracking branches,
 so its rows get a wider (measured) band and its iteration counts may drift
@@ -33,9 +34,9 @@ GOLDEN_FIG3 = [
     ("svp", 0.6, 0.22397194639754486, 0.036589150173055932, 0.17846206909867346, 0.023953993979675493, 500),
     ("svp", 0.9, 0.0098922705470705953, 0.017133914628427921, 0.0045507414146469596, 0.0078821152681502419, 354.25),
     ("svp", 0.95, 1.8190643930658444e-15, 3.1796364327292308e-16, 1.1769989426144059e-15, 2.9244591449407426e-16, 130.25),
-    ("factorized", 0.3, 0.64255387333171721, 0.017199349405709323, 0.60673215631804644, 0.021648539321208912, 1),
-    ("factorized", 0.6, 0.21167793520276107, 0.045962773531944043, 0.16993261721947384, 0.023023435894583503, 1),
-    ("factorized", 0.9, 9.7173691353191571e-16, 1.2528366710292701e-15, 4.0584929232728468e-16, 2.6212927306133707e-16, 1),
+    ("factorized", 0.3, 0.64255385206629678, 0.017199392844793829, 0.60673212338974192, 0.021648573215852673, 1),
+    ("factorized", 0.6, 0.21167795164378439, 0.045962767827384884, 0.16993255622349457, 0.023023455704066484, 1),
+    ("factorized", 0.9, 4.9031743487165481e-16, 1.537541872872112e-16, 4.3163266170777001e-16, 1.3701809412318769e-16, 1),
     ("factorized", 0.95, 2.0249352467861488e-16, 1.0040444747456135e-17, 2.1090323607629245e-16, 2.9814063220254116e-17, 1),
 ]
 

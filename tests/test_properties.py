@@ -167,18 +167,24 @@ def test_make_mask_top_up_picks_every_subset_equally_often():
 
 
 def per_column_factorized(mask, values, c):
-    """Inline reference of the factorized solve: one rank check and one set of normal equations per column."""
+    """Inline reference of the factorized solve: one rank check and one pseudo-inverse per column.
+
+    Each column's C_O is a stack of one pattern, put through the solver's formula: a thin SVD cut at
+    ``matrix_rank``'s default tolerance, ``V diag(1/s) U^dag`` with zero columns on unobserved rows, applied
+    to the column's values.  Rank deficiency is judged by ``np.linalg.matrix_rank`` itself."""
     k = c.shape[1]
     x = np.empty((k, mask.shape[1]), dtype=complex)
     under = []
     for j in range(mask.shape[1]):
         m = mask[:, j]
-        deficient = np.linalg.matrix_rank(m[:, None] * c) < k
-        gram = np.einsum("j,ja,jb->ab", m, c.conj(), c)
-        lam = (1e-10 if deficient else 0.0) * np.trace(gram).real / k
-        rhs = np.einsum("j,ja,j->a", m, c.conj(), values[:, j])
-        x[:, j] = np.linalg.solve(gram + (lam + 1e-300) * np.eye(k), rhs)
-        if deficient:
+        co = (m[:, None] * c)[None]
+        u, s, vh = np.linalg.svd(co, full_matrices=False)
+        kept = s > s[:, :1] * max(co.shape[1:]) * np.finfo(s.dtype).eps
+        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+        pinv = (vh.conj().transpose(0, 2, 1) * inv_s[:, None, :]) @ u.conj().transpose(0, 2, 1)
+        pinv *= m
+        x[:, j] = np.einsum("jab,bj->aj", pinv, values[:, j : j + 1])[:, 0]
+        if np.linalg.matrix_rank(co[0]) < k:
             under.append(j)
     return x, tuple(under)
 

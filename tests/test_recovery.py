@@ -9,6 +9,7 @@ from lcuout.circuit import CircuitSpec
 from lcuout.linalg import GRAM_GAP_RTOL, haar_random_unitary, numerical_rank, random_state, rng, svd
 from lcuout.outputs import coefficient_matrix, output_matrix
 from lcuout.recovery import (
+    ObservedEntries,
     als_complete,
     complete,
     factorized_complete,
@@ -308,6 +309,59 @@ def test_factorized_rejects_a_coefficient_matrix_that_does_not_fit_the_mask(shap
         factorized_complete(entries, np.ones(shape, dtype=complex))
 
 
+def test_factorized_is_the_minimum_norm_least_squares_solution():
+    # every column, underdetermined or not, gets lstsq's answer on its observed rows of C
+    under_total = 0
+    for seed in range(20):
+        _, c, x = sweep_instance(4, 8, 900 + seed)
+        phi = c @ x
+        mask = make_mask(8, 256, 950 + seed, "uniform", density=0.4)
+        entries = observe(phi, mask, 0.0)
+        res = factorized_complete(entries, c)
+        under_total += len(res.underdetermined)
+        for j in range(256):
+            m = mask[:, j]
+            ref = np.linalg.lstsq(m[:, None] * c, entries.values[:, j], rcond=None)[0]
+            assert np.linalg.norm(res.x[:, j] - ref) <= 1e-10 * np.linalg.norm(ref), (seed, j)
+    assert under_total > 0
+
+
+@pytest.mark.parametrize("smallest, rank", [(1e-13, 4), (1e-17, 3)])
+def test_factorized_rank_cutoff_is_matrix_ranks_default(smallest, rank):
+    # C's smallest singular value lies just above or far below matrix_rank's cutoff s_max * 2K * eps = 1.8e-15
+    gen = rng(980)
+    u, _ = np.linalg.qr(gen.standard_normal((8, 4)) + 1j * gen.standard_normal((8, 4)))
+    v, _ = np.linalg.qr(gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)))
+    c = (u * [1.0, 0.5, 0.25, smallest]) @ v.conj().T
+    assert np.linalg.matrix_rank(c) == rank
+    entries = ObservedEntries(values=c @ np.ones((4, 2)), mask=np.ones((8, 2), dtype=bool))
+    if rank == 4:
+        assert factorized_complete(entries, c).underdetermined == ()
+    else:
+        with pytest.raises(ValueError, match="every column is underdetermined"):
+            factorized_complete(entries, c)
+
+
+def test_factorized_ignores_values_at_unobserved_positions():
+    _, c, x = sweep_instance(4, 6, 970)
+    mask = make_mask(8, 64, 971, "uniform", density=0.5)
+    entries = observe(c @ x, mask, 0.0)
+    filled = ObservedEntries(values=np.where(mask, entries.values, 1e3 + 1e3j), mask=mask)
+    np.testing.assert_array_equal(factorized_complete(filled, c).x, factorized_complete(entries, c).x)
+
+
+def test_factorized_underdetermined_columns_are_stable_under_rounding():
+    _, c, x = sweep_instance(4, 8, 960)
+    mask = make_mask(8, 256, 961, "uniform", density=0.4)
+    entries = observe(c @ x, mask, 0.0)
+    res = factorized_complete(entries, c)
+    nudged = factorized_complete(ObservedEntries(values=entries.values * (1 + 2**-52), mask=mask), c)
+    assert res.underdetermined
+    assert nudged.underdetermined == res.underdetermined
+    for j in res.underdetermined:
+        assert np.linalg.norm(nudged.x[:, j] - res.x[:, j]) <= 1e-12 * np.linalg.norm(res.x[:, j]), j
+
+
 def test_factorized_noise_grows_linearly():
     phi, c = instance(35)
     mask = make_mask(8, 256, 36, "column_guaranteed", density=0.7, min_per_column=6)
@@ -343,6 +397,47 @@ def test_recovery_errors_oracle():
     err_phi, err_target = recovery_errors(hat, true)
     assert abs(err_phi - 1.0 / np.sqrt(26)) < 1e-12
     assert err_target == 0.0  # row 0 untouched
+
+
+@pytest.mark.parametrize("hat, true", [
+    (np.ones((2, 2)), np.zeros((2, 2))),
+    (np.ones((2, 2)), np.array([[0.0, 0.0], [1.0, 2.0]])),
+], ids=["zero-matrix", "zero-target-row"])
+def test_recovery_errors_rejects_a_zero_reference(hat, true):
+    with pytest.raises(ValueError, match="is zero"):
+        recovery_errors(hat, true)
+
+
+def test_recovery_errors_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match=re.escape("shape (2, 3) does not match the true (2, 2)")):
+        recovery_errors(np.ones((2, 3)), np.ones((2, 2)))
+
+
+# ---- observed entries ------------------------------------------------------------
+
+def test_observed_entries_reject_a_mask_of_another_shape():
+    with pytest.raises(ValueError, match=re.escape("(8, 10)") + ".*" + re.escape("(8, 12)")):
+        ObservedEntries(values=np.ones((8, 10), dtype=complex), mask=np.ones((8, 12), dtype=bool))
+
+
+def test_observed_entries_reject_values_that_are_not_a_matrix():
+    with pytest.raises(ValueError, match="2-D"):
+        ObservedEntries(values=np.ones(8, dtype=complex), mask=np.ones(8, dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_observed_entries_reject_non_finite_values(bad):
+    values = np.ones((8, 4), dtype=complex)
+    values[3, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ObservedEntries(values=values, mask=np.ones((8, 4), dtype=bool))
+
+
+def test_observed_entries_store_the_mask_as_booleans():
+    entries = ObservedEntries(values=np.ones((2, 2)), mask=np.array([[1, 0], [0, 2]]))
+    assert entries.mask.dtype == bool
+    np.testing.assert_array_equal(entries.mask, [[True, False], [False, True]])
+    assert entries.count == 2
 
 
 # ---- sweep ----------------------------------------------------------------------
@@ -441,3 +536,22 @@ def test_sweep_draws_states_not_unitaries(monkeypatch):
         _, c_inst, x = sweep_instance(4, 5, 11 + 7919 * (i // 2 + 1))
         np.testing.assert_array_equal(values, c_inst @ x)
         np.testing.assert_array_equal(c, c_inst)
+
+
+def test_sweep_draws_each_mask_once(monkeypatch):
+    # two sigmas and two methods share one mask per (instance, mask seed)
+    drawn = []
+    draw = lcuout.recovery.make_mask
+
+    def counted(*args, **kwargs):
+        drawn.append(args[2])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(lcuout.recovery, "make_mask", counted)
+    config = {"k": 2, "n": 4, "instances": 3, "masks_per_instance": 2, "seed": 12,
+              "methods": ["svp", "factorized"], "sigmas": [1e-3, 1e-2], "fraction": 0.7,
+              "mask_mode": "column_guaranteed", "min_per_column": 2}
+    rows = sweep(config)
+    assert len(rows) == 4
+    assert len(drawn) == 3 * 2
+    assert len(set(drawn)) == 3 * 2

@@ -203,9 +203,12 @@ def test_inversion_and_attack_reject_a_matrix_that_is_not_2k_by_2_to_the_n():
             invert_with_key(key, pub, bad)
         with pytest.raises(ValueError, match="2K x 2"):
             hadamard_attack(pub, bad)
-    for values, mask in ((phi[:, :1], full[:, :1]), (phi, full[:, :1]), (phi[:, :1], full)):
-        with pytest.raises(ValueError, match="2K x 2"):
-            invert_with_key(key, pub, ObservedEntries(values=values, mask=mask))
+    with pytest.raises(ValueError, match="2K x 2"):
+        invert_with_key(key, pub, ObservedEntries(values=phi[:, :1], mask=full[:, :1]))
+    # entries whose mask does not match their values are refused before they reach the inversion
+    for values, mask in ((phi, full[:, :1]), (phi[:, :1], full)):
+        with pytest.raises(ValueError, match="need a 2-D mask of the same shape"):
+            ObservedEntries(values=values, mask=mask)
 
 
 def test_hadamard_attack_rejects_other_schemes():
