@@ -37,6 +37,7 @@ __all__ = [
     "mixing_layers",
     "output_states",
     "real_value",
+    "reject_unread_keys",
     "rotation_gate",
     "row_matrix",
     "sample_shots",
@@ -48,6 +49,7 @@ __all__ = [
 _MIXINGS = ("hadamard", "dft", "secret")
 _VARIANTS = ("reflection", "cyclic")
 _ATOL = 1e-10
+_SPEC_KEYS = ("K", "n", "weights", "unitaries", "mixing", "mixing_matrix", "variant")
 
 
 class CheckFailed(RuntimeError):
@@ -158,22 +160,17 @@ class CircuitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CircuitSpec":
-        """Load a spec from the interchange JSON schema."""
+        """Load a spec from the interchange JSON schema, whose keys are ``_SPEC_KEYS``; another is a ``ValueError``."""
         doc = json.loads(text)
         k, n, unitaries = unitaries_from_json(doc)
-        mixing = doc.get("mixing", "hadamard")
-        mixing_matrix = None
-        if mixing == "secret":
-            if "mixing_matrix" not in doc:
-                raise ValueError("secret mixing requires a mixing_matrix entry")
-            mixing_matrix = matrix_from_pairs(doc["mixing_matrix"])
+        reject_unread_keys(doc, _SPEC_KEYS, "a circuit spec")
         return cls(
             k=k,
             n=n,
             weights=np.array(doc["weights"], dtype=float),
             unitaries=unitaries,
-            mixing=mixing,
-            mixing_matrix=mixing_matrix,
+            mixing=doc.get("mixing", "hadamard"),
+            mixing_matrix=matrix_from_pairs(doc["mixing_matrix"]) if "mixing_matrix" in doc else None,
             variant=doc.get("variant", "reflection"),
         )
 
@@ -233,6 +230,13 @@ def real_value(name: str, value) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def reject_unread_keys(config: dict, read, reader: str) -> None:
+    """``ValueError`` naming every key of ``config`` outside ``read``, the keys that ``reader`` reads."""
+    unread = sorted(set(config) - set(read))
+    if unread:
+        raise ValueError("; ".join(f"config key {key!r} is not read by {reader}" for key in unread))
 
 
 def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:

@@ -1,10 +1,12 @@
 """Deterministic command-line front end.
 
-Every command takes ``--config PATH`` (JSON), ``--seed INT``, and
-``--out PREFIX``; outputs are CSV/JSON files whose bodies depend only on the
-config and seeds.  CSV files carry '#'-prefixed header lines recording the
-tool version, the config hash, and the seeds; wall-clock timings go into
-trailing '#' comments so re-runs stay byte-identical outside comments.
+Every command takes ``--config PATH`` (JSON), ``--seed INT`` (except
+``fig2``, whose seeds are config keys), and ``--out PREFIX``; a config key
+that the command does not read is an error.  Outputs are CSV/JSON files
+whose bodies depend only on the config and seeds.  CSV files carry
+'#'-prefixed header lines recording the tool version, the config hash, and
+the seeds; wall-clock timings go into trailing '#' comments so re-runs stay
+byte-identical outside comments.
 
 Exit codes: 0 success, 1 for a failed verification or internal self-check,
 2 usage/config error, 3 numerical failure (a linear-algebra routine did not
@@ -17,19 +19,18 @@ import argparse
 import hashlib
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .circuit import (
-    CheckFailed, CircuitSpec, coefficient_matrix, integer_value, output_states, real_value, row_matrix,
+    CheckFailed, CircuitSpec, integer_value, output_states, real_value, reject_unread_keys, row_matrix,
     success_probabilities, unitaries_from_json,
 )
 from .linalg import random_state
 from .outputs import extract_target, matrix_from_csv, matrix_to_csv, output_matrix
-from .recovery import complete, make_mask, observe, random_instance, recovery_errors, reject_solver_overrides, sweep
+from .recovery import make_mask, observe, sweep
 from .structure import verify
 from .trapdoor import (
     PublicParams,
@@ -71,21 +72,19 @@ def _target(path) -> Path:
     return out
 
 
+def _header(command, config) -> str:
+    return f"# lcuout {__version__}\n# command: {command}\n# config-hash: {_config_hash(config)}\n"
+
+
 def _write_csv(path, command, config, columns, rows, comments=()):
-    lines = [
-        f"# lcuout {__version__}",
-        f"# command: {command}",
-        f"# config-hash: {_config_hash(config)}",
-        ",".join(columns),
-    ]
+    lines = [",".join(columns)]
     lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
     lines += [f"# {c}" for c in comments]
-    _target(path).write_text("\n".join(lines) + "\n")
+    _target(path).write_text(_header(command, config) + "\n".join(lines) + "\n")
 
 
 def _write_matrix_csv(path, command, config, matrix):
-    header = f"# lcuout {__version__}\n# command: {command}\n# config-hash: {_config_hash(config)}\n"
-    _target(path).write_text(header + matrix_to_csv(matrix))
+    _target(path).write_text(_header(command, config) + matrix_to_csv(matrix))
 
 
 def _write_json(path, doc):
@@ -153,12 +152,13 @@ DEFAULT_FIG2 = {
 }
 
 
-def cmd_fig2(config: dict, seed: int, out: str) -> int:
+def cmd_fig2(config: dict, out: str) -> int:
     """Success probability of the all-outcomes circuit vs the standard route.
 
     Coefficients are (1, .., 1, a, .., a) with the first half pinned at 1;
     the a-grid sweeps the second half.
     """
+    reject_unread_keys(config, DEFAULT_FIG2, "fig2")
     k, n = integer_value("k", config["k"]), integer_value("n", config["n"])
     half = k // 2
     spec0 = _spec_from_config(
@@ -193,27 +193,20 @@ DEFAULT_FIG3 = {
 
 
 def _sweep_to_csv(path, command, config, rows):
-    body = [
-        (r["method"], r["param"], r["mean_err_phi"], r["std_err_phi"],
-         r["mean_err_target"], r["std_err_target"], r["mean_iters"])
-        for r in rows
-    ]
+    body = [tuple(r[column] for column in SWEEP_COLUMNS) for r in rows]
     comments = [f"seconds: method={r['method']} param={_fmt_cell(r['param'])} {r['seconds']:.3f}" for r in rows]
     _write_csv(path, command, config, SWEEP_COLUMNS, body, comments)
 
 
-def cmd_fig3(config: dict, seed: int | None, out: str) -> int:
+def cmd_fig3(config: dict, out: str) -> int:
     """Recovery error vs observation fraction, one CSV per system size."""
-    config = dict(config)
-    if seed is not None:
-        config["seed"] = seed
+    if "n" in config:
+        raise ValueError("config key 'n' is not read by fig3, which sweeps sizes")
     for size in config["sizes"]:
         n = integer_value("a size", size).bit_length() - 1
         if 2**n != size:
             raise ValueError(f"sizes must be powers of two, got {size}")
-        sub = {key: v for key, v in config.items() if key != "sizes"}
-        sub["n"] = n
-        rows = sweep(sub)
+        rows = sweep({**{key: v for key, v in config.items() if key != "sizes"}, "n": n})
         _sweep_to_csv(f"{out}_fig3_N{size}.csv", "fig3", config, rows)
     return 0
 
@@ -232,13 +225,9 @@ DEFAULT_FIG4 = {
 }
 
 
-def cmd_fig4(config: dict, seed: int | None, out: str) -> int:
+def cmd_fig4(config: dict, out: str) -> int:
     """Recovery error vs noise level at a fixed observation fraction."""
-    config = dict(config)
-    if seed is not None:
-        config["seed"] = seed
-    rows = sweep(config)
-    _sweep_to_csv(f"{out}_fig4.csv", "fig4", config, rows)
+    _sweep_to_csv(f"{out}_fig4.csv", "fig4", config, sweep(config))
     return 0
 
 
@@ -264,6 +253,8 @@ DEFAULT_INVOLUTION = {
 
 
 def cmd_trapdoor(action: str, config: dict, seed: int, out: str, args) -> int:
+    # every action takes the one public document, so each accepts DEFAULT_TRAPDOOR's keys
+    reject_unread_keys(config, DEFAULT_TRAPDOOR, f"trapdoor {action}")
     if action == "keygen":
         key = keygen(integer_value("K", config["K"]), config.get("scheme", "hadamard"), seed)
         _target(f"{out}_key.json").write_text(key_to_json(key) + "\n")
@@ -354,41 +345,22 @@ DEFAULT_COMPLETE = {
 }
 
 
-def cmd_complete(method: str, config: dict, seed: int | None, out: str) -> int:
-    """One seeded completion run; reports errors and iteration count."""
-    reject_solver_overrides(config)
-    config = dict(config)
-    if seed is not None:
-        config["seed"] = seed
-    base = integer_value("seed", config["seed"])
-    k, n = integer_value("k", config["k"]), integer_value("n", config["n"])
-    fraction = real_value("fraction", config["fraction"]) if "fraction" in config else None
-    min_per_column = integer_value("min_per_column", config["min_per_column"]) if "min_per_column" in config else None
-    sigma = real_value("sigma", config.get("sigma", 0.0))
-    spec, psi = random_instance(k, n, base)
-    phi = output_matrix(spec, psi)
-    mask = make_mask(
-        2 * k, 2**n, base + 1, mode=config.get("mask_mode", "uniform"),
-        density=fraction, min_per_column=min_per_column,
-    )
-    entries = observe(phi, mask, sigma, seed=base + 2)
-    t0 = time.perf_counter()
-    z, iters, under = complete(method, entries, coefficient_matrix(spec), base + 3)
-    err_phi, err_target = recovery_errors(z, phi)
-    row = {
-        "method": method,
-        "param": 0.0 if fraction is None else fraction,
-        "mean_err_phi": err_phi,
-        "std_err_phi": 0.0,
-        "mean_err_target": err_target,
-        "std_err_target": 0.0,
-        "mean_iters": float(iters),
-        "seconds": time.perf_counter() - t0,
-    }
+def cmd_complete(method: str, config: dict, out: str) -> int:
+    """One seeded completion run: a :func:`~lcuout.recovery.sweep` of one instance, one mask and one method.
+
+    The sweep reads the config with ``fraction`` swept as ``fractions: [fraction]``
+    (0.0 when absent: a column-guaranteed mask is then only its top-up).
+    """
+    reject_unread_keys(config, DEFAULT_COMPLETE, f"complete {method}")
+    (row,) = sweep({
+        **{key: v for key, v in config.items() if key != "fraction"}, "fractions": [config.get("fraction", 0.0)],
+        "instances": 1, "masks_per_instance": 1, "methods": [method],
+    })
     _sweep_to_csv(f"{out}_complete_{method}.csv", f"complete {method}", config, [row])
     if method == "factorized":
-        print(f"underdetermined-columns: {len(under)}")
-    print(f"{method}: err_phi={err_phi:.3e} err_target={err_target:.3e} iters={iters}")
+        print(f"underdetermined-columns: {row['underdetermined_columns']}")
+    print(f"{method}: err_phi={row['mean_err_phi']:.3e} err_target={row['mean_err_target']:.3e} "
+          f"iters={int(row['mean_iters'])}")
     return 0
 
 
@@ -431,15 +403,24 @@ def main(argv=None) -> int:
         common(comp_sub.add_parser(method))
 
     args = parser.parse_args(argv)
+    if args.command == "fig2" and args.seed is not None:
+        parser.error("fig2 takes no --seed: its seeds are the config's unitary_seed and psi_seed")
     try:
         if args.command == "verify":
             return cmd_verify(_load_config(args.config, DEFAULT_VERIFY), args.seed or 0, args.out)
         if args.command == "fig2":
-            return cmd_fig2(_load_config(args.config, DEFAULT_FIG2), args.seed, args.out)
-        if args.command == "fig3":
-            return cmd_fig3(_load_config(args.config, DEFAULT_FIG3), args.seed, args.out)
-        if args.command == "fig4":
-            return cmd_fig4(_load_config(args.config, DEFAULT_FIG4), args.seed, args.out)
+            return cmd_fig2(_load_config(args.config, DEFAULT_FIG2), args.out)
+        # fig3, fig4 and complete run sweeps, and a --seed replaces their config's seed
+        sweep_defaults = {"fig3": DEFAULT_FIG3, "fig4": DEFAULT_FIG4, "complete": DEFAULT_COMPLETE}
+        if args.command in sweep_defaults:
+            config = _load_config(args.config, sweep_defaults[args.command])
+            if args.seed is not None:
+                config["seed"] = args.seed
+            if args.command == "fig3":
+                return cmd_fig3(config, args.out)
+            if args.command == "fig4":
+                return cmd_fig4(config, args.out)
+            return cmd_complete(args.method, config, args.out)
         if args.command == "trapdoor":
             default = DEFAULT_INVOLUTION if args.action == "demo-involution" else DEFAULT_TRAPDOOR
             config = _load_config(args.config, default)
@@ -448,8 +429,6 @@ def main(argv=None) -> int:
             if args.action == "attack" and args.phi is None:
                 parser.error("trapdoor attack requires --phi")
             return cmd_trapdoor(args.action, config, args.seed or 0, args.out, args)
-        if args.command == "complete":
-            return cmd_complete(args.method, _load_config(args.config, DEFAULT_COMPLETE), args.seed, args.out)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

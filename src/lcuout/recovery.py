@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, coefficients, integer_value, real_value
+from .circuit import CircuitSpec, coefficients, integer_value, real_value, reject_unread_keys
 from .linalg import haar_random_unitary, random_state, rng, truncate_rank
 
 __all__ = [
@@ -340,9 +340,10 @@ def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]
     """Seeded Hadamard-mixed spec (weights on [0.1, 1], Haar unitaries) and input state.
 
     Draws the K weights, then K Haar unitaries by QR, then psi, from one
-    generator, and checks the spec.  This is for callers that need the
-    unitaries themselves, such as ``lcuout complete``; a sweep needs only
-    the rows ``U_t psi`` and draws them directly with :func:`sweep_instance`.
+    generator, and checks the spec.  No package code calls it: it is the
+    instance, unitaries included, that the recovery tests and acceptance
+    criterion 05 draw.  A sweep, and so ``lcuout complete``, needs only the
+    rows ``U_t psi`` and draws them directly with :func:`sweep_instance`.
     """
     gen = rng(seed)
     weights = gen.uniform(0.1, 1.0, k)
@@ -393,11 +394,8 @@ def complete(method: str, entries: ObservedEntries, c: np.ndarray, seed: int):
     raise ValueError(f"unknown method {method!r}")
 
 
-def reject_solver_overrides(config: dict) -> None:
-    """Raise ``ValueError`` if ``config`` carries the retired ``svp``/``als`` solver-setting keys."""
-    for key in ("svp", "als"):
-        if key in config:
-            raise ValueError(f"config key {key!r} is not supported: the solver settings are fixed")
+# the keys every sweep reads; a fractions sweep also reads ``sigma``, a sigmas sweep ``fraction``
+_SWEEP_KEYS = ("k", "n", "instances", "masks_per_instance", "methods", "seed", "mask_mode", "min_per_column")
 
 
 def sweep(config: dict) -> list[dict]:
@@ -406,13 +404,14 @@ def sweep(config: dict) -> list[dict]:
     Config keys: ``k``, ``n``, ``instances``, ``masks_per_instance``,
     ``methods``, ``seed``, plus either ``fractions`` (with fixed ``sigma``)
     or ``sigmas`` (with fixed ``fraction``) as the swept parameter; optional
-    ``mask_mode``/``min_per_column``.  The solvers run at their fixed
-    settings, so a config that still carries the ``svp`` or ``als`` override
-    keys is rejected, and so is a grid with nothing to average: no instance,
-    no mask per instance, no method or no swept value.  Instance ``i`` is
-    :func:`sweep_instance` at seed ``seed + 7919 (i + 1)``: K weights and K
-    random states, which is :func:`random_instance` in distribution, with no
-    unitary built.  Every method completes the same masks and noise.
+    ``mask_mode``/``min_per_column``.  Any other key is a ``ValueError``
+    that names it (the solvers run at fixed settings, so the retired
+    ``svp``/``als`` keys are among them), and so is a grid with nothing to
+    average: no instance, no mask per instance, no method or no swept value.
+    Instance ``i`` is :func:`sweep_instance` at seed ``seed + 7919 (i + 1)``:
+    K weights and K random states, which is :func:`random_instance` in
+    distribution, with no unitary built.  Every method completes the same
+    masks and noise.
 
     The runs go instance by instance and mask by mask.  Mask ``r`` of
     instance ``i`` has seed ``s = seed + 104729 (i + 1) + 13 (r + 1)`` and
@@ -424,9 +423,14 @@ def sweep(config: dict) -> list[dict]:
     Returns one aggregate dict per (method, parameter value), methods outer;
     its ``seconds`` is the time spent in that row's completions and their
     error evaluation, not in the shared instance build, mask draws or
-    observations.
+    observations, and its ``underdetermined_columns`` is the number of
+    underdetermined columns summed over its runs (0 for SVP and ALS).  A
+    one-cell sweep is ``lcuout complete``'s single run.
     """
-    reject_solver_overrides(config)
+    if ("fractions" in config) == ("sigmas" in config):
+        raise ValueError("config must sweep exactly one of 'fractions' or 'sigmas'")
+    swept = ("fractions", "sigma") if "fractions" in config else ("sigmas", "fraction")
+    reject_unread_keys(config, _SWEEP_KEYS + swept, "sweep")
     k = integer_value("k", config.get("k", 4))
     n = integer_value("n", config["n"])
     instances = integer_value("instances", config.get("instances", 10))
@@ -438,8 +442,6 @@ def sweep(config: dict) -> list[dict]:
     seed = integer_value("seed", config.get("seed", 0))
     mode = config.get("mask_mode", "uniform")
     min_per_column = integer_value("min_per_column", config["min_per_column"]) if "min_per_column" in config else None
-    if ("fractions" in config) == ("sigmas" in config):
-        raise ValueError("config must sweep exactly one of 'fractions' or 'sigmas'")
     if "fractions" in config:
         params = [real_value("a fraction", p) for p in config["fractions"]]
         fixed_sigma = real_value("sigma", config.get("sigma", 0.0))
@@ -453,7 +455,7 @@ def sweep(config: dict) -> list[dict]:
             "a sweep needs at least one instance, mask per instance, method and swept value; got "
             f"instances={instances}, masks_per_instance={masks_per}, {len(methods)} methods, {len(grid)} values"
         )
-    # every run's (err_phi, err_target, iterations, seconds), one list per output row: [method][swept value]
+    # every run's (err_phi, err_target, iterations, seconds, underdetermined columns), per [method][swept value]
     runs = [[[] for _ in grid] for _ in methods]
     for inst in range(instances):
         _, c, x = sweep_instance(k, n, seed + 7919 * (inst + 1))
@@ -470,13 +472,13 @@ def sweep(config: dict) -> list[dict]:
                 entries = observe(phi, masks[fraction], sigma, seed=mask_seed + 1)
                 for m, method in enumerate(methods):
                     t0 = time.perf_counter()
-                    z, iters, _ = complete(method, entries, c, mask_seed + 2)
+                    z, iters, under = complete(method, entries, c, mask_seed + 2)
                     ep, et = recovery_errors(z, phi)
-                    runs[m][g].append((ep, et, iters, time.perf_counter() - t0))
+                    runs[m][g].append((ep, et, iters, time.perf_counter() - t0, len(under)))
     rows = []
     for m, method in enumerate(methods):
         for g, (param, _, _) in enumerate(grid):
-            errs_phi, errs_target, iter_counts, seconds = zip(*runs[m][g])
+            errs_phi, errs_target, iter_counts, seconds, under = zip(*runs[m][g])
             rows.append(
                 {
                     "method": method,
@@ -487,6 +489,7 @@ def sweep(config: dict) -> list[dict]:
                     "std_err_target": float(np.std(errs_target)),
                     "mean_iters": float(np.mean(iter_counts)),
                     "seconds": sum(seconds),
+                    "underdetermined_columns": sum(under),
                 }
             )
     return rows

@@ -165,6 +165,17 @@ def test_spec_json_round_trip_explicit_and_secret():
     assert spec.variant == "reflection"
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"mixing": "secret"}, "secret mixing requires an explicit mixing matrix"),
+    ({"mixing_matrix": matrix_to_pairs(np.eye(2))}, "mixing matrix only applies to secret mixing"),
+    ({"colour": "red", "seed": 1}, "config key 'colour' is not read by a circuit spec; config key 'seed'"),
+], ids=["secret-without-matrix", "matrix-without-secret", "unread-keys"])
+def test_spec_json_rejects_an_unread_key_and_a_misplaced_mixing_matrix(change, message):
+    doc = {"K": 2, "n": 1, "weights": [0.9, 0.4], "unitaries": {"kind": "pauli_strings", "data": ["X", "Z"]}}
+    with pytest.raises(ValueError, match=message):
+        CircuitSpec.from_json(json.dumps({**doc, **change}))
+
+
 def test_pauli_string_matrix():
     np.testing.assert_array_equal(pauli_string_matrix("Y"), [[0, -1j], [1j, 0]])
     xz = pauli_string_matrix("XZ")

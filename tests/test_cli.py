@@ -177,6 +177,68 @@ def test_config_with_removed_solver_keys_is_rejected(tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("method", ["svp", "als", "factorized"])
+def test_complete_writes_the_row_of_a_one_cell_sweep(tmp_path, capsys, method):
+    config = {"k": 4, "n": 5, "fraction": 0.7, "sigma": 1e-3, "mask_mode": "column_guaranteed",
+              "min_per_column": 4, "seed": 31}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["complete", method, "--config", str(cfg), "--seed", "9", "--out", str(tmp_path / "c")]) == 0
+    (row,) = lcuout.recovery.sweep({
+        "k": 4, "n": 5, "fractions": [0.7], "sigma": 1e-3, "mask_mode": "column_guaranteed",
+        "min_per_column": 4, "seed": 9, "instances": 1, "masks_per_instance": 1, "methods": [method],
+    })
+    expected = [method, *(format(row[column], ".17g") for column in lcuout.cli.SWEEP_COLUMNS[1:])]
+    header, line = read_body(tmp_path / f"c_complete_{method}.csv").splitlines()
+    assert (header.split(","), line.split(",")) == (list(lcuout.cli.SWEEP_COLUMNS), expected)
+    printed = capsys.readouterr().out
+    assert f"iters={int(row['mean_iters'])}\n" in printed
+    assert ("underdetermined-columns: 0\n" in printed) == (method == "factorized")
+
+
+UNREAD_KEYS = [
+    (["fig3"], {**SMALL_SWEEP, "n": 6}, ["n"]),
+    (["fig4"], {**SMALL_FIG4, "instance": 1, "sizes": [64]}, ["instance", "sizes"]),
+    (["complete", "als"], {**lcuout.cli.DEFAULT_COMPLETE, "min_per_colum": 4}, ["min_per_colum"]),
+    (["fig2"], {**lcuout.cli.DEFAULT_FIG2, "seed": 5}, ["seed"]),
+    (["trapdoor", "keygen"], {**lcuout.cli.DEFAULT_TRAPDOOR, "psi_sed": 99}, ["psi_sed"]),
+    (["trapdoor", "eval"], {**lcuout.cli.DEFAULT_TRAPDOOR, "mixing": "dft"}, ["mixing"]),
+    (["verify"], {**lcuout.cli.DEFAULT_VERIFY, "colour": "red"}, ["colour"]),
+]
+
+
+@pytest.mark.parametrize("command, doc, keys", UNREAD_KEYS, ids=[f"{'-'.join(c)}:{k[0]}" for c, _, k in UNREAD_KEYS])
+def test_config_key_the_command_does_not_read_is_rejected(tmp_path, capsys, command, doc, keys):
+    # a misspelt or foreign key fails, naming every such key, instead of running on the defaults;
+    # verify records it as a failed spec-validation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    key = tmp_path / "k_key.json"
+    key.write_text(key_to_json(keygen(4, "hadamard", 0)))
+    extra = ["--key", str(key)] if command == ["trapdoor", "eval"] else []
+    code = main([*command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")])
+    if command == ["verify"]:
+        assert code == 1
+        (check,) = json.loads((tmp_path / "o_verify.json").read_text())["checks"]
+        assert check["name"] == "spec-validation" and not check["pass"]
+        message = check["error"]
+    else:
+        assert code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error: ")
+    assert all(f"config key '{name}'" in message for name in keys)
+    assert list(tmp_path.glob("o*")) == ([tmp_path / "o_verify.json"] if command == ["verify"] else [])
+
+
+def test_fig2_takes_no_seed(tmp_path, capsys):
+    # fig2's seeds are its config's unitary_seed and psi_seed, so a --seed would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["fig2", "--seed", "5", "--out", str(tmp_path / "f")])
+    assert exc.value.code == 2
+    assert "unitary_seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["trapdoor", "invert", "--density", "0.7"], ["trapdoor", "demo-involution"],
                                   ["fig2"], ["verify"]])
 def test_each_command_checks_its_unitaries_once(tmp_path, monkeypatch, argv):

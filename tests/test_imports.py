@@ -144,6 +144,7 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
 UNREFERENCED = {
     "circuit.circuit_unitary": "the dense (2KN)^2 oracle the tests check apply_circuit and output_states against",
     "circuit.matrix_to_pairs": "the writer of the [re, im] pair codec whose reader loads explicit unitaries",
+    "recovery.random_instance": "the Haar-unitary instance that acceptance criterion 05 and the recovery tests draw",
 }
 
 
