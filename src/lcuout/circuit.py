@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +31,7 @@ __all__ = [
     "coefficient_matrix",
     "coefficients",
     "integer_value",
+    "list_value",
     "matrix_from_pairs",
     "matrix_to_pairs",
     "mixing_layers",
@@ -167,7 +167,7 @@ class CircuitSpec:
         return cls(
             k=k,
             n=n,
-            weights=np.array(doc["weights"], dtype=float),
+            weights=np.array([real_value("a weight", w) for w in list_value("weights", doc["weights"])]),
             unitaries=unitaries,
             mixing=doc.get("mixing", "hadamard"),
             mixing_matrix=matrix_from_pairs(doc["mixing_matrix"]) if "mixing_matrix" in doc else None,
@@ -183,7 +183,10 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 def matrix_from_pairs(data: list) -> np.ndarray:
     """Inverse of :func:`matrix_to_pairs`; keeps every bit, signed zeros included."""
-    arr = np.array(data, dtype=float)
+    try:
+        arr = np.array(data, dtype=float)
+    except TypeError:  # a JSON object among the entries
+        raise ValueError("matrix entries must be [re, im] pairs") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix entries must be [re, im] pairs")
     return arr.view(complex)[..., 0]
@@ -199,6 +202,8 @@ _PAULI = {
 
 def pauli_string_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. ``"XZI"`` on 3 qubits."""
+    if type(label) is not str:
+        raise ValueError(f"a Pauli label must be a string, got {label!r}")
     m = np.array([[1.0 + 0j]])
     for ch in label:
         if ch not in _PAULI:
@@ -207,11 +212,10 @@ def pauli_string_matrix(label: str) -> np.ndarray:
     return m
 
 
-def permutation_matrix(images: Sequence[int]) -> np.ndarray:
-    """Unitary sending basis vector ``e_j`` to ``e_images[j]``."""
-    images = list(images)
-    size = len(images)
-    if sorted(images) != list(range(size)):
+def permutation_matrix(images: list[int]) -> np.ndarray:
+    """Unitary sending basis vector ``e_j`` to ``e_images[j]``; ``images`` must be a list of integers."""
+    size = len(list_value("a permutation", images))
+    if any(type(i) is not int for i in images) or sorted(images) != list(range(size)):
         raise ValueError("not a permutation of 0..N-1")
     m = np.zeros((size, size), dtype=complex)
     m[images, np.arange(size)] = 1.0
@@ -232,6 +236,13 @@ def real_value(name: str, value) -> float:
     return float(value)
 
 
+def list_value(name: str, value) -> list:
+    """``value`` if it is a list; ``ValueError`` for a number, a string, a null or an object."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def reject_unread_keys(config: dict, read, reader: str) -> None:
     """``ValueError`` naming every key of ``config`` outside ``read``, the keys that ``reader`` reads."""
     unread = sorted(set(config) - set(read))
@@ -244,7 +255,8 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
 
     Raises ``ValueError`` for a document or ``unitaries`` source that is not
     a JSON object, a ``K``, ``n`` or Haar ``seed`` that is not an integer,
-    and an unknown source kind; :class:`CircuitSpec` checks the matrices themselves.
+    source ``data`` that is not a list, and an unknown source kind;
+    :class:`CircuitSpec` checks the matrices themselves.
     """
     if not isinstance(doc, dict):
         raise ValueError("a circuit document must be a JSON object")
@@ -257,11 +269,11 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
         gen = rng(integer_value("the Haar seed", source["seed"]))
         return k, n, tuple(haar_random_unitary(2**n, gen) for _ in range(k))
     if kind == "pauli_strings":
-        return k, n, tuple(pauli_string_matrix(s) for s in source["data"])
+        return k, n, tuple(pauli_string_matrix(s) for s in list_value("the unitaries data", source["data"]))
     if kind == "permutation":
-        return k, n, tuple(permutation_matrix(p) for p in source["data"])
+        return k, n, tuple(permutation_matrix(p) for p in list_value("the unitaries data", source["data"]))
     if kind == "explicit":
-        return k, n, tuple(matrix_from_pairs(m) for m in source["data"])
+        return k, n, tuple(matrix_from_pairs(m) for m in list_value("the unitaries data", source["data"]))
     raise ValueError(f"unknown unitary source kind {kind!r}")
 
 

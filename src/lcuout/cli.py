@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import (
-    CheckFailed, CircuitSpec, integer_value, output_states, real_value, reject_unread_keys, row_matrix,
+    CheckFailed, CircuitSpec, integer_value, list_value, output_states, real_value, reject_unread_keys, row_matrix,
     success_probabilities, unitaries_from_json,
 )
 from .linalg import random_state
@@ -100,16 +100,6 @@ def _load_config(path, default):
     return config
 
 
-def _spec_from_config(config: dict) -> CircuitSpec:
-    return CircuitSpec.from_json(json.dumps(config))
-
-
-def _pub_from_config(config: dict) -> PublicParams:
-    k, n, unitaries = unitaries_from_json(config)
-    scheme, variant = config.get("scheme", "hadamard"), config.get("variant", "reflection")
-    return PublicParams(k=k, n=n, unitaries=unitaries, scheme=scheme, variant=variant)
-
-
 # -- verify -------------------------------------------------------------------
 
 DEFAULT_VERIFY = {
@@ -122,10 +112,11 @@ DEFAULT_VERIFY = {
 }
 
 
-def cmd_verify(config: dict, seed: int, out: str) -> int:
+def cmd_verify(config: dict, args) -> int:
     """Validate one circuit spec, then run :func:`lcuout.structure.verify` on it."""
+    seed = args.seed or 0
     try:
-        spec = _spec_from_config(config)
+        spec = CircuitSpec.from_json(json.dumps(config))
     except (ValueError, KeyError) as exc:
         checks = [{"name": "spec-validation", "error": str(exc), "threshold": None, "skipped": False, "pass": False}]
     else:
@@ -133,7 +124,7 @@ def cmd_verify(config: dict, seed: int, out: str) -> int:
         checks = [valid] + verify(spec, seed)
     passed = all(c["pass"] for c in checks)
     report = {"tool": f"lcuout {__version__}", "config_hash": _config_hash(config), "seed": seed, "checks": checks, "passed": passed}
-    _write_json(f"{out}_verify.json", report)
+    _write_json(f"{args.out}_verify.json", report)
     for c in checks:
         status = "SKIP" if c.get("skipped") else ("PASS" if c["pass"] else "FAIL")
         res = c.get("residual")
@@ -152,7 +143,7 @@ DEFAULT_FIG2 = {
 }
 
 
-def cmd_fig2(config: dict, out: str) -> int:
+def cmd_fig2(config: dict, args) -> int:
     """Success probability of the all-outcomes circuit vs the standard route.
 
     Coefficients are (1, .., 1, a, .., a) with the first half pinned at 1;
@@ -161,11 +152,13 @@ def cmd_fig2(config: dict, out: str) -> int:
     reject_unread_keys(config, DEFAULT_FIG2, "fig2")
     k, n = integer_value("k", config["k"]), integer_value("n", config["n"])
     half = k // 2
-    spec0 = _spec_from_config(
+    spec0 = CircuitSpec.from_json(json.dumps(
         {"K": k, "n": n, "weights": [1.0] * k, "unitaries": {"kind": "haar", "seed": config["unitary_seed"]}}
-    )
+    ))
     psi = random_state(2**n, integer_value("psi_seed", config["psi_seed"]))
-    a_grid = [real_value("an a_grid value", a) for a in config["a_grid"]]
+    a_grid = [real_value("an a_grid value", a) for a in list_value("a_grid", config["a_grid"])]
+    if not a_grid:
+        raise ValueError("fig2 needs at least one a_grid value")
     rows = []
     for a in a_grid:
         alpha = np.array([1.0] * half + [a] * (k - half))
@@ -174,7 +167,7 @@ def cmd_fig2(config: dict, out: str) -> int:
         p00_sim = output_states(spec, psi).probability(0, 0)
         rows.append((a, p00_sim, p00, p0_any, p_std))
     _write_csv(
-        f"{out}_fig2.csv", "fig2", config,
+        f"{args.out}_fig2.csv", "fig2", config,
         ("a", "p00_sim", "p00_analytic", "p0any_sim", "p_std_analytic"), rows,
     )
     return 0
@@ -198,16 +191,19 @@ def _sweep_to_csv(path, command, config, rows):
     _write_csv(path, command, config, SWEEP_COLUMNS, body, comments)
 
 
-def cmd_fig3(config: dict, out: str) -> int:
+def cmd_fig3(config: dict, args) -> int:
     """Recovery error vs observation fraction, one CSV per system size."""
     if "n" in config:
         raise ValueError("config key 'n' is not read by fig3, which sweeps sizes")
-    for size in config["sizes"]:
+    sizes = list_value("sizes", config["sizes"])
+    if not sizes:
+        raise ValueError("fig3 needs at least one size")
+    for size in sizes:
         n = integer_value("a size", size).bit_length() - 1
         if 2**n != size:
             raise ValueError(f"sizes must be powers of two, got {size}")
         rows = sweep({**{key: v for key, v in config.items() if key != "sizes"}, "n": n})
-        _sweep_to_csv(f"{out}_fig3_N{size}.csv", "fig3", config, rows)
+        _sweep_to_csv(f"{args.out}_fig3_N{size}.csv", "fig3", config, rows)
     return 0
 
 
@@ -225,9 +221,9 @@ DEFAULT_FIG4 = {
 }
 
 
-def cmd_fig4(config: dict, out: str) -> int:
+def cmd_fig4(config: dict, args) -> int:
     """Recovery error vs noise level at a fixed observation fraction."""
-    _sweep_to_csv(f"{out}_fig4.csv", "fig4", config, sweep(config))
+    _sweep_to_csv(f"{args.out}_fig4.csv", "fig4", config, sweep(config))
     return 0
 
 
@@ -252,84 +248,83 @@ DEFAULT_INVOLUTION = {
 }
 
 
-def cmd_trapdoor(action: str, config: dict, seed: int, out: str, args) -> int:
-    # every action takes the one public document, so each accepts DEFAULT_TRAPDOOR's keys
-    reject_unread_keys(config, DEFAULT_TRAPDOOR, f"trapdoor {action}")
-    if action == "keygen":
-        key = keygen(integer_value("K", config["K"]), config.get("scheme", "hadamard"), seed)
-        _target(f"{out}_key.json").write_text(key_to_json(key) + "\n")
-        print(f"wrote {out}_key.json")
-        return 0
+def _public(config: dict, args) -> tuple[PublicParams, np.ndarray]:
+    """The public parameters and input state of a trapdoor config; every action reads DEFAULT_TRAPDOOR's keys."""
+    reject_unread_keys(config, DEFAULT_TRAPDOOR, f"trapdoor {args.action}")
+    k, n, unitaries = unitaries_from_json(config)
+    scheme, variant = config.get("scheme", "hadamard"), config.get("variant", "reflection")
+    psi = random_state(2**n, integer_value("psi_seed", config.get("psi_seed", 0)))
+    return PublicParams(k=k, n=n, unitaries=unitaries, scheme=scheme, variant=variant), psi
 
-    pub = _pub_from_config(config)
-    psi = random_state(2**pub.n, integer_value("psi_seed", config.get("psi_seed", 0)))
 
-    if action == "eval":
+def cmd_keygen(config: dict, args) -> int:
+    reject_unread_keys(config, DEFAULT_TRAPDOOR, "trapdoor keygen")
+    key = keygen(integer_value("K", config["K"]), config.get("scheme", "hadamard"), args.seed or 0)
+    _target(f"{args.out}_key.json").write_text(key_to_json(key) + "\n")
+    print(f"wrote {args.out}_key.json")
+    return 0
+
+
+def cmd_eval(config: dict, args) -> int:
+    pub, psi = _public(config, args)
+    key = key_from_json(Path(args.key).read_text())
+    if args.dump == "amplitudes":
+        matrix = output_matrix(key_spec(key, pub), psi)
+    else:
+        matrix = eval_trapdoor(key, pub, psi, shots=args.shots, seed=args.seed or 0)
+    _write_matrix_csv(f"{args.out}_{args.dump}.csv", "trapdoor eval", config, matrix)
+    print(f"wrote {args.out}_{args.dump}.csv")
+    return 0
+
+
+def cmd_invert(config: dict, args) -> int:
+    pub, psi = _public(config, args)
+    key = key_from_json(Path(args.key).read_text())
+    seed = args.seed or 0
+    spec = key_spec(key, pub)
+    phi_true = output_matrix(spec, psi)
+    if args.phi is not None:
+        obs = matrix_from_csv(Path(args.phi).read_text())
+    elif args.density is not None:
+        mask = make_mask(2 * pub.k, 2**pub.n, seed, "column_guaranteed", density=args.density, min_per_column=pub.k)
+        obs = observe(phi_true, mask, args.sigma, seed=seed + 1)
+    else:
+        obs = phi_true
+    result = invert_with_key(key, pub, obs)
+    truth = extract_target(row_matrix(spec, psi), key.weights)
+    err = float(np.linalg.norm(result.target - truth) / np.linalg.norm(truth))
+    _write_matrix_csv(f"{args.out}_target.csv", "trapdoor invert", config, result.target[None, :])
+    doc = {"target_error": err, "underdetermined_columns": list(result.underdetermined), "config_hash": _config_hash(config)}
+    _write_json(f"{args.out}_invert.json", doc)
+    print(f"target error {err:.3e}")
+    return 0
+
+
+def cmd_attack(config: dict, args) -> int:
+    pub, _ = _public(config, args)
+    result = hadamard_attack(pub, matrix_from_csv(Path(args.phi).read_text()))
+    doc = {
+        "recovered_weights": [float(w) for w in result.weights],
+        "recoverable": [bool(b) for b in result.recoverable],
+        "residual": result.residual,
+        "success": bool(result.residual < 1e-6),
+        "config_hash": _config_hash(config),
+    }
+    if args.key is not None:
         key = key_from_json(Path(args.key).read_text())
-        if args.dump == "amplitudes":
-            spec = key_spec(key, pub)
-            _write_matrix_csv(f"{out}_amplitudes.csv", "trapdoor eval", config, output_matrix(spec, psi))
-            print(f"wrote {out}_amplitudes.csv")
-        else:
-            magnitudes = eval_trapdoor(key, pub, psi, shots=args.shots, seed=seed)
-            _write_matrix_csv(f"{out}_magnitudes.csv", "trapdoor eval", config, magnitudes)
-            print(f"wrote {out}_magnitudes.csv")
-        return 0
+        doc["weight_error"] = float(np.abs(result.weights - key.weights).max())
+    _write_json(f"{args.out}_attack.json", doc)
+    print(f"attack residual {result.residual:.3e} success={doc['success']}")
+    return 0
 
-    if action == "invert":
-        key = key_from_json(Path(args.key).read_text())
-        spec = key_spec(key, pub)
-        phi_true = output_matrix(spec, psi)
-        if args.phi is not None:
-            obs = matrix_from_csv(Path(args.phi).read_text())
-        elif args.density is not None:
-            mask = make_mask(
-                2 * pub.k, 2**pub.n, seed, mode="column_guaranteed",
-                density=args.density, min_per_column=pub.k,
-            )
-            obs = observe(phi_true, mask, args.sigma, seed=seed + 1)
-        else:
-            obs = phi_true
-        result = invert_with_key(key, pub, obs)
-        truth = extract_target(row_matrix(spec, psi), key.weights)
-        err = float(np.linalg.norm(result.target - truth) / np.linalg.norm(truth))
-        _write_matrix_csv(f"{out}_target.csv", "trapdoor invert", config, result.target[None, :])
-        _write_json(
-            f"{out}_invert.json",
-            {
-                "target_error": err,
-                "underdetermined_columns": list(result.underdetermined),
-                "config_hash": _config_hash(config),
-            },
-        )
-        print(f"target error {err:.3e}")
-        return 0
 
-    if action == "attack":
-        dump = matrix_from_csv(Path(args.phi).read_text())
-        result = hadamard_attack(pub, dump)
-        doc = {
-            "recovered_weights": [float(w) for w in result.weights],
-            "recoverable": [bool(b) for b in result.recoverable],
-            "residual": result.residual,
-            "success": bool(result.residual < 1e-6),
-            "config_hash": _config_hash(config),
-        }
-        if args.key is not None:
-            key = key_from_json(Path(args.key).read_text())
-            doc["weight_error"] = float(np.abs(result.weights - key.weights).max())
-        _write_json(f"{out}_attack.json", doc)
-        print(f"attack residual {result.residual:.3e} success={doc['success']}")
-        return 0
-
-    if action == "demo-involution":
-        key = keygen(pub.k, "hadamard", seed)
-        key2 = keygen(pub.k, "hadamard", seed + 1)
-        fid = involution_encrypt_decrypt(pub, psi, key, key2)
-        _write_json(f"{out}_involution.json", {"fidelity": fid, "config_hash": _config_hash(config)})
-        print(f"round-trip fidelity {fid:.12f}")
-        return 0
-    raise SystemExit(2)
+def cmd_involution(config: dict, args) -> int:
+    pub, psi = _public(config, args)
+    seed = args.seed or 0
+    fid = involution_encrypt_decrypt(pub, psi, keygen(pub.k, "hadamard", seed), keygen(pub.k, "hadamard", seed + 1))
+    _write_json(f"{args.out}_involution.json", {"fidelity": fid, "config_hash": _config_hash(config)})
+    print(f"round-trip fidelity {fid:.12f}")
+    return 0
 
 
 # -- completion ---------------------------------------------------------------
@@ -345,18 +340,19 @@ DEFAULT_COMPLETE = {
 }
 
 
-def cmd_complete(method: str, config: dict, out: str) -> int:
+def cmd_complete(config: dict, args) -> int:
     """One seeded completion run: a :func:`~lcuout.recovery.sweep` of one instance, one mask and one method.
 
     The sweep reads the config with ``fraction`` swept as ``fractions: [fraction]``
     (0.0 when absent: a column-guaranteed mask is then only its top-up).
     """
+    method = args.method
     reject_unread_keys(config, DEFAULT_COMPLETE, f"complete {method}")
     (row,) = sweep({
         **{key: v for key, v in config.items() if key != "fraction"}, "fractions": [config.get("fraction", 0.0)],
         "instances": 1, "masks_per_instance": 1, "methods": [method],
     })
-    _sweep_to_csv(f"{out}_complete_{method}.csv", f"complete {method}", config, [row])
+    _sweep_to_csv(f"{args.out}_complete_{method}.csv", f"complete {method}", config, [row])
     if method == "factorized":
         print(f"underdetermined-columns: {row['underdetermined_columns']}")
     print(f"{method}: err_phi={row['mean_err_phi']:.3e} err_target={row['mean_err_target']:.3e} "
@@ -366,69 +362,58 @@ def cmd_complete(method: str, config: dict, out: str) -> int:
 
 # -- entry point ----------------------------------------------------------------
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser; each leaf command carries its runner and its default config."""
     parser = argparse.ArgumentParser(prog="lcuout", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lcuout {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(subparsers, name, run, default, **kwargs):
+        p = subparsers.add_parser(name, **kwargs)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="lcuout", help="output file prefix")
+        p.set_defaults(run=run, default_config=default)
+        return p
 
-    common(sub.add_parser("verify", help="structural checks on a circuit spec"))
-    common(sub.add_parser("fig2", help="success-probability comparison sweep"))
-    common(sub.add_parser("fig3", help="recovery error vs observation fraction"))
-    common(sub.add_parser("fig4", help="recovery error vs noise level"))
+    command(sub, "verify", cmd_verify, DEFAULT_VERIFY, help="structural checks on a circuit spec")
+    command(sub, "fig2", cmd_fig2, DEFAULT_FIG2, help="success-probability comparison sweep")
+    command(sub, "fig3", cmd_fig3, DEFAULT_FIG3, help="recovery error vs observation fraction")
+    command(sub, "fig4", cmd_fig4, DEFAULT_FIG4, help="recovery error vs noise level")
 
-    trap = sub.add_parser("trapdoor", help="weight-hiding protocol commands")
-    trap_sub = trap.add_subparsers(dest="action", required=True)
-    for action in ("keygen", "eval", "invert", "attack", "demo-involution"):
-        p = trap_sub.add_parser(action)
-        common(p)
-        if action in ("eval", "invert", "attack"):
-            p.add_argument("--key", default=None, help="key JSON path")
-        if action == "eval":
-            p.add_argument("--shots", type=int, default=None)
-            p.add_argument("--dump", choices=("magnitudes", "amplitudes"), default="magnitudes")
-        if action in ("invert", "attack"):
-            p.add_argument("--phi", default=None, help="matrix CSV path")
-        if action == "invert":
-            p.add_argument("--density", type=float, default=None)
-            p.add_argument("--sigma", type=float, default=0.0)
+    trap = sub.add_parser("trapdoor", help="weight-hiding protocol commands").add_subparsers(dest="action", required=True)
+    command(trap, "keygen", cmd_keygen, DEFAULT_TRAPDOOR)
+    p = command(trap, "eval", cmd_eval, DEFAULT_TRAPDOOR)
+    p.add_argument("--key", required=True, help="key JSON path")
+    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--dump", choices=("magnitudes", "amplitudes"), default="magnitudes")
+    p = command(trap, "invert", cmd_invert, DEFAULT_TRAPDOOR)
+    p.add_argument("--key", required=True, help="key JSON path")
+    p.add_argument("--phi", default=None, help="matrix CSV path")
+    p.add_argument("--density", type=float, default=None)
+    p.add_argument("--sigma", type=float, default=0.0)
+    p = command(trap, "attack", cmd_attack, DEFAULT_TRAPDOOR)
+    p.add_argument("--key", default=None, help="key JSON path")
+    p.add_argument("--phi", required=True, help="matrix CSV path")
+    command(trap, "demo-involution", cmd_involution, DEFAULT_INVOLUTION)
 
-    comp = sub.add_parser("complete", help="single matrix-completion run")
-    comp_sub = comp.add_subparsers(dest="method", required=True)
+    comp = sub.add_parser("complete", help="single matrix-completion run").add_subparsers(dest="method", required=True)
     for method in ("svp", "als", "factorized"):
-        common(comp_sub.add_parser(method))
+        command(comp, method, cmd_complete, DEFAULT_COMPLETE)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "fig2" and args.seed is not None:
         parser.error("fig2 takes no --seed: its seeds are the config's unitary_seed and psi_seed")
     try:
-        if args.command == "verify":
-            return cmd_verify(_load_config(args.config, DEFAULT_VERIFY), args.seed or 0, args.out)
-        if args.command == "fig2":
-            return cmd_fig2(_load_config(args.config, DEFAULT_FIG2), args.out)
-        # fig3, fig4 and complete run sweeps, and a --seed replaces their config's seed
-        sweep_defaults = {"fig3": DEFAULT_FIG3, "fig4": DEFAULT_FIG4, "complete": DEFAULT_COMPLETE}
-        if args.command in sweep_defaults:
-            config = _load_config(args.config, sweep_defaults[args.command])
-            if args.seed is not None:
-                config["seed"] = args.seed
-            if args.command == "fig3":
-                return cmd_fig3(config, args.out)
-            if args.command == "fig4":
-                return cmd_fig4(config, args.out)
-            return cmd_complete(args.method, config, args.out)
-        if args.command == "trapdoor":
-            default = DEFAULT_INVOLUTION if args.action == "demo-involution" else DEFAULT_TRAPDOOR
-            config = _load_config(args.config, default)
-            if args.action in ("eval", "invert") and args.key is None:
-                parser.error(f"trapdoor {args.action} requires --key")
-            if args.action == "attack" and args.phi is None:
-                parser.error("trapdoor attack requires --phi")
-            return cmd_trapdoor(args.action, config, args.seed or 0, args.out, args)
+        config = _load_config(args.config, args.default_config)
+        # fig3, fig4 and complete read their seed from the config, so a --seed replaces it there
+        if args.seed is not None and "seed" in args.default_config:
+            config["seed"] = args.seed
+        return args.run(config, args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -438,7 +423,6 @@ def main(argv=None) -> int:
     except (CheckFailed, AssertionError) as exc:
         print(f"a check failed: {exc}", file=sys.stderr)
         return 1
-    raise SystemExit(2)
 
 
 if __name__ == "__main__":

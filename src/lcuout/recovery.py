@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitSpec, coefficients, integer_value, real_value, reject_unread_keys
+from .circuit import CircuitSpec, coefficients, integer_value, list_value, real_value, reject_unread_keys
 from .linalg import haar_random_unitary, random_state, rng, truncate_rank
 
 __all__ = [
@@ -435,7 +435,7 @@ def sweep(config: dict) -> list[dict]:
     n = integer_value("n", config["n"])
     instances = integer_value("instances", config.get("instances", 10))
     masks_per = integer_value("masks_per_instance", config.get("masks_per_instance", 5))
-    methods = list(config.get("methods", ["svp", "factorized"]))
+    methods = list_value("methods", config.get("methods", ["svp", "factorized"]))
     for m in methods:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r}")
@@ -443,11 +443,11 @@ def sweep(config: dict) -> list[dict]:
     mode = config.get("mask_mode", "uniform")
     min_per_column = integer_value("min_per_column", config["min_per_column"]) if "min_per_column" in config else None
     if "fractions" in config:
-        params = [real_value("a fraction", p) for p in config["fractions"]]
+        params = [real_value("a fraction", p) for p in list_value("fractions", config["fractions"])]
         fixed_sigma = real_value("sigma", config.get("sigma", 0.0))
         grid = [(p, p, fixed_sigma) for p in params]
     else:
-        params = [real_value("a sigma", s) for s in config["sigmas"]]
+        params = [real_value("a sigma", s) for s in list_value("sigmas", config["sigmas"])]
         fraction = real_value("fraction", config["fraction"])
         grid = [(s, fraction, s) for s in params]
     if instances < 1 or masks_per < 1 or not methods or not grid:

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +354,49 @@ def test_null_integer_in_a_config_is_a_config_error(tmp_path, capsys, command, d
     assert list(tmp_path.glob("*.csv")) == []
 
 
+WRONG_SHAPE = {
+    "fig3-sizes": {**SMALL_SWEEP, "sizes": 256},
+    "fig3-fractions": {**SMALL_SWEEP, "fractions": 0.5},
+    "fig4-sigmas": {**SMALL_FIG4, "sigmas": 0.001},
+    "fig4-methods-object": {**SMALL_FIG4, "methods": {"factorized": 1}},
+    "fig2-a-grid": {**lcuout.cli.DEFAULT_FIG2, "a_grid": 0.5},
+    "weights-object": {**lcuout.cli.DEFAULT_VERIFY, "weights": {"a": 1}},
+    "pauli-data": {**lcuout.cli.DEFAULT_VERIFY, "n": 2, "unitaries": {"kind": "pauli_strings", "data": 5}},
+    "involution-pauli-data": {**lcuout.cli.DEFAULT_INVOLUTION, "unitaries": {"kind": "pauli_strings", "data": 5}},
+    "pauli-labels": {**lcuout.cli.DEFAULT_VERIFY, "n": 1, "unitaries": {"kind": "pauli_strings", "data": [5, 6, 7, 8]}},
+    "permutation-images": {"K": 2, "n": 1, "weights": [1.0, 0.5], "unitaries": {"kind": "permutation", "data": [5, 6]}},
+    "permutation-floats": {"K": 2, "n": 1, "weights": [1.0, 0.5],
+                           "unitaries": {"kind": "permutation", "data": [[1.0, 0.0], [0, 1]]}},
+    "explicit-entries": {"K": 2, "n": 1, "weights": [1.0, 0.5], "unitaries": {"kind": "explicit", "data": [{}, {}]}},
+}
+
+WRONG_SHAPE_CASES = [
+    (["fig3"], "fig3-sizes"), (["fig3"], "fig3-fractions"), (["fig4"], "fig4-sigmas"), (["fig4"], "fig4-methods-object"),
+    (["fig2"], "fig2-a-grid"), (["verify"], "weights-object"), (["verify"], "pauli-data"),
+    (["trapdoor", "demo-involution"], "involution-pauli-data"), (["verify"], "pauli-labels"), (["verify"], "permutation-images"),
+    (["verify"], "permutation-floats"), (["verify"], "explicit-entries"),
+]
+
+
+@pytest.mark.parametrize("command, doc", WRONG_SHAPE_CASES, ids=[f"{'-'.join(c)}:{d}" for c, d in WRONG_SHAPE_CASES])
+def test_config_value_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, command, doc):
+    # a number or an object where a list belongs, or a list entry of the wrong type: exit 2 with a one-line
+    # error, not a TypeError traceback or a run over an object's keys; verify records a failed spec-validation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(WRONG_SHAPE[doc]))
+    code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    if command == ["verify"]:
+        assert code == 1
+        (check,) = json.loads((tmp_path / "o_verify.json").read_text())["checks"]
+        assert check["name"] == "spec-validation" and not check["pass"] and check["error"]
+        assert list(tmp_path.glob("o*")) == [tmp_path / "o_verify.json"]
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.glob("o*")) == []
+
+
 @pytest.mark.parametrize("command, base", [(["fig4"], SMALL_FIG4), (["complete", "factorized"], lcuout.cli.DEFAULT_COMPLETE)])
 def test_min_per_column_under_a_uniform_mask_exits_2(tmp_path, capsys, command, base):
     # a uniform mask has no top-up, so a min_per_column there is an error rather than ignored
@@ -386,11 +431,39 @@ def test_fig3_with_nothing_to_average_exits_2(tmp_path, capsys, change):
     assert list(tmp_path.glob("*.csv")) == []
 
 
-def test_missing_required_flags_exit_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["trapdoor", "eval", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
+@pytest.mark.parametrize("command, change", [(["fig3"], {**SMALL_SWEEP, "sizes": []}),
+                                             (["fig2"], {**lcuout.cli.DEFAULT_FIG2, "a_grid": []})],
+                         ids=["fig3-sizes", "fig2-a_grid"])
+def test_fig3_without_sizes_and_fig2_without_a_grid_exit_2(tmp_path, capsys, command, change):
+    # an empty grid outside sweep would otherwise write no file (fig3) or a header-only CSV (fig2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(change))
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least one" in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_missing_required_flags_exit_2(tmp_path, capsys):
+    for argv, flag in [(["trapdoor", "eval"], "--key"), (["trapdoor", "invert"], "--key"),
+                       (["trapdoor", "attack"], "--phi")]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
     assert main(["fig2", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_command_lines_parse():
+    # every `lcuout ...` line of the README's command-line block names real subcommands and flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("lcuout ")]
+    assert len(lines) >= 10
+    for argv in lines:
+        args = lcuout.cli._parser().parse_args(argv)
+        assert callable(args.run) and isinstance(args.default_config, dict)
 
 
 def test_key_file_round_trips_byte_identically(tmp_path):
