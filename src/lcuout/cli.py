@@ -30,7 +30,7 @@ from .circuit import (
 )
 from .linalg import random_state
 from .outputs import extract_target, matrix_from_csv, matrix_to_csv, output_matrix
-from .recovery import make_mask, observe, sweep
+from .recovery import METHODS, make_mask, observe, sweep
 from .structure import verify
 from .trapdoor import (
     PublicParams,
@@ -198,11 +198,12 @@ def cmd_fig3(config: dict, args) -> int:
     sizes = list_value("sizes", config["sizes"])
     if not sizes:
         raise ValueError("fig3 needs at least one size")
+    # every size is checked before the first sweep, so a bad one leaves no partial result set
     for size in sizes:
-        n = integer_value("a size", size).bit_length() - 1
-        if 2**n != size:
+        if integer_value("a size", size) < 1 or size & (size - 1):
             raise ValueError(f"sizes must be powers of two, got {size}")
-        rows = sweep({**{key: v for key, v in config.items() if key != "sizes"}, "n": n})
+    for size in sizes:
+        rows = sweep({**{key: v for key, v in config.items() if key != "sizes"}, "n": size.bit_length() - 1})
         _sweep_to_csv(f"{args.out}_fig3_N{size}.csv", "fig3", config, rows)
     return 0
 
@@ -398,7 +399,7 @@ def _parser() -> argparse.ArgumentParser:
     command(trap, "demo-involution", cmd_involution, DEFAULT_INVOLUTION)
 
     comp = sub.add_parser("complete", help="single matrix-completion run").add_subparsers(dest="method", required=True)
-    for method in ("svp", "als", "factorized"):
+    for method in METHODS:
         command(comp, method, cmd_complete, DEFAULT_COMPLETE)
     return parser
 
@@ -417,10 +418,10 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError
+        print(f"error: missing key {exc}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)
         return 2
-    except (CheckFailed, AssertionError) as exc:
+    except CheckFailed as exc:
         print(f"a check failed: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ from .linalg import haar_random_unitary, random_state, rng, truncate_rank
 
 __all__ = [
     "FactorizedResult",
+    "METHODS",
     "ObservedEntries",
     "als_complete",
     "complete",
@@ -44,9 +45,10 @@ ALS_TOL = 1e-10
 class ObservedEntries:
     """Observed (possibly noisy) entries; unobserved positions hold zero.
 
-    ``values`` must be a 2-D array of finite numbers and ``mask`` an array
-    of the same shape, stored as booleans; anything else is a
-    ``ValueError``.
+    ``values`` must be a 2-D array and ``mask`` an array of the same shape,
+    stored as booleans.  The stored values are a copy with every position
+    off the mask set to zero, so no solver reads what was not observed; the
+    observed values must then be finite.  Anything else is a ``ValueError``.
     """
 
     values: np.ndarray
@@ -59,6 +61,7 @@ class ObservedEntries:
             raise ValueError(
                 f"observed values of shape {values.shape} need a 2-D mask of the same shape, got {mask.shape}"
             )
+        values = np.where(mask, values, 0)
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
         object.__setattr__(self, "values", values)
@@ -120,27 +123,21 @@ def make_mask(
 
 
 def observe(phi: np.ndarray, mask: np.ndarray, sigma: float = 0.0, seed: int = 0) -> ObservedEntries:
-    """Mask the matrix and add complex Gaussian noise of total std ``sigma``.
+    """The entries of ``phi`` on ``mask`` plus complex Gaussian noise of total std ``sigma``.
 
     ``mask`` is a boolean array of ``phi``'s shape, as drawn by
-    :func:`make_mask`.  Each observed entry gains
+    :func:`make_mask`; :class:`ObservedEntries` checks it and zeroes the
+    entries off it.  Each observed entry gains
     ``sigma/sqrt(2) * (g1 + i g2)`` with standard normal g1, g2, so
     E|noise|^2 = sigma^2.
     """
     phi = np.asarray(phi, dtype=complex)
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != phi.shape:
-        raise ValueError(f"mask shape {m.shape} does not match matrix {phi.shape}")
     if not 0 <= sigma < np.inf:
         raise ValueError(f"noise level must be finite and non-negative, got {sigma}")
-    values = np.where(m, phi, 0.0)
     if sigma > 0:
         gen = rng(seed)
-        noise = (gen.standard_normal(phi.shape) + 1j * gen.standard_normal(phi.shape)) * (
-            sigma / np.sqrt(2)
-        )
-        values = values + np.where(m, noise, 0.0)
-    return ObservedEntries(values=values, mask=m)
+        phi = phi + (gen.standard_normal(phi.shape) + 1j * gen.standard_normal(phi.shape)) * (sigma / np.sqrt(2))
+    return ObservedEntries(values=phi, mask=mask)
 
 
 def _check_entries(entries: ObservedEntries) -> None:
@@ -180,7 +177,7 @@ def svp_complete(entries: ObservedEntries, rank: int, max_iters: int = 500) -> t
     keep = mask.astype(float)
     mu = 1.0 / mask.mean()
     z = np.zeros_like(b)
-    g = b * keep
+    g = b
     b_norm = np.sqrt(np.vdot(b, b).real)
     prev = b_norm
     iters = 0
@@ -371,11 +368,11 @@ def sweep_instance(k: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     return weights, c, np.stack([random_state(2**n, gen) for _ in range(k)])
 
 
-_METHODS = ("svp", "als", "factorized")
+METHODS = ("svp", "als", "factorized")
 
 
 def complete(method: str, entries: ObservedEntries, c: np.ndarray, seed: int):
-    """Complete Phi at rank ``c.shape[1]`` with one of ``_METHODS``.
+    """Complete Phi at rank ``c.shape[1]`` with one of ``METHODS``.
 
     ``seed`` starts ALS; both iterative solvers run at their default
     ``max_iters`` (500 for SVP, 200 for ALS).  Returns ``(phi, iterations,
@@ -437,7 +434,7 @@ def sweep(config: dict) -> list[dict]:
     masks_per = integer_value("masks_per_instance", config.get("masks_per_instance", 5))
     methods = list_value("methods", config.get("methods", ["svp", "factorized"]))
     for m in methods:
-        if m not in _METHODS:
+        if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     seed = integer_value("seed", config.get("seed", 0))
     mode = config.get("mask_mode", "uniform")

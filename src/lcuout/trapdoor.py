@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CircuitSpec, apply_circuit, coefficient_matrix, output_states, sample_shots
+from .circuit import CircuitSpec, apply_circuit, coefficient_matrix, list_value, output_states, real_value, sample_shots
 from .linalg import haar_random_unitary, hadamard_matrix, rng
 from .outputs import extract_target
 from .recovery import ObservedEntries, factorized_complete
@@ -111,7 +111,8 @@ def key_from_json(text: str) -> SecretKey:
     """Parse a key written by :func:`key_to_json`.
 
     Raises ``ValueError`` for a document that is not a JSON object, an
-    unknown scheme, weights that are not a finite 1-D array, and a
+    unknown scheme, weights that are not a list of finite real numbers
+    (checked as config values are, so a bool or a null is refused), and a
     secret-mixing key whose gamma is not an integer in [0, 2**64): without a
     fixed gamma, :func:`mixing_from_key` would draw a different mixing
     unitary on every call.
@@ -122,12 +123,9 @@ def key_from_json(text: str) -> SecretKey:
     scheme = doc["scheme"]
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    try:
-        weights = np.array(doc["weights"], dtype=float)
-        if weights.ndim != 1 or not np.all(np.isfinite(weights)):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ValueError("key weights must be a finite 1-D array") from None
+    weights = np.array([real_value("a key weight", w) for w in list_value("key weights", doc["weights"])])
+    if not np.isfinite(weights).all():
+        raise ValueError("key weights must be finite")
     gamma = doc.get("gamma")
     if scheme == "secret_mixing" and not (type(gamma) is int and 0 <= gamma < 2**64):
         raise ValueError(f"a secret-mixing key needs an integer gamma in [0, 2**64), got {gamma!r}")
@@ -244,12 +242,15 @@ def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
     convention w_t = +1 when r_t = 0.  The returned residual is the relative
     misfit of the rank-K factorization rebuilt from the recovered weights —
     against magnitude-only data it stays large, which is the point.  Raises
-    ``ValueError`` unless ``phi`` is 2K x 2**n.
+    ``ValueError`` unless ``phi`` is 2K x 2**n with a nonzero entry, which
+    the relative residual needs.
     """
     if pub.scheme != "hadamard":
         raise ValueError("this linear attack applies to the Hadamard scheme")
     entries = _entries(pub, phi)
     phi = entries.values
+    if not phi.any():
+        raise ValueError("the attack needs a matrix with a nonzero entry; this one is all zero")
     k = pub.k
     s = hadamard_matrix(k) * np.sqrt(k)
     y0 = s.T @ phi[:k]  # equals diag(w) X: s^T s = K I and phi = (1/K) s diag(w) X

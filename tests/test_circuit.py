@@ -21,14 +21,7 @@ from lcuout.circuit import (
 )
 from lcuout.linalg import dft_matrix, hadamard_matrix, haar_random_unitary, random_state, rng
 
-
-def make_spec(k=4, n=2, seed=0, mixing="hadamard", variant="reflection", weights=None):
-    gen = rng(seed)
-    if weights is None:
-        weights = gen.uniform(0.1, 1.0, k)
-    unitaries = tuple(haar_random_unitary(2**n, gen) for _ in range(k))
-    return CircuitSpec(k=k, n=n, weights=np.asarray(weights, float), unitaries=unitaries,
-                       mixing=mixing, variant=variant)
+from helpers import make_spec
 
 
 # ---- rotation gate ----------------------------------------------------------

@@ -80,10 +80,22 @@ def test_fig3_and_determinism(tmp_path):
     assert methods == {"svp", "factorized"}
 
 
-def test_fig3_rejects_non_power_of_two_sizes(tmp_path):
+def test_fig3_rejects_non_power_of_two_sizes(tmp_path, capsys):
+    # every size is checked before the first sweep, so the valid 16 leaves no CSV behind either
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**SMALL_SWEEP, "sizes": [100]}))
+    cfg.write_text(json.dumps({**SMALL_SWEEP, "k": 2, "sizes": [16, 100], "instances": 1, "masks_per_instance": 1,
+                               "methods": ["factorized"]}))
     assert main(["fig3", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "powers of two, got 100" in capsys.readouterr().err
+    assert list(tmp_path.glob("x_fig3_*")) == []
+
+
+def test_missing_config_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: v for key, v in SMALL_FIG4.items() if key != "n"}))
+    assert main(["fig4", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == "error: missing key 'n'\n"
+    assert list(tmp_path.glob("f*")) == []
 
 
 def test_fig4_small(tmp_path):
@@ -422,6 +434,40 @@ def test_trapdoor_phi_that_is_not_2k_by_2_to_the_n_exits_2(tmp_path, capsys, act
     assert list(tmp_path.glob("o_*")) == []
 
 
+TRAPDOOR_INPUT_ERRORS = {
+    "key-length": (["eval"], {}, {"scheme": "hadamard", "weights": [0.5, 0.5], "gamma": None}, None,
+                   "key length does not match"),
+    "key-scheme": (["eval"], {}, {"scheme": "secret_mixing", "weights": [0.5] * 4, "gamma": 3}, None,
+                   "key scheme 'secret_mixing' does not match public 'hadamard'"),
+    "unknown-scheme": (["eval"], {"scheme": "rsa"}, None, None, "unknown scheme 'rsa'"),
+    "keygen-unknown-scheme": (["keygen"], {"scheme": "rsa"}, None, None, "unknown scheme 'rsa'"),
+    "involution-cyclic": (["demo-involution"], {**lcuout.cli.DEFAULT_INVOLUTION, "variant": "cyclic"}, None, None,
+                          "needs the Hadamard reflection circuit"),
+    "zero-shots": (["eval", "--shots", "0"], {}, None, None, "need at least one shot, got 0"),
+    "empty-phi": (["invert"], {}, None, "# comments only\n", "no matrix rows found"),
+    "attack-empty-phi": (["attack"], {}, None, "", "no matrix rows found"),
+    # a zero matrix has no relative residual, which would be written as "residual": NaN, not valid JSON
+    "attack-zero-phi": (["attack"], {}, None, matrix_to_csv(np.zeros((8, 16))), "all zero"),
+}
+
+
+@pytest.mark.parametrize("case", TRAPDOOR_INPUT_ERRORS)
+def test_trapdoor_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    argv, config, key_doc, phi_text, message = TRAPDOOR_INPUT_ERRORS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_TRAPDOOR, **config}))
+    key = tmp_path / "k.json"
+    key.write_text(json.dumps(key_doc) if key_doc else key_to_json(keygen(4, "hadamard", 0)))
+    extra = ["--key", str(key)] if argv[0] in ("eval", "invert") else []
+    if phi_text is not None:
+        (tmp_path / "phi.csv").write_text(phi_text)
+        extra += ["--phi", str(tmp_path / "phi.csv")]
+    assert main(["trapdoor", *argv, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(tmp_path.glob("o*")) == []
+
+
 @pytest.mark.parametrize("change", [{"instances": 0}, {"masks_per_instance": 0}, {"methods": []}, {"fractions": []}])
 def test_fig3_with_nothing_to_average_exits_2(tmp_path, capsys, change):
     cfg = tmp_path / "cfg.json"
@@ -489,15 +535,6 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps({"k": 2, "n": 3, "fraction": 0.8, "seed": 1}))
     assert main(["complete", "svp", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 3
     assert "numerical failure" in capsys.readouterr().err
-
-
-def test_failed_self_check_exits_1(tmp_path, monkeypatch, capsys):
-    def disagree(*args):
-        raise AssertionError("closed-form p00 disagrees with simulation")
-
-    monkeypatch.setattr(lcuout.cli, "success_probabilities", disagree)
-    assert main(["fig2", "--out", str(tmp_path / "f")]) == 1
-    assert "a check failed" in capsys.readouterr().err
 
 
 def test_check_failed_exits_1(tmp_path, monkeypatch, capsys):

@@ -65,8 +65,8 @@ def dense_oracle_uses(source: str) -> list[str]:
     return found
 
 
-# circuit.py defines the oracle; __init__.py only re-exports it as public API
-PRODUCTION = [p for p in sorted((ROOT / "src" / "lcuout").glob("*.py")) if p.name not in ("circuit.py", "__init__.py")]
+# circuit.py defines the oracle
+PRODUCTION = [p for p in sorted((ROOT / "src" / "lcuout").glob("*.py")) if p.name != "circuit.py"]
 
 
 @pytest.mark.parametrize("path", PRODUCTION, ids=lambda p: p.name)
@@ -100,10 +100,7 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used | exported]
 
 
-MODULES = [p for p in sorted((ROOT / "src" / "lcuout").glob("*.py")) if p.name != "__init__.py"]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "lcuout").glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -350,6 +350,20 @@ def test_factorized_ignores_values_at_unobserved_positions():
     np.testing.assert_array_equal(factorized_complete(filled, c).x, factorized_complete(entries, c).x)
 
 
+@pytest.mark.parametrize("fill", [10.0, 1e3 + 1e3j, np.nan])
+def test_svp_and_als_ignore_values_at_unobserved_positions(fill):
+    # ObservedEntries zeroes what it does not observe, so the solvers see the same entries either way
+    _, c, x = sweep_instance(4, 5, 980)
+    mask = make_mask(8, 32, 981, "uniform", density=0.3)
+    entries = observe(c @ x, mask, 1e-3, seed=982)
+    filled = ObservedEntries(values=np.where(mask, entries.values, fill), mask=mask)
+    np.testing.assert_array_equal(filled.values, entries.values)
+    for run in (lambda e: svp_complete(e, 4, max_iters=60), lambda e: als_complete(e, 4, seed=983, max_iters=20)):
+        (z_filled, iters_filled), (z, iters) = run(filled), run(entries)
+        np.testing.assert_array_equal(z_filled, z)
+        assert iters_filled == iters
+
+
 def test_factorized_underdetermined_columns_are_stable_under_rounding():
     _, c, x = sweep_instance(4, 8, 960)
     mask = make_mask(8, 256, 961, "uniform", density=0.4)

@@ -93,6 +93,7 @@ def test_key_json_never_leaks_the_mixing_matrix():
     {"scheme": "hadamard", "weights": [0.6, float("nan")], "gamma": None},
     {"scheme": "hadamard", "weights": ["a", "b"], "gamma": None},
     {"scheme": "hadamard", "weights": {"a": 1}, "gamma": None},
+    {"scheme": "hadamard", "weights": [True, 0.5], "gamma": None},
 ])
 def test_key_from_json_rejects_malformed_keys(doc):
     with pytest.raises(ValueError):
@@ -209,6 +210,12 @@ def test_inversion_and_attack_reject_a_matrix_that_is_not_2k_by_2_to_the_n():
     for values, mask in ((phi, full[:, :1]), (phi[:, :1], full)):
         with pytest.raises(ValueError, match="need a 2-D mask of the same shape"):
             ObservedEntries(values=values, mask=mask)
+
+
+def test_hadamard_attack_rejects_an_all_zero_matrix():
+    # the relative residual of a zero matrix is 0/0
+    with pytest.raises(ValueError, match="all zero"):
+        hadamard_attack(make_pub(seed=22), np.zeros((8, 16), dtype=complex))
 
 
 def test_hadamard_attack_rejects_other_schemes():
