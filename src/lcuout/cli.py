@@ -87,6 +87,11 @@ def _write_matrix_csv(path, command, config, matrix):
     _target(path).write_text(_header(command, config) + matrix_to_csv(matrix))
 
 
+def _error_text(exc: Exception) -> str:
+    # a KeyError's str is only the quoted key, so name what it means
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _write_json(path, doc):
     _target(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -118,7 +123,7 @@ def cmd_verify(config: dict, args) -> int:
     try:
         spec = CircuitSpec.from_json(json.dumps(config))
     except (ValueError, KeyError) as exc:
-        checks = [{"name": "spec-validation", "error": str(exc), "threshold": None, "skipped": False, "pass": False}]
+        checks = [{"name": "spec-validation", "error": _error_text(exc), "threshold": None, "skipped": False, "pass": False}]
     else:
         valid = {"name": "spec-validation", "residual": 0.0, "threshold": 1e-10, "skipped": False, "pass": True}
         checks = [valid] + verify(spec, seed)
@@ -419,7 +424,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError
-        print(f"error: missing key {exc}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
     except CheckFailed as exc:
         print(f"a check failed: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Dense linear-algebra kernel: SVD, rank truncation, structured unitaries, seeded sampling.
 
 Everything is plain numpy.  Randomness always flows through :func:`rng`,
-a counter-based Philox generator keyed by an explicit 64-bit seed, so every
+a counter-based Philox generator keyed by an explicit integer seed, so every
 experiment in the package is reproducible from its seed alone.
 """
 
@@ -29,7 +29,15 @@ GRAM_GAP_RTOL = 1e-8
 
 
 def rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for a 64-bit seed (same seed, same stream)."""
+    """Counter-based generator for an integer seed (same seed, same stream).
+
+    ``seed`` must be an ``int`` or a numpy integer: a bool, a float, a string
+    or ``None`` (which would seed from OS entropy, so no run could be
+    repeated) is a ``ValueError``, and so is an integer outside
+    ``[0, 2**128)``.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"a seed must be an integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

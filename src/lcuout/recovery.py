@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,15 +130,28 @@ def observe(phi: np.ndarray, mask: np.ndarray, sigma: float = 0.0, seed: int = 0
     :func:`make_mask`; :class:`ObservedEntries` checks it and zeroes the
     entries off it.  Each observed entry gains
     ``sigma/sqrt(2) * (g1 + i g2)`` with standard normal g1, g2, so
-    E|noise|^2 = sigma^2.
+    E|noise|^2 = sigma^2; ``seed`` must be an integer (see
+    :func:`lcuout.linalg.rng`).  The unit draw ``g1 + i g2`` is a function of
+    ``(phi.shape, seed)`` alone and the last one is kept, so consecutive
+    calls that differ only in ``sigma`` (a sigmas sweep) draw it once and
+    only rescale it.
     """
     phi = np.asarray(phi, dtype=complex)
     if not 0 <= sigma < np.inf:
         raise ValueError(f"noise level must be finite and non-negative, got {sigma}")
     if sigma > 0:
-        gen = rng(seed)
-        phi = phi + (gen.standard_normal(phi.shape) + 1j * gen.standard_normal(phi.shape)) * (sigma / np.sqrt(2))
+        phi = phi + _unit_noise(phi.shape, seed) * (sigma / np.sqrt(2))
     return ObservedEntries(values=phi, mask=mask)
+
+
+# typed, so a bool seed never hits the entry of the int it equals and reaches rng's check
+@lru_cache(maxsize=1, typed=True)
+def _unit_noise(shape: tuple[int, ...], seed: int) -> np.ndarray:
+    # read-only: every caller of the memo shares the array
+    gen = rng(seed)
+    unit = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    unit.flags.writeable = False
+    return unit
 
 
 def _check_entries(entries: ObservedEntries) -> None:
@@ -286,9 +300,14 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
     distinct pattern: one batched thin SVD of the patterns' ``C_O`` gives
     both the rank, as singular values above ``np.linalg.matrix_rank``'s
     default cutoff ``s_max * 2K * eps``, and the pseudo-inverse
-    ``V diag(1/s) U^dag`` on those values, whose columns on unobserved rows
-    are zero.  Every column then takes its pattern's pseudo-inverse times its
-    observed values.  ``c`` needs one row per mask row and between 1 and that
+    ``V diag(1/s) U^dag`` on those values.  Every column then takes its
+    pattern's pseudo-inverse times its observed values; the values off the
+    mask are zero (:class:`ObservedEntries`), so the pseudo-inverse's
+    columns on unobserved rows meet only zeros.  That per-pattern work
+    depends on the mask and C alone and the last one is kept, keyed on
+    their contents (bytes, shape and C's dtype), so consecutive calls on one
+    mask and one C, as a sigmas sweep makes, factor it once and differ only
+    in the apply.  ``c`` needs one row per mask row and between 1 and that
     many columns; any other shape is a ``ValueError``.
     """
     _check_entries(entries)
@@ -299,19 +318,31 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
             f"coefficient matrix of shape {c.shape} does not fit a mask of shape {mask.shape}: "
             "it needs one row per mask row and between 1 and that many columns"
         )
-    k = c.shape[1]
+    pinv, inverse, under = _pattern_inverses(mask.tobytes(), mask.shape, c.tobytes(), c.dtype, c.shape)
+    if under.all():
+        raise ValueError("every column is underdetermined; too few observations")
+    x = np.einsum("jab,bj->aj", pinv[inverse], b)
+    return FactorizedResult(phi=c @ x, x=x, underdetermined=tuple(map(int, np.flatnonzero(under))))
+
+
+@lru_cache(maxsize=1)
+def _pattern_inverses(
+    mask_bytes: bytes, mask_shape: tuple[int, int], c_bytes: bytes, c_dtype: np.dtype, c_shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Every pattern's pseudo-inverse of C_O, each column's pattern index and whether each column is
+    # underdetermined, all read-only: every caller of the memo shares them
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(mask_shape)
+    c = np.frombuffer(c_bytes, dtype=c_dtype).reshape(c_shape)
     patterns, inverse = _observation_patterns(mask)
     co = patterns[:, :, None] * c
     u, s, vh = np.linalg.svd(co, full_matrices=False)
     kept = s > s[:, :1] * max(co.shape[1:]) * np.finfo(s.dtype).eps
-    under = (kept.sum(axis=1) < k)[inverse]
-    if under.all():
-        raise ValueError("every column is underdetermined; too few observations")
+    under = (kept.sum(axis=1) < c_shape[1])[inverse]
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     pinv = (vh.conj().transpose(0, 2, 1) * inv_s[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    pinv *= patterns[:, None, :]
-    x = np.einsum("jab,bj->aj", pinv[inverse], b)
-    return FactorizedResult(phi=c @ x, x=x, underdetermined=tuple(map(int, np.flatnonzero(under))))
+    for array in (pinv, inverse, under):
+        array.flags.writeable = False
+    return pinv, inverse, under
 
 
 def recovery_errors(phi_hat: np.ndarray, phi_true: np.ndarray) -> tuple[float, float]:
@@ -417,12 +448,20 @@ def sweep(config: dict) -> list[dict]:
     ``s + 2``), so at most one instance's masks for one ``r`` are alive at a
     time.  :func:`make_mask` and :func:`observe` are pure functions of their
     arguments, so this order gives the rows a method-by-method loop would.
+    In a sigmas sweep the swept values of one mask follow each other, so
+    :func:`observe` draws its unit noise and :func:`factorized_complete`
+    factors its observation patterns once per mask, and the later values only
+    rescale the noise and apply the factors; every run still goes through
+    both calls.
     Returns one aggregate dict per (method, parameter value), methods outer;
     its ``seconds`` is the time spent in that row's completions and their
     error evaluation, not in the shared instance build, mask draws or
     observations, and its ``underdetermined_columns`` is the number of
     underdetermined columns summed over its runs (0 for SVP and ALS).  A
-    one-cell sweep is ``lcuout complete``'s single run.
+    mask's first swept value pays for its factorization (in its factorized
+    row's ``seconds``) and its noise draw (outside every row's), so the
+    ``seconds`` of a sigmas sweep's rows are not comparable with each other.
+    A one-cell sweep is ``lcuout complete``'s single run.
     """
     if ("fractions" in config) == ("sigmas" in config):
         raise ValueError("config must sweep exactly one of 'fractions' or 'sigmas'")

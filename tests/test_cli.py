@@ -98,6 +98,15 @@ def test_missing_config_key_is_named(tmp_path, capsys):
     assert list(tmp_path.glob("f*")) == []
 
 
+def test_verify_names_a_missing_config_key_as_other_commands_do(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 2, "weights": [1.0, 0.5], "unitaries": {"kind": "haar", "seed": 1}}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
+    (check,) = json.loads((tmp_path / "v_verify.json").read_text())["checks"]
+    assert (check["name"], check["error"], check["pass"]) == ("spec-validation", "missing key 'n'", False)
+    assert capsys.readouterr().out == "FAIL spec-validation\n"
+
+
 def test_fig4_small(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

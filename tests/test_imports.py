@@ -1,6 +1,6 @@
 """The package modules and the acceptance gate use only public names of other lcuout modules,
-only the tests use the dense circuit oracle, no package module imports a name it does not use, and
-every top-level function and class is used by package code."""
+only the tests use the dense circuit oracle, no package module imports a name it does not use,
+every top-level function and class is used by package code, and every memo is small and bounded."""
 
 import ast
 from pathlib import Path
@@ -198,3 +198,58 @@ def test_detector_sees_svd_references():
         "    return np.linalg.svd(a, compute_uv=False), numerical_rank(a), np.linalg.norm(a, 2)\n"
     )
     assert svd_references(source) == ["np.linalg.svd", "svd"]
+
+
+MAX_MEMO_ENTRIES = 4
+
+
+def unbounded_memos(source: str) -> list[str]:
+    """Every ``lru_cache`` or ``cache``, named bare or as ``functools.<name>``, in ``source`` that is not
+    called with a literal integer ``maxsize`` of at most ``MAX_MEMO_ENTRIES``: a bare ``lru_cache`` holds
+    128 entries and ``cache`` any number."""
+    def memo(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id in ("cache", "lru_cache")) or (
+            isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+            and ast.unparse(node.value) == "functools")
+
+    tree, bounded = ast.parse(source), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and memo(node.func) and ast.unparse(node.func).endswith("lru_cache"):
+            size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and type(size.value) is int and size.value <= MAX_MEMO_ENTRIES:
+                bounded.add(id(node.func))
+    return sorted(ast.unparse(node) for node in ast.walk(tree) if memo(node) and id(node) not in bounded)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "lcuout").glob("*.py")), ids=lambda p: p.name)
+def test_memos_are_bounded(path):
+    # a module memo lives as long as the process, so it keeps at most a few entries
+    assert unbounded_memos(path.read_text()) == []
+
+
+def test_detector_sees_unbounded_memos():
+    source = (
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache\n"
+        "@functools.lru_cache(maxsize=1)\n"
+        "def a(): pass\n"
+        "@lru_cache(4, typed=True)\n"
+        "def b(): pass\n"
+        "@functools.lru_cache\n"
+        "def c(): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def d(): pass\n"
+        "@lru_cache(maxsize=5)\n"
+        "def e(): pass\n"
+        "@cache\n"
+        "def f(): pass\n"
+        "g = functools.cache(len)\n"
+        "SIZE = 1\n"
+        "h = lru_cache(maxsize=SIZE)(len)\n"
+        "class K:\n"
+        "    @cached_property\n"
+        "    def i(self): pass\n"
+    )
+    assert unbounded_memos(source) == sorted([
+        "functools.lru_cache", "lru_cache", "lru_cache", "cache", "functools.cache", "lru_cache"
+    ])

@@ -21,6 +21,19 @@ def test_rng_is_deterministic():
     assert not np.allclose(a, rng(6).standard_normal(8))
 
 
+@pytest.mark.parametrize("seed", [None, True, False, np.bool_(True), 1.5, 1.0, np.float64(1.0), "1", [1]],
+                         ids=["none", "true", "false", "numpy-bool", "float", "whole-float", "numpy-float", "str",
+                              "list"])
+def test_rng_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        rng(seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), np.int8(5)], ids=["int64", "uint32", "int8"])
+def test_rng_takes_numpy_integers_as_their_value(seed):
+    np.testing.assert_array_equal(rng(seed).standard_normal(8), rng(5).standard_normal(8))
+
+
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
 def test_hadamard_matrix_orthogonal(k):
     h = hadamard_matrix(k)

@@ -569,3 +569,115 @@ def test_sweep_draws_each_mask_once(monkeypatch):
     assert len(rows) == 4
     assert len(drawn) == 3 * 2
     assert len(set(drawn)) == 3 * 2
+
+
+# ---- reuse across consecutive calls -------------------------------------------
+
+SIGMAS_SWEEP = {"k": 4, "n": 5, "instances": 1, "masks_per_instance": 2, "seed": 14,
+                "methods": ["als", "factorized"], "sigmas": [1e-4, 1e-3, 1e-2], "fraction": 0.6,
+                "mask_mode": "column_guaranteed", "min_per_column": 4}
+
+
+def clear_memos():
+    lcuout.recovery._pattern_inverses.cache_clear()
+    lcuout.recovery._unit_noise.cache_clear()
+
+
+def test_sigmas_sweep_factors_and_draws_noise_once_per_mask(monkeypatch):
+    clear_memos()
+    calls = {"_observation_patterns": [], "factorized_complete": [], "rng": []}
+    for name, log in calls.items():
+        def counted(*args, _fn=getattr(lcuout.recovery, name), _log=log):
+            _log.append(args[0])
+            return _fn(*args)
+        monkeypatch.setattr(lcuout.recovery, name, counted)
+    sweep({**SIGMAS_SWEEP, "methods": ["factorized"]})
+    assert len(calls["_observation_patterns"]) == 2
+    assert len(calls["factorized_complete"]) == 2 * 3
+    # the instance, then per mask its draw at seed s and one noise draw at s + 1: none for the other sigmas
+    mask_seeds = [14 + 104729 + 13 * (rep + 1) for rep in range(2)]
+    assert calls["rng"] == [14 + 7919] + [s + d for s in mask_seeds for d in (0, 1)]
+
+
+def test_sigmas_sweep_rows_match_a_sweep_that_reuses_nothing(monkeypatch):
+    clear_memos()
+    reused = sweep(SIGMAS_SWEEP)
+
+    def fresh(fn):
+        def wrapped(*args, **kwargs):
+            clear_memos()
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("factorized_complete", "observe"):
+        monkeypatch.setattr(lcuout.recovery, name, fresh(getattr(lcuout.recovery, name)))
+    cold = sweep(SIGMAS_SWEEP)
+    assert [{k: v for k, v in r.items() if k != "seconds"} for r in reused] == \
+        [{k: v for k, v in r.items() if k != "seconds"} for r in cold]
+
+
+def solved_fresh(entries, c):
+    clear_memos()
+    return factorized_complete(entries, c)
+
+
+def assert_same_solution(warm, cold):
+    np.testing.assert_array_equal(warm.x, cold.x)
+    assert warm.underdetermined == cold.underdetermined
+
+
+def test_factorized_reuse_follows_a_mask_changed_in_place():
+    _, c, x = sweep_instance(4, 5, 990)
+    phi = c @ x
+    mask = np.ones(phi.shape, dtype=bool)
+    factorized_complete(observe(phi, mask), c)
+    mask[:4, 5] = False  # column 5 now seen only on its rotation-1 rows, still rank K
+    warm = factorized_complete(observe(phi, mask), c)
+    assert_same_solution(warm, solved_fresh(observe(phi, mask), c))
+    np.testing.assert_allclose(warm.phi[:, 5], phi[:, 5], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("change", ["entry", "complex", "dtype-same-bytes"])
+def test_factorized_reuse_follows_another_coefficient_matrix(change):
+    _, c, x = sweep_instance(4, 5, 992)
+    entries = observe(c @ x, make_mask(8, 32, 993, "uniform", density=0.6), 1e-3, seed=994)
+    if change == "entry":
+        other = c.copy()
+        other[3, 2] *= 1.5
+    elif change == "complex":
+        other = c.astype(complex)
+    else:
+        other = c.view(np.int64)  # the same bytes and shape read as another dtype
+    factorized_complete(entries, c)
+    warm = factorized_complete(entries, other)
+    assert_same_solution(warm, solved_fresh(entries, other))
+    # and, independently of any reuse, lstsq's answer on each column's observed rows of the other C
+    for j in range(32):
+        m = entries.mask[:, j]
+        ref = np.linalg.lstsq(m[:, None] * other, entries.values[:, j], rcond=None)[0]
+        assert np.linalg.norm(warm.x[:, j] - ref) <= 1e-8 * np.linalg.norm(ref), j
+
+
+def test_reused_arrays_are_read_only():
+    _, c, x = sweep_instance(4, 5, 995)
+    phi = c @ x
+    mask = make_mask(8, 32, 996, "uniform", density=0.6)
+    clear_memos()
+    factorized_complete(observe(phi, mask, 1e-3, seed=997), c)
+    shared = lcuout.recovery._pattern_inverses(mask.tobytes(), mask.shape, c.tobytes(), c.dtype, c.shape)
+    shared += (lcuout.recovery._unit_noise(phi.shape, 997),)
+    assert lcuout.recovery._pattern_inverses.cache_info().hits == 1
+    assert lcuout.recovery._unit_noise.cache_info().hits == 1
+    for array in shared:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.0, "1"], ids=["none", "bool", "float", "str"])
+def test_observe_refuses_a_seed_that_is_not_an_integer(seed):
+    phi, _ = instance(8, n=4)
+    mask = make_mask(8, 16, 9, "uniform", density=0.8)
+    observe(phi, mask, 1e-3, seed=1)  # an equal int seed in the noise memo must not stand in for it
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        observe(phi, mask, 1e-3, seed=seed)
