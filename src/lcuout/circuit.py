@@ -61,10 +61,28 @@ class CheckFailed(RuntimeError):
         self.residual = residual
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
+def _readonly(value, dtype=None) -> np.ndarray:
+    """``value`` as a read-only array that owns its data, converted to ``dtype`` if one is given.
+
+    An array that already is read-only and owns its data is kept, and so is
+    the array the conversion itself has just made; anything else (a
+    writeable array, a view) is copied, so no later write by the caller
+    reaches the result.
+    """
+    a = np.asarray(value, dtype=dtype)
+    # an object's __array__ may return an array the object keeps, so that is not made here
+    made_here = a is not value and (isinstance(value, np.ndarray) or not hasattr(value, "__array__"))
+    if a.base is not None or (a.flags.writeable and not made_here):
+        a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def _is_unitary(m: np.ndarray) -> bool:
+    """``np.allclose(m^H m, I, rtol=0, atol=_ATOL)``, NaN and inf included, with the Gram as the one temporary."""
+    g = m.conj().T @ m
+    g[np.diag_indices_from(g)] -= 1
+    return bool(np.max(np.abs(g)) <= _ATOL)
 
 
 @dataclass(frozen=True)
@@ -79,6 +97,12 @@ class CircuitSpec:
         mixing: "hadamard", "dft", or "secret" (requires ``mixing_matrix``).
         mixing_matrix: K x K unitary used when ``mixing == "secret"``.
         variant: "reflection" (symmetric rotation gate) or "cyclic".
+
+    The spec holds each unitary and the mixing matrix once, read-only.  A
+    complex matrix that is already read-only and owns its data is kept
+    as given, not copied, and so is the array the conversion of a list or of
+    another dtype has just made; a writeable array or a view is copied, so
+    no later write through the caller's reference reaches the spec.
     """
 
     k: int
@@ -96,12 +120,12 @@ class CircuitSpec:
         big_n = self.big_n
         us = []
         for t, u in enumerate(self.unitaries):
-            u = np.asarray(u, dtype=complex)
+            u = _readonly(u, complex)
             if u.shape != (big_n, big_n):
                 raise ValueError(f"unitary {t} has shape {u.shape}, expected {(big_n, big_n)}")
-            if not np.allclose(u.conj().T @ u, np.eye(big_n), rtol=0, atol=_ATOL):
+            if not _is_unitary(u):
                 raise ValueError(f"matrix {t} is not unitary")
-            us.append(_readonly(u))
+            us.append(u)
         object.__setattr__(self, "unitaries", tuple(us))
 
     def _check_parameters(self):
@@ -125,12 +149,12 @@ class CircuitSpec:
         if self.mixing == "secret":
             if self.mixing_matrix is None:
                 raise ValueError("secret mixing requires an explicit mixing matrix")
-            m = np.asarray(self.mixing_matrix, dtype=complex)
+            m = _readonly(self.mixing_matrix, complex)
             if m.shape != (self.k, self.k):
                 raise ValueError(f"mixing matrix has shape {m.shape}, expected {(self.k, self.k)}")
-            if not np.allclose(m.conj().T @ m, np.eye(self.k), rtol=0, atol=_ATOL):
+            if not _is_unitary(m):
                 raise ValueError("mixing matrix is not unitary")
-            object.__setattr__(self, "mixing_matrix", _readonly(m))
+            object.__setattr__(self, "mixing_matrix", m)
         elif self.mixing_matrix is not None:
             raise ValueError(f"mixing matrix only applies to secret mixing, not {self.mixing!r}")
 
@@ -256,7 +280,10 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
     Raises ``ValueError`` for a document or ``unitaries`` source that is not
     a JSON object, a ``K``, ``n`` or Haar ``seed`` that is not an integer,
     source ``data`` that is not a list, and an unknown source kind;
-    :class:`CircuitSpec` checks the matrices themselves.
+    :class:`CircuitSpec` checks the matrices themselves.  Every matrix is
+    handed over read-only and held by nothing else, so a spec keeps the
+    ones that own their data (every Haar draw and permutation) without a
+    copy.
     """
     if not isinstance(doc, dict):
         raise ValueError("a circuit document must be a JSON object")
@@ -267,14 +294,18 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
     kind = source.get("kind")
     if kind == "haar":
         gen = rng(integer_value("the Haar seed", source["seed"]))
-        return k, n, tuple(haar_random_unitary(2**n, gen) for _ in range(k))
-    if kind == "pauli_strings":
-        return k, n, tuple(pauli_string_matrix(s) for s in list_value("the unitaries data", source["data"]))
-    if kind == "permutation":
-        return k, n, tuple(permutation_matrix(p) for p in list_value("the unitaries data", source["data"]))
-    if kind == "explicit":
-        return k, n, tuple(matrix_from_pairs(m) for m in list_value("the unitaries data", source["data"]))
-    raise ValueError(f"unknown unitary source kind {kind!r}")
+        unitaries = tuple(haar_random_unitary(2**n, gen) for _ in range(k))
+    elif kind == "pauli_strings":
+        unitaries = tuple(pauli_string_matrix(s) for s in list_value("the unitaries data", source["data"]))
+    elif kind == "permutation":
+        unitaries = tuple(permutation_matrix(p) for p in list_value("the unitaries data", source["data"]))
+    elif kind == "explicit":
+        unitaries = tuple(matrix_from_pairs(m) for m in list_value("the unitaries data", source["data"]))
+    else:
+        raise ValueError(f"unknown unitary source kind {kind!r}")
+    for u in unitaries:
+        u.flags.writeable = False
+    return k, n, unitaries
 
 
 def rotation_gate(w: float, variant: str = "reflection") -> np.ndarray:

@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -368,8 +369,9 @@ def cmd_complete(config: dict, args) -> int:
 
 # -- entry point ----------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser; each leaf command carries its runner and its default config."""
+    """The argument parser, built once per process; each leaf command carries its runner and its default config."""
     parser = argparse.ArgumentParser(prog="lcuout", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lcuout {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

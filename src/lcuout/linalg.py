@@ -136,15 +136,24 @@ def haar_random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray
 
     The R-factor's diagonal phases are divided out, which makes the
     distribution exactly Haar rather than merely orthonormal.  ``seed`` may
-    be an integer or an already-running generator.
+    be an integer or an already-running generator.  Besides the result and
+    QR's own arrays, the draw holds one dim x dim complex array at a time,
+    and gives the same bits as ``(x + 1j * y) / sqrt(2)`` formed out of place.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     gen = _as_generator(seed)
-    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2)
+    x = gen.standard_normal((dim, dim))  # drawn before the imaginary part
+    z = 1j * gen.standard_normal((dim, dim))
+    z += x
+    del x
+    z /= np.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    del z
+    d = np.diagonal(r).copy()
+    del r
+    q *= d / np.abs(d)
+    return q
 
 
 def random_state(dim: int, seed: int | np.random.Generator) -> np.ndarray:

@@ -131,16 +131,18 @@ def observe(phi: np.ndarray, mask: np.ndarray, sigma: float = 0.0, seed: int = 0
     entries off it.  Each observed entry gains
     ``sigma/sqrt(2) * (g1 + i g2)`` with standard normal g1, g2, so
     E|noise|^2 = sigma^2; ``seed`` must be an integer (see
-    :func:`lcuout.linalg.rng`).  The unit draw ``g1 + i g2`` is a function of
-    ``(phi.shape, seed)`` alone and the last one is kept, so consecutive
-    calls that differ only in ``sigma`` (a sigmas sweep) draw it once and
-    only rescale it.
+    :func:`lcuout.linalg.rng`), at ``sigma == 0`` too.  The unit draw
+    ``g1 + i g2`` is a function of ``(phi.shape, seed)`` alone and the last
+    one is kept, so consecutive calls that differ only in ``sigma`` (a
+    sigmas sweep) draw it once and only rescale it.
     """
     phi = np.asarray(phi, dtype=complex)
     if not 0 <= sigma < np.inf:
         raise ValueError(f"noise level must be finite and non-negative, got {sigma}")
     if sigma > 0:
         phi = phi + _unit_noise(phi.shape, seed) * (sigma / np.sqrt(2))
+    else:
+        rng(seed)  # the noise draw checks the seed; without one, check it here
     return ObservedEntries(values=phi, mask=mask)
 
 
@@ -376,6 +378,8 @@ def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]
     gen = rng(seed)
     weights = gen.uniform(0.1, 1.0, k)
     unitaries = tuple(haar_random_unitary(2**n, gen) for _ in range(k))
+    for u in unitaries:
+        u.flags.writeable = False  # so the spec keeps these draws instead of copying them
     spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=unitaries)
     psi = random_state(2**n, gen)
     return spec, psi

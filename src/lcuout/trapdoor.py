@@ -52,8 +52,10 @@ class PublicParams:
     """Everything the evaluating party publishes: sizes, unitaries, scheme.
 
     Building it checks the unitaries once, through ``base_spec``, the
-    zero-weight circuit over them, and keeps its read-only copies as
-    ``unitaries``.  Every circuit over them (:func:`key_spec`, the attacks)
+    zero-weight circuit over them, and keeps the spec's read-only arrays as
+    ``unitaries``: the given ones when they are read-only and own their data
+    (as :func:`~lcuout.circuit.unitaries_from_json` hands them over), copies
+    otherwise.  Every circuit over them (:func:`key_spec`, the attacks)
     derives from ``base_spec`` with ``CircuitSpec.with_weights``.
     """
 
@@ -292,7 +294,9 @@ def involution_encrypt_decrypt(
         raise ValueError("the involution cipher needs the Hadamard reflection circuit")
     big_n = 2**pub.n
     for t, u in enumerate(pub.unitaries):
-        if np.linalg.norm(u @ u - np.eye(big_n)) > 1e-10:
+        residual = u @ u
+        residual[np.diag_indices(big_n)] -= 1  # u @ u - I in place, the same Frobenius norm bit for bit
+        if np.linalg.norm(residual) > 1e-10:
             raise ValueError(f"unitary {t} is not an involution")
     spec, spec2 = key_spec(key, pub), key_spec(key2, pub)
     psi = np.asarray(psi, dtype=complex)

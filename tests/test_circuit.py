@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lcuout.circuit import (
     sample_shots,
     scale_coefficients,
     success_probabilities,
+    unitaries_from_json,
 )
 from lcuout.linalg import dft_matrix, hadamard_matrix, haar_random_unitary, random_state, rng
 
@@ -97,6 +99,110 @@ def test_spec_rejects_nearly_unitary_mixing_matrix():
     with pytest.raises(ValueError, match="mixing matrix is not unitary"):
         CircuitSpec(k=2, n=1, weights=np.ones(2), unitaries=tuple(haar_random_unitary(2, gen) for _ in range(2)),
                     mixing="secret", mixing_matrix=np.eye(2) * (1 + 4e-6))
+
+
+def _near_unitary_cases():
+    """``(label, matrix)`` pairs whose Gram residual max |M^H M - I| sits at, just inside or just outside 1e-10, or is NaN or inf."""
+    edge = 1e-10
+    cases = []
+    for label, b in [("at", edge), ("inside", np.nextafter(edge, 0)), ("outside", np.nextafter(edge, 1)),
+                     ("far-outside", 2 * edge), ("imaginary-at", 1j * edge), ("imaginary-outside", 1.01j * edge)]:
+        # the Gram's off-diagonal entry is exactly b; its diagonal stays within 1e-15 of 1
+        cases.append((label, np.array([[1.0, b], [0.0, np.sqrt(1 - abs(b) ** 2)]], dtype=complex)))
+    for label, d in [("diagonal-inside", 0.99e-10), ("diagonal-outside", 1.01e-10)]:
+        cases.append((label, np.diag([np.sqrt(1 + d), 1.0]).astype(complex)))
+    for label, bad in [("nan", np.nan), ("inf", np.inf), ("nan-imaginary", complex(0, np.nan))]:
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = bad
+        cases.append((label, m))
+    return cases
+
+
+@pytest.mark.parametrize("label, m", _near_unitary_cases(), ids=[c[0] for c in _near_unitary_cases()])
+@np.errstate(invalid="ignore")  # an inf entry makes 0 * inf in the Gram
+def test_unitarity_check_decides_as_allclose(label, m):
+    expected = np.allclose(m.conj().T @ m, np.eye(2), rtol=0, atol=1e-10)
+    assert expected == label.endswith(("at", "inside"))  # the cases straddle the threshold as labelled
+    for build in (
+        lambda: CircuitSpec(k=1, n=1, weights=np.ones(1), unitaries=(m,)),
+        lambda: CircuitSpec(k=2, n=1, weights=np.ones(2), unitaries=(np.eye(2),) * 2, mixing="secret", mixing_matrix=m),
+    ):
+        if expected:
+            build()
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                build()
+
+
+class _Holder:
+    """An object whose ``__array__`` returns the array it keeps and may write to later."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def __array__(self, dtype=None, copy=None):
+        return self.a
+
+
+@pytest.mark.parametrize("given", ["writeable", "read-only-view", "array-holder"])
+def test_spec_copies_a_writeable_unitary_or_a_view(given):
+    writer = haar_random_unitary(4, rng(21))
+    if given == "read-only-view":
+        given = writer[:]
+        given.flags.writeable = False
+    else:
+        given = writer if given == "writeable" else _Holder(writer)
+    kept = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(given,)).unitaries[0]
+    assert not np.shares_memory(kept, writer) and not kept.flags.writeable and kept.base is None
+    before = kept.copy()
+    writer[0, 0] = 7.0
+    np.testing.assert_array_equal(kept, before)
+
+
+def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
+    u = haar_random_unitary(4, rng(22))
+    u.flags.writeable = False
+    spec = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(u,))
+    assert spec.unitaries[0] is u
+    mix = haar_random_unitary(2, rng(23))
+    mix.flags.writeable = False
+    secret = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=(u, u), mixing="secret", mixing_matrix=mix)
+    assert secret.mixing_matrix is mix and secret.unitaries[1] is u
+    # the converted array of a float matrix is the spec's own and kept as made; a list is converted the same way
+    eye = np.eye(4)
+    converted = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(eye,)).unitaries[0]
+    assert converted.dtype == complex and converted.base is None and not np.shares_memory(converted, eye)
+    assert not CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(eye.tolist(),)).unitaries[0].flags.writeable
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("haar", None), ("pauli_strings", ["XZ", "ZY"]), ("permutation", [[1, 0, 3, 2], [3, 2, 1, 0]]),
+    ("explicit", [matrix_to_pairs(pauli_string_matrix(p)) for p in ("XX", "IZ")]),
+])
+def test_unitaries_from_json_hands_over_read_only_matrices(kind, data):
+    source = {"kind": kind, "seed": 4} if data is None else {"kind": kind, "data": data}
+    k, n, unitaries = unitaries_from_json({"K": 2, "n": 2, "unitaries": source})
+    assert (k, n) == (2, 2) and len(unitaries) == 2
+    assert not any(u.flags.writeable for u in unitaries)
+    spec = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=unitaries)
+    for u, kept in zip(unitaries, spec.unitaries):
+        assert (kept is u) == (u.base is None)  # kept when it owns its data, else copied
+        np.testing.assert_array_equal(kept, u)
+
+
+def test_haar_spec_from_json_peaks_below_two_copies_of_its_unitaries():
+    # the unitaries themselves take K N^2 16 bytes; the draw, check and store may add one more such amount
+    k, n = 4, 7
+    doc = json.dumps({"K": k, "n": n, "weights": [0.5] * k, "unitaries": {"kind": "haar", "seed": 3}})
+    CircuitSpec.from_json(doc)  # lazy imports and one-time buffers are not the spec's
+    tracemalloc.start()
+    try:
+        spec = CircuitSpec.from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spec.unitaries) == k
+    assert peak <= 2.0 * k * (2**n) ** 2 * 16
 
 
 def test_spec_rejects_nan_weights():

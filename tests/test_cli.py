@@ -521,6 +521,18 @@ def test_readme_command_lines_parse():
         assert callable(args.run) and isinstance(args.default_config, dict)
 
 
+def test_main_builds_the_parser_once_and_survives_a_usage_error(tmp_path, capsys):
+    lcuout.cli._parser.cache_clear()
+    assert main(["trapdoor", "keygen", "--seed", "1", "--out", str(tmp_path / "a")]) == 0
+    assert main(["trapdoor", "keygen", "--seed", "2", "--out", str(tmp_path / "b")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["trapdoor", "eval", "--out", str(tmp_path / "c")])  # --key is required
+    assert exc.value.code == 2 and "--key" in capsys.readouterr().err
+    assert main(["trapdoor", "keygen", "--seed", "1", "--out", str(tmp_path / "d")]) == 0
+    assert (tmp_path / "d_key.json").read_bytes() == (tmp_path / "a_key.json").read_bytes()
+    assert lcuout.cli._parser.cache_info().misses == 1
+
+
 def test_key_file_round_trips_byte_identically(tmp_path):
     out1, out2 = str(tmp_path / "k1"), str(tmp_path / "k2")
     assert main(["trapdoor", "keygen", "--seed", "9", "--out", out1]) == 0

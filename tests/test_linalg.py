@@ -81,6 +81,23 @@ def test_haar_random_unitary_seeded():
     assert not np.allclose(haar_random_unitary(6, 3), haar_random_unitary(6, 4))
 
 
+def _haar_out_of_place(dim, gen):
+    """The Haar draw as four temporaries: the reference the in-place draw must match bit for bit."""
+    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64])
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_haar_random_unitary_matches_the_out_of_place_draw(dim, seed):
+    assert haar_random_unitary(dim, seed).tobytes() == _haar_out_of_place(dim, rng(seed)).tobytes()
+    gen, ref = rng(seed), rng(seed)  # a running generator advances by the same draws
+    for _ in range(3):
+        assert haar_random_unitary(dim, gen).tobytes() == _haar_out_of_place(dim, ref).tobytes()
+
+
 def test_haar_random_unitary_accepts_generator():
     gen = rng(9)
     u1 = haar_random_unitary(4, gen)

@@ -133,6 +133,18 @@ def test_csv_round_trip_exact():
     np.testing.assert_array_equal(back, m)  # 17 significant digits round-trip float64
 
 
+def test_csv_cells_format_as_numpy_scalars_do():
+    # signed zeros, a subnormal, extremes, inf and nan: the text is the per-numpy-scalar format, and parses back
+    m = np.array([[0.0 - 0.0j, complex(-0.0, 0.0), 5e-324 - 1e300j],
+                  [complex(np.inf, -np.inf), complex(np.nan, 1.0), complex(-1.7976931348623157e308, np.nan)]])
+    old = "\n".join(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in m) + "\n"
+    text = matrix_to_csv(m)
+    assert text == old
+    back = matrix_from_csv(text).view(float)
+    np.testing.assert_array_equal(back, m.view(float))  # nan where m has nan
+    np.testing.assert_array_equal(np.signbit(back), np.signbit(m.view(float)))
+
+
 def test_csv_skips_comment_lines():
     text = "# tool x\n# config y\n" + matrix_to_csv(np.array([[1 + 2j, 3 - 4j]]))
     back = matrix_from_csv(text)

@@ -681,3 +681,11 @@ def test_observe_refuses_a_seed_that_is_not_an_integer(seed):
     observe(phi, mask, 1e-3, seed=1)  # an equal int seed in the noise memo must not stand in for it
     with pytest.raises(ValueError, match="seed must be an integer"):
         observe(phi, mask, 1e-3, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, True], ids=["none", "float", "bool"])
+def test_observe_refuses_a_seed_that_is_not_an_integer_without_noise(seed):
+    phi, _ = instance(8, n=4)
+    mask = make_mask(8, 16, 9, "uniform", density=0.8)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        observe(phi, mask, 0.0, seed=seed)

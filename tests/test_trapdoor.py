@@ -247,6 +247,19 @@ def test_involution_rejects_non_involutory_unitaries():
         involution_encrypt_decrypt(pub, psi, keygen(4, "hadamard", 37), keygen(4, "hadamard", 38))
 
 
+@pytest.mark.parametrize("theta", [0.49e-10, 0.51e-10, 1e-9], ids=["inside", "outside", "far-outside"])
+def test_involution_check_decides_at_its_threshold(theta):
+    # diag(1, e^{i theta}) squares to I up to |e^{2 i theta} - 1| = 2 sin(theta): within 1e-10 below theta = 0.5e-10
+    near = np.diag([1.0, np.exp(1j * theta)])
+    pub = PublicParams(k=4, n=1, unitaries=(near,) + tuple(pauli_string_matrix(s) for s in "XYZ"))
+    psi, keys = random_state(2, 42), (keygen(4, "hadamard", 43), keygen(4, "hadamard", 44))
+    if np.linalg.norm(near @ near - np.eye(2)) > 1e-10:
+        with pytest.raises(ValueError, match="unitary 0 is not an involution"):
+            involution_encrypt_decrypt(pub, psi, *keys)
+    else:
+        assert theta < 0.5e-10 and abs(involution_encrypt_decrypt(pub, psi, *keys) - 1.0) < 1e-9
+
+
 def test_single_application_with_different_keys_does_not_decrypt():
     # the cancellation is per-circuit-square; mixing two different keys in
     # one square leaves a weight-dependent overlap strictly below 1
