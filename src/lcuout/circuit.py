@@ -27,6 +27,7 @@ __all__ = [
     "CircuitSpec",
     "OutcomeStates",
     "apply_circuit",
+    "block_coefficients",
     "circuit_unitary",
     "coefficient_matrix",
     "coefficients",
@@ -36,6 +37,8 @@ __all__ = [
     "matrix_to_pairs",
     "mixing_layers",
     "output_states",
+    "pauli_string_matrix",
+    "permutation_matrix",
     "real_value",
     "reject_unread_keys",
     "rotation_gate",
@@ -64,15 +67,13 @@ class CheckFailed(RuntimeError):
 def _readonly(value, dtype=None) -> np.ndarray:
     """``value`` as a read-only array that owns its data, converted to ``dtype`` if one is given.
 
-    An array that already is read-only and owns its data is kept, and so is
-    the array the conversion itself has just made; anything else (a
-    writeable array, a view) is copied, so no later write by the caller
+    An array that already is read-only and owns its data is kept; anything
+    else (a writeable array, a view, a list, the writeable result of a dtype
+    conversion) is copied once, so no later write through another reference
     reaches the result.
     """
     a = np.asarray(value, dtype=dtype)
-    # an object's __array__ may return an array the object keeps, so that is not made here
-    made_here = a is not value and (isinstance(value, np.ndarray) or not hasattr(value, "__array__"))
-    if a.base is not None or (a.flags.writeable and not made_here):
+    if a.base is not None or a.flags.writeable:
         a = a.copy()
     a.flags.writeable = False
     return a
@@ -100,9 +101,9 @@ class CircuitSpec:
 
     The spec holds each unitary and the mixing matrix once, read-only.  A
     complex matrix that is already read-only and owns its data is kept
-    as given, not copied, and so is the array the conversion of a list or of
-    another dtype has just made; a writeable array or a view is copied, so
-    no later write through the caller's reference reaches the spec.
+    as given, not copied; anything else (a writeable array, a view, a list
+    or a matrix of another dtype) is copied, so no later write through the
+    caller's reference reaches the spec.
     """
 
     k: int
@@ -355,6 +356,32 @@ def mixing_layers(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
     return _index_layers(spec.k, spec.mixing, spec.mixing_matrix)
 
 
+def _rotations(weights: np.ndarray, variant: str) -> np.ndarray:
+    """K x 2 x 2 stack of the :func:`rotation_gate` of each weight."""
+    return np.stack([rotation_gate(w, variant) for w in weights])
+
+
+def block_coefficients(
+    weights: np.ndarray,
+    mixing: str = "hadamard",
+    variant: str = "reflection",
+    mixing_matrix: np.ndarray | None = None,
+) -> np.ndarray:
+    """The circuit's coefficient algebra ``coef[r, i, s, j, t] = G2[i, t] R_t[r, s] G1[t, j]``.
+
+    The N x N block of the circuit unitary from (index j, rotation s) to
+    (index i, rotation r) is ``sum_t coef[r, i, s, j, t] U_t``; the input
+    (0, 0) slice is :func:`coefficients`, and :func:`lcuout.structure.shuffle`
+    regroups the whole tensor.  ``weights``, ``mixing``, ``variant`` and
+    ``mixing_matrix`` are taken as :func:`coefficients` takes them.
+    """
+    w = np.asarray(weights, dtype=float)
+    g1, g2 = _index_layers(w.shape[0], mixing, mixing_matrix)
+    rot = _rotations(w, variant).transpose(1, 2, 0)  # (r, s, t)
+    # axes (r, i, s, j, t), multiplied as G2 (R G1): another order moves the last bits of C and of every output
+    return g2[None, :, None, None, :] * (rot[:, None, :, None, :] * g1.T[None, None, None, :, :])
+
+
 def coefficients(
     weights: np.ndarray,
     mixing: str = "hadamard",
@@ -364,23 +391,18 @@ def coefficients(
     """2K x K matrix C of K rotation weights under a mixing and a rotation variant.
 
     Row ``r * K + i`` holds the coefficient multiplying ``U_t psi`` in
-    phi[i, r].  For Hadamard mixing this is ``s[i, t] w_t / K`` on top and
-    ``s[i, t] r_t / K`` below, with ``s[i, t] = +-1`` and
-    ``r_t = sqrt(1 - w_t^2)`` (negated for the cyclic variant); the columns
-    are orthogonal with squared norm 1/K for every supported mixing.  Only
-    the Hadamard order is checked (K must be a power of two); the weights
-    must lie in [-1, 1] and secret mixing needs its K x K unitary, which
+    phi[i, r]: the input-(0, 0) slice ``[:, :, 0, 0]`` of
+    :func:`block_coefficients`, its two K x K rotation blocks stacked.  For
+    Hadamard mixing this is ``s[i, t] w_t / K`` on top and ``s[i, t] r_t /
+    K`` below, with ``s[i, t] = +-1`` and ``r_t = sqrt(1 - w_t^2)`` (negated
+    for the cyclic variant); the columns are orthogonal with squared norm
+    1/K for every supported mixing.  Only the Hadamard order is checked (K
+    must be a power of two), and :func:`rotation_gate` refuses a weight
+    outside [-1, 1]; secret mixing needs its K x K unitary, which
     :class:`CircuitSpec` checks before :func:`coefficient_matrix` applies
     this formula to it.
     """
-    w = np.asarray(weights, dtype=float)
-    g1, g2 = _index_layers(w.shape[0], mixing, mixing_matrix)
-    r = np.sqrt(1.0 - w * w)
-    if variant == "cyclic":
-        r = -r
-    prep = g1[:, 0]
-    c = np.vstack([g2 * (prep * w), g2 * (prep * r)])
-    return c if np.iscomplexobj(c) else c.astype(float)
+    return np.vstack(block_coefficients(weights, mixing, variant, mixing_matrix)[:, :, 0, 0])
 
 
 def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
@@ -428,7 +450,7 @@ def apply_circuit(spec: CircuitSpec, v: np.ndarray) -> np.ndarray:
     if v.shape != (spec.extended_dim,):
         raise ValueError(f"vector has shape {v.shape}, expected {(spec.extended_dim,)}")
     g1, g2 = mixing_layers(spec)
-    rot = np.stack([rotation_gate(w, spec.variant) for w in spec.weights])
+    rot = _rotations(spec.weights, spec.variant)
     x = np.tensordot(g1, v.reshape(k, 2, big_n), axes=1)  # (t, s, m)
     x = np.stack(spec.unitaries) @ x.transpose(0, 2, 1)  # (t, m, s): U_t on both rotation halves
     x = rot @ x.transpose(0, 2, 1)  # (t, r, m)

@@ -273,6 +273,8 @@ def cmd_keygen(config: dict, args) -> int:
 
 
 def cmd_eval(config: dict, args) -> int:
+    if args.shots is not None and args.dump == "amplitudes":
+        raise ValueError("--shots samples --dump magnitudes; the exact --dump amplitudes would ignore it")
     pub, psi = _public(config, args)
     key = key_from_json(Path(args.key).read_text())
     if args.dump == "amplitudes":
@@ -285,6 +287,8 @@ def cmd_eval(config: dict, args) -> int:
 
 
 def cmd_invert(config: dict, args) -> int:
+    if args.sigma and args.density is None:
+        raise ValueError("--sigma is the noise on what --density observes; without --density it would be ignored")
     pub, psi = _public(config, args)
     key = key_from_json(Path(args.key).read_text())
     seed = args.seed or 0
@@ -397,8 +401,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", choices=("magnitudes", "amplitudes"), default="magnitudes")
     p = command(trap, "invert", cmd_invert, DEFAULT_TRAPDOOR)
     p.add_argument("--key", required=True, help="key JSON path")
-    p.add_argument("--phi", default=None, help="matrix CSV path")
-    p.add_argument("--density", type=float, default=None)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--phi", default=None, help="matrix CSV path")
+    source.add_argument("--density", type=float, default=None)
     p.add_argument("--sigma", type=float, default=0.0)
     p = command(trap, "attack", cmd_attack, DEFAULT_TRAPDOOR)
     p.add_argument("--key", default=None, help="key JSON path")

@@ -11,7 +11,7 @@ cosine-sine factors of U can be written down explicitly.
 
 Every N x N block of U is a K-term combination ``sum_t coef[r, i, s, j, t]
 U_t`` of the circuit's unitaries, so the checks here work on the K x K
-coefficient algebra.  A Frobenius norm of a block combination is a quadratic
+coefficient algebra, :func:`~lcuout.circuit.block_coefficients`.  A Frobenius norm of a block combination is a quadratic
 form of its coefficients in the trace Gram matrix ``tr(U_t^dag U_u)``, so no
 combination is formed.  The identities that involve products of blocks
 (``U^dag U = I``, the weight-free square U^2 and the two-block form) hold for
@@ -36,9 +36,9 @@ from .circuit import (
     CheckFailed,
     CircuitSpec,
     apply_circuit,
+    block_coefficients,
     coefficient_matrix,
     mixing_layers,
-    rotation_gate,
     row_matrix,
 )
 from .linalg import numerical_rank, random_state, rng
@@ -128,13 +128,6 @@ def _frobenius(coef: np.ndarray, gram: np.ndarray) -> float:
     return float(np.sqrt(max(np.einsum("at,tu,au->", c.conj(), gram, c).real, 0.0)))
 
 
-def _block_coefficients(spec: CircuitSpec) -> np.ndarray:
-    """``coef[r, i, s, j, t] = G2[i, t] R_t[r, s] G1[t, j]``."""
-    g1, g2 = mixing_layers(spec)
-    rot = np.stack([rotation_gate(w, spec.variant) for w in spec.weights])
-    return np.einsum("it,trs,tj->risjt", g2, rot, g1)
-
-
 def shuffle(spec: CircuitSpec) -> ShuffledUnitary:
     """Regroup the circuit unitary's basis into block coefficients.
 
@@ -146,7 +139,7 @@ def shuffle(spec: CircuitSpec) -> ShuffledUnitary:
     max|U_t|``.  The largest such bound is the block residual; no block is
     formed.
     """
-    coef = _block_coefficients(spec)
+    coef = block_coefficients(spec.weights, spec.mixing, spec.variant, spec.mixing_matrix)
     sign = 1.0 if spec.variant == "reflection" else -1.0
     lower_gap = np.stack([coef[1, :, 0] - sign * coef[0, :, 1], coef[1, :, 1] + sign * coef[0, :, 0]])
     peaks = np.array([np.abs(u).max() for u in spec.unitaries])
@@ -171,24 +164,25 @@ def _diagonal_gap(shuffled: ShuffledUnitary, g: np.ndarray, scale: np.ndarray, s
     return _frobenius(shuffled.coef[0, :, s] - np.einsum("it,t,jt->ijt", g, scale, g.conj()), shuffled.traces)
 
 
-def similarity_check(shuffled: ShuffledUnitary) -> float:
-    """Residual of ``Q^dag A Q = diag(w_t U_t)`` (and the r_t analogue for B).
-
-    Returns the larger of the two relative Frobenius residuals.
-    """
-    spec = shuffled.spec
-    q = _public_mixing(spec)
+def _scales(spec: CircuitSpec) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
+    """``((0, w_t), (1, r_t))``: block s of the upper rotation row (A, then B) and the scale it carries."""
     w = spec.weights
-    r = np.sqrt(1.0 - w * w)
-    diag = np.arange(spec.k)
-    res = []
-    for s, scale in ((0, w), (1, r)):
-        block = shuffled.coef[0, :, s]
-        # Q^dag (sum_v coef U_v) Q = sum_v sim[t, u, v] U_v, block by block
-        sim = np.einsum("it,ijv,ju->tuv", q.conj(), block, q)
-        sim[diag, diag, diag] -= scale
-        res.append(_frobenius(sim, shuffled.traces) / max(_frobenius(block, shuffled.traces), 1e-300))
-    return float(max(res))
+    return (0, w), (1, np.sqrt(1.0 - w * w))
+
+
+def similarity_check(shuffled: ShuffledUnitary) -> float:
+    """Relative residual of ``A = Q diag(w_t U_t) Q^dag`` (and of the r_t analogue for B).
+
+    Returns the larger of ``|A - Q diag(w_t U_t) Q^dag|_F / |A|_F`` and the
+    same for B, each taken by :func:`_diagonal_gap`.  For a unitary Q this
+    equals the residual of ``Q^dag A Q = diag(w_t U_t)``, since multiplying by
+    unitaries keeps the Frobenius norm.
+    """
+    q = _public_mixing(shuffled.spec)
+    return float(max(
+        _diagonal_gap(shuffled, q, scale, s) / max(_frobenius(shuffled.coef[0, :, s], shuffled.traces), 1e-300)
+        for s, scale in _scales(shuffled.spec)
+    ))
 
 
 def singular_multiset_check(shuffled: ShuffledUnitary) -> tuple[float, float]:
@@ -215,12 +209,10 @@ def singular_multiset_check(shuffled: ShuffledUnitary) -> tuple[float, float]:
     spec = shuffled.spec
     k = spec.k
     g = _public_mixing(spec)
-    w = spec.weights
-    r = np.sqrt(1.0 - w * w)
     eta = shuffled.eta
     gamma = np.linalg.norm(g.conj().T @ g - np.eye(k))
     bounds = []
-    for s, scale in ((0, w), (1, r)):
+    for s, scale in _scales(spec):
         gap = _diagonal_gap(shuffled, g, scale, s)
         size = np.abs(scale)
         bounds.append(float(gap + np.max(size * eta) + gamma * size.max() * (1.0 + eta.max())))
@@ -255,8 +247,7 @@ def csd_assemble(spec: CircuitSpec) -> CsdFactors:
         raise ValueError("closed-form CS factors assume the reflection variant")
     if np.any(spec.weights < 0):
         raise ValueError("closed-form CS factors need non-negative weights")
-    w = spec.weights
-    r = np.sqrt(1.0 - w * w)
+    (_, w), (_, r) = _scales(spec)
     return CsdFactors(g=_public_mixing(spec), sigma_w=np.repeat(w, spec.big_n), sigma_r=np.repeat(r, spec.big_n))
 
 

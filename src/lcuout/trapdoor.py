@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CircuitSpec, apply_circuit, coefficient_matrix, list_value, output_states, real_value, sample_shots
-from .linalg import haar_random_unitary, hadamard_matrix, rng
+from .circuit import (
+    CircuitSpec, apply_circuit, coefficient_matrix, list_value, mixing_layers, output_states, real_value, sample_shots,
+)
+from .linalg import haar_random_unitary, rng
 from .outputs import extract_target
 from .recovery import ObservedEntries, factorized_complete
 
@@ -238,8 +240,11 @@ class AttackResult:
 def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
     """Break the Hadamard scheme given full complex amplitudes.
 
-    Multiplying the row blocks by the inverse Hadamard mixing gives
-    ``diag(w) X`` and ``diag(r) X``; the entrywise ratio at the strongest
+    Each rotation block of Phi is ``G2 diag(G1[:, 0] w) X`` (resp. r in
+    place of w) with the public layers ``(G1, G2)`` of
+    :func:`~lcuout.circuit.mixing_layers`; applying ``G2^T`` (G2 is real
+    orthogonal) and dividing by ``G1[:, 0]`` undoes the mixing and gives
+    ``diag(w) X`` and ``diag(r) X``.  The entrywise ratio at the strongest
     column of each row yields r_t/w_t and hence w_t, up to the sign
     convention w_t = +1 when r_t = 0.  The returned residual is the relative
     misfit of the rank-K factorization rebuilt from the recovered weights —
@@ -254,9 +259,8 @@ def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
     if not phi.any():
         raise ValueError("the attack needs a matrix with a nonzero entry; this one is all zero")
     k = pub.k
-    s = hadamard_matrix(k) * np.sqrt(k)
-    y0 = s.T @ phi[:k]  # equals diag(w) X: s^T s = K I and phi = (1/K) s diag(w) X
-    y1 = s.T @ phi[k:]
+    g1, g2 = mixing_layers(pub.base_spec)
+    y0, y1 = (g2.T @ phi.reshape(2, k, -1)) / g1[:, :1]
     weights = np.zeros(k)
     recoverable = np.ones(k, dtype=bool)
     scale = np.sqrt(np.abs(y0) ** 2 + np.abs(y1) ** 2)

@@ -9,7 +9,10 @@ from lcuout.circuit import (
     CheckFailed,
     CircuitSpec,
     apply_circuit,
+    block_coefficients,
     circuit_unitary,
+    coefficients,
+    matrix_from_pairs,
     matrix_to_pairs,
     mixing_layers,
     output_states,
@@ -168,7 +171,7 @@ def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
     mix.flags.writeable = False
     secret = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=(u, u), mixing="secret", mixing_matrix=mix)
     assert secret.mixing_matrix is mix and secret.unitaries[1] is u
-    # the converted array of a float matrix is the spec's own and kept as made; a list is converted the same way
+    # a float matrix or a list is converted, and the writeable result copied once into the spec's own array
     eye = np.eye(4)
     converted = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(eye,)).unitaries[0]
     assert converted.dtype == complex and converted.base is None and not np.shares_memory(converted, eye)
@@ -268,11 +271,28 @@ def test_spec_json_round_trip_explicit_and_secret():
     ({"mixing": "secret"}, "secret mixing requires an explicit mixing matrix"),
     ({"mixing_matrix": matrix_to_pairs(np.eye(2))}, "mixing matrix only applies to secret mixing"),
     ({"colour": "red", "seed": 1}, "config key 'colour' is not read by a circuit spec; config key 'seed'"),
-], ids=["secret-without-matrix", "matrix-without-secret", "unread-keys"])
+    ({"K": 0}, "need at least one unitary, got k=0"),
+    ({"n": 0}, "need at least one system qubit, got n=0"),
+    ({"mixing": "fourier"}, "unknown mixing 'fourier'"),
+    ({"variant": "spiral"}, "unknown variant 'spiral'"),
+    ({"unitaries": {"kind": "fourier"}}, "unknown unitary source kind 'fourier'"),
+], ids=["secret-without-matrix", "matrix-without-secret", "unread-keys", "no-unitaries", "no-qubits",
+        "unknown-mixing", "unknown-variant", "unknown-source-kind"])
 def test_spec_json_rejects_an_unread_key_and_a_misplaced_mixing_matrix(change, message):
     doc = {"K": 2, "n": 1, "weights": [0.9, 0.4], "unitaries": {"kind": "pauli_strings", "data": ["X", "Z"]}}
     with pytest.raises(ValueError, match=message):
         CircuitSpec.from_json(json.dumps({**doc, **change}))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: unitaries_from_json([1, 2]), "a circuit document must be a JSON object"),
+    (lambda: matrix_from_pairs([[1.0, 0.0]]), r"matrix entries must be \[re, im\] pairs"),
+    (lambda: rotation_gate(0.5, "spiral"), "unknown variant 'spiral'"),
+    (lambda: output_states(make_spec(k=2, n=1, seed=1), np.ones(4) / 2), r"state has shape \(4,\), expected \(2,\)"),
+], ids=["document-not-an-object", "pairs-not-3d", "gate-variant", "state-shape"])
+def test_circuit_inputs_of_the_wrong_form_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_pauli_string_matrix():
@@ -336,6 +356,36 @@ def test_apply_circuit_rejects_a_vector_of_the_wrong_length():
     spec = make_spec(k=2, n=1, seed=6)
     with pytest.raises(ValueError, match="expected"):
         apply_circuit(spec, np.ones(spec.big_n))
+
+
+def _coefficients_as_formed(weights, mixing, variant, mixing_matrix):
+    """C row block by row block, ``G2 * (G1[:, 0] * w)`` over ``G2 * (G1[:, 0] * r)``: the reference for C's bits."""
+    w = np.asarray(weights, dtype=float)
+    k = w.shape[0]
+    g1, g2 = {"hadamard": (hadamard_matrix(k), hadamard_matrix(k)), "dft": (dft_matrix(k), dft_matrix(k).conj().T),
+              "secret": (hadamard_matrix(k), mixing_matrix)}[mixing]
+    r = np.sqrt(1.0 - w * w) * (1.0 if variant == "reflection" else -1.0)
+    return np.vstack([g2 * (g1[:, 0] * w), g2 * (g1[:, 0] * r)])
+
+
+@pytest.mark.parametrize("mixing", ["hadamard", "dft", "secret"])
+@pytest.mark.parametrize("variant", ["reflection", "cyclic"])
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_coefficients_are_the_input_slice_of_the_block_coefficients(k, mixing, variant):
+    weights = rng(70 + k).uniform(-1.0, 1.0, k)
+    mix = haar_random_unitary(k, 71 + k) if mixing == "secret" else None
+    c = coefficients(weights, mixing, variant, mix)
+    coef = block_coefficients(weights, mixing, variant, mix)
+    assert coef.shape == (2, k, 2, k, k) and c.shape == (2 * k, k)
+    assert c.tobytes() == coef[:, :, 0, 0].reshape(2 * k, k).tobytes()
+    assert c.tobytes() == _coefficients_as_formed(weights, mixing, variant, mix).tobytes()
+    # each N x N block of the dense circuit unitary is the tensor's combination of the U_t
+    spec = make_spec(k=k, n=1, seed=72, mixing="dft" if mixing == "dft" else "hadamard", variant=variant,
+                     weights=weights).with_weights(weights, mix)
+    big_n = spec.big_n
+    blocks = circuit_unitary(spec).reshape(k, 2, big_n, k, 2, big_n)  # rows (i, r, m), columns (j, s, m')
+    combined = np.einsum("risjt,tmn->irmjsn", coef, np.stack(spec.unitaries))
+    np.testing.assert_allclose(blocks, combined, rtol=0, atol=1e-12)
 
 
 # ---- output states ------------------------------------------------------------

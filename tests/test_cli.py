@@ -477,6 +477,29 @@ def test_trapdoor_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case)
     assert list(tmp_path.glob("o*")) == []
 
 
+IGNORED_FLAGS = [
+    (["invert", "--sigma", "0.5"], "--sigma"),
+    (["invert", "--phi", "phi.csv", "--density", "0.5", "--sigma", "0.5"], "--density"),
+    (["eval", "--dump", "amplitudes", "--shots", "10"], "--shots"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", IGNORED_FLAGS, ids=["sigma-without-density", "phi-and-density",
+                                                           "shots-with-amplitudes"])
+def test_trapdoor_flag_the_command_would_ignore_exits_2(tmp_path, capsys, monkeypatch, argv, flag):
+    # without the refusal each would exit 0 having dropped the flag: noiseless, from --phi alone, or exact amplitudes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.json").write_text(key_to_json(keygen(4, "hadamard", 0)))
+    (tmp_path / "phi.csv").write_text(matrix_to_csv(np.ones((8, 16))))
+    try:
+        code = main(["trapdoor", *argv, "--key", "k.json", "--out", "o"])
+    except SystemExit as exc:  # argparse refuses the pair itself
+        code = exc.code
+    assert code == 2
+    assert any("error: " in line and flag in line for line in capsys.readouterr().err.splitlines())
+    assert list(tmp_path.glob("o*")) == []
+
+
 @pytest.mark.parametrize("change", [{"instances": 0}, {"masks_per_instance": 0}, {"methods": []}, {"fractions": []}])
 def test_fig3_with_nothing_to_average_exits_2(tmp_path, capsys, change):
     cfg = tmp_path / "cfg.json"

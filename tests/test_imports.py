@@ -84,6 +84,50 @@ def test_detector_sees_dense_oracle_uses():
     assert dense_oracle_uses(source) == ["circuit_unitary", "circuit_unitary"]
 
 
+def export_mismatches(source: str) -> list[str]:
+    """For a module that declares ``__all__``: each public top-level function or class it leaves out
+    (``unlisted``) and each entry that no top-level definition, import or assignment binds (``unbound``)."""
+    tree = ast.parse(source)
+    listed, bound, public = None, set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            public += [] if node.name.startswith("_") else [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Assign):
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                listed = ast.literal_eval(node.value)
+            bound |= names
+    if listed is None:
+        return []
+    return [f"unlisted {n}" for n in public if n not in listed] + [f"unbound {n}" for n in listed if n not in bound]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "lcuout").glob("*.py")), ids=lambda p: p.name)
+def test_all_lists_every_public_definition_and_only_bound_names(path):
+    assert export_mismatches(path.read_text()) == []
+
+
+def test_detector_sees_export_mismatches():
+    source = (
+        "from .circuit import row_matrix as rows\n"
+        "import numpy as np\n"
+        "__all__ = ['Listed', 'listed', 'rows', 'LIMIT', 'gone']\n"
+        "LIMIT = 3\n"
+        "class Listed: pass\n"
+        "def listed(): pass\n"
+        "def unlisted(): pass\n"
+        "class Unlisted: pass\n"
+        "def _private(): pass\n"
+        "def outer():\n"
+        "    def inner(): pass\n"
+    )
+    assert export_mismatches(source) == ["unlisted unlisted", "unlisted Unlisted", "unlisted outer", "unbound gone"]
+    assert export_mismatches("def public(): pass\n") == []
+
+
 def unused_imports(source: str) -> list[str]:
     """Names that ``source`` imports but neither references nor lists in its ``__all__``."""
     tree = ast.parse(source)

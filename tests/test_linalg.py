@@ -208,6 +208,17 @@ def test_truncate_rank_full_rank_request_returns_input(shape, rank):
     assert truncate_rank(a, rank) is a
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: dft_matrix(0), "order must be positive, got 0"),
+    (lambda: haar_random_unitary(0, 1), "dimension must be positive, got 0"),
+    (lambda: random_state(0, 1), "dimension must be positive, got 0"),
+    (lambda: svd(np.ones(3)), "expected a matrix, got ndim=1"),
+], ids=["dft-order", "haar-dimension", "state-dimension", "svd-vector"])
+def test_sizes_and_shapes_that_give_no_matrix_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_truncate_rank_rejects_bad_arguments():
     with pytest.raises(ValueError):
         truncate_rank(np.ones(4), 1)

@@ -123,6 +123,11 @@ def test_extract_target_scaling_consistency():
     np.testing.assert_allclose(t_psi, k * c_scale * phi[0], atol=1e-10)
 
 
+def test_extract_target_rejects_a_coefficient_count_that_is_not_the_row_count():
+    with pytest.raises(ValueError, match="3 coefficients for 4 rows"):
+        extract_target(np.ones((4, 8)), np.ones(3))
+
+
 # ---- serialization -------------------------------------------------------------
 
 def test_csv_round_trip_exact():

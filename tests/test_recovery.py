@@ -517,6 +517,12 @@ def test_sweep_instance_matches_random_instance_in_weights_and_c(seed):
     assert numerical_rank(c @ x) <= 4
 
 
+@pytest.mark.parametrize("k, n", [(0, 4), (4, 0)], ids=["no-weights", "no-qubits"])
+def test_sweep_instance_rejects_an_empty_size(k, n):
+    with pytest.raises(ValueError, match=f"need k >= 1 and n >= 1, got k={k}, n={n}"):
+        sweep_instance(k, n, 0)
+
+
 def test_sweep_draws_states_not_unitaries(monkeypatch):
     built = []
     haar, post_init = haar_random_unitary, CircuitSpec.__post_init__

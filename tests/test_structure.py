@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcuout.circuit
 import lcuout.structure
 from lcuout.circuit import (
     CheckFailed,
@@ -90,7 +91,7 @@ def test_shuffle_raises_check_failed_when_block_symmetry_breaks(monkeypatch):
         r = np.sqrt(1.0 - w * w)
         return np.array([[w, r], [0.5 * r, -w]])
 
-    monkeypatch.setattr(lcuout.structure, "rotation_gate", lopsided)
+    monkeypatch.setattr(lcuout.circuit, "rotation_gate", lopsided)
     with pytest.raises(CheckFailed, match="two-block symmetry check failed: residual"):
         shuffle(make_spec(k=2, n=1, seed=4))
 
@@ -432,12 +433,12 @@ def test_bounds_cover_the_dense_residuals_of_coefficients_off_the_formula():
 
 def test_wrong_weights_in_a_fail_the_singular_multiset_check(monkeypatch):
     # block coefficients built from other weights: U stays a unitary circuit, but A no longer carries the |w_t|
-    right = lcuout.structure._block_coefficients
+    right = lcuout.circuit.block_coefficients
 
-    def wrong(spec):
-        return right(spec.with_weights(0.9 * spec.weights))
+    def wrong(weights, *layers):
+        return right(0.9 * weights, *layers)
 
-    monkeypatch.setattr(lcuout.structure, "_block_coefficients", wrong)
+    monkeypatch.setattr(lcuout.structure, "block_coefficients", wrong)
     spec = make_spec(k=4, n=2, seed=65)
     failed = {c["name"] for c in verify(spec, seed=10) if not c["pass"]}
     assert "singular-multiset" in failed

@@ -5,7 +5,7 @@ import pytest
 
 from lcuout.circuit import pauli_string_matrix, sample_shots
 from lcuout.linalg import haar_random_unitary, random_state, rng
-from lcuout.outputs import output_matrix, row_matrix
+from lcuout.outputs import coefficient_matrix, output_matrix, row_matrix
 from lcuout.recovery import ObservedEntries, make_mask, observe
 from lcuout.trapdoor import (
     PublicParams,
@@ -170,6 +170,10 @@ def test_invert_with_key_masked_observations():
     assert rel < 1e-8
 
 
+def test_mixing_from_key_of_one_weight_is_the_identity():
+    assert mixing_from_key(keygen(1, "secret_mixing", 12)).tolist() == [[1.0 + 0j]]
+
+
 # ---- attacks ----------------------------------------------------------------------
 
 def test_hadamard_attack_recovers_weights_from_amplitudes():
@@ -182,6 +186,19 @@ def test_hadamard_attack_recovers_weights_from_amplitudes():
         assert np.all(res.recoverable)
         assert np.abs(res.weights - key.weights).max() < 1e-10
         assert res.residual < 1e-10
+
+
+def test_hadamard_attack_flags_a_row_it_cannot_recover():
+    # row 2 of X is zero, so nothing in Phi carries w_2; the other weights still come out
+    pub = make_pub(seed=23)
+    key = keygen(4, "hadamard", 24)
+    spec = key_spec(key, pub)
+    x = row_matrix(spec, random_state(16, 25))
+    x[2] = 0.0
+    res = hadamard_attack(pub, coefficient_matrix(spec) @ x)
+    assert res.recoverable.tolist() == [True, True, False, True]
+    assert res.weights[2] == 0.0
+    assert np.abs(np.delete(res.weights - key.weights, 2)).max() < 1e-10
 
 
 def test_hadamard_attack_fails_on_magnitudes_only():
