@@ -375,11 +375,17 @@ def block_coefficients(
     regroups the whole tensor.  ``weights``, ``mixing``, ``variant`` and
     ``mixing_matrix`` are taken as :func:`coefficients` takes them.
     """
+    return _coefficient_tensor(weights, mixing, variant, mixing_matrix, slice(None))
+
+
+def _coefficient_tensor(weights, mixing, variant, mixing_matrix, inputs: slice) -> np.ndarray:
+    """:func:`block_coefficients` restricted to the input rotations ``s`` and indices ``j`` in ``inputs``."""
     w = np.asarray(weights, dtype=float)
     g1, g2 = _index_layers(w.shape[0], mixing, mixing_matrix)
-    rot = _rotations(w, variant).transpose(1, 2, 0)  # (r, s, t)
+    rot = _rotations(w, variant).transpose(1, 2, 0)[:, inputs]  # (r, s, t)
+    g1t = g1.T[inputs]  # (j, t)
     # axes (r, i, s, j, t), multiplied as G2 (R G1): another order moves the last bits of C and of every output
-    return g2[None, :, None, None, :] * (rot[:, None, :, None, :] * g1.T[None, None, None, :, :])
+    return g2[None, :, None, None, :] * (rot[:, None, :, None, :] * g1t[None, None, None, :, :])
 
 
 def coefficients(
@@ -392,7 +398,8 @@ def coefficients(
 
     Row ``r * K + i`` holds the coefficient multiplying ``U_t psi`` in
     phi[i, r]: the input-(0, 0) slice ``[:, :, 0, 0]`` of
-    :func:`block_coefficients`, its two K x K rotation blocks stacked.  For
+    :func:`block_coefficients`, its two K x K rotation blocks stacked, built
+    from the input-(0, 0) operands alone (O(K^2), not the 4K^3 tensor).  For
     Hadamard mixing this is ``s[i, t] w_t / K`` on top and ``s[i, t] r_t /
     K`` below, with ``s[i, t] = +-1`` and ``r_t = sqrt(1 - w_t^2)`` (negated
     for the cyclic variant); the columns are orthogonal with squared norm
@@ -402,7 +409,7 @@ def coefficients(
     :class:`CircuitSpec` checks before :func:`coefficient_matrix` applies
     this formula to it.
     """
-    return np.vstack(block_coefficients(weights, mixing, variant, mixing_matrix)[:, :, 0, 0])
+    return np.vstack(_coefficient_tensor(weights, mixing, variant, mixing_matrix, slice(0, 1))[:, :, 0, 0])
 
 
 def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:

@@ -3,9 +3,10 @@
 Phi is rank K with 2K rows, so a handful of observed entries per column
 pins it down.  Three routes are implemented: singular-value projection
 (iterative hard thresholding), ridge-regularized alternating least squares,
-and — when the coefficient matrix C is known — an exact per-column
-factorized solve.  ``sweep`` drives grids of seeded experiments and returns
-one aggregate row per (method, swept value).
+and — when the coefficient matrix C is known — an exact factorized
+solve, one least-squares pseudo-inverse per observation pattern shared by
+every column with that pattern.  ``sweep`` drives grids of seeded
+experiments and returns one aggregate row per (method, swept value).
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ class ObservedEntries:
     """Observed (possibly noisy) entries; unobserved positions hold zero.
 
     ``values`` must be a 2-D array and ``mask`` an array of the same shape,
-    stored as booleans.  The stored values are a copy with every position
-    off the mask set to zero, so no solver reads what was not observed; the
-    observed values must then be finite.  Anything else is a ``ValueError``.
+    stored as a boolean copy.  The stored values are a copy with every
+    position off the mask set to zero, so no solver reads what was not
+    observed; the observed values must then be finite.  Anything else is a
+    ``ValueError``.  Both copies are read-only, so no later edit, of the
+    caller's arrays or of these, changes what the entries say was observed.
     """
 
     values: np.ndarray
@@ -57,7 +60,7 @@ class ObservedEntries:
 
     def __post_init__(self):
         values = np.asarray(self.values)
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool)
         if values.ndim != 2 or mask.shape != values.shape:
             raise ValueError(
                 f"observed values of shape {values.shape} need a 2-D mask of the same shape, got {mask.shape}"
@@ -65,6 +68,7 @@ class ObservedEntries:
         values = np.where(mask, values, 0)
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
+        values.flags.writeable = mask.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 

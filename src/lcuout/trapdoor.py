@@ -10,10 +10,10 @@ The key holder's inversion and the attack's fit both go through
 :func:`lcuout.recovery.factorized_complete`, the one solver of Phi = C X; a
 full matrix is passed to it as entries that are all observed.
 
-Also included: the closed-form attack that breaks the Hadamard scheme when
-full complex amplitudes leak and fails on magnitudes alone, and the
-involution encrypt/decrypt demo (squaring the circuit cancels the weights
-whenever every U_t is an involution).
+Also included: the closed-form attack that breaks the Hadamard scheme, for
+both rotation variants, when full complex amplitudes leak and fails on
+magnitudes alone, and the involution encrypt/decrypt demo (squaring the
+circuit cancels the weights whenever every U_t is an involution).
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    CircuitSpec, apply_circuit, coefficient_matrix, list_value, mixing_layers, output_states, real_value, sample_shots,
+    CircuitSpec, apply_circuit, coefficient_matrix, list_value, mixing_layers, output_states, real_value, rotation_gate,
+    sample_shots,
 )
 from .linalg import haar_random_unitary, rng
 from .outputs import extract_target
@@ -217,8 +218,8 @@ def invert_with_key(
     """Key-holder inversion: rebuild C, solve Phi = C X, combine rows.
 
     ``obs`` is either the exact complex output matrix, solved as entries
-    that are all observed, or partial observed entries; both go through the
-    per-column :func:`~lcuout.recovery.factorized_complete`.  Returns the
+    that are all observed, or partial observed entries; both go through
+    :func:`~lcuout.recovery.factorized_complete`.  Returns the
     recovered X, the combined state sum_t w_t U_t psi, and any columns with
     too few observations to be pinned down.  Raises ``ValueError`` unless
     the matrix is 2K x 2**n.
@@ -238,17 +239,26 @@ class AttackResult:
 
 
 def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
-    """Break the Hadamard scheme given full complex amplitudes.
+    """Break the Hadamard scheme given full complex amplitudes, for either rotation variant.
 
-    Each rotation block of Phi is ``G2 diag(G1[:, 0] w) X`` (resp. r in
-    place of w) with the public layers ``(G1, G2)`` of
+    Each rotation block of Phi is ``G2 diag(G1[:, 0] w) X`` (resp. ``+-r``
+    in place of w) with the public layers ``(G1, G2)`` of
     :func:`~lcuout.circuit.mixing_layers`; applying ``G2^T`` (G2 is real
-    orthogonal) and dividing by ``G1[:, 0]`` undoes the mixing and gives
-    ``diag(w) X`` and ``diag(r) X``.  The entrywise ratio at the strongest
-    column of each row yields r_t/w_t and hence w_t, up to the sign
-    convention w_t = +1 when r_t = 0.  The returned residual is the relative
-    misfit of the rank-K factorization rebuilt from the recovered weights —
-    against magnitude-only data it stays large, which is the point.  Raises
+    orthogonal) and dividing by ``G1[:, 0]`` undoes the mixing.  The
+    rotation-1 block is then multiplied by the gate's own sign of r_t,
+    ``rotation_gate(0.0, pub.variant)[1, 0]`` (+1 reflection, -1 cyclic), so
+    the blocks are ``y0 = diag(w) X`` and ``y1 = diag(r) X`` with r_t >= 0.
+    In closed form over every column,
+    ``w_t = s_t sqrt(|y0_t|^2 / (|y0_t|^2 + |y1_t|^2))`` with s_t = -1 where
+    ``Re <y1_t, y0_t> < 0`` and +1 otherwise, so w_t = +1 when that product
+    is exactly 0.  At |w_t| = 1 (r_t = 0) the sign is not identifiable: w_t
+    and -w_t fit Phi alike, the sign moving into row t of X, and the
+    rounding left in y1_t decides it.
+    A row whose energy ``|y0_t|^2 + |y1_t|^2`` is at most 1e-28 of the largest
+    row's carries no weight: it is marked not ``recoverable`` and its weight
+    is 0.  The returned residual is the relative misfit of the rank-K
+    factorization rebuilt from the recovered weights — against
+    magnitude-only data it stays large, which is the point.  Raises
     ``ValueError`` unless ``phi`` is 2K x 2**n with a nonzero entry, which
     the relative residual needs.
     """
@@ -258,26 +268,15 @@ def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
     phi = entries.values
     if not phi.any():
         raise ValueError("the attack needs a matrix with a nonzero entry; this one is all zero")
-    k = pub.k
     g1, g2 = mixing_layers(pub.base_spec)
-    y0, y1 = (g2.T @ phi.reshape(2, k, -1)) / g1[:, :1]
-    weights = np.zeros(k)
-    recoverable = np.ones(k, dtype=bool)
-    scale = np.sqrt(np.abs(y0) ** 2 + np.abs(y1) ** 2)
-    tiny = 1e-14 * max(scale.max(), 1e-300)
-    for t in range(k):
-        m = int(np.argmax(scale[t]))
-        if scale[t, m] <= tiny:
-            recoverable[t] = False
-            continue
-        a, b = y0[t, m], y1[t, m]
-        if abs(a) >= abs(b):
-            ratio = (b / a).real  # r/w, sign tracks sign(w) since r >= 0
-            sign = 1.0 if ratio >= 0 else -1.0
-            weights[t] = sign / np.sqrt(1.0 + ratio * ratio)
-        else:
-            ratio = (a / b).real  # w/r
-            weights[t] = ratio / np.sqrt(1.0 + ratio * ratio)
+    y0, y1 = (g2.T @ phi.reshape(2, pub.k, -1)) / g1[:, :1]
+    y1 *= rotation_gate(0.0, pub.variant)[1, 0]
+    e0 = (np.abs(y0) ** 2).sum(axis=1)
+    energy = e0 + (np.abs(y1) ** 2).sum(axis=1)
+    recoverable = energy > 1e-28 * energy.max()
+    sign = np.where((y1.conj() * y0).real.sum(axis=1) < 0, -1.0, 1.0)
+    weights = np.zeros(pub.k)
+    weights[recoverable] = sign[recoverable] * np.sqrt(e0[recoverable] / energy[recoverable])
     fit = factorized_complete(entries, coefficient_matrix(pub.base_spec.with_weights(weights)))
     residual = float(np.linalg.norm(fit.phi - phi) / np.linalg.norm(phi))
     return AttackResult(weights=weights, recoverable=recoverable, residual=residual)

@@ -388,6 +388,20 @@ def test_coefficients_are_the_input_slice_of_the_block_coefficients(k, mixing, v
     np.testing.assert_allclose(blocks, combined, rtol=0, atol=1e-12)
 
 
+def test_coefficients_at_k_128_peak_below_four_mib():
+    # C is 2K x K (256 KiB of floats here); the 4K^3 block tensor it is the input-(0, 0) slice of takes 64 MiB
+    weights = rng(73).uniform(-1.0, 1.0, 128)
+    coefficients(weights)  # lazy imports and one-time buffers are not the call's
+    tracemalloc.start()
+    try:
+        c = coefficients(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.shape == (256, 128)
+    assert peak < 4 * 2**20
+
+
 # ---- output states ------------------------------------------------------------
 
 @pytest.mark.parametrize("mixing", ["hadamard", "dft"])

@@ -121,10 +121,11 @@ def test_fig4_small(tmp_path):
     assert errs[0] < errs[1]  # error grows with sigma
 
 
-def test_trapdoor_full_chain(tmp_path, capsys):
+@pytest.mark.parametrize("variant", ["reflection", "cyclic"])
+def test_trapdoor_full_chain(tmp_path, capsys, variant):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "K": 4, "n": 4, "scheme": "hadamard", "variant": "reflection",
+        "K": 4, "n": 4, "scheme": "hadamard", "variant": variant,
         "unitaries": {"kind": "haar", "seed": 42}, "psi_seed": 99,
     }))
     out = str(tmp_path / "t")

@@ -643,6 +643,21 @@ def test_factorized_reuse_follows_a_mask_changed_in_place():
     np.testing.assert_allclose(warm.phi[:, 5], phi[:, 5], rtol=0, atol=1e-12)
 
 
+def test_entries_keep_the_mask_they_were_observed_with():
+    # an edit of the caller's mask after observe changes neither the entries' mask nor their completion
+    _, c, x = sweep_instance(4, 4, 1)
+    mask = make_mask(8, 16, 3, "uniform", density=0.6)
+    entries = observe(c @ x, mask)
+    before = solved_fresh(entries, c)
+    mask[:] = True
+    assert_same_solution(factorized_complete(entries, c), before)
+    assert not entries.mask.all()
+    # nor can the entries themselves be edited: a value written off the mask would reach SVP and ALS
+    for array in (entries.mask, entries.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+
+
 @pytest.mark.parametrize("change", ["entry", "complex", "dtype-same-bytes"])
 def test_factorized_reuse_follows_another_coefficient_matrix(change):
     _, c, x = sweep_instance(4, 5, 992)

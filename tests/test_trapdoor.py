@@ -9,6 +9,7 @@ from lcuout.outputs import coefficient_matrix, output_matrix, row_matrix
 from lcuout.recovery import ObservedEntries, make_mask, observe
 from lcuout.trapdoor import (
     PublicParams,
+    SecretKey,
     eval_trapdoor,
     hadamard_attack,
     invert_with_key,
@@ -176,16 +177,29 @@ def test_mixing_from_key_of_one_weight_is_the_identity():
 
 # ---- attacks ----------------------------------------------------------------------
 
-def test_hadamard_attack_recovers_weights_from_amplitudes():
+@pytest.mark.parametrize("variant", ["reflection", "cyclic"])
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_hadamard_attack_recovers_weights_from_amplitudes(k, variant):
     for seed in range(5):
-        pub = make_pub(seed=100 + seed)
-        key = keygen(4, "hadamard", 200 + seed)
+        pub = make_pub(k=k, seed=100 + seed, variant=variant)
+        key = keygen(k, "hadamard", 200 + seed)
         psi = random_state(16, 300 + seed)
         phi = output_matrix(key_spec(key, pub), psi)
         res = hadamard_attack(pub, phi)
         assert np.all(res.recoverable)
         assert np.abs(res.weights - key.weights).max() < 1e-10
         assert res.residual < 1e-10
+
+
+@pytest.mark.parametrize("variant", ["reflection", "cyclic"])
+def test_hadamard_attack_recovers_unit_weights_up_to_their_sign(variant):
+    # r_t = 0 leaves y1_t rounding noise: the sign of w_t = +-1 is not identifiable, and either sign fits Phi
+    pub = make_pub(seed=26, variant=variant)
+    key = SecretKey(scheme="hadamard", weights=np.array([1.0, -1.0, 0.5, -0.3]))
+    res = hadamard_attack(pub, output_matrix(key_spec(key, pub), random_state(16, 27)))
+    assert np.abs(np.abs(res.weights) - np.abs(key.weights)).max() < 1e-10
+    assert np.abs(res.weights[2:] - key.weights[2:]).max() < 1e-10
+    assert res.residual < 1e-10
 
 
 def test_hadamard_attack_flags_a_row_it_cannot_recover():
@@ -202,13 +216,14 @@ def test_hadamard_attack_flags_a_row_it_cannot_recover():
 
 
 def test_hadamard_attack_fails_on_magnitudes_only():
-    pub = make_pub(seed=15)
-    key = keygen(4, "hadamard", 16)
-    psi = random_state(16, 17)
-    magnitudes = eval_trapdoor(key, pub, psi)  # probabilities, no phases
-    res = hadamard_attack(pub, np.sqrt(magnitudes))
-    assert np.abs(res.weights - key.weights).max() > 1e-2
-    assert res.residual > 1e-3  # self-reported misfit exposes the failure
+    for variant in ("reflection", "cyclic"):
+        pub = make_pub(seed=15, variant=variant)
+        key = keygen(4, "hadamard", 16)
+        psi = random_state(16, 17)
+        magnitudes = eval_trapdoor(key, pub, psi)  # probabilities, no phases
+        res = hadamard_attack(pub, np.sqrt(magnitudes))
+        assert np.abs(res.weights - key.weights).max() > 1e-2, variant
+        assert res.residual > 1e-3, variant  # self-reported misfit exposes the failure
 
 
 def test_inversion_and_attack_reject_a_matrix_that_is_not_2k_by_2_to_the_n():
