@@ -67,10 +67,12 @@ class CheckFailed(RuntimeError):
 def _readonly(value, dtype=None) -> np.ndarray:
     """``value`` as a read-only array that owns its data, converted to ``dtype`` if one is given.
 
-    An array that already is read-only and owns its data is kept; anything
-    else (a writeable array, a view, a list, the writeable result of a dtype
-    conversion) is copied once, so no later write through another reference
-    reaches the result.
+    For the matrices a :class:`CircuitSpec` is handed, which the caller may
+    still hold: an array that already is read-only and owns its data is
+    kept; anything else (a writeable array, a view, a list, the writeable
+    result of a dtype conversion) is copied once, so no later write through
+    another reference reaches the result.  An array a function has just
+    built and holds alone is frozen in place instead.
     """
     a = np.asarray(value, dtype=dtype)
     if a.base is not None or a.flags.writeable:
@@ -146,7 +148,9 @@ class CircuitSpec:
             raise ValueError(f"expected {self.k} weights, got shape {w.shape}")
         if not np.all(np.abs(w) <= 1 + 1e-12):
             raise ValueError("weights must be finite and lie in [-1, 1]")
-        object.__setattr__(self, "weights", _readonly(np.clip(w, -1.0, 1.0)))
+        w = np.clip(w, -1.0, 1.0)
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
         if self.mixing == "secret":
             if self.mixing_matrix is None:
                 raise ValueError("secret mixing requires an explicit mixing matrix")
@@ -503,38 +507,37 @@ def output_states(spec: CircuitSpec, psi: np.ndarray) -> OutcomeStates:
     psi = _check_state(psi, spec.big_n)
     states = coefficient_matrix(spec) @ row_matrix(spec, psi)
     probs = np.einsum("ij,ij->i", states, states.conj()).real
-    return OutcomeStates(k=spec.k, states=_readonly(states), probabilities=_readonly(probs))
+    states.flags.writeable = probs.flags.writeable = False
+    return OutcomeStates(k=spec.k, states=states, probabilities=probs)
 
 
-def success_probabilities(
-    spec: CircuitSpec, psi: np.ndarray, alpha: np.ndarray
-) -> tuple[float, float, float]:
-    """Post-selection probabilities for realizing ``T = sum_t alpha_t U_t``.
+def success_probabilities(spec: CircuitSpec, psi: np.ndarray) -> tuple[float, float, float, float]:
+    """Post-selection probabilities for realizing ``T = sum_t alpha_t U_t`` with the spec's weights.
 
-    Returns ``(p00, p0_any, p_std)``: the all-zero outcome probability of
-    this circuit, the probability that the index register alone returns 0,
-    and the standard prepare-select-unprepare success probability
-    ``|T psi|^2 / (sum_t |alpha_t|)^2`` for comparison.
+    The circuit realizes ``T`` through ``beta = alpha / c`` alone, with ``c =
+    max_t |alpha_t|`` (:func:`scale_coefficients`), so ``spec.weights`` is
+    beta.  Both closed forms are unchanged when alpha is rescaled:
+    ``p00 = |T psi|^2 / (c K)^2 = |T_beta psi|^2 / K^2`` and the standard
+    prepare-select-unprepare ``p_std = |T psi|^2 / (sum_t |alpha_t|)^2 =
+    |T_beta psi|^2 / (sum_t |beta_t|)^2``, with ``T_beta = sum_t beta_t U_t``.
+    Returns ``(p00_sim, p00, p0_any, p_std)``: the all-zero outcome
+    probability of the simulated circuit, its closed form (the two must
+    agree to 1e-12, else :class:`CheckFailed`), the probability that the
+    index register alone returns 0, and ``p_std``.
     """
     if spec.mixing != "hadamard":
         raise ValueError("closed-form success probabilities assume Hadamard mixing")
     psi = _check_state(psi, spec.big_n)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (spec.k,):
-        raise ValueError(f"alpha must have shape ({spec.k},), got {alpha.shape}")
-    c, beta = scale_coefficients(alpha)
-    if not np.allclose(beta, spec.weights, rtol=0, atol=1e-12):
-        raise ValueError("spec weights must equal the rescaled coefficients")
-    t_psi = sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries))
+    t_psi = sum(b * (u @ psi) for b, u in zip(spec.weights, spec.unitaries))
     target_sq = float(np.vdot(t_psi, t_psi).real)
-    p00 = target_sq / (c * spec.k) ** 2
-    p_std = target_sq / float(np.sum(np.abs(alpha))) ** 2
+    p00 = target_sq / spec.k**2
+    p_std = target_sq / float(np.sum(np.abs(spec.weights))) ** 2
     out = output_states(spec, psi)
-    p00_gap = abs(p00 - out.probability(0, 0))
+    p00_sim = out.probability(0, 0)
+    p00_gap = abs(p00 - p00_sim)
     if p00_gap > 1e-12:
         raise CheckFailed("closed-form p00", p00_gap)
-    p0_any = out.probability(0, 0) + out.probability(0, 1)
-    return p00, p0_any, p_std
+    return p00_sim, p00, p00_sim + out.probability(0, 1), p_std
 
 
 def sample_shots(spec: CircuitSpec, psi: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -551,4 +554,6 @@ def sample_shots(spec: CircuitSpec, psi: np.ndarray, shots: int, seed: int) -> n
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard the top bin against float round-off
     draws = np.searchsorted(cdf, rng(seed).random(shots), side="right")
-    return _readonly(np.bincount(draws, minlength=p.size).reshape(out.states.shape))
+    counts = np.bincount(draws, minlength=p.size).reshape(out.states.shape)
+    counts.flags.writeable = False
+    return counts

@@ -67,8 +67,9 @@ class ShuffledUnitary:
     the reflection variant and ``[[A, B], [-B, A]]`` for the cyclic one,
     where A has the blocks ``coef[0, :, 0]`` and B the blocks
     ``coef[0, :, 1]``; neither is assembled.  The trace Gram matrix of the
-    unitaries and that of the unitarity defects ``E_t = U_t^dag U_t - I`` are
-    computed on first use and kept; the defects themselves are not.
+    unitaries and that of the unitarity defects ``E_t = U_t^dag U_t - I``,
+    and the two diagonal gaps of A and B, are computed on first use and
+    kept; the defects themselves are not.
     """
 
     spec: CircuitSpec
@@ -80,6 +81,18 @@ class ShuffledUnitary:
         """``traces[t, u] = tr(U_t^dag U_u)``, the Gram matrix of the unitaries."""
         flat = np.stack(self.spec.unitaries).reshape(self.spec.k, -1)
         return flat.conj() @ flat.T
+
+    @cached_property
+    def diagonal_gaps(self) -> tuple[float, float]:
+        """``(|A - Q diag(w_t U_t) Q^dag|_F, |B - Q diag(r_t U_t) Q^dag|_F)``; needs a public mixing layer.
+
+        Block (i, j) of ``Q diag(scale_t U_t) Q^dag`` is ``sum_t G[i, t] scale_t conj(G[j, t]) U_t``.
+        """
+        g = _public_mixing(self.spec)
+        return tuple(
+            _frobenius(self.coef[0, :, s] - np.einsum("it,t,jt->ijt", g, scale, g.conj()), self.traces)
+            for s, scale in enumerate(_scales(self.spec))
+        )
 
     @cached_property
     def defect_gram(self) -> np.ndarray:
@@ -156,32 +169,23 @@ def _public_mixing(spec: CircuitSpec) -> np.ndarray:
     return mixing_layers(spec)[1]
 
 
-def _diagonal_gap(shuffled: ShuffledUnitary, g: np.ndarray, scale: np.ndarray, s: int) -> float:
-    """``|A - Q diag(scale_t U_t) Q^dag|_F`` for s = 0, and the same for B for s = 1.
-
-    Block (i, j) of ``Q diag(scale_t U_t) Q^dag`` is ``sum_t G[i, t] scale_t conj(G[j, t]) U_t``.
-    """
-    return _frobenius(shuffled.coef[0, :, s] - np.einsum("it,t,jt->ijt", g, scale, g.conj()), shuffled.traces)
-
-
-def _scales(spec: CircuitSpec) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
-    """``((0, w_t), (1, r_t))``: block s of the upper rotation row (A, then B) and the scale it carries."""
+def _scales(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(w_t, r_t)``: the scales that blocks A and B of the upper rotation row carry."""
     w = spec.weights
-    return (0, w), (1, np.sqrt(1.0 - w * w))
+    return w, np.sqrt(1.0 - w * w)
 
 
 def similarity_check(shuffled: ShuffledUnitary) -> float:
     """Relative residual of ``A = Q diag(w_t U_t) Q^dag`` (and of the r_t analogue for B).
 
     Returns the larger of ``|A - Q diag(w_t U_t) Q^dag|_F / |A|_F`` and the
-    same for B, each taken by :func:`_diagonal_gap`.  For a unitary Q this
-    equals the residual of ``Q^dag A Q = diag(w_t U_t)``, since multiplying by
-    unitaries keeps the Frobenius norm.
+    same for B, each gap read from :attr:`ShuffledUnitary.diagonal_gaps`.
+    For a unitary Q this equals the residual of ``Q^dag A Q = diag(w_t U_t)``,
+    since multiplying by unitaries keeps the Frobenius norm.
     """
-    q = _public_mixing(shuffled.spec)
     return float(max(
-        _diagonal_gap(shuffled, q, scale, s) / max(_frobenius(shuffled.coef[0, :, s], shuffled.traces), 1e-300)
-        for s, scale in _scales(shuffled.spec)
+        gap / max(_frobenius(shuffled.coef[0, :, s], shuffled.traces), 1e-300)
+        for s, gap in enumerate(shuffled.diagonal_gaps)
     ))
 
 
@@ -212,8 +216,7 @@ def singular_multiset_check(shuffled: ShuffledUnitary) -> tuple[float, float]:
     eta = shuffled.eta
     gamma = np.linalg.norm(g.conj().T @ g - np.eye(k))
     bounds = []
-    for s, scale in _scales(spec):
-        gap = _diagonal_gap(shuffled, g, scale, s)
+    for gap, scale in zip(shuffled.diagonal_gaps, _scales(spec)):
         size = np.abs(scale)
         bounds.append(float(gap + np.max(size * eta) + gamma * size.max() * (1.0 + eta.max())))
     return bounds[0], bounds[1]
@@ -247,18 +250,8 @@ def csd_assemble(spec: CircuitSpec) -> CsdFactors:
         raise ValueError("closed-form CS factors assume the reflection variant")
     if np.any(spec.weights < 0):
         raise ValueError("closed-form CS factors need non-negative weights")
-    (_, w), (_, r) = _scales(spec)
+    w, r = _scales(spec)
     return CsdFactors(g=_public_mixing(spec), sigma_w=np.repeat(w, spec.big_n), sigma_r=np.repeat(r, spec.big_n))
-
-
-def _csd_residual(shuffled: ShuffledUnitary, csd: CsdFactors) -> float:
-    """Larger of ``|L diag(sigma_w) Q^dag - A|_F`` and ``|L diag(sigma_r) Q^dag - B|_F``.
-
-    With the closed-form factors of :func:`csd_assemble`, block (i, j) of
-    ``L diag(sigma) Q^dag`` is ``sum_t G[i, t] sigma_t conj(G[j, t]) U_t``.
-    """
-    big_n = shuffled.spec.big_n
-    return max(_diagonal_gap(shuffled, csd.g, sigma[::big_n], s) for s, sigma in ((0, csd.sigma_w), (1, csd.sigma_r)))
 
 
 def _unitarity_residual(shuffled: ShuffledUnitary) -> float:
@@ -285,31 +278,26 @@ def _unitarity_residual(shuffled: ShuffledUnitary) -> float:
     return float(np.sqrt(np.sum((exact + np.einsum("actu,tu->ac", cross, shuffled.product_bound)) ** 2)))
 
 
-def involution_check(shuffled: ShuffledUnitary, shuffled_alt: ShuffledUnitary) -> tuple[float, float]:
+def involution_check(shuffled: ShuffledUnitary, weights: np.ndarray) -> tuple[float, float]:
     """Verify that squaring the regrouped circuit erases the weights.
 
-    Returns ``(structure_residual, key_cancel_residual)``, certified upper
-    bounds on ``|U^2 - I_2 (x) Q diag(U_t^2) Q^dag|_F`` and on the distance
-    between U^2 for the two weight choices.  Block (a, c) of either difference
-    is ``sum_tu d_actu U_t U_u`` for a coefficient difference d, so each bound
-    is ``sqrt(sum_ac (sum_tu |d_actu| s_t |U_u|_F)^2)``, since
-    ``|U_t U_u|_F <= s_t |U_u|_F`` (:attr:`ShuffledUnitary.product_bound`).
-    The two specs must agree on everything but the weights and use the
-    reflection variant.
+    The second circuit is ``shuffled``'s spec under ``weights`` (K values in
+    [-1, 1], else ``ValueError``); it shares the unitaries, which are not
+    checked again, so a spec whose unitaries fail the unitarity check still
+    gets this one.  Returns ``(structure_residual, key_cancel_residual)``,
+    certified upper bounds on ``|U^2 - I_2 (x) Q diag(U_t^2) Q^dag|_F`` and on
+    the distance between U^2 for the two weight vectors.  Block (a, c) of
+    either difference is ``sum_tu d_actu U_t U_u`` for a coefficient
+    difference d, so each bound is ``sqrt(sum_ac (sum_tu |d_actu| s_t
+    |U_u|_F)^2)``, since ``|U_t U_u|_F <= s_t |U_u|_F``
+    (:attr:`ShuffledUnitary.product_bound`).  The spec must use the
+    reflection variant and a public mixing layer.
     """
-    spec, spec_alt = shuffled.spec, shuffled_alt.spec
-    same = (
-        spec.k == spec_alt.k
-        and spec.n == spec_alt.n
-        and spec.mixing == spec_alt.mixing
-        and spec.variant == spec_alt.variant
-        and all(np.array_equal(u, v) for u, v in zip(spec.unitaries, spec_alt.unitaries))
-    )
-    if not same:
-        raise ValueError("specs must share everything except the weights")
+    spec = shuffled.spec
     if spec.variant != "reflection":
         raise ValueError("weight cancellation in U^2 needs the reflection variant")
     g = _public_mixing(spec)
+    alt = shuffle(spec.with_weights(weights))
     k = spec.k
     bound = shuffled.product_bound
 
@@ -323,7 +311,7 @@ def involution_check(shuffled: ShuffledUnitary, shuffled_alt: ShuffledUnitary) -
     # I_2 (x) Q diag(U_t^2) Q^dag puts G[i, t] conj(G[j, t]) on U_t U_t in both diagonal rotation blocks
     target = np.einsum("rs,it,jt,tu->risjtu", np.eye(2), g, g.conj(), np.eye(k)).reshape(2 * k, 2 * k, k, k)
     u_sq = square(shuffled)
-    return residual(u_sq - target), residual(u_sq - square(shuffled_alt))
+    return residual(u_sq - target), residual(u_sq - square(alt))
 
 
 def verify(spec: CircuitSpec, seed: int) -> list[dict]:
@@ -331,11 +319,13 @@ def verify(spec: CircuitSpec, seed: int) -> list[dict]:
 
     One record (``name``, ``residual``, ``threshold``, ``skipped``, ``pass``)
     per check: unitarity, block-structure, similarity, singular-multiset,
-    csd (factor residuals), csd-sigma (``sigma_w^2 + sigma_r^2 = 1``),
+    csd (the larger of the two :attr:`ShuffledUnitary.diagonal_gaps`, which
+    are the residuals of the closed-form CS factors), csd-sigma
+    (``sigma_w^2 + sigma_r^2 = 1``),
     involution, factorization (C X against the outcome rows of
     :func:`~lcuout.circuit.apply_circuit`), column-orthogonality, rank.
     Every check reads the block coefficients of one :func:`shuffle` of
-    ``spec`` (plus one of the alternative spec for involution) and the N x N
+    ``spec`` (plus the one :func:`involution_check` builds) and the N x N
     unitaries; no (2KN)^2 matrix is built.  Checks that do not apply are
     skipped and pass.  ``seed`` draws psi (``random_state(N, seed)``) and the
     involution check's second weight vector (``rng(seed + 1)``).
@@ -355,15 +345,10 @@ def verify(spec: CircuitSpec, seed: int) -> list[dict]:
     add("similarity", similarity_check(sh) if public else None)
     add("singular-multiset", max(singular_multiset_check(sh)) if public else None)
     csd = csd_assemble(spec) if public and reflection and np.all(spec.weights >= 0) else None
-    add("csd", None if csd is None else _csd_residual(sh, csd))
+    add("csd", None if csd is None else max(sh.diagonal_gaps))
     add("csd-sigma", None if csd is None else np.abs(csd.sigma_w**2 + csd.sigma_r**2 - 1.0).max(), 1e-12)
-    if public and reflection:
-        # the same unitaries under other weights: they are shared, not checked again,
-        # so a spec whose unitaries fail the unitarity check still gets this one
-        spec_alt = spec.with_weights(rng(seed + 1).uniform(0.1, 1.0, spec.k))
-        add("involution", max(involution_check(sh, shuffle(spec_alt))))
-    else:
-        add("involution", None)
+    add("involution", max(involution_check(sh, rng(seed + 1).uniform(0.1, 1.0, spec.k)))
+        if public and reflection else None)
     k, big_n = spec.k, spec.big_n
     psi = random_state(big_n, seed)
     ext = np.zeros(spec.extended_dim, dtype=complex)

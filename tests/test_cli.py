@@ -1,10 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lcuout
 import lcuout.cli
 import lcuout.recovery
 from lcuout.circuit import CheckFailed, CircuitSpec
@@ -165,6 +169,22 @@ def test_trapdoor_full_chain(tmp_path, capsys, variant):
     attack = json.loads((tmp_path / "mag_attack.json").read_text())
     assert attack["success"] is False
     assert attack["weight_error"] > 1e-2
+
+
+@pytest.mark.parametrize("unitary_seed", [40, 41, 42])
+def test_attack_compares_only_the_size_of_a_key_weight_of_one(tmp_path, unitary_seed):
+    # r_t = 0 at w_t = +-1 leaves the sign of w_t unidentifiable, so the attack may return either sign
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 4, "n": 4, "unitaries": {"kind": "haar", "seed": unitary_seed}, "psi_seed": 99}))
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps({"scheme": "hadamard", "weights": [1.0, -1.0, 0.5, -0.3], "gamma": None}))
+    out = str(tmp_path / "t")
+    assert main(["trapdoor", "eval", "--config", str(cfg), "--key", str(key), "--dump", "amplitudes", "--out", out]) == 0
+    assert main(["trapdoor", "attack", "--config", str(cfg), "--phi", out + "_amplitudes.csv",
+                 "--key", str(key), "--out", out]) == 0
+    attack = json.loads((tmp_path / "t_attack.json").read_text())
+    assert attack["success"] is True
+    assert attack["weight_error"] < 1e-10
 
 
 def test_trapdoor_demo_involution(tmp_path, capsys):
@@ -589,3 +609,20 @@ def test_check_failed_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lcuout.cli, "success_probabilities", disagree)
     assert main(["fig2", "--out", str(tmp_path / "f")]) == 1
     assert "a check failed: closed-form p00 check failed: residual 3.000e-09" in capsys.readouterr().err
+
+
+NOT_UNITARY = {"K": 1, "n": 1, "weights": [1.0], "unitaries": {"kind": "explicit", "data": [[[[1, 0], [1, 0]], [[0, 0], [1, 0]]]]}}
+
+
+@pytest.mark.parametrize("config, code", [(None, 0), ("missing", 2), (NOT_UNITARY, 1)])
+def test_module_entry_point_exits_with_the_command_code(tmp_path, config, code):
+    # python -m lcuout.cli runs main() and hands its return value to sys.exit
+    args = [sys.executable, "-m", "lcuout.cli", "verify", "--out", str(tmp_path / "v")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        if config != "missing":
+            path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    src = str(Path(lcuout.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run(args, env=env, capture_output=True).returncode == code

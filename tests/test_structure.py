@@ -159,9 +159,7 @@ def test_involution_square_for_involutory_unitaries():
     perms = (permutation_matrix([1, 0, 2, 3]), permutation_matrix([0, 1, 3, 2]),
              permutation_matrix([3, 1, 2, 0]), permutation_matrix([0, 2, 1, 3]))
     spec = CircuitSpec(k=4, n=2, weights=np.array([1.0, 0.7, 0.4, 0.9]), unitaries=perms)
-    spec_alt = CircuitSpec(k=4, n=2, weights=np.array([0.2, 0.9, 0.4, 0.7]), unitaries=perms)
-    sh = shuffle(spec)
-    structure_res, cancel_res = involution_check(sh, shuffle(spec_alt))
+    structure_res, cancel_res = involution_check(shuffle(spec), np.array([0.2, 0.9, 0.4, 0.7]))
     assert structure_res < 1e-10
     assert cancel_res < 1e-10
     u2 = regrouped(spec) @ regrouped(spec)
@@ -171,23 +169,22 @@ def test_involution_square_for_involutory_unitaries():
 def test_involution_square_weight_independence_haar():
     # generic U_t: U^2 != I but still independent of the weights
     base = make_spec(k=4, n=2, seed=17, weights=[1.0, 1.0, 0.5, 0.5])
-    alt = CircuitSpec(k=4, n=2, weights=np.array([0.2, 0.9, 0.4, 0.7]),
-                      unitaries=base.unitaries)
-    structure_res, cancel_res = involution_check(shuffle(base), shuffle(alt))
+    structure_res, cancel_res = involution_check(shuffle(base), np.array([0.2, 0.9, 0.4, 0.7]))
     assert structure_res < 1e-10
     assert cancel_res < 1e-10
 
 
 def test_involution_check_requires_reflection_and_same_unitaries():
     spec = make_spec(k=2, n=1, seed=18, variant="cyclic")
-    alt = CircuitSpec(k=2, n=1, weights=np.array([0.3, 0.6]),
-                      unitaries=spec.unitaries, variant="cyclic")
     with pytest.raises(ValueError):
-        involution_check(shuffle(spec), shuffle(alt))
-    a = make_spec(k=2, n=1, seed=19)
-    b = make_spec(k=2, n=1, seed=20)  # different unitaries
-    with pytest.raises(ValueError):
-        involution_check(shuffle(a), shuffle(b))
+        involution_check(shuffle(spec), np.array([0.3, 0.6]))
+
+
+@pytest.mark.parametrize("weights", [[0.3], [0.3, 0.6, 0.9], [0.3, 1.5], [-1.2, 0.6], [np.nan, 0.6]])
+def test_involution_check_rejects_a_second_weight_vector_of_the_wrong_length_or_outside_the_unit_range(weights):
+    sh = shuffle(make_spec(k=2, n=1, seed=19))
+    with pytest.raises(ValueError, match="weights"):
+        involution_check(sh, np.array(weights))
 
 
 def test_structure_suite_twenty_seeded_specs():
@@ -425,7 +422,7 @@ def test_bounds_cover_the_dense_residuals_of_coefficients_off_the_formula():
     dense = (np.linalg.norm(u.conj().T @ u - np.eye(len(u))),
              np.linalg.norm(u @ u - np.kron(np.eye(2), q @ squares @ q.conj().T)),
              np.linalg.norm(u @ u - u_ref @ u_ref))
-    bounds = (lcuout.structure._unitarity_residual(moved),) + involution_check(moved, sh)
+    bounds = (lcuout.structure._unitarity_residual(moved),) + involution_check(moved, spec.weights)
     for d, b in zip(dense, bounds):
         assert d > 1e-7
         assert d <= b <= 4 * d
