@@ -9,8 +9,8 @@ the seeds; wall-clock timings go into trailing '#' comments so re-runs stay
 byte-identical outside comments.
 
 Exit codes: 0 success, 1 for a failed verification or internal self-check,
-2 usage/config error, 3 numerical failure (a linear-algebra routine did not
-converge).
+2 usage/config error, including a config whose arrays are too large to
+allocate, 3 numerical failure (a linear-algebra routine did not converge).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .circuit import (
     scale_coefficients, success_probabilities, unitaries_from_json,
 )
 from .linalg import random_state
-from .outputs import extract_target, matrix_from_csv, matrix_to_csv, output_matrix
+from .outputs import matrix_from_csv, matrix_to_csv, output_matrix
 from .recovery import METHODS, make_mask, observe, sweep
 from .structure import verify
 from .trapdoor import (
@@ -300,7 +300,7 @@ def cmd_invert(config: dict, args) -> int:
     else:
         obs = phi_true
     result = invert_with_key(key, pub, obs)
-    truth = extract_target(row_matrix(spec, psi), key.weights)
+    truth = key.weights @ row_matrix(spec, psi)
     err = float(np.linalg.norm(result.target - truth) / np.linalg.norm(truth))
     _write_matrix_csv(f"{args.out}_target.csv", "trapdoor invert", config, result.target[None, :])
     doc = {"target_error": err, "underdetermined_columns": list(result.underdetermined), "config_hash": _config_hash(config)}
@@ -430,7 +430,8 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError
+    # a JSONDecodeError is a ValueError; a MemoryError is a size the config asked for that cannot be allocated
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
     except CheckFailed as exc:

@@ -7,12 +7,9 @@ experiment in the package is reproducible from its seed alone.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "SvdResult",
     "dft_matrix",
     "hadamard_matrix",
     "haar_random_unitary",
@@ -27,6 +24,9 @@ __all__ = [
 # this close relative to the largest one (the Gram squares the conditioning)
 GRAM_GAP_RTOL = 1e-8
 
+# seeds are integers in [0, SEED_BOUND): Philox's 128-bit key
+SEED_BOUND = 2**128
+
 
 def rng(seed: int) -> np.random.Generator:
     """Counter-based generator for an integer seed (same seed, same stream).
@@ -34,34 +34,28 @@ def rng(seed: int) -> np.random.Generator:
     ``seed`` must be an ``int`` or a numpy integer: a bool, a float, a string
     or ``None`` (which would seed from OS entropy, so no run could be
     repeated) is a ``ValueError``, and so is an integer outside
-    ``[0, 2**128)``.
+    ``[0, 2**128)`` (Philox's 128-bit key), with a message that names it.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"a seed must be an integer, got {seed!r}")
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"a seed must lie in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-class SvdResult(NamedTuple):
-    """Thin SVD ``a = (u * s) @ vh`` with ``s`` non-increasing and >= 0."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
-
-
-def svd(a: np.ndarray) -> SvdResult:
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin singular value decomposition of a 2-D array.
 
-    Returns factors with orthonormal columns (``u``) / rows (``vh``) and the
-    singular values sorted in non-increasing order.  Raises
-    ``numpy.linalg.LinAlgError`` if the underlying iteration fails to
-    converge.
+    Returns ``np.linalg.svd(a, full_matrices=False)`` unchanged: the named
+    result ``(U, S, Vh)`` with ``a = (U * S) @ Vh``, orthonormal columns of
+    ``U`` and rows of ``Vh``, and ``S`` non-increasing and >= 0.  An input
+    that is not 2-D is a ``ValueError``; ``numpy.linalg.LinAlgError`` means
+    the underlying iteration did not converge.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u, s, vh)
+    return np.linalg.svd(a, full_matrices=False)
 
 
 def truncate_rank(a: np.ndarray, rank: int) -> np.ndarray:
@@ -99,7 +93,7 @@ def truncate_rank(a: np.ndarray, rank: int) -> np.ndarray:
 
 def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:
     """Number of singular values above ``tol`` times the largest one."""
-    s = svd(a).s
+    s = svd(a)[1]
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))

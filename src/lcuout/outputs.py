@@ -1,4 +1,4 @@
-"""The rank-K output matrix Phi = C X and the target row combination.
+"""The rank-K output matrix Phi = C X and its plain-text codec.
 
 Stacking all 2K outcome states row-wise gives ``Phi = C @ X`` where C is the
 2K x K coefficient matrix determined by the mixing layer and the rotation
@@ -6,7 +6,8 @@ weights, and row t of X is ``U_t psi``.  C has orthogonal columns of norm
 ``1/sqrt(K)``, so X is determined by Phi; the one solver of Phi = C X, for a
 full matrix (every entry observed) or a partial one, is
 :func:`lcuout.recovery.factorized_complete`.  The combined state
-``T psi = sum_t alpha_t U_t psi`` is one further row combination of X away.
+``T psi = sum_t alpha_t U_t psi`` is one further row combination of X away,
+``alpha @ X``.
 
 Also provides the plain-text round-trip CSV codec for complex matrices:
 cells are ``re+imj`` at 17 significant digits (bit-exact).
@@ -25,7 +26,6 @@ from .circuit import (
 
 __all__ = [
     "coefficient_matrix",
-    "extract_target",
     "matrix_from_csv",
     "matrix_to_csv",
     "output_matrix",
@@ -36,19 +36,11 @@ __all__ = [
 def output_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
     """2K x N matrix of all outcome states, ``Phi = C @ X``.
 
-    A writable copy of :func:`~lcuout.circuit.output_states`; the dense
-    circuit unitary is the oracle it is tested against.
+    The read-only ``states`` of :func:`~lcuout.circuit.output_states`,
+    returned as they are; the dense circuit unitary is the oracle it is
+    tested against.
     """
-    return np.array(output_states(spec, psi).states)
-
-
-def extract_target(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Combine the rows of X into ``T psi = sum_t alpha_t U_t psi``."""
-    alpha = np.asarray(alpha, dtype=float)
-    x = np.asarray(x)
-    if x.shape[0] != alpha.shape[0]:
-        raise ValueError(f"{alpha.shape[0]} coefficients for {x.shape[0]} rows")
-    return alpha @ x
+    return output_states(spec, psi).states
 
 
 # -- plain-text serialization -------------------------------------------------

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import CircuitSpec, coefficients, integer_value, list_value, real_value, reject_unread_keys
-from .linalg import haar_random_unitary, random_state, rng, truncate_rank
+from .linalg import SEED_BOUND, haar_random_unitary, random_state, rng, truncate_rank
 
 __all__ = [
     "FactorizedResult",
@@ -48,11 +48,13 @@ class ObservedEntries:
     """Observed (possibly noisy) entries; unobserved positions hold zero.
 
     ``values`` must be a 2-D array and ``mask`` an array of the same shape,
-    stored as a boolean copy.  The stored values are a copy with every
-    position off the mask set to zero, so no solver reads what was not
-    observed; the observed values must then be finite.  Anything else is a
-    ``ValueError``.  Both copies are read-only, so no later edit, of the
-    caller's arrays or of these, changes what the entries say was observed.
+    stored as a boolean copy, that observes at least one entry.  The stored
+    values are a copy with every position off the mask set to zero, so no
+    solver reads what was not observed; the observed values must then be
+    finite.  Anything else is a ``ValueError``; for an empty mask it says
+    ``no observed entries``, so no solver checks for one.  Both copies are
+    read-only, so no later edit, of the caller's arrays or of these,
+    changes what the entries say was observed.
     """
 
     values: np.ndarray
@@ -65,6 +67,8 @@ class ObservedEntries:
             raise ValueError(
                 f"observed values of shape {values.shape} need a 2-D mask of the same shape, got {mask.shape}"
             )
+        if not mask.any():
+            raise ValueError("no observed entries")
         values = np.where(mask, values, 0)
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
@@ -131,11 +135,11 @@ def observe(phi: np.ndarray, mask: np.ndarray, sigma: float = 0.0, seed: int = 0
     """The entries of ``phi`` on ``mask`` plus complex Gaussian noise of total std ``sigma``.
 
     ``mask`` is a boolean array of ``phi``'s shape, as drawn by
-    :func:`make_mask`; :class:`ObservedEntries` checks it and zeroes the
-    entries off it.  Each observed entry gains
-    ``sigma/sqrt(2) * (g1 + i g2)`` with standard normal g1, g2, so
-    E|noise|^2 = sigma^2; ``seed`` must be an integer (see
-    :func:`lcuout.linalg.rng`), at ``sigma == 0`` too.  The unit draw
+    :func:`make_mask`; :class:`ObservedEntries` checks it, refuses one
+    that observes nothing with ``ValueError``, and zeroes the entries off
+    it.  Each observed entry gains ``sigma/sqrt(2) * (g1 + i g2)`` with
+    standard normal g1, g2, so E|noise|^2 = sigma^2; ``seed`` must be an
+    integer (see :func:`lcuout.linalg.rng`), at ``sigma == 0`` too.  The unit draw
     ``g1 + i g2`` is a function of ``(phi.shape, seed)`` alone and the last
     one is kept, so consecutive calls that differ only in ``sigma`` (a
     sigmas sweep) draw it once and only rescale it.
@@ -160,13 +164,7 @@ def _unit_noise(shape: tuple[int, ...], seed: int) -> np.ndarray:
     return unit
 
 
-def _check_entries(entries: ObservedEntries) -> None:
-    if entries.count == 0:
-        raise ValueError("no observed entries")
-
-
-def _check_iterative(entries: ObservedEntries, rank: int, max_iters: int) -> None:
-    _check_entries(entries)
+def _check_iterative(rank: int, max_iters: int) -> None:
     for name, value in (("rank", rank), ("max_iters", max_iters)):
         if integer_value(name, value) < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
@@ -192,7 +190,7 @@ def svp_complete(entries: ObservedEntries, rank: int, max_iters: int = 500) -> t
     ``ValueError``.  Returns the completed matrix and the number of
     iterations used.
     """
-    _check_iterative(entries, rank, max_iters)
+    _check_iterative(rank, max_iters)
     mask, b = entries.mask, entries.values
     keep = mask.astype(float)
     mu = 1.0 / mask.mean()
@@ -248,7 +246,7 @@ def als_complete(
     be integers of at least 1, else ``ValueError``.  Returns the completed
     matrix and the number of sweeps used.
     """
-    _check_iterative(entries, rank, max_iters)
+    _check_iterative(rank, max_iters)
     mask, b = entries.mask, entries.values
     rows, cols = b.shape
     gen = rng(seed)
@@ -316,7 +314,6 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
     in the apply.  ``c`` needs one row per mask row and between 1 and that
     many columns; any other shape is a ``ValueError``.
     """
-    _check_entries(entries)
     mask, b = entries.mask, entries.values
     c = np.asarray(c)
     if c.ndim != 2 or c.shape[0] != mask.shape[0] or not 1 <= c.shape[1] <= c.shape[0]:
@@ -460,7 +457,10 @@ def sweep(config: dict) -> list[dict]:
     :func:`observe` draws its unit noise and :func:`factorized_complete`
     factors its observation patterns once per mask, and the later values only
     rescale the noise and apply the factors; every run still goes through
-    both calls.
+    both calls.  Every derived seed must lie in [0, 2**128), as
+    :func:`lcuout.linalg.rng` requires, so a negative base seed, or one whose
+    largest derived seed ``seed + 104729 instances + 13 masks_per_instance
+    + 2`` reaches 2**128, is a ``ValueError`` that names it, before any draw.
     Returns one aggregate dict per (method, parameter value), methods outer;
     its ``seconds`` is the time spent in that row's completions and their
     error evaluation, not in the shared instance build, mask draws or
@@ -499,6 +499,10 @@ def sweep(config: dict) -> list[dict]:
             "a sweep needs at least one instance, mask per instance, method and swept value; got "
             f"instances={instances}, masks_per_instance={masks_per}, {len(methods)} methods, {len(grid)} values"
         )
+    # the largest seed derived below is the last mask's ALS seed
+    span = 104729 * instances + 13 * masks_per + 2
+    if not 0 <= seed < SEED_BOUND - span:
+        raise ValueError(f"sweep seed {seed} must lie in [0, 2**128 - {span}), so that every seed derived from it does")
     # every run's (err_phi, err_target, iterations, seconds, underdetermined columns), per [method][swept value]
     runs = [[[] for _ in grid] for _ in methods]
     for inst in range(instances):

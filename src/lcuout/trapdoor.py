@@ -12,8 +12,10 @@ full matrix is passed to it as entries that are all observed.
 
 Also included: the closed-form attack that breaks the Hadamard scheme, for
 both rotation variants, when full complex amplitudes leak and fails on
-magnitudes alone, and the involution encrypt/decrypt demo (squaring the
-circuit cancels the weights whenever every U_t is an involution).
+magnitudes alone (no magnitude-only attack is implemented, so that failure
+does not show that magnitudes hide the weights), and the involution
+encrypt/decrypt demo (squaring the circuit cancels the weights whenever
+every U_t is an involution).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .circuit import (
     sample_shots,
 )
 from .linalg import haar_random_unitary, rng
-from .outputs import extract_target
 from .recovery import ObservedEntries, factorized_complete
 
 __all__ = [
@@ -226,9 +227,7 @@ def invert_with_key(
     """
     entries = _entries(pub, obs)
     result = factorized_complete(entries, coefficient_matrix(key_spec(key, pub)))
-    return InversionResult(
-        x=result.x, target=extract_target(result.x, key.weights), underdetermined=result.underdetermined
-    )
+    return InversionResult(x=result.x, target=key.weights @ result.x, underdetermined=result.underdetermined)
 
 
 @dataclass(frozen=True)

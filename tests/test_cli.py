@@ -611,6 +611,27 @@ def test_check_failed_exits_1(tmp_path, monkeypatch, capsys):
     assert "a check failed: closed-form p00 check failed: residual 3.000e-09" in capsys.readouterr().err
 
 
+def test_an_allocation_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # numpy refuses an array that cannot be mapped; the size came from the config, so it is a usage error
+    message = "Unable to allocate 2.00 PiB for an array with shape (16777216, 16777216)"
+
+    def too_large(spec, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(lcuout.cli, "verify", too_large)
+    assert main(["verify", "--out", str(tmp_path / "v")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128 - 1], ids=["negative", "2**128-1"])
+def test_complete_refuses_a_seed_whose_derived_seeds_leave_the_seed_range(tmp_path, capsys, seed):
+    # -1 derives only positive seeds, but a base seed is held to rng's range as well
+    assert main(["complete", "factorized", "--seed", str(seed), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sweep seed {seed} ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 NOT_UNITARY = {"K": 1, "n": 1, "weights": [1.0], "unitaries": {"kind": "explicit", "data": [[[[1, 0], [1, 0]], [[0, 0], [1, 0]]]]}}
 
 

@@ -1,6 +1,7 @@
 """The package modules and the acceptance gate use only public names of other lcuout modules,
 only the tests use the dense circuit oracle, no package module imports a name it does not use,
-every top-level function and class is used by package code, and every memo is small and bounded."""
+every top-level function and class is used by package code, every memo is small and bounded,
+and every source file parses under the grammar of the oldest supported Python."""
 
 import ast
 from pathlib import Path
@@ -297,3 +298,35 @@ def test_detector_sees_unbounded_memos():
     assert unbounded_memos(source) == sorted([
         "functools.lru_cache", "lru_cache", "lru_cache", "cache", "functools.cache", "lru_cache"
     ])
+
+
+# pyproject.toml's requires-python
+OLDEST_PYTHON = (3, 10)
+SOURCES = sorted(
+    path for folder in ("src/lcuout", "tests", "bench") for path in (ROOT / folder).glob("*.py")
+)
+
+
+def oldest_python_syntax_error(source: str) -> str | None:
+    """The error that parsing ``source`` with the grammar of ``OLDEST_PYTHON`` gives, or None."""
+    try:
+        ast.parse(source, feature_version=OLDEST_PYTHON)
+    except SyntaxError as exc:
+        return exc.msg
+    return None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_under_the_oldest_supported_python(path):
+    assert oldest_python_syntax_error(path.read_text()) is None
+
+
+def test_detector_sees_syntax_newer_than_the_oldest_supported_python():
+    source = (
+        "try:\n"
+        "    pass\n"
+        "except* ValueError:\n"
+        "    pass\n"
+    )
+    assert "only supported in Python 3.11" in oldest_python_syntax_error(source)
+    assert oldest_python_syntax_error("match x:\n    case 1:\n        pass\n") is None

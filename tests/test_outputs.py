@@ -5,7 +5,6 @@ from lcuout.circuit import CircuitSpec, output_states, scale_coefficients
 from lcuout.linalg import hadamard_matrix, haar_random_unitary, random_state, rng
 from lcuout.outputs import (
     coefficient_matrix,
-    extract_target,
     matrix_from_csv,
     matrix_to_csv,
     output_matrix,
@@ -106,8 +105,8 @@ def test_full_mask_with_rank_deficient_c_is_rejected():
         solve_full(c, np.zeros((8, 16), dtype=complex))
 
 
-def test_extract_target_scaling_consistency():
-    # T psi = K c phi_{0,0} for Hadamard mixing
+def test_target_row_combination_scaling_consistency():
+    # T psi = alpha @ X = K c phi_{0,0} for Hadamard mixing
     k, n = 4, 3
     gen = rng(12)
     alpha = np.array([1.4, -0.7, 0.9, 0.3])
@@ -117,15 +116,20 @@ def test_extract_target_scaling_consistency():
     psi = random_state(8, 13)
     phi = output_matrix(spec, psi)
     x = solve_full(coefficient_matrix(spec), phi).x
-    t_psi = extract_target(x, alpha)
+    t_psi = alpha @ x
     direct = sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries))
     np.testing.assert_allclose(t_psi, direct, atol=1e-10)
     np.testing.assert_allclose(t_psi, k * c_scale * phi[0], atol=1e-10)
 
 
-def test_extract_target_rejects_a_coefficient_count_that_is_not_the_row_count():
-    with pytest.raises(ValueError, match="3 coefficients for 4 rows"):
-        extract_target(np.ones((4, 8)), np.ones(3))
+def test_output_matrix_is_the_read_only_states_of_output_states():
+    spec = make_spec(k=4, n=3, seed=41, weights=[1.0, 0.8, 0.5, 0.3])
+    psi = random_state(8, 42)
+    phi = output_matrix(spec, psi)
+    assert not phi.flags.writeable
+    assert phi.tobytes() == output_states(spec, psi).states.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        phi[0, 0] = 0
 
 
 # ---- serialization -------------------------------------------------------------

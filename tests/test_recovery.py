@@ -157,6 +157,19 @@ def test_svp_empty_observations_raise():
         svp_complete(observe(np.zeros((4, 4)), np.zeros((4, 4), dtype=bool), 0.0), 2)
 
 
+def test_sweep_takes_the_largest_base_seed_whose_derived_seeds_stay_below_2_to_the_128():
+    config = {"k": 2, "n": 2, "instances": 1, "masks_per_instance": 1, "methods": ["factorized"], "fractions": [1.0]}
+    top = 2**128 - 1 - (104729 + 13 + 2)  # the last mask's ALS seed is then 2**128 - 1
+    assert len(sweep({**config, "seed": top})) == 1
+    with pytest.raises(ValueError, match=re.escape(f"sweep seed {top + 1} must lie in [0, 2**128 - 104744)")):
+        sweep({**config, "seed": top + 1})
+
+
+def test_observe_refuses_a_mask_that_observes_nothing():
+    with pytest.raises(ValueError, match="no observed entries"):
+        observe(np.ones((4, 4)), np.zeros((4, 4), dtype=bool))
+
+
 def _reference_truncate(a, rank):
     # truncate_rank's Gram route as it stood before the one-matmul projector: top (top^H a)
     lam, vecs = np.linalg.eigh(a @ a.conj().T)
