@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dft_matrix, haar_random_unitary, hadamard_matrix, rng
+from .linalg import dft_matrix, haar_random_unitaries, hadamard_matrix, rng
 
 __all__ = [
     "CheckFailed",
@@ -67,15 +67,15 @@ class CheckFailed(RuntimeError):
 def _readonly(value, dtype=None) -> np.ndarray:
     """``value`` as a read-only array that owns its data, converted to ``dtype`` if one is given.
 
-    For the matrices a :class:`CircuitSpec` is handed, which the caller may
-    still hold: an array that already is read-only and owns its data is
-    kept; anything else (a writeable array, a view, a list, the writeable
-    result of a dtype conversion) is copied once, so no later write through
-    another reference reaches the result.  An array a function has just
-    built and holds alone is frozen in place instead.
+    For the arrays a :class:`CircuitSpec` is handed, which the caller may
+    still hold: a tuple or a list is built into a new array, which is frozen
+    in place; an array that already is read-only and owns its data is kept;
+    anything else (a writeable array, a view, an ``__array__`` holder, the
+    writeable result of a dtype conversion) is copied, so no later write
+    through another reference reaches the result.
     """
     a = np.asarray(value, dtype=dtype)
-    if a.base is not None or a.flags.writeable:
+    if a.base is not None or (a.flags.writeable and not isinstance(value, (tuple, list))):
         a = a.copy()
     a.flags.writeable = False
     return a
@@ -96,40 +96,41 @@ class CircuitSpec:
         k: number of combined unitaries (power of two for Hadamard mixing).
         n: number of system qubits; the system dimension is ``N = 2**n``.
         weights: K real rotation weights, each in [-1, 1].
-        unitaries: K unitary matrices of shape (N, N).
+        unitaries: the K unitaries U_t as one (K, N, N) complex stack.
         mixing: "hadamard", "dft", or "secret" (requires ``mixing_matrix``).
         mixing_matrix: K x K unitary used when ``mixing == "secret"``.
         variant: "reflection" (symmetric rotation gate) or "cyclic".
 
-    The spec holds each unitary and the mixing matrix once, read-only.  A
-    complex matrix that is already read-only and owns its data is kept
-    as given, not copied; anything else (a writeable array, a view, a list
-    or a matrix of another dtype) is copied, so no later write through the
-    caller's reference reaches the spec.
+    ``unitaries`` may be given as a tuple or a list of N x N matrices, each
+    of whose shape is checked before they are copied once into the stack,
+    or as a stack.  The spec holds the stack and the mixing matrix once,
+    read-only: a complex one that is already read-only and owns its data is
+    kept as given, not copied; anything else (a writeable array, a view, an
+    ``__array__`` holder or an array of another dtype) is copied, so no
+    later write through the caller's reference reaches the spec.
     """
 
     k: int
     n: int
     weights: np.ndarray
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
     mixing: str = "hadamard"
     mixing_matrix: np.ndarray | None = None
     variant: str = "reflection"
 
     def __post_init__(self):
         self._check_parameters()
-        if len(self.unitaries) != self.k:
-            raise ValueError(f"expected {self.k} unitaries, got {len(self.unitaries)}")
-        big_n = self.big_n
-        us = []
-        for t, u in enumerate(self.unitaries):
-            u = _readonly(u, complex)
-            if u.shape != (big_n, big_n):
-                raise ValueError(f"unitary {t} has shape {u.shape}, expected {(big_n, big_n)}")
+        given = self.unitaries if isinstance(self.unitaries, (tuple, list)) else np.asarray(self.unitaries)
+        if len(given) != self.k:
+            raise ValueError(f"expected {self.k} unitaries, got {len(given)}")
+        for t, u in enumerate(given):
+            if np.shape(u) != (self.big_n,) * 2:
+                raise ValueError(f"unitary {t} has shape {np.shape(u)}, expected {(self.big_n,) * 2}")
+        us = _readonly(given, complex)
+        for t, u in enumerate(us):
             if not _is_unitary(u):
                 raise ValueError(f"matrix {t} is not unitary")
-            us.append(u)
-        object.__setattr__(self, "unitaries", tuple(us))
+        object.__setattr__(self, "unitaries", us)
 
     def _check_parameters(self):
         """Check and freeze everything but the unitaries: sizes, mixing, variant, weights."""
@@ -279,16 +280,16 @@ def reject_unread_keys(config: dict, read, reader: str) -> None:
         raise ValueError("; ".join(f"config key {key!r} is not read by {reader}" for key in unread))
 
 
-def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
+def unitaries_from_json(doc: dict) -> tuple[int, int, np.ndarray | tuple[np.ndarray, ...]]:
     """``(K, n, unitaries)`` of a spec or public-parameter document, unchecked.
 
     Raises ``ValueError`` for a document or ``unitaries`` source that is not
     a JSON object, a ``K``, ``n`` or Haar ``seed`` that is not an integer,
     source ``data`` that is not a list, and an unknown source kind;
-    :class:`CircuitSpec` checks the matrices themselves.  Every matrix is
-    handed over read-only and held by nothing else, so a spec keeps the
-    ones that own their data (every Haar draw and permutation) without a
-    copy.
+    :class:`CircuitSpec` checks the matrices themselves.  A Haar source is
+    drawn into one read-only (K, N, N) stack held by nothing else, which a
+    spec keeps without a copy; every other source is a tuple of matrices,
+    which a spec checks one by one and copies once into its stack.
     """
     if not isinstance(doc, dict):
         raise ValueError("a circuit document must be a JSON object")
@@ -299,7 +300,8 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
     kind = source.get("kind")
     if kind == "haar":
         gen = rng(integer_value("the Haar seed", source["seed"]))
-        unitaries = tuple(haar_random_unitary(2**n, gen) for _ in range(k))
+        unitaries = haar_random_unitaries(k, 2**n, gen)
+        unitaries.flags.writeable = False
     elif kind == "pauli_strings":
         unitaries = tuple(pauli_string_matrix(s) for s in list_value("the unitaries data", source["data"]))
     elif kind == "permutation":
@@ -308,8 +310,6 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, tuple[np.ndarray, ...]]:
         unitaries = tuple(matrix_from_pairs(m) for m in list_value("the unitaries data", source["data"]))
     else:
         raise ValueError(f"unknown unitary source kind {kind!r}")
-    for u in unitaries:
-        u.flags.writeable = False
     return k, n, unitaries
 
 
@@ -426,8 +426,7 @@ def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
 
 def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
     """K x N matrix X whose row t is ``U_t psi``."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.stack([u @ psi for u in spec.unitaries])
+    return spec.unitaries @ np.asarray(psi, dtype=complex)
 
 
 def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
@@ -442,9 +441,8 @@ def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
     g1, g2 = mixing_layers(spec)
     block = 2 * spec.big_n
     m = np.zeros((spec.k * block, spec.k * block), dtype=complex)
-    for t in range(spec.k):
-        r = rotation_gate(spec.weights[t], spec.variant)
-        m[t * block : (t + 1) * block, t * block : (t + 1) * block] = np.kron(r, spec.unitaries[t])
+    for t, (r, u) in enumerate(zip(_rotations(spec.weights, spec.variant), spec.unitaries)):
+        m[t * block : (t + 1) * block, t * block : (t + 1) * block] = np.kron(r, u)
     eye = np.eye(block)
     return np.kron(g2, eye) @ m @ np.kron(g1, eye)
 
@@ -463,7 +461,7 @@ def apply_circuit(spec: CircuitSpec, v: np.ndarray) -> np.ndarray:
     g1, g2 = mixing_layers(spec)
     rot = _rotations(spec.weights, spec.variant)
     x = np.tensordot(g1, v.reshape(k, 2, big_n), axes=1)  # (t, s, m)
-    x = np.stack(spec.unitaries) @ x.transpose(0, 2, 1)  # (t, m, s): U_t on both rotation halves
+    x = spec.unitaries @ x.transpose(0, 2, 1)  # (t, m, s): U_t on both rotation halves
     x = rot @ x.transpose(0, 2, 1)  # (t, r, m)
     return np.tensordot(g2, x, axes=1).reshape(-1)
 
@@ -504,8 +502,12 @@ def output_states(spec: CircuitSpec, psi: np.ndarray) -> OutcomeStates:
     dense :func:`circuit_unitary` applied to the extended input is the
     independent oracle these states are tested against.
     """
-    psi = _check_state(psi, spec.big_n)
-    states = coefficient_matrix(spec) @ row_matrix(spec, psi)
+    return _outcomes(spec, row_matrix(spec, _check_state(psi, spec.big_n)))
+
+
+def _outcomes(spec: CircuitSpec, x: np.ndarray) -> OutcomeStates:
+    """The :class:`OutcomeStates` ``C @ x`` of the rows ``x = X`` of a checked input state."""
+    states = coefficient_matrix(spec) @ x
     probs = np.einsum("ij,ij->i", states, states.conj()).real
     states.flags.writeable = probs.flags.writeable = False
     return OutcomeStates(k=spec.k, states=states, probabilities=probs)
@@ -527,12 +529,12 @@ def success_probabilities(spec: CircuitSpec, psi: np.ndarray) -> tuple[float, fl
     """
     if spec.mixing != "hadamard":
         raise ValueError("closed-form success probabilities assume Hadamard mixing")
-    psi = _check_state(psi, spec.big_n)
-    t_psi = sum(b * (u @ psi) for b, u in zip(spec.weights, spec.unitaries))
+    x = row_matrix(spec, _check_state(psi, spec.big_n))
+    t_psi = sum(b * row for b, row in zip(spec.weights, x))
     target_sq = float(np.vdot(t_psi, t_psi).real)
     p00 = target_sq / spec.k**2
     p_std = target_sq / float(np.sum(np.abs(spec.weights))) ** 2
-    out = output_states(spec, psi)
+    out = _outcomes(spec, x)
     p00_sim = out.probability(0, 0)
     p00_gap = abs(p00 - p00_sim)
     if p00_gap > 1e-12:

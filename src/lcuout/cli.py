@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .circuit import (
-    CheckFailed, CircuitSpec, integer_value, list_value, real_value, reject_unread_keys, row_matrix,
-    scale_coefficients, success_probabilities, unitaries_from_json,
+    CheckFailed, CircuitSpec, coefficient_matrix, integer_value, list_value, real_value, reject_unread_keys,
+    row_matrix, scale_coefficients, success_probabilities, unitaries_from_json,
 )
 from .linalg import random_state
 from .outputs import matrix_from_csv, matrix_to_csv, output_matrix
@@ -291,16 +291,16 @@ def cmd_invert(config: dict, args) -> int:
     key = key_from_json(Path(args.key).read_text())
     seed = args.seed or 0
     spec = key_spec(key, pub)
-    phi_true = output_matrix(spec, psi)
+    x = row_matrix(spec, psi)
     if args.phi is not None:
         obs = matrix_from_csv(Path(args.phi).read_text())
     elif args.density is not None:
         mask = make_mask(2 * pub.k, 2**pub.n, seed, "column_guaranteed", density=args.density, min_per_column=pub.k)
-        obs = observe(phi_true, mask, args.sigma, seed=seed + 1)
+        obs = observe(coefficient_matrix(spec) @ x, mask, args.sigma, seed=seed + 1)
     else:
-        obs = phi_true
+        obs = coefficient_matrix(spec) @ x
     result = invert_with_key(key, pub, obs)
-    truth = key.weights @ row_matrix(spec, psi)
+    truth = key.weights @ x
     err = float(np.linalg.norm(result.target - truth) / np.linalg.norm(truth))
     _write_matrix_csv(f"{args.out}_target.csv", "trapdoor invert", config, result.target[None, :])
     doc = {"target_error": err, "underdetermined_columns": list(result.underdetermined), "config_hash": _config_hash(config)}

@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "dft_matrix",
     "hadamard_matrix",
+    "haar_random_unitaries",
     "haar_random_unitary",
     "numerical_rank",
     "random_state",
@@ -126,28 +127,37 @@ def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
 
 
 def haar_random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary via QR of a complex Gaussian matrix.
+    """One Haar-distributed random unitary: the ``k = 1`` case of :func:`haar_random_unitaries`."""
+    return haar_random_unitaries(1, dim, seed)[0]
 
-    The R-factor's diagonal phases are divided out, which makes the
-    distribution exactly Haar rather than merely orthonormal.  ``seed`` may
-    be an integer or an already-running generator.  Besides the result and
-    QR's own arrays, the draw holds one dim x dim complex array at a time,
-    and gives the same bits as ``(x + 1j * y) / sqrt(2)`` formed out of place.
+
+def haar_random_unitaries(k: int, dim: int, seed: int | np.random.Generator) -> np.ndarray:
+    """``k`` successive Haar-distributed random unitaries as one (k, dim, dim) complex stack.
+
+    Each is the QR of a complex Gaussian matrix with the R-factor's diagonal
+    phases divided out, which makes the distribution exactly Haar rather
+    than merely orthonormal.  ``seed`` may be an integer or an
+    already-running generator.  Each Gaussian matrix is formed in its own
+    slot of the stack, and Q is copied back there and its phases fixed in
+    place, so besides the stack and QR's own arrays a draw holds one dim x
+    dim array at a time; slot t has the same bits as the t-th draw formed
+    out of place from ``(x + 1j * y) / sqrt(2)``.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     gen = _as_generator(seed)
-    x = gen.standard_normal((dim, dim))  # drawn before the imaginary part
-    z = 1j * gen.standard_normal((dim, dim))
-    z += x
-    del x
-    z /= np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    del z
-    d = np.diagonal(r).copy()
-    del r
-    q *= d / np.abs(d)
-    return q
+    us = np.empty((k, dim, dim), dtype=complex)
+    for z in us:
+        x = gen.standard_normal((dim, dim))  # drawn before the imaginary part
+        np.multiply(1j, gen.standard_normal((dim, dim)), out=z)
+        z += x
+        del x
+        z /= np.sqrt(2)
+        z[...], r = np.linalg.qr(z)  # Q is copied into the slot and dropped, R kept for its diagonal
+        d = np.diagonal(r).copy()
+        del r
+        z *= d / np.abs(d)
+    return us
 
 
 def random_state(dim: int, seed: int | np.random.Generator) -> np.ndarray:

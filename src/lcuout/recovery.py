@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import CircuitSpec, coefficients, integer_value, list_value, real_value, reject_unread_keys
-from .linalg import SEED_BOUND, haar_random_unitary, random_state, rng, truncate_rank
+from .linalg import SEED_BOUND, haar_random_unitaries, random_state, rng, truncate_rank
 
 __all__ = [
     "FactorizedResult",
@@ -378,9 +378,8 @@ def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]
     """
     gen = rng(seed)
     weights = gen.uniform(0.1, 1.0, k)
-    unitaries = tuple(haar_random_unitary(2**n, gen) for _ in range(k))
-    for u in unitaries:
-        u.flags.writeable = False  # so the spec keeps these draws instead of copying them
+    unitaries = haar_random_unitaries(k, 2**n, gen)
+    unitaries.flags.writeable = False  # so the spec keeps the draw instead of copying it
     spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=unitaries)
     psi = random_state(2**n, gen)
     return spec, psi

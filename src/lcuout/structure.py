@@ -79,7 +79,7 @@ class ShuffledUnitary:
     @cached_property
     def traces(self) -> np.ndarray:
         """``traces[t, u] = tr(U_t^dag U_u)``, the Gram matrix of the unitaries."""
-        flat = np.stack(self.spec.unitaries).reshape(self.spec.k, -1)
+        flat = self.spec.unitaries.reshape(self.spec.k, -1)
         return flat.conj() @ flat.T
 
     @cached_property
@@ -155,7 +155,7 @@ def shuffle(spec: CircuitSpec) -> ShuffledUnitary:
     coef = block_coefficients(spec.weights, spec.mixing, spec.variant, spec.mixing_matrix)
     sign = 1.0 if spec.variant == "reflection" else -1.0
     lower_gap = np.stack([coef[1, :, 0] - sign * coef[0, :, 1], coef[1, :, 1] + sign * coef[0, :, 0]])
-    peaks = np.array([np.abs(u).max() for u in spec.unitaries])
+    peaks = np.abs(spec.unitaries).max(axis=(1, 2))
     residual = float((np.abs(lower_gap) @ peaks).max())
     if residual > 1e6 * _BLOCK_ATOL:
         raise CheckFailed("two-block symmetry", residual)

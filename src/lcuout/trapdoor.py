@@ -56,16 +56,17 @@ class PublicParams:
     """Everything the evaluating party publishes: sizes, unitaries, scheme.
 
     Building it checks the unitaries once, through ``base_spec``, the
-    zero-weight circuit over them, and keeps the spec's read-only arrays as
-    ``unitaries``: the given ones when they are read-only and own their data
-    (as :func:`~lcuout.circuit.unitaries_from_json` hands them over), copies
-    otherwise.  Every circuit over them (:func:`key_spec`, the attacks)
-    derives from ``base_spec`` with ``CircuitSpec.with_weights``.
+    zero-weight circuit over them, and keeps the spec's read-only (K, N, N)
+    stack as ``unitaries``: the given stack when it is read-only and owns
+    its data (as :func:`~lcuout.circuit.unitaries_from_json` hands a Haar
+    draw over), a copy of a tuple of matrices or of any other stack.  Every
+    circuit over them (:func:`key_spec`, the attacks) derives from
+    ``base_spec`` with ``CircuitSpec.with_weights``.
     """
 
     k: int
     n: int
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
     scheme: str = "hadamard"
     variant: str = "reflection"
     base_spec: CircuitSpec = field(init=False, compare=False, repr=False)

@@ -24,7 +24,7 @@ from lcuout.circuit import (
     success_probabilities,
     unitaries_from_json,
 )
-from lcuout.linalg import dft_matrix, hadamard_matrix, haar_random_unitary, random_state, rng
+from lcuout.linalg import dft_matrix, hadamard_matrix, haar_random_unitaries, haar_random_unitary, random_state, rng
 
 from helpers import make_spec
 
@@ -147,35 +147,49 @@ class _Holder:
         return self.a
 
 
-@pytest.mark.parametrize("given", ["writeable", "read-only-view", "array-holder"])
+@pytest.mark.parametrize("given", ["tuple", "writeable", "read-only-view", "array-holder"])
 def test_spec_copies_a_writeable_unitary_or_a_view(given):
-    writer = haar_random_unitary(4, rng(21))
-    if given == "read-only-view":
+    writer = haar_random_unitaries(2, 4, rng(21))
+    if given == "tuple":
+        given = (writer[0], writer[1])
+    elif given == "read-only-view":
         given = writer[:]
         given.flags.writeable = False
     else:
         given = writer if given == "writeable" else _Holder(writer)
-    kept = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(given,)).unitaries[0]
+    kept = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=given).unitaries
+    assert kept.shape == (2, 4, 4) and kept.dtype == complex
     assert not np.shares_memory(kept, writer) and not kept.flags.writeable and kept.base is None
     before = kept.copy()
-    writer[0, 0] = 7.0
+    writer[1, 0, 0] = 7.0
     np.testing.assert_array_equal(kept, before)
 
 
 def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
-    u = haar_random_unitary(4, rng(22))
-    u.flags.writeable = False
-    spec = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(u,))
-    assert spec.unitaries[0] is u
-    mix = haar_random_unitary(2, rng(23))
+    us = haar_random_unitaries(2, 4, rng(22))
+    us.flags.writeable = False
+    spec = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=us)
+    assert spec.unitaries is us
+    mix = dft_matrix(2)
     mix.flags.writeable = False
-    secret = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=(u, u), mixing="secret", mixing_matrix=mix)
-    assert secret.mixing_matrix is mix and secret.unitaries[1] is u
-    # a float matrix or a list is converted, and the writeable result copied once into the spec's own array
+    secret = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=us, mixing="secret", mixing_matrix=mix)
+    assert secret.mixing_matrix is mix and secret.unitaries is us
+    # a float stack or a list is converted into the spec's own read-only array
     eye = np.eye(4)
-    converted = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(eye,)).unitaries[0]
+    converted = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=eye[None]).unitaries
     assert converted.dtype == complex and converted.base is None and not np.shares_memory(converted, eye)
-    assert not CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=(eye.tolist(),)).unitaries[0].flags.writeable
+    assert not CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=[eye.tolist()]).unitaries.flags.writeable
+    # a tuple is copied once into the stack: the unitarity check's Gram and its conjugate add half a unit
+    k, n = 4, 7
+    matrices = tuple(haar_random_unitaries(k, 2**n, rng(24)))
+    CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=matrices)  # lazy imports and one-time buffers
+    tracemalloc.start()
+    try:
+        CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=matrices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * k * (2**n) ** 2 * 16
 
 
 @pytest.mark.parametrize("kind, data", [
@@ -186,11 +200,15 @@ def test_unitaries_from_json_hands_over_read_only_matrices(kind, data):
     source = {"kind": kind, "seed": 4} if data is None else {"kind": kind, "data": data}
     k, n, unitaries = unitaries_from_json({"K": 2, "n": 2, "unitaries": source})
     assert (k, n) == (2, 2) and len(unitaries) == 2
-    assert not any(u.flags.writeable for u in unitaries)
     spec = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=unitaries)
-    for u, kept in zip(unitaries, spec.unitaries):
-        assert (kept is u) == (u.base is None)  # kept when it owns its data, else copied
-        np.testing.assert_array_equal(kept, u)
+    if kind == "haar":
+        # the draw is one read-only stack that the spec keeps
+        assert not unitaries.flags.writeable and spec.unitaries is unitaries
+    else:
+        # every other source is a tuple of matrices, stacked into the spec's own array
+        assert isinstance(unitaries, tuple) and spec.unitaries.base is None
+        assert not any(np.shares_memory(spec.unitaries, u) for u in unitaries)
+    np.testing.assert_array_equal(spec.unitaries, unitaries)
 
 
 def test_haar_spec_from_json_peaks_below_two_copies_of_its_unitaries():
@@ -493,13 +511,9 @@ def test_success_probabilities_requires_matching_weights():
 
 
 def test_success_probabilities_self_check_raises_check_failed(monkeypatch):
-    real = lcuout.circuit.output_states
-
-    def skewed(spec, psi):
-        out = real(spec, psi)
-        return type(out)(k=out.k, states=out.states, probabilities=out.probabilities * 1.01)
-
-    monkeypatch.setattr(lcuout.circuit, "output_states", skewed)
+    # the simulated outcome rows are C X and the closed form reads X alone, so a skewed C must be caught
+    real = lcuout.circuit.coefficient_matrix
+    monkeypatch.setattr(lcuout.circuit, "coefficient_matrix", lambda spec: real(spec) * 1.01)
     spec = make_spec(k=2, n=1, weights=[1.0, 0.5])
     with pytest.raises(CheckFailed, match="closed-form p00 check failed: residual") as info:
         success_probabilities(spec, random_state(2, 0))

@@ -6,6 +6,7 @@ import pytest
 import lcuout.linalg
 from lcuout.linalg import (
     dft_matrix,
+    haar_random_unitaries,
     haar_random_unitary,
     hadamard_matrix,
     numerical_rank,
@@ -105,6 +106,11 @@ def test_haar_random_unitary_matches_the_out_of_place_draw(dim, seed):
     gen, ref = rng(seed), rng(seed)  # a running generator advances by the same draws
     for _ in range(3):
         assert haar_random_unitary(dim, gen).tobytes() == _haar_out_of_place(dim, ref).tobytes()
+    # k successive draws from one generator fill the slots of the stack, each bit for bit
+    stack = haar_random_unitaries(3, dim, gen)
+    assert stack.shape == (3, dim, dim)
+    for u in stack:
+        assert u.tobytes() == _haar_out_of_place(dim, ref).tobytes()
 
 
 def test_haar_random_unitary_accepts_generator():

@@ -6,7 +6,9 @@ import pytest
 import lcuout.linalg
 import lcuout.recovery
 from lcuout.circuit import CircuitSpec
-from lcuout.linalg import GRAM_GAP_RTOL, haar_random_unitary, numerical_rank, random_state, rng, svd
+from lcuout.linalg import (
+    GRAM_GAP_RTOL, haar_random_unitaries, haar_random_unitary, numerical_rank, random_state, rng, svd,
+)
 from lcuout.outputs import coefficient_matrix, output_matrix
 from lcuout.recovery import (
     ObservedEntries,
@@ -538,7 +540,7 @@ def test_sweep_instance_rejects_an_empty_size(k, n):
 
 def test_sweep_draws_states_not_unitaries(monkeypatch):
     built = []
-    haar, post_init = haar_random_unitary, CircuitSpec.__post_init__
+    haar, post_init = haar_random_unitaries, CircuitSpec.__post_init__
 
     def counted_haar(*args):
         built.append("haar")
@@ -548,8 +550,8 @@ def test_sweep_draws_states_not_unitaries(monkeypatch):
         built.append("spec")
         post_init(spec)
 
-    monkeypatch.setattr(lcuout.linalg, "haar_random_unitary", counted_haar)
-    monkeypatch.setattr(lcuout.recovery, "haar_random_unitary", counted_haar)
+    monkeypatch.setattr(lcuout.linalg, "haar_random_unitaries", counted_haar)
+    monkeypatch.setattr(lcuout.recovery, "haar_random_unitaries", counted_haar)
     monkeypatch.setattr(CircuitSpec, "__post_init__", counted_spec)
     # the factorized solve is reached through the module global, so it can be wrapped by name
     seen = []

@@ -11,6 +11,7 @@ import lcuout.structure
 from lcuout.circuit import (
     CheckFailed,
     CircuitSpec,
+    apply_circuit,
     circuit_unitary,
     coefficient_matrix,
     mixing_layers,
@@ -357,7 +358,9 @@ def test_verify_secret_mixing_matches_the_dense_oracle():
 def test_perturbed_unitary_fails_the_same_checks_as_the_dense_oracle():
     # scaled after validation, so the spec itself no longer holds unitaries
     spec = make_spec(k=4, n=2, seed=64)
-    object.__setattr__(spec, "unitaries", (spec.unitaries[0] * (1 + 1e-6),) + spec.unitaries[1:])
+    us = spec.unitaries.copy()
+    us[0] *= 1 + 1e-6
+    object.__setattr__(spec, "unitaries", us)
     dense = dense_battery(spec, seed=9)
     checks = verify(spec, seed=9)
     failed = {c["name"] for c in checks if not c["pass"]}
@@ -385,12 +388,12 @@ def test_multiset_bound_covers_the_dense_svd_of_perturbed_unitaries(k, n, mixing
     else:
         spec = make_spec(k=k, n=n, seed=seed, mixing=mixing, variant=variant, weights=weights)
     # one U_t scaled or perturbed by 10^-p after validation
-    us = list(spec.unitaries)
+    us = spec.unitaries.copy()
     t = seed % k
     shape = us[t].shape
     us[t] = us[t] * (1 + 10.0**-p) if scaled else us[t] + 10.0**-p * (gen.standard_normal(shape)
                                                                        + 1j * gen.standard_normal(shape))
-    object.__setattr__(spec, "unitaries", tuple(us))
+    object.__setattr__(spec, "unitaries", us)
     # unitarity, involution and block-structure are certified bounds too
     dense = dense_battery(spec, seed)
     bounds = {c["name"]: c["residual"] for c in verify(spec, seed) if not c["skipped"]}
@@ -447,7 +450,7 @@ def test_wrong_weights_in_a_fail_the_singular_multiset_check(monkeypatch):
 
 
 # Peak allocation of one verify call at K=4, n=7, in units of K N x N complex matrices (K N^2 16 bytes): 2.02
-# measured, since each of the two trace Grams holds a stack of K N x N matrices and its conjugate.  Building the
+# measured, since the defect Gram holds the stack of the E_t and its conjugate.  Building the
 # K^2 products U_t^dag U_u and U_t U_u^dag and their Gram matrices instead peaked at 9.5 units; c = 3 leaves a
 # margin of 1.5.
 VERIFY_PEAK_UNITS = 3
@@ -462,3 +465,22 @@ def test_verify_builds_no_stack_of_products():
     finally:
         tracemalloc.stop()
     assert peak <= VERIFY_PEAK_UNITS * spec.k * spec.big_n**2 * 16
+
+
+def test_apply_circuit_and_traces_read_the_stack_of_unitaries_without_copying_it():
+    # units as above: apply_circuit needs only vectors, and the trace Gram one conjugated copy of the spec's
+    # stack; stacking the unitaries again on each call peaked at 1.03 and 2.00 units
+    spec = make_spec(k=4, n=7, seed=69)
+    v = random_state(spec.extended_dim, 70)
+
+    def peak(run):
+        run()  # lazy imports and one-time buffers are not the call's
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / (spec.k * spec.big_n**2 * 16)
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: apply_circuit(spec, v)) < 0.1
+    assert peak(lambda: shuffle(spec).traces) <= 1.05

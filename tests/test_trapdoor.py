@@ -39,7 +39,7 @@ def test_public_params_check_their_unitaries_when_built():
         pub = make_pub(k=4, n=2, seed=3, scheme=scheme)
         assert pub.unitaries is pub.base_spec.unitaries
         assert key_spec(keygen(4, scheme, 1), pub).unitaries is pub.unitaries
-    us = make_pub(k=4, n=2, seed=4).unitaries
+    us = tuple(make_pub(k=4, n=2, seed=4).unitaries)
     for k, unitaries, match in [
         (4, us[:3] + (us[3] * (1 + 1e-6),), "matrix 3 is not unitary"),
         (4, us[:3] + (np.eye(2),), "unitary 3 has shape"),
