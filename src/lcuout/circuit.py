@@ -28,6 +28,7 @@ __all__ = [
     "OutcomeStates",
     "apply_circuit",
     "block_coefficients",
+    "check_layout",
     "circuit_unitary",
     "coefficient_matrix",
     "coefficients",
@@ -47,6 +48,7 @@ __all__ = [
     "scale_coefficients",
     "success_probabilities",
     "unitaries_from_json",
+    "unitary_source",
 ]
 
 _MIXINGS = ("hadamard", "dft", "secret")
@@ -68,17 +70,38 @@ def _readonly(value, dtype=None) -> np.ndarray:
     """``value`` as a read-only array that owns its data, converted to ``dtype`` if one is given.
 
     For the arrays a :class:`CircuitSpec` is handed, which the caller may
-    still hold: a tuple or a list is built into a new array, which is frozen
-    in place; an array that already is read-only and owns its data is kept;
-    anything else (a writeable array, a view, an ``__array__`` holder, the
-    writeable result of a dtype conversion) is copied, so no later write
-    through another reference reaches the result.
+    still hold: what numpy builds here, from a tuple, a list or an array of
+    another dtype, is held by nothing else and is frozen in place; an array
+    that already is read-only and owns its data is kept; anything else (a
+    writeable array, a view, an ``__array__`` holder) is copied, so no later
+    write through another reference reaches the result.
     """
     a = np.asarray(value, dtype=dtype)
-    if a.base is not None or (a.flags.writeable and not isinstance(value, (tuple, list))):
+    built = isinstance(value, (tuple, list)) or (isinstance(value, np.ndarray) and a is not value and a.base is None)
+    if not built and (a.base is not None or a.flags.writeable):
         a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def check_layout(k: int, n: int, variant: str, mixing: str = "hadamard") -> None:
+    """Check the sizes, variant and mixing of a circuit, which need no unitary to check.
+
+    ``ValueError`` unless ``k >= 1``, ``n >= 1``, ``variant`` and ``mixing``
+    are known, and ``k`` is a power of two under Hadamard mixing.
+    :class:`CircuitSpec` and :class:`lcuout.trapdoor.PublicLayout` both
+    check through it.
+    """
+    if k < 1:
+        raise ValueError(f"need at least one unitary, got k={k}")
+    if n < 1:
+        raise ValueError(f"need at least one system qubit, got n={n}")
+    if mixing not in _MIXINGS:
+        raise ValueError(f"unknown mixing {mixing!r}")
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if mixing == "hadamard" and k & (k - 1):
+        raise ValueError(f"Hadamard mixing needs a power-of-two k, got {k}")
 
 
 def _is_unitary(m: np.ndarray) -> bool:
@@ -105,9 +128,10 @@ class CircuitSpec:
     of whose shape is checked before they are copied once into the stack,
     or as a stack.  The spec holds the stack and the mixing matrix once,
     read-only: a complex one that is already read-only and owns its data is
-    kept as given, not copied; anything else (a writeable array, a view, an
-    ``__array__`` holder or an array of another dtype) is copied, so no
-    later write through the caller's reference reaches the spec.
+    kept as given, not copied; an array of another dtype is converted once
+    into the spec's own array; anything else (a writeable array, a view, an
+    ``__array__`` holder) is copied, so no later write through the caller's
+    reference reaches the spec.
     """
 
     k: int
@@ -134,16 +158,7 @@ class CircuitSpec:
 
     def _check_parameters(self):
         """Check and freeze everything but the unitaries: sizes, mixing, variant, weights."""
-        if self.k < 1:
-            raise ValueError(f"need at least one unitary, got k={self.k}")
-        if self.n < 1:
-            raise ValueError(f"need at least one system qubit, got n={self.n}")
-        if self.mixing not in _MIXINGS:
-            raise ValueError(f"unknown mixing {self.mixing!r}")
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.mixing == "hadamard" and self.k & (self.k - 1):
-            raise ValueError(f"Hadamard mixing needs a power-of-two k, got {self.k}")
+        check_layout(self.k, self.n, self.variant, self.mixing)
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.k,):
             raise ValueError(f"expected {self.k} weights, got shape {w.shape}")
@@ -280,16 +295,15 @@ def reject_unread_keys(config: dict, read, reader: str) -> None:
         raise ValueError("; ".join(f"config key {key!r} is not read by {reader}" for key in unread))
 
 
-def unitaries_from_json(doc: dict) -> tuple[int, int, np.ndarray | tuple[np.ndarray, ...]]:
-    """``(K, n, unitaries)`` of a spec or public-parameter document, unchecked.
+def unitary_source(doc: dict) -> tuple[int, int, np.random.Generator | tuple[np.ndarray, ...]]:
+    """``(K, n, source)`` of a spec or public-parameter document, with no Haar draw.
 
     Raises ``ValueError`` for a document or ``unitaries`` source that is not
-    a JSON object, a ``K``, ``n`` or Haar ``seed`` that is not an integer,
-    source ``data`` that is not a list, and an unknown source kind;
-    :class:`CircuitSpec` checks the matrices themselves.  A Haar source is
-    drawn into one read-only (K, N, N) stack held by nothing else, which a
-    spec keeps without a copy; every other source is a tuple of matrices,
-    which a spec checks one by one and copies once into its stack.
+    a JSON object, a ``K``, ``n`` or Haar ``seed`` that is not an integer, a
+    Haar seed that :func:`~lcuout.linalg.rng` refuses, source ``data`` that
+    is not a list, and an unknown source kind.  A Haar source is the
+    generator of its seed, not yet drawn; every other source is the tuple of
+    matrices it spells out, unchecked.
     """
     if not isinstance(doc, dict):
         raise ValueError("a circuit document must be a JSON object")
@@ -299,17 +313,30 @@ def unitaries_from_json(doc: dict) -> tuple[int, int, np.ndarray | tuple[np.ndar
         raise ValueError("the unitaries entry must be a JSON object with a 'kind'")
     kind = source.get("kind")
     if kind == "haar":
-        gen = rng(integer_value("the Haar seed", source["seed"]))
-        unitaries = haar_random_unitaries(k, 2**n, gen)
-        unitaries.flags.writeable = False
-    elif kind == "pauli_strings":
-        unitaries = tuple(pauli_string_matrix(s) for s in list_value("the unitaries data", source["data"]))
-    elif kind == "permutation":
-        unitaries = tuple(permutation_matrix(p) for p in list_value("the unitaries data", source["data"]))
-    elif kind == "explicit":
-        unitaries = tuple(matrix_from_pairs(m) for m in list_value("the unitaries data", source["data"]))
-    else:
-        raise ValueError(f"unknown unitary source kind {kind!r}")
+        return k, n, rng(integer_value("the Haar seed", source["seed"]))
+    if kind == "pauli_strings":
+        return k, n, tuple(pauli_string_matrix(s) for s in list_value("the unitaries data", source["data"]))
+    if kind == "permutation":
+        return k, n, tuple(permutation_matrix(p) for p in list_value("the unitaries data", source["data"]))
+    if kind == "explicit":
+        return k, n, tuple(matrix_from_pairs(m) for m in list_value("the unitaries data", source["data"]))
+    raise ValueError(f"unknown unitary source kind {kind!r}")
+
+
+def unitaries_from_json(doc: dict) -> tuple[int, int, np.ndarray | tuple[np.ndarray, ...]]:
+    """``(K, n, unitaries)`` of a spec or public-parameter document, unchecked.
+
+    The :func:`unitary_source` of ``doc``, with a Haar source drawn into one
+    read-only (K, N, N) stack held by nothing else, which a spec keeps
+    without a copy; every other source is a tuple of matrices, which a spec
+    checks one by one and copies once into its stack.  :class:`CircuitSpec`
+    checks the matrices themselves.
+    """
+    k, n, source = unitary_source(doc)
+    if isinstance(source, tuple):
+        return k, n, source
+    unitaries = haar_random_unitaries(k, 2**n, source)
+    unitaries.flags.writeable = False
     return k, n, unitaries
 
 

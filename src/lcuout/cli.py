@@ -27,13 +27,14 @@ import numpy as np
 from . import __version__
 from .circuit import (
     CheckFailed, CircuitSpec, coefficient_matrix, integer_value, list_value, real_value, reject_unread_keys,
-    row_matrix, scale_coefficients, success_probabilities, unitaries_from_json,
+    row_matrix, scale_coefficients, success_probabilities, unitaries_from_json, unitary_source,
 )
-from .linalg import random_state
+from .linalg import random_state, rng
 from .outputs import matrix_from_csv, matrix_to_csv, output_matrix
 from .recovery import METHODS, make_mask, observe, sweep
 from .structure import verify
 from .trapdoor import (
+    PublicLayout,
     PublicParams,
     eval_trapdoor,
     hadamard_attack,
@@ -253,13 +254,31 @@ DEFAULT_INVOLUTION = {
 }
 
 
-def _public(config: dict, args) -> tuple[PublicParams, np.ndarray]:
-    """The public parameters and input state of a trapdoor config; every action reads DEFAULT_TRAPDOOR's keys."""
+def _layout(config: dict, args) -> PublicLayout:
+    """The public layout of a trapdoor config, after every check of the config that needs no Haar draw.
+
+    Every action reads DEFAULT_TRAPDOOR's keys.  The Haar and ``psi_seed``
+    seeds are checked as :func:`~lcuout.linalg.rng` checks them, and a
+    source the config spells out (explicit, Pauli, permutation) is built and
+    checked into the :class:`PublicParams` returned; a Haar source is left
+    undrawn.
+    """
     reject_unread_keys(config, DEFAULT_TRAPDOOR, f"trapdoor {args.action}")
-    k, n, unitaries = unitaries_from_json(config)
-    scheme, variant = config.get("scheme", "hadamard"), config.get("variant", "reflection")
-    psi = random_state(2**n, integer_value("psi_seed", config.get("psi_seed", 0)))
-    return PublicParams(k=k, n=n, unitaries=unitaries, scheme=scheme, variant=variant), psi
+    k, n, source = unitary_source(config)
+    rng(integer_value("psi_seed", config.get("psi_seed", 0)))
+    layout = dict(k=k, n=n, scheme=config.get("scheme", "hadamard"), variant=config.get("variant", "reflection"))
+    if isinstance(source, tuple):
+        return PublicParams(**layout, unitaries=source)
+    return PublicLayout(**layout)
+
+
+def _public(config: dict, args) -> tuple[PublicParams, np.ndarray]:
+    """The public parameters and input state of a trapdoor config: its :func:`_layout`, a Haar source drawn."""
+    pub = _layout(config, args)
+    if not isinstance(pub, PublicParams):
+        _, _, unitaries = unitaries_from_json(config)
+        pub = PublicParams(k=pub.k, n=pub.n, scheme=pub.scheme, variant=pub.variant, unitaries=unitaries)
+    return pub, random_state(2**pub.n, config.get("psi_seed", 0))
 
 
 def cmd_keygen(config: dict, args) -> int:
@@ -310,8 +329,7 @@ def cmd_invert(config: dict, args) -> int:
 
 
 def cmd_attack(config: dict, args) -> int:
-    pub, _ = _public(config, args)
-    result = hadamard_attack(pub, matrix_from_csv(Path(args.phi).read_text()))
+    result = hadamard_attack(_layout(config, args), matrix_from_csv(Path(args.phi).read_text()))
     doc = {
         "recovered_weights": [float(w) for w in result.weights],
         "recoverable": [bool(b) for b in result.recoverable],

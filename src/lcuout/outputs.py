@@ -55,14 +55,29 @@ def matrix_to_csv(m: np.ndarray) -> str:
     return "\n".join(",".join(_fmt(z) for z in row) for row in rows) + "\n"
 
 
+def _cell(cell: str, number: int) -> complex:
+    try:
+        return complex(cell)
+    except ValueError:  # complex()'s own message names neither the cell nor its line
+        raise ValueError(f"line {number}: cell {cell.strip()!r} is not a complex number") from None
+
+
 def matrix_from_csv(text: str) -> np.ndarray:
-    """Parse :func:`matrix_to_csv` output; lines starting with '#' are skipped."""
+    """Parse :func:`matrix_to_csv` output; lines starting with '#' are skipped.
+
+    Raises ``ValueError`` for text with no matrix row, a cell that is not a
+    complex number and a row whose cell count differs from the first row's,
+    naming the line.
+    """
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([complex(cell) for cell in line.split(",")])
+        cells = line.split(",")
+        if rows and len(cells) != len(rows[0]):
+            raise ValueError(f"line {number}: row {len(rows) + 1} has {len(cells)} cells, expected {len(rows[0])}")
+        rows.append([_cell(cell, number) for cell in cells])
     if not rows:
         raise ValueError("no matrix rows found")
     return np.array(rows, dtype=complex)

@@ -10,6 +10,12 @@ The key holder's inversion and the attack's fit both go through
 :func:`lcuout.recovery.factorized_complete`, the one solver of Phi = C X; a
 full matrix is passed to it as entries that are all observed.
 
+What each step reads: the evaluation, the inversion and the involution
+cipher read the :class:`PublicParams`, the public unitaries included; the
+attack reads only the :class:`PublicLayout` (K, n, scheme and rotation
+variant) and Phi, since C and the mixing layers of the Hadamard scheme
+follow from the layout and the weights alone.
+
 Also included: the closed-form attack that breaks the Hadamard scheme, for
 both rotation variants, when full complex amplitudes leak and fails on
 magnitudes alone (no magnitude-only attack is implemented, so that failure
@@ -26,15 +32,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    CircuitSpec, apply_circuit, coefficient_matrix, list_value, mixing_layers, output_states, real_value, rotation_gate,
-    sample_shots,
+    CircuitSpec, apply_circuit, check_layout, coefficient_matrix, coefficients, list_value, output_states, real_value,
+    rotation_gate, sample_shots,
 )
-from .linalg import haar_random_unitary, rng
+from .linalg import haar_random_unitary, hadamard_matrix, rng
 from .recovery import ObservedEntries, factorized_complete
 
 __all__ = [
     "AttackResult",
     "InversionResult",
+    "PublicLayout",
     "PublicParams",
     "SecretKey",
     "eval_trapdoor",
@@ -52,28 +59,46 @@ _SCHEMES = ("hadamard", "secret_mixing")
 
 
 @dataclass(frozen=True)
-class PublicParams:
-    """Everything the evaluating party publishes: sizes, unitaries, scheme.
+class PublicLayout:
+    """The public sizes and circuit form: K, n, scheme and rotation variant, no unitary.
 
-    Building it checks the unitaries once, through ``base_spec``, the
-    zero-weight circuit over them, and keeps the spec's read-only (K, N, N)
-    stack as ``unitaries``: the given stack when it is read-only and owns
-    its data (as :func:`~lcuout.circuit.unitaries_from_json` hands a Haar
-    draw over), a copy of a tuple of matrices or of any other stack.  Every
-    circuit over them (:func:`key_spec`, the attacks) derives from
-    ``base_spec`` with ``CircuitSpec.with_weights``.
+    Building it checks that the scheme is known and, through
+    :func:`~lcuout.circuit.check_layout`, that ``k`` is a power of two (the
+    Hadamard layer of both schemes), ``n >= 1`` and the variant is known.
+    This is all :func:`hadamard_attack` reads.
     """
 
     k: int
     n: int
-    unitaries: np.ndarray
     scheme: str = "hadamard"
     variant: str = "reflection"
-    base_spec: CircuitSpec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        check_layout(self.k, self.n, self.variant)
+
+
+@dataclass(frozen=True)
+class PublicParams(PublicLayout):
+    """Everything the evaluating party publishes: the :class:`PublicLayout` and the keyword-only unitaries.
+
+    Building it checks the layout, then the unitaries once, through
+    ``base_spec``, the zero-weight circuit over them, and keeps the spec's
+    read-only (K, N, N) stack as ``unitaries``: the given stack when it is
+    read-only and owns its data (as
+    :func:`~lcuout.circuit.unitaries_from_json` hands a Haar draw over), a
+    copy of a tuple of matrices or of any other stack.  Every circuit over
+    them (:func:`key_spec` and so the evaluation, the inversion and the
+    involution cipher) derives from ``base_spec`` with
+    ``CircuitSpec.with_weights``.
+    """
+
+    unitaries: np.ndarray = field(kw_only=True)
+    base_spec: CircuitSpec = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
         base = CircuitSpec(k=self.k, n=self.n, weights=[0.0] * self.k, unitaries=self.unitaries, variant=self.variant)
         object.__setattr__(self, "base_spec", base)
         object.__setattr__(self, "unitaries", base.unitaries)
@@ -202,7 +227,7 @@ class InversionResult:
     underdetermined: tuple[int, ...]
 
 
-def _entries(pub: PublicParams, obs: ObservedEntries | np.ndarray) -> ObservedEntries:
+def _entries(pub: PublicLayout, obs: ObservedEntries | np.ndarray) -> ObservedEntries:
     # a full matrix becomes entries with every position observed; it must be 2K x 2**n (entries carry a mask
     # of their values' shape)
     values = obs.values if isinstance(obs, ObservedEntries) else np.asarray(obs, dtype=complex)
@@ -238,13 +263,15 @@ class AttackResult:
     residual: float
 
 
-def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
+def hadamard_attack(pub: PublicLayout, phi: np.ndarray) -> AttackResult:
     """Break the Hadamard scheme given full complex amplitudes, for either rotation variant.
 
-    Each rotation block of Phi is ``G2 diag(G1[:, 0] w) X`` (resp. ``+-r``
-    in place of w) with the public layers ``(G1, G2)`` of
-    :func:`~lcuout.circuit.mixing_layers`; applying ``G2^T`` (G2 is real
-    orthogonal) and dividing by ``G1[:, 0]`` undoes the mixing.  The
+    Reads only ``pub.k``, ``pub.n``, ``pub.scheme`` and ``pub.variant``, so
+    a :class:`PublicLayout` is enough and no public unitary is needed.  Each
+    rotation block of Phi is ``G2 diag(G1[:, 0] w) X`` (resp. ``+-r`` in
+    place of w) with the public mixing layers ``G1 = G2 = H``, the
+    :func:`~lcuout.linalg.hadamard_matrix` of order K; applying ``G2^T``
+    (G2 is real orthogonal) and dividing by ``G1[:, 0]`` undoes the mixing.  The
     rotation-1 block is then multiplied by the gate's own sign of r_t,
     ``rotation_gate(0.0, pub.variant)[1, 0]`` (+1 reflection, -1 cyclic), so
     the blocks are ``y0 = diag(w) X`` and ``y1 = diag(r) X`` with r_t >= 0.
@@ -257,8 +284,10 @@ def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
     A row whose energy ``|y0_t|^2 + |y1_t|^2`` is at most 1e-28 of the largest
     row's carries no weight: it is marked not ``recoverable`` and its weight
     is 0.  The returned residual is the relative misfit of the rank-K
-    factorization rebuilt from the recovered weights — against
-    magnitude-only data it stays large, which is the point.  Raises
+    factorization refit from the recovered weights, with C their
+    :func:`~lcuout.circuit.coefficients` under Hadamard mixing and
+    ``pub.variant`` — against magnitude-only data it stays large, which is
+    the point.  Raises
     ``ValueError`` unless ``phi`` is 2K x 2**n with a nonzero entry, which
     the relative residual needs.
     """
@@ -268,8 +297,8 @@ def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
     phi = entries.values
     if not phi.any():
         raise ValueError("the attack needs a matrix with a nonzero entry; this one is all zero")
-    g1, g2 = mixing_layers(pub.base_spec)
-    y0, y1 = (g2.T @ phi.reshape(2, pub.k, -1)) / g1[:, :1]
+    h = hadamard_matrix(pub.k)
+    y0, y1 = (h.T @ phi.reshape(2, pub.k, -1)) / h[:, :1]
     y1 *= rotation_gate(0.0, pub.variant)[1, 0]
     e0 = (np.abs(y0) ** 2).sum(axis=1)
     energy = e0 + (np.abs(y1) ** 2).sum(axis=1)
@@ -277,7 +306,7 @@ def hadamard_attack(pub: PublicParams, phi: np.ndarray) -> AttackResult:
     sign = np.where((y1.conj() * y0).real.sum(axis=1) < 0, -1.0, 1.0)
     weights = np.zeros(pub.k)
     weights[recoverable] = sign[recoverable] * np.sqrt(e0[recoverable] / energy[recoverable])
-    fit = factorized_complete(entries, coefficient_matrix(pub.base_spec.with_weights(weights)))
+    fit = factorized_complete(entries, coefficients(weights, "hadamard", pub.variant))
     residual = float(np.linalg.norm(fit.phi - phi) / np.linalg.norm(phi))
     return AttackResult(weights=weights, recoverable=recoverable, residual=residual)
 

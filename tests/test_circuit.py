@@ -179,17 +179,18 @@ def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
     converted = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=eye[None]).unitaries
     assert converted.dtype == complex and converted.base is None and not np.shares_memory(converted, eye)
     assert not CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=[eye.tolist()]).unitaries.flags.writeable
-    # a tuple is copied once into the stack: the unitarity check's Gram and its conjugate add half a unit
+    # a tuple is copied once into the stack, and a float stack converted once into it, not converted and then
+    # copied: the unitarity check's Gram and its conjugate add half a unit
     k, n = 4, 7
-    matrices = tuple(haar_random_unitaries(k, 2**n, rng(24)))
-    CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=matrices)  # lazy imports and one-time buffers
-    tracemalloc.start()
-    try:
-        CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=matrices)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.75 * k * (2**n) ** 2 * 16
+    for given in (tuple(haar_random_unitaries(k, 2**n, rng(24))), np.stack([np.eye(2**n)] * k)):
+        CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=given)  # lazy imports and one-time buffers
+        tracemalloc.start()
+        try:
+            CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * k * (2**n) ** 2 * 16, type(given)
 
 
 @pytest.mark.parametrize("kind, data", [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lcuout
+import lcuout.circuit
 import lcuout.cli
 import lcuout.recovery
 from lcuout.circuit import CheckFailed, CircuitSpec
@@ -478,6 +479,11 @@ TRAPDOOR_INPUT_ERRORS = {
     "attack-empty-phi": (["attack"], {}, None, "", "no matrix rows found"),
     # a zero matrix has no relative residual, which would be written as "residual": NaN, not valid JSON
     "attack-zero-phi": (["attack"], {}, None, matrix_to_csv(np.zeros((8, 16))), "all zero"),
+    # numpy's "inhomogeneous shape" and complex()'s "malformed string" named neither the row nor the line
+    "invert-ragged-phi": (["invert"], {}, None, "# header\n1,2\n3\n", "line 3: row 2 has 1 cells, expected 2"),
+    "attack-ragged-phi": (["attack"], {}, None, "1,2\n3,4,5\n", "line 2: row 2 has 3 cells, expected 2"),
+    "invert-bad-cell": (["invert"], {}, None, "1,2\n3,x\n", "line 2: cell 'x' is not a complex number"),
+    "attack-empty-cell": (["attack"], {}, None, "1,,2\n", "line 1: cell '' is not a complex number"),
 }
 
 
@@ -493,6 +499,63 @@ def test_trapdoor_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case)
         (tmp_path / "phi.csv").write_text(phi_text)
         extra += ["--phi", str(tmp_path / "phi.csv")]
     assert main(["trapdoor", *argv, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(tmp_path.glob("o*")) == []
+
+
+def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
+    # the attack reads K, n, scheme, variant and --phi; eval still draws the K Haar unitaries it evaluates
+    key = tmp_path / "k.json"
+    key.write_text(key_to_json(keygen(4, "hadamard", 3)))
+    assert main(["trapdoor", "eval", "--key", str(key), "--dump", "amplitudes", "--out", str(tmp_path / "t")]) == 0
+    attack = ["trapdoor", "attack", "--phi", str(tmp_path / "t_amplitudes.csv"), "--key", str(key)]
+    assert main([*attack, "--out", str(tmp_path / "drawn")]) == 0
+
+    def no_draw(*args):
+        raise RuntimeError("drew the Haar unitaries")
+
+    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
+    assert main([*attack, "--out", str(tmp_path / "undrawn")]) == 0
+    assert (tmp_path / "undrawn_attack.json").read_bytes() == (tmp_path / "drawn_attack.json").read_bytes()
+    assert json.loads((tmp_path / "undrawn_attack.json").read_text())["success"] is True
+    with pytest.raises(RuntimeError, match="drew the Haar unitaries"):
+        main(["trapdoor", "eval", "--key", str(key), "--out", str(tmp_path / "e")])
+
+
+HAAR = lcuout.cli.DEFAULT_TRAPDOOR["unitaries"]
+BAD_PUBLIC_CONFIGS = {
+    "haar-seed-negative": ({"unitaries": {**HAAR, "seed": -1}}, "a seed must lie in [0, 2**128)"),
+    "haar-seed-too-large": ({"unitaries": {**HAAR, "seed": 2**128}}, "a seed must lie in [0, 2**128)"),
+    "haar-seed-bool": ({"unitaries": {**HAAR, "seed": True}}, "the Haar seed must be an integer"),
+    "haar-seed-float": ({"unitaries": {**HAAR, "seed": 1.5}}, "the Haar seed must be an integer"),
+    "source-kind": ({"unitaries": {"kind": "gaussian", "seed": 1}}, "unknown unitary source kind 'gaussian'"),
+    "scheme": ({"scheme": "rsa"}, "unknown scheme 'rsa'"),
+    "variant": ({"variant": "spiral"}, "unknown variant 'spiral'"),
+    "K-not-a-power-of-two": ({"K": 3}, "power-of-two k, got 3"),
+    "n-zero": ({"n": 0}, "at least one system qubit"),
+    "psi-seed-negative": ({"psi_seed": -1}, "a seed must lie in [0, 2**128)"),
+    "unread-key": ({"mixing": "dft"}, "config key 'mixing' is not read by trapdoor"),
+    "pauli-letter": ({"n": 2, "unitaries": {"kind": "pauli_strings", "data": ["XZ", "ZI", "IQ", "YY"]}},
+                     "unknown Pauli letter 'Q'"),
+    "explicit-not-unitary": ({"K": 2, "n": 1, "unitaries": {"kind": "explicit", "data": [
+        [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0.3, 0]], [[0, 0], [1, 0]]]]}}, "matrix 1 is not unitary"),
+}
+
+
+@pytest.mark.parametrize("action", ["attack", "eval"])
+@pytest.mark.parametrize("case", BAD_PUBLIC_CONFIGS)
+def test_attack_refuses_every_public_config_that_eval_refuses(tmp_path, capsys, action, case):
+    # the attack skips the Haar draw, not a check of the config
+    change, message = BAD_PUBLIC_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_TRAPDOOR, **change}))
+    key = tmp_path / "k.json"
+    key.write_text(key_to_json(keygen(4, "hadamard", 0)))
+    phi = tmp_path / "phi.csv"
+    phi.write_text(matrix_to_csv(np.ones((8, 16))))
+    extra = ["--phi", str(phi)] if action == "attack" else ["--key", str(key)]
+    assert main(["trapdoor", action, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list(tmp_path.glob("o*")) == []

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from lcuout.circuit import pauli_string_matrix, sample_shots
-from lcuout.linalg import haar_random_unitary, random_state, rng
+from lcuout.circuit import coefficients, mixing_layers, pauli_string_matrix, sample_shots
+from lcuout.linalg import haar_random_unitary, hadamard_matrix, random_state, rng
 from lcuout.outputs import coefficient_matrix, output_matrix, row_matrix
 from lcuout.recovery import ObservedEntries, make_mask, observe
 from lcuout.trapdoor import (
+    PublicLayout,
     PublicParams,
     SecretKey,
     eval_trapdoor,
@@ -48,6 +49,21 @@ def test_public_params_check_their_unitaries_when_built():
     ]:
         with pytest.raises(ValueError, match=match):
             PublicParams(k=k, n=2, unitaries=unitaries)
+    # the unitaries are keyword-only, after the layout's defaulted scheme and variant
+    with pytest.raises(TypeError):
+        PublicParams(4, 2, us)
+
+
+@pytest.mark.parametrize("cls", [PublicLayout, PublicParams])
+@pytest.mark.parametrize("change, match", [
+    ({"scheme": "rsa"}, "unknown scheme 'rsa'"), ({"variant": "spiral"}, "unknown variant 'spiral'"),
+    ({"k": 3}, "power-of-two k, got 3"), ({"k": 0}, "at least one unitary"), ({"n": 0}, "at least one system qubit"),
+])
+def test_public_layout_is_checked_before_any_unitary(cls, change, match):
+    # PublicParams refuses these with the layout's own message, before it looks at its (here unusable) unitaries
+    extra = {"unitaries": None} if cls is PublicParams else {}
+    with pytest.raises(ValueError, match=match):
+        cls(**{"k": 4, "n": 2, **change}, **extra)
 
 
 # ---- keys ---------------------------------------------------------------------
@@ -200,6 +216,26 @@ def test_hadamard_attack_recovers_unit_weights_up_to_their_sign(variant):
     assert np.abs(np.abs(res.weights) - np.abs(key.weights)).max() < 1e-10
     assert np.abs(res.weights[2:] - key.weights[2:]).max() < 1e-10
     assert res.residual < 1e-10
+
+
+@pytest.mark.parametrize("variant", ["reflection", "cyclic"])
+@pytest.mark.parametrize("k", [2, 4])
+def test_hadamard_attack_reads_only_the_public_layout(k, variant):
+    pub = make_pub(k=k, seed=40 + k, variant=variant)
+    layout = PublicLayout(k=k, n=pub.n, scheme=pub.scheme, variant=variant)
+    key = keygen(k, "hadamard", 50 + k)
+    # the layers and C taken from the layout alone have the bits of the ones taken through the public unitaries
+    g1, g2 = mixing_layers(pub.base_spec)
+    h = hadamard_matrix(k)
+    assert h.tobytes() == g1.tobytes() == g2.tobytes()
+    c = coefficients(key.weights, "hadamard", variant)
+    assert c.tobytes() == coefficient_matrix(pub.base_spec.with_weights(key.weights)).tobytes()
+    psi = random_state(16, 60 + k)
+    for phi in (output_matrix(key_spec(key, pub), psi), np.sqrt(eval_trapdoor(key, pub, psi))):  # success, failure
+        on_layout, on_params = hadamard_attack(layout, phi), hadamard_attack(pub, phi)
+        assert on_layout.weights.tobytes() == on_params.weights.tobytes()
+        assert on_layout.recoverable.tolist() == on_params.recoverable.tolist()
+        assert on_layout.residual == on_params.residual
 
 
 def test_hadamard_attack_flags_a_row_it_cannot_recover():
