@@ -29,6 +29,7 @@ __all__ = [
     "apply_circuit",
     "block_coefficients",
     "check_layout",
+    "check_state",
     "circuit_unitary",
     "coefficient_matrix",
     "coefficients",
@@ -88,9 +89,10 @@ def check_layout(k: int, n: int, variant: str, mixing: str = "hadamard") -> None
     """Check the sizes, variant and mixing of a circuit, which need no unitary to check.
 
     ``ValueError`` unless ``k >= 1``, ``n >= 1``, ``variant`` and ``mixing``
-    are known, and ``k`` is a power of two under Hadamard mixing.
-    :class:`CircuitSpec` and :class:`lcuout.trapdoor.PublicLayout` both
-    check through it.
+    are known, and ``k`` is a power of two under every mixing whose first
+    layer is the Hadamard matrix of order K: ``hadamard`` and ``secret``,
+    not ``dft``.  :class:`CircuitSpec`, :class:`lcuout.trapdoor.PublicLayout`
+    and :func:`lcuout.recovery.sweep_instance` all check through it.
     """
     if k < 1:
         raise ValueError(f"need at least one unitary, got k={k}")
@@ -100,8 +102,8 @@ def check_layout(k: int, n: int, variant: str, mixing: str = "hadamard") -> None
         raise ValueError(f"unknown mixing {mixing!r}")
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if mixing == "hadamard" and k & (k - 1):
-        raise ValueError(f"Hadamard mixing needs a power-of-two k, got {k}")
+    if mixing != "dft" and k & (k - 1):
+        raise ValueError(f"{mixing.capitalize()} mixing needs a power-of-two k, got {k}")
 
 
 def _is_unitary(m: np.ndarray) -> bool:
@@ -116,7 +118,7 @@ class CircuitSpec:
     """Full description of one circuit instance.
 
     Attributes:
-        k: number of combined unitaries (power of two for Hadamard mixing).
+        k: number of combined unitaries (power of two for Hadamard and secret mixing).
         n: number of system qubits; the system dimension is ``N = 2**n``.
         weights: K real rotation weights, each in [-1, 1].
         unitaries: the K unitaries U_t as one (K, N, N) complex stack.
@@ -512,7 +514,13 @@ class OutcomeStates:
         return float(self.probabilities[r * self.k + i])
 
 
-def _check_state(psi: np.ndarray, big_n: int) -> np.ndarray:
+def check_state(psi: np.ndarray, big_n: int) -> np.ndarray:
+    """``psi`` as a complex vector of length ``big_n`` and norm 1.
+
+    ``ValueError`` for another shape, and for a norm that is not finite or is
+    more than 1e-10 from 1.  Every function that runs a circuit on an input
+    state checks it through here.
+    """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (big_n,):
         raise ValueError(f"state has shape {psi.shape}, expected {(big_n,)}")
@@ -529,7 +537,7 @@ def output_states(spec: CircuitSpec, psi: np.ndarray) -> OutcomeStates:
     dense :func:`circuit_unitary` applied to the extended input is the
     independent oracle these states are tested against.
     """
-    return _outcomes(spec, row_matrix(spec, _check_state(psi, spec.big_n)))
+    return _outcomes(spec, row_matrix(spec, check_state(psi, spec.big_n)))
 
 
 def _outcomes(spec: CircuitSpec, x: np.ndarray) -> OutcomeStates:
@@ -556,7 +564,7 @@ def success_probabilities(spec: CircuitSpec, psi: np.ndarray) -> tuple[float, fl
     """
     if spec.mixing != "hadamard":
         raise ValueError("closed-form success probabilities assume Hadamard mixing")
-    x = row_matrix(spec, _check_state(psi, spec.big_n))
+    x = row_matrix(spec, check_state(psi, spec.big_n))
     t_psi = sum(b * row for b, row in zip(spec.weights, x))
     target_sq = float(np.vdot(t_psi, t_psi).real)
     p00 = target_sq / spec.k**2

@@ -257,7 +257,9 @@ DEFAULT_INVOLUTION = {
 def _layout(config: dict, args) -> PublicLayout:
     """The public layout of a trapdoor config, after every check of the config that needs no Haar draw.
 
-    Every action reads DEFAULT_TRAPDOOR's keys.  The Haar and ``psi_seed``
+    Every trapdoor action reads its config through here, directly
+    (``keygen``, ``attack``) or through :func:`_public`, and so reads
+    DEFAULT_TRAPDOOR's keys.  The Haar and ``psi_seed``
     seeds are checked as :func:`~lcuout.linalg.rng` checks them, and a
     source the config spells out (explicit, Pauli, permutation) is built and
     checked into the :class:`PublicParams` returned; a Haar source is left
@@ -282,8 +284,9 @@ def _public(config: dict, args) -> tuple[PublicParams, np.ndarray]:
 
 
 def cmd_keygen(config: dict, args) -> int:
-    reject_unread_keys(config, DEFAULT_TRAPDOOR, "trapdoor keygen")
-    key = keygen(integer_value("K", config["K"]), config.get("scheme", "hadamard"), args.seed or 0)
+    """Draw a key for the config's K and scheme, read through :func:`_layout` as every trapdoor action reads it."""
+    pub = _layout(config, args)
+    key = keygen(pub.k, pub.scheme, args.seed or 0)
     _target(f"{args.out}_key.json").write_text(key_to_json(key) + "\n")
     print(f"wrote {args.out}_key.json")
     return 0
@@ -329,7 +332,8 @@ def cmd_invert(config: dict, args) -> int:
 
 
 def cmd_attack(config: dict, args) -> int:
-    result = hadamard_attack(_layout(config, args), matrix_from_csv(Path(args.phi).read_text()))
+    pub = _layout(config, args)
+    result = hadamard_attack(pub, matrix_from_csv(Path(args.phi).read_text()))
     doc = {
         "recovered_weights": [float(w) for w in result.weights],
         "recoverable": [bool(b) for b in result.recoverable],
@@ -338,9 +342,10 @@ def cmd_attack(config: dict, args) -> int:
         "config_hash": _config_hash(config),
     }
     if args.key is not None:
-        w = key_from_json(Path(args.key).read_text()).weights
+        key = key_from_json(Path(args.key).read_text())
+        pub.check_key(key)
         # r_t = 0 at |w_t| = 1 leaves the sign of w_t unidentifiable, so only its size is compared there
-        gap = np.where(np.abs(w) >= 1.0, np.abs(result.weights) - 1.0, result.weights - w)
+        gap = np.where(np.abs(key.weights) >= 1.0, np.abs(result.weights) - 1.0, result.weights - key.weights)
         doc["weight_error"] = float(np.abs(gap).max())
     _write_json(f"{args.out}_attack.json", doc)
     print(f"attack residual {result.residual:.3e} success={doc['success']}")

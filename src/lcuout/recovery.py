@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CircuitSpec, coefficients, integer_value, list_value, real_value, reject_unread_keys
+from .circuit import CircuitSpec, check_layout, coefficients, integer_value, list_value, real_value, reject_unread_keys
 from .linalg import SEED_BOUND, haar_random_unitaries, random_state, rng, truncate_rank
 
 __all__ = [
@@ -394,9 +394,10 @@ def sweep_instance(k: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     uniform on the unit sphere (the Haar measure is unitarily invariant), so
     X has the distribution of :func:`random_instance`'s rows ``U_t psi``,
     though not its draws, without K N x N QRs and a unitarity check.
+    ``k`` and ``n`` are checked by :func:`~lcuout.circuit.check_layout` for
+    that layout: ``k >= 1``, ``n >= 1`` and ``k`` a power of two.
     """
-    if k < 1 or n < 1:
-        raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    check_layout(k, n, "reflection")
     gen = rng(seed)
     weights = gen.uniform(0.1, 1.0, k)
     c = coefficients(weights)

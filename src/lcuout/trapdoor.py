@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    CircuitSpec, apply_circuit, check_layout, coefficient_matrix, coefficients, list_value, output_states, real_value,
-    rotation_gate, sample_shots,
+    CircuitSpec, apply_circuit, check_layout, check_state, coefficient_matrix, coefficients, list_value, output_states,
+    real_value, rotation_gate, sample_shots,
 )
 from .linalg import haar_random_unitary, hadamard_matrix, rng
 from .recovery import ObservedEntries, factorized_complete
@@ -65,7 +65,8 @@ class PublicLayout:
     Building it checks that the scheme is known and, through
     :func:`~lcuout.circuit.check_layout`, that ``k`` is a power of two (the
     Hadamard layer of both schemes), ``n >= 1`` and the variant is known.
-    This is all :func:`hadamard_attack` reads.
+    This is all :func:`hadamard_attack` reads, and all :meth:`check_key`
+    needs to decide whether a key fits.
     """
 
     k: int
@@ -77,6 +78,13 @@ class PublicLayout:
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         check_layout(self.k, self.n, self.variant)
+
+    def check_key(self, key: SecretKey) -> None:
+        """``ValueError`` unless ``key`` is of this layout's scheme and holds K weights."""
+        if key.scheme != self.scheme:
+            raise ValueError(f"key scheme {key.scheme!r} does not match public {self.scheme!r}")
+        if key.weights.shape != (self.k,):
+            raise ValueError("key length does not match the public parameters")
 
 
 @dataclass(frozen=True)
@@ -106,11 +114,27 @@ class PublicParams(PublicLayout):
 
 @dataclass(frozen=True)
 class SecretKey:
-    """Rotation weights plus, for secret mixing, the mixing-completion seed."""
+    """Rotation weights plus, for secret mixing, the mixing-completion seed.
+
+    Building one, however it is built, raises ``ValueError`` for an unknown
+    scheme, a weight that is not finite, and a secret-mixing key whose gamma
+    is not an integer in [0, 2**64): without a fixed gamma,
+    :func:`mixing_from_key` would draw a different mixing unitary on every
+    call.  Whether the key fits a layout is :meth:`PublicLayout.check_key`'s
+    to decide.
+    """
 
     scheme: str
     weights: np.ndarray
     gamma: int | None = None
+
+    def __post_init__(self):
+        if self.scheme not in _SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("key weights must be finite")
+        if self.scheme == "secret_mixing" and not (type(self.gamma) is int and 0 <= self.gamma < 2**64):
+            raise ValueError(f"a secret-mixing key needs an integer gamma in [0, 2**64), got {self.gamma!r}")
 
 
 def keygen(k: int, scheme: str = "hadamard", seed: int = 0) -> SecretKey:
@@ -118,9 +142,10 @@ def keygen(k: int, scheme: str = "hadamard", seed: int = 0) -> SecretKey:
 
     The secret-mixing scheme also draws gamma, the seed of the Haar-random
     completion of the mixing unitary below its weight-encoding first row.
+    ``k`` must be a power of two, since both schemes mix with a Hadamard
+    layer of order K; the key has no n, so that is the one layout rule
+    checked here, and :class:`SecretKey` checks the scheme.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if k < 1 or k & (k - 1):
         raise ValueError(f"the mixing layer needs a power-of-two k, got {k}")
     gen = rng(seed)
@@ -142,26 +167,16 @@ def key_to_json(key: SecretKey) -> str:
 def key_from_json(text: str) -> SecretKey:
     """Parse a key written by :func:`key_to_json`.
 
-    Raises ``ValueError`` for a document that is not a JSON object, an
-    unknown scheme, weights that are not a list of finite real numbers
-    (checked as config values are, so a bool or a null is refused), and a
-    secret-mixing key whose gamma is not an integer in [0, 2**64): without a
-    fixed gamma, :func:`mixing_from_key` would draw a different mixing
-    unitary on every call.
+    Checks only the JSON types: ``ValueError`` for a document that is not a
+    JSON object and for weights that are not a list of real numbers (checked
+    as config values are, so a bool or a null is refused).  The key's own
+    rules (scheme, finite weights, gamma) are :class:`SecretKey`'s.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a key file must hold a JSON object")
-    scheme = doc["scheme"]
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     weights = np.array([real_value("a key weight", w) for w in list_value("key weights", doc["weights"])])
-    if not np.isfinite(weights).all():
-        raise ValueError("key weights must be finite")
-    gamma = doc.get("gamma")
-    if scheme == "secret_mixing" and not (type(gamma) is int and 0 <= gamma < 2**64):
-        raise ValueError(f"a secret-mixing key needs an integer gamma in [0, 2**64), got {gamma!r}")
-    return SecretKey(scheme=scheme, weights=weights, gamma=gamma)
+    return SecretKey(scheme=doc["scheme"], weights=weights, gamma=doc.get("gamma"))
 
 
 def mixing_from_key(key: SecretKey) -> np.ndarray:
@@ -190,13 +205,11 @@ def key_spec(key: SecretKey, pub: PublicParams) -> CircuitSpec:
     """The key holder's circuit: the public unitaries with the secret weights (and mixing).
 
     Derived from ``pub.base_spec``, so it shares the public unitaries, which
-    were checked when ``pub`` was built; the weights and the secret mixing
-    matrix are checked here.
+    were checked when ``pub`` was built.  :meth:`PublicLayout.check_key`
+    checks that the key fits ``pub``, and ``with_weights`` checks the
+    weights and the secret mixing matrix.
     """
-    if key.scheme != pub.scheme:
-        raise ValueError(f"key scheme {key.scheme!r} does not match public {pub.scheme!r}")
-    if key.weights.shape != (pub.k,):
-        raise ValueError("key length does not match the public parameters")
+    pub.check_key(key)
     mixing_matrix = mixing_from_key(key) if key.scheme == "secret_mixing" else None
     return pub.base_spec.with_weights(key.weights, mixing_matrix)
 
@@ -321,6 +334,8 @@ def involution_encrypt_decrypt(
     whatever it encrypted.  The demo encrypts/decrypts with ``key`` and then
     with ``key2`` and returns the overlap of the final state with the
     extended input — the weight cancellation makes it 1 for any key pair.
+    ``psi`` is checked by :func:`~lcuout.circuit.check_state`, as every
+    circuit input is, so the overlap is a fidelity in [0, 1].
     """
     if pub.scheme != "hadamard" or pub.variant != "reflection":
         raise ValueError("the involution cipher needs the Hadamard reflection circuit")
@@ -331,9 +346,8 @@ def involution_encrypt_decrypt(
         if np.linalg.norm(residual) > 1e-10:
             raise ValueError(f"unitary {t} is not an involution")
     spec, spec2 = key_spec(key, pub), key_spec(key2, pub)
-    psi = np.asarray(psi, dtype=complex)
     ext = np.zeros(2 * pub.k * big_n, dtype=complex)
-    ext[:big_n] = psi  # index 0, rotation 0 block
+    ext[:big_n] = check_state(psi, big_n)  # index 0, rotation 0 block
     result = ext
     for s in (spec, spec, spec2, spec2):
         result = apply_circuit(s, result)

@@ -81,6 +81,15 @@ def test_spec_validation_errors():
                     mixing="secret")
 
 
+@pytest.mark.parametrize("mixing", ["hadamard", "secret"])
+def test_a_hadamard_first_layer_needs_a_power_of_two_k(mixing):
+    # secret mixing prepares the index register with the Hadamard matrix of order K, as Hadamard mixing does,
+    # so K = 3 is refused when the spec is built, not later inside hadamard_matrix
+    mix = dft_matrix(3) if mixing == "secret" else None
+    with pytest.raises(ValueError, match=f"{mixing.capitalize()} mixing needs a power-of-two k, got 3"):
+        CircuitSpec(k=3, n=1, weights=np.ones(3), unitaries=(np.eye(2),) * 3, mixing=mixing, mixing_matrix=mix)
+
+
 def test_spec_weight_clipping_tolerance():
     # 1 + 5e-13 is inside the clip band, 1 + 1e-6 is not
     u = (np.eye(2, dtype=complex),)

@@ -484,6 +484,11 @@ TRAPDOOR_INPUT_ERRORS = {
     "attack-ragged-phi": (["attack"], {}, None, "1,2\n3,4,5\n", "line 2: row 2 has 3 cells, expected 2"),
     "invert-bad-cell": (["invert"], {}, None, "1,2\n3,x\n", "line 2: cell 'x' is not a complex number"),
     "attack-empty-cell": (["attack"], {}, None, "1,,2\n", "line 1: cell '' is not a complex number"),
+    # attack --key compares against the key, so the key must fit the layout as it must for eval and invert
+    "attack-key-length": (["attack"], {}, {"scheme": "hadamard", "weights": [0.5, 0.5], "gamma": None},
+                          matrix_to_csv(np.ones((8, 16))), "key length does not match the public parameters"),
+    "attack-key-scheme": (["attack"], {}, {"scheme": "secret_mixing", "weights": [0.5] * 4, "gamma": 3},
+                          matrix_to_csv(np.ones((8, 16))), "key scheme 'secret_mixing' does not match public 'hadamard'"),
 }
 
 
@@ -494,7 +499,7 @@ def test_trapdoor_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case)
     cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_TRAPDOOR, **config}))
     key = tmp_path / "k.json"
     key.write_text(json.dumps(key_doc) if key_doc else key_to_json(keygen(4, "hadamard", 0)))
-    extra = ["--key", str(key)] if argv[0] in ("eval", "invert") else []
+    extra = ["--key", str(key)] if argv[0] in ("eval", "invert", "attack") else []
     if phi_text is not None:
         (tmp_path / "phi.csv").write_text(phi_text)
         extra += ["--phi", str(tmp_path / "phi.csv")]
@@ -505,22 +510,40 @@ def test_trapdoor_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case)
 
 
 def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
-    # the attack reads K, n, scheme, variant and --phi; eval still draws the K Haar unitaries it evaluates
+    # the attack reads K, n, scheme, variant and --phi and keygen reads K and the scheme, each after the config
+    # checks of eval; eval still draws the K Haar unitaries it evaluates
     key = tmp_path / "k.json"
     key.write_text(key_to_json(keygen(4, "hadamard", 3)))
     assert main(["trapdoor", "eval", "--key", str(key), "--dump", "amplitudes", "--out", str(tmp_path / "t")]) == 0
     attack = ["trapdoor", "attack", "--phi", str(tmp_path / "t_amplitudes.csv"), "--key", str(key)]
     assert main([*attack, "--out", str(tmp_path / "drawn")]) == 0
+    assert main(["trapdoor", "keygen", "--seed", "4", "--out", str(tmp_path / "drawn")]) == 0
 
     def no_draw(*args):
         raise RuntimeError("drew the Haar unitaries")
 
     monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
     assert main([*attack, "--out", str(tmp_path / "undrawn")]) == 0
-    assert (tmp_path / "undrawn_attack.json").read_bytes() == (tmp_path / "drawn_attack.json").read_bytes()
+    assert main(["trapdoor", "keygen", "--seed", "4", "--out", str(tmp_path / "undrawn")]) == 0
+    for name in ("attack.json", "key.json"):
+        assert (tmp_path / f"undrawn_{name}").read_bytes() == (tmp_path / f"drawn_{name}").read_bytes()
     assert json.loads((tmp_path / "undrawn_attack.json").read_text())["success"] is True
     with pytest.raises(RuntimeError, match="drew the Haar unitaries"):
         main(["trapdoor", "eval", "--key", str(key), "--out", str(tmp_path / "e")])
+
+
+def test_verify_refuses_secret_mixing_at_a_k_that_is_not_a_power_of_two(tmp_path, capsys):
+    # the first layer of secret mixing is the Hadamard matrix of order K, so K = 3 fails spec validation
+    # (exit 1, with a report) instead of failing later inside hadamard_matrix (exit 2, no report)
+    mix = np.fft.fft(np.eye(3)) / np.sqrt(3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_VERIFY, "K": 3, "weights": [1.0, 0.8, 0.5], "mixing": "secret",
+                               "mixing_matrix": np.stack([mix.real, mix.imag], axis=-1).tolist()}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
+    (check,) = json.loads((tmp_path / "v_verify.json").read_text())["checks"]
+    assert check["name"] == "spec-validation" and not check["pass"]
+    assert check["error"] == "Secret mixing needs a power-of-two k, got 3"
+    assert capsys.readouterr().out == "FAIL spec-validation\n"
 
 
 HAAR = lcuout.cli.DEFAULT_TRAPDOOR["unitaries"]
@@ -543,10 +566,10 @@ BAD_PUBLIC_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("action", ["attack", "eval"])
+@pytest.mark.parametrize("action", ["attack", "eval", "keygen"])
 @pytest.mark.parametrize("case", BAD_PUBLIC_CONFIGS)
 def test_attack_refuses_every_public_config_that_eval_refuses(tmp_path, capsys, action, case):
-    # the attack skips the Haar draw, not a check of the config
+    # the attack and keygen skip the Haar draw, not a check of the config
     change, message = BAD_PUBLIC_CONFIGS[case]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_TRAPDOOR, **change}))
@@ -554,7 +577,7 @@ def test_attack_refuses_every_public_config_that_eval_refuses(tmp_path, capsys, 
     key.write_text(key_to_json(keygen(4, "hadamard", 0)))
     phi = tmp_path / "phi.csv"
     phi.write_text(matrix_to_csv(np.ones((8, 16))))
-    extra = ["--phi", str(phi)] if action == "attack" else ["--key", str(key)]
+    extra = {"attack": ["--phi", str(phi)], "eval": ["--key", str(key)], "keygen": []}[action]
     assert main(["trapdoor", action, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -117,6 +117,21 @@ def test_key_from_json_rejects_malformed_keys(doc):
         key_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("scheme, weights, gamma, message", [
+    ("rsa", [0.6, 0.8], None, "unknown scheme 'rsa'"),
+    ("hadamard", [0.6, float("nan")], None, "key weights must be finite"),
+    ("secret_mixing", [0.6, 0.8], None, r"integer gamma in \[0, 2\*\*64\), got None"),
+    ("secret_mixing", [0.6, 0.8], -1, r"integer gamma in \[0, 2\*\*64\), got -1"),
+    ("secret_mixing", [0.6, 0.8], 2**64, r"integer gamma in \[0, 2\*\*64\), got 18446744073709551616"),
+], ids=["scheme", "nan-weight", "gamma-none", "gamma-negative", "gamma-2**64"])
+def test_secret_key_checks_itself_however_it_is_built(scheme, weights, gamma, message):
+    # the key's rules belong to SecretKey, so a key built without key_from_json meets them too
+    with pytest.raises(ValueError, match=message):
+        SecretKey(scheme=scheme, weights=np.array(weights), gamma=gamma)
+    with pytest.raises(ValueError, match=message):
+        key_from_json(json.dumps({"scheme": scheme, "weights": weights, "gamma": gamma}))
+
+
 def test_key_from_json_accepts_the_largest_gamma():
     key = key_from_json(json.dumps({"scheme": "secret_mixing", "weights": [0.6, 0.8], "gamma": 2**64 - 1}))
     np.testing.assert_array_equal(mixing_from_key(key), mixing_from_key(key))
@@ -306,6 +321,17 @@ def test_involution_same_key_twice():
     psi = random_state(4, 33)
     key = keygen(4, "hadamard", 34)
     assert abs(involution_encrypt_decrypt(pub, psi, key, key) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("psi, message", [
+    (2 * random_state(4, 30), "input state must be finite and normalized"),
+    (np.full(4, np.nan), "input state must be finite and normalized"),
+    (random_state(3, 30), r"state has shape \(3,\), expected \(4,\)"),
+], ids=["twice-a-state", "nan", "length-3"])
+def test_involution_checks_its_input_state(psi, message):
+    # without the check, 2 psi would read as a "fidelity" of 16, a NaN psi as nan, a short psi as a broadcast error
+    with pytest.raises(ValueError, match=message):
+        involution_encrypt_decrypt(pauli_pub(0), psi, keygen(4, "hadamard", 31), keygen(4, "hadamard", 32))
 
 
 def test_involution_rejects_non_involutory_unitaries():
