@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .linalg import dft_matrix, haar_random_unitaries, hadamard_matrix, rng
 __all__ = [
     "CheckFailed",
     "CircuitSpec",
+    "Monomial",
     "OutcomeStates",
     "apply_circuit",
     "block_coefficients",
@@ -40,7 +42,9 @@ __all__ = [
     "mixing_layers",
     "output_states",
     "pauli_string_matrix",
+    "pauli_string_monomial",
     "permutation_matrix",
+    "permutation_monomial",
     "real_value",
     "reject_unread_keys",
     "rotation_gate",
@@ -113,6 +117,77 @@ def _is_unitary(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(g)) <= _ATOL)
 
 
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """Unitaries with one nonzero entry per column, held as that entry's row and value.
+
+    ``U e_j = phases[..., j] e_{images[..., j]}``: ``images`` is an integer
+    array and ``phases`` a complex array of the same shape, (N,) for one
+    unitary or (K, N) for a stack, both held read-only.  ``shape`` is that
+    of the matrix or (K, N, N) stack they stand for, and a stack indexes and
+    iterates as its K unitaries, so :class:`CircuitSpec` counts and
+    shape-checks a tuple of them, or a stack, as it does dense matrices.
+    Pauli strings and permutations take this form
+    (:func:`pauli_string_monomial`, :func:`permutation_monomial`): O(N)
+    memory per unitary, and O(N) to apply one, where the dense form needs
+    N^2.  Nothing here checks that the entries form a unitary;
+    :class:`CircuitSpec` does.
+    """
+
+    images: np.ndarray
+    phases: np.ndarray
+
+    def __post_init__(self):
+        images, phases = _readonly(self.images), _readonly(self.phases, complex)
+        if not np.issubdtype(images.dtype, np.integer):
+            raise ValueError(f"monomial images must be integers, got dtype {images.dtype}")
+        if images.ndim not in (1, 2) or phases.shape != images.shape:
+            raise ValueError(f"monomial images and phases need one shape, (N,) or (K, N), "
+                             f"got {images.shape} and {phases.shape}")
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "phases", phases)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.images.shape + self.images.shape[-1:]
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, t) -> "Monomial":
+        return Monomial(self.images[t], self.phases[t])
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The matrix or stack itself, read-only, zero off the one entry per column; built on first use and kept."""
+        m = np.zeros(self.shape, dtype=complex)
+        np.put_along_axis(m, self.images[..., None, :], self.phases[..., None, :], axis=-2)
+        m.flags.writeable = False
+        return m
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``U_t @ x[t]`` for each unitary of a (K, N) stack, for ``x`` of shape (K, N) or (K, N, S), in O(K N S)."""
+        values = self.phases.reshape(self.phases.shape + (1,) * (x.ndim - 2)) * x
+        out = np.empty(values.shape, dtype=complex)
+        out[np.arange(len(self))[:, None], self.images] = values
+        return out
+
+    def non_unitary(self) -> np.ndarray:
+        """Per unitary of a stack, whether it fails :func:`_is_unitary`, decided in O(N).
+
+        ``U^H U`` has the diagonal ``|p_j|^2`` and, for two columns j != k
+        with one image, the entry ``conj(p_j) p_k``.  So ``max|U^H U - I| <=
+        1e-10`` holds exactly when the images are a permutation of 0..N-1 and
+        every ``||p_j|^2 - 1|`` is at most 1e-10: two phases that pass the
+        second test give an entry of modulus about 1 on a shared image.  A
+        NaN or inf phase fails.
+        """
+        big_n = self.images.shape[-1]
+        permutes = (np.sort(self.images, axis=-1) == np.arange(big_n)).all(axis=-1)
+        p = self.phases
+        return ~(permutes & (np.abs(p.real**2 + p.imag**2 - 1) <= _ATOL).all(axis=-1))
+
+
 @dataclass(frozen=True)
 class CircuitSpec:
     """Full description of one circuit instance.
@@ -121,7 +196,8 @@ class CircuitSpec:
         k: number of combined unitaries (power of two for Hadamard and secret mixing).
         n: number of system qubits; the system dimension is ``N = 2**n``.
         weights: K real rotation weights, each in [-1, 1].
-        unitaries: the K unitaries U_t as one (K, N, N) complex stack.
+        unitaries: the K unitaries U_t as one (K, N, N) complex stack, or as
+            one (K, N) :class:`Monomial` stack.
         mixing: "hadamard", "dft", or "secret" (requires ``mixing_matrix``).
         mixing_matrix: K x K unitary used when ``mixing == "secret"``.
         variant: "reflection" (symmetric rotation gate) or "cyclic".
@@ -134,6 +210,14 @@ class CircuitSpec:
     into the spec's own array; anything else (a writeable array, a view, an
     ``__array__`` holder) is copied, so no later write through the caller's
     reference reaches the spec.
+
+    A tuple or list of :class:`Monomial` unitaries (what the Pauli-string
+    and permutation sources of :func:`unitary_source` build) is stacked into
+    one monomial stack, and a monomial stack is kept as given; either way
+    no N x N matrix is formed, and unitarity is decided in O(K N) by
+    :meth:`Monomial.non_unitary`, with the same outcome and message as the
+    dense check.  :func:`row_matrix` and :func:`apply_circuit` apply
+    either form; everything else reads :attr:`dense_unitaries`.
     """
 
     k: int
@@ -146,16 +230,21 @@ class CircuitSpec:
 
     def __post_init__(self):
         self._check_parameters()
-        given = self.unitaries if isinstance(self.unitaries, (tuple, list)) else np.asarray(self.unitaries)
+        given = self.unitaries if isinstance(self.unitaries, (tuple, list, Monomial)) else np.asarray(self.unitaries)
         if len(given) != self.k:
             raise ValueError(f"expected {self.k} unitaries, got {len(given)}")
         for t, u in enumerate(given):
             if np.shape(u) != (self.big_n,) * 2:
                 raise ValueError(f"unitary {t} has shape {np.shape(u)}, expected {(self.big_n,) * 2}")
-        us = _readonly(given, complex)
-        for t, u in enumerate(us):
-            if not _is_unitary(u):
-                raise ValueError(f"matrix {t} is not unitary")
+        if isinstance(given, Monomial):
+            us = given
+        elif all(isinstance(u, Monomial) for u in given):
+            us = Monomial(np.stack([u.images for u in given]), np.stack([u.phases for u in given]))
+        else:
+            us = _readonly(given, complex)
+        defects = us.non_unitary() if isinstance(us, Monomial) else [not _is_unitary(u) for u in us]
+        if any(defects):
+            raise ValueError(f"matrix {int(np.argmax(defects))} is not unitary")
         object.__setattr__(self, "unitaries", us)
 
     def _check_parameters(self):
@@ -194,6 +283,12 @@ class CircuitSpec:
             object.__setattr__(spec, "mixing_matrix", mixing_matrix)
         spec._check_parameters()
         return spec
+
+    @property
+    def dense_unitaries(self) -> np.ndarray:
+        """The unitaries as a read-only (K, N, N) stack: ``unitaries`` itself, or a monomial stack's kept dense form."""
+        us = self.unitaries
+        return us.dense if isinstance(us, Monomial) else us
 
     @property
     def big_n(self) -> int:
@@ -247,26 +342,72 @@ _PAULI = {
 }
 
 
-def pauli_string_matrix(label: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. ``"XZI"`` on 3 qubits."""
+def _pauli_label(label: str) -> str:
+    """``label`` if it is a string of the letters I, X, Y and Z; ``ValueError`` naming the first that is not."""
     if type(label) is not str:
         raise ValueError(f"a Pauli label must be a string, got {label!r}")
-    m = np.array([[1.0 + 0j]])
     for ch in label:
         if ch not in _PAULI:
             raise ValueError(f"unknown Pauli letter {ch!r} in {label!r}")
+    return label
+
+
+def pauli_string_matrix(label: str) -> np.ndarray:
+    """Tensor product of single-qubit Paulis, e.g. ``"XZI"`` on 3 qubits, built with ``np.kron``.
+
+    The dense oracle that :func:`pauli_string_monomial` is tested against.
+    """
+    m = np.array([[1.0 + 0j]])
+    for ch in _pauli_label(label):
         m = np.kron(m, _PAULI[ch])
     return m
 
 
-def permutation_matrix(images: list[int]) -> np.ndarray:
-    """Unitary sending basis vector ``e_j`` to ``e_images[j]``; ``images`` must be a list of integers."""
+def pauli_string_monomial(label: str) -> Monomial:
+    """:func:`pauli_string_matrix` as a :class:`Monomial`, in O(n N) integer bit operations and no N x N matrix.
+
+    The first letter acts on the most significant bit of the basis index.
+    Letter q moves column j to row ``j ^ flip_q`` (X and Y flip its bit) and
+    multiplies its entry by the letter's own 2 x 2 entry there; the entries
+    are multiplied in the order ``np.kron`` multiplies them, starting from
+    ``1 + 0j``, so each phase has the bits of the kron entry, signed zeros
+    included.
+    """
+    n = len(_pauli_label(label))
+    cols = np.arange(2**n)
+    images, phases = cols.copy(), np.ones(2**n, dtype=complex)
+    for q, ch in enumerate(label):
+        shift = n - 1 - q
+        bit = (cols >> shift) & 1
+        flip = int(ch in "XY")
+        images ^= flip << shift
+        phases = phases * _PAULI[ch][bit ^ flip, bit]
+    return Monomial(images, phases)
+
+
+def _permutation(images: list[int]) -> list[int]:
+    """``images`` if it is a list of the integers 0..N-1 in some order; ``ValueError`` otherwise."""
     size = len(list_value("a permutation", images))
     if any(type(i) is not int for i in images) or sorted(images) != list(range(size)):
         raise ValueError("not a permutation of 0..N-1")
+    return images
+
+
+def permutation_matrix(images: list[int]) -> np.ndarray:
+    """Unitary sending basis vector ``e_j`` to ``e_images[j]``; ``images`` must be a list of integers.
+
+    The dense oracle that :func:`permutation_monomial` is tested against.
+    """
+    size = len(_permutation(images))
     m = np.zeros((size, size), dtype=complex)
     m[images, np.arange(size)] = 1.0
     return m
+
+
+def permutation_monomial(images: list[int]) -> Monomial:
+    """:func:`permutation_matrix` as a :class:`Monomial`: the images as given, every phase ``1 + 0j``."""
+    size = len(_permutation(images))
+    return Monomial(np.array(images, dtype=np.intp), np.ones(size, dtype=complex))
 
 
 def integer_value(name: str, value) -> int:
@@ -297,15 +438,19 @@ def reject_unread_keys(config: dict, read, reader: str) -> None:
         raise ValueError("; ".join(f"config key {key!r} is not read by {reader}" for key in unread))
 
 
-def unitary_source(doc: dict) -> tuple[int, int, np.random.Generator | tuple[np.ndarray, ...]]:
+def unitary_source(doc: dict) -> tuple[int, int, np.random.Generator | tuple[np.ndarray | Monomial, ...]]:
     """``(K, n, source)`` of a spec or public-parameter document, with no Haar draw.
 
     Raises ``ValueError`` for a document or ``unitaries`` source that is not
     a JSON object, a ``K``, ``n`` or Haar ``seed`` that is not an integer, a
     Haar seed that :func:`~lcuout.linalg.rng` refuses, source ``data`` that
-    is not a list, and an unknown source kind.  A Haar source is the
-    generator of its seed, not yet drawn; every other source is the tuple of
-    matrices it spells out, unchecked.
+    is not a list, a Pauli label or a permutation that is malformed, and an
+    unknown source kind.  A Haar source is the generator of its seed, not
+    yet drawn; every other source is the tuple of unitaries it spells out,
+    not yet checked as unitaries: :class:`Monomial` ones, built in O(n N)
+    each, for ``pauli_strings`` and ``permutation``, and N x N matrices for
+    ``explicit``.  So which form a spec holds follows from the source kind
+    alone.
     """
     if not isinstance(doc, dict):
         raise ValueError("a circuit document must be a JSON object")
@@ -317,22 +462,23 @@ def unitary_source(doc: dict) -> tuple[int, int, np.random.Generator | tuple[np.
     if kind == "haar":
         return k, n, rng(integer_value("the Haar seed", source["seed"]))
     if kind == "pauli_strings":
-        return k, n, tuple(pauli_string_matrix(s) for s in list_value("the unitaries data", source["data"]))
+        return k, n, tuple(pauli_string_monomial(s) for s in list_value("the unitaries data", source["data"]))
     if kind == "permutation":
-        return k, n, tuple(permutation_matrix(p) for p in list_value("the unitaries data", source["data"]))
+        return k, n, tuple(permutation_monomial(p) for p in list_value("the unitaries data", source["data"]))
     if kind == "explicit":
         return k, n, tuple(matrix_from_pairs(m) for m in list_value("the unitaries data", source["data"]))
     raise ValueError(f"unknown unitary source kind {kind!r}")
 
 
-def unitaries_from_json(doc: dict) -> tuple[int, int, np.ndarray | tuple[np.ndarray, ...]]:
+def unitaries_from_json(doc: dict) -> tuple[int, int, np.ndarray | tuple[np.ndarray | Monomial, ...]]:
     """``(K, n, unitaries)`` of a spec or public-parameter document, unchecked.
 
     The :func:`unitary_source` of ``doc``, with a Haar source drawn into one
     read-only (K, N, N) stack held by nothing else, which a spec keeps
-    without a copy; every other source is a tuple of matrices, which a spec
-    checks one by one and copies once into its stack.  :class:`CircuitSpec`
-    checks the matrices themselves.
+    without a copy; every other source is a tuple, which a spec checks one
+    by one and stacks once: explicit matrices into a dense stack, Pauli
+    strings and permutations into a :class:`Monomial` stack.
+    :class:`CircuitSpec` checks the unitaries themselves.
     """
     k, n, source = unitary_source(doc)
     if isinstance(source, tuple):
@@ -454,8 +600,12 @@ def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
 
 
 def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
-    """K x N matrix X whose row t is ``U_t psi``."""
-    return spec.unitaries @ np.asarray(psi, dtype=complex)
+    """K x N matrix X whose row t is ``U_t psi``: O(K N^2) for dense unitaries, O(K N) for a monomial stack."""
+    psi = np.asarray(psi, dtype=complex)
+    us = spec.unitaries
+    if isinstance(us, Monomial):
+        return us.apply(np.broadcast_to(psi, us.images.shape))
+    return us @ psi
 
 
 def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
@@ -464,13 +614,14 @@ def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
     ``M = sum_t |t><t| (x) R_t (x) U_t`` is the block-diagonal select
     operator.  For ``k == 1`` the mixing layers are the scalar 1 and ``V`` is
     just ``R_0 (x) U_0``.  Building it costs two (2KN)^3 products; the
-    package itself uses :func:`apply_circuit`, and this dense form is the
-    oracle the tests compare it against.
+    package itself uses :func:`apply_circuit`, and this dense form, built
+    from :attr:`CircuitSpec.dense_unitaries`, is the oracle the tests
+    compare it against.
     """
     g1, g2 = mixing_layers(spec)
     block = 2 * spec.big_n
     m = np.zeros((spec.k * block, spec.k * block), dtype=complex)
-    for t, (r, u) in enumerate(zip(_rotations(spec.weights, spec.variant), spec.unitaries)):
+    for t, (r, u) in enumerate(zip(_rotations(spec.weights, spec.variant), spec.dense_unitaries)):
         m[t * block : (t + 1) * block, t * block : (t + 1) * block] = np.kron(r, u)
     eye = np.eye(block)
     return np.kron(g2, eye) @ m @ np.kron(g1, eye)
@@ -481,7 +632,8 @@ def apply_circuit(spec: CircuitSpec, v: np.ndarray) -> np.ndarray:
 
     ``v`` has length 2KN in the index x rotation x system order of
     :func:`circuit_unitary`.  Applies ``G1 (x) I``, then ``R_t (x) U_t`` on
-    index block t, then ``G2 (x) I``, in O(K N^2 + K^2 N).
+    index block t, then ``G2 (x) I``, in O(K N^2 + K^2 N), or O(K N + K^2 N)
+    for a :class:`Monomial` stack.
     """
     k, big_n = spec.k, spec.big_n
     v = np.asarray(v, dtype=complex)
@@ -489,8 +641,9 @@ def apply_circuit(spec: CircuitSpec, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"vector has shape {v.shape}, expected {(spec.extended_dim,)}")
     g1, g2 = mixing_layers(spec)
     rot = _rotations(spec.weights, spec.variant)
-    x = np.tensordot(g1, v.reshape(k, 2, big_n), axes=1)  # (t, s, m)
-    x = spec.unitaries @ x.transpose(0, 2, 1)  # (t, m, s): U_t on both rotation halves
+    x = np.tensordot(g1, v.reshape(k, 2, big_n), axes=1).transpose(0, 2, 1)  # (t, m, s)
+    us = spec.unitaries
+    x = us.apply(x) if isinstance(us, Monomial) else us @ x  # (t, m, s): U_t on both rotation halves
     x = rot @ x.transpose(0, 2, 1)  # (t, r, m)
     return np.tensordot(g2, x, axes=1).reshape(-1)
 

@@ -79,7 +79,7 @@ class ShuffledUnitary:
     @cached_property
     def traces(self) -> np.ndarray:
         """``traces[t, u] = tr(U_t^dag U_u)``, the Gram matrix of the unitaries."""
-        flat = self.spec.unitaries.reshape(self.spec.k, -1)
+        flat = self.spec.dense_unitaries.reshape(self.spec.k, -1)
         return flat.conj() @ flat.T
 
     @cached_property
@@ -104,7 +104,7 @@ class ShuffledUnitary:
         k, big_n = self.spec.k, self.spec.big_n
         defects = np.empty((k, big_n, big_n), dtype=complex)
         diag = np.arange(big_n)
-        for t, u in enumerate(self.spec.unitaries):
+        for t, u in enumerate(self.spec.dense_unitaries):
             np.matmul(u.conj().T, u, out=defects[t])
             defects[t, diag, diag] -= 1.0
         flat = defects.reshape(k, -1)
@@ -155,7 +155,7 @@ def shuffle(spec: CircuitSpec) -> ShuffledUnitary:
     coef = block_coefficients(spec.weights, spec.mixing, spec.variant, spec.mixing_matrix)
     sign = 1.0 if spec.variant == "reflection" else -1.0
     lower_gap = np.stack([coef[1, :, 0] - sign * coef[0, :, 1], coef[1, :, 1] + sign * coef[0, :, 0]])
-    peaks = np.abs(spec.unitaries).max(axis=(1, 2))
+    peaks = np.abs(spec.dense_unitaries).max(axis=(1, 2))
     residual = float((np.abs(lower_gap) @ peaks).max())
     if residual > 1e6 * _BLOCK_ATOL:
         raise CheckFailed("two-block symmetry", residual)
@@ -326,8 +326,10 @@ def verify(spec: CircuitSpec, seed: int) -> list[dict]:
     :func:`~lcuout.circuit.apply_circuit`), column-orthogonality, rank.
     Every check reads the block coefficients of one :func:`shuffle` of
     ``spec`` (plus the one :func:`involution_check` builds) and the N x N
-    unitaries; no (2KN)^2 matrix is built.  Checks that do not apply are
-    skipped and pass.  ``seed`` draws psi (``random_state(N, seed)``) and the
+    unitaries, as :attr:`~lcuout.circuit.CircuitSpec.dense_unitaries`
+    (built once for a Pauli-string or permutation spec, whose unitaries are
+    held as a monomial stack); no (2KN)^2 matrix is built.  Checks that do
+    not apply are skipped and pass.  ``seed`` draws psi (``random_state(N, seed)``) and the
     involution check's second weight vector (``rng(seed + 1)``).
     """
     checks = []

@@ -21,7 +21,10 @@ both rotation variants, when full complex amplitudes leak and fails on
 magnitudes alone (no magnitude-only attack is implemented, so that failure
 does not show that magnitudes hide the weights), and the involution
 encrypt/decrypt demo (squaring the circuit cancels the weights whenever
-every U_t is an involution).
+every U_t is an involution).  Its usual unitaries, Pauli strings and
+permutations, are held as a :class:`~lcuout.circuit.Monomial` stack, so the
+demo checks and applies them in O(K N) time and memory and forms no N x N
+matrix.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    CircuitSpec, apply_circuit, check_layout, check_state, coefficient_matrix, coefficients, list_value, output_states,
-    real_value, rotation_gate, sample_shots,
+    CircuitSpec, Monomial, apply_circuit, check_layout, check_state, coefficient_matrix, coefficients, list_value,
+    output_states, real_value, rotation_gate, sample_shots,
 )
 from .linalg import haar_random_unitary, hadamard_matrix, rng
 from .recovery import ObservedEntries, factorized_complete
@@ -93,16 +96,17 @@ class PublicParams(PublicLayout):
 
     Building it checks the layout, then the unitaries once, through
     ``base_spec``, the zero-weight circuit over them, and keeps the spec's
-    read-only (K, N, N) stack as ``unitaries``: the given stack when it is
-    read-only and owns its data (as
-    :func:`~lcuout.circuit.unitaries_from_json` hands a Haar draw over), a
-    copy of a tuple of matrices or of any other stack.  Every circuit over
-    them (:func:`key_spec` and so the evaluation, the inversion and the
-    involution cipher) derives from ``base_spec`` with
+    read-only stack as ``unitaries``: the given stack when it is read-only
+    and owns its data (as :func:`~lcuout.circuit.unitaries_from_json` hands
+    a Haar draw over), a copy of a tuple of matrices or of any other stack,
+    or, for Pauli strings and permutations, the (K, N)
+    :class:`~lcuout.circuit.Monomial` stack, which holds no N x N matrix.
+    Every circuit over them (:func:`key_spec` and so the evaluation, the
+    inversion and the involution cipher) derives from ``base_spec`` with
     ``CircuitSpec.with_weights``.
     """
 
-    unitaries: np.ndarray = field(kw_only=True)
+    unitaries: np.ndarray | Monomial = field(kw_only=True)
     base_spec: CircuitSpec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -117,11 +121,13 @@ class SecretKey:
     """Rotation weights plus, for secret mixing, the mixing-completion seed.
 
     Building one, however it is built, raises ``ValueError`` for an unknown
-    scheme, a weight that is not finite, and a secret-mixing key whose gamma
-    is not an integer in [0, 2**64): without a fixed gamma,
-    :func:`mixing_from_key` would draw a different mixing unitary on every
-    call.  Whether the key fits a layout is :meth:`PublicLayout.check_key`'s
-    to decide.
+    scheme, weights that are not one 1-D array of finite numbers, and a
+    secret-mixing key whose gamma is not an integer in [0, 2**64): without a
+    fixed gamma, :func:`mixing_from_key` would draw a different mixing
+    unitary on every call.  The key holds its own read-only float copy of
+    the weights, so a list is accepted and no later write through the
+    caller's array reaches the key.  Whether the key fits a layout is
+    :meth:`PublicLayout.check_key`'s to decide.
     """
 
     scheme: str
@@ -131,8 +137,13 @@ class SecretKey:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not np.isfinite(self.weights).all():
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1:
+            raise ValueError(f"key weights must be a 1-D array, got shape {w.shape}")
+        if not np.isfinite(w).all():
             raise ValueError("key weights must be finite")
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
         if self.scheme == "secret_mixing" and not (type(self.gamma) is int and 0 <= self.gamma < 2**64):
             raise ValueError(f"a secret-mixing key needs an integer gamma in [0, 2**64), got {self.gamma!r}")
 
@@ -324,6 +335,27 @@ def hadamard_attack(pub: PublicLayout, phi: np.ndarray) -> AttackResult:
     return AttackResult(weights=weights, recoverable=recoverable, residual=residual)
 
 
+def _involution_residuals(unitaries: np.ndarray | Monomial) -> list[float]:
+    """``|U_t^2 - I|_F`` for each public unitary: O(N) per monomial unitary, one N x N product per dense one.
+
+    A monomial U sends e_j to ``p_j p_{a(j)} e_{a(a(j))}`` under U^2, with a
+    the images and p the phases, so column j of ``U^2 - I`` is
+    ``p_j p_{a(j)} - 1`` on the diagonal where ``a(a(j)) = j``, and
+    otherwise holds ``p_j p_{a(j)}`` and -1 in two rows.
+    """
+    if isinstance(unitaries, Monomial):
+        images, phases = unitaries.images, unitaries.phases
+        square = phases * np.take_along_axis(phases, images, axis=-1)
+        fixed = np.take_along_axis(images, images, axis=-1) == np.arange(images.shape[-1])
+        return list(np.sqrt(np.where(fixed, np.abs(square - 1) ** 2, np.abs(square) ** 2 + 1).sum(axis=-1)))
+    residuals = []
+    for u in unitaries:
+        square = u @ u
+        square[np.diag_indices_from(square)] -= 1  # U^2 - I in place, the same Frobenius norm bit for bit
+        residuals.append(np.linalg.norm(square))
+    return residuals
+
+
 def involution_encrypt_decrypt(
     pub: PublicParams, psi: np.ndarray, key: SecretKey, key2: SecretKey
 ) -> float:
@@ -335,15 +367,16 @@ def involution_encrypt_decrypt(
     with ``key2`` and returns the overlap of the final state with the
     extended input — the weight cancellation makes it 1 for any key pair.
     ``psi`` is checked by :func:`~lcuout.circuit.check_state`, as every
-    circuit input is, so the overlap is a fidelity in [0, 1].
+    circuit input is, so the overlap is a fidelity in [0, 1].  ``ValueError``
+    names the first unitary t with ``|U_t^2 - I|_F > 1e-10``: O(N) for each
+    unitary of a monomial stack, whose circuits also apply in O(K N + K^2 N),
+    so Pauli strings and permutations need no N x N matrix at any step.
     """
     if pub.scheme != "hadamard" or pub.variant != "reflection":
         raise ValueError("the involution cipher needs the Hadamard reflection circuit")
     big_n = 2**pub.n
-    for t, u in enumerate(pub.unitaries):
-        residual = u @ u
-        residual[np.diag_indices(big_n)] -= 1  # u @ u - I in place, the same Frobenius norm bit for bit
-        if np.linalg.norm(residual) > 1e-10:
+    for t, residual in enumerate(_involution_residuals(pub.unitaries)):
+        if residual > 1e-10:
             raise ValueError(f"unitary {t} is not an involution")
     spec, spec2 = key_spec(key, pub), key_spec(key2, pub)
     ext = np.zeros(2 * pub.k * big_n, dtype=complex)

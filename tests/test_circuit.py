@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -8,6 +9,7 @@ import lcuout.circuit
 from lcuout.circuit import (
     CheckFailed,
     CircuitSpec,
+    Monomial,
     apply_circuit,
     block_coefficients,
     circuit_unitary,
@@ -17,8 +19,11 @@ from lcuout.circuit import (
     mixing_layers,
     output_states,
     pauli_string_matrix,
+    pauli_string_monomial,
     permutation_matrix,
+    permutation_monomial,
     rotation_gate,
+    row_matrix,
     sample_shots,
     scale_coefficients,
     success_probabilities,
@@ -214,11 +219,19 @@ def test_unitaries_from_json_hands_over_read_only_matrices(kind, data):
     if kind == "haar":
         # the draw is one read-only stack that the spec keeps
         assert not unitaries.flags.writeable and spec.unitaries is unitaries
-    else:
-        # every other source is a tuple of matrices, stacked into the spec's own array
+    elif kind == "explicit":
+        # spelled-out matrices are a tuple, stacked into the spec's own array
         assert isinstance(unitaries, tuple) and spec.unitaries.base is None
         assert not any(np.shares_memory(spec.unitaries, u) for u in unitaries)
-    np.testing.assert_array_equal(spec.unitaries, unitaries)
+    else:
+        # Pauli strings and permutations are a tuple of monomials, stacked into one read-only monomial stack
+        assert isinstance(unitaries, tuple) and all(isinstance(u, Monomial) for u in unitaries)
+        assert isinstance(spec.unitaries, Monomial) and spec.unitaries.images.shape == (2, 4)
+        assert not spec.unitaries.images.flags.writeable and not spec.unitaries.phases.flags.writeable
+        oracle = pauli_string_matrix if kind == "pauli_strings" else permutation_matrix
+        np.testing.assert_array_equal(spec.dense_unitaries, [oracle(d) for d in data])
+        unitaries = tuple(u.dense for u in unitaries)
+    np.testing.assert_array_equal(spec.dense_unitaries, unitaries)
 
 
 def test_haar_spec_from_json_peaks_below_two_copies_of_its_unitaries():
@@ -342,6 +355,54 @@ def test_permutation_matrix():
     np.testing.assert_allclose(p @ p.T, np.eye(3), atol=1e-15)
     with pytest.raises(ValueError):
         permutation_matrix([0, 0, 1])
+
+
+def test_monomials_hold_the_oracle_entries_bit_for_bit():
+    # every Pauli string on up to 3 qubits, and a few permutations: same support, and the kron entry's bits
+    # (signed zeros included) as the phase, since the phases are multiplied in the order np.kron multiplies
+    labels = ["".join(p) for n in (1, 2, 3) for p in itertools.product("IXYZ", repeat=n)]
+    pairs = [(pauli_string_matrix(s), pauli_string_monomial(s)) for s in labels]
+    pairs += [(permutation_matrix(p), permutation_monomial(p)) for p in ([0], [1, 0], [2, 0, 1, 3], [])]
+    for dense, mono in pairs:
+        size = len(mono.images)
+        assert mono.shape == dense.shape and not mono.images.flags.writeable and not mono.phases.flags.writeable
+        support = np.zeros(dense.shape, dtype=bool)
+        support[mono.images, np.arange(size)] = True
+        assert not dense[~support].any()
+        assert dense[mono.images, np.arange(size)].tobytes() == mono.phases.tobytes()
+        np.testing.assert_array_equal(mono.dense, dense)
+    for bad, message in [(lambda: pauli_string_monomial("XQ"), "unknown Pauli letter 'Q' in 'XQ'"),
+                         (lambda: pauli_string_monomial(5), "a Pauli label must be a string, got 5"),
+                         (lambda: permutation_monomial([0, 0, 1]), "not a permutation"),
+                         (lambda: permutation_monomial([1.0, 0]), "not a permutation"),
+                         (lambda: Monomial(np.array([0.0, 1.0]), np.ones(2)), "images must be integers"),
+                         (lambda: Monomial([0, 1], np.ones(3)), "need one shape")]:
+        with pytest.raises(ValueError, match=message):
+            bad()
+
+
+def test_a_monomial_spec_holds_and_applies_no_dense_matrix():
+    mono = tuple(pauli_string_monomial(s) for s in ("XY", "ZZ", "IY", "YX"))
+    spec = CircuitSpec(k=4, n=2, weights=[0.9, 0.5, -0.3, 1.0], unitaries=mono)
+    assert isinstance(spec.unitaries, Monomial) and spec.unitaries.images.shape == (4, 4)
+    # a monomial stack is kept as it is, and shared by with_weights
+    again = CircuitSpec(k=4, n=2, weights=spec.weights, unitaries=spec.unitaries)
+    assert again.unitaries is spec.unitaries and spec.with_weights(np.zeros(4)).unitaries is spec.unitaries
+    assert "dense" not in vars(spec.unitaries)  # nothing so far built the N x N form
+    psi = random_state(4, 3)
+    x = row_matrix(spec, psi)
+    apply_circuit(spec, np.ones(spec.extended_dim) / np.sqrt(spec.extended_dim))
+    output_states(spec, psi)
+    assert "dense" not in vars(spec.unitaries)
+    dense = np.stack([pauli_string_matrix(s) for s in ("XY", "ZZ", "IY", "YX")])
+    np.testing.assert_array_equal(x, dense @ psi)
+    # the dense form is built once, on first use, and kept read-only
+    assert spec.dense_unitaries is spec.dense_unitaries and not spec.dense_unitaries.flags.writeable
+    np.testing.assert_array_equal(spec.dense_unitaries, dense)
+    for given, message in [(mono[:3], "expected 4 unitaries, got 3"),
+                           (mono[:3] + (pauli_string_monomial("XYZ"),), r"unitary 3 has shape \(8, 8\), expected \(4, 4\)")]:
+        with pytest.raises(ValueError, match=message):
+            CircuitSpec(k=4, n=2, weights=np.ones(4), unitaries=given)
 
 
 # ---- layers and full unitary -------------------------------------------------

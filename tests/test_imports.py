@@ -186,6 +186,8 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
 UNREFERENCED = {
     "circuit.circuit_unitary": "the dense (2KN)^2 oracle the tests check apply_circuit and output_states against",
     "circuit.matrix_to_pairs": "the writer of the [re, im] pair codec whose reader loads explicit unitaries",
+    "circuit.pauli_string_matrix": "the kron-built dense oracle the tests check pauli_string_monomial against",
+    "circuit.permutation_matrix": "the dense oracle the tests check permutation_monomial against",
     "recovery.random_instance": "the Haar-unitary instance that acceptance criterion 05 and the recovery tests draw",
 }
 

@@ -9,8 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcuout.circuit import CircuitSpec, apply_circuit, circuit_unitary, matrix_from_pairs, matrix_to_pairs
-from lcuout.linalg import haar_random_unitary, numerical_rank, random_state, rng
+from lcuout.circuit import (
+    CircuitSpec,
+    Monomial,
+    apply_circuit,
+    circuit_unitary,
+    matrix_from_pairs,
+    matrix_to_pairs,
+    output_states,
+    pauli_string_matrix,
+    permutation_matrix,
+    row_matrix,
+    sample_shots,
+)
+from lcuout.linalg import dft_matrix, haar_random_unitary, numerical_rank, random_state, rng
+from lcuout.structure import verify
+from lcuout.trapdoor import PublicParams, involution_encrypt_decrypt, keygen
 from lcuout.outputs import (
     coefficient_matrix,
     matrix_from_csv,
@@ -128,6 +142,79 @@ def test_explicit_spec_json_round_trip_is_bit_exact(data, k, n, secret, variant)
         assert same_bits(spec.mixing_matrix, mix)
     else:
         assert spec.mixing_matrix is None
+
+
+@st.composite
+def monomial_sources(draw, k, n):
+    """``unitaries`` entry of K Pauli strings or K permutations on n qubits, each drawn involutive or not."""
+    if draw(st.booleans()):
+        return {"kind": "pauli_strings", "data": [draw(st.text("IXYZ", min_size=n, max_size=n)) for _ in range(k)]}
+    data = []
+    for _ in range(k):
+        images = draw(st.permutations(range(2**n)))
+        if draw(st.booleans()):  # swap the pairs of consecutive entries, which makes an involution
+            pairs = list(zip(images[0::2], images[1::2]))
+            images = list(range(2**n))
+            for a, b in pairs:
+                images[a], images[b] = b, a
+        data.append(images)
+    return {"kind": "permutation", "data": data}
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the text of the ``ValueError`` it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.sampled_from([1, 2, 4]), n=st.integers(1, 6),
+       mixing=st.sampled_from(["hadamard", "dft", "secret"]), variant=st.sampled_from(["reflection", "cyclic"]),
+       seed=st.integers(0, 2**32))
+def test_monomial_spec_matches_its_dense_oracle_bit_for_bit(data, k, n, mixing, variant, seed):
+    source = data.draw(monomial_sources(k, n))
+    weights = np.array(data.draw(st.lists(weights_in_range, min_size=k, max_size=k)))
+    mix = dft_matrix(k) if mixing == "secret" else None
+    mono = CircuitSpec.from_json(json.dumps({
+        "K": k, "n": n, "weights": weights.tolist(), "unitaries": source, "mixing": mixing, "variant": variant,
+        **({"mixing_matrix": matrix_to_pairs(mix)} if mix is not None else {}),
+    }))
+    oracle = pauli_string_matrix if source["kind"] == "pauli_strings" else permutation_matrix
+    dense_us = tuple(oracle(d) for d in source["data"])
+    dense = CircuitSpec(k=k, n=n, weights=weights, unitaries=dense_us, mixing=mixing, mixing_matrix=mix, variant=variant)
+    assert isinstance(mono.unitaries, Monomial) and isinstance(dense.unitaries, np.ndarray)
+    # each monomial entry has the bits of the oracle's entry, signed zeros included
+    support = dense.unitaries[np.arange(k)[:, None], mono.unitaries.images, np.arange(2**n)]
+    assert same_bits(support, mono.unitaries.phases)
+    psi = random_state(2**n, seed)
+    assert same_bits(row_matrix(mono, psi), row_matrix(dense, psi))
+    v = random_state(mono.extended_dim, seed + 1)
+    assert same_bits(apply_circuit(mono, v), apply_circuit(dense, v))
+    out_m, out_d = output_states(mono, psi), output_states(dense, psi)
+    assert same_bits(out_m.states, out_d.states)
+    assert out_m.probabilities.tobytes() == out_d.probabilities.tobytes()
+    np.testing.assert_array_equal(sample_shots(mono, psi, 500, seed), sample_shots(dense, psi, 500, seed))
+    assert json.dumps(verify(mono, seed)) == json.dumps(verify(dense, seed))
+    # the involution check: the same fidelity bits or the same error text, e.g. "unitary t is not an involution"
+    keys = keygen(k, "hadamard", seed), keygen(k, "hadamard", seed + 1)
+    fidelities = [_outcome(lambda: involution_encrypt_decrypt(PublicParams(k=k, n=n, unitaries=us), psi, *keys))
+                  for us in (mono.unitaries, dense_us)]
+    assert repr(fidelities[0]) == repr(fidelities[1])
+    # the unitarity check: a phase pushed far inside or outside 1e-10, or made NaN, with or without two columns
+    # sent to one row
+    t, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 2**n - 1))
+    for scale in (1.0, 1 + 1e-14, 1 + 1e-6, np.nan):
+        for shared_row in (False, True):
+            images, phases = mono.unitaries.images.copy(), mono.unitaries.phases.copy()
+            phases[t, j] *= scale
+            if shared_row:
+                images[t, j] = images[t, (j + 1) % 2**n]
+            bent = Monomial(images, phases)
+            texts = [_outcome(lambda: CircuitSpec(k=k, n=n, weights=weights, unitaries=us, mixing="dft") and "unitary")
+                     for us in (bent, bent.dense)]
+            assert texts[0] == texts[1]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lcuout.circuit import coefficients, mixing_layers, pauli_string_matrix, sample_shots
+from lcuout.circuit import (
+    Monomial, coefficients, mixing_layers, pauli_string_matrix, sample_shots, unitaries_from_json,
+)
 from lcuout.linalg import haar_random_unitary, hadamard_matrix, random_state, rng
 from lcuout.outputs import coefficient_matrix, output_matrix, row_matrix
 from lcuout.recovery import ObservedEntries, make_mask, observe
@@ -130,6 +133,27 @@ def test_secret_key_checks_itself_however_it_is_built(scheme, weights, gamma, me
         SecretKey(scheme=scheme, weights=np.array(weights), gamma=gamma)
     with pytest.raises(ValueError, match=message):
         key_from_json(json.dumps({"scheme": scheme, "weights": weights, "gamma": gamma}))
+
+
+def test_secret_key_holds_a_read_only_float_copy_of_its_weights():
+    given = np.array([0.5, 0.25, 0.125, 1.0])
+    key = SecretKey("hadamard", given)
+    assert not key.weights.flags.writeable and not np.shares_memory(key.weights, given)
+    assert not keygen(4).weights.flags.writeable and not keygen(2, "secret_mixing").weights.flags.writeable
+    given[0] = np.nan  # a write through the caller's array does not reach the checked key
+    np.testing.assert_array_equal(key.weights, [0.5, 0.25, 0.125, 1.0])
+    # list weights become the same float array, so whether they fit a layout is a ValueError, not an AttributeError
+    listed = SecretKey("hadamard", [0.5] * 4)
+    assert listed.weights.dtype == float and not listed.weights.flags.writeable
+    PublicLayout(k=4, n=2).check_key(listed)
+    with pytest.raises(ValueError, match="key length does not match the public parameters"):
+        PublicLayout(k=2, n=2).check_key(listed)
+
+
+@pytest.mark.parametrize("weights", [[[0.5, 0.5]], 0.5], ids=["2-d", "scalar"])
+def test_secret_key_refuses_weights_that_are_not_one_dimensional(weights):
+    with pytest.raises(ValueError, match=r"key weights must be a 1-D array, got shape"):
+        SecretKey("hadamard", np.array(weights))
 
 
 def test_key_from_json_accepts_the_largest_gamma():
@@ -352,6 +376,25 @@ def test_involution_check_decides_at_its_threshold(theta):
             involution_encrypt_decrypt(pub, psi, *keys)
     else:
         assert theta < 0.5e-10 and abs(involution_encrypt_decrypt(pub, psi, *keys) - 1.0) < 1e-9
+
+
+def test_involution_on_fourteen_qubit_pauli_strings_builds_no_dense_matrix():
+    # four 2**14 x 2**14 dense unitaries would take 16 GiB; the monomial stack takes 1.5 MiB and each circuit
+    # application a few vectors of 2 K N entries
+    labels = ["XYZIXYZIXYZIXY", "ZZZZZZZZZZZZZZ", "YIYIYIYIYIYIYI", "IXXIIXXIIXXIIX"]
+    doc = {"K": 4, "n": 14, "unitaries": {"kind": "pauli_strings", "data": labels}}
+    psi, keys = random_state(2**14, 45), (keygen(4, "hadamard", 46), keygen(4, "hadamard", 47))
+    tracemalloc.start()
+    try:
+        _, _, unitaries = unitaries_from_json(doc)
+        pub = PublicParams(k=4, n=14, unitaries=unitaries)
+        assert isinstance(pub.unitaries, Monomial)  # before any circuit runs, so a dense source fails here
+        fid = involution_encrypt_decrypt(pub, psi, *keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(fid - 1.0) < 1e-10
+    assert peak < 32 * 2**20
 
 
 def test_single_application_with_different_keys_does_not_decrypt():
