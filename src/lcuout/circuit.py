@@ -32,6 +32,7 @@ __all__ = [
     "block_coefficients",
     "check_layout",
     "check_state",
+    "checked_coefficients",
     "circuit_unitary",
     "coefficient_matrix",
     "coefficients",
@@ -51,6 +52,7 @@ __all__ = [
     "row_matrix",
     "sample_shots",
     "scale_coefficients",
+    "shot_counts",
     "success_probabilities",
     "unitaries_from_json",
     "unitary_source",
@@ -110,6 +112,45 @@ def check_layout(k: int, n: int, variant: str, mixing: str = "hadamard") -> None
         raise ValueError(f"{mixing.capitalize()} mixing needs a power-of-two k, got {k}")
 
 
+def _checked_parameters(k, n, weights, mixing, variant, mixing_matrix) -> tuple[np.ndarray, np.ndarray | None]:
+    """The weights and mixing matrix of a circuit as a :class:`CircuitSpec` holds them, checked with its layout.
+
+    ``ValueError`` for a layout :func:`check_layout` refuses, weights that are
+    not K numbers in [-1, 1] (1e-12 beyond is clipped back), and a mixing
+    matrix that secret mixing lacks, that is not a K x K unitary, or that
+    another mixing is given.  Both arrays come back read-only.
+    """
+    check_layout(k, n, variant, mixing)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (k,):
+        raise ValueError(f"expected {k} weights, got shape {w.shape}")
+    if not np.all(np.abs(w) <= 1 + 1e-12):
+        raise ValueError("weights must be finite and lie in [-1, 1]")
+    w = np.clip(w, -1.0, 1.0)
+    w.flags.writeable = False
+    if mixing != "secret":
+        if mixing_matrix is not None:
+            raise ValueError(f"mixing matrix only applies to secret mixing, not {mixing!r}")
+        return w, None
+    if mixing_matrix is None:
+        raise ValueError("secret mixing requires an explicit mixing matrix")
+    m = _readonly(mixing_matrix, complex)
+    if m.shape != (k, k):
+        raise ValueError(f"mixing matrix has shape {m.shape}, expected {(k, k)}")
+    if not _is_unitary(m):
+        raise ValueError("mixing matrix is not unitary")
+    return w, m
+
+
+def _same_held(a, b) -> bool:
+    """Whether two arrays, monomial stacks or Nones that specs hold are equal; two of different kinds never are.
+
+    The kinds are told apart first, since ``np.array_equal`` would read a
+    :class:`Monomial` as a nested sequence of monomials.
+    """
+    return type(a) is type(b) and (a == b if isinstance(a, Monomial) else np.array_equal(a, b))
+
+
 def _is_unitary(m: np.ndarray) -> bool:
     """``np.allclose(m^H m, I, rtol=0, atol=_ATOL)``, NaN and inf included, with the Gram as the one temporary."""
     g = m.conj().T @ m
@@ -131,7 +172,8 @@ class Monomial:
     (:func:`pauli_string_monomial`, :func:`permutation_monomial`): O(N)
     memory per unitary, and O(N) to apply one, where the dense form needs
     N^2.  Nothing here checks that the entries form a unitary;
-    :class:`CircuitSpec` does.
+    :class:`CircuitSpec` does.  Two monomials are equal when their images
+    and phases are; like the arrays they hold, they are not hashable.
     """
 
     images: np.ndarray
@@ -146,6 +188,11 @@ class Monomial:
                              f"got {images.shape} and {phases.shape}")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "phases", phases)
+
+    def __eq__(self, other):
+        if type(other) is not Monomial:
+            return NotImplemented
+        return np.array_equal(self.images, other.images) and np.array_equal(self.phases, other.phases)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -188,7 +235,7 @@ class Monomial:
         return ~(permutes & (np.abs(p.real**2 + p.imag**2 - 1) <= _ATOL).all(axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitSpec:
     """Full description of one circuit instance.
 
@@ -218,6 +265,10 @@ class CircuitSpec:
     :meth:`Monomial.non_unitary`, with the same outcome and message as the
     dense check.  :func:`row_matrix` and :func:`apply_circuit` apply
     either form; everything else reads :attr:`dense_unitaries`.
+
+    Two specs are equal when every field is: the arrays element by element,
+    the unitaries in the form each holds, so a dense stack never equals a
+    monomial one.  Like the arrays it holds, a spec is not hashable.
     """
 
     k: int
@@ -247,28 +298,18 @@ class CircuitSpec:
             raise ValueError(f"matrix {int(np.argmax(defects))} is not unitary")
         object.__setattr__(self, "unitaries", us)
 
+    def __eq__(self, other):
+        if type(other) is not CircuitSpec:
+            return NotImplemented
+        return ((self.k, self.n, self.mixing, self.variant) == (other.k, other.n, other.mixing, other.variant)
+                and np.array_equal(self.weights, other.weights)
+                and _same_held(self.mixing_matrix, other.mixing_matrix) and _same_held(self.unitaries, other.unitaries))
+
     def _check_parameters(self):
         """Check and freeze everything but the unitaries: sizes, mixing, variant, weights."""
-        check_layout(self.k, self.n, self.variant, self.mixing)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.k,):
-            raise ValueError(f"expected {self.k} weights, got shape {w.shape}")
-        if not np.all(np.abs(w) <= 1 + 1e-12):
-            raise ValueError("weights must be finite and lie in [-1, 1]")
-        w = np.clip(w, -1.0, 1.0)
-        w.flags.writeable = False
+        w, m = _checked_parameters(self.k, self.n, self.weights, self.mixing, self.variant, self.mixing_matrix)
         object.__setattr__(self, "weights", w)
-        if self.mixing == "secret":
-            if self.mixing_matrix is None:
-                raise ValueError("secret mixing requires an explicit mixing matrix")
-            m = _readonly(self.mixing_matrix, complex)
-            if m.shape != (self.k, self.k):
-                raise ValueError(f"mixing matrix has shape {m.shape}, expected {(self.k, self.k)}")
-            if not _is_unitary(m):
-                raise ValueError("mixing matrix is not unitary")
-            object.__setattr__(self, "mixing_matrix", m)
-        elif self.mixing_matrix is not None:
-            raise ValueError(f"mixing matrix only applies to secret mixing, not {self.mixing!r}")
+        object.__setattr__(self, "mixing_matrix", m)
 
     def with_weights(self, weights: np.ndarray, mixing_matrix: np.ndarray | None = None) -> "CircuitSpec":
         """The same unitaries under other weights, and under secret mixing if ``mixing_matrix`` is given.
@@ -599,6 +640,25 @@ def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
     return coefficients(spec.weights, spec.mixing, spec.variant, spec.mixing_matrix)
 
 
+def checked_coefficients(
+    k: int,
+    n: int,
+    weights: np.ndarray,
+    mixing: str = "hadamard",
+    variant: str = "reflection",
+    mixing_matrix: np.ndarray | None = None,
+) -> np.ndarray:
+    """The C of a circuit with these parameters and no unitary, checked and built as :class:`CircuitSpec` does it.
+
+    The same ``ValueError`` for the same parameters as building the spec
+    (every check but the unitaries'), and the same bits as
+    :func:`coefficient_matrix` of it: a weight up to 1e-12 past +-1 is
+    clipped, as the spec clips it.
+    """
+    w, m = _checked_parameters(k, n, weights, mixing, variant, mixing_matrix)
+    return coefficients(w, mixing, variant, m)
+
+
 def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
     """K x N matrix X whose row t is ``U_t psi``: O(K N^2) for dense unitaries, O(K N) for a monomial stack."""
     psi = np.asarray(psi, dtype=complex)
@@ -731,19 +791,34 @@ def success_probabilities(spec: CircuitSpec, psi: np.ndarray) -> tuple[float, fl
 
 
 def sample_shots(spec: CircuitSpec, psi: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Measurement counts over the full (i, r, m) outcome grid, by inverse-CDF sampling.
+    """Measurement counts over the full (i, r, m) outcome grid: the :func:`shot_counts` of the spec's outcome states.
 
     Returns a read-only integer array whose entry ``[r * K + i, m]`` counts
     the shots that returned index i, rotation bit r and system basis state
     m; rows follow the layout of :class:`OutcomeStates`.
     """
+    return shot_counts(output_states(spec, psi).states, shots, seed)
+
+
+def shot_counts(states: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts of ``shots`` measurements of outcome states, by inverse-CDF sampling of ``|states|^2``.
+
+    A read-only integer array of the shape of ``states``.  Shot j lands in
+    the first cell whose cumulative probability exceeds its uniform u_j
+    from ``rng(seed)``; the top cell's is set to 1 against round-off.  The
+    uniforms are sorted once and each cell counts those below its
+    cumulative probability and at or above the previous cell's, which gives
+    the counts of searching every u_j in the cumulative probabilities, in
+    O(shots log shots + cells) with no per-shot index.  ``ValueError``
+    for ``shots < 1``.
+    """
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
-    out = output_states(spec, psi)
-    p = (np.abs(out.states) ** 2).ravel()
-    cdf = np.cumsum(p)
+    cdf = np.cumsum(np.abs(states) ** 2)
     cdf[-1] = 1.0  # guard the top bin against float round-off
-    draws = np.searchsorted(cdf, rng(seed).random(shots), side="right")
-    counts = np.bincount(draws, minlength=p.size).reshape(out.states.shape)
+    uniforms = rng(seed).random(shots)
+    uniforms.sort()
+    below = np.searchsorted(uniforms, cdf, side="left")
+    counts = np.diff(below, prepend=0).reshape(np.shape(states))
     counts.flags.writeable = False
     return counts

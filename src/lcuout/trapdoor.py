@@ -10,11 +10,12 @@ The key holder's inversion and the attack's fit both go through
 :func:`lcuout.recovery.factorized_complete`, the one solver of Phi = C X; a
 full matrix is passed to it as entries that are all observed.
 
-What each step reads: the evaluation, the inversion and the involution
-cipher read the :class:`PublicParams`, the public unitaries included; the
-attack reads only the :class:`PublicLayout` (K, n, scheme and rotation
-variant) and Phi, since C and the mixing layers of the Hadamard scheme
-follow from the layout and the weights alone.
+What each step reads: the evaluation and the involution cipher read the
+:class:`PublicParams`, the public unitaries included; the key holder's
+inversion and the attack read only the :class:`PublicLayout` (K, n, scheme
+and rotation variant) and Phi, since C (:func:`key_coefficients`) and the
+mixing layers of the Hadamard scheme follow from the layout and the weights
+alone.
 
 Also included: the closed-form attack that breaks the Hadamard scheme, for
 both rotation variants, when full complex amplitudes leak and fails on
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    CircuitSpec, Monomial, apply_circuit, check_layout, check_state, coefficient_matrix, coefficients, list_value,
+    CircuitSpec, Monomial, apply_circuit, check_layout, check_state, checked_coefficients, coefficients, list_value,
     output_states, real_value, rotation_gate, sample_shots,
 )
 from .linalg import haar_random_unitary, hadamard_matrix, rng
@@ -51,6 +52,7 @@ __all__ = [
     "hadamard_attack",
     "invert_with_key",
     "involution_encrypt_decrypt",
+    "key_coefficients",
     "key_from_json",
     "key_to_json",
     "key_spec",
@@ -68,8 +70,10 @@ class PublicLayout:
     Building it checks that the scheme is known and, through
     :func:`~lcuout.circuit.check_layout`, that ``k`` is a power of two (the
     Hadamard layer of both schemes), ``n >= 1`` and the variant is known.
-    This is all :func:`hadamard_attack` reads, and all :meth:`check_key`
-    needs to decide whether a key fits.
+    This is all :func:`hadamard_attack` and :func:`invert_with_key` read,
+    and all :meth:`check_key` needs to decide whether a key fits.  Two
+    layouts are equal when their four fields are, and equal layouts hash
+    alike.
     """
 
     k: int
@@ -90,7 +94,7 @@ class PublicLayout:
             raise ValueError("key length does not match the public parameters")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PublicParams(PublicLayout):
     """Everything the evaluating party publishes: the :class:`PublicLayout` and the keyword-only unitaries.
 
@@ -101,9 +105,17 @@ class PublicParams(PublicLayout):
     a Haar draw over), a copy of a tuple of matrices or of any other stack,
     or, for Pauli strings and permutations, the (K, N)
     :class:`~lcuout.circuit.Monomial` stack, which holds no N x N matrix.
-    Every circuit over them (:func:`key_spec` and so the evaluation, the
-    inversion and the involution cipher) derives from ``base_spec`` with
-    ``CircuitSpec.with_weights``.
+    Every circuit over them (:func:`key_spec` and so the evaluation and
+    the involution cipher) derives from ``base_spec`` with
+    ``CircuitSpec.with_weights``; the key holder's inversion needs only the
+    layout.  The ``lcuout trapdoor`` commands build one only for a public
+    they evaluate, and ``eval`` and ``invert`` keep from it no more than
+    X = (U_t psi)_t, K x N.
+
+    Two public parameters are equal when their layouts and their unitaries
+    (element by element, in the form each holds) are; public parameters
+    never equal a bare :class:`PublicLayout`, and unlike a layout they are
+    not hashable.
     """
 
     unitaries: np.ndarray | Monomial = field(kw_only=True)
@@ -115,8 +127,14 @@ class PublicParams(PublicLayout):
         object.__setattr__(self, "base_spec", base)
         object.__setattr__(self, "unitaries", base.unitaries)
 
+    def __eq__(self, other):
+        if type(other) is not PublicParams:
+            return NotImplemented
+        # the zero-weight base specs hold k, n, the variant and the unitaries; only the scheme is not among them
+        return self.scheme == other.scheme and self.base_spec == other.base_spec
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SecretKey:
     """Rotation weights plus, for secret mixing, the mixing-completion seed.
 
@@ -127,12 +145,19 @@ class SecretKey:
     unitary on every call.  The key holds its own read-only float copy of
     the weights, so a list is accepted and no later write through the
     caller's array reaches the key.  Whether the key fits a layout is
-    :meth:`PublicLayout.check_key`'s to decide.
+    :meth:`PublicLayout.check_key`'s to decide.  Two keys are equal when
+    their schemes, gammas and weights (element by element) are; like their
+    weights, keys are not hashable.
     """
 
     scheme: str
     weights: np.ndarray
     gamma: int | None = None
+
+    def __eq__(self, other):
+        if type(other) is not SecretKey:
+            return NotImplemented
+        return (self.scheme, self.gamma) == (other.scheme, other.gamma) and np.array_equal(self.weights, other.weights)
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -218,11 +243,32 @@ def key_spec(key: SecretKey, pub: PublicParams) -> CircuitSpec:
     Derived from ``pub.base_spec``, so it shares the public unitaries, which
     were checked when ``pub`` was built.  :meth:`PublicLayout.check_key`
     checks that the key fits ``pub``, and ``with_weights`` checks the
-    weights and the secret mixing matrix.
+    weights and the secret mixing matrix.  Its C is
+    :func:`key_coefficients`, which needs only the layout; the evaluation
+    and the involution cipher need the spec itself.
     """
     pub.check_key(key)
-    mixing_matrix = mixing_from_key(key) if key.scheme == "secret_mixing" else None
-    return pub.base_spec.with_weights(key.weights, mixing_matrix)
+    return pub.base_spec.with_weights(key.weights, _secret_mixing(key))
+
+
+def key_coefficients(key: SecretKey, pub: PublicLayout) -> np.ndarray:
+    """The key holder's 2K x K matrix C, from the layout and the key alone.
+
+    The same checks and the same bits as
+    ``coefficient_matrix(key_spec(key, pub))``, with no public unitary:
+    :meth:`PublicLayout.check_key`, then
+    :func:`~lcuout.circuit.checked_coefficients` of the key's weights (and
+    secret mixing matrix) under ``pub.variant``.
+    """
+    pub.check_key(key)
+    mixing_matrix = _secret_mixing(key)
+    mixing = "hadamard" if mixing_matrix is None else "secret"
+    return checked_coefficients(pub.k, pub.n, key.weights, mixing, pub.variant, mixing_matrix)
+
+
+def _secret_mixing(key: SecretKey) -> np.ndarray | None:
+    """The key's secret mixing matrix (:func:`mixing_from_key`), None for a Hadamard key."""
+    return mixing_from_key(key) if key.scheme == "secret_mixing" else None
 
 
 def eval_trapdoor(
@@ -264,10 +310,12 @@ def _entries(pub: PublicLayout, obs: ObservedEntries | np.ndarray) -> ObservedEn
 
 
 def invert_with_key(
-    key: SecretKey, pub: PublicParams, obs: ObservedEntries | np.ndarray
+    key: SecretKey, pub: PublicLayout, obs: ObservedEntries | np.ndarray
 ) -> InversionResult:
     """Key-holder inversion: rebuild C, solve Phi = C X, combine rows.
 
+    Reads only the layout of ``pub``: C is :func:`key_coefficients`, so a
+    :class:`PublicLayout` is enough and no public unitary is needed.
     ``obs`` is either the exact complex output matrix, solved as entries
     that are all observed, or partial observed entries; both go through
     :func:`~lcuout.recovery.factorized_complete`.  Returns the
@@ -276,7 +324,7 @@ def invert_with_key(
     the matrix is 2K x 2**n.
     """
     entries = _entries(pub, obs)
-    result = factorized_complete(entries, coefficient_matrix(key_spec(key, pub)))
+    result = factorized_complete(entries, key_coefficients(key, pub))
     return InversionResult(x=result.x, target=key.weights @ result.x, underdetermined=result.underdetermined)
 
 

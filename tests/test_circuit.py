@@ -12,7 +12,9 @@ from lcuout.circuit import (
     Monomial,
     apply_circuit,
     block_coefficients,
+    checked_coefficients,
     circuit_unitary,
+    coefficient_matrix,
     coefficients,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -26,6 +28,7 @@ from lcuout.circuit import (
     row_matrix,
     sample_shots,
     scale_coefficients,
+    shot_counts,
     success_probabilities,
     unitaries_from_json,
 )
@@ -620,3 +623,112 @@ def test_sample_shots_zero_probability_rows():
     psi = random_state(2, 27)
     counts = sample_shots(spec, psi, shots=2000, seed=28)
     assert counts[2:].sum() == 0
+
+
+def searched_counts(states, shots, seed):
+    """The per-shot formulation: search every uniform in the cumulative probabilities, then count the cells."""
+    p = (np.abs(states) ** 2).ravel()
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, rng(seed).random(shots), side="right")
+    return np.bincount(draws, minlength=p.size).reshape(states.shape)
+
+
+def _states_with_empty_cells():
+    # zero probability in the first, the last and a run of middle cells, so empty bins sit at both ends
+    states = output_states(make_spec(k=4, n=3, seed=31), random_state(8, 32)).states.copy()
+    states[0, :3] = states[-1, -2:] = states[3, :] = 0.0
+    return states / np.linalg.norm(states)
+
+
+@pytest.mark.parametrize("shots", [1, 2, 7, 1000, 100_000])
+@pytest.mark.parametrize("case", ["circuit", "empty-cells", "one-cell", "unit-weights"])
+def test_shot_counts_equal_the_per_shot_search(case, shots):
+    states = {
+        "circuit": lambda: output_states(make_spec(k=4, n=4, seed=29), random_state(16, 30)).states,
+        "empty-cells": _states_with_empty_cells,
+        "one-cell": lambda: np.eye(1, 6, 4).reshape(2, 3),
+        # r = 0: the rotation-1 half holds only rounding, so the cumulative sum can pass 1 before the top cell
+        "unit-weights": lambda: output_states(make_spec(k=2, n=2, weights=[1.0, 1.0], seed=26),
+                                              random_state(4, 27)).states,
+    }[case]()
+    for seed in (0, 5, 2**64 + 3):
+        counts = shot_counts(states, shots, seed)
+        assert counts.shape == states.shape and np.issubdtype(counts.dtype, np.integer)
+        assert not counts.flags.writeable and counts.sum() == shots
+        np.testing.assert_array_equal(counts, searched_counts(states, shots, seed))
+
+
+def test_sample_shots_are_the_shot_counts_of_the_outcome_states():
+    spec, psi = make_spec(k=4, n=3, seed=33), random_state(8, 34)
+    expected = shot_counts(output_states(spec, psi).states, 5000, 35)
+    np.testing.assert_array_equal(sample_shots(spec, psi, 5000, 35), expected)
+    np.testing.assert_array_equal(expected, searched_counts(output_states(spec, psi).states, 5000, 35))
+
+
+@pytest.mark.parametrize("shots", [0, -3])
+def test_shot_counts_refuse_fewer_than_one_shot(shots):
+    with pytest.raises(ValueError, match="need at least one shot"):
+        shot_counts(np.ones((2, 2)) / 2, shots, 0)
+
+
+# ---- equality ---------------------------------------------------------------
+
+def test_specs_compare_by_value_and_never_raise():
+    spec = make_spec(k=2, n=2, seed=36)
+    same = make_spec(k=2, n=2, seed=36)
+    assert spec == same and not spec != same
+    assert spec != make_spec(k=2, n=2, seed=37)
+    assert spec != spec.with_weights(spec.weights * 0.5)
+    assert spec != spec.with_weights(spec.weights, np.eye(2)) != spec.with_weights(spec.weights, hadamard_matrix(2))
+    assert spec.with_weights(spec.weights, np.eye(2)) == same.with_weights(same.weights, np.eye(2))
+    assert spec != CircuitSpec(k=2, n=2, weights=spec.weights, unitaries=spec.unitaries, variant="cyclic")
+    assert spec != make_spec(k=4, n=2, seed=36) and spec != "spec" and spec != None  # noqa: E711
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(spec)
+
+
+def test_monomial_specs_compare_by_their_images_and_phases():
+    def spec(labels):
+        return CircuitSpec(k=2, n=2, weights=[0.5, 0.5], unitaries=tuple(map(pauli_string_monomial, labels)))
+
+    assert spec(["XZ", "YI"]) == spec(["XZ", "YI"])
+    assert spec(["XZ", "YI"]) != spec(["XZ", "YZ"])  # same images, other phases
+    assert spec(["XZ", "YI"]) != spec(["XZ", "IY"])  # other images
+    assert spec(["XZ", "YI"]).unitaries == spec(["XZ", "YI"]).unitaries
+    # the form a spec holds follows from its source, and a dense stack never equals a monomial one
+    dense = CircuitSpec(k=2, n=2, weights=[0.5, 0.5], unitaries=spec(["XZ", "YI"]).dense_unitaries)
+    assert dense != spec(["XZ", "YI"]) and spec(["XZ", "YI"]) != dense
+
+
+@pytest.mark.parametrize("mixing, variant", [("hadamard", "reflection"), ("dft", "cyclic"), ("secret", "reflection")])
+def test_checked_coefficients_are_the_coefficient_matrix_of_the_spec(mixing, variant):
+    gen = rng(38)
+    w = gen.uniform(-1.0, 1.0, 4)
+    w[0] = 1.0 + 1e-13  # clipped back to 1 by both
+    matrix = haar_random_unitary(4, gen) if mixing == "secret" else None
+    spec = make_spec(k=4, n=2, seed=39, mixing="hadamard", variant=variant).with_weights(w, matrix)
+    if mixing == "dft":
+        spec = CircuitSpec(k=4, n=2, weights=w, unitaries=spec.unitaries, mixing="dft", variant=variant)
+    c = checked_coefficients(4, 2, w, mixing, variant, matrix)
+    assert c.tobytes() == coefficient_matrix(spec).tobytes()
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"weights": [0.5, 1.5]}, "weights must be finite"),
+    ({"weights": [0.5]}, "expected 2 weights"),
+    ({"k": 3, "weights": [0.5] * 3}, "power-of-two k"),
+    ({"n": 0}, "at least one system qubit"),
+    ({"variant": "spiral"}, "unknown variant"),
+    ({"mixing": "secret"}, "requires an explicit mixing matrix"),
+    ({"mixing": "secret", "mixing_matrix": np.ones((2, 2))}, "mixing matrix is not unitary"),
+    ({"mixing": "secret", "mixing_matrix": np.eye(3)}, "mixing matrix has shape"),
+    ({"mixing_matrix": np.eye(2)}, "only applies to secret mixing"),
+])
+def test_checked_coefficients_refuse_what_a_spec_refuses(change, match):
+    args = {"k": 2, "n": 1, "weights": [0.5, 0.5], "mixing": "hadamard", "variant": "reflection",
+            "mixing_matrix": None, **change}
+    with pytest.raises(ValueError, match=match):
+        checked_coefficients(**args)
+    with pytest.raises(ValueError, match=match):
+        CircuitSpec(**args, unitaries=np.stack([np.eye(2)] * args["k"]))  # the parameters are checked first

@@ -18,6 +18,7 @@ from lcuout.trapdoor import (
     hadamard_attack,
     invert_with_key,
     involution_encrypt_decrypt,
+    key_coefficients,
     key_from_json,
     key_spec,
     key_to_json,
@@ -224,6 +225,71 @@ def test_invert_with_key_masked_observations():
     rel = np.linalg.norm(res.target - truth) / np.linalg.norm(truth)
     assert res.underdetermined == ()
     assert rel < 1e-8
+
+
+@pytest.mark.parametrize("variant", ["reflection", "cyclic"])
+@pytest.mark.parametrize("scheme", ["hadamard", "secret_mixing"])
+def test_key_coefficients_have_the_bits_of_the_key_spec(scheme, variant):
+    pub = make_pub(seed=15, scheme=scheme, variant=variant)
+    layout = PublicLayout(k=4, n=4, scheme=scheme, variant=variant)
+    for key in (keygen(4, scheme, 16), SecretKey(scheme, [1.0 + 1e-13, -0.5, 0.25, 0.0], gamma=17)):
+        expected = coefficient_matrix(key_spec(key, pub)).tobytes()
+        assert key_coefficients(key, layout).tobytes() == key_coefficients(key, pub).tobytes() == expected
+
+
+@pytest.mark.parametrize("key, match", [
+    (SecretKey("hadamard", [0.5] * 2), "key length does not match"),
+    (SecretKey("secret_mixing", [0.5] * 4, gamma=3), "key scheme 'secret_mixing' does not match public 'hadamard'"),
+    (SecretKey("hadamard", [0.5, 1.5, 0.5, 0.5]), "weights must be finite and lie in"),
+])
+def test_key_coefficients_refuse_what_key_spec_refuses(key, match):
+    pub = make_pub(seed=18)
+    for build in (lambda: key_spec(key, pub), lambda: key_coefficients(key, pub),
+                  lambda: key_coefficients(key, PublicLayout(k=4, n=4))):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
+@pytest.mark.parametrize("scheme", ["hadamard", "secret_mixing"])
+def test_invert_with_key_reads_only_the_public_layout(scheme):
+    pub = make_pub(n=5, seed=19, scheme=scheme)
+    layout = PublicLayout(k=4, n=5, scheme=scheme)
+    key = keygen(4, scheme, 20)
+    phi = output_matrix(key_spec(key, pub), random_state(32, 21))
+    partial = observe(phi, make_mask(8, 32, 22, "uniform", density=0.4), 0.0)
+    for obs in (phi, partial):
+        on_layout, on_params = invert_with_key(key, layout, obs), invert_with_key(key, pub, obs)
+        assert on_layout.x.tobytes() == on_params.x.tobytes()
+        assert on_layout.target.tobytes() == on_params.target.tobytes()
+        assert on_layout.underdetermined == on_params.underdetermined
+
+
+def test_keys_compare_by_value_and_never_raise():
+    assert keygen(4) == keygen(4) and not keygen(4) != keygen(4)
+    assert keygen(4, seed=1) != keygen(4, seed=2)
+    assert keygen(4, "secret_mixing", 3) == keygen(4, "secret_mixing", 3)
+    key = keygen(4, "secret_mixing", 3)
+    assert key != SecretKey("secret_mixing", key.weights, gamma=key.gamma + 1)
+    assert key != SecretKey("hadamard", key.weights)
+    assert keygen(4) != keygen(2) and keygen(4) != "key" and keygen(4) != None  # noqa: E711
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(keygen(4))
+
+
+def test_public_params_compare_by_value_and_never_raise():
+    assert make_pub(k=2, seed=23) == make_pub(k=2, seed=23)
+    assert make_pub(k=4, seed=23) == make_pub(k=4, seed=23)
+    # every field of the layout equal, the unitaries not
+    assert make_pub(k=2, seed=23) != make_pub(k=2, seed=24)
+    assert make_pub(seed=23) != make_pub(seed=23, variant="cyclic") != make_pub(seed=23, scheme="secret_mixing")
+    assert pauli_pub(0) == pauli_pub(0) and pauli_pub(0) != pauli_pub(1)
+    layout = PublicLayout(k=4, n=4)
+    assert make_pub(seed=23) != layout and layout != make_pub(seed=23)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(make_pub(seed=23))
+    # a layout keeps its value equality and its hash
+    assert layout == PublicLayout(k=4, n=4, scheme="hadamard", variant="reflection")
+    assert hash(layout) == hash(PublicLayout(k=4, n=4)) and layout != PublicLayout(k=4, n=4, variant="cyclic")
 
 
 def test_mixing_from_key_of_one_weight_is_the_identity():
