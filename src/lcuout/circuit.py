@@ -32,7 +32,7 @@ __all__ = [
     "block_coefficients",
     "check_layout",
     "check_state",
-    "checked_coefficients",
+    "checked_parameters",
     "circuit_unitary",
     "coefficient_matrix",
     "coefficients",
@@ -112,7 +112,7 @@ def check_layout(k: int, n: int, variant: str, mixing: str = "hadamard") -> None
         raise ValueError(f"{mixing.capitalize()} mixing needs a power-of-two k, got {k}")
 
 
-def _checked_parameters(k, n, weights, mixing, variant, mixing_matrix) -> tuple[np.ndarray, np.ndarray | None]:
+def checked_parameters(k, n, weights, mixing, variant, mixing_matrix) -> tuple[np.ndarray, np.ndarray | None]:
     """The weights and mixing matrix of a circuit as a :class:`CircuitSpec` holds them, checked with its layout.
 
     ``ValueError`` for a layout :func:`check_layout` refuses, weights that are
@@ -307,7 +307,7 @@ class CircuitSpec:
 
     def _check_parameters(self):
         """Check and freeze everything but the unitaries: sizes, mixing, variant, weights."""
-        w, m = _checked_parameters(self.k, self.n, self.weights, self.mixing, self.variant, self.mixing_matrix)
+        w, m = checked_parameters(self.k, self.n, self.weights, self.mixing, self.variant, self.mixing_matrix)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mixing_matrix", m)
 
@@ -638,25 +638,6 @@ def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
     The :func:`coefficients` of the spec's weights, mixing and variant.
     """
     return coefficients(spec.weights, spec.mixing, spec.variant, spec.mixing_matrix)
-
-
-def checked_coefficients(
-    k: int,
-    n: int,
-    weights: np.ndarray,
-    mixing: str = "hadamard",
-    variant: str = "reflection",
-    mixing_matrix: np.ndarray | None = None,
-) -> np.ndarray:
-    """The C of a circuit with these parameters and no unitary, checked and built as :class:`CircuitSpec` does it.
-
-    The same ``ValueError`` for the same parameters as building the spec
-    (every check but the unitaries'), and the same bits as
-    :func:`coefficient_matrix` of it: a weight up to 1e-12 past +-1 is
-    clipped, as the spec clips it.
-    """
-    w, m = _checked_parameters(k, n, weights, mixing, variant, mixing_matrix)
-    return coefficients(w, mixing, variant, m)
 
 
 def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:

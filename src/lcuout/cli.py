@@ -11,14 +11,6 @@ byte-identical outside comments.
 Exit codes: 0 success, 1 for a failed verification or internal self-check,
 2 usage/config error, including a config whose arrays are too large to
 allocate, 3 numerical failure (a linear-algebra routine did not converge).
-
-``trapdoor eval`` and ``trapdoor invert`` read a Haar public only through
-X = (U_t psi)_t, the K x N rows every output of theirs is built from
-(Phi = C X with the key holder's C, which needs only the layout).  One
-process keeps the X of the last Haar public it drew, keyed on K, n,
-scheme, variant, Haar seed and ``psi_seed`` after every check of the
-config, so consecutive commands on one public draw its K N x N unitaries
-once; neither the unitaries nor the public parameters are kept.
 """
 
 from __future__ import annotations
@@ -34,21 +26,23 @@ import numpy as np
 
 from . import __version__
 from .circuit import (
-    CheckFailed, CircuitSpec, check_state, integer_value, list_value, real_value, reject_unread_keys, row_matrix,
-    scale_coefficients, shot_counts, success_probabilities, unitaries_from_json, unitary_source,
+    CheckFailed, CircuitSpec, integer_value, list_value, real_value, reject_unread_keys, row_matrix,
+    scale_coefficients, success_probabilities, unitaries_from_json, unitary_source,
 )
 from .linalg import random_state, rng
-from .outputs import matrix_from_csv, matrix_to_csv
+from .outputs import matrix_from_csv, matrix_to_csv, output_matrix
 from .recovery import METHODS, make_mask, observe, sweep
 from .structure import verify
 from .trapdoor import (
     PublicLayout,
     PublicParams,
+    eval_trapdoor,
     hadamard_attack,
     invert_with_key,
     involution_encrypt_decrypt,
     key_coefficients,
     key_from_json,
+    key_spec,
     key_to_json,
     keygen,
 )
@@ -265,8 +259,8 @@ def _layout(config: dict, args) -> PublicLayout:
     """The public layout of a trapdoor config, after every check of the config that needs no Haar draw.
 
     Every trapdoor action reads its config through here, directly
-    (``keygen``, ``attack``) or through :func:`_rows` or :func:`_public`,
-    and so reads DEFAULT_TRAPDOOR's keys.  The Haar and ``psi_seed``
+    (``keygen``, ``attack``) or through :func:`_public`, and so reads
+    DEFAULT_TRAPDOOR's keys.  The Haar and ``psi_seed``
     seeds are checked as :func:`~lcuout.linalg.rng` checks them, and a
     source the config spells out (explicit, Pauli, permutation) is built and
     checked into the :class:`PublicParams` returned; a Haar source is left
@@ -285,47 +279,9 @@ def _public(config: dict, args) -> tuple[PublicParams, np.ndarray]:
     """The public parameters and input state of a trapdoor config: its :func:`_layout`, a Haar source drawn."""
     pub = _layout(config, args)
     if not isinstance(pub, PublicParams):
-        pub = _haar_public(pub, config["unitaries"]["seed"])
+        _, _, unitaries = unitaries_from_json(config)
+        pub = PublicParams(k=pub.k, n=pub.n, scheme=pub.scheme, variant=pub.variant, unitaries=unitaries)
     return pub, random_state(2**pub.n, config.get("psi_seed", 0))
-
-
-def _haar_public(layout: PublicLayout, seed: int) -> PublicParams:
-    """The public parameters of ``layout`` over K Haar unitaries drawn from ``seed``, checked as they are built."""
-    _, _, unitaries = unitaries_from_json({"K": layout.k, "n": layout.n, "unitaries": {"kind": "haar", "seed": seed}})
-    return PublicParams(**vars(layout), unitaries=unitaries)
-
-
-def _rows(config: dict, args) -> tuple[PublicLayout, np.ndarray]:
-    """The :func:`_layout` of a trapdoor config and its read-only K x N matrix X, row t = U_t psi.
-
-    A source the config spells out was built by ``_layout`` and is applied
-    here; a Haar source comes from :func:`_haar_rows`, which keeps the X of
-    the last Haar public and is consulted only after ``_layout`` has checked
-    the whole config.
-    """
-    pub = _layout(config, args)
-    psi_seed = config.get("psi_seed", 0)
-    if isinstance(pub, PublicParams):
-        return pub, _row_matrix(pub, psi_seed)
-    return pub, _haar_rows(pub, config["unitaries"]["seed"], psi_seed)
-
-
-@lru_cache(maxsize=1)
-def _haar_rows(layout: PublicLayout, seed: int, psi_seed: int) -> np.ndarray:
-    """X of the Haar public ``(layout, seed)`` and input ``psi_seed``, for the last such key asked for.
-
-    A miss draws and checks the K unitaries (:func:`_haar_public`) and
-    keeps only X, K x N, so a process holds no N x N matrix between
-    commands.
-    """
-    return _row_matrix(_haar_public(layout, seed), psi_seed)
-
-
-def _row_matrix(pub: PublicParams, psi_seed: int) -> np.ndarray:
-    """X of ``pub`` and the checked state of ``psi_seed``, read-only."""
-    x = row_matrix(pub.base_spec, check_state(random_state(2**pub.n, psi_seed), 2**pub.n))
-    x.flags.writeable = False
-    return x
 
 
 def cmd_keygen(config: dict, args) -> int:
@@ -338,16 +294,14 @@ def cmd_keygen(config: dict, args) -> int:
 
 
 def cmd_eval(config: dict, args) -> int:
-    """Phi = C X, or what ``eval_trapdoor`` publishes of it: ``|Phi|^2``, or shot frequencies."""
     if args.shots is not None and args.dump == "amplitudes":
         raise ValueError("--shots samples --dump magnitudes; the exact --dump amplitudes would ignore it")
-    pub, x = _rows(config, args)
+    pub, psi = _public(config, args)
     key = key_from_json(Path(args.key).read_text())
-    matrix = key_coefficients(key, pub) @ x
-    if args.shots is not None:
-        matrix = shot_counts(matrix, args.shots, args.seed or 0) / args.shots
-    elif args.dump == "magnitudes":
-        matrix = np.abs(matrix) ** 2
+    if args.dump == "amplitudes":
+        matrix = output_matrix(key_spec(key, pub), psi)
+    else:
+        matrix = eval_trapdoor(key, pub, psi, shots=args.shots, seed=args.seed or 0)
     _write_matrix_csv(f"{args.out}_{args.dump}.csv", "trapdoor eval", config, matrix)
     print(f"wrote {args.out}_{args.dump}.csv")
     return 0
@@ -356,9 +310,10 @@ def cmd_eval(config: dict, args) -> int:
 def cmd_invert(config: dict, args) -> int:
     if args.sigma and args.density is None:
         raise ValueError("--sigma is the noise on what --density observes; without --density it would be ignored")
-    pub, x = _rows(config, args)
+    pub, psi = _public(config, args)
     key = key_from_json(Path(args.key).read_text())
     seed = args.seed or 0
+    x = row_matrix(pub.base_spec, psi)
     c = key_coefficients(key, pub)
     if args.phi is not None:
         obs = matrix_from_csv(Path(args.phi).read_text())

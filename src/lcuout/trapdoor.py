@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    CircuitSpec, Monomial, apply_circuit, check_layout, check_state, checked_coefficients, coefficients, list_value,
+    CircuitSpec, Monomial, apply_circuit, check_layout, check_state, checked_parameters, coefficients, list_value,
     output_states, real_value, rotation_gate, sample_shots,
 )
 from .linalg import haar_random_unitary, hadamard_matrix, rng
@@ -108,9 +108,7 @@ class PublicParams(PublicLayout):
     Every circuit over them (:func:`key_spec` and so the evaluation and
     the involution cipher) derives from ``base_spec`` with
     ``CircuitSpec.with_weights``; the key holder's inversion needs only the
-    layout.  The ``lcuout trapdoor`` commands build one only for a public
-    they evaluate, and ``eval`` and ``invert`` keep from it no more than
-    X = (U_t psi)_t, K x N.
+    layout.
 
     Two public parameters are equal when their layouts and their unitaries
     (element by element, in the form each holds) are; public parameters
@@ -257,13 +255,13 @@ def key_coefficients(key: SecretKey, pub: PublicLayout) -> np.ndarray:
     The same checks and the same bits as
     ``coefficient_matrix(key_spec(key, pub))``, with no public unitary:
     :meth:`PublicLayout.check_key`, then
-    :func:`~lcuout.circuit.checked_coefficients` of the key's weights (and
-    secret mixing matrix) under ``pub.variant``.
+    :func:`~lcuout.circuit.checked_parameters` of the key's weights (and
+    secret mixing matrix) under ``pub.variant``, as ``key_spec`` checks them.
     """
     pub.check_key(key)
-    mixing_matrix = _secret_mixing(key)
-    mixing = "hadamard" if mixing_matrix is None else "secret"
-    return checked_coefficients(pub.k, pub.n, key.weights, mixing, pub.variant, mixing_matrix)
+    mixing = "hadamard" if key.scheme == "hadamard" else "secret"
+    weights, mixing_matrix = checked_parameters(pub.k, pub.n, key.weights, mixing, pub.variant, _secret_mixing(key))
+    return coefficients(weights, mixing, pub.variant, mixing_matrix)
 
 
 def _secret_mixing(key: SecretKey) -> np.ndarray | None:

@@ -12,7 +12,6 @@ from lcuout.circuit import (
     Monomial,
     apply_circuit,
     block_coefficients,
-    checked_coefficients,
     circuit_unitary,
     coefficient_matrix,
     coefficients,
@@ -699,36 +698,3 @@ def test_monomial_specs_compare_by_their_images_and_phases():
     # the form a spec holds follows from its source, and a dense stack never equals a monomial one
     dense = CircuitSpec(k=2, n=2, weights=[0.5, 0.5], unitaries=spec(["XZ", "YI"]).dense_unitaries)
     assert dense != spec(["XZ", "YI"]) and spec(["XZ", "YI"]) != dense
-
-
-@pytest.mark.parametrize("mixing, variant", [("hadamard", "reflection"), ("dft", "cyclic"), ("secret", "reflection")])
-def test_checked_coefficients_are_the_coefficient_matrix_of_the_spec(mixing, variant):
-    gen = rng(38)
-    w = gen.uniform(-1.0, 1.0, 4)
-    w[0] = 1.0 + 1e-13  # clipped back to 1 by both
-    matrix = haar_random_unitary(4, gen) if mixing == "secret" else None
-    spec = make_spec(k=4, n=2, seed=39, mixing="hadamard", variant=variant).with_weights(w, matrix)
-    if mixing == "dft":
-        spec = CircuitSpec(k=4, n=2, weights=w, unitaries=spec.unitaries, mixing="dft", variant=variant)
-    c = checked_coefficients(4, 2, w, mixing, variant, matrix)
-    assert c.tobytes() == coefficient_matrix(spec).tobytes()
-
-
-@pytest.mark.parametrize("change, match", [
-    ({"weights": [0.5, 1.5]}, "weights must be finite"),
-    ({"weights": [0.5]}, "expected 2 weights"),
-    ({"k": 3, "weights": [0.5] * 3}, "power-of-two k"),
-    ({"n": 0}, "at least one system qubit"),
-    ({"variant": "spiral"}, "unknown variant"),
-    ({"mixing": "secret"}, "requires an explicit mixing matrix"),
-    ({"mixing": "secret", "mixing_matrix": np.ones((2, 2))}, "mixing matrix is not unitary"),
-    ({"mixing": "secret", "mixing_matrix": np.eye(3)}, "mixing matrix has shape"),
-    ({"mixing_matrix": np.eye(2)}, "only applies to secret mixing"),
-])
-def test_checked_coefficients_refuse_what_a_spec_refuses(change, match):
-    args = {"k": 2, "n": 1, "weights": [0.5, 0.5], "mixing": "hadamard", "variant": "reflection",
-            "mixing_matrix": None, **change}
-    with pytest.raises(ValueError, match=match):
-        checked_coefficients(**args)
-    with pytest.raises(ValueError, match=match):
-        CircuitSpec(**args, unitaries=np.stack([np.eye(2)] * args["k"]))  # the parameters are checked first

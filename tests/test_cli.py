@@ -1,10 +1,8 @@
-import gc
 import json
 import os
 import shlex
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +12,10 @@ import lcuout
 import lcuout.circuit
 import lcuout.cli
 import lcuout.recovery
-from lcuout.circuit import CheckFailed, CircuitSpec, matrix_to_pairs, unitaries_from_json
+from lcuout.circuit import CheckFailed, CircuitSpec
 from lcuout.cli import main
-from lcuout.linalg import haar_random_unitaries, random_state
-from lcuout.outputs import matrix_from_csv, matrix_to_csv, output_matrix
-from lcuout.trapdoor import PublicParams, eval_trapdoor, invert_with_key, key_from_json, key_spec, key_to_json, keygen
+from lcuout.outputs import matrix_from_csv, matrix_to_csv
+from lcuout.trapdoor import key_to_json, keygen
 
 SMALL_SWEEP = {
     "k": 4, "sizes": [64], "fractions": [0.6, 0.9], "sigma": 0.0,
@@ -28,12 +25,6 @@ SMALL_SWEEP = {
 
 
 SMALL_FIG4 = {**lcuout.cli.DEFAULT_FIG4, "n": 4, "instances": 1, "masks_per_instance": 1}
-
-
-@pytest.fixture(autouse=True)
-def cold_haar_memo():
-    # a process keeps the X of the last Haar public it drew; every test starts as a fresh process would
-    lcuout.cli._haar_rows.cache_clear()
 
 
 def read_body(path):
@@ -537,7 +528,6 @@ def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
     for name in ("attack.json", "key.json"):
         assert (tmp_path / f"undrawn_{name}").read_bytes() == (tmp_path / f"drawn_{name}").read_bytes()
     assert json.loads((tmp_path / "undrawn_attack.json").read_text())["success"] is True
-    lcuout.cli._haar_rows.cache_clear()  # the first eval's X is still held; a fresh process draws
     with pytest.raises(RuntimeError, match="drew the Haar unitaries"):
         main(["trapdoor", "eval", "--key", str(key), "--out", str(tmp_path / "e")])
 
@@ -592,157 +582,6 @@ def test_attack_refuses_every_public_config_that_eval_refuses(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list(tmp_path.glob("o*")) == []
-
-
-@pytest.mark.parametrize("action", ["eval", "invert"])
-@pytest.mark.parametrize("case", BAD_PUBLIC_CONFIGS)
-def test_a_held_haar_public_does_not_skip_a_check_of_the_config(tmp_path, capsys, action, case):
-    # the default config's X is held, and the bad configs that keep its K, n, Haar seed and psi_seed would hit it
-    change, message = BAD_PUBLIC_CONFIGS[case]
-    key = tmp_path / "k.json"
-    key.write_text(key_to_json(keygen(4, "hadamard", 0)))
-    assert main(["trapdoor", action, "--key", str(key), "--out", str(tmp_path / "warm")]) == 0
-    assert lcuout.cli._haar_rows.cache_info().currsize == 1
-    capsys.readouterr()
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_TRAPDOOR, **change}))
-    assert main(["trapdoor", action, "--config", str(cfg), "--key", str(key), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert list(tmp_path.glob("o*")) == []
-
-
-def trapdoor_commands(cfg, key, out) -> list[list[str]]:
-    """Every output of eval and invert on one config: the three dumps, then the three inversion sources."""
-    common = ["--config", str(cfg), "--key", str(key)]
-    return [
-        ["trapdoor", "eval", *common, "--dump", "amplitudes", "--out", f"{out}-amp"],
-        ["trapdoor", "eval", *common, "--out", f"{out}-mag"],
-        ["trapdoor", "eval", *common, "--shots", "1000", "--seed", "3", "--out", f"{out}-shots"],
-        ["trapdoor", "invert", *common, "--out", f"{out}-exact"],
-        ["trapdoor", "invert", *common, "--density", "0.7", "--sigma", "1e-3", "--seed", "4", "--out", f"{out}-mask"],
-        ["trapdoor", "invert", *common, "--phi", f"{out}-amp_amplitudes.csv", "--out", f"{out}-phi"],
-    ]
-
-
-@pytest.fixture
-def haar_draws(monkeypatch):
-    """The (K, N) of every Haar draw, counted through the name unitaries_from_json calls."""
-    draws = []
-
-    def counted(k, dim, seed):
-        draws.append((k, dim))
-        return haar_random_unitaries(k, dim, seed)
-
-    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", counted)
-    return draws
-
-
-def write_trapdoor(tmp_path, name, change=None, scheme="hadamard"):
-    """A trapdoor config (the default one, changed) and a key that fits it, as two files."""
-    config = {**lcuout.cli.DEFAULT_TRAPDOOR, "scheme": scheme, **(change or {})}
-    cfg, key = tmp_path / f"{name}.json", tmp_path / f"{name}_key.json"
-    cfg.write_text(json.dumps(config))
-    key.write_text(key_to_json(keygen(config["K"], scheme, 5)))
-    return cfg, key
-
-
-def test_eval_and_invert_draw_each_haar_public_once(tmp_path, haar_draws):
-    a = write_trapdoor(tmp_path, "a")
-    b = write_trapdoor(tmp_path, "b", {"unitaries": {"kind": "haar", "seed": 43}})
-    for round_no, (cfg, key) in enumerate([a, b, a]):
-        for argv in trapdoor_commands(cfg, key, tmp_path / f"r{round_no}"):
-            assert main(argv) == 0
-        assert len(haar_draws) == round_no + 1  # one slot: going back to a draws it again
-    assert set(haar_draws) == {(4, 16)}
-
-
-@pytest.mark.parametrize("change", [{"unitaries": {"kind": "haar", "seed": 43}}, {"psi_seed": 100},
-                                    {"variant": "cyclic"}, {"K": 2}], ids=["haar-seed", "psi-seed", "variant", "K"])
-def test_a_changed_public_misses_the_held_one(tmp_path, haar_draws, change):
-    base, changed = write_trapdoor(tmp_path, "base"), write_trapdoor(tmp_path, "changed", change)
-    for cfg, key in (base, changed, changed):
-        assert main(["trapdoor", "eval", "--config", str(cfg), "--key", str(key), "--out", str(tmp_path / "o")]) == 0
-    assert len(haar_draws) == 2
-    info = lcuout.cli._haar_rows.cache_info()
-    assert (info.hits, info.misses) == (1, 2)
-
-
-@pytest.mark.parametrize("change, scheme", [({}, "hadamard"), ({"variant": "cyclic", "n": 5}, "hadamard"),
-                                            ({}, "secret_mixing")], ids=["default", "cyclic", "secret-mixing"])
-def test_outputs_are_byte_identical_with_a_cold_and_a_held_public(tmp_path, monkeypatch, capsys, change, scheme):
-    cfg, key = write_trapdoor(tmp_path, "cfg", change, scheme)
-    printed = {}
-    for memo in ("cold", "held"):
-        (tmp_path / memo).mkdir()
-        monkeypatch.chdir(tmp_path / memo)  # the lines printed name the output files
-        for argv in trapdoor_commands(cfg, key, "o"):
-            if memo == "cold":
-                lcuout.cli._haar_rows.cache_clear()
-            assert main(argv) == 0
-        printed[memo] = capsys.readouterr()
-    assert printed["cold"] == printed["held"]
-    cold = sorted(p.name for p in (tmp_path / "cold").iterdir())
-    assert len(cold) == 9 and cold == sorted(p.name for p in (tmp_path / "held").iterdir())
-    for name in cold:
-        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "held" / name).read_bytes(), name
-
-
-EXPLICIT = [matrix_to_pairs(u) for u in haar_random_unitaries(2, 4, 8)]
-SOURCES = {
-    "haar": {},
-    "haar-cyclic": {"variant": "cyclic"},
-    "pauli": {"n": 2, "unitaries": {"kind": "pauli_strings", "data": ["XZ", "ZI", "IX", "YY"]}},
-    "permutation": {"n": 2, "unitaries": {"kind": "permutation", "data": [[1, 0, 3, 2], [3, 2, 1, 0], [0, 2, 1, 3],
-                                                                          [2, 3, 0, 1]]}},
-    "explicit": {"K": 2, "n": 2, "unitaries": {"kind": "explicit", "data": EXPLICIT}},
-}
-
-
-@pytest.mark.parametrize("scheme", ["hadamard", "secret_mixing"])
-@pytest.mark.parametrize("source", SOURCES)
-def test_eval_and_invert_have_the_bits_of_the_library_on_every_source(tmp_path, source, scheme):
-    # the CLI evaluates the X it holds; the library evaluates the public unitaries and psi
-    cfg, key_path = write_trapdoor(tmp_path, "cfg", SOURCES[source], scheme)
-    config, key = json.loads(cfg.read_text()), key_from_json(key_path.read_text())
-    for argv in trapdoor_commands(cfg, key_path, tmp_path / "o"):
-        assert main(argv) == 0
-    k, n, unitaries = unitaries_from_json(config)
-    pub = PublicParams(k=k, n=n, scheme=scheme, variant=config["variant"], unitaries=unitaries)
-    psi = random_state(2**n, config["psi_seed"])
-    phi = output_matrix(key_spec(key, pub), psi)
-
-    def csv(name):
-        return matrix_from_csv((tmp_path / name).read_text())
-
-    assert csv("o-amp_amplitudes.csv").tobytes() == phi.tobytes()
-    assert csv("o-mag_magnitudes.csv").real.tobytes() == eval_trapdoor(key, pub, psi).tobytes()
-    assert csv("o-shots_magnitudes.csv").real.tobytes() == eval_trapdoor(key, pub, psi, 1000, 3).tobytes()
-    expected = invert_with_key(key, pub, phi).target
-    assert csv("o-exact_target.csv")[0].tobytes() == csv("o-phi_target.csv")[0].tobytes() == expected.tobytes()
-
-
-def test_eval_keeps_no_unitary_after_it_returns(tmp_path):
-    # at n = 8 one N x N complex matrix is 1 MiB; what the process holds afterwards is the held X, K x N
-    key = tmp_path / "k.json"
-    key.write_text(key_to_json(keygen(4, "hadamard", 0)))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_TRAPDOOR, "n": 8}))
-    argv = ["trapdoor", "eval", "--config", str(cfg), "--key", str(key), "--dump", "amplitudes"]
-    assert main([*argv, "--out", str(tmp_path / "first")]) == 0  # builds the parser and fills numpy's caches
-    lcuout.cli._haar_rows.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
-        gc.collect()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert lcuout.cli._haar_rows.cache_info().currsize == 1
-    assert peak - before > 4 * 2**20  # the draw itself held the K = 4 unitaries
-    assert held - before < 2**20
 
 
 IGNORED_FLAGS = [

@@ -188,11 +188,7 @@ UNREFERENCED = {
     "circuit.matrix_to_pairs": "the writer of the [re, im] pair codec whose reader loads explicit unitaries",
     "circuit.pauli_string_matrix": "the kron-built dense oracle the tests check pauli_string_monomial against",
     "circuit.permutation_matrix": "the dense oracle the tests check permutation_monomial against",
-    "outputs.output_matrix": "Phi of one spec and state, which the acceptance gate, the tests and the benchmark's "
-                             "amplitude check build to compare against",
     "recovery.random_instance": "the Haar-unitary instance that acceptance criterion 05 and the recovery tests draw",
-    "trapdoor.eval_trapdoor": "the evaluation from the public unitaries and psi, which the trapdoor tests call and "
-                              "compare the CLI's evaluation of its held X against",
 }
 
 
