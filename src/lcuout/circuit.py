@@ -54,7 +54,6 @@ __all__ = [
     "scale_coefficients",
     "shot_counts",
     "success_probabilities",
-    "unitaries_from_json",
     "unitary_source",
 ]
 
@@ -164,14 +163,15 @@ class Monomial:
 
     ``U e_j = phases[..., j] e_{images[..., j]}``: ``images`` is an integer
     array and ``phases`` a complex array of the same shape, (N,) for one
-    unitary or (K, N) for a stack, both held read-only.  ``shape`` is that
+    unitary or (K, N) for a stack, both held read-only from birth, as a Haar
+    draw is, so a spec keeps a monomial stack as given.  ``shape`` is that
     of the matrix or (K, N, N) stack they stand for, and a stack indexes and
     iterates as its K unitaries, so :class:`CircuitSpec` counts and
-    shape-checks a tuple of them, or a stack, as it does dense matrices.
-    Pauli strings and permutations take this form
-    (:func:`pauli_string_monomial`, :func:`permutation_monomial`): O(N)
-    memory per unitary, and O(N) to apply one, where the dense form needs
-    N^2.  Nothing here checks that the entries form a unitary;
+    shape-checks a tuple of them, or a stack, as it does dense matrices;
+    ``U @ x`` is the dense product.  Pauli strings and permutations take
+    this form (:func:`pauli_string_monomial`, :func:`permutation_monomial`):
+    O(N) memory per unitary, and O(N) to apply one, where the dense form
+    needs N^2.  Nothing here checks that the entries form a unitary;
     :class:`CircuitSpec` does.  Two monomials are equal when their images
     and phases are; like the arrays they hold, they are not hashable.
     """
@@ -212,12 +212,27 @@ class Monomial:
         m.flags.writeable = False
         return m
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``U_t @ x[t]`` for each unitary of a (K, N) stack, for ``x`` of shape (K, N) or (K, N, S), in O(K N S)."""
-        values = self.phases.reshape(self.phases.shape + (1,) * (x.ndim - 2)) * x
+    def __matmul__(self, x) -> np.ndarray:
+        """``dense @ x`` with its shape, by scattering each column's one entry: O(N) per column of ``x``.
+
+        As for ``np.matmul``, an ``x`` of shape (N,) is one state, which
+        every unitary of a stack applies to, and one of shape (..., N, S) is
+        a stack of matrices broadcast against the (K, N, N) stack.  Each
+        entry is one product ``phase * x``, so for the exact phases +-1 and
+        +-i of Pauli strings and permutations it has the dense product's
+        bits.  An ``x`` whose rows (the axis ``np.matmul`` contracts) are
+        not N is a ``ValueError``.
+        """
+        x = np.asarray(x)
+        if x.ndim == 0 or x.shape[max(x.ndim - 2, 0)] != self.shape[-1]:
+            raise ValueError(f"cannot apply a monomial of shape {self.shape} to an array of shape {x.shape}")
+        cols = x[:, None] if x.ndim == 1 else x
+        values = self.phases[..., None] * cols
         out = np.empty(values.shape, dtype=complex)
-        out[np.arange(len(self))[:, None], self.images] = values
-        return out
+        # out[..., t, images[t, j], :] = values[..., t, j, :], with no t for one unitary
+        rows = (np.arange(len(self.images))[:, None], self.images) if self.images.ndim == 2 else (self.images,)
+        out[(..., *rows, slice(None))] = values
+        return out[..., 0] if x.ndim == 1 else out
 
     def non_unitary(self) -> np.ndarray:
         """Per unitary of a stack, whether it fails :func:`_is_unitary`, decided in O(N).
@@ -264,7 +279,8 @@ class CircuitSpec:
     no N x N matrix is formed, and unitarity is decided in O(K N) by
     :meth:`Monomial.non_unitary`, with the same outcome and message as the
     dense check.  :func:`row_matrix` and :func:`apply_circuit` apply
-    either form; everything else reads :attr:`dense_unitaries`.
+    either form with ``@``; everything else reads :attr:`dense_unitaries`.
+    A Haar draw is read-only from birth, so a spec keeps it as drawn.
 
     Two specs are equal when every field is: the arrays element by element,
     the unitaries in the form each holds, so a dense stack never equals a
@@ -343,19 +359,24 @@ class CircuitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CircuitSpec":
-        """Load a spec from the interchange JSON schema, whose keys are ``_SPEC_KEYS``; another is a ``ValueError``."""
+        """Load a spec from the interchange JSON schema, whose keys are ``_SPEC_KEYS``; another is a ``ValueError``.
+
+        Every check but unitarity comes before a Haar draw, in the order a
+        trapdoor config is read: :func:`unitary_source`,
+        :func:`reject_unread_keys`, then :func:`checked_parameters`.  The spec
+        keeps the draw as drawn.
+        """
         doc = json.loads(text)
-        k, n, unitaries = unitaries_from_json(doc)
+        k, n, source = unitary_source(doc)
         reject_unread_keys(doc, _SPEC_KEYS, "a circuit spec")
-        return cls(
-            k=k,
-            n=n,
-            weights=np.array([real_value("a weight", w) for w in list_value("weights", doc["weights"])]),
-            unitaries=unitaries,
-            mixing=doc.get("mixing", "hadamard"),
-            mixing_matrix=matrix_from_pairs(doc["mixing_matrix"]) if "mixing_matrix" in doc else None,
-            variant=doc.get("variant", "reflection"),
+        mixing, variant = doc.get("mixing", "hadamard"), doc.get("variant", "reflection")
+        weights, mixing_matrix = checked_parameters(
+            k, n, [real_value("a weight", w) for w in list_value("weights", doc["weights"])], mixing, variant,
+            matrix_from_pairs(doc["mixing_matrix"]) if "mixing_matrix" in doc else None,
         )
+        unitaries = source if isinstance(source, tuple) else haar_random_unitaries(k, 2**n, source)
+        return cls(k=k, n=n, weights=weights, unitaries=unitaries, mixing=mixing, mixing_matrix=mixing_matrix,
+                   variant=variant)
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -511,24 +532,6 @@ def unitary_source(doc: dict) -> tuple[int, int, np.random.Generator | tuple[np.
     raise ValueError(f"unknown unitary source kind {kind!r}")
 
 
-def unitaries_from_json(doc: dict) -> tuple[int, int, np.ndarray | tuple[np.ndarray | Monomial, ...]]:
-    """``(K, n, unitaries)`` of a spec or public-parameter document, unchecked.
-
-    The :func:`unitary_source` of ``doc``, with a Haar source drawn into one
-    read-only (K, N, N) stack held by nothing else, which a spec keeps
-    without a copy; every other source is a tuple, which a spec checks one
-    by one and stacks once: explicit matrices into a dense stack, Pauli
-    strings and permutations into a :class:`Monomial` stack.
-    :class:`CircuitSpec` checks the unitaries themselves.
-    """
-    k, n, source = unitary_source(doc)
-    if isinstance(source, tuple):
-        return k, n, source
-    unitaries = haar_random_unitaries(k, 2**n, source)
-    unitaries.flags.writeable = False
-    return k, n, unitaries
-
-
 def rotation_gate(w: float, variant: str = "reflection") -> np.ndarray:
     """Real orthogonal 2x2 gate with ``<0|R|0> = w`` and ``r = sqrt(1 - w^2)``.
 
@@ -642,11 +645,7 @@ def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
 
 def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
     """K x N matrix X whose row t is ``U_t psi``: O(K N^2) for dense unitaries, O(K N) for a monomial stack."""
-    psi = np.asarray(psi, dtype=complex)
-    us = spec.unitaries
-    if isinstance(us, Monomial):
-        return us.apply(np.broadcast_to(psi, us.images.shape))
-    return us @ psi
+    return spec.unitaries @ np.asarray(psi, dtype=complex)
 
 
 def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
@@ -683,8 +682,7 @@ def apply_circuit(spec: CircuitSpec, v: np.ndarray) -> np.ndarray:
     g1, g2 = mixing_layers(spec)
     rot = _rotations(spec.weights, spec.variant)
     x = np.tensordot(g1, v.reshape(k, 2, big_n), axes=1).transpose(0, 2, 1)  # (t, m, s)
-    us = spec.unitaries
-    x = us.apply(x) if isinstance(us, Monomial) else us @ x  # (t, m, s): U_t on both rotation halves
+    x = spec.unitaries @ x  # (t, m, s): U_t on both rotation halves
     x = rot @ x.transpose(0, 2, 1)  # (t, r, m)
     return np.tensordot(g2, x, axes=1).reshape(-1)
 

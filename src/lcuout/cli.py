@@ -26,10 +26,10 @@ import numpy as np
 
 from . import __version__
 from .circuit import (
-    CheckFailed, CircuitSpec, integer_value, list_value, real_value, reject_unread_keys, row_matrix,
-    scale_coefficients, success_probabilities, unitaries_from_json, unitary_source,
+    CheckFailed, CircuitSpec, check_layout, integer_value, list_value, real_value, reject_unread_keys, row_matrix,
+    scale_coefficients, success_probabilities, unitary_source,
 )
-from .linalg import random_state, rng
+from .linalg import haar_random_unitaries, random_state, rng
 from .outputs import matrix_from_csv, matrix_to_csv, output_matrix
 from .recovery import METHODS, make_mask, observe, sweep
 from .structure import verify
@@ -156,18 +156,19 @@ def cmd_fig2(config: dict, args) -> int:
 
     Coefficients are (1, .., 1, a, .., a) with the first half pinned at 1;
     the a-grid sweeps the second half.  The circuit runs on the rescaled
-    weights, from which both probabilities follow.
+    weights, from which both probabilities follow.  Every key is checked
+    before the K Haar unitaries are drawn.
     """
     reject_unread_keys(config, DEFAULT_FIG2, "fig2")
     k, n = integer_value("k", config["k"]), integer_value("n", config["n"])
-    half = k // 2
-    spec0 = CircuitSpec.from_json(json.dumps(
-        {"K": k, "n": n, "weights": [1.0] * k, "unitaries": {"kind": "haar", "seed": config["unitary_seed"]}}
-    ))
+    check_layout(k, n, "reflection")
+    unitary_gen = rng(integer_value("the Haar seed", config["unitary_seed"]))
     psi = random_state(2**n, integer_value("psi_seed", config["psi_seed"]))
     a_grid = [real_value("an a_grid value", a) for a in list_value("a_grid", config["a_grid"])]
     if not a_grid:
         raise ValueError("fig2 needs at least one a_grid value")
+    spec0 = CircuitSpec(k=k, n=n, weights=[1.0] * k, unitaries=haar_random_unitaries(k, 2**n, unitary_gen))
+    half = k // 2
     rows = []
     for a in a_grid:
         _, beta = scale_coefficients([1.0] * half + [a] * (k - half))
@@ -204,10 +205,13 @@ def cmd_fig3(config: dict, args) -> int:
     sizes = list_value("sizes", config["sizes"])
     if not sizes:
         raise ValueError("fig3 needs at least one size")
-    # every size is checked before the first sweep, so a bad one leaves no partial result set
+    # every size is checked before the first sweep, as the sweep checks its layout, so a bad one leaves no
+    # partial result set
+    k = integer_value("k", config.get("k", 4))
     for size in sizes:
         if integer_value("a size", size) < 1 or size & (size - 1):
             raise ValueError(f"sizes must be powers of two, got {size}")
+        check_layout(k, size.bit_length() - 1, "reflection")
     for size in sizes:
         rows = sweep({**{key: v for key, v in config.items() if key != "sizes"}, "n": size.bit_length() - 1})
         _sweep_to_csv(f"{args.out}_fig3_N{size}.csv", "fig3", config, rows)
@@ -258,9 +262,9 @@ DEFAULT_INVOLUTION = {
 def _layout(config: dict, args) -> PublicLayout:
     """The public layout of a trapdoor config, after every check of the config that needs no Haar draw.
 
-    Every trapdoor action reads its config through here, directly
-    (``keygen``, ``attack``) or through :func:`_public`, and so reads
-    DEFAULT_TRAPDOOR's keys.  The Haar and ``psi_seed``
+    Every trapdoor action reads its config through here, and so reads
+    DEFAULT_TRAPDOOR's keys; ``eval``, ``invert`` and the involution demo
+    then hand the layout to :func:`_public`.  The Haar and ``psi_seed``
     seeds are checked as :func:`~lcuout.linalg.rng` checks them, and a
     source the config spells out (explicit, Pauli, permutation) is built and
     checked into the :class:`PublicParams` returned; a Haar source is left
@@ -275,11 +279,16 @@ def _layout(config: dict, args) -> PublicLayout:
     return PublicLayout(**layout)
 
 
-def _public(config: dict, args) -> tuple[PublicParams, np.ndarray]:
-    """The public parameters and input state of a trapdoor config: its :func:`_layout`, a Haar source drawn."""
-    pub = _layout(config, args)
+def _public(config: dict, pub: PublicLayout) -> tuple[PublicParams, np.ndarray]:
+    """The public parameters and input state of a trapdoor config, given its :func:`_layout`: a Haar source drawn.
+
+    A source the config spells out was built and checked by :func:`_layout`
+    and is kept; a Haar source is drawn from the generator of
+    :func:`~lcuout.circuit.unitary_source`.
+    """
     if not isinstance(pub, PublicParams):
-        _, _, unitaries = unitaries_from_json(config)
+        _, _, gen = unitary_source(config)
+        unitaries = haar_random_unitaries(pub.k, 2**pub.n, gen)
         pub = PublicParams(k=pub.k, n=pub.n, scheme=pub.scheme, variant=pub.variant, unitaries=unitaries)
     return pub, random_state(2**pub.n, config.get("psi_seed", 0))
 
@@ -294,10 +303,13 @@ def cmd_keygen(config: dict, args) -> int:
 
 
 def cmd_eval(config: dict, args) -> int:
+    """Dump the key holder's outcome magnitudes or amplitudes; the key is read and fitted before the draw."""
     if args.shots is not None and args.dump == "amplitudes":
         raise ValueError("--shots samples --dump magnitudes; the exact --dump amplitudes would ignore it")
-    pub, psi = _public(config, args)
+    layout = _layout(config, args)
     key = key_from_json(Path(args.key).read_text())
+    layout.check_key(key)
+    pub, psi = _public(config, layout)
     if args.dump == "amplitudes":
         matrix = output_matrix(key_spec(key, pub), psi)
     else:
@@ -308,19 +320,20 @@ def cmd_eval(config: dict, args) -> int:
 
 
 def cmd_invert(config: dict, args) -> int:
+    """Invert with the key; ``--key``, ``--phi`` and the key's C are read and checked before the draw."""
     if args.sigma and args.density is None:
         raise ValueError("--sigma is the noise on what --density observes; without --density it would be ignored")
-    pub, psi = _public(config, args)
+    layout = _layout(config, args)
     key = key_from_json(Path(args.key).read_text())
+    obs = None if args.phi is None else matrix_from_csv(Path(args.phi).read_text())
+    c = key_coefficients(key, layout)
+    pub, psi = _public(config, layout)
     seed = args.seed or 0
     x = row_matrix(pub.base_spec, psi)
-    c = key_coefficients(key, pub)
-    if args.phi is not None:
-        obs = matrix_from_csv(Path(args.phi).read_text())
-    elif args.density is not None:
+    if args.density is not None:
         mask = make_mask(2 * pub.k, 2**pub.n, seed, "column_guaranteed", density=args.density, min_per_column=pub.k)
         obs = observe(c @ x, mask, args.sigma, seed=seed + 1)
-    else:
+    elif obs is None:
         obs = c @ x
     result = invert_with_key(key, pub, obs)
     truth = key.weights @ x
@@ -354,7 +367,7 @@ def cmd_attack(config: dict, args) -> int:
 
 
 def cmd_involution(config: dict, args) -> int:
-    pub, psi = _public(config, args)
+    pub, psi = _public(config, _layout(config, args))
     seed = args.seed or 0
     fid = involution_encrypt_decrypt(pub, psi, keygen(pub.k, "hadamard", seed), keygen(pub.k, "hadamard", seed + 1))
     _write_json(f"{args.out}_involution.json", {"fidelity": fid, "config_hash": _config_hash(config)})

@@ -141,7 +141,9 @@ def haar_random_unitaries(k: int, dim: int, seed: int | np.random.Generator) -> 
     slot of the stack, and Q is copied back there and its phases fixed in
     place, so besides the stack and QR's own arrays a draw holds one dim x
     dim array at a time; slot t has the same bits as the t-th draw formed
-    out of place from ``(x + 1j * y) / sqrt(2)``.
+    out of place from ``(x + 1j * y) / sqrt(2)``.  The stack is read-only
+    from birth and owns its data, so a :class:`~lcuout.circuit.CircuitSpec`
+    keeps it as drawn, with no copy.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
@@ -157,6 +159,7 @@ def haar_random_unitaries(k: int, dim: int, seed: int | np.random.Generator) -> 
         d = np.diagonal(r).copy()
         del r
         z *= d / np.abs(d)
+    us.flags.writeable = False
     return us
 
 

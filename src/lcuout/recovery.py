@@ -371,16 +371,15 @@ def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]
     """Seeded Hadamard-mixed spec (weights on [0.1, 1], Haar unitaries) and input state.
 
     Draws the K weights, then K Haar unitaries by QR, then psi, from one
-    generator, and checks the spec.  No package code calls it: it is the
-    instance, unitaries included, that the recovery tests and acceptance
-    criterion 05 draw.  A sweep, and so ``lcuout complete``, needs only the
-    rows ``U_t psi`` and draws them directly with :func:`sweep_instance`.
+    generator, and checks the spec, which keeps the read-only draw as
+    drawn.  No package code calls it: it is the instance, unitaries
+    included, that the recovery tests and acceptance criterion 05 draw.  A
+    sweep, and so ``lcuout complete``, needs only the rows ``U_t psi`` and
+    draws them directly with :func:`sweep_instance`.
     """
     gen = rng(seed)
     weights = gen.uniform(0.1, 1.0, k)
-    unitaries = haar_random_unitaries(k, 2**n, gen)
-    unitaries.flags.writeable = False  # so the spec keeps the draw instead of copying it
-    spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=unitaries)
+    spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=haar_random_unitaries(k, 2**n, gen))
     psi = random_state(2**n, gen)
     return spec, psi
 

@@ -101,9 +101,9 @@ class PublicParams(PublicLayout):
     Building it checks the layout, then the unitaries once, through
     ``base_spec``, the zero-weight circuit over them, and keeps the spec's
     read-only stack as ``unitaries``: the given stack when it is read-only
-    and owns its data (as :func:`~lcuout.circuit.unitaries_from_json` hands
-    a Haar draw over), a copy of a tuple of matrices or of any other stack,
-    or, for Pauli strings and permutations, the (K, N)
+    and owns its data (a Haar draw is read-only from birth, so it is kept
+    as drawn), a copy of a tuple of matrices or of any other stack, or, for
+    Pauli strings and permutations, the (K, N)
     :class:`~lcuout.circuit.Monomial` stack, which holds no N x N matrix.
     Every circuit over them (:func:`key_spec` and so the evaluation and
     the involution cipher) derives from ``base_spec`` with

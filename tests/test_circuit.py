@@ -29,7 +29,7 @@ from lcuout.circuit import (
     scale_coefficients,
     shot_counts,
     success_probabilities,
-    unitaries_from_json,
+    unitary_source,
 )
 from lcuout.linalg import dft_matrix, hadamard_matrix, haar_random_unitaries, haar_random_unitary, random_state, rng
 
@@ -165,7 +165,7 @@ class _Holder:
 
 @pytest.mark.parametrize("given", ["tuple", "writeable", "read-only-view", "array-holder"])
 def test_spec_copies_a_writeable_unitary_or_a_view(given):
-    writer = haar_random_unitaries(2, 4, rng(21))
+    writer = haar_random_unitaries(2, 4, rng(21)).copy()  # a draw is read-only; this test needs a writer
     if given == "tuple":
         given = (writer[0], writer[1])
     elif given == "read-only-view":
@@ -182,8 +182,9 @@ def test_spec_copies_a_writeable_unitary_or_a_view(given):
 
 
 def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
+    # a Haar draw is read-only from birth and owns its data, so a spec keeps it as drawn
     us = haar_random_unitaries(2, 4, rng(22))
-    us.flags.writeable = False
+    assert not us.flags.writeable and us.flags.owndata and us.base is None
     spec = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=us)
     assert spec.unitaries is us
     mix = dft_matrix(2)
@@ -213,11 +214,16 @@ def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
     ("haar", None), ("pauli_strings", ["XZ", "ZY"]), ("permutation", [[1, 0, 3, 2], [3, 2, 1, 0]]),
     ("explicit", [matrix_to_pairs(pauli_string_matrix(p)) for p in ("XX", "IZ")]),
 ])
-def test_unitaries_from_json_hands_over_read_only_matrices(kind, data):
+def test_unitary_sources_hand_over_read_only_matrices(kind, data):
     source = {"kind": kind, "seed": 4} if data is None else {"kind": kind, "data": data}
-    k, n, unitaries = unitaries_from_json({"K": 2, "n": 2, "unitaries": source})
+    k, n, unitaries = unitary_source({"K": 2, "n": 2, "unitaries": source})
+    if kind == "haar":
+        # a Haar source is its generator, undrawn, and from_json draws from it
+        assert isinstance(unitaries, np.random.Generator)
+        unitaries = haar_random_unitaries(k, 2**n, unitaries)
     assert (k, n) == (2, 2) and len(unitaries) == 2
     spec = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=unitaries)
+    assert CircuitSpec.from_json(json.dumps({"K": 2, "n": 2, "weights": [1.0, 1.0], "unitaries": source})) == spec
     if kind == "haar":
         # the draw is one read-only stack that the spec keeps
         assert not unitaries.flags.writeable and spec.unitaries is unitaries
@@ -249,6 +255,25 @@ def test_haar_spec_from_json_peaks_below_two_copies_of_its_unitaries():
         tracemalloc.stop()
     assert len(spec.unitaries) == k
     assert peak <= 2.0 * k * (2**n) ** 2 * 16
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"extra": 1}, "config key 'extra' is not read by a circuit spec"),
+    ({"variant": "spiral"}, "unknown variant 'spiral'"),
+    ({"mixing": "dft", "mixing_matrix": [[[1.0, 0.0]]]}, "mixing matrix only applies to secret mixing"),
+    ({"weights": [1.0, 2.0, 0.5, 0.5]}, r"weights must be finite and lie in \[-1, 1\]"),
+], ids=["unread-key", "unknown-variant", "misplaced-mixing-matrix", "weight-out-of-range"])
+def test_from_json_checks_the_whole_document_before_the_draw(monkeypatch, change, message):
+    # at n = 16 the K Haar unitaries would take 256 GiB, so a bad document must fail before any draw
+    def no_draw(*args):
+        raise RuntimeError("drew the Haar unitaries")
+
+    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
+    doc = {"K": 4, "n": 16, "weights": [0.5] * 4, "unitaries": {"kind": "haar", "seed": 1}}
+    with pytest.raises(ValueError, match=message):
+        CircuitSpec.from_json(json.dumps({**doc, **change}))
+    with pytest.raises(RuntimeError, match="drew the Haar unitaries"):  # a good document is drawn next
+        CircuitSpec.from_json(json.dumps(doc))
 
 
 def test_spec_rejects_nan_weights():
@@ -328,7 +353,7 @@ def test_spec_json_rejects_an_unread_key_and_a_misplaced_mixing_matrix(change, m
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: unitaries_from_json([1, 2]), "a circuit document must be a JSON object"),
+    (lambda: unitary_source([1, 2]), "a circuit document must be a JSON object"),
     (lambda: matrix_from_pairs([[1.0, 0.0]]), r"matrix entries must be \[re, im\] pairs"),
     (lambda: rotation_gate(0.5, "spiral"), "unknown variant 'spiral'"),
     (lambda: output_states(make_spec(k=2, n=1, seed=1), np.ones(4) / 2), r"state has shape \(4,\), expected \(2,\)"),
@@ -405,6 +430,32 @@ def test_a_monomial_spec_holds_and_applies_no_dense_matrix():
                            (mono[:3] + (pauli_string_monomial("XYZ"),), r"unitary 3 has shape \(8, 8\), expected \(4, 4\)")]:
         with pytest.raises(ValueError, match=message):
             CircuitSpec(k=4, n=2, weights=np.ones(4), unitaries=given)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (4, 4), (4, 3), (3, 4, 2), (2, 3, 4, 2)],
+                         ids=["state", "K-by-N", "K-by-N-square", "N-by-S", "K-by-N-by-S", "batch-K-by-N-by-S"])
+def test_monomial_matmul_has_the_bits_of_the_dense_matmul(shape):
+    # K = 3 Pauli strings and permutations, whose phases +-1 and +-i make every product exact; np.matmul reads
+    # a 2-D operand as one matrix of N rows, so the (K, N) operand broadcasts only where K = N
+    paulis = [[pauli_string_monomial(s) for s in labels] for labels in (("XY", "ZZ", "YI"), ("IY", "YX", "ZI"))]
+    stacks = [Monomial(np.stack([u.images for u in us]), np.stack([u.phases for u in us])) for us in paulis]
+    stacks.append(Monomial(np.array([[1, 0, 3, 2], [3, 2, 1, 0], [0, 2, 1, 3]]), np.ones((3, 4))))
+    gen = rng(31)
+    x = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    for mono in stacks:
+        for u in (mono, mono[1]):
+            try:
+                dense = u.dense @ x
+            except ValueError:  # np.matmul refuses to broadcast (3, 4, 4) against (3, 4): so must the monomial
+                with pytest.raises(ValueError):
+                    u @ x
+                continue
+            got = u @ x
+            assert got.shape == dense.shape and got.tobytes() == dense.tobytes()
+    with pytest.raises(ValueError, match=r"cannot apply a monomial of shape \(3, 4, 4\) to an array of shape \(1,\)"):
+        stacks[0] @ np.ones(1)
+    with pytest.raises(ValueError, match="cannot apply"):
+        stacks[0][0] @ np.ones((2, 3))
 
 
 # ---- layers and full unitary -------------------------------------------------

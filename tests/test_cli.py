@@ -509,6 +509,18 @@ def test_trapdoor_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case)
     assert list(tmp_path.glob("o*")) == []
 
 
+def _no_draw(monkeypatch):
+    """Make every module binding of the Haar draw raise, so a command that draws fails with a RuntimeError."""
+    def no_draw(*args):
+        raise RuntimeError("drew the Haar unitaries")
+
+    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
+    monkeypatch.setattr(lcuout.cli, "haar_random_unitaries", no_draw)
+
+
+WRONG_SCHEME_KEY = {"scheme": "secret_mixing", "weights": [0.5] * 4, "gamma": 3}
+
+
 def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
     # the attack reads K, n, scheme, variant and --phi and keygen reads K and the scheme, each after the config
     # checks of eval; eval still draws the K Haar unitaries it evaluates
@@ -519,10 +531,7 @@ def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
     assert main([*attack, "--out", str(tmp_path / "drawn")]) == 0
     assert main(["trapdoor", "keygen", "--seed", "4", "--out", str(tmp_path / "drawn")]) == 0
 
-    def no_draw(*args):
-        raise RuntimeError("drew the Haar unitaries")
-
-    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
+    _no_draw(monkeypatch)  # every module binding of the draw, so the eval below fails whichever path draws
     assert main([*attack, "--out", str(tmp_path / "undrawn")]) == 0
     assert main(["trapdoor", "keygen", "--seed", "4", "--out", str(tmp_path / "undrawn")]) == 0
     for name in ("attack.json", "key.json"):
@@ -530,6 +539,63 @@ def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "undrawn_attack.json").read_text())["success"] is True
     with pytest.raises(RuntimeError, match="drew the Haar unitaries"):
         main(["trapdoor", "eval", "--key", str(key), "--out", str(tmp_path / "e")])
+
+
+@pytest.mark.parametrize("argv, key_doc, message", [
+    (["eval"], None, "No such file"),
+    (["invert"], None, "No such file"),
+    (["eval"], WRONG_SCHEME_KEY, "key scheme 'secret_mixing' does not match public 'hadamard'"),
+    (["invert"], WRONG_SCHEME_KEY, "key scheme 'secret_mixing' does not match public 'hadamard'"),
+    (["invert", "--phi", "missing.csv"], {"scheme": "hadamard", "weights": [0.5] * 4, "gamma": None}, "No such file"),
+], ids=["eval-missing-key", "invert-missing-key", "eval-key-scheme", "invert-key-scheme", "invert-missing-phi"])
+def test_eval_and_invert_report_input_errors_before_the_draw(tmp_path, monkeypatch, capsys, argv, key_doc, message):
+    # the K Haar unitaries are the costly part of a command, so --key and --phi are read, and the key fitted to
+    # the layout, first
+    monkeypatch.chdir(tmp_path)
+    if key_doc is not None:
+        (tmp_path / "k.json").write_text(json.dumps(key_doc))
+    _no_draw(monkeypatch)
+    assert main(["trapdoor", *argv, "--key", "k.json", "--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(tmp_path.glob("o*")) == []
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"extra": 1}, "config key 'extra' is not read by a circuit spec"), ({"variant": "spiral"}, "unknown variant"),
+], ids=["unread-key", "unknown-variant"])
+def test_verify_records_a_bad_sixteen_qubit_spec_without_a_draw(tmp_path, monkeypatch, capsys, change, message):
+    # the draw would need 256 GiB; the document is refused first, as a failed spec-validation (exit 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_VERIFY, "n": 16, **change}))
+    _no_draw(monkeypatch)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
+    (check,) = json.loads((tmp_path / "v_verify.json").read_text())["checks"]
+    assert check["name"] == "spec-validation" and not check["pass"] and message in check["error"]
+    assert capsys.readouterr().out == "FAIL spec-validation\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"k": 3}, "power-of-two k, got 3"), ({"n": 0}, "at least one system qubit"),
+    ({"unitary_seed": -1}, "a seed must lie in [0, 2**128)"), ({"psi_seed": None}, "psi_seed must be an integer"),
+    ({"a_grid": []}, "at least one a_grid value"), ({"a_grid": ["0.5"]}, "must be a real number"),
+], ids=["k", "n", "unitary-seed", "psi-seed", "empty-a-grid", "a-grid-string"])
+def test_fig2_checks_its_config_before_the_draw(tmp_path, monkeypatch, capsys, change, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_FIG2, **change}))
+    _no_draw(monkeypatch)
+    assert main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("f*")) == []
+
+
+def test_fig3_refuses_a_size_of_one_before_any_sweep(tmp_path, capsys):
+    # 1 = 2**0 is a power of two, but a sweep needs n >= 1; N16 must not be written before the refusal
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_SWEEP, "sizes": [16, 1]}))
+    assert main(["fig3", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == "error: need at least one system qubit, got n=0\n"
+    assert list(tmp_path.glob("*_fig3_*")) == []
 
 
 def test_verify_refuses_secret_mixing_at_a_k_that_is_not_a_power_of_two(tmp_path, capsys):
@@ -649,6 +715,19 @@ def test_readme_command_lines_parse():
     for argv in lines:
         args = lcuout.cli._parser().parse_args(argv)
         assert callable(args.run) and isinstance(args.default_config, dict)
+
+
+def test_readme_library_block_runs_and_prints_what_it_says():
+    # the "Library at a glance" block, run as a user would run it from a checkout
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library at a glance", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(lcuout.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    residual, probability = (float(line) for line in run.stdout.split())
+    assert "# ~1e-15" in block and residual < 1e-14
+    assert "# 0.0805" in block and abs(probability - 0.0805) < 5e-5
 
 
 def test_main_builds_the_parser_once_and_survives_a_usage_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lcuout.circuit import (
-    Monomial, coefficients, mixing_layers, pauli_string_matrix, sample_shots, unitaries_from_json,
+    Monomial, coefficients, mixing_layers, pauli_string_matrix, sample_shots, unitary_source,
 )
 from lcuout.linalg import haar_random_unitary, hadamard_matrix, random_state, rng
 from lcuout.outputs import coefficient_matrix, output_matrix, row_matrix
@@ -452,7 +452,7 @@ def test_involution_on_fourteen_qubit_pauli_strings_builds_no_dense_matrix():
     psi, keys = random_state(2**14, 45), (keygen(4, "hadamard", 46), keygen(4, "hadamard", 47))
     tracemalloc.start()
     try:
-        _, _, unitaries = unitaries_from_json(doc)
+        _, _, unitaries = unitary_source(doc)
         pub = PublicParams(k=4, n=14, unitaries=unitaries)
         assert isinstance(pub.unitaries, Monomial)  # before any circuit runs, so a dense source fails here
         fid = involution_encrypt_decrypt(pub, psi, *keys)
