@@ -259,7 +259,8 @@ class CircuitSpec:
         n: number of system qubits; the system dimension is ``N = 2**n``.
         weights: K real rotation weights, each in [-1, 1].
         unitaries: the K unitaries U_t as one (K, N, N) complex stack, or as
-            one (K, N) :class:`Monomial` stack.
+            one (K, N) :class:`Monomial` stack; given as a generator, the
+            Haar source of :func:`unitary_source`, they are drawn from it.
         mixing: "hadamard", "dft", or "secret" (requires ``mixing_matrix``).
         mixing_matrix: K x K unitary used when ``mixing == "secret"``.
         variant: "reflection" (symmetric rotation gate) or "cyclic".
@@ -280,7 +281,12 @@ class CircuitSpec:
     :meth:`Monomial.non_unitary`, with the same outcome and message as the
     dense check.  :func:`row_matrix` and :func:`apply_circuit` apply
     either form with ``@``; everything else reads :attr:`dense_unitaries`.
-    A Haar draw is read-only from birth, so a spec keeps it as drawn.
+
+    A ``np.random.Generator`` is drawn from by the spec itself: K Haar
+    unitaries of order N, :func:`~lcuout.linalg.haar_random_unitaries`,
+    after every check but unitarity, so a bad weight, mixing or size costs
+    no draw.  The draw is read-only from birth, so the spec keeps it as
+    drawn.
 
     Two specs are equal when every field is: the arrays element by element,
     the unitaries in the form each holds, so a dense stack never equals a
@@ -297,7 +303,10 @@ class CircuitSpec:
 
     def __post_init__(self):
         self._check_parameters()
-        given = self.unitaries if isinstance(self.unitaries, (tuple, list, Monomial)) else np.asarray(self.unitaries)
+        given = self.unitaries
+        if isinstance(given, np.random.Generator):
+            given = haar_random_unitaries(self.k, self.big_n, given)
+        given = given if isinstance(given, (tuple, list, Monomial)) else np.asarray(given)
         if len(given) != self.k:
             raise ValueError(f"expected {self.k} unitaries, got {len(given)}")
         for t, u in enumerate(given):
@@ -361,22 +370,17 @@ class CircuitSpec:
     def from_json(cls, text: str) -> "CircuitSpec":
         """Load a spec from the interchange JSON schema, whose keys are ``_SPEC_KEYS``; another is a ``ValueError``.
 
-        Every check but unitarity comes before a Haar draw, in the order a
-        trapdoor config is read: :func:`unitary_source`,
-        :func:`reject_unread_keys`, then :func:`checked_parameters`.  The spec
-        keeps the draw as drawn.
+        Checks the document's JSON (:func:`unitary_source`,
+        :func:`reject_unread_keys`, the types of the weights and the mixing
+        matrix) and hands the source to the spec as it comes, so a Haar
+        source is drawn by :meth:`__post_init__`, after the spec's own checks.
         """
         doc = json.loads(text)
         k, n, source = unitary_source(doc)
         reject_unread_keys(doc, _SPEC_KEYS, "a circuit spec")
-        mixing, variant = doc.get("mixing", "hadamard"), doc.get("variant", "reflection")
-        weights, mixing_matrix = checked_parameters(
-            k, n, [real_value("a weight", w) for w in list_value("weights", doc["weights"])], mixing, variant,
-            matrix_from_pairs(doc["mixing_matrix"]) if "mixing_matrix" in doc else None,
-        )
-        unitaries = source if isinstance(source, tuple) else haar_random_unitaries(k, 2**n, source)
-        return cls(k=k, n=n, weights=weights, unitaries=unitaries, mixing=mixing, mixing_matrix=mixing_matrix,
-                   variant=variant)
+        return cls(k=k, n=n, weights=[real_value("a weight", w) for w in list_value("weights", doc["weights"])],
+                   unitaries=source, mixing=doc.get("mixing", "hadamard"), variant=doc.get("variant", "reflection"),
+                   mixing_matrix=matrix_from_pairs(doc["mixing_matrix"]) if "mixing_matrix" in doc else None)
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -508,11 +512,12 @@ def unitary_source(doc: dict) -> tuple[int, int, np.random.Generator | tuple[np.
     Haar seed that :func:`~lcuout.linalg.rng` refuses, source ``data`` that
     is not a list, a Pauli label or a permutation that is malformed, and an
     unknown source kind.  A Haar source is the generator of its seed, not
-    yet drawn; every other source is the tuple of unitaries it spells out,
-    not yet checked as unitaries: :class:`Monomial` ones, built in O(n N)
-    each, for ``pauli_strings`` and ``permutation``, and N x N matrices for
-    ``explicit``.  So which form a spec holds follows from the source kind
-    alone.
+    yet drawn: :class:`CircuitSpec` draws from it after its own checks, so
+    no caller draws.  Every other source is the tuple of unitaries it spells
+    out, not yet checked as unitaries: :class:`Monomial` ones, built in
+    O(n N) each, for ``pauli_strings`` and ``permutation``, and N x N
+    matrices for ``explicit``.  So which form a spec holds follows from the
+    source kind alone.
     """
     if not isinstance(doc, dict):
         raise ValueError("a circuit document must be a JSON object")

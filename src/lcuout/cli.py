@@ -29,7 +29,7 @@ from .circuit import (
     CheckFailed, CircuitSpec, check_layout, integer_value, list_value, real_value, reject_unread_keys, row_matrix,
     scale_coefficients, success_probabilities, unitary_source,
 )
-from .linalg import haar_random_unitaries, random_state, rng
+from .linalg import random_state, rng
 from .outputs import matrix_from_csv, matrix_to_csv, output_matrix
 from .recovery import METHODS, make_mask, observe, sweep
 from .structure import verify
@@ -157,7 +157,8 @@ def cmd_fig2(config: dict, args) -> int:
     Coefficients are (1, .., 1, a, .., a) with the first half pinned at 1;
     the a-grid sweeps the second half.  The circuit runs on the rescaled
     weights, from which both probabilities follow.  Every key is checked
-    before the K Haar unitaries are drawn.
+    before the spec draws its K Haar unitaries from the ``unitary_seed``
+    generator.
     """
     reject_unread_keys(config, DEFAULT_FIG2, "fig2")
     k, n = integer_value("k", config["k"]), integer_value("n", config["n"])
@@ -167,7 +168,7 @@ def cmd_fig2(config: dict, args) -> int:
     a_grid = [real_value("an a_grid value", a) for a in list_value("a_grid", config["a_grid"])]
     if not a_grid:
         raise ValueError("fig2 needs at least one a_grid value")
-    spec0 = CircuitSpec(k=k, n=n, weights=[1.0] * k, unitaries=haar_random_unitaries(k, 2**n, unitary_gen))
+    spec0 = CircuitSpec(k=k, n=n, weights=[1.0] * k, unitaries=unitary_gen)
     half = k // 2
     rows = []
     for a in a_grid:
@@ -283,13 +284,13 @@ def _public(config: dict, pub: PublicLayout) -> tuple[PublicParams, np.ndarray]:
     """The public parameters and input state of a trapdoor config, given its :func:`_layout`: a Haar source drawn.
 
     A source the config spells out was built and checked by :func:`_layout`
-    and is kept; a Haar source is drawn from the generator of
-    :func:`~lcuout.circuit.unitary_source`.
+    and is kept; for a Haar source, the generator of
+    :func:`~lcuout.circuit.unitary_source` is handed to :class:`PublicParams`,
+    whose spec draws from it.
     """
     if not isinstance(pub, PublicParams):
         _, _, gen = unitary_source(config)
-        unitaries = haar_random_unitaries(pub.k, 2**pub.n, gen)
-        pub = PublicParams(k=pub.k, n=pub.n, scheme=pub.scheme, variant=pub.variant, unitaries=unitaries)
+        pub = PublicParams(k=pub.k, n=pub.n, scheme=pub.scheme, variant=pub.variant, unitaries=gen)
     return pub, random_state(2**pub.n, config.get("psi_seed", 0))
 
 
@@ -303,12 +304,16 @@ def cmd_keygen(config: dict, args) -> int:
 
 
 def cmd_eval(config: dict, args) -> int:
-    """Dump the key holder's outcome magnitudes or amplitudes; the key is read and fitted before the draw."""
+    """Dump the key holder's outcome magnitudes or amplitudes.
+
+    The key is read and fitted to the layout, its weights and secret mixing
+    included (:func:`~lcuout.trapdoor.key_coefficients`), before the draw.
+    """
     if args.shots is not None and args.dump == "amplitudes":
         raise ValueError("--shots samples --dump magnitudes; the exact --dump amplitudes would ignore it")
     layout = _layout(config, args)
     key = key_from_json(Path(args.key).read_text())
-    layout.check_key(key)
+    key_coefficients(key, layout)
     pub, psi = _public(config, layout)
     if args.dump == "amplitudes":
         matrix = output_matrix(key_spec(key, pub), psi)

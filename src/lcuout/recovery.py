@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import CircuitSpec, check_layout, coefficients, integer_value, list_value, real_value, reject_unread_keys
-from .linalg import SEED_BOUND, haar_random_unitaries, random_state, rng, truncate_rank
+from .linalg import SEED_BOUND, random_state, rng, truncate_rank
 
 __all__ = [
     "FactorizedResult",
@@ -371,15 +371,15 @@ def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]
     """Seeded Hadamard-mixed spec (weights on [0.1, 1], Haar unitaries) and input state.
 
     Draws the K weights, then K Haar unitaries by QR, then psi, from one
-    generator, and checks the spec, which keeps the read-only draw as
-    drawn.  No package code calls it: it is the instance, unitaries
-    included, that the recovery tests and acceptance criterion 05 draw.  A
-    sweep, and so ``lcuout complete``, needs only the rows ``U_t psi`` and
-    draws them directly with :func:`sweep_instance`.
+    generator: the spec, handed the generator, checks the weights and then
+    draws the unitaries from it.  No package code calls it: it is the
+    instance, unitaries included, that the recovery tests and acceptance
+    criterion 05 draw.  A sweep, and so ``lcuout complete``, needs only the
+    rows ``U_t psi`` and draws them directly with :func:`sweep_instance`.
     """
     gen = rng(seed)
     weights = gen.uniform(0.1, 1.0, k)
-    spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=haar_random_unitaries(k, 2**n, gen))
+    spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=gen)
     psi = random_state(2**n, gen)
     return spec, psi
 

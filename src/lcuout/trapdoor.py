@@ -101,10 +101,12 @@ class PublicParams(PublicLayout):
     Building it checks the layout, then the unitaries once, through
     ``base_spec``, the zero-weight circuit over them, and keeps the spec's
     read-only stack as ``unitaries``: the given stack when it is read-only
-    and owns its data (a Haar draw is read-only from birth, so it is kept
-    as drawn), a copy of a tuple of matrices or of any other stack, or, for
-    Pauli strings and permutations, the (K, N)
-    :class:`~lcuout.circuit.Monomial` stack, which holds no N x N matrix.
+    and owns its data, a copy of a tuple of matrices or of any other stack,
+    the K Haar unitaries the spec draws, after the layout checks, from a
+    generator given as ``unitaries`` (the Haar source of
+    :func:`~lcuout.circuit.unitary_source`), or, for Pauli strings and
+    permutations, the (K, N) :class:`~lcuout.circuit.Monomial` stack, which
+    holds no N x N matrix.
     Every circuit over them (:func:`key_spec` and so the evaluation and
     the involution cipher) derives from ``base_spec`` with
     ``CircuitSpec.with_weights``; the key holder's inversion needs only the

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
         assert peak < 1.75 * k * (2**n) ** 2 * 16, type(given)
 
 
+@pytest.mark.parametrize("seed", [0, 23])
+def test_spec_draws_a_generator_as_haar_random_unitaries_and_keeps_the_draw(seed):
+    # a generator, the Haar source of unitary_source, is drawn by the spec itself, with the bits of the direct draw
+    k, n = 4, 3
+    gen, direct = rng(seed), rng(seed)
+    spec = CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=gen)
+    assert spec == CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=haar_random_unitaries(k, 2**n, direct))
+    us = spec.unitaries
+    assert isinstance(us, np.ndarray) and us.shape == (k, 2**n, 2**n) and us.dtype == complex
+    assert not us.flags.writeable and us.flags.owndata and us.base is None
+    # the generator is left where the direct draw leaves it, so what is drawn from it next is unchanged
+    assert gen.random() == direct.random()
+
+
 @pytest.mark.parametrize("kind, data", [
     ("haar", None), ("pauli_strings", ["XZ", "ZY"]), ("permutation", [[1, 0, 3, 2], [3, 2, 1, 0]]),
     ("explicit", [matrix_to_pairs(pauli_string_matrix(p)) for p in ("XX", "IZ")]),
@@ -218,7 +233,7 @@ def test_unitary_sources_hand_over_read_only_matrices(kind, data):
     source = {"kind": kind, "seed": 4} if data is None else {"kind": kind, "data": data}
     k, n, unitaries = unitary_source({"K": 2, "n": 2, "unitaries": source})
     if kind == "haar":
-        # a Haar source is its generator, undrawn, and from_json draws from it
+        # a Haar source is its generator, undrawn, and the spec from_json builds draws from it
         assert isinstance(unitaries, np.random.Generator)
         unitaries = haar_random_unitaries(k, 2**n, unitaries)
     assert (k, n) == (2, 2) and len(unitaries) == 2
@@ -257,13 +272,15 @@ def test_haar_spec_from_json_peaks_below_two_copies_of_its_unitaries():
     assert peak <= 2.0 * k * (2**n) ** 2 * 16
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"extra": 1}, "config key 'extra' is not read by a circuit spec"),
-    ({"variant": "spiral"}, "unknown variant 'spiral'"),
-    ({"mixing": "dft", "mixing_matrix": [[[1.0, 0.0]]]}, "mixing matrix only applies to secret mixing"),
-    ({"weights": [1.0, 2.0, 0.5, 0.5]}, r"weights must be finite and lie in \[-1, 1\]"),
+@pytest.mark.parametrize("change, fields, message", [
+    ({"extra": 1}, None, "config key 'extra' is not read by a circuit spec"),
+    ({"variant": "spiral"}, {"variant": "spiral"}, "unknown variant 'spiral'"),
+    ({"mixing": "dft", "mixing_matrix": [[[1.0, 0.0]]]}, {"mixing": "dft", "mixing_matrix": np.ones((1, 1))},
+     "mixing matrix only applies to secret mixing"),
+    ({"weights": [1.0, 2.0, 0.5, 0.5]}, {"weights": [1.0, 2.0, 0.5, 0.5]},
+     r"weights must be finite and lie in \[-1, 1\]"),
 ], ids=["unread-key", "unknown-variant", "misplaced-mixing-matrix", "weight-out-of-range"])
-def test_from_json_checks_the_whole_document_before_the_draw(monkeypatch, change, message):
+def test_from_json_checks_the_whole_document_before_the_draw(monkeypatch, change, fields, message):
     # at n = 16 the K Haar unitaries would take 256 GiB, so a bad document must fail before any draw
     def no_draw(*args):
         raise RuntimeError("drew the Haar unitaries")
@@ -272,6 +289,10 @@ def test_from_json_checks_the_whole_document_before_the_draw(monkeypatch, change
     doc = {"K": 4, "n": 16, "weights": [0.5] * 4, "unitaries": {"kind": "haar", "seed": 1}}
     with pytest.raises(ValueError, match=message):
         CircuitSpec.from_json(json.dumps({**doc, **change}))
+    if fields is not None:
+        # a spec handed the generator itself checks the same fields before it draws
+        with pytest.raises(ValueError, match=message):
+            CircuitSpec(**{"k": 4, "n": 16, "weights": [0.5] * 4, "unitaries": rng(1), **fields})
     with pytest.raises(RuntimeError, match="drew the Haar unitaries"):  # a good document is drawn next
         CircuitSpec.from_json(json.dumps(doc))
 
@@ -714,6 +735,15 @@ def test_sample_shots_are_the_shot_counts_of_the_outcome_states():
     expected = shot_counts(output_states(spec, psi).states, 5000, 35)
     np.testing.assert_array_equal(sample_shots(spec, psi, 5000, 35), expected)
     np.testing.assert_array_equal(expected, searched_counts(output_states(spec, psi).states, 5000, 35))
+
+
+def test_shot_counts_put_a_uniform_on_a_cell_edge_into_the_next_cell(monkeypatch):
+    # the cumulative probabilities 0.25, 0.5, 1, 1 are exact and three uniforms sit on them; a shot lands in the
+    # first cell whose cumulative probability exceeds its uniform, so 0.25 counts in cell 1 and 0.5 in cell 2
+    monkeypatch.setattr(lcuout.circuit, "rng", lambda seed: SimpleNamespace(random=lambda shots: np.array(
+        [0.75, 0.0, 0.5, 0.25])))
+    counts = shot_counts(np.sqrt([[0.25, 0.25], [0.5, 0.0]]), 4, 0)
+    np.testing.assert_array_equal(counts, [[1, 1], [2, 0]])
 
 
 @pytest.mark.parametrize("shots", [0, -3])

@@ -510,15 +510,15 @@ def test_trapdoor_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case)
 
 
 def _no_draw(monkeypatch):
-    """Make every module binding of the Haar draw raise, so a command that draws fails with a RuntimeError."""
+    """Make the one module binding of the Haar draw, the spec's, raise, so a command that draws fails."""
     def no_draw(*args):
         raise RuntimeError("drew the Haar unitaries")
 
     monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
-    monkeypatch.setattr(lcuout.cli, "haar_random_unitaries", no_draw)
 
 
 WRONG_SCHEME_KEY = {"scheme": "secret_mixing", "weights": [0.5] * 4, "gamma": 3}
+OUT_OF_RANGE_KEY = {"scheme": "hadamard", "weights": [1.5, 0.5, 0.5, 0.5], "gamma": None}
 
 
 def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
@@ -531,7 +531,7 @@ def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
     assert main([*attack, "--out", str(tmp_path / "drawn")]) == 0
     assert main(["trapdoor", "keygen", "--seed", "4", "--out", str(tmp_path / "drawn")]) == 0
 
-    _no_draw(monkeypatch)  # every module binding of the draw, so the eval below fails whichever path draws
+    _no_draw(monkeypatch)  # the one module binding of the draw, so the eval below fails if anything draws
     assert main([*attack, "--out", str(tmp_path / "undrawn")]) == 0
     assert main(["trapdoor", "keygen", "--seed", "4", "--out", str(tmp_path / "undrawn")]) == 0
     for name in ("attack.json", "key.json"):
@@ -547,7 +547,10 @@ def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
     (["eval"], WRONG_SCHEME_KEY, "key scheme 'secret_mixing' does not match public 'hadamard'"),
     (["invert"], WRONG_SCHEME_KEY, "key scheme 'secret_mixing' does not match public 'hadamard'"),
     (["invert", "--phi", "missing.csv"], {"scheme": "hadamard", "weights": [0.5] * 4, "gamma": None}, "No such file"),
-], ids=["eval-missing-key", "invert-missing-key", "eval-key-scheme", "invert-key-scheme", "invert-missing-phi"])
+    (["eval"], OUT_OF_RANGE_KEY, "weights must be finite and lie in [-1, 1]"),
+    (["invert"], OUT_OF_RANGE_KEY, "weights must be finite and lie in [-1, 1]"),
+], ids=["eval-missing-key", "invert-missing-key", "eval-key-scheme", "invert-key-scheme", "invert-missing-phi",
+        "eval-key-weight", "invert-key-weight"])
 def test_eval_and_invert_report_input_errors_before_the_draw(tmp_path, monkeypatch, capsys, argv, key_doc, message):
     # the K Haar unitaries are the costly part of a command, so --key and --phi are read, and the key fitted to
     # the layout, first

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import lcuout.circuit
 import lcuout.linalg
 import lcuout.recovery
 from lcuout.circuit import CircuitSpec
@@ -554,7 +555,7 @@ def test_sweep_draws_states_not_unitaries(monkeypatch):
         post_init(spec)
 
     monkeypatch.setattr(lcuout.linalg, "haar_random_unitaries", counted_haar)
-    monkeypatch.setattr(lcuout.recovery, "haar_random_unitaries", counted_haar)
+    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", counted_haar)
     monkeypatch.setattr(CircuitSpec, "__post_init__", counted_spec)
     # the factorized solve is reached through the module global, so it can be wrapped by name
     seen = []

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lcuout.circuit
 from lcuout.circuit import (
     Monomial, coefficients, mixing_layers, pauli_string_matrix, sample_shots, unitary_source,
 )
-from lcuout.linalg import haar_random_unitary, hadamard_matrix, random_state, rng
+from lcuout.linalg import haar_random_unitaries, haar_random_unitary, hadamard_matrix, random_state, rng
 from lcuout.outputs import coefficient_matrix, output_matrix, row_matrix
 from lcuout.recovery import ObservedEntries, make_mask, observe
 from lcuout.trapdoor import (
@@ -56,6 +57,25 @@ def test_public_params_check_their_unitaries_when_built():
     # the unitaries are keyword-only, after the layout's defaulted scheme and variant
     with pytest.raises(TypeError):
         PublicParams(4, 2, us)
+
+
+def test_public_params_draw_a_generator_after_the_layout_checks(monkeypatch):
+    # a generator, the Haar source of unitary_source, is drawn by the base spec, with the bits of the direct draw
+    pub = PublicParams(k=4, n=3, unitaries=rng(8), variant="cyclic")
+    assert pub == PublicParams(k=4, n=3, unitaries=haar_random_unitaries(4, 8, rng(8)), variant="cyclic")
+    assert pub.unitaries is pub.base_spec.unitaries and pub.unitaries.shape == (4, 8, 8)
+    assert not pub.unitaries.flags.writeable and pub.unitaries.flags.owndata and pub.unitaries.base is None
+
+    def no_draw(*args):
+        raise RuntimeError("drew the Haar unitaries")
+
+    # at n = 16 the draw would take 256 GiB, so a layout error must come first
+    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
+    for change, match in [({"k": 3}, "power-of-two k, got 3"), ({"scheme": "rsa"}, "unknown scheme 'rsa'")]:
+        with pytest.raises(ValueError, match=match):
+            PublicParams(**{"k": 4, "n": 16, **change}, unitaries=rng(1))
+    with pytest.raises(RuntimeError, match="drew the Haar unitaries"):
+        PublicParams(k=4, n=16, unitaries=rng(1))
 
 
 @pytest.mark.parametrize("cls", [PublicLayout, PublicParams])
