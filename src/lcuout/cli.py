@@ -195,7 +195,11 @@ DEFAULT_FIG3 = {
 
 def _sweep_to_csv(path, command, config, rows):
     body = [tuple(r[column] for column in SWEEP_COLUMNS) for r in rows]
-    comments = [f"seconds: method={r['method']} param={_fmt_cell(r['param'])} {r['seconds']:.3f}" for r in rows]
+    cell = [f"method={r['method']} param={_fmt_cell(r['param'])}" for r in rows]
+    comments = [f"seconds: {at} {r['seconds']:.3f}" for at, r in zip(cell, rows)]
+    # what no draw determined, for the rows that have any: the body carries no such column
+    comments += [f"underdetermined: {at} {r['underdetermined_columns']}" for at, r in zip(cell, rows)
+                 if r["underdetermined_columns"]]
     _write_csv(path, command, config, SWEEP_COLUMNS, body, comments)
 
 

@@ -296,8 +296,11 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
     ``U_t psi`` from one half of C).  Determined columns are solved exactly,
     so the recovery stays unbiased; underdetermined ones are still solved,
     with no component in the null space of ``C_O``, and are reported (a
-    column with no observations comes out 0).  If every column is
-    underdetermined the data cannot pin down X at all and the call fails.
+    column with no observations comes out 0), even when no column is
+    determined.  The one refusal reads C alone: a C whose rank, by
+    ``np.linalg.matrix_rank``'s default cutoff, is below its column count
+    leaves every column underdetermined on any mask, so when no column is
+    determined that rank is taken and such a C is a ``ValueError``.
 
     ``C_O`` depends on the column only through its observation pattern, and
     2K rows allow at most 2**(2K) patterns, so the work is done once per
@@ -322,8 +325,8 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
             "it needs one row per mask row and between 1 and that many columns"
         )
     pinv, inverse, under = _pattern_inverses(mask.tobytes(), mask.shape, c.tobytes(), c.dtype, c.shape)
-    if under.all():
-        raise ValueError("every column is underdetermined; too few observations")
+    if under.all() and (rank := np.linalg.matrix_rank(c)) < c.shape[1]:
+        raise ValueError(f"coefficient matrix of rank {rank} below its {c.shape[1]} columns: no mask determines X")
     x = np.einsum("jab,bj->aj", pinv[inverse], b)
     return FactorizedResult(phi=c @ x, x=x, underdetermined=tuple(map(int, np.flatnonzero(under))))
 
@@ -412,7 +415,9 @@ def complete(method: str, entries: ObservedEntries, c: np.ndarray, seed: int):
     ``seed`` starts ALS; both iterative solvers run at their default
     ``max_iters`` (500 for SVP, 200 for ALS).  Returns ``(phi, iterations,
     underdetermined)``, with 1 iteration for the direct factorized solve and
-    ``()`` for the others.
+    ``()`` for the others.  The factorized solve refuses only a C of rank
+    below its column count; a mask that determines no column is solved and
+    every column reported.
     """
     if method == "svp":
         z, iters = svp_complete(entries, c.shape[1])
@@ -464,7 +469,10 @@ def sweep(config: dict) -> list[dict]:
     its ``seconds`` is the time spent in that row's completions and their
     error evaluation, not in the shared instance build, mask draws or
     observations, and its ``underdetermined_columns`` is the number of
-    underdetermined columns summed over its runs (0 for SVP and ALS).  A
+    underdetermined columns summed over its runs (0 for SVP and ALS); a run
+    whose mask determines no column adds all of them and the sweep goes on,
+    so only a C without full column rank, or a draw with no observed entry,
+    stops it.  A
     mask's first swept value pays for its factorization (in its factorized
     row's ``seconds``) and its noise draw (outside every row's), so the
     ``seconds`` of a sigmas sweep's rows are not comparable with each other.

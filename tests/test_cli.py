@@ -85,6 +85,39 @@ def test_fig3_and_determinism(tmp_path):
     assert methods == {"svp", "factorized"}
 
 
+def test_fig3_writes_every_row_when_a_draw_determines_no_column(tmp_path, monkeypatch):
+    # at N = 32 and f = 0.2 some draw determines no column of Phi = C X: the sweep still writes all 18 rows,
+    # and a comment per row says how many columns no draw determined
+    rows = []
+
+    def kept(config):
+        rows.extend(lcuout.recovery.sweep(config))
+        return rows
+
+    monkeypatch.setattr(lcuout.cli, "sweep", kept)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_FIG3, "sizes": [32], "instances": 2, "masks_per_instance": 2,
+                               "seed": 0}))
+    assert main(["fig3", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 0
+    text = (tmp_path / "f_fig3_N32.csv").read_text()
+    assert len(read_body(tmp_path / "f_fig3_N32.csv").splitlines()) == 1 + 18
+    # after the three header lines: one seconds line per row, then one underdetermined line per row with any
+    comments = [line for line in text.splitlines() if line.startswith("# ")][3:]
+    under = [f"# underdetermined: method={r['method']} param={r['param']:.17g} {r['underdetermined_columns']}"
+             for r in rows if r["underdetermined_columns"]]
+    assert all(line.startswith("# seconds: ") for line in comments[:18])
+    assert under and comments[18:] == under
+
+
+def test_complete_factorized_reports_a_draw_that_determines_no_column(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 4, "n": 4, "fraction": 0.2, "mask_mode": "uniform", "seed": 0}))
+    assert main(["complete", "factorized", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    assert "underdetermined-columns: 16\n" in capsys.readouterr().out
+    assert "# underdetermined: method=factorized param=0.20000000000000001 16\n" in \
+        (tmp_path / "c_complete_factorized.csv").read_text()
+
+
 def test_fig3_rejects_non_power_of_two_sizes(tmp_path, capsys):
     # every size is checked before the first sweep, so the valid 16 leaves no CSV behind either
     cfg = tmp_path / "cfg.json"

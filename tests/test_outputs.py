@@ -101,7 +101,7 @@ def test_full_mask_factorized_solve_inverts_phi():
 def test_full_mask_with_rank_deficient_c_is_rejected():
     c = np.zeros((8, 4), dtype=complex)
     c[:, 0] = 1.0
-    with pytest.raises(ValueError, match="every column is underdetermined"):
+    with pytest.raises(ValueError, match="coefficient matrix of rank 1 below its 4 columns"):
         solve_full(c, np.zeros((8, 16), dtype=complex))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lcuout.circuit
+import lcuout.cli
 import lcuout.linalg
 import lcuout.recovery
 from lcuout.circuit import CircuitSpec
@@ -296,11 +297,28 @@ def test_factorized_flags_underdetermined_columns():
     assert np.linalg.norm((res.phi - phi)[:, good]) < 1e-10
 
 
-def test_factorized_all_underdetermined_raises():
+def test_factorized_solves_a_mask_that_determines_no_column():
+    # two observations per column < K: every column is underdetermined, and each still gets lstsq's
+    # minimum-norm answer on its observed rows of C
     phi, c = instance(31, n=4)
     mask = make_mask(8, 16, 32, "column_guaranteed", min_per_column=2)
-    with pytest.raises(ValueError):
-        factorized_complete(observe(phi, mask, 0.0), c)
+    entries = observe(phi, mask, 0.0)
+    res = factorized_complete(entries, c)
+    assert res.underdetermined == tuple(range(16))
+    for j in range(16):
+        ref = np.linalg.lstsq(mask[:, j, None] * c, entries.values[:, j], rcond=None)[0]
+        assert np.linalg.norm(res.x[:, j] - ref) <= 1e-10 * np.linalg.norm(ref), j
+    np.testing.assert_array_equal(res.phi, c @ res.x)
+
+
+@pytest.mark.parametrize("density", [1.0, 0.3])
+def test_factorized_refuses_a_rank_deficient_c_on_a_full_or_sparse_mask(density):
+    # the refusal reads C, not the draw: a C of rank 3 < K is refused whatever the mask observes
+    _, c, x = sweep_instance(4, 4, 33)
+    c[:, 3] = c[:, 0]
+    mask = make_mask(8, 16, 34, "uniform", density=density)
+    with pytest.raises(ValueError, match="coefficient matrix of rank 3 below its 4 columns"):
+        factorized_complete(observe(c @ x, mask, 0.0), c)
 
 
 def test_factorized_flags_rank_deficient_columns():
@@ -354,7 +372,7 @@ def test_factorized_rank_cutoff_is_matrix_ranks_default(smallest, rank):
     if rank == 4:
         assert factorized_complete(entries, c).underdetermined == ()
     else:
-        with pytest.raises(ValueError, match="every column is underdetermined"):
+        with pytest.raises(ValueError, match="coefficient matrix of rank 3 below its 4 columns"):
             factorized_complete(entries, c)
 
 
@@ -594,6 +612,32 @@ def test_sweep_draws_each_mask_once(monkeypatch):
     assert len(rows) == 4
     assert len(drawn) == 3 * 2
     assert len(set(drawn)) == 3 * 2
+
+
+def test_sweep_runs_a_mask_that_determines_no_column(monkeypatch):
+    # fig3's fraction grid at N = 32: some draw at f = 0.2 determines no column, which is a data outcome, not a
+    # reason to stop the sweep; its SVP rows are those of an SVP-only sweep
+    config = {"k": 4, "n": 5, "fractions": lcuout.cli.DEFAULT_FIG3["fractions"], "sigma": 0.0, "instances": 2,
+              "masks_per_instance": 2, "methods": ["svp", "factorized"], "seed": 0}
+    counts = []
+    solve = lcuout.recovery.factorized_complete
+
+    def counted(entries, c):
+        result = solve(entries, c)
+        counts.append(len(result.underdetermined))
+        return result
+
+    monkeypatch.setattr(lcuout.recovery, "factorized_complete", counted)
+    rows = sweep(config)
+    grid = len(config["fractions"])
+    assert len(rows) == 2 * grid
+    assert max(counts) == 32
+    # the runs go instance by instance, mask by mask, then fraction by fraction
+    per_run = np.array(counts).reshape(2 * 2, grid)
+    assert [r["underdetermined_columns"] for r in rows[grid:]] == per_run.sum(axis=0).tolist()
+    svp_only = sweep({**config, "methods": ["svp"]})
+    assert [{k: v for k, v in r.items() if k != "seconds"} for r in rows[:grid]] == \
+        [{k: v for k, v in r.items() if k != "seconds"} for r in svp_only]
 
 
 # ---- reuse across consecutive calls -------------------------------------------
