@@ -141,15 +141,6 @@ def checked_parameters(k, n, weights, mixing, variant, mixing_matrix) -> tuple[n
     return w, m
 
 
-def _same_held(a, b) -> bool:
-    """Whether two arrays, monomial stacks or Nones that specs hold are equal; two of different kinds never are.
-
-    The kinds are told apart first, since ``np.array_equal`` would read a
-    :class:`Monomial` as a nested sequence of monomials.
-    """
-    return type(a) is type(b) and (a == b if isinstance(a, Monomial) else np.array_equal(a, b))
-
-
 def _is_unitary(m: np.ndarray) -> bool:
     """``np.allclose(m^H m, I, rtol=0, atol=_ATOL)``, NaN and inf included, with the Gram as the one temporary."""
     g = m.conj().T @ m
@@ -172,8 +163,8 @@ class Monomial:
     this form (:func:`pauli_string_monomial`, :func:`permutation_monomial`):
     O(N) memory per unitary, and O(N) to apply one, where the dense form
     needs N^2.  Nothing here checks that the entries form a unitary;
-    :class:`CircuitSpec` does.  Two monomials are equal when their images
-    and phases are; like the arrays they hold, they are not hashable.
+    :class:`CircuitSpec` does.  Like every record of the package, a
+    monomial compares and hashes by identity, so ``==`` never raises.
     """
 
     images: np.ndarray
@@ -188,11 +179,6 @@ class Monomial:
                              f"got {images.shape} and {phases.shape}")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "phases", phases)
-
-    def __eq__(self, other):
-        if type(other) is not Monomial:
-            return NotImplemented
-        return np.array_equal(self.images, other.images) and np.array_equal(self.phases, other.phases)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -288,9 +274,8 @@ class CircuitSpec:
     no draw.  The draw is read-only from birth, so the spec keeps it as
     drawn.
 
-    Two specs are equal when every field is: the arrays element by element,
-    the unitaries in the form each holds, so a dense stack never equals a
-    monomial one.  Like the arrays it holds, a spec is not hashable.
+    Like every record of the package, a spec compares and hashes by
+    identity, so ``==`` never raises and two specs built alike are two.
     """
 
     k: int
@@ -322,13 +307,6 @@ class CircuitSpec:
         if any(defects):
             raise ValueError(f"matrix {int(np.argmax(defects))} is not unitary")
         object.__setattr__(self, "unitaries", us)
-
-    def __eq__(self, other):
-        if type(other) is not CircuitSpec:
-            return NotImplemented
-        return ((self.k, self.n, self.mixing, self.variant) == (other.k, other.n, other.mixing, other.variant)
-                and np.array_equal(self.weights, other.weights)
-                and _same_held(self.mixing_matrix, other.mixing_matrix) and _same_held(self.unitaries, other.unitaries))
 
     def _check_parameters(self):
         """Check and freeze everything but the unitaries: sizes, mixing, variant, weights."""
@@ -692,7 +670,7 @@ def apply_circuit(spec: CircuitSpec, v: np.ndarray) -> np.ndarray:
     return np.tensordot(g2, x, axes=1).reshape(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeStates:
     """Unnormalized post-measurement system states for all 2K ancilla outcomes.
 

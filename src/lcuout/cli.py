@@ -123,6 +123,9 @@ DEFAULT_VERIFY = {
 def cmd_verify(config: dict, args) -> int:
     """Validate one circuit spec, then run :func:`lcuout.structure.verify` on it."""
     seed = args.seed or 0
+    # verify's seeds, of psi and of the involution weights, before the spec draws: a bad one is a usage error
+    rng(seed)
+    rng(seed + 1)
     try:
         spec = CircuitSpec.from_json(json.dumps(config))
     except (ValueError, KeyError) as exc:
@@ -311,10 +314,17 @@ def cmd_eval(config: dict, args) -> int:
     """Dump the key holder's outcome magnitudes or amplitudes.
 
     The key is read and fitted to the layout, its weights and secret mixing
-    included (:func:`~lcuout.trapdoor.key_coefficients`), before the draw.
+    included (:func:`~lcuout.trapdoor.key_coefficients`), before the draw,
+    and so are ``--shots`` and its sampling seed, by the rules of
+    :func:`~lcuout.circuit.shot_counts`.
     """
     if args.shots is not None and args.dump == "amplitudes":
         raise ValueError("--shots samples --dump magnitudes; the exact --dump amplitudes would ignore it")
+    seed = args.seed or 0
+    if args.shots is not None:
+        if args.shots < 1:
+            raise ValueError(f"need at least one shot, got {args.shots}")
+        rng(seed)
     layout = _layout(config, args)
     key = key_from_json(Path(args.key).read_text())
     key_coefficients(key, layout)
@@ -322,25 +332,35 @@ def cmd_eval(config: dict, args) -> int:
     if args.dump == "amplitudes":
         matrix = output_matrix(key_spec(key, pub), psi)
     else:
-        matrix = eval_trapdoor(key, pub, psi, shots=args.shots, seed=args.seed or 0)
+        matrix = eval_trapdoor(key, pub, psi, shots=args.shots, seed=seed)
     _write_matrix_csv(f"{args.out}_{args.dump}.csv", "trapdoor eval", config, matrix)
     print(f"wrote {args.out}_{args.dump}.csv")
     return 0
 
 
 def cmd_invert(config: dict, args) -> int:
-    """Invert with the key; ``--key``, ``--phi`` and the key's C are read and checked before the draw."""
+    """Invert with the key; ``--key``, ``--phi``, the key's C and every other argument are checked before the draw.
+
+    The ``--density`` mask needs only the layout, so it is drawn first;
+    ``--sigma`` and the noise seed are checked by the rules of
+    :func:`~lcuout.recovery.observe`.
+    """
     if args.sigma and args.density is None:
         raise ValueError("--sigma is the noise on what --density observes; without --density it would be ignored")
     layout = _layout(config, args)
     key = key_from_json(Path(args.key).read_text())
     obs = None if args.phi is None else matrix_from_csv(Path(args.phi).read_text())
     c = key_coefficients(key, layout)
-    pub, psi = _public(config, layout)
     seed = args.seed or 0
+    if args.density is not None:
+        mask = make_mask(2 * layout.k, 2**layout.n, seed, "column_guaranteed", density=args.density,
+                         min_per_column=layout.k)
+        if not 0 <= args.sigma < np.inf:
+            raise ValueError(f"noise level must be finite and non-negative, got {args.sigma}")
+        rng(seed + 1)
+    pub, psi = _public(config, layout)
     x = row_matrix(pub.base_spec, psi)
     if args.density is not None:
-        mask = make_mask(2 * pub.k, 2**pub.n, seed, "column_guaranteed", density=args.density, min_per_column=pub.k)
         obs = observe(c @ x, mask, args.sigma, seed=seed + 1)
     elif obs is None:
         obs = c @ x
@@ -376,9 +396,12 @@ def cmd_attack(config: dict, args) -> int:
 
 
 def cmd_involution(config: dict, args) -> int:
-    pub, psi = _public(config, _layout(config, args))
+    """Encrypt and decrypt under the keys of ``seed`` and ``seed + 1``, drawn before the unitaries: they need only K."""
+    layout = _layout(config, args)
     seed = args.seed or 0
-    fid = involution_encrypt_decrypt(pub, psi, keygen(pub.k, "hadamard", seed), keygen(pub.k, "hadamard", seed + 1))
+    keys = keygen(layout.k, "hadamard", seed), keygen(layout.k, "hadamard", seed + 1)
+    pub, psi = _public(config, layout)
+    fid = involution_encrypt_decrypt(pub, psi, *keys)
     _write_json(f"{args.out}_involution.json", {"fidelity": fid, "config_hash": _config_hash(config)})
     print(f"round-trip fidelity {fid:.12f}")
     return 0

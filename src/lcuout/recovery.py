@@ -43,7 +43,7 @@ ALS_RIDGE = 1e-10
 ALS_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedEntries:
     """Observed (possibly noisy) entries; unobserved positions hold zero.
 
@@ -266,7 +266,7 @@ def als_complete(
     return left @ right.conj().T, iters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorizedResult:
     """Completion through the known coefficient matrix."""
 

@@ -57,7 +57,7 @@ __all__ = [
 _BLOCK_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShuffledUnitary:
     """Circuit unitary in the rotation-major basis, kept as block coefficients.
 
@@ -222,7 +222,7 @@ def singular_multiset_check(shuffled: ShuffledUnitary) -> tuple[float, float]:
     return bounds[0], bounds[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsdFactors:
     """Closed-form cosine-sine factorization of the two-block unitary, kept as its K x K mixing.
 

@@ -63,7 +63,7 @@ __all__ = [
 _SCHEMES = ("hadamard", "secret_mixing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PublicLayout:
     """The public sizes and circuit form: K, n, scheme and rotation variant, no unitary.
 
@@ -71,9 +71,9 @@ class PublicLayout:
     :func:`~lcuout.circuit.check_layout`, that ``k`` is a power of two (the
     Hadamard layer of both schemes), ``n >= 1`` and the variant is known.
     This is all :func:`hadamard_attack` and :func:`invert_with_key` read,
-    and all :meth:`check_key` needs to decide whether a key fits.  Two
-    layouts are equal when their four fields are, and equal layouts hash
-    alike.
+    and all :meth:`check_key` needs to decide whether a key fits.  Like
+    every record of the package, a layout compares and hashes by identity,
+    so ``==`` never raises.
     """
 
     k: int
@@ -110,28 +110,17 @@ class PublicParams(PublicLayout):
     Every circuit over them (:func:`key_spec` and so the evaluation and
     the involution cipher) derives from ``base_spec`` with
     ``CircuitSpec.with_weights``; the key holder's inversion needs only the
-    layout.
-
-    Two public parameters are equal when their layouts and their unitaries
-    (element by element, in the form each holds) are; public parameters
-    never equal a bare :class:`PublicLayout`, and unlike a layout they are
-    not hashable.
+    layout.  They compare and hash by identity, as their layout does.
     """
 
     unitaries: np.ndarray | Monomial = field(kw_only=True)
-    base_spec: CircuitSpec = field(init=False, compare=False, repr=False)
+    base_spec: CircuitSpec = field(init=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
         base = CircuitSpec(k=self.k, n=self.n, weights=[0.0] * self.k, unitaries=self.unitaries, variant=self.variant)
         object.__setattr__(self, "base_spec", base)
         object.__setattr__(self, "unitaries", base.unitaries)
-
-    def __eq__(self, other):
-        if type(other) is not PublicParams:
-            return NotImplemented
-        # the zero-weight base specs hold k, n, the variant and the unitaries; only the scheme is not among them
-        return self.scheme == other.scheme and self.base_spec == other.base_spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,19 +134,13 @@ class SecretKey:
     unitary on every call.  The key holds its own read-only float copy of
     the weights, so a list is accepted and no later write through the
     caller's array reaches the key.  Whether the key fits a layout is
-    :meth:`PublicLayout.check_key`'s to decide.  Two keys are equal when
-    their schemes, gammas and weights (element by element) are; like their
-    weights, keys are not hashable.
+    :meth:`PublicLayout.check_key`'s to decide.  Like every record of the
+    package, a key compares and hashes by identity, so ``==`` never raises.
     """
 
     scheme: str
     weights: np.ndarray
     gamma: int | None = None
-
-    def __eq__(self, other):
-        if type(other) is not SecretKey:
-            return NotImplemented
-        return (self.scheme, self.gamma) == (other.scheme, other.gamma) and np.array_equal(self.weights, other.weights)
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -290,7 +273,7 @@ def eval_trapdoor(
     return sample_shots(spec, psi, shots, seed) / shots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InversionResult:
     x: np.ndarray
     target: np.ndarray
@@ -328,7 +311,7 @@ def invert_with_key(
     return InversionResult(x=result.x, target=key.weights @ result.x, underdetermined=result.underdetermined)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackResult:
     weights: np.ndarray
     recoverable: np.ndarray

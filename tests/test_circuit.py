@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -7,6 +8,9 @@ import numpy as np
 import pytest
 
 import lcuout.circuit
+import lcuout.recovery
+import lcuout.structure
+import lcuout.trapdoor
 from lcuout.circuit import (
     CheckFailed,
     CircuitSpec,
@@ -33,8 +37,11 @@ from lcuout.circuit import (
     unitary_source,
 )
 from lcuout.linalg import dft_matrix, hadamard_matrix, haar_random_unitaries, haar_random_unitary, random_state, rng
+from lcuout.recovery import factorized_complete, observe
+from lcuout.structure import csd_assemble, shuffle
+from lcuout.trapdoor import PublicLayout, PublicParams, hadamard_attack, invert_with_key, keygen
 
-from helpers import make_spec
+from helpers import assert_same_spec, make_spec
 
 
 # ---- rotation gate ----------------------------------------------------------
@@ -217,7 +224,7 @@ def test_spec_draws_a_generator_as_haar_random_unitaries_and_keeps_the_draw(seed
     k, n = 4, 3
     gen, direct = rng(seed), rng(seed)
     spec = CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=gen)
-    assert spec == CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=haar_random_unitaries(k, 2**n, direct))
+    assert_same_spec(spec, CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=haar_random_unitaries(k, 2**n, direct)))
     us = spec.unitaries
     assert isinstance(us, np.ndarray) and us.shape == (k, 2**n, 2**n) and us.dtype == complex
     assert not us.flags.writeable and us.flags.owndata and us.base is None
@@ -238,7 +245,8 @@ def test_unitary_sources_hand_over_read_only_matrices(kind, data):
         unitaries = haar_random_unitaries(k, 2**n, unitaries)
     assert (k, n) == (2, 2) and len(unitaries) == 2
     spec = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=unitaries)
-    assert CircuitSpec.from_json(json.dumps({"K": 2, "n": 2, "weights": [1.0, 1.0], "unitaries": source})) == spec
+    from_json = CircuitSpec.from_json(json.dumps({"K": 2, "n": 2, "weights": [1.0, 1.0], "unitaries": source}))
+    assert_same_spec(from_json, spec)
     if kind == "haar":
         # the draw is one read-only stack that the spec keeps
         assert not unitaries.flags.writeable and spec.unitaries is unitaries
@@ -754,28 +762,45 @@ def test_shot_counts_refuse_fewer_than_one_shot(shots):
 
 # ---- equality ---------------------------------------------------------------
 
-def test_specs_compare_by_value_and_never_raise():
-    spec = make_spec(k=2, n=2, seed=36)
-    same = make_spec(k=2, n=2, seed=36)
-    assert spec == same and not spec != same
-    assert spec != make_spec(k=2, n=2, seed=37)
-    assert spec != spec.with_weights(spec.weights * 0.5)
-    assert spec != spec.with_weights(spec.weights, np.eye(2)) != spec.with_weights(spec.weights, hadamard_matrix(2))
-    assert spec.with_weights(spec.weights, np.eye(2)) == same.with_weights(same.weights, np.eye(2))
-    assert spec != CircuitSpec(k=2, n=2, weights=spec.weights, unitaries=spec.unitaries, variant="cyclic")
-    assert spec != make_spec(k=4, n=2, seed=36) and spec != "spec" and spec != None  # noqa: E711
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(spec)
+def _equal_contents_twice():
+    """Per record type of the package, a builder of one instance; two calls give two instances of equal contents."""
+    psi, mask = random_state(4, 5), ~np.eye(4, 4, dtype=bool)
+
+    def spec():
+        return make_spec(k=2, n=2, seed=36)
+
+    def phi():
+        return coefficient_matrix(spec()) @ row_matrix(spec(), psi)
+
+    return {
+        "Monomial": lambda: pauli_string_monomial("XZ"),
+        "CircuitSpec": spec,
+        "OutcomeStates": lambda: output_states(spec(), psi),
+        "ObservedEntries": lambda: observe(phi(), mask),
+        "FactorizedResult": lambda: factorized_complete(observe(phi(), mask), coefficient_matrix(spec())),
+        "ShuffledUnitary": lambda: shuffle(spec()),
+        "CsdFactors": lambda: csd_assemble(spec()),
+        "PublicLayout": lambda: PublicLayout(k=2, n=2),
+        "PublicParams": lambda: PublicParams(k=2, n=2, unitaries=tuple(map(pauli_string_matrix, ["XZ", "YI"]))),
+        "SecretKey": lambda: keygen(2),
+        "InversionResult": lambda: invert_with_key(keygen(2), PublicLayout(k=2, n=2), observe(phi(), mask)),
+        "AttackResult": lambda: hadamard_attack(PublicLayout(k=2, n=2), phi()),
+    }
 
 
-def test_monomial_specs_compare_by_their_images_and_phases():
-    def spec(labels):
-        return CircuitSpec(k=2, n=2, weights=[0.5, 0.5], unitaries=tuple(map(pauli_string_monomial, labels)))
+def test_every_record_type_is_built_above():
+    modules = (lcuout.circuit, lcuout.recovery, lcuout.structure, lcuout.trapdoor)
+    records = {name for module in modules for name, obj in vars(module).items()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__}
+    assert records == set(_equal_contents_twice())
 
-    assert spec(["XZ", "YI"]) == spec(["XZ", "YI"])
-    assert spec(["XZ", "YI"]) != spec(["XZ", "YZ"])  # same images, other phases
-    assert spec(["XZ", "YI"]) != spec(["XZ", "IY"])  # other images
-    assert spec(["XZ", "YI"]).unitaries == spec(["XZ", "YI"]).unitaries
-    # the form a spec holds follows from its source, and a dense stack never equals a monomial one
-    dense = CircuitSpec(k=2, n=2, weights=[0.5, 0.5], unitaries=spec(["XZ", "YI"]).dense_unitaries)
-    assert dense != spec(["XZ", "YI"]) and spec(["XZ", "YI"]) != dense
+
+@pytest.mark.parametrize("name", sorted(_equal_contents_twice()))
+def test_records_compare_and_hash_by_identity_and_never_raise(name):
+    # the arrays a record holds would make a field-wise == raise; identity needs no field
+    build = _equal_contents_twice()[name]
+    a, b = build(), build()
+    assert type(a).__name__ == type(b).__name__ == name
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True and (a != a) is False
+    assert (a == "record") is False and len({a, b, a}) == 2

@@ -552,6 +552,8 @@ def _no_draw(monkeypatch):
 
 WRONG_SCHEME_KEY = {"scheme": "secret_mixing", "weights": [0.5] * 4, "gamma": 3}
 OUT_OF_RANGE_KEY = {"scheme": "hadamard", "weights": [1.5, 0.5, 0.5, 0.5], "gamma": None}
+VALID_KEY = {"scheme": "hadamard", "weights": [0.5] * 4, "gamma": None}
+NOISE_LEVEL = "noise level must be finite and non-negative"
 
 
 def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
@@ -579,14 +581,22 @@ def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
     (["invert"], None, "No such file"),
     (["eval"], WRONG_SCHEME_KEY, "key scheme 'secret_mixing' does not match public 'hadamard'"),
     (["invert"], WRONG_SCHEME_KEY, "key scheme 'secret_mixing' does not match public 'hadamard'"),
-    (["invert", "--phi", "missing.csv"], {"scheme": "hadamard", "weights": [0.5] * 4, "gamma": None}, "No such file"),
+    (["invert", "--phi", "missing.csv"], VALID_KEY, "No such file"),
     (["eval"], OUT_OF_RANGE_KEY, "weights must be finite and lie in [-1, 1]"),
     (["invert"], OUT_OF_RANGE_KEY, "weights must be finite and lie in [-1, 1]"),
+    (["eval", "--shots", "0"], VALID_KEY, "need at least one shot, got 0"),
+    (["eval", "--shots", "10", "--seed", "-1"], VALID_KEY, "a seed must lie in [0, 2**128), got -1"),
+    (["invert", "--density", "1.5"], VALID_KEY, "density must lie in [0, 1], got 1.5"),
+    (["invert", "--density", "0.5", "--sigma", "-1"], VALID_KEY, f"{NOISE_LEVEL}, got -1.0"),
+    (["invert", "--density", "0.5", "--sigma", "nan"], VALID_KEY, f"{NOISE_LEVEL}, got nan"),
+    (["invert", "--density", "0.5", "--seed", "-1"], VALID_KEY, "a seed must lie in [0, 2**128), got -1"),
+    (["invert", "--density", "0.5", "--seed", str(2**128 - 1)], VALID_KEY, f"lie in [0, 2**128), got {2**128}"),
 ], ids=["eval-missing-key", "invert-missing-key", "eval-key-scheme", "invert-key-scheme", "invert-missing-phi",
-        "eval-key-weight", "invert-key-weight"])
+        "eval-key-weight", "invert-key-weight", "eval-no-shot", "eval-shot-seed", "invert-density", "invert-sigma",
+        "invert-sigma-nan", "invert-mask-seed", "invert-noise-seed"])
 def test_eval_and_invert_report_input_errors_before_the_draw(tmp_path, monkeypatch, capsys, argv, key_doc, message):
-    # the K Haar unitaries are the costly part of a command, so --key and --phi are read, and the key fitted to
-    # the layout, first
+    # the K Haar unitaries are the costly part of a command, so --key and --phi are read, the key fitted to the
+    # layout, and every other argument checked (the --density mask drawn), first
     monkeypatch.chdir(tmp_path)
     if key_doc is not None:
         (tmp_path / "k.json").write_text(json.dumps(key_doc))
@@ -594,6 +604,23 @@ def test_eval_and_invert_report_input_errors_before_the_draw(tmp_path, monkeypat
     assert main(["trapdoor", *argv, "--key", "k.json", "--out", "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert list(tmp_path.glob("o*")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["verify", "--config", "haar16.json"], ["trapdoor", "demo-involution", "--config", "haar16.json"],
+], ids=["verify", "verify-n16", "demo-involution-n16"])
+@pytest.mark.parametrize("seed, bad", [(-1, -1), (2**128 - 1, 2**128)], ids=["seed", "seed-plus-one"])
+def test_verify_and_involution_refuse_a_bad_seed_before_the_draw(tmp_path, monkeypatch, capsys, argv, seed, bad):
+    # both read seed and seed + 1 (psi and the second weights, or the two keys); at n = 16 the draw would need
+    # 256 GiB, so a bad seed is refused first, as a usage error with no report
+    monkeypatch.chdir(tmp_path)
+    haar16 = {"K": 4, "n": 16, "unitaries": {"kind": "haar", "seed": 7}}
+    extra = {"weights": [1.0, 0.8, 0.5, 0.3]} if argv[0] == "verify" else {"psi_seed": 3}
+    (tmp_path / "haar16.json").write_text(json.dumps({**haar16, **extra}))
+    _no_draw(monkeypatch)
+    assert main([*argv, "--seed", str(seed), "--out", "o"]) == 2
+    assert capsys.readouterr().err == f"error: a seed must lie in [0, 2**128), got {bad}\n"
     assert list(tmp_path.glob("o*")) == []
 
 

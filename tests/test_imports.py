@@ -1,7 +1,8 @@
 """The package modules and the acceptance gate use only public names of other lcuout modules,
 only the tests use the dense circuit oracle, no package module imports a name it does not use,
 every top-level function and class is used by package code, every memo is small and bounded,
-and every source file parses under the grammar of the oldest supported Python."""
+every record compares by identity, and every source file parses under the grammar of the oldest
+supported Python."""
 
 import ast
 from pathlib import Path
@@ -300,6 +301,69 @@ def test_detector_sees_unbounded_memos():
     assert unbounded_memos(source) == sorted([
         "functools.lru_cache", "lru_cache", "lru_cache", "cache", "functools.cache", "lru_cache"
     ])
+
+
+def value_equality(source: str) -> list[str]:
+    """Every ``dataclass`` decorator in ``source``, named bare or as an attribute, that does not pass a
+    literal ``eq=False``, and every class that defines or assigns ``__eq__``: records compare by identity."""
+    def dataclass_name(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "dataclass") or (
+            isinstance(node, ast.Attribute) and node.attr == "dataclass")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            if dataclass_name(call.func if call else dec):
+                eq = next((k.value for k in call.keywords if k.arg == "eq"), None) if call else None
+                if not (isinstance(eq, ast.Constant) and eq.value is False):
+                    found.append(f"{node.name}: @{ast.unparse(dec)}")
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {item.name}
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                names = {t.id for t in ast.walk(item) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+            else:
+                continue
+            if "__eq__" in names:
+                found.append(f"{node.name}.__eq__")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "lcuout").glob("*.py")), ids=lambda p: p.name)
+def test_records_compare_by_identity(path):
+    # a generated or hand-written __eq__ would compare the arrays a record holds, and a field-wise == of arrays
+    # raises; identity is one rule for every record
+    assert value_equality(path.read_text()) == []
+
+
+def test_detector_sees_value_equality():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A: pass\n"
+        "@dataclass(frozen=True)\n"
+        "class B: pass\n"
+        "@dataclasses.dataclass(frozen=True, eq=True)\n"
+        "class C: pass\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class D:\n"
+        "    def __eq__(self, other): return True\n"
+        "@dataclass(eq=False)\n"
+        "class E:\n"
+        "    __eq__ = object.__eq__\n"
+        "class F:\n"
+        "    @dataclass(eq=False)\n"
+        "    class G: pass\n"
+        "    def __ne__(self, other): return False\n"
+    )
+    assert value_equality(source) == [
+        "A: @dataclass", "B: @dataclass(frozen=True)", "C: @dataclasses.dataclass(frozen=True, eq=True)",
+        "D.__eq__", "E.__eq__",
+    ]
 
 
 # pyproject.toml's requires-python

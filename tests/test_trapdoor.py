@@ -27,6 +27,8 @@ from lcuout.trapdoor import (
     mixing_from_key,
 )
 
+from helpers import assert_same_spec
+
 
 def make_pub(k=4, n=4, seed=0, scheme="hadamard", variant="reflection"):
     gen = rng(seed)
@@ -62,7 +64,9 @@ def test_public_params_check_their_unitaries_when_built():
 def test_public_params_draw_a_generator_after_the_layout_checks(monkeypatch):
     # a generator, the Haar source of unitary_source, is drawn by the base spec, with the bits of the direct draw
     pub = PublicParams(k=4, n=3, unitaries=rng(8), variant="cyclic")
-    assert pub == PublicParams(k=4, n=3, unitaries=haar_random_unitaries(4, 8, rng(8)), variant="cyclic")
+    drawn = PublicParams(k=4, n=3, unitaries=haar_random_unitaries(4, 8, rng(8)), variant="cyclic")
+    assert pub.scheme == drawn.scheme
+    assert_same_spec(pub.base_spec, drawn.base_spec)
     assert pub.unitaries is pub.base_spec.unitaries and pub.unitaries.shape == (4, 8, 8)
     assert not pub.unitaries.flags.writeable and pub.unitaries.flags.owndata and pub.unitaries.base is None
 
@@ -282,34 +286,6 @@ def test_invert_with_key_reads_only_the_public_layout(scheme):
         assert on_layout.x.tobytes() == on_params.x.tobytes()
         assert on_layout.target.tobytes() == on_params.target.tobytes()
         assert on_layout.underdetermined == on_params.underdetermined
-
-
-def test_keys_compare_by_value_and_never_raise():
-    assert keygen(4) == keygen(4) and not keygen(4) != keygen(4)
-    assert keygen(4, seed=1) != keygen(4, seed=2)
-    assert keygen(4, "secret_mixing", 3) == keygen(4, "secret_mixing", 3)
-    key = keygen(4, "secret_mixing", 3)
-    assert key != SecretKey("secret_mixing", key.weights, gamma=key.gamma + 1)
-    assert key != SecretKey("hadamard", key.weights)
-    assert keygen(4) != keygen(2) and keygen(4) != "key" and keygen(4) != None  # noqa: E711
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(keygen(4))
-
-
-def test_public_params_compare_by_value_and_never_raise():
-    assert make_pub(k=2, seed=23) == make_pub(k=2, seed=23)
-    assert make_pub(k=4, seed=23) == make_pub(k=4, seed=23)
-    # every field of the layout equal, the unitaries not
-    assert make_pub(k=2, seed=23) != make_pub(k=2, seed=24)
-    assert make_pub(seed=23) != make_pub(seed=23, variant="cyclic") != make_pub(seed=23, scheme="secret_mixing")
-    assert pauli_pub(0) == pauli_pub(0) and pauli_pub(0) != pauli_pub(1)
-    layout = PublicLayout(k=4, n=4)
-    assert make_pub(seed=23) != layout and layout != make_pub(seed=23)
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(make_pub(seed=23))
-    # a layout keeps its value equality and its hash
-    assert layout == PublicLayout(k=4, n=4, scheme="hadamard", variant="reflection")
-    assert hash(layout) == hash(PublicLayout(k=4, n=4)) and layout != PublicLayout(k=4, n=4, variant="cyclic")
 
 
 def test_mixing_from_key_of_one_weight_is_the_identity():
