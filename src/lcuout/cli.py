@@ -272,12 +272,15 @@ def _layout(config: dict, args) -> PublicLayout:
 
     Every trapdoor action reads its config through here, and so reads
     DEFAULT_TRAPDOOR's keys; ``eval``, ``invert`` and the involution demo
-    then hand the layout to :func:`_public`.  The Haar and ``psi_seed``
-    seeds are checked as :func:`~lcuout.linalg.rng` checks them, and a
-    source the config spells out (explicit, Pauli, permutation) is built and
-    checked into the :class:`PublicParams` returned; a Haar source is left
-    undrawn.
+    then hand the layout to :func:`_public`.  ``--seed``, the Haar seed and
+    ``psi_seed`` are checked as :func:`~lcuout.linalg.rng` checks them;
+    ``--seed`` also where the action does not read it (``eval`` without
+    ``--shots``, ``invert`` without ``--density``, ``attack``), which accept
+    a valid one.  A source the config spells out (explicit, Pauli,
+    permutation) is built and checked into the :class:`PublicParams`
+    returned; a Haar source is left undrawn.
     """
+    rng(args.seed or 0)
     reject_unread_keys(config, DEFAULT_TRAPDOOR, f"trapdoor {args.action}")
     k, n, source = unitary_source(config)
     rng(integer_value("psi_seed", config.get("psi_seed", 0)))

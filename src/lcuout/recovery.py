@@ -11,6 +11,7 @@ experiments and returns one aggregate row per (method, swept value).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -181,39 +182,61 @@ def svp_complete(entries: ObservedEntries, rank: int, max_iters: int = 500) -> t
     reciprocal observation density and is halved within an iteration until
     the observed residual decreases, which keeps the sweep monotone even at
     sparse masks where the raw step would diverge; the masked residual of the
-    accepted step is the next gradient.  That residual is ``b - z_new``
-    zeroed off the mask in place, by a multiply with a float copy of the mask
-    made once per call, and its norm is ``sqrt(<g, g>)`` from one ``vdot``.
-    Iteration stops when the residual stalls (relative change at most
-    ``SVP_TOL`` = 1e-12), when no step length helps, or after ``max_iters``
-    rounds.  ``rank`` and ``max_iters`` must be integers of at least 1, else
-    ``ValueError``.  Returns the completed matrix and the number of
-    iterations used.
+    accepted step is the next gradient.  Iteration stops when the residual
+    stalls (relative change at most ``SVP_TOL`` = 1e-12), when no step length
+    helps, or after ``max_iters`` rounds.  ``rank`` and ``max_iters`` must be
+    integers of at least 1, else ``ValueError``.  Returns the completed
+    matrix and the number of iterations used.
+
+    Four arrays live for the whole call: the step ``a``, the residual pair
+    ``g``/``g_new`` (``g`` starts as a copy of the observed values ``b``,
+    which are never written) and the mask as floats laid out like the float
+    view of ``g`` (each entry twice for complex values).  A trial writes
+    ``mu g`` into ``a`` on the float views and adds ``z``, truncates ``a``,
+    writes ``b - z_new`` into ``g_new`` and multiplies its float view by the
+    float mask, and takes the norm ``sqrt(<g_new, g_new>)`` from one
+    ``vdot``; an accepted trial swaps ``g`` and ``g_new``.  So a trial
+    allocates only what the truncation returns, and runs no complex-by-real
+    multiply and no mask cast.  When ``rank >= min(a.shape)`` the truncation
+    returns ``a`` itself; an accepted ``a`` is then the iterate, so the step
+    moves to a new buffer, or the next trial would overwrite ``z``.  These
+    are the floats of a loop that allocates every step and residual and
+    multiplies by a complex copy of the mask, and they must stay so: the
+    accept test ``cur <= prev`` and the stall test decide at rounding level,
+    so a change in the last bits moves the step halvings, the iteration
+    count and the result.  Changing them is a behaviour change, the one a
+    stopping rule above rounding (ROADMAP) declares.
     """
     _check_iterative(rank, max_iters)
     mask, b = entries.mask, entries.values
-    keep = mask.astype(float)
+    parts = 2 if np.iscomplexobj(b) else 1  # floats per entry in the float view
+    g = np.array(b, dtype=complex if parts == 2 else float, order="C")
+    g_new = np.empty_like(g)
+    a = np.empty_like(g)
+    keep = np.repeat(mask, parts, axis=1).astype(float)
     mu = 1.0 / mask.mean()
     z = np.zeros_like(b)
-    g = b
     b_norm = np.sqrt(np.vdot(b, b).real)
     prev = b_norm
     iters = 0
     for iters in range(1, max_iters + 1):
         mu_try = mu
         for _ in range(16):
-            a = g * mu_try
+            np.multiply(g.view(float), mu_try, out=a.view(float))
             a += z
             z_new = truncate_rank(a, rank)
-            g_new = b - z_new
-            g_new *= keep
-            cur = np.sqrt(np.vdot(g_new, g_new).real)
+            np.subtract(b, z_new, out=g_new)
+            residual = g_new.view(float)
+            residual *= keep
+            cur = math.sqrt(np.vdot(g_new, g_new).real)
             if cur <= prev:
                 break
             mu_try *= 0.5
         else:
             break
-        z, g = z_new, g_new
+        z, g, g_new = z_new, g_new, g
+        if z is a:  # the truncation returned the step itself, which is now the iterate
+            a = np.empty_like(g)
         if cur <= 1e-15 * b_norm or prev - cur <= SVP_TOL * max(prev, 1e-300):
             break
         prev = cur

@@ -591,9 +591,14 @@ def test_trapdoor_attack_draws_no_public_unitary(tmp_path, monkeypatch):
     (["invert", "--density", "0.5", "--sigma", "nan"], VALID_KEY, f"{NOISE_LEVEL}, got nan"),
     (["invert", "--density", "0.5", "--seed", "-1"], VALID_KEY, "a seed must lie in [0, 2**128), got -1"),
     (["invert", "--density", "0.5", "--seed", str(2**128 - 1)], VALID_KEY, f"lie in [0, 2**128), got {2**128}"),
+    (["eval", "--seed", "-1"], VALID_KEY, "a seed must lie in [0, 2**128), got -1"),
+    (["eval", "--seed", str(2**128)], VALID_KEY, f"a seed must lie in [0, 2**128), got {2**128}"),
+    (["invert", "--seed", "-1"], VALID_KEY, "a seed must lie in [0, 2**128), got -1"),
+    (["invert", "--seed", str(2**128)], VALID_KEY, f"a seed must lie in [0, 2**128), got {2**128}"),
 ], ids=["eval-missing-key", "invert-missing-key", "eval-key-scheme", "invert-key-scheme", "invert-missing-phi",
         "eval-key-weight", "invert-key-weight", "eval-no-shot", "eval-shot-seed", "invert-density", "invert-sigma",
-        "invert-sigma-nan", "invert-mask-seed", "invert-noise-seed"])
+        "invert-sigma-nan", "invert-mask-seed", "invert-noise-seed", "eval-unread-seed", "eval-unread-seed-top",
+        "invert-unread-seed", "invert-unread-seed-top"])
 def test_eval_and_invert_report_input_errors_before_the_draw(tmp_path, monkeypatch, capsys, argv, key_doc, message):
     # the K Haar unitaries are the costly part of a command, so --key and --phi are read, the key fitted to the
     # layout, and every other argument checked (the --density mask drawn), first
@@ -605,6 +610,23 @@ def test_eval_and_invert_report_input_errors_before_the_draw(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list(tmp_path.glob("o*")) == []
+
+
+def test_attack_checks_the_seed_it_does_not_read(tmp_path, monkeypatch, capsys):
+    # the attack draws nothing, but its --seed is checked as every trapdoor action checks it; a valid one is
+    # accepted and changes nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.json").write_text(key_to_json(keygen(4, "hadamard", 3)))
+    assert main(["trapdoor", "eval", "--key", "k.json", "--dump", "amplitudes", "--out", "t"]) == 0
+    _no_draw(monkeypatch)
+    attack = ["trapdoor", "attack", "--phi", "t_amplitudes.csv"]
+    for seed in (-1, 2**128):
+        assert main([*attack, "--seed", str(seed), "--out", "bad"]) == 2
+        assert capsys.readouterr().err == f"error: a seed must lie in [0, 2**128), got {seed}\n"
+    assert list(tmp_path.glob("bad*")) == []
+    assert main([*attack, "--out", "unseeded"]) == 0
+    assert main([*attack, "--seed", "5", "--out", "seeded"]) == 0
+    assert (tmp_path / "seeded_attack.json").read_bytes() == (tmp_path / "unseeded_attack.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

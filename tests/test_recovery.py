@@ -175,7 +175,10 @@ def test_observe_refuses_a_mask_that_observes_nothing():
 
 
 def _reference_truncate(a, rank):
-    # truncate_rank's Gram route as it stood before the one-matmul projector: top (top^H a)
+    # truncate_rank's Gram route as it stood before the one-matmul projector: top (top^H a); like
+    # truncate_rank, it returns its input itself when the rank leaves nothing to cut
+    if rank >= min(a.shape):
+        return a
     lam, vecs = np.linalg.eigh(a @ a.conj().T)
     if lam[-rank] - lam[-rank - 1] <= GRAM_GAP_RTOL * lam[-1]:
         u, s, vh = svd(a)
@@ -214,16 +217,22 @@ def _reference_svp(entries, rank, max_iters=500):
 
 
 @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.9, 0.95])
-@pytest.mark.parametrize("n", [6, 8])
-def test_svp_matches_the_reference_loop(n, fraction, monkeypatch):
+@pytest.mark.parametrize(
+    "n, rank", [pytest.param(6, 4, id="6"), pytest.param(8, 4, id="8"), pytest.param(6, 8, id="6-rank8")]
+)
+def test_svp_matches_the_reference_loop(n, rank, fraction, monkeypatch):
     _, c, x = sweep_instance(4, n, 41 + n)
     phi = c @ x
     entries = observe(phi, make_mask(8, 2**n, 42 + n, "uniform", density=fraction), 0.0)
-    z_ref, iters_ref, trials_ref = _reference_svp(entries, 4)
-    z, iters = svp_complete(entries, 4)
+    z_ref, iters_ref, trials_ref = _reference_svp(entries, rank)
+    z, iters = svp_complete(entries, rank)
     if iters_ref == 500:
         assert iters == 500
     assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref) + 1e-13
+    if rank >= 8:
+        # on 8 rows both truncations return the step itself, so the loops take the same floats throughout
+        assert iters == iters_ref
+        np.testing.assert_array_equal(z, z_ref)
 
     # Given the reference truncation, the loop retraces the reference's trial steps (the step and
     # the masked residual are the same floats; only the residual norm is summed differently) and
@@ -237,7 +246,7 @@ def test_svp_matches_the_reference_loop(n, fraction, monkeypatch):
         return _reference_truncate(a, rank)
 
     monkeypatch.setattr(lcuout.recovery, "truncate_rank", counted)
-    z, iters = svp_complete(entries, 4)
+    z, iters = svp_complete(entries, rank)
     assert (iters, len(calls)) == (iters_ref, trials_ref)
     np.testing.assert_array_equal(z, z_ref)
 
@@ -638,6 +647,20 @@ def test_sweep_runs_a_mask_that_determines_no_column(monkeypatch):
     svp_only = sweep({**config, "methods": ["svp"]})
     assert [{k: v for k, v in r.items() if k != "seconds"} for r in rows[:grid]] == \
         [{k: v for k, v in r.items() if k != "seconds"} for r in svp_only]
+
+
+def test_svp_sweep_at_n_equal_to_k_keeps_its_rows():
+    # At N = K the 8 x 4 step has rank at most K, so truncate_rank returns the step itself and the loop must
+    # not keep that buffer as its iterate.  The literals are this sweep's rows when SVP allocated a new step
+    # every trial; the stops come from the 1e-15 residual floor, so the counts are exact.
+    rows = sweep({"k": 4, "n": 2, "fractions": [0.5, 0.95], "sigma": 0.0, "instances": 1, "masks_per_instance": 1,
+                  "methods": ["svp"], "seed": 0})
+    golden = [(0.5, 0.7488064337257105, 0.8244269661766035, 18.0),
+              (0.95, 0.26362224324899486, 1.4652988068583654e-16, 16.0)]
+    for row, (param, err_phi, err_target, iters) in zip(rows, golden, strict=True):
+        assert (row["method"], row["param"], row["mean_iters"]) == ("svp", param, iters)
+        assert row["mean_err_phi"] == pytest.approx(err_phi, rel=1e-12, abs=1e-15)
+        assert row["mean_err_target"] == pytest.approx(err_target, rel=1e-12, abs=1e-15)
 
 
 # ---- reuse across consecutive calls -------------------------------------------
