@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import dft_matrix, haar_random_unitaries, hadamard_matrix, rng
+from .linalg import UNIT_ATOL, Reflectors, dft_matrix, haar_reflectors, hadamard_matrix, readonly, rng
 
 __all__ = [
     "CheckFailed",
@@ -59,7 +59,6 @@ __all__ = [
 
 _MIXINGS = ("hadamard", "dft", "secret")
 _VARIANTS = ("reflection", "cyclic")
-_ATOL = 1e-10
 _SPEC_KEYS = ("K", "n", "weights", "unitaries", "mixing", "mixing_matrix", "variant")
 
 
@@ -70,24 +69,6 @@ class CheckFailed(RuntimeError):
         super().__init__(f"{check} check failed: residual {residual:.3e}")
         self.check = check
         self.residual = residual
-
-
-def _readonly(value, dtype=None) -> np.ndarray:
-    """``value`` as a read-only array that owns its data, converted to ``dtype`` if one is given.
-
-    For the arrays a :class:`CircuitSpec` is handed, which the caller may
-    still hold: what numpy builds here, from a tuple, a list or an array of
-    another dtype, is held by nothing else and is frozen in place; an array
-    that already is read-only and owns its data is kept; anything else (a
-    writeable array, a view, an ``__array__`` holder) is copied, so no later
-    write through another reference reaches the result.
-    """
-    a = np.asarray(value, dtype=dtype)
-    built = isinstance(value, (tuple, list)) or (isinstance(value, np.ndarray) and a is not value and a.base is None)
-    if not built and (a.base is not None or a.flags.writeable):
-        a = a.copy()
-    a.flags.writeable = False
-    return a
 
 
 def check_layout(k: int, n: int, variant: str, mixing: str = "hadamard") -> None:
@@ -133,7 +114,7 @@ def checked_parameters(k, n, weights, mixing, variant, mixing_matrix) -> tuple[n
         return w, None
     if mixing_matrix is None:
         raise ValueError("secret mixing requires an explicit mixing matrix")
-    m = _readonly(mixing_matrix, complex)
+    m = readonly(mixing_matrix, complex)
     if m.shape != (k, k):
         raise ValueError(f"mixing matrix has shape {m.shape}, expected {(k, k)}")
     if not _is_unitary(m):
@@ -142,10 +123,10 @@ def checked_parameters(k, n, weights, mixing, variant, mixing_matrix) -> tuple[n
 
 
 def _is_unitary(m: np.ndarray) -> bool:
-    """``np.allclose(m^H m, I, rtol=0, atol=_ATOL)``, NaN and inf included, with the Gram as the one temporary."""
+    """``np.allclose(m^H m, I, rtol=0, atol=UNIT_ATOL)``, NaN and inf included, with the Gram as the one temporary."""
     g = m.conj().T @ m
     g[np.diag_indices_from(g)] -= 1
-    return bool(np.max(np.abs(g)) <= _ATOL)
+    return bool(np.max(np.abs(g)) <= UNIT_ATOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +152,7 @@ class Monomial:
     phases: np.ndarray
 
     def __post_init__(self):
-        images, phases = _readonly(self.images), _readonly(self.phases, complex)
+        images, phases = readonly(self.images), readonly(self.phases, complex)
         if not np.issubdtype(images.dtype, np.integer):
             raise ValueError(f"monomial images must be integers, got dtype {images.dtype}")
         if images.ndim not in (1, 2) or phases.shape != images.shape:
@@ -233,7 +214,7 @@ class Monomial:
         big_n = self.images.shape[-1]
         permutes = (np.sort(self.images, axis=-1) == np.arange(big_n)).all(axis=-1)
         p = self.phases
-        return ~(permutes & (np.abs(p.real**2 + p.imag**2 - 1) <= _ATOL).all(axis=-1))
+        return ~(permutes & (np.abs(p.real**2 + p.imag**2 - 1) <= UNIT_ATOL).all(axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +225,11 @@ class CircuitSpec:
         k: number of combined unitaries (power of two for Hadamard and secret mixing).
         n: number of system qubits; the system dimension is ``N = 2**n``.
         weights: K real rotation weights, each in [-1, 1].
-        unitaries: the K unitaries U_t as one (K, N, N) complex stack, or as
-            one (K, N) :class:`Monomial` stack; given as a generator, the
-            Haar source of :func:`unitary_source`, they are drawn from it.
+        unitaries: the K unitaries U_t as one (K, N, N) complex stack, as
+            one (K, N) :class:`Monomial` stack, or as one
+            :class:`~lcuout.linalg.Reflectors` stack; given as a generator,
+            the Haar source of :func:`unitary_source`, they are drawn from
+            it as reflectors.
         mixing: "hadamard", "dft", or "secret" (requires ``mixing_matrix``).
         mixing_matrix: K x K unitary used when ``mixing == "secret"``.
         variant: "reflection" (symmetric rotation gate) or "cyclic".
@@ -265,14 +248,20 @@ class CircuitSpec:
     one monomial stack, and a monomial stack is kept as given; either way
     no N x N matrix is formed, and unitarity is decided in O(K N) by
     :meth:`Monomial.non_unitary`, with the same outcome and message as the
-    dense check.  :func:`row_matrix` and :func:`apply_circuit` apply
-    either form with ``@``; everything else reads :attr:`dense_unitaries`.
+    dense check.
 
     A ``np.random.Generator`` is drawn from by the spec itself: K Haar
-    unitaries of order N, :func:`~lcuout.linalg.haar_random_unitaries`,
-    after every check but unitarity, so a bad weight, mixing or size costs
-    no draw.  The draw is read-only from birth, so the spec keeps it as
-    drawn.
+    unitaries of order N as Householder reflectors,
+    :func:`~lcuout.linalg.haar_reflectors`, after every check but
+    unitarity, so a bad weight, mixing or size costs no draw.  The spec
+    keeps the stack as drawn, and a :class:`~lcuout.linalg.Reflectors`
+    stack given is kept too; no N x N matrix is formed, and unitarity is
+    decided in O(K N^2) by :meth:`~lcuout.linalg.Reflectors.non_unitary`,
+    whose bound implies the dense check, with its message.
+
+    :func:`row_matrix` and :func:`apply_circuit` apply every form with
+    ``@``; everything else (the structure checks of ``verify`` and
+    :func:`circuit_unitary`) reads :attr:`dense_unitaries`.
 
     Like every record of the package, a spec compares and hashes by
     identity, so ``==`` never raises and two specs built alike are two.
@@ -290,20 +279,21 @@ class CircuitSpec:
         self._check_parameters()
         given = self.unitaries
         if isinstance(given, np.random.Generator):
-            given = haar_random_unitaries(self.k, self.big_n, given)
-        given = given if isinstance(given, (tuple, list, Monomial)) else np.asarray(given)
+            given = haar_reflectors(self.k, self.big_n, given)
+        stacked = isinstance(given, (Monomial, Reflectors))
+        given = given if stacked or isinstance(given, (tuple, list)) else np.asarray(given)
         if len(given) != self.k:
             raise ValueError(f"expected {self.k} unitaries, got {len(given)}")
-        for t, u in enumerate(given):
-            if np.shape(u) != (self.big_n,) * 2:
-                raise ValueError(f"unitary {t} has shape {np.shape(u)}, expected {(self.big_n,) * 2}")
-        if isinstance(given, Monomial):
+        for t, shape in enumerate([given.shape[1:]] * self.k if stacked else map(np.shape, given)):
+            if shape != (self.big_n,) * 2:
+                raise ValueError(f"unitary {t} has shape {shape}, expected {(self.big_n,) * 2}")
+        if stacked:
             us = given
         elif all(isinstance(u, Monomial) for u in given):
             us = Monomial(np.stack([u.images for u in given]), np.stack([u.phases for u in given]))
         else:
-            us = _readonly(given, complex)
-        defects = us.non_unitary() if isinstance(us, Monomial) else [not _is_unitary(u) for u in us]
+            us = readonly(given, complex)
+        defects = [not _is_unitary(u) for u in us] if isinstance(us, np.ndarray) else us.non_unitary()
         if any(defects):
             raise ValueError(f"matrix {int(np.argmax(defects))} is not unitary")
         object.__setattr__(self, "unitaries", us)
@@ -330,9 +320,9 @@ class CircuitSpec:
 
     @property
     def dense_unitaries(self) -> np.ndarray:
-        """The unitaries as a read-only (K, N, N) stack: ``unitaries`` itself, or a monomial stack's kept dense form."""
+        """The unitaries as a read-only (K, N, N) stack: ``unitaries`` itself, or a structured stack's kept dense form."""
         us = self.unitaries
-        return us.dense if isinstance(us, Monomial) else us
+        return us if isinstance(us, np.ndarray) else us.dense
 
     @property
     def big_n(self) -> int:
@@ -627,7 +617,7 @@ def coefficient_matrix(spec: CircuitSpec) -> np.ndarray:
 
 
 def row_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
-    """K x N matrix X whose row t is ``U_t psi``: O(K N^2) for dense unitaries, O(K N) for a monomial stack."""
+    """K x N matrix X whose row t is ``U_t psi``: O(K N^2) for dense or reflector unitaries, O(K N) for monomials."""
     return spec.unitaries @ np.asarray(psi, dtype=complex)
 
 
@@ -699,7 +689,7 @@ def check_state(psi: np.ndarray, big_n: int) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (big_n,):
         raise ValueError(f"state has shape {psi.shape}, expected {(big_n,)}")
-    if not abs(np.linalg.norm(psi) - 1.0) <= _ATOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_ATOL:
         raise ValueError("input state must be finite and normalized")
     return psi
 

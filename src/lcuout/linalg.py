@@ -1,21 +1,30 @@
-"""Dense linear-algebra kernel: SVD, rank truncation, structured unitaries, seeded sampling.
+"""Linear-algebra kernel: SVD, rank truncation, structured unitaries, seeded sampling.
 
 Everything is plain numpy.  Randomness always flows through :func:`rng`,
 a counter-based Philox generator keyed by an explicit integer seed, so every
-experiment in the package is reproducible from its seed alone.
+experiment in the package is reproducible from its seed alone.  Haar
+unitaries are drawn as :class:`Reflectors`, stacks of Householder
+reflectors that are drawn, checked and applied in O(N^2) per unitary; the
+dense N x N form is built only when a caller asks for it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
+    "Reflectors",
     "dft_matrix",
     "hadamard_matrix",
     "haar_random_unitaries",
     "haar_random_unitary",
+    "haar_reflectors",
     "numerical_rank",
     "random_state",
+    "readonly",
     "rng",
     "svd",
     "truncate_rank",
@@ -27,6 +36,12 @@ GRAM_GAP_RTOL = 1e-8
 
 # seeds are integers in [0, SEED_BOUND): Philox's 128-bit key
 SEED_BOUND = 2**128
+
+# how far from 1 a state's norm, and from I a unitary's Gram U^H U, may lie
+UNIT_ATOL = 1e-10
+
+# columns per compact-WY block of a Reflectors stack
+HOUSEHOLDER_BLOCK = 32
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -126,41 +141,203 @@ def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else rng(seed)
 
 
+def readonly(value, dtype=None) -> np.ndarray:
+    """``value`` as a read-only array that owns its data, converted to ``dtype`` if one is given.
+
+    For the arrays a record is handed, which the caller may still hold: what
+    numpy builds here, from a tuple, a list or an array of another dtype, is
+    held by nothing else and is frozen in place; an array that already is
+    read-only and owns its data is kept; anything else (a writeable array, a
+    view, an ``__array__`` holder) is copied, so no later write through
+    another reference reaches the result.
+    """
+    a = np.asarray(value, dtype=dtype)
+    built = isinstance(value, (tuple, list)) or (isinstance(value, np.ndarray) and a is not value and a.base is None)
+    if not built and (a.base is not None or a.flags.writeable):
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Reflectors:
+    """K unitaries of order N, each a product of N Householder reflectors and a diagonal of signs.
+
+    Unitary t is ``H_0 H_1 ... H_{N-1} diag(signs[t])`` with ``H_j = I -
+    taus[t, j] v_j v_j^H``, where v_j lives on rows j..N-1, as LAPACK's
+    zgeqrf leaves it.  The vectors are held in blocks of
+    ``HOUSEHOLDER_BLOCK`` columns: ``panels[b]`` is the (K, N - bB, w_b)
+    stack of columns bB..bB+w_b-1 of V from row bB down (w_b = B but for a
+    narrower last block), about half the memory of the dense stack.  All
+    three are read-only, taken as :func:`readonly` takes arrays.
+
+    ``shape`` is that of the (K, N, N) stack they stand for, and ``x @``
+    applies it as ``np.matmul`` would the dense stack, block by block as
+    ``y -= V_b T_b V_b^H y`` in O(K N^2) per column of ``x``;
+    :attr:`factors` holds the compact-WY factors T_b, and :attr:`dense` the
+    dense stack, each built on first use and kept.  Nothing here checks
+    that the stack is unitary; :meth:`non_unitary` decides it.  Like every
+    record of the package, a stack compares and hashes by identity.
+    """
+
+    panels: tuple
+    taus: np.ndarray
+    signs: np.ndarray
+
+    def __post_init__(self):
+        taus, signs = readonly(self.taus, complex), readonly(self.signs, float)
+        panels = tuple(readonly(p, complex) for p in self.panels)
+        k, big_n = taus.shape if taus.ndim == 2 else (0, 0)
+        starts = range(0, big_n, HOUSEHOLDER_BLOCK)
+        expected = [(k, big_n - c0, min(HOUSEHOLDER_BLOCK, big_n - c0)) for c0 in starts]
+        if signs.shape != taus.shape or not big_n or [p.shape for p in panels] != expected:
+            raise ValueError(f"reflector panels of shapes {[p.shape for p in panels]}, taus of shape {taus.shape} "
+                             f"and signs of shape {signs.shape} do not make one (K, N, N) stack")
+        object.__setattr__(self, "panels", panels)
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "signs", signs)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.taus.shape + self.taus.shape[-1:]
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """The (K, w_b, w_b) upper-triangular T_b with ``H_{bB} ... H_{bB+w_b-1} = I - V_b T_b V_b^H``.
+
+        ``T_b = (striu(V_b^H V_b) + diag(1/tau))^-1``, formed as ``diag(tau)
+        (I + striu(V_b^H V_b) diag(tau))^-1``, which divides by no tau.
+        """
+        out = []
+        for c0, v in zip(range(0, self.shape[-1], HOUSEHOLDER_BLOCK), self.panels):
+            tau = self.taus[:, c0 : c0 + v.shape[-1]]
+            upper = np.triu(v.conj().transpose(0, 2, 1) @ v, 1) * tau[:, None, :]
+            upper += np.eye(v.shape[-1])
+            f = tau[:, :, None] * np.linalg.inv(upper)
+            f.flags.writeable = False
+            out.append(f)
+        return tuple(out)
+
+    def __matmul__(self, x) -> np.ndarray:
+        """``dense @ x`` with the shape ``np.matmul`` gives, applied block by block in O(K N^2) per column of ``x``.
+
+        As for ``np.matmul``, an ``x`` of shape (N,) is one state, which every
+        unitary applies to, and one of shape (..., N, S) is a stack of
+        matrices broadcast against the (K, N, N) stack.  An ``x`` whose rows
+        (the axis ``np.matmul`` contracts) are not N is a ``ValueError``.
+        """
+        x = np.asarray(x)
+        if x.ndim == 0 or x.shape[max(x.ndim - 2, 0)] != self.shape[-1]:
+            raise ValueError(f"cannot apply reflectors of shape {self.shape} to an array of shape {x.shape}")
+        cols = x[:, None] if x.ndim == 1 else x
+        y = np.multiply(self.signs[:, :, None], cols, dtype=complex)
+        for b in reversed(range(len(self.panels))):
+            v, f = self.panels[b], self.factors[b]
+            rows = y[..., b * HOUSEHOLDER_BLOCK :, :]
+            rows -= v @ (f @ (v.conj().transpose(0, 2, 1) @ rows))
+        return y[..., 0] if x.ndim == 1 else y
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The (K, N, N) stack itself, read-only; built on first use, one unitary at a time, and kept.
+
+        Blocks b+1.. act as the identity outside rows and columns bB.., so
+        block b updates only that trailing square, by the products of
+        ``@``: O(N^3) per unitary, with one N x N temporary.
+        """
+        big_n = self.shape[-1]
+        out = np.zeros(self.shape, dtype=complex)
+        out[:, np.arange(big_n), np.arange(big_n)] = self.signs
+        for t, u in enumerate(out):
+            for b in reversed(range(len(self.panels))):
+                v, f = self.panels[b][t], self.factors[b][t]
+                c0 = b * HOUSEHOLDER_BLOCK
+                square = u[c0:, c0:]
+                square -= v @ (f @ (v.conj().T @ square))
+        out.flags.writeable = False
+        return out
+
+    def non_unitary(self) -> np.ndarray:
+        """Per unitary, whether its reflectors fail to bound ``|U^H U - I|_2`` by ``UNIT_ATOL``, decided in O(N^2).
+
+        ``H_j^H H_j - I = delta_j v_j v_j^H`` with ``delta_j = |tau_j|^2
+        |v_j|^2 - 2 Re tau_j``, so ``e_j = |H_j^H H_j - I|_2 = |delta_j|
+        |v_j|^2``, and the signs add ``e_s = max_j |s_j^2 - 1|``.  Since
+        ``|(AB)^H AB - I| <= (1 + e_A)(1 + e_B) - 1``, ``|U^H U - I|_2`` is
+        at most ``prod(1 + e) - 1``, which must not exceed ``UNIT_ATOL``: a
+        stack that passes passes the dense check that every entry of ``U^H U
+        - I`` is within it.  A NaN or inf entry fails.
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            sq = np.concatenate([(p.real**2 + p.imag**2).sum(axis=1) for p in self.panels], axis=1)
+            tau = self.taus
+            e = np.abs((tau.real**2 + tau.imag**2) * sq - 2 * tau.real) * sq
+            e_s = np.abs(self.signs**2 - 1).max(axis=1)
+            bound = np.expm1(np.log1p(e).sum(axis=1) + np.log1p(e_s))
+        return ~(bound <= UNIT_ATOL)
+
+
+def haar_reflectors(k: int, dim: int, seed: int | np.random.Generator) -> Reflectors:
+    """``k`` successive Haar-distributed random unitaries of order ``dim`` as :class:`Reflectors`, in O(dim^2) each.
+
+    For each unitary, one call draws dim independent complex Gaussian
+    columns of lengths dim, dim - 1, ..., 1, end to end (real and imaginary
+    parts interleaved).  Column j becomes reflector j by LAPACK's zlarfg
+    rule: with alpha its head, ``beta = -sign(Re alpha) |x|``, ``tau =
+    (beta - alpha) / beta``, ``v = x / (alpha - beta)`` with a unit head,
+    and sign(beta) as the phase fix.  This is the law of the QR of a dim x
+    dim complex Gaussian matrix with R's diagonal phases divided out, which
+    is exactly Haar (Stewart, SIAM J. Numer. Anal. 17, 1980; Mezzadri,
+    Notices AMS 54, 2007): Householder QR makes the same reflectors from
+    columns that are independent Gaussians at every step.  The scale of the
+    Gaussians cancels.  ``seed`` may be an integer or an already-running
+    generator, which is left after the k draws; unitary t is drawn and
+    turned into reflectors before unitary t + 1 is drawn, so besides the
+    stack a draw holds one unitary's Gaussians at a time.
+    """
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    gen = _as_generator(seed)
+    starts = range(0, dim, HOUSEHOLDER_BLOCK)
+    panels = [np.zeros((k, dim - c0, min(HOUSEHOLDER_BLOCK, dim - c0)), dtype=complex) for c0 in starts]
+    taus, signs = np.empty((k, dim), dtype=complex), np.empty((k, dim))
+    for t in range(k):
+        z = gen.standard_normal((dim * (dim + 1) // 2, 2)).view(complex)[:, 0]
+        used = 0
+        for c0, panel in zip(starts, panels):
+            v = panel[t]
+            rows, width = v.shape
+            lower = np.arange(rows) >= np.arange(width)[:, None]  # entry r of column c lies on or below row c
+            count = width * rows - width * (width - 1) // 2
+            v.T[lower] = z[used : used + count]
+            used += count
+            alpha = np.diagonal(v).copy()
+            beta = -np.copysign(np.linalg.norm(v, axis=0), alpha.real)
+            taus[t, c0 : c0 + width] = (beta - alpha) / beta
+            signs[t, c0 : c0 + width] = np.sign(beta)
+            v /= alpha - beta
+            v[np.arange(width), np.arange(width)] = 1.0
+    for a in (*panels, taus, signs):
+        a.flags.writeable = False
+    return Reflectors(tuple(panels), taus, signs)
+
+
 def haar_random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """One Haar-distributed random unitary: the ``k = 1`` case of :func:`haar_random_unitaries`."""
     return haar_random_unitaries(1, dim, seed)[0]
 
 
 def haar_random_unitaries(k: int, dim: int, seed: int | np.random.Generator) -> np.ndarray:
-    """``k`` successive Haar-distributed random unitaries as one (k, dim, dim) complex stack.
+    """The dense (k, dim, dim) stack of :func:`haar_reflectors`, read-only, with its bits and generator position.
 
-    Each is the QR of a complex Gaussian matrix with the R-factor's diagonal
-    phases divided out, which makes the distribution exactly Haar rather
-    than merely orthonormal.  ``seed`` may be an integer or an
-    already-running generator.  Each Gaussian matrix is formed in its own
-    slot of the stack, and Q is copied back there and its phases fixed in
-    place, so besides the stack and QR's own arrays a draw holds one dim x
-    dim array at a time; slot t has the same bits as the t-th draw formed
-    out of place from ``(x + 1j * y) / sqrt(2)``.  The stack is read-only
-    from birth and owns its data, so a :class:`~lcuout.circuit.CircuitSpec`
-    keeps it as drawn, with no copy.
+    The one Haar sampler of the package is :func:`haar_reflectors`; this is
+    its :attr:`Reflectors.dense`, which owns its data, so a
+    :class:`~lcuout.circuit.CircuitSpec` keeps it as drawn, with no copy.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    gen = _as_generator(seed)
-    us = np.empty((k, dim, dim), dtype=complex)
-    for z in us:
-        x = gen.standard_normal((dim, dim))  # drawn before the imaginary part
-        np.multiply(1j, gen.standard_normal((dim, dim)), out=z)
-        z += x
-        del x
-        z /= np.sqrt(2)
-        z[...], r = np.linalg.qr(z)  # Q is copied into the slot and dropped, R kept for its diagonal
-        d = np.diagonal(r).copy()
-        del r
-        z *= d / np.abs(d)
-    us.flags.writeable = False
-    return us
+    return haar_reflectors(k, dim, seed).dense
 
 
 def random_state(dim: int, seed: int | np.random.Generator) -> np.ndarray:

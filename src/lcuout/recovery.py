@@ -396,9 +396,9 @@ def recovery_errors(phi_hat: np.ndarray, phi_true: np.ndarray) -> tuple[float, f
 def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]:
     """Seeded Hadamard-mixed spec (weights on [0.1, 1], Haar unitaries) and input state.
 
-    Draws the K weights, then K Haar unitaries by QR, then psi, from one
-    generator: the spec, handed the generator, checks the weights and then
-    draws the unitaries from it.  No package code calls it: it is the
+    Draws the K weights, then K Haar unitaries as Householder reflectors,
+    then psi, from one generator: the spec, handed the generator, checks the
+    weights and then draws the unitaries from it.  No package code calls it: it is the
     instance, unitaries included, that the recovery tests and acceptance
     criterion 05 draw.  A sweep, and so ``lcuout complete``, needs only the
     rows ``U_t psi`` and draws them directly with :func:`sweep_instance`.
@@ -418,7 +418,7 @@ def sweep_instance(k: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     the same generator.  For a fixed psi and a Haar U_t, ``U_t psi`` is
     uniform on the unit sphere (the Haar measure is unitarily invariant), so
     X has the distribution of :func:`random_instance`'s rows ``U_t psi``,
-    though not its draws, without K N x N QRs and a unitarity check.
+    though not its draws, without K Haar draws and a unitarity check.
     ``k`` and ``n`` are checked by :func:`~lcuout.circuit.check_layout` for
     that layout: ``k >= 1``, ``n >= 1`` and ``k`` a power of two.
     """

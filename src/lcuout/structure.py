@@ -100,6 +100,8 @@ class ShuffledUnitary:
 
         The K products ``U_t^dag U_t`` are the only N x N products this
         module multiplies out.  ``defect_gram[K, t] = tr(E_t) = |U_t|_F^2 - N``.
+        Each entry ``t <= u`` is one ``np.vdot``, which conjugates as it
+        reads, so the stack of defects is the one (K, N, N) array held.
         """
         k, big_n = self.spec.k, self.spec.big_n
         defects = np.empty((k, big_n, big_n), dtype=complex)
@@ -109,7 +111,10 @@ class ShuffledUnitary:
             defects[t, diag, diag] -= 1.0
         flat = defects.reshape(k, -1)
         gram = np.full((k + 1, k + 1), big_n, dtype=complex)
-        gram[:k, :k] = flat.conj() @ flat.T
+        for t in range(k):
+            for u in range(t, k):
+                gram[t, u] = np.vdot(flat[t], flat[u])
+                gram[u, t] = gram[t, u].conjugate()
         gram[k, :k] = np.trace(defects, axis1=1, axis2=2)
         gram[:k, k] = gram[k, :k].conj()
         return gram
@@ -327,8 +332,10 @@ def verify(spec: CircuitSpec, seed: int) -> list[dict]:
     Every check reads the block coefficients of one :func:`shuffle` of
     ``spec`` (plus the one :func:`involution_check` builds) and the N x N
     unitaries, as :attr:`~lcuout.circuit.CircuitSpec.dense_unitaries`
-    (built once for a Pauli-string or permutation spec, whose unitaries are
-    held as a monomial stack); no (2KN)^2 matrix is built.  Checks that do
+    (built once, by block products, for a Haar spec, whose unitaries are
+    held as Householder reflectors, and for a Pauli-string or permutation
+    spec, whose unitaries are held as a monomial stack); no (2KN)^2 matrix
+    is built.  Checks that do
     not apply are skipped and pass.  ``seed`` draws psi (``random_state(N, seed)``) and the
     involution check's second weight vector (``rng(seed + 1)``).
     """

@@ -39,7 +39,7 @@ from .circuit import (
     CircuitSpec, Monomial, apply_circuit, check_layout, check_state, checked_parameters, coefficients, list_value,
     output_states, real_value, rotation_gate, sample_shots,
 )
-from .linalg import haar_random_unitary, hadamard_matrix, rng
+from .linalg import Reflectors, haar_random_unitary, hadamard_matrix, rng
 from .recovery import ObservedEntries, factorized_complete
 
 __all__ = [
@@ -102,18 +102,20 @@ class PublicParams(PublicLayout):
     ``base_spec``, the zero-weight circuit over them, and keeps the spec's
     read-only stack as ``unitaries``: the given stack when it is read-only
     and owns its data, a copy of a tuple of matrices or of any other stack,
-    the K Haar unitaries the spec draws, after the layout checks, from a
-    generator given as ``unitaries`` (the Haar source of
+    the :class:`~lcuout.linalg.Reflectors` of the K Haar unitaries the spec
+    draws, after the layout checks, from a generator given as
+    ``unitaries`` (the Haar source of
     :func:`~lcuout.circuit.unitary_source`), or, for Pauli strings and
-    permutations, the (K, N) :class:`~lcuout.circuit.Monomial` stack, which
-    holds no N x N matrix.
+    permutations, the (K, N) :class:`~lcuout.circuit.Monomial` stack.
+    Neither structured stack holds an N x N matrix, so evaluating a Haar
+    public draws and applies its unitaries in O(K N^2).
     Every circuit over them (:func:`key_spec` and so the evaluation and
     the involution cipher) derives from ``base_spec`` with
     ``CircuitSpec.with_weights``; the key holder's inversion needs only the
     layout.  They compare and hash by identity, as their layout does.
     """
 
-    unitaries: np.ndarray | Monomial = field(kw_only=True)
+    unitaries: np.ndarray | Monomial | Reflectors = field(kw_only=True)
     base_spec: CircuitSpec = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -366,8 +368,10 @@ def hadamard_attack(pub: PublicLayout, phi: np.ndarray) -> AttackResult:
     return AttackResult(weights=weights, recoverable=recoverable, residual=residual)
 
 
-def _involution_residuals(unitaries: np.ndarray | Monomial) -> list[float]:
+def _involution_residuals(unitaries: np.ndarray | Monomial | Reflectors) -> list[float]:
     """``|U_t^2 - I|_F`` for each public unitary: O(N) per monomial unitary, one N x N product per dense one.
+
+    Reflectors are read in their dense form.
 
     A monomial U sends e_j to ``p_j p_{a(j)} e_{a(a(j))}`` under U^2, with a
     the images and p the phases, so column j of ``U^2 - I`` is
@@ -380,7 +384,7 @@ def _involution_residuals(unitaries: np.ndarray | Monomial) -> list[float]:
         fixed = np.take_along_axis(images, images, axis=-1) == np.arange(images.shape[-1])
         return list(np.sqrt(np.where(fixed, np.abs(square - 1) ** 2, np.abs(square) ** 2 + 1).sum(axis=-1)))
     residuals = []
-    for u in unitaries:
+    for u in unitaries if isinstance(unitaries, np.ndarray) else unitaries.dense:
         square = u @ u
         square[np.diag_indices_from(square)] -= 1  # U^2 - I in place, the same Frobenius norm bit for bit
         residuals.append(np.linalg.norm(square))

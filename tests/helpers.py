@@ -3,7 +3,7 @@
 import numpy as np
 
 from lcuout.circuit import CircuitSpec, Monomial
-from lcuout.linalg import haar_random_unitary, rng
+from lcuout.linalg import HOUSEHOLDER_BLOCK, Reflectors, haar_random_unitary, rng
 
 
 def make_spec(k=4, n=2, seed=0, mixing="hadamard", variant="reflection", weights=None):
@@ -20,7 +20,8 @@ def assert_same_spec(a, b):
     """``a`` and ``b`` hold equal sizes, weights, mixing, mixing matrix, variant and unitaries, in one form.
 
     Specs compare by identity, so this reads every field: the arrays element
-    by element, and a monomial stack by its images and phases.
+    by element, a monomial stack by its images and phases, and a reflector
+    stack by its panels, taus and signs.
     """
     assert (a.k, a.n, a.mixing, a.variant) == (b.k, b.n, b.mixing, b.variant)
     np.testing.assert_array_equal(a.weights, b.weights)
@@ -30,5 +31,66 @@ def assert_same_spec(a, b):
     if isinstance(a.unitaries, Monomial):
         np.testing.assert_array_equal(a.unitaries.images, b.unitaries.images)
         np.testing.assert_array_equal(a.unitaries.phases, b.unitaries.phases)
+    elif isinstance(a.unitaries, Reflectors):
+        assert len(a.unitaries.panels) == len(b.unitaries.panels)
+        for pa, pb in zip(a.unitaries.panels, b.unitaries.panels):
+            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.unitaries.taus, b.unitaries.taus)
+        np.testing.assert_array_equal(a.unitaries.signs, b.unitaries.signs)
     else:
         np.testing.assert_array_equal(a.unitaries, b.unitaries)
+
+
+def qr_haar_unitary(dim, gen):
+    """A Haar unitary by the QR of a complex Gaussian matrix with R's diagonal phases divided out.
+
+    The sampler the package used before its reflector stacks, kept only as an
+    oracle of the Haar law: the moment tests hold it to the bands they hold
+    the package's draws to.
+    """
+    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def reflector_vectors(stack, t):
+    """Unitary t of a :class:`Reflectors` stack as its N x N matrix V of reflector vectors, one per column."""
+    big_n = stack.shape[-1]
+    v = np.zeros((big_n, big_n), dtype=complex)
+    for b, panel in enumerate(stack.panels):
+        c0 = b * HOUSEHOLDER_BLOCK
+        v[c0:, c0 : c0 + panel.shape[-1]] = panel[t]
+    return v
+
+
+def reflector_product(stack, t):
+    """Unitary t of a :class:`Reflectors` stack multiplied out one reflector at a time, ``H_0 ... H_{N-1} diag(s)``."""
+    v = reflector_vectors(stack, t)
+    u = np.eye(len(v), dtype=complex)
+    for j, tau in enumerate(stack.taus[t]):
+        u -= tau * np.outer(u @ v[:, j], v[:, j].conj())
+    return u * stack.signs[t]
+
+
+def column_by_column_haar(dim, gen):
+    """One Haar unitary drawn as :func:`~lcuout.linalg.haar_reflectors` draws it, unblocked and out of place.
+
+    One call of dim (dim + 1) / 2 complex Gaussians, read as columns of
+    lengths dim, ..., 1; each becomes a reflector by LAPACK's zlarfg rule,
+    and the unitary is their product, multiplied out one reflector at a time,
+    times the signs of the betas.
+    """
+    z = gen.standard_normal((dim * (dim + 1) // 2, 2)) @ [1, 1j]
+    u, start = np.eye(dim, dtype=complex), 0
+    signs = np.empty(dim)
+    for j in range(dim):
+        x = z[start : start + dim - j]
+        start += dim - j
+        beta = -np.copysign(np.linalg.norm(x), x[0].real)
+        v = np.zeros(dim, dtype=complex)
+        v[j:] = x / (x[0] - beta)
+        v[j] = 1.0
+        u -= ((beta - x[0]) / beta) * np.outer(u @ v, v.conj())
+        signs[j] = np.sign(beta)
+    return u * signs

@@ -36,7 +36,10 @@ from lcuout.circuit import (
     success_probabilities,
     unitary_source,
 )
-from lcuout.linalg import dft_matrix, hadamard_matrix, haar_random_unitaries, haar_random_unitary, random_state, rng
+from lcuout.linalg import (
+    Reflectors, dft_matrix, hadamard_matrix, haar_random_unitaries, haar_random_unitary, haar_reflectors, random_state,
+    rng,
+)
 from lcuout.recovery import factorized_complete, observe
 from lcuout.structure import csd_assemble, shuffle
 from lcuout.trapdoor import PublicLayout, PublicParams, hadamard_attack, invert_with_key, keygen
@@ -220,16 +223,20 @@ def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
 
 @pytest.mark.parametrize("seed", [0, 23])
 def test_spec_draws_a_generator_as_haar_random_unitaries_and_keeps_the_draw(seed):
-    # a generator, the Haar source of unitary_source, is drawn by the spec itself, with the bits of the direct draw
+    # a generator, the Haar source of unitary_source, is drawn by the spec itself as reflectors, with the bits of
+    # the direct draw, and the dense stack of the same seed is the spec's dense form bit for bit
     k, n = 4, 3
-    gen, direct = rng(seed), rng(seed)
+    gen, direct, dense_gen = rng(seed), rng(seed), rng(seed)
     spec = CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=gen)
-    assert_same_spec(spec, CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=haar_random_unitaries(k, 2**n, direct)))
+    assert_same_spec(spec, CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=haar_reflectors(k, 2**n, direct)))
     us = spec.unitaries
-    assert isinstance(us, np.ndarray) and us.shape == (k, 2**n, 2**n) and us.dtype == complex
-    assert not us.flags.writeable and us.flags.owndata and us.base is None
+    assert isinstance(us, Reflectors) and us.shape == (k, 2**n, 2**n) and "dense" not in vars(us)
+    assert not any(a.flags.writeable for a in (*us.panels, us.taus, us.signs))
+    dense = haar_random_unitaries(k, 2**n, dense_gen)
+    assert dense.tobytes() == spec.dense_unitaries.tobytes() and spec.dense_unitaries is us.dense
+    assert not dense.flags.writeable and dense.flags.owndata and dense.base is None
     # the generator is left where the direct draw leaves it, so what is drawn from it next is unchanged
-    assert gen.random() == direct.random()
+    assert gen.random() == direct.random() == dense_gen.random()
 
 
 @pytest.mark.parametrize("kind, data", [
@@ -242,14 +249,15 @@ def test_unitary_sources_hand_over_read_only_matrices(kind, data):
     if kind == "haar":
         # a Haar source is its generator, undrawn, and the spec from_json builds draws from it
         assert isinstance(unitaries, np.random.Generator)
-        unitaries = haar_random_unitaries(k, 2**n, unitaries)
+        unitaries = haar_reflectors(k, 2**n, unitaries)
     assert (k, n) == (2, 2) and len(unitaries) == 2
     spec = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=unitaries)
     from_json = CircuitSpec.from_json(json.dumps({"K": 2, "n": 2, "weights": [1.0, 1.0], "unitaries": source}))
     assert_same_spec(from_json, spec)
     if kind == "haar":
-        # the draw is one read-only stack that the spec keeps
-        assert not unitaries.flags.writeable and spec.unitaries is unitaries
+        # the draw is one read-only stack of reflectors that the spec keeps
+        assert spec.unitaries is unitaries and not unitaries.taus.flags.writeable
+        unitaries = unitaries.dense
     elif kind == "explicit":
         # spelled-out matrices are a tuple, stacked into the spec's own array
         assert isinstance(unitaries, tuple) and spec.unitaries.base is None
@@ -289,11 +297,11 @@ def test_haar_spec_from_json_peaks_below_two_copies_of_its_unitaries():
      r"weights must be finite and lie in \[-1, 1\]"),
 ], ids=["unread-key", "unknown-variant", "misplaced-mixing-matrix", "weight-out-of-range"])
 def test_from_json_checks_the_whole_document_before_the_draw(monkeypatch, change, fields, message):
-    # at n = 16 the K Haar unitaries would take 256 GiB, so a bad document must fail before any draw
+    # at n = 16 the K Haar unitaries would take 128 GiB of reflectors, so a bad document must fail before any draw
     def no_draw(*args):
         raise RuntimeError("drew the Haar unitaries")
 
-    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
+    monkeypatch.setattr(lcuout.circuit, "haar_reflectors", no_draw)
     doc = {"K": 4, "n": 16, "weights": [0.5] * 4, "unitaries": {"kind": "haar", "seed": 1}}
     with pytest.raises(ValueError, match=message):
         CircuitSpec.from_json(json.dumps({**doc, **change}))
@@ -341,13 +349,13 @@ def test_spec_json_round_trip_haar_source():
     gen = rng(3)
     drawn = [haar_random_unitary(4, gen) for _ in range(4)]
     np.testing.assert_array_equal(spec.weights, doc["weights"])
-    for a, b in zip(spec.unitaries, drawn):
+    for a, b in zip(spec.dense_unitaries, drawn):
         np.testing.assert_array_equal(a, b)
     # the same seed gives the same draw, and the drawn matrices written out explicitly load bit for bit
     doc["unitaries"] = {"kind": "explicit", "data": [matrix_to_pairs(u) for u in drawn]}
     again = CircuitSpec.from_json(json.dumps(doc))
     np.testing.assert_array_equal(spec.weights, again.weights)
-    for a, b in zip(spec.unitaries, again.unitaries):
+    for a, b in zip(spec.dense_unitaries, again.unitaries):
         np.testing.assert_array_equal(a, b)
 
 

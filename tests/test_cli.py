@@ -14,7 +14,9 @@ import lcuout.cli
 import lcuout.recovery
 from lcuout.circuit import CheckFailed, CircuitSpec
 from lcuout.cli import main
+from lcuout.linalg import Reflectors, haar_random_unitaries, rng
 from lcuout.outputs import matrix_from_csv, matrix_to_csv
+from lcuout.structure import verify
 from lcuout.trapdoor import key_to_json, keygen
 
 SMALL_SWEEP = {
@@ -543,11 +545,17 @@ def test_trapdoor_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case)
 
 
 def _no_draw(monkeypatch):
-    """Make the one module binding of the Haar draw, the spec's, raise, so a command that draws fails."""
+    """Make the one module binding of the Haar draw, the spec's, raise, so a command that draws fails.
+
+    A spy on a name the spec no longer calls would pass every test below without testing anything, so this
+    checks first that a spec handed a Haar source does reach it.
+    """
     def no_draw(*args):
         raise RuntimeError("drew the Haar unitaries")
 
-    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
+    monkeypatch.setattr(lcuout.circuit, "haar_reflectors", no_draw)
+    with pytest.raises(RuntimeError, match="drew the Haar unitaries"):
+        CircuitSpec(k=1, n=1, weights=[1.0], unitaries=rng(0))
 
 
 WRONG_SCHEME_KEY = {"scheme": "secret_mixing", "weights": [0.5] * 4, "gamma": 3}
@@ -635,7 +643,7 @@ def test_attack_checks_the_seed_it_does_not_read(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("seed, bad", [(-1, -1), (2**128 - 1, 2**128)], ids=["seed", "seed-plus-one"])
 def test_verify_and_involution_refuse_a_bad_seed_before_the_draw(tmp_path, monkeypatch, capsys, argv, seed, bad):
     # both read seed and seed + 1 (psi and the second weights, or the two keys); at n = 16 the draw would need
-    # 256 GiB, so a bad seed is refused first, as a usage error with no report
+    # 128 GiB, so a bad seed is refused first, as a usage error with no report
     monkeypatch.chdir(tmp_path)
     haar16 = {"K": 4, "n": 16, "unitaries": {"kind": "haar", "seed": 7}}
     extra = {"weights": [1.0, 0.8, 0.5, 0.3]} if argv[0] == "verify" else {"psi_seed": 3}
@@ -650,7 +658,7 @@ def test_verify_and_involution_refuse_a_bad_seed_before_the_draw(tmp_path, monke
     ({"extra": 1}, "config key 'extra' is not read by a circuit spec"), ({"variant": "spiral"}, "unknown variant"),
 ], ids=["unread-key", "unknown-variant"])
 def test_verify_records_a_bad_sixteen_qubit_spec_without_a_draw(tmp_path, monkeypatch, capsys, change, message):
-    # the draw would need 256 GiB; the document is refused first, as a failed spec-validation (exit 1)
+    # the draw would need 128 GiB; the document is refused first, as a failed spec-validation (exit 1)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**lcuout.cli.DEFAULT_VERIFY, "n": 16, **change}))
     _no_draw(monkeypatch)
@@ -695,6 +703,29 @@ def test_verify_refuses_secret_mixing_at_a_k_that_is_not_a_power_of_two(tmp_path
     assert check["name"] == "spec-validation" and not check["pass"]
     assert check["error"] == "Secret mixing needs a power-of-two k, got 3"
     assert capsys.readouterr().out == "FAIL spec-validation\n"
+
+
+def test_trapdoor_eval_and_invert_on_a_haar_public_never_form_a_dense_unitary(tmp_path, monkeypatch):
+    # the public unitaries are drawn and applied as reflectors; only verify and the dense oracles read the dense
+    # stack, so every trapdoor action the key holder runs on a Haar config must work with its builder broken
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**lcuout.cli.DEFAULT_TRAPDOOR, "n": 6}))
+    (tmp_path / "k.json").write_text(key_to_json(keygen(4, "hadamard", 3)))
+
+    def no_dense(self):
+        raise RuntimeError("formed a dense unitary")
+
+    monkeypatch.setattr(Reflectors, "dense", property(no_dense))
+    with pytest.raises(RuntimeError, match="formed a dense unitary"):  # the spy sits where the dense form is built
+        haar_random_unitaries(1, 2, rng(0))
+    common = ["--config", "cfg.json", "--key", "k.json"]
+    assert main(["trapdoor", "eval", *common, "--dump", "amplitudes", "--out", "a"]) == 0
+    assert main(["trapdoor", "eval", *common, "--shots", "1000", "--out", "s"]) == 0
+    assert main(["trapdoor", "invert", *common, "--density", "0.7", "--sigma", "1e-3", "--out", "d"]) == 0
+    assert main(["trapdoor", "invert", *common, "--phi", "a_amplitudes.csv", "--out", "p"]) == 0
+    assert json.loads((tmp_path / "p_invert.json").read_text())["target_error"] < 1e-12
+    with pytest.raises(RuntimeError, match="formed a dense unitary"):  # verify's structure battery does read it
+        verify(CircuitSpec.from_json(json.dumps({**lcuout.cli.DEFAULT_VERIFY, "n": 6})), 0)
 
 
 HAAR = lcuout.cli.DEFAULT_TRAPDOOR["unitaries"]
@@ -812,7 +843,7 @@ def test_readme_library_block_runs_and_prints_what_it_says():
     assert run.returncode == 0, run.stderr
     residual, probability = (float(line) for line in run.stdout.split())
     assert "# ~1e-15" in block and residual < 1e-14
-    assert "# 0.0805" in block and abs(probability - 0.0805) < 5e-5
+    assert "# 0.0795" in block and abs(probability - 0.0795) < 5e-5
 
 
 def test_main_builds_the_parser_once_and_survives_a_usage_error(tmp_path, capsys):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 import lcuout.linalg
+from lcuout.circuit import CircuitSpec
 from lcuout.linalg import (
+    HOUSEHOLDER_BLOCK,
+    Reflectors,
     dft_matrix,
     haar_random_unitaries,
     haar_random_unitary,
+    haar_reflectors,
     hadamard_matrix,
     numerical_rank,
     random_state,
@@ -15,6 +19,8 @@ from lcuout.linalg import (
     svd,
     truncate_rank,
 )
+
+from helpers import column_by_column_haar, qr_haar_unitary, reflector_product
 
 
 def test_rng_is_deterministic():
@@ -91,26 +97,134 @@ def test_haar_random_unitary_seeded():
     assert not np.allclose(haar_random_unitary(6, 3), haar_random_unitary(6, 4))
 
 
-def _haar_out_of_place(dim, gen):
-    """The Haar draw as four temporaries: the reference the in-place draw must match bit for bit."""
-    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 @pytest.mark.parametrize("dim", [1, 2, 7, 64])
 @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
 def test_haar_random_unitary_matches_the_out_of_place_draw(dim, seed):
-    assert haar_random_unitary(dim, seed).tobytes() == _haar_out_of_place(dim, rng(seed)).tobytes()
-    gen, ref = rng(seed), rng(seed)  # a running generator advances by the same draws
+    # the reference draws the same Gaussians and multiplies out one reflector at a time, so it rounds differently
+    # from the blocked products: the two agree to 1e-13, and the generator advances by the same draws
+    np.testing.assert_allclose(haar_random_unitary(dim, seed), column_by_column_haar(dim, rng(seed)), rtol=0, atol=1e-13)
+    gen, ref = rng(seed), rng(seed)
     for _ in range(3):
-        assert haar_random_unitary(dim, gen).tobytes() == _haar_out_of_place(dim, ref).tobytes()
-    # k successive draws from one generator fill the slots of the stack, each bit for bit
-    stack = haar_random_unitaries(3, dim, gen)
+        np.testing.assert_allclose(haar_random_unitary(dim, gen), column_by_column_haar(dim, ref), rtol=0, atol=1e-13)
+    # k successive draws from one generator are the k unitaries of one stack, each bit for bit
+    again = rng(seed)
+    singles = [haar_random_unitary(dim, again) for _ in range(3)]
+    stack = haar_random_unitaries(3, dim, rng(seed))
     assert stack.shape == (3, dim, dim)
-    for u in stack:
-        assert u.tobytes() == _haar_out_of_place(dim, ref).tobytes()
+    assert all(u.tobytes() == s.tobytes() for u, s in zip(stack, singles))
+    assert gen.random() == ref.random()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 31, 32, 33, 100])
+def test_reflector_dense_form_and_apply_match_the_reflector_product(dim):
+    # the blocked dense form and @ against the product of the N reflectors, across one, two and four blocks
+    stack = haar_reflectors(3, dim, rng(dim))
+    assert len(stack.panels) == -(-dim // HOUSEHOLDER_BLOCK) and stack.shape == (3, dim, dim)
+    for t in range(3):
+        np.testing.assert_allclose(stack.dense[t], reflector_product(stack, t), rtol=0, atol=1e-14)
+    gen = rng(dim + 1)
+    for x in (gen.standard_normal(dim), gen.standard_normal((3, dim, 2)) + 1j * gen.standard_normal((3, dim, 2)),
+              gen.standard_normal((dim, 5)), gen.standard_normal((2, 1, dim, 3))):
+        out = stack @ x
+        assert out.shape == np.matmul(stack.dense, x).shape and out.dtype == complex
+        np.testing.assert_allclose(out, stack.dense @ x, rtol=0, atol=1e-13 * max(1.0, np.abs(x).max()))
+    with pytest.raises(ValueError, match="cannot apply reflectors"):
+        stack @ np.ones(dim + 1)
+
+
+# E|U_ij|^2 = 1/N, E|U_ij|^4 = 2/(N(N+1)) and E|tr U|^2 = 1 for Haar U; their standard deviations at N = 4 are
+# sqrt(3/80), sqrt(1/35 - 1/100) (E|U_ij|^8 = 24/(N(N+1)(N+2)(N+3))) and 1, and E U_ij = 0 with E|U_ij|^2 - |E U_ij|^2 = 1/4.  Each band is 5
+# standard errors of the mean over DRAWS unitaries: over seeds 0-19, the largest deviation of any moment of any
+# entry was 4.1 of them for the reflectors and 3.3 for the QR oracle; a draw without its phase fix reads 38 and 54.
+HAAR_N, DRAWS = 4, 4000
+
+
+def haar_moments(us):
+    """Mean over a (DRAWS, N, N) stack of U_ij, |U_ij|^2 and |U_ij|^4 per entry, and of |tr U|^2, in standard errors."""
+    n = us.shape[-1]
+    sq = us.real**2 + us.imag**2
+    sd = {"first": 0.5, "second": np.sqrt((n - 1) / (n**2 * (n + 1))),
+          "fourth": np.sqrt(24 / (n * (n + 1) * (n + 2) * (n + 3)) - (2 / (n * (n + 1))) ** 2), "trace": 1.0}
+    z = {"first": np.abs(us.mean(axis=0)) / sd["first"],
+         "second": np.abs(sq.mean(axis=0) - 1 / n) / sd["second"],
+         "fourth": np.abs((sq**2).mean(axis=0) - 2 / (n * (n + 1))) / sd["fourth"],
+         "trace": abs((np.abs(np.trace(us, axis1=1, axis2=2)) ** 2).mean() - 1.0) / sd["trace"]}
+    return {name: float(np.max(v)) * np.sqrt(len(us)) for name, v in z.items()}
+
+
+@pytest.mark.parametrize("sampler", ["reflectors", "qr-oracle"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_haar_draws_have_the_haar_moments(sampler, seed):
+    if sampler == "reflectors":
+        us = haar_random_unitaries(DRAWS, HAAR_N, rng(seed))
+    else:
+        gen = rng(seed)
+        us = np.stack([qr_haar_unitary(HAAR_N, gen) for _ in range(DRAWS)])
+    moments = haar_moments(us)
+    assert max(moments.values()) <= 5.0, moments
+
+
+def test_haar_moments_catch_a_draw_without_its_phase_fix():
+    # Householder products without the signs of beta are unitary but not Haar: their diagonal leans negative
+    stack = haar_reflectors(DRAWS, HAAR_N, rng(0))
+    unfixed = Reflectors(stack.panels, stack.taus, np.ones_like(stack.signs))
+    assert haar_moments(unfixed.dense)["first"] > 5.0
+
+
+@pytest.mark.parametrize("corrupt", ["tau", "nan-vector", "inf-tau", "sign"])
+def test_spec_refuses_a_reflector_stack_that_is_not_unitary(corrupt):
+    stack = haar_reflectors(4, 8, rng(3))
+    panels, taus, signs = [p.copy() for p in stack.panels], stack.taus.copy(), stack.signs.copy()
+    if corrupt == "tau":
+        taus[2, 3] *= 1 + 1e-9
+    elif corrupt == "nan-vector":
+        panels[0][2, 5, 1] = np.nan
+    elif corrupt == "inf-tau":
+        taus[2, 0] = np.inf
+    else:
+        signs[2, 7] = 1 + 1e-9
+    bent = Reflectors(tuple(panels), taus, signs)
+    assert list(bent.non_unitary()) == [False, False, True, False]
+    with pytest.raises(ValueError, match="matrix 2 is not unitary"):
+        CircuitSpec(k=4, n=3, weights=np.ones(4), unitaries=bent)
+    assert not CircuitSpec(k=4, n=3, weights=np.ones(4), unitaries=stack).unitaries.non_unitary().any()
+
+
+def test_reflector_unitarity_bound_covers_the_dense_defect():
+    # the bound prod(1 + e_j) - 1 is at least |U^H U - I|_2, so at least every entry of the dense defect
+    stack = haar_reflectors(1, 16, rng(4))
+    for scale in (1e-12, 1e-9, 1e-6, 1e-3):
+        taus = stack.taus.copy()
+        taus[0, ::3] *= 1 + scale
+        bent = Reflectors(stack.panels, taus, stack.signs)
+        u = bent.dense[0]
+        defect = np.linalg.norm(u.conj().T @ u - np.eye(16), 2)
+        sq = np.concatenate([(np.abs(p[0]) ** 2).sum(axis=0) for p in stack.panels])
+        e = np.abs(np.abs(taus[0]) ** 2 * sq - 2 * taus[0].real) * sq
+        assert defect <= np.expm1(np.log1p(e).sum()) * (1 + 1e-6) + 1e-14
+        assert bool(bent.non_unitary()[0]) == (np.expm1(np.log1p(e).sum()) > 1e-10)
+
+
+def test_reflectors_check_their_shapes_and_hold_read_only_copies():
+    stack = haar_reflectors(2, 40, rng(5))
+    with pytest.raises(ValueError, match="do not make one"):
+        Reflectors(stack.panels[:1], stack.taus, stack.signs)
+    with pytest.raises(ValueError, match="do not make one"):
+        Reflectors(stack.panels, stack.taus[:, :-1], stack.signs[:, :-1])
+    with pytest.raises(ValueError, match="do not make one"):
+        Reflectors(stack.panels, stack.taus, stack.signs[:1])
+    taus = stack.taus.copy()
+    kept = Reflectors(stack.panels, taus, stack.signs)
+    assert kept.panels[0] is stack.panels[0] and not np.shares_memory(kept.taus, taus)
+    taus[0, 0] = 7.0
+    assert kept.taus[0, 0] == stack.taus[0, 0] and not kept.taus.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_haar_random_unitaries_are_unitary_to_1e_13(n):
+    us = haar_random_unitaries(2, 2**n, rng(n))
+    gram = np.einsum("kji,kjl->kil", us.conj(), us)
+    assert np.abs(gram - np.eye(2**n)).max() <= 1e-13
 
 
 def test_haar_random_unitary_accepts_generator():

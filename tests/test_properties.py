@@ -22,7 +22,7 @@ from lcuout.circuit import (
     row_matrix,
     sample_shots,
 )
-from lcuout.linalg import dft_matrix, haar_random_unitary, numerical_rank, random_state, rng
+from lcuout.linalg import dft_matrix, haar_random_unitary, haar_reflectors, numerical_rank, random_state, rng
 from lcuout.structure import verify
 from lcuout.trapdoor import PublicParams, involution_encrypt_decrypt, keygen
 from lcuout.outputs import (
@@ -74,6 +74,19 @@ def test_apply_circuit_matches_the_dense_unitary(k, n, mixing, variant, weights,
     v = gen.standard_normal(spec.extended_dim) + 1j * gen.standard_normal(spec.extended_dim)
     v /= np.linalg.norm(v)
     assert np.abs(apply_circuit(spec, v) - circuit_unitary(spec) @ v).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([1, 2, 4]), n=st.integers(1, 7), cols=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_reflector_stack_applies_as_its_dense_form(k, n, cols, seed):
+    # one state for every unitary, and a (K, N, S) stack of unit columns, as np.matmul takes them
+    gen = rng(seed)
+    stack = haar_reflectors(k, 2**n, gen)
+    x = gen.standard_normal((k, 2**n, cols)) + 1j * gen.standard_normal((k, 2**n, cols))
+    for x in (random_state(2**n, gen), x / np.linalg.norm(x, axis=1, keepdims=True)):
+        out = stack @ x
+        assert out.shape == np.matmul(stack.dense, x).shape
+        assert np.abs(out - stack.dense @ x).max() <= 1e-13
 
 
 # finite doubles, with signed zeros and subnormals always in the draw

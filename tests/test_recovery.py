@@ -9,7 +9,7 @@ import lcuout.linalg
 import lcuout.recovery
 from lcuout.circuit import CircuitSpec
 from lcuout.linalg import (
-    GRAM_GAP_RTOL, haar_random_unitaries, haar_random_unitary, numerical_rank, random_state, rng, svd,
+    GRAM_GAP_RTOL, haar_random_unitary, numerical_rank, random_state, rng, svd,
 )
 from lcuout.outputs import coefficient_matrix, output_matrix
 from lcuout.recovery import (
@@ -571,7 +571,7 @@ def test_sweep_instance_rejects_an_empty_size(k, n, message):
 
 def test_sweep_draws_states_not_unitaries(monkeypatch):
     built = []
-    haar, post_init = haar_random_unitaries, CircuitSpec.__post_init__
+    haar, post_init = lcuout.linalg.haar_reflectors, CircuitSpec.__post_init__
 
     def counted_haar(*args):
         built.append("haar")
@@ -581,8 +581,8 @@ def test_sweep_draws_states_not_unitaries(monkeypatch):
         built.append("spec")
         post_init(spec)
 
-    monkeypatch.setattr(lcuout.linalg, "haar_random_unitaries", counted_haar)
-    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", counted_haar)
+    monkeypatch.setattr(lcuout.linalg, "haar_reflectors", counted_haar)
+    monkeypatch.setattr(lcuout.circuit, "haar_reflectors", counted_haar)
     monkeypatch.setattr(CircuitSpec, "__post_init__", counted_spec)
     # the factorized solve is reached through the module global, so it can be wrapped by name
     seen = []
@@ -602,6 +602,9 @@ def test_sweep_draws_states_not_unitaries(monkeypatch):
         _, c_inst, x = sweep_instance(4, 5, 11 + 7919 * (i // 2 + 1))
         np.testing.assert_array_equal(values, c_inst @ x)
         np.testing.assert_array_equal(c, c_inst)
+    # the spies sit where a Haar spec draws: the instance with unitaries is counted
+    random_instance(4, 2, 0)
+    assert built == ["spec", "haar"]
 
 
 def test_sweep_draws_each_mask_once(monkeypatch):

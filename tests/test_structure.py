@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -449,22 +450,35 @@ def test_wrong_weights_in_a_fail_the_singular_multiset_check(monkeypatch):
         assert dev <= bound + certificate_slack(spec)
 
 
-# Peak allocation of one verify call at K=4, n=7, in units of K N x N complex matrices (K N^2 16 bytes): 2.02
-# measured, since the defect Gram holds the stack of the E_t and its conjugate.  Building the
-# K^2 products U_t^dag U_u and U_t U_u^dag and their Gram matrices instead peaked at 9.5 units; c = 3 leaves a
-# margin of 1.5.
+# Peak allocation of one verify call at K=4, n=7, in units of K N x N complex matrices (K N^2 16 bytes): 1.27
+# measured on a dense spec, since the defect Gram holds the stack of the E_t and reads it pair by pair with
+# np.vdot (its conjugated copy took the peak to 2.02).  A Haar spec from JSON forms its dense stack first and keeps
+# its compact-WY factors (0.25 units at n = 7), which took the peak to 2.52.  Building the K^2 products
+# U_t^dag U_u and U_t U_u^dag and their Gram matrices instead peaked at 9.5 units.
 VERIFY_PEAK_UNITS = 3
+
+
+def verify_peak(spec) -> float:
+    """Peak allocation of ``verify(spec, seed=11)``, in bytes."""
+    tracemalloc.start()
+    try:
+        verify(spec, seed=11)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_verify_builds_no_stack_of_products():
     spec = make_spec(k=4, n=7, seed=66)
-    tracemalloc.start()
-    try:
-        verify(spec, seed=11)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= VERIFY_PEAK_UNITS * spec.k * spec.big_n**2 * 16
+    assert verify_peak(spec) <= VERIFY_PEAK_UNITS * spec.k * spec.big_n**2 * 16
+
+
+def test_verify_on_a_haar_spec_from_json_forms_its_dense_stack_within_the_same_peak():
+    doc = {"K": 4, "n": 7, "weights": [1.0, 0.8, 0.5, 0.3], "unitaries": {"kind": "haar", "seed": 66}}
+    spec = CircuitSpec.from_json(json.dumps(doc))
+    assert "dense" not in vars(spec.unitaries)  # verify forms the dense stack inside the measured call
+    assert verify_peak(spec) <= VERIFY_PEAK_UNITS * spec.k * spec.big_n**2 * 16
+    assert "dense" in vars(spec.unitaries)
 
 
 def test_apply_circuit_and_traces_read_the_stack_of_unitaries_without_copying_it():

@@ -8,7 +8,7 @@ import lcuout.circuit
 from lcuout.circuit import (
     Monomial, coefficients, mixing_layers, pauli_string_matrix, sample_shots, unitary_source,
 )
-from lcuout.linalg import haar_random_unitaries, haar_random_unitary, hadamard_matrix, random_state, rng
+from lcuout.linalg import Reflectors, haar_reflectors, haar_random_unitary, hadamard_matrix, random_state, rng
 from lcuout.outputs import coefficient_matrix, output_matrix, row_matrix
 from lcuout.recovery import ObservedEntries, make_mask, observe
 from lcuout.trapdoor import (
@@ -62,19 +62,20 @@ def test_public_params_check_their_unitaries_when_built():
 
 
 def test_public_params_draw_a_generator_after_the_layout_checks(monkeypatch):
-    # a generator, the Haar source of unitary_source, is drawn by the base spec, with the bits of the direct draw
+    # a generator, the Haar source of unitary_source, is drawn by the base spec as reflectors, with the bits of
+    # the direct draw
     pub = PublicParams(k=4, n=3, unitaries=rng(8), variant="cyclic")
-    drawn = PublicParams(k=4, n=3, unitaries=haar_random_unitaries(4, 8, rng(8)), variant="cyclic")
+    drawn = PublicParams(k=4, n=3, unitaries=haar_reflectors(4, 8, rng(8)), variant="cyclic")
     assert pub.scheme == drawn.scheme
     assert_same_spec(pub.base_spec, drawn.base_spec)
-    assert pub.unitaries is pub.base_spec.unitaries and pub.unitaries.shape == (4, 8, 8)
-    assert not pub.unitaries.flags.writeable and pub.unitaries.flags.owndata and pub.unitaries.base is None
+    assert pub.unitaries is pub.base_spec.unitaries and isinstance(pub.unitaries, Reflectors)
+    assert pub.unitaries.shape == (4, 8, 8) and not pub.unitaries.taus.flags.writeable
 
     def no_draw(*args):
         raise RuntimeError("drew the Haar unitaries")
 
-    # at n = 16 the draw would take 256 GiB, so a layout error must come first
-    monkeypatch.setattr(lcuout.circuit, "haar_random_unitaries", no_draw)
+    # at n = 16 the draw would take 128 GiB, so a layout error must come first
+    monkeypatch.setattr(lcuout.circuit, "haar_reflectors", no_draw)
     for change, match in [({"k": 3}, "power-of-two k, got 3"), ({"scheme": "rsa"}, "unknown scheme 'rsa'")]:
         with pytest.raises(ValueError, match=match):
             PublicParams(**{"k": 4, "n": 16, **change}, unitaries=rng(1))
