@@ -171,8 +171,8 @@ class Reflectors:
     narrower last block), about half the memory of the dense stack.  All
     three are read-only, taken as :func:`readonly` takes arrays.
 
-    ``shape`` is that of the (K, N, N) stack they stand for, and ``x @``
-    applies it as ``np.matmul`` would the dense stack, block by block as
+    ``shape`` is that of the (K, N, N) stack they stand for, and ``stack @
+    x`` applies it as ``np.matmul`` would the dense stack, block by block as
     ``y -= V_b T_b V_b^H y`` in O(K N^2) per column of ``x``;
     :attr:`factors` holds the compact-WY factors T_b, and :attr:`dense` the
     dense stack, each built on first use and kept.  Nothing here checks
