@@ -206,20 +206,30 @@ class Reflectors:
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, ...]:
-        """The (K, w_b, w_b) upper-triangular T_b with ``H_{bB} ... H_{bB+w_b-1} = I - V_b T_b V_b^H``.
+        """The (K, w_b, w_b) upper-triangular T_b with ``H_{bB} ... H_{bB+w_b-1} = I - V_b T_b V_b^H``, read-only.
 
-        ``T_b = (striu(V_b^H V_b) + diag(1/tau))^-1``, formed as ``diag(tau)
-        (I + striu(V_b^H V_b) diag(tau))^-1``, which divides by no tau.
+        LAPACK's zlarft recurrence (Schreiber & Van Loan, SIAM J. Sci. Stat.
+        Comput. 10, 1989) from the block Gram ``G = V_b^H V_b``: diag(T) =
+        tau and ``T[:j, j] = -tau_j T[:j, :j] G[:j, j]``, column by column.
+        It inverts nothing and divides by no tau.  All K unitaries and all P
+        blocks take the w - 1 steps together, as one (K, P, w, w) stack with w
+        = min(B, N); a narrower last block is padded with tau = 0, which
+        leaves its extra columns zero.
         """
-        out = []
-        for c0, v in zip(range(0, self.shape[-1], HOUSEHOLDER_BLOCK), self.panels):
-            tau = self.taus[:, c0 : c0 + v.shape[-1]]
-            upper = np.triu(v.conj().transpose(0, 2, 1) @ v, 1) * tau[:, None, :]
-            upper += np.eye(v.shape[-1])
-            f = tau[:, :, None] * np.linalg.inv(upper)
-            f.flags.writeable = False
-            out.append(f)
-        return tuple(out)
+        (k, big_n), width = self.taus.shape, self.panels[0].shape[-1]  # width = min(B, N)
+        tau = np.zeros((k, len(self.panels) * width), dtype=complex)
+        tau[:, :big_n] = self.taus
+        tau = tau.reshape(k, len(self.panels), width)
+        gram = np.zeros(tau.shape + (width,), dtype=complex)
+        for b, v in enumerate(self.panels):
+            gram[:, b, : v.shape[-1], : v.shape[-1]] = v.conj().transpose(0, 2, 1) @ v
+        gram *= -tau[:, :, None, :]
+        t = np.zeros_like(gram)
+        t[..., range(width), range(width)] = tau
+        for j in range(1, width):
+            t[..., :j, j] = (t[..., :j, :j] @ gram[..., :j, j, None])[..., 0]
+        t.flags.writeable = False
+        return tuple(t[:, b, : v.shape[-1], : v.shape[-1]] for b, v in enumerate(self.panels))
 
     def __matmul__(self, x) -> np.ndarray:
         """``dense @ x`` with the shape ``np.matmul`` gives, applied block by block in O(K N^2) per column of ``x``.
@@ -272,7 +282,9 @@ class Reflectors:
         - I`` is within it.  A NaN or inf entry fails.
         """
         with np.errstate(invalid="ignore", over="ignore"):
-            sq = np.concatenate([(p.real**2 + p.imag**2).sum(axis=1) for p in self.panels], axis=1)
+            floats = [np.ascontiguousarray(p).view(float) for p in self.panels]  # Re and Im of a column side by side
+            halves = np.concatenate([np.einsum("krc,krc->kc", f, f) for f in floats], axis=1)
+            sq = halves[:, 0::2] + halves[:, 1::2]  # |v_j|^2
             tau = self.taus
             e = np.abs((tau.real**2 + tau.imag**2) * sq - 2 * tau.real) * sq
             e_s = np.abs(self.signs**2 - 1).max(axis=1)

@@ -45,14 +45,16 @@ def output_matrix(spec: CircuitSpec, psi: np.ndarray) -> np.ndarray:
 
 # -- plain-text serialization -------------------------------------------------
 
-def _fmt(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
 def matrix_to_csv(m: np.ndarray) -> str:
-    """Comma-separated complex matrix, one row per line, cells ``re+imj``."""
-    rows = np.asarray(m, dtype=complex).tolist()  # Python complex cells format as numpy's do, faster
-    return "\n".join(",".join(_fmt(z) for z in row) for row in rows) + "\n"
+    """Comma-separated complex matrix, one row per line, cells ``re+imj``.
+
+    Each row is one ``%`` operation over the Python floats of its real and
+    imaginary parts, side by side, which give the bytes
+    ``f"{z.real:.17g}{z.imag:+.17g}j"`` gives cell by cell.
+    """
+    cells = np.ascontiguousarray(m, dtype=complex)
+    row = ",".join(["%.17g%+.17gj"] * cells.shape[-1])
+    return "\n".join(row % tuple(parts) for parts in cells.view(float).tolist()) + "\n"
 
 
 def _cell(cell: str, number: int) -> complex:

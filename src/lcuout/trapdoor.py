@@ -31,6 +31,7 @@ matrix.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,9 @@ __all__ = [
 ]
 
 _SCHEMES = ("hadamard", "secret_mixing")
+
+# how far from I, in Frobenius norm, the square of a public unitary of the involution cipher may lie
+INVOLUTION_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,27 +372,37 @@ def hadamard_attack(pub: PublicLayout, phi: np.ndarray) -> AttackResult:
     return AttackResult(weights=weights, recoverable=recoverable, residual=residual)
 
 
-def _involution_residuals(unitaries: np.ndarray | Monomial | Reflectors) -> list[float]:
-    """``|U_t^2 - I|_F`` for each public unitary: O(N) per monomial unitary, one N x N product per dense one.
-
-    Reflectors are read in their dense form.
+def _involution_residuals(unitaries: np.ndarray | Monomial | Reflectors) -> Iterator[float]:
+    """``|U_t^2 - I|_F`` for each public unitary, in order: O(N) per monomial unitary, one N x N product per dense one.
 
     A monomial U sends e_j to ``p_j p_{a(j)} e_{a(a(j))}`` under U^2, with a
     the images and p the phases, so column j of ``U^2 - I`` is
     ``p_j p_{a(j)} - 1`` on the diagonal where ``a(a(j)) = j``, and
     otherwise holds ``p_j p_{a(j)}`` and -1 in two rows.
+
+    A reflector stack is first probed in O(K N^2) through ``@`` with one
+    fixed unit x: ``|(U_t^2 - I) x| <= |U_t^2 - I|_F``, so a probe above
+    ``INVOLUTION_ATOL`` stands in for the residual of its unitary and
+    refuses it as the residual would.  The dense stack is built only when
+    the caller reaches a unitary whose probe passes.
     """
     if isinstance(unitaries, Monomial):
         images, phases = unitaries.images, unitaries.phases
         square = phases * np.take_along_axis(phases, images, axis=-1)
         fixed = np.take_along_axis(images, images, axis=-1) == np.arange(images.shape[-1])
-        return list(np.sqrt(np.where(fixed, np.abs(square - 1) ** 2, np.abs(square) ** 2 + 1).sum(axis=-1)))
-    residuals = []
-    for u in unitaries if isinstance(unitaries, np.ndarray) else unitaries.dense:
-        square = u @ u
-        square[np.diag_indices_from(square)] -= 1  # U^2 - I in place, the same Frobenius norm bit for bit
-        residuals.append(np.linalg.norm(square))
-    return residuals
+        return iter(np.sqrt(np.where(fixed, np.abs(square - 1) ** 2, np.abs(square) ** 2 + 1).sum(axis=-1)))
+    if isinstance(unitaries, Reflectors):
+        big_n = unitaries.shape[-1]
+        x = np.full(big_n, big_n**-0.5)
+        probes = np.linalg.norm((unitaries @ (unitaries @ x)[..., None])[..., 0] - x, axis=-1)
+        return (p if p > INVOLUTION_ATOL else _square_residual(unitaries.dense[t]) for t, p in enumerate(probes))
+    return map(_square_residual, unitaries)
+
+
+def _square_residual(u: np.ndarray) -> float:
+    square = u @ u
+    square[np.diag_indices_from(square)] -= 1  # U^2 - I in place, the same Frobenius norm bit for bit
+    return np.linalg.norm(square)
 
 
 def involution_encrypt_decrypt(
@@ -403,15 +417,17 @@ def involution_encrypt_decrypt(
     extended input — the weight cancellation makes it 1 for any key pair.
     ``psi`` is checked by :func:`~lcuout.circuit.check_state`, as every
     circuit input is, so the overlap is a fidelity in [0, 1].  ``ValueError``
-    names the first unitary t with ``|U_t^2 - I|_F > 1e-10``: O(N) for each
-    unitary of a monomial stack, whose circuits also apply in O(K N + K^2 N),
-    so Pauli strings and permutations need no N x N matrix at any step.
+    names the first unitary t with ``|U_t^2 - I|_F > INVOLUTION_ATOL``: O(N)
+    for each unitary of a monomial stack, whose circuits also apply in O(K N
+    + K^2 N), so Pauli strings and permutations need no N x N matrix at any
+    step; a Haar stack, almost surely no involution, is refused in O(K N^2)
+    by a probe, before its dense form.
     """
     if pub.scheme != "hadamard" or pub.variant != "reflection":
         raise ValueError("the involution cipher needs the Hadamard reflection circuit")
     big_n = 2**pub.n
     for t, residual in enumerate(_involution_residuals(pub.unitaries)):
-        if residual > 1e-10:
+        if residual > INVOLUTION_ATOL:
             raise ValueError(f"unitary {t} is not an involution")
     spec, spec2 = key_spec(key, pub), key_spec(key2, pub)
     ext = np.zeros(2 * pub.k * big_n, dtype=complex)

@@ -94,3 +94,23 @@ def column_by_column_haar(dim, gen):
         u -= ((beta - x[0]) / beta) * np.outer(u @ v, v.conj())
         signs[j] = np.sign(beta)
     return u * signs
+
+
+def wy_factors_by_inverse(stack):
+    """The compact-WY factors of a :class:`Reflectors` stack by the closed form ``diag(tau) (I + striu(V_b^H V_b) diag(tau))^-1``.
+
+    The formula the package used before the zlarft recurrence, one general
+    inverse per block, kept only as an oracle of ``Reflectors.factors``.
+    """
+    out = []
+    for c0, v in zip(range(0, stack.shape[-1], HOUSEHOLDER_BLOCK), stack.panels):
+        tau = stack.taus[:, c0 : c0 + v.shape[-1]]
+        upper = np.triu(v.conj().transpose(0, 2, 1) @ v, 1) * tau[:, None, :] + np.eye(v.shape[-1])
+        out.append(tau[:, :, None] * np.linalg.inv(upper))
+    return out
+
+
+def csv_by_cells(m):
+    """The text of :func:`~lcuout.outputs.matrix_to_csv` formatted one cell at a time, ``f"{re:.17g}{im:+.17g}j"``."""
+    rows = np.asarray(m, dtype=complex).tolist()
+    return "\n".join(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in rows) + "\n"

@@ -728,6 +728,29 @@ def test_trapdoor_eval_and_invert_on_a_haar_public_never_form_a_dense_unitary(tm
         verify(CircuitSpec.from_json(json.dumps({**lcuout.cli.DEFAULT_VERIFY, "n": 6})), 0)
 
 
+def test_demo_involution_refuses_a_haar_public_by_its_probe_before_any_dense_unitary(tmp_path, monkeypatch, capsys):
+    # a Haar unitary is almost surely no involution: one O(K N^2) probe refuses it, with the dense builder broken,
+    # while the monomial stacks the cipher is run with still decrypt
+    monkeypatch.chdir(tmp_path)
+
+    def no_dense(self):
+        raise RuntimeError("formed a dense unitary")
+
+    monkeypatch.setattr(Reflectors, "dense", property(no_dense))
+    haar = {**lcuout.cli.DEFAULT_INVOLUTION, "n": 6, "unitaries": lcuout.cli.DEFAULT_TRAPDOOR["unitaries"]}
+    swaps = {**lcuout.cli.DEFAULT_INVOLUTION, "unitaries": {"kind": "permutation", "data": [
+        [1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]]}}
+    for name, config in (("haar", haar), ("pauli", lcuout.cli.DEFAULT_INVOLUTION), ("swaps", swaps)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["trapdoor", "demo-involution", "--config", "haar.json", "--out", "h"]) == 2
+    assert "unitary 0 is not an involution" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["haar.json", "pauli.json", "swaps.json"]
+    for name in ("pauli", "swaps"):
+        assert main(["trapdoor", "demo-involution", "--config", f"{name}.json", "--out", name]) == 0
+        assert abs(json.loads((tmp_path / f"{name}_involution.json").read_text())["fidelity"] - 1.0) < 1e-10
+
+
 HAAR = lcuout.cli.DEFAULT_TRAPDOOR["unitaries"]
 BAD_PUBLIC_CONFIGS = {
     "haar-seed-negative": ({"unitaries": {**HAAR, "seed": -1}}, "a seed must lie in [0, 2**128)"),

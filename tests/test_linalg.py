@@ -20,7 +20,9 @@ from lcuout.linalg import (
     truncate_rank,
 )
 
-from helpers import column_by_column_haar, qr_haar_unitary, reflector_product
+from helpers import (
+    column_by_column_haar, qr_haar_unitary, reflector_product, reflector_vectors, wy_factors_by_inverse,
+)
 
 
 def test_rng_is_deterministic():
@@ -130,6 +132,33 @@ def test_reflector_dense_form_and_apply_match_the_reflector_product(dim):
         np.testing.assert_allclose(out, stack.dense @ x, rtol=0, atol=1e-13 * max(1.0, np.abs(x).max()))
     with pytest.raises(ValueError, match="cannot apply reflectors"):
         stack @ np.ones(dim + 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 31, 32, 33, 100, 256])
+def test_reflector_factors_match_the_inverse_formula_and_the_block_products(dim):
+    # the zlarft recurrence against the closed form it replaced, and the blocks I - V_b T_b V_b^H, multiplied out,
+    # against the product of the reflectors; unitary 1 has a tau of 0 (an identity reflector) in its first and its
+    # last block
+    stack = haar_reflectors(2, dim, rng(dim + 7))
+    taus = stack.taus.copy()
+    taus[1, dim // 2] = taus[1, dim - 1] = 0.0
+    stack = Reflectors(stack.panels, taus, stack.signs)
+    factors = stack.factors
+    assert len(factors) == len(stack.panels)
+    blocks = np.eye(dim, dtype=complex)[None].repeat(2, axis=0)
+    for b, (f, ref, v) in enumerate(zip(factors, wy_factors_by_inverse(stack), stack.panels)):
+        c0, width = b * HOUSEHOLDER_BLOCK, v.shape[-1]
+        assert f.shape == (2, width, width) and not f.flags.writeable
+        assert not np.tril(f, -1).any()
+        assert np.diagonal(f, axis1=1, axis2=2).tobytes() == taus[:, c0 : c0 + width].tobytes()
+        np.testing.assert_allclose(f, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        for t in range(2):
+            vb = reflector_vectors(stack, t)[:, c0 : c0 + width]
+            blocks[t] -= (blocks[t] @ vb) @ f[t] @ vb.conj().T
+    for t in range(2):
+        np.testing.assert_allclose(blocks[t] * stack.signs[t], reflector_product(stack, t), rtol=0, atol=1e-13)
+    with pytest.raises(ValueError, match="read-only"):
+        factors[-1][0, 0, 0] = 1.0
 
 
 # E|U_ij|^2 = 1/N, E|U_ij|^4 = 2/(N(N+1)) and E|tr U|^2 = 1 for Haar U; their standard deviations at N = 4 are

@@ -12,7 +12,7 @@ from lcuout.outputs import (
 )
 from lcuout.recovery import factorized_complete, observe
 
-from helpers import make_spec
+from helpers import csv_by_cells, make_spec
 
 
 @pytest.mark.parametrize("mixing", ["hadamard", "dft"])
@@ -152,6 +152,23 @@ def test_csv_cells_format_as_numpy_scalars_do():
     back = matrix_from_csv(text).view(float)
     np.testing.assert_array_equal(back, m.view(float))  # nan where m has nan
     np.testing.assert_array_equal(np.signbit(back), np.signbit(m.view(float)))
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1 / 3]
+
+
+@pytest.mark.parametrize("case", ["specials", "real", "1x1", "1xN", "transposed-view", "empty-rows", "no-rows"])
+def test_csv_writes_the_bytes_of_the_per_cell_format(case):
+    # one % per row over the row's floats: the same text as formatting each cell, for every value and layout
+    re, im = np.meshgrid(SPECIAL, SPECIAL[::-1])
+    specials = re + 1j * 0.0
+    specials.imag = im  # re + 1j * im would turn inf * 1j into nan + inf j
+    wide = rng(18).standard_normal((6, 9)) + 1j * rng(19).standard_normal((6, 9))
+    m = {"specials": specials, "real": np.array([[1.5, -0.0, np.inf], [np.nan, 5e-324, -2.0]]),
+         "1x1": np.array([[complex(-0.0, np.nan)]]), "1xN": specials[:1], "transposed-view": wide[::2, ::3].T,
+         "empty-rows": np.zeros((3, 0), complex), "no-rows": np.zeros((0, 4), complex)}[case]
+    assert case != "transposed-view" or not m.flags.c_contiguous
+    assert matrix_to_csv(m) == csv_by_cells(m)
 
 
 def test_csv_skips_comment_lines():

@@ -441,6 +441,31 @@ def test_involution_check_decides_at_its_threshold(theta):
         assert theta < 0.5e-10 and abs(involution_encrypt_decrypt(pub, psi, *keys) - 1.0) < 1e-9
 
 
+def householder_involutions(k, dim, seed):
+    """K reflector stacks that are involutions: each unitary one reflection I - 2 v v^H / |v|^2, the rest tau = 0."""
+    stack = haar_reflectors(k, dim, rng(seed))
+    taus = np.zeros_like(stack.taus)
+    for t in range(k):
+        v = stack.panels[0][t, :, t]
+        taus[t, t] = 2 / np.vdot(v, v).real
+    return Reflectors(stack.panels, taus, np.ones_like(stack.signs))
+
+
+def test_involution_probe_passes_reflector_involutions_and_names_the_first_failing_unitary():
+    # |(U^2 - I) x| <= |U^2 - I|_F: the probe never refuses an involution, whose dense residual then decides; a Haar
+    # unitary after one is refused by its probe, as the dense residual would refuse it
+    psi, keys = random_state(8, 48), (keygen(4, "hadamard", 49), keygen(4, "hadamard", 50))
+    involutions = householder_involutions(4, 8, 51)
+    pub = PublicParams(k=4, n=3, unitaries=involutions)
+    assert abs(involution_encrypt_decrypt(pub, psi, *keys) - 1.0) < 1e-10
+    haar = haar_reflectors(4, 8, rng(52))  # one block of reflectors at N = 8
+    panel, taus, signs = involutions.panels[0].copy(), involutions.taus.copy(), involutions.signs.copy()
+    panel[2:], taus[2:], signs[2:] = haar.panels[0][2:], haar.taus[2:], haar.signs[2:]
+    pub = PublicParams(k=4, n=3, unitaries=Reflectors((panel,), taus, signs))
+    with pytest.raises(ValueError, match="unitary 2 is not an involution"):
+        involution_encrypt_decrypt(pub, psi, *keys)
+
+
 def test_involution_on_fourteen_qubit_pauli_strings_builds_no_dense_matrix():
     # four 2**14 x 2**14 dense unitaries would take 16 GiB; the monomial stack takes 1.5 MiB and each circuit
     # application a few vectors of 2 K N entries
