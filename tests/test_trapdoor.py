@@ -453,7 +453,8 @@ def householder_involutions(k, dim, seed):
 
 def test_involution_probe_passes_reflector_involutions_and_names_the_first_failing_unitary():
     # |(U^2 - I) x| <= |U^2 - I|_F: the probe never refuses an involution, whose dense residual then decides; a Haar
-    # unitary after one is refused by its probe, as the dense residual would refuse it
+    # unitary after one is refused by its probe, as the dense residual would refuse it, and a unitary the probe
+    # passes is still refused by its dense residual
     psi, keys = random_state(8, 48), (keygen(4, "hadamard", 49), keygen(4, "hadamard", 50))
     involutions = householder_involutions(4, 8, 51)
     pub = PublicParams(k=4, n=3, unitaries=involutions)
@@ -463,6 +464,15 @@ def test_involution_probe_passes_reflector_involutions_and_names_the_first_faili
     panel[2:], taus[2:], signs[2:] = haar.panels[0][2:], haar.taus[2:], haar.signs[2:]
     pub = PublicParams(k=4, n=3, unitaries=Reflectors((panel,), taus, signs))
     with pytest.raises(ValueError, match="unitary 2 is not an involution"):
+        involution_encrypt_decrypt(pub, psi, *keys)
+    # the transpositions of coordinates 0, 1 and of 1, 2 (reflectors along e0 - e1 and e1 - e2, tau = 1) make a
+    # 3-cycle, no involution, which fixes the uniform vector: a probe along it passes, and the residual decides
+    cycle = np.eye(8, dtype=complex)
+    cycle[1, 0] = cycle[2, 1] = -1
+    panel, taus = involutions.panels[0].copy(), involutions.taus.copy()
+    panel[1], taus[1] = cycle, [1, 1, 0, 0, 0, 0, 0, 0]
+    pub = PublicParams(k=4, n=3, unitaries=Reflectors((panel,), taus, involutions.signs))
+    with pytest.raises(ValueError, match="unitary 1 is not an involution"):
         involution_encrypt_decrypt(pub, psi, *keys)
 
 
