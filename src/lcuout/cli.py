@@ -30,7 +30,7 @@ from .circuit import (
     scale_coefficients, success_probabilities, unitary_source,
 )
 from .linalg import random_state, rng
-from .outputs import matrix_from_csv, matrix_to_csv, output_matrix
+from .outputs import matrix_from_csv, matrix_to_csv
 from .recovery import METHODS, make_mask, observe, sweep
 from .structure import verify
 from .trapdoor import (
@@ -42,7 +42,6 @@ from .trapdoor import (
     involution_encrypt_decrypt,
     key_coefficients,
     key_from_json,
-    key_spec,
     key_to_json,
     keygen,
 )
@@ -319,7 +318,9 @@ def cmd_eval(config: dict, args) -> int:
     The key is read and fitted to the layout, its weights and secret mixing
     included (:func:`~lcuout.trapdoor.key_coefficients`), before the draw,
     and so are ``--shots`` and its sampling seed, by the rules of
-    :func:`~lcuout.circuit.shot_counts`.
+    :func:`~lcuout.circuit.shot_counts`.  The amplitudes are that C times
+    the public rows ``U_t psi``, the bits of
+    :func:`~lcuout.outputs.output_matrix` of the key holder's spec.
     """
     if args.shots is not None and args.dump == "amplitudes":
         raise ValueError("--shots samples --dump magnitudes; the exact --dump amplitudes would ignore it")
@@ -330,10 +331,10 @@ def cmd_eval(config: dict, args) -> int:
         rng(seed)
     layout = _layout(config, args)
     key = key_from_json(Path(args.key).read_text())
-    key_coefficients(key, layout)
+    c = key_coefficients(key, layout)
     pub, psi = _public(config, layout)
     if args.dump == "amplitudes":
-        matrix = output_matrix(key_spec(key, pub), psi)
+        matrix = c @ row_matrix(pub.base_spec, psi)
     else:
         matrix = eval_trapdoor(key, pub, psi, shots=args.shots, seed=seed)
     _write_matrix_csv(f"{args.out}_{args.dump}.csv", "trapdoor eval", config, matrix)

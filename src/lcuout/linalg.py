@@ -247,7 +247,8 @@ class Reflectors:
         for b in reversed(range(len(self.panels))):
             v, f = self.panels[b], self.factors[b]
             rows = y[..., b * HOUSEHOLDER_BLOCK :, :]
-            rows -= v @ (f @ (v.conj().transpose(0, 2, 1) @ rows))
+            # V_b^H rows as conj(V_b^T conj(rows)): a copy of the few columns applied, not of the panel, same bits
+            rows -= v @ (f @ (v.transpose(0, 2, 1) @ rows.conj()).conj())
         return y[..., 0] if x.ndim == 1 else y
 
     @cached_property

@@ -333,11 +333,16 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
     ``V diag(1/s) U^dag`` on those values.  Every column then takes its
     pattern's pseudo-inverse times its observed values; the values off the
     mask are zero (:class:`ObservedEntries`), so the pseudo-inverse's
-    columns on unobserved rows meet only zeros.  That per-pattern work
-    depends on the mask and C alone and the last one is kept, keyed on
-    their contents (bytes, shape and C's dtype), so consecutive calls on one
-    mask and one C, as a sigmas sweep makes, factor it once and differ only
-    in the apply.  ``c`` needs one row per mask row and between 1 and that
+    columns on unobserved rows meet only zeros.  Two memos keep the last
+    result of each step: ``_mask_patterns``, keyed on the mask's bytes and
+    shape, holds its distinct patterns (sorted, so equal sets are equal
+    arrays) and each column's pattern index; ``_pattern_inverses``, keyed on
+    the pattern set's bytes and shape and C's bytes, dtype and shape, holds
+    every pattern's pseudo-inverse and whether it is determined.  So
+    consecutive calls on one mask and one C, as a sigmas sweep makes, only
+    apply, and consecutive masks that share a pattern set under one C, as
+    the masks of one instance do when most columns are well observed, factor
+    it once.  ``c`` needs one row per mask row and between 1 and that
     many columns; any other shape is a ``ValueError``.
     """
     mask, b = entries.mask, entries.values
@@ -347,7 +352,9 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
             f"coefficient matrix of shape {c.shape} does not fit a mask of shape {mask.shape}: "
             "it needs one row per mask row and between 1 and that many columns"
         )
-    pinv, inverse, under = _pattern_inverses(mask.tobytes(), mask.shape, c.tobytes(), c.dtype, c.shape)
+    patterns, inverse = _mask_patterns(mask.tobytes(), mask.shape)
+    pinv, determined = _pattern_inverses(patterns.tobytes(), patterns.shape, c.tobytes(), c.dtype, c.shape)
+    under = ~determined[inverse]
     if under.all() and (rank := np.linalg.matrix_rank(c)) < c.shape[1]:
         raise ValueError(f"coefficient matrix of rank {rank} below its {c.shape[1]} columns: no mask determines X")
     x = np.einsum("jab,bj->aj", pinv[inverse], b)
@@ -355,23 +362,32 @@ def factorized_complete(entries: ObservedEntries, c: np.ndarray) -> FactorizedRe
 
 
 @lru_cache(maxsize=1)
+def _mask_patterns(mask_bytes: bytes, mask_shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    # The mask's distinct observation patterns and each column's pattern index, read-only: every caller of
+    # the memo shares them
+    patterns, inverse = _observation_patterns(np.frombuffer(mask_bytes, dtype=bool).reshape(mask_shape))
+    for array in (patterns, inverse):
+        array.flags.writeable = False
+    return patterns, inverse
+
+
+@lru_cache(maxsize=1)
 def _pattern_inverses(
-    mask_bytes: bytes, mask_shape: tuple[int, int], c_bytes: bytes, c_dtype: np.dtype, c_shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Every pattern's pseudo-inverse of C_O, each column's pattern index and whether each column is
-    # underdetermined, all read-only: every caller of the memo shares them
-    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(mask_shape)
+    patterns_bytes: bytes, patterns_shape: tuple[int, int], c_bytes: bytes, c_dtype: np.dtype, c_shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    # Every pattern's pseudo-inverse of C_O and whether C_O has rank K, both read-only: every caller of the
+    # memo shares them
+    patterns = np.frombuffer(patterns_bytes, dtype=bool).reshape(patterns_shape)
     c = np.frombuffer(c_bytes, dtype=c_dtype).reshape(c_shape)
-    patterns, inverse = _observation_patterns(mask)
     co = patterns[:, :, None] * c
     u, s, vh = np.linalg.svd(co, full_matrices=False)
     kept = s > s[:, :1] * max(co.shape[1:]) * np.finfo(s.dtype).eps
-    under = (kept.sum(axis=1) < c_shape[1])[inverse]
+    determined = kept.sum(axis=1) == c_shape[1]
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     pinv = (vh.conj().transpose(0, 2, 1) * inv_s[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    for array in (pinv, inverse, under):
+    for array in (pinv, determined):
         array.flags.writeable = False
-    return pinv, inverse, under
+    return pinv, determined
 
 
 def recovery_errors(phi_hat: np.ndarray, phi_true: np.ndarray) -> tuple[float, float]:
@@ -481,10 +497,12 @@ def sweep(config: dict) -> list[dict]:
     time.  :func:`make_mask` and :func:`observe` are pure functions of their
     arguments, so this order gives the rows a method-by-method loop would.
     In a sigmas sweep the swept values of one mask follow each other, so
-    :func:`observe` draws its unit noise and :func:`factorized_complete`
-    factors its observation patterns once per mask, and the later values only
-    rescale the noise and apply the factors; every run still goes through
-    both calls.  Every derived seed must lie in [0, 2**128), as
+    :func:`observe` draws its unit noise once per mask, and the later values
+    only rescale it.  :func:`factorized_complete` factors once per pattern
+    set and C (its ``_pattern_inverses`` memo), so the masks of one
+    instance that share a pattern set factor once between them, and the
+    later runs only apply the factors; every run still goes through both
+    calls.  Every derived seed must lie in [0, 2**128), as
     :func:`lcuout.linalg.rng` requires, so a negative base seed, or one whose
     largest derived seed ``seed + 104729 instances + 13 masks_per_instance
     + 2`` reaches 2**128, is a ``ValueError`` that names it, before any draw.
@@ -496,9 +514,10 @@ def sweep(config: dict) -> list[dict]:
     whose mask determines no column adds all of them and the sweep goes on,
     so only a C without full column rank, or a draw with no observed entry,
     stops it.  A
-    mask's first swept value pays for its factorization (in its factorized
-    row's ``seconds``) and its noise draw (outside every row's), so the
-    ``seconds`` of a sigmas sweep's rows are not comparable with each other.
+    mask's first swept value pays for its noise draw (outside every row's
+    ``seconds``), and the first run on a new pattern set or C for its
+    factorization (in its factorized row's), so the ``seconds`` of a sigmas
+    sweep's rows are not comparable with each other.
     A one-cell sweep is ``lcuout complete``'s single run.
     """
     if ("fractions" in config) == ("sigmas" in config):

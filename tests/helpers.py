@@ -110,6 +110,22 @@ def wy_factors_by_inverse(stack):
     return out
 
 
+def apply_by_conj_copy(stack, x):
+    """``stack @ x`` with each block's ``V_b^H rows`` formed from a conjugated copy of the panel.
+
+    The formula the package applied reflectors with before it conjugated the
+    applied columns instead of the panel, kept only as a bit-for-bit oracle
+    of ``Reflectors.__matmul__``.
+    """
+    x = np.asarray(x)
+    y = np.multiply(stack.signs[:, :, None], x[:, None] if x.ndim == 1 else x, dtype=complex)
+    for b in reversed(range(len(stack.panels))):
+        v, f = stack.panels[b], stack.factors[b]
+        rows = y[..., b * HOUSEHOLDER_BLOCK :, :]
+        rows -= v @ (f @ (v.conj().transpose(0, 2, 1) @ rows))
+    return y[..., 0] if x.ndim == 1 else y
+
+
 def csv_by_cells(m):
     """The text of :func:`~lcuout.outputs.matrix_to_csv` formatted one cell at a time, ``f"{re:.17g}{im:+.17g}j"``."""
     rows = np.asarray(m, dtype=complex).tolist()

@@ -14,10 +14,10 @@ import lcuout.cli
 import lcuout.recovery
 from lcuout.circuit import CheckFailed, CircuitSpec
 from lcuout.cli import main
-from lcuout.linalg import Reflectors, haar_random_unitaries, rng
-from lcuout.outputs import matrix_from_csv, matrix_to_csv
+from lcuout.linalg import Reflectors, haar_random_unitaries, random_state, rng
+from lcuout.outputs import matrix_from_csv, matrix_to_csv, output_matrix
 from lcuout.structure import verify
-from lcuout.trapdoor import key_to_json, keygen
+from lcuout.trapdoor import PublicParams, key_spec, key_to_json, keygen
 
 SMALL_SWEEP = {
     "k": 4, "sizes": [64], "fractions": [0.6, 0.9], "sigma": 0.0,
@@ -726,6 +726,27 @@ def test_trapdoor_eval_and_invert_on_a_haar_public_never_form_a_dense_unitary(tm
     assert json.loads((tmp_path / "p_invert.json").read_text())["target_error"] < 1e-12
     with pytest.raises(RuntimeError, match="formed a dense unitary"):  # verify's structure battery does read it
         verify(CircuitSpec.from_json(json.dumps({**lcuout.cli.DEFAULT_VERIFY, "n": 6})), 0)
+
+
+@pytest.mark.parametrize("scheme", ["hadamard", "secret_mixing"])
+@pytest.mark.parametrize("variant", ["reflection", "cyclic"])
+def test_eval_amplitudes_are_the_keys_c_times_the_public_rows(tmp_path, monkeypatch, scheme, variant):
+    # the dump has the bytes of output_matrix of the key holder's spec, yet builds no such spec: the key is fitted
+    # once, by key_coefficients, whose C then multiplies the public rows U_t psi
+    monkeypatch.chdir(tmp_path)
+    config = {**lcuout.cli.DEFAULT_TRAPDOOR, "scheme": scheme, "variant": variant}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    key = keygen(4, scheme, 5)
+    (tmp_path / "k.json").write_text(key_to_json(key))
+    pub = PublicParams(k=4, n=4, scheme=scheme, variant=variant, unitaries=rng(42))
+    expected = matrix_to_csv(output_matrix(key_spec(key, pub), random_state(16, 99)))
+
+    def no_spec(*args, **kwargs):
+        raise RuntimeError("built the key holder's spec")
+
+    monkeypatch.setattr(CircuitSpec, "with_weights", no_spec)
+    assert main(["trapdoor", "eval", "--config", "cfg.json", "--key", "k.json", "--dump", "amplitudes", "--out", "a"]) == 0
+    assert read_body(tmp_path / "a_amplitudes.csv") + "\n" == expected
 
 
 def test_demo_involution_refuses_a_haar_public_by_its_probe_before_any_dense_unitary(tmp_path, monkeypatch, capsys):

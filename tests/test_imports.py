@@ -189,6 +189,7 @@ UNREFERENCED = {
     "circuit.matrix_to_pairs": "the writer of the [re, im] pair codec whose reader loads explicit unitaries",
     "circuit.pauli_string_matrix": "the kron-built dense oracle the tests check pauli_string_monomial against",
     "circuit.permutation_matrix": "the dense oracle the tests check permutation_monomial against",
+    "outputs.output_matrix": "a spec's Phi, which the tests and the benchmark check trapdoor eval's amplitudes against",
     "recovery.random_instance": "the Haar-unitary instance that acceptance criterion 05 and the recovery tests draw",
 }
 

@@ -21,7 +21,8 @@ from lcuout.linalg import (
 )
 
 from helpers import (
-    column_by_column_haar, qr_haar_unitary, reflector_product, reflector_vectors, wy_factors_by_inverse,
+    apply_by_conj_copy, column_by_column_haar, qr_haar_unitary, reflector_product, reflector_vectors,
+    wy_factors_by_inverse,
 )
 
 
@@ -132,6 +133,17 @@ def test_reflector_dense_form_and_apply_match_the_reflector_product(dim):
         np.testing.assert_allclose(out, stack.dense @ x, rtol=0, atol=1e-13 * max(1.0, np.abs(x).max()))
     with pytest.raises(ValueError, match="cannot apply reflectors"):
         stack @ np.ones(dim + 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 31, 32, 33, 100, 128, 256, 257, 1024])
+def test_reflector_apply_gives_the_bits_of_the_conjugated_panel_formula(dim):
+    # V_b^H rows is formed as conj(V_b^T conj(rows)), which conjugates the few columns applied instead of the
+    # panel; conjugation only flips signs, so both forms run the same products and sums and agree bit for bit
+    stack = haar_reflectors(4, dim, rng(dim + 3))
+    gen = rng(dim + 4)
+    for shape in ((dim,), (4, dim, 1), (4, dim, 3), (dim, 5), (2, 4, dim, 2)):
+        x = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        assert (stack @ x).tobytes() == apply_by_conj_copy(stack, x).tobytes(), shape
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 31, 32, 33, 100, 256])

@@ -674,6 +674,7 @@ SIGMAS_SWEEP = {"k": 4, "n": 5, "instances": 1, "masks_per_instance": 2, "seed":
 
 
 def clear_memos():
+    lcuout.recovery._mask_patterns.cache_clear()
     lcuout.recovery._pattern_inverses.cache_clear()
     lcuout.recovery._unit_noise.cache_clear()
 
@@ -694,10 +695,8 @@ def test_sigmas_sweep_factors_and_draws_noise_once_per_mask(monkeypatch):
     assert calls["rng"] == [14 + 7919] + [s + d for s in mask_seeds for d in (0, 1)]
 
 
-def test_sigmas_sweep_rows_match_a_sweep_that_reuses_nothing(monkeypatch):
-    clear_memos()
-    reused = sweep(SIGMAS_SWEEP)
-
+def cold_sweep(config, monkeypatch):
+    # the sweep with every memo cleared before each completion and each observation, so nothing is reused
     def fresh(fn):
         def wrapped(*args, **kwargs):
             clear_memos()
@@ -706,9 +705,61 @@ def test_sigmas_sweep_rows_match_a_sweep_that_reuses_nothing(monkeypatch):
 
     for name in ("factorized_complete", "observe"):
         monkeypatch.setattr(lcuout.recovery, name, fresh(getattr(lcuout.recovery, name)))
-    cold = sweep(SIGMAS_SWEEP)
-    assert [{k: v for k, v in r.items() if k != "seconds"} for r in reused] == \
-        [{k: v for k, v in r.items() if k != "seconds"} for r in cold]
+    return sweep(config)
+
+
+def without_seconds(rows):
+    return [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
+
+
+def test_sigmas_sweep_rows_match_a_sweep_that_reuses_nothing(monkeypatch):
+    clear_memos()
+    reused = sweep(SIGMAS_SWEEP)
+    assert without_seconds(reused) == without_seconds(cold_sweep(SIGMAS_SWEEP, monkeypatch))
+
+
+# 6 of 2K = 8 rows guaranteed per column: at N = 256 every mask of seed 21 holds all 37 patterns of 6 or more rows
+SHARED_PATTERNS_SWEEP = {"k": 4, "n": 8, "instances": 1, "masks_per_instance": 3, "seed": 21,
+                         "methods": ["factorized"], "sigmas": [1e-3, 1e-2], "fraction": 0.7,
+                         "mask_mode": "column_guaranteed", "min_per_column": 6}
+
+
+def test_masks_that_share_a_pattern_set_factor_it_once(monkeypatch):
+    config = SHARED_PATTERNS_SWEEP
+    masks = [make_mask(8, 256, config["seed"] + 104729 + 13 * (rep + 1), "column_guaranteed", density=0.7,
+                       min_per_column=6) for rep in range(3)]
+    sets = [lcuout.recovery._observation_patterns(m)[0] for m in masks]
+    assert not np.array_equal(masks[0], masks[1])
+    assert all(p.shape == (37, 8) and np.array_equal(p, sets[0]) for p in sets)
+    clear_memos()
+    reused = sweep(config)
+    assert lcuout.recovery._mask_patterns.cache_info().misses == 3
+    assert lcuout.recovery._pattern_inverses.cache_info().misses == 1
+    assert without_seconds(reused) == without_seconds(cold_sweep(config, monkeypatch))
+
+
+@pytest.mark.parametrize("change, refactors", [("same-patterns", False), ("other-patterns", True), ("other-c", True)])
+def test_factorization_is_kept_across_masks_only_for_one_pattern_set_and_one_c(change, refactors):
+    _, c, x = sweep_instance(4, 5, 998)
+    phi = c @ x
+    mask = np.ones(phi.shape, dtype=bool)
+    mask[:2, ::2] = False  # two patterns: the even columns see rows 2-7, the odd ones every row
+    other, other_c = mask, c
+    if change == "same-patterns":
+        other = np.roll(mask, 1, axis=1)  # each column takes its neighbour's pattern: another mask, one pattern set
+    elif change == "other-patterns":
+        other = mask.copy()
+        other[7, 3] = False  # a third pattern
+    else:
+        other_c = c.copy()
+        other_c[0, 0] *= 2
+    clear_memos()
+    factorized_complete(observe(phi, mask, 1e-3, seed=999), c)
+    entries = observe(phi, other, 1e-3, seed=999)
+    warm = factorized_complete(entries, other_c)
+    assert lcuout.recovery._mask_patterns.cache_info().misses == 1 + (other is not mask)
+    assert lcuout.recovery._pattern_inverses.cache_info().misses == 1 + refactors
+    assert_same_solution(warm, solved_fresh(entries, other_c))
 
 
 def solved_fresh(entries, c):
@@ -774,8 +825,11 @@ def test_reused_arrays_are_read_only():
     mask = make_mask(8, 32, 996, "uniform", density=0.6)
     clear_memos()
     factorized_complete(observe(phi, mask, 1e-3, seed=997), c)
-    shared = lcuout.recovery._pattern_inverses(mask.tobytes(), mask.shape, c.tobytes(), c.dtype, c.shape)
+    patterns, inverse = lcuout.recovery._mask_patterns(mask.tobytes(), mask.shape)
+    shared = (patterns, inverse)
+    shared += lcuout.recovery._pattern_inverses(patterns.tobytes(), patterns.shape, c.tobytes(), c.dtype, c.shape)
     shared += (lcuout.recovery._unit_noise(phi.shape, 997),)
+    assert lcuout.recovery._mask_patterns.cache_info().hits == 1
     assert lcuout.recovery._pattern_inverses.cache_info().hits == 1
     assert lcuout.recovery._unit_noise.cache_info().hits == 1
     for array in shared:
