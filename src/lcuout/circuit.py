@@ -39,12 +39,9 @@ __all__ = [
     "integer_value",
     "list_value",
     "matrix_from_pairs",
-    "matrix_to_pairs",
     "mixing_layers",
     "output_states",
-    "pauli_string_matrix",
     "pauli_string_monomial",
-    "permutation_matrix",
     "permutation_monomial",
     "real_value",
     "reject_unread_keys",
@@ -74,12 +71,15 @@ class CheckFailed(RuntimeError):
 def check_layout(k: int, n: int, variant: str, mixing: str = "hadamard") -> None:
     """Check the sizes, variant and mixing of a circuit, which need no unitary to check.
 
-    ``ValueError`` unless ``k >= 1``, ``n >= 1``, ``variant`` and ``mixing``
-    are known, and ``k`` is a power of two under every mixing whose first
-    layer is the Hadamard matrix of order K: ``hadamard`` and ``secret``,
-    not ``dft``.  :class:`CircuitSpec`, :class:`lcuout.trapdoor.PublicLayout`
-    and :func:`lcuout.recovery.sweep_instance` all check through it.
+    ``ValueError`` unless ``k`` and ``n`` are integers (:func:`integer_value`)
+    with ``k >= 1`` and ``n >= 1``, ``variant`` and ``mixing`` are known, and
+    ``k`` is a power of two under every mixing whose first layer is the
+    Hadamard matrix of order K: ``hadamard`` and ``secret``, not ``dft``.
+    :class:`CircuitSpec`, :class:`lcuout.trapdoor.PublicLayout` and
+    :func:`lcuout.recovery.sweep_instance` all check through it.
     """
+    integer_value("K", k)
+    integer_value("n", n)
     if k < 1:
         raise ValueError(f"need at least one unitary, got k={k}")
     if n < 1:
@@ -96,11 +96,13 @@ def checked_parameters(k, n, weights, mixing, variant, mixing_matrix) -> tuple[n
     """The weights and mixing matrix of a circuit as a :class:`CircuitSpec` holds them, checked with its layout.
 
     ``ValueError`` for a layout :func:`check_layout` refuses, weights that are
-    not K numbers in [-1, 1] (1e-12 beyond is clipped back), and a mixing
+    not K real numbers in [-1, 1] (1e-12 beyond is clipped back), and a mixing
     matrix that secret mixing lacks, that is not a K x K unitary, or that
     another mixing is given.  Both arrays come back read-only.
     """
     check_layout(k, n, variant, mixing)
+    if np.iscomplexobj(weights):
+        raise ValueError("weights must be real, not complex")
     w = np.asarray(weights, dtype=float)
     if w.shape != (k,):
         raise ValueError(f"expected {k} weights, got shape {w.shape}")
@@ -351,14 +353,11 @@ class CircuitSpec:
                    mixing_matrix=matrix_from_pairs(doc["mixing_matrix"]) if "mixing_matrix" in doc else None)
 
 
-def matrix_to_pairs(m: np.ndarray) -> list:
-    """Nested lists of ``[re, im]`` float pairs, one list per matrix row."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
 def matrix_from_pairs(data: list) -> np.ndarray:
-    """Inverse of :func:`matrix_to_pairs`; keeps every bit, signed zeros included."""
+    """A complex matrix from nested lists of ``[re, im]`` float pairs, one list per row.
+
+    Keeps every bit, signed zeros included.
+    """
     try:
         arr = np.array(data, dtype=float)
     except TypeError:  # a JSON object among the entries
@@ -376,38 +375,24 @@ _PAULI = {
 }
 
 
-def _pauli_label(label: str) -> str:
-    """``label`` if it is a string of the letters I, X, Y and Z; ``ValueError`` naming the first that is not."""
+def pauli_string_monomial(label: str) -> Monomial:
+    """Tensor product of single-qubit Paulis, e.g. ``"XZI"`` on 3 qubits, as a :class:`Monomial`.
+
+    Built in O(n N) integer bit operations and no N x N matrix; a label that
+    is not a string of the letters I, X, Y and Z is a ``ValueError`` naming
+    the first letter that is not.  The first letter acts on the most
+    significant bit of the basis index.  Letter q moves column j to row
+    ``j ^ flip_q`` (X and Y flip its bit) and multiplies its entry by the
+    letter's own 2 x 2 entry there; the entries are multiplied in the order
+    ``np.kron`` multiplies them, starting from ``1 + 0j``, so each phase has
+    the bits of the kron entry, signed zeros included.
+    """
     if type(label) is not str:
         raise ValueError(f"a Pauli label must be a string, got {label!r}")
     for ch in label:
         if ch not in _PAULI:
             raise ValueError(f"unknown Pauli letter {ch!r} in {label!r}")
-    return label
-
-
-def pauli_string_matrix(label: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. ``"XZI"`` on 3 qubits, built with ``np.kron``.
-
-    The dense oracle that :func:`pauli_string_monomial` is tested against.
-    """
-    m = np.array([[1.0 + 0j]])
-    for ch in _pauli_label(label):
-        m = np.kron(m, _PAULI[ch])
-    return m
-
-
-def pauli_string_monomial(label: str) -> Monomial:
-    """:func:`pauli_string_matrix` as a :class:`Monomial`, in O(n N) integer bit operations and no N x N matrix.
-
-    The first letter acts on the most significant bit of the basis index.
-    Letter q moves column j to row ``j ^ flip_q`` (X and Y flip its bit) and
-    multiplies its entry by the letter's own 2 x 2 entry there; the entries
-    are multiplied in the order ``np.kron`` multiplies them, starting from
-    ``1 + 0j``, so each phase has the bits of the kron entry, signed zeros
-    included.
-    """
-    n = len(_pauli_label(label))
+    n = len(label)
     cols = np.arange(2**n)
     images, phases = cols.copy(), np.ones(2**n, dtype=complex)
     for q, ch in enumerate(label):
@@ -419,34 +404,22 @@ def pauli_string_monomial(label: str) -> Monomial:
     return Monomial(images, phases)
 
 
-def _permutation(images: list[int]) -> list[int]:
-    """``images`` if it is a list of the integers 0..N-1 in some order; ``ValueError`` otherwise."""
+def permutation_monomial(images: list[int]) -> Monomial:
+    """The unitary sending basis vector ``e_j`` to ``e_images[j]``, as a :class:`Monomial`.
+
+    ``images`` must be a list of the integers 0..N-1 in some order, or it is
+    a ``ValueError``; the monomial holds the images as given and every phase
+    ``1 + 0j``.
+    """
     size = len(list_value("a permutation", images))
     if any(type(i) is not int for i in images) or sorted(images) != list(range(size)):
         raise ValueError("not a permutation of 0..N-1")
-    return images
-
-
-def permutation_matrix(images: list[int]) -> np.ndarray:
-    """Unitary sending basis vector ``e_j`` to ``e_images[j]``; ``images`` must be a list of integers.
-
-    The dense oracle that :func:`permutation_monomial` is tested against.
-    """
-    size = len(_permutation(images))
-    m = np.zeros((size, size), dtype=complex)
-    m[images, np.arange(size)] = 1.0
-    return m
-
-
-def permutation_monomial(images: list[int]) -> Monomial:
-    """:func:`permutation_matrix` as a :class:`Monomial`: the images as given, every phase ``1 + 0j``."""
-    size = len(_permutation(images))
     return Monomial(np.array(images, dtype=np.intp), np.ones(size, dtype=complex))
 
 
 def integer_value(name: str, value) -> int:
-    """``value`` if it is an integer; ``ValueError`` for a bool, a float, a string or a null."""
-    if type(value) is not int:
+    """``value`` if it is an ``int`` or a numpy integer; ``ValueError`` for a bool, a float, a string or a null."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 

@@ -325,10 +325,8 @@ def cmd_eval(config: dict, args) -> int:
     if args.shots is not None and args.dump == "amplitudes":
         raise ValueError("--shots samples --dump magnitudes; the exact --dump amplitudes would ignore it")
     seed = args.seed or 0
-    if args.shots is not None:
-        if args.shots < 1:
-            raise ValueError(f"need at least one shot, got {args.shots}")
-        rng(seed)
+    if args.shots is not None and args.shots < 1:
+        raise ValueError(f"need at least one shot, got {args.shots}")
     layout = _layout(config, args)
     key = key_from_json(Path(args.key).read_text())
     c = key_coefficients(key, layout)

@@ -19,7 +19,6 @@ __all__ = [
     "Reflectors",
     "dft_matrix",
     "hadamard_matrix",
-    "haar_random_unitaries",
     "haar_random_unitary",
     "haar_reflectors",
     "numerical_rank",
@@ -39,6 +38,9 @@ SEED_BOUND = 2**128
 
 # how far from 1 a state's norm, and from I a unitary's Gram U^H U, may lie
 UNIT_ATOL = 1e-10
+
+# numerical_rank counts the singular values above this fraction of the largest one
+RANK_RTOL = 1e-10
 
 # columns per compact-WY block of a Reflectors stack
 HOUSEHOLDER_BLOCK = 32
@@ -107,12 +109,12 @@ def truncate_rank(a: np.ndarray, rank: int) -> np.ndarray:
     return proj @ a if wide else a @ proj
 
 
-def numerical_rank(a: np.ndarray, tol: float = 1e-10) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
+def numerical_rank(a: np.ndarray) -> int:
+    """Number of singular values above ``RANK_RTOL`` times the largest one."""
     s = svd(a)[1]
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 def hadamard_matrix(k: int) -> np.ndarray:
@@ -339,18 +341,13 @@ def haar_reflectors(k: int, dim: int, seed: int | np.random.Generator) -> Reflec
 
 
 def haar_random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
-    """One Haar-distributed random unitary: the ``k = 1`` case of :func:`haar_random_unitaries`."""
-    return haar_random_unitaries(1, dim, seed)[0]
-
-
-def haar_random_unitaries(k: int, dim: int, seed: int | np.random.Generator) -> np.ndarray:
-    """The dense (k, dim, dim) stack of :func:`haar_reflectors`, read-only, with its bits and generator position.
+    """One Haar-distributed random unitary, dense and read-only: the ``k = 1`` case of :func:`haar_reflectors`.
 
     The one Haar sampler of the package is :func:`haar_reflectors`; this is
-    its :attr:`Reflectors.dense`, which owns its data, so a
-    :class:`~lcuout.circuit.CircuitSpec` keeps it as drawn, with no copy.
+    the only unitary of its :attr:`Reflectors.dense`, with its bits and
+    generator position.
     """
-    return haar_reflectors(k, dim, seed).dense
+    return haar_reflectors(1, dim, seed).dense[0]
 
 
 def random_state(dim: int, seed: int | np.random.Generator) -> np.ndarray:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CircuitSpec, check_layout, coefficients, integer_value, list_value, real_value, reject_unread_keys
+from .circuit import check_layout, coefficients, integer_value, list_value, real_value, reject_unread_keys
 from .linalg import SEED_BOUND, random_state, rng, truncate_rank
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "factorized_complete",
     "make_mask",
     "observe",
-    "random_instance",
     "recovery_errors",
     "svp_complete",
     "sweep",
@@ -409,34 +408,17 @@ def recovery_errors(phi_hat: np.ndarray, phi_true: np.ndarray) -> tuple[float, f
     return float(rel_phi), float(rel_target)
 
 
-def random_instance(k: int, n: int, seed: int) -> tuple[CircuitSpec, np.ndarray]:
-    """Seeded Hadamard-mixed spec (weights on [0.1, 1], Haar unitaries) and input state.
-
-    Draws the K weights, then K Haar unitaries as Householder reflectors,
-    then psi, from one generator: the spec, handed the generator, checks the
-    weights and then draws the unitaries from it.  No package code calls it: it is the
-    instance, unitaries included, that the recovery tests and acceptance
-    criterion 05 draw.  A sweep, and so ``lcuout complete``, needs only the
-    rows ``U_t psi`` and draws them directly with :func:`sweep_instance`.
-    """
-    gen = rng(seed)
-    weights = gen.uniform(0.1, 1.0, k)
-    spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=gen)
-    psi = random_state(2**n, gen)
-    return spec, psi
-
-
 def sweep_instance(k: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded Hadamard-mixed, reflection-variant ``(weights, C, X)`` with no unitary built.
 
-    The weights are :func:`random_instance`'s for the same seed, bit for
-    bit; row t of X is then a :func:`random_state` of dimension 2**n from
-    the same generator.  For a fixed psi and a Haar U_t, ``U_t psi`` is
-    uniform on the unit sphere (the Haar measure is unitarily invariant), so
-    X has the distribution of :func:`random_instance`'s rows ``U_t psi``,
-    though not its draws, without K Haar draws and a unitarity check.
-    ``k`` and ``n`` are checked by :func:`~lcuout.circuit.check_layout` for
-    that layout: ``k >= 1``, ``n >= 1`` and ``k`` a power of two.
+    The K weights are drawn uniform on [0.1, 1]; row t of X is then a
+    :func:`random_state` of dimension 2**n from the same generator.  For a
+    fixed psi and a Haar U_t, ``U_t psi`` is uniform on the unit sphere (the
+    Haar measure is unitarily invariant), so X has the law of the rows
+    ``U_t psi`` of K Haar unitaries applied to one psi, without K Haar
+    draws and a unitarity check.  ``k`` and ``n`` are checked by
+    :func:`~lcuout.circuit.check_layout` for that layout: integers with
+    ``k >= 1``, ``n >= 1`` and ``k`` a power of two.
     """
     check_layout(k, n, "reflection")
     gen = rng(seed)
@@ -485,9 +467,9 @@ def sweep(config: dict) -> list[dict]:
     ``svp``/``als`` keys are among them), and so is a grid with nothing to
     average: no instance, no mask per instance, no method or no swept value.
     Instance ``i`` is :func:`sweep_instance` at seed ``seed + 7919 (i + 1)``:
-    K weights and K random states, which is :func:`random_instance` in
-    distribution, with no unitary built.  Every method completes the same
-    masks and noise.
+    K weights and K random states, which have the law of K Haar unitaries
+    applied to one psi, with no unitary built.  Every method completes the
+    same masks and noise.
 
     The runs go instance by instance and mask by mask.  Mask ``r`` of
     instance ``i`` has seed ``s = seed + 104729 (i + 1) + 13 (r + 1)`` and

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    CircuitSpec, Monomial, apply_circuit, check_layout, check_state, checked_parameters, coefficients, list_value,
-    output_states, real_value, rotation_gate, sample_shots,
+    CircuitSpec, Monomial, apply_circuit, check_layout, check_state, checked_parameters, coefficients, integer_value,
+    list_value, output_states, real_value, rotation_gate, sample_shots,
 )
 from .linalg import Reflectors, haar_random_unitary, hadamard_matrix, rng
 from .recovery import ObservedEntries, factorized_complete
@@ -134,7 +134,7 @@ class SecretKey:
     """Rotation weights plus, for secret mixing, the mixing-completion seed.
 
     Building one, however it is built, raises ``ValueError`` for an unknown
-    scheme, weights that are not one 1-D array of finite numbers, and a
+    scheme, weights that are not one 1-D array of finite real numbers, and a
     secret-mixing key whose gamma is not an integer in [0, 2**64): without a
     fixed gamma, :func:`mixing_from_key` would draw a different mixing
     unitary on every call.  The key holds its own read-only float copy of
@@ -151,6 +151,8 @@ class SecretKey:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if np.iscomplexobj(self.weights):
+            raise ValueError("key weights must be real, not complex")
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1:
             raise ValueError(f"key weights must be a 1-D array, got shape {w.shape}")
@@ -167,11 +169,12 @@ def keygen(k: int, scheme: str = "hadamard", seed: int = 0) -> SecretKey:
 
     The secret-mixing scheme also draws gamma, the seed of the Haar-random
     completion of the mixing unitary below its weight-encoding first row.
-    ``k`` must be a power of two, since both schemes mix with a Hadamard
-    layer of order K; the key has no n, so that is the one layout rule
-    checked here, and :class:`SecretKey` checks the scheme.
+    ``k`` must be an integer (:func:`~lcuout.circuit.integer_value`) and a
+    power of two, since both schemes mix with a Hadamard layer of order K;
+    the key has no n, so that is the one layout rule checked here, and
+    :class:`SecretKey` checks the scheme.
     """
-    if k < 1 or k & (k - 1):
+    if integer_value("K", k) < 1 or k & (k - 1):
         raise ValueError(f"the mixing layer needs a power-of-two k, got {k}")
     gen = rng(seed)
     weights = gen.uniform(0.1, 1.0, k)

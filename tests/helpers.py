@@ -1,9 +1,10 @@
-"""Builders shared by the test modules."""
+"""Builders shared by the test modules, and the dense oracles and the Haar instance the tests check the package
+against."""
 
 import numpy as np
 
 from lcuout.circuit import CircuitSpec, Monomial
-from lcuout.linalg import HOUSEHOLDER_BLOCK, Reflectors, haar_random_unitary, rng
+from lcuout.linalg import HOUSEHOLDER_BLOCK, Reflectors, haar_random_unitary, random_state, rng
 
 
 def make_spec(k=4, n=2, seed=0, mixing="hadamard", variant="reflection", weights=None):
@@ -130,3 +131,56 @@ def csv_by_cells(m):
     """The text of :func:`~lcuout.outputs.matrix_to_csv` formatted one cell at a time, ``f"{re:.17g}{im:+.17g}j"``."""
     rows = np.asarray(m, dtype=complex).tolist()
     return "\n".join(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in rows) + "\n"
+
+
+# the literals of lcuout.circuit's own table, so the kron entries have the bits of pauli_string_monomial's phases
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_string_matrix(label):
+    """Tensor product of single-qubit Paulis, e.g. ``"XZI"`` on 3 qubits, built with ``np.kron``.
+
+    The dense oracle that :func:`~lcuout.circuit.pauli_string_monomial` is tested against.
+    """
+    m = np.array([[1.0 + 0j]])
+    for ch in label:
+        m = np.kron(m, _PAULI[ch])
+    return m
+
+
+def permutation_matrix(images):
+    """Unitary sending basis vector ``e_j`` to ``e_images[j]``; ``images`` must be a list of integers.
+
+    The dense oracle that :func:`~lcuout.circuit.permutation_monomial` is tested against.
+    """
+    size = len(images)
+    m = np.zeros((size, size), dtype=complex)
+    m[images, np.arange(size)] = 1.0
+    return m
+
+
+def matrix_to_pairs(m):
+    """Nested lists of ``[re, im]`` float pairs, one list per matrix row, as :func:`~lcuout.circuit.matrix_from_pairs`
+    reads them."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def random_instance(k, n, seed):
+    """Seeded Hadamard-mixed spec (weights on [0.1, 1], Haar unitaries) and input state.
+
+    Draws the K weights, then K Haar unitaries as Householder reflectors,
+    then psi, from one generator: the spec, handed the generator, checks the
+    weights and then draws the unitaries from it.  Its weights are
+    :func:`~lcuout.recovery.sweep_instance`'s for the same seed, bit for bit.
+    """
+    gen = rng(seed)
+    weights = gen.uniform(0.1, 1.0, k)
+    spec = CircuitSpec(k=k, n=n, weights=weights, unitaries=gen)
+    psi = random_state(2**n, gen)
+    return spec, psi

@@ -15,8 +15,6 @@ from lcuout.circuit import (
     CircuitSpec,
     circuit_unitary,
     output_states,
-    pauli_string_matrix,
-    permutation_matrix,
     scale_coefficients,
 )
 from lcuout.cli import main
@@ -26,7 +24,6 @@ from lcuout.recovery import (
     factorized_complete,
     make_mask,
     observe,
-    random_instance,
     recovery_errors,
     sweep,
 )
@@ -39,6 +36,8 @@ from lcuout.trapdoor import (
     key_spec,
     keygen,
 )
+
+from helpers import pauli_string_matrix, permutation_matrix, random_instance
 
 
 def haar_spec(k, n, seed, mixing="hadamard", weights=None):

@@ -21,12 +21,9 @@ from lcuout.circuit import (
     coefficient_matrix,
     coefficients,
     matrix_from_pairs,
-    matrix_to_pairs,
     mixing_layers,
     output_states,
-    pauli_string_matrix,
     pauli_string_monomial,
-    permutation_matrix,
     permutation_monomial,
     rotation_gate,
     row_matrix,
@@ -37,14 +34,13 @@ from lcuout.circuit import (
     unitary_source,
 )
 from lcuout.linalg import (
-    Reflectors, dft_matrix, hadamard_matrix, haar_random_unitaries, haar_random_unitary, haar_reflectors, random_state,
-    rng,
+    Reflectors, dft_matrix, hadamard_matrix, haar_random_unitary, haar_reflectors, random_state, rng,
 )
-from lcuout.recovery import factorized_complete, observe
+from lcuout.recovery import factorized_complete, observe, sweep_instance
 from lcuout.structure import csd_assemble, shuffle
-from lcuout.trapdoor import PublicLayout, PublicParams, hadamard_attack, invert_with_key, keygen
+from lcuout.trapdoor import PublicLayout, PublicParams, SecretKey, hadamard_attack, invert_with_key, keygen
 
-from helpers import assert_same_spec, make_spec
+from helpers import assert_same_spec, make_spec, matrix_to_pairs, pauli_string_matrix, permutation_matrix
 
 
 # ---- rotation gate ----------------------------------------------------------
@@ -176,7 +172,7 @@ class _Holder:
 
 @pytest.mark.parametrize("given", ["tuple", "writeable", "read-only-view", "array-holder"])
 def test_spec_copies_a_writeable_unitary_or_a_view(given):
-    writer = haar_random_unitaries(2, 4, rng(21)).copy()  # a draw is read-only; this test needs a writer
+    writer = haar_reflectors(2, 4, rng(21)).dense.copy()  # a draw is read-only; this test needs a writer
     if given == "tuple":
         given = (writer[0], writer[1])
     elif given == "read-only-view":
@@ -194,7 +190,7 @@ def test_spec_copies_a_writeable_unitary_or_a_view(given):
 
 def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
     # a Haar draw is read-only from birth and owns its data, so a spec keeps it as drawn
-    us = haar_random_unitaries(2, 4, rng(22))
+    us = haar_reflectors(2, 4, rng(22)).dense
     assert not us.flags.writeable and us.flags.owndata and us.base is None
     spec = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=us)
     assert spec.unitaries is us
@@ -210,7 +206,7 @@ def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
     # a tuple is copied once into the stack, and a float stack converted once into it, not converted and then
     # copied: the unitarity check's Gram and its conjugate add half a unit
     k, n = 4, 7
-    for given in (tuple(haar_random_unitaries(k, 2**n, rng(24))), np.stack([np.eye(2**n)] * k)):
+    for given in (tuple(haar_reflectors(k, 2**n, rng(24)).dense), np.stack([np.eye(2**n)] * k)):
         CircuitSpec(k=k, n=n, weights=np.ones(k), unitaries=given)  # lazy imports and one-time buffers
         tracemalloc.start()
         try:
@@ -232,7 +228,7 @@ def test_spec_draws_a_generator_as_haar_random_unitaries_and_keeps_the_draw(seed
     us = spec.unitaries
     assert isinstance(us, Reflectors) and us.shape == (k, 2**n, 2**n) and "dense" not in vars(us)
     assert not any(a.flags.writeable for a in (*us.panels, us.taus, us.signs))
-    dense = haar_random_unitaries(k, 2**n, dense_gen)
+    dense = haar_reflectors(k, 2**n, dense_gen).dense
     assert dense.tobytes() == spec.dense_unitaries.tobytes() and spec.dense_unitaries is us.dense
     assert not dense.flags.writeable and dense.flags.owndata and dense.base is None
     # the generator is left where the direct draw leaves it, so what is drawn from it next is unchanged
@@ -317,6 +313,47 @@ def test_spec_rejects_nan_weights():
     u = (np.eye(2, dtype=complex),) * 2
     with pytest.raises(ValueError, match="finite"):
         CircuitSpec(k=2, n=1, weights=np.array([0.5, np.nan]), unitaries=u)
+
+
+EYES = (np.eye(4, dtype=complex),) * 4
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PublicLayout(4, 2.0), "n must be an integer, got 2.0"),
+    (lambda: PublicLayout(4.0, 2), "K must be an integer, got 4.0"),
+    (lambda: CircuitSpec(k=4.0, n=2, weights=[0.5] * 4, unitaries=EYES), "K must be an integer, got 4.0"),
+    (lambda: CircuitSpec(k=4, n=2.0, weights=[0.5] * 4, unitaries=EYES), "n must be an integer, got 2.0"),
+    (lambda: CircuitSpec(k=2, n=True, weights=[0.5] * 2, unitaries=EYES[:2]), "n must be an integer, got True"),
+    (lambda: PublicParams(k=4, n=2.0, unitaries=EYES), "n must be an integer, got 2.0"),
+    (lambda: sweep_instance(4, 2.0, 1), "n must be an integer, got 2.0"),
+    (lambda: keygen(4.0), "K must be an integer, got 4.0"),
+    (lambda: keygen(True), "K must be an integer, got True"),
+], ids=["layout-n", "layout-k", "spec-k", "spec-n", "spec-n-bool", "public-n", "sweep-instance-n", "keygen-k",
+        "keygen-k-bool"])
+def test_k_and_n_must_be_integers(call, message):
+    # refused before numpy or range sees them, and a bool is not taken for 0 or 1
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_k_and_n_may_be_numpy_integers():
+    k, n = np.int64(4), np.int64(2)
+    assert PublicLayout(k, n).k == 4
+    assert CircuitSpec(k=k, n=n, weights=[0.5] * 4, unitaries=EYES).big_n == 4
+    assert keygen(k).weights.tobytes() == keygen(4).weights.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(sweep_instance(k, n, 1), sweep_instance(4, 2, 1)))
+
+
+@pytest.mark.parametrize("weights", [np.array([0.5 + 0.3j, 0.2, 0.1, 0.4]), [0.5 + 0.3j, 0.2, 0.1, 0.4],
+                                     np.array([0.5, 0.2, 0.1, 0.4], dtype=complex)], ids=["array", "list", "zero-imag"])
+def test_complex_weights_are_refused(weights):
+    # not cast to their real part, and not a TypeError from inside numpy
+    with pytest.raises(ValueError, match="^weights must be real, not complex"):
+        CircuitSpec(k=4, n=2, weights=weights, unitaries=EYES)
+    with pytest.raises(ValueError, match="^weights must be real, not complex"):
+        make_spec(k=4, n=2, seed=1).with_weights(weights)
+    with pytest.raises(ValueError, match="^key weights must be real, not complex"):
+        SecretKey("hadamard", weights)
 
 
 def test_with_weights_shares_the_unitaries_and_checks_the_parameters():
@@ -405,8 +442,6 @@ def test_pauli_string_matrix():
     xz = pauli_string_matrix("XZ")
     np.testing.assert_array_equal(xz, np.kron(pauli_string_matrix("X"), pauli_string_matrix("Z")))
     np.testing.assert_allclose(xz @ xz, np.eye(4), atol=1e-15)
-    with pytest.raises(ValueError):
-        pauli_string_matrix("XQ")
 
 
 def test_permutation_matrix():
@@ -417,8 +452,6 @@ def test_permutation_matrix():
         col[target] = 1
         np.testing.assert_array_equal(p[:, t], col)
     np.testing.assert_allclose(p @ p.T, np.eye(3), atol=1e-15)
-    with pytest.raises(ValueError):
-        permutation_matrix([0, 0, 1])
 
 
 def test_monomials_hold_the_oracle_entries_bit_for_bit():

@@ -14,7 +14,7 @@ import lcuout.cli
 import lcuout.recovery
 from lcuout.circuit import CheckFailed, CircuitSpec
 from lcuout.cli import main
-from lcuout.linalg import Reflectors, haar_random_unitaries, random_state, rng
+from lcuout.linalg import Reflectors, haar_reflectors, random_state, rng
 from lcuout.outputs import matrix_from_csv, matrix_to_csv, output_matrix
 from lcuout.structure import verify
 from lcuout.trapdoor import PublicParams, key_spec, key_to_json, keygen
@@ -717,7 +717,7 @@ def test_trapdoor_eval_and_invert_on_a_haar_public_never_form_a_dense_unitary(tm
 
     monkeypatch.setattr(Reflectors, "dense", property(no_dense))
     with pytest.raises(RuntimeError, match="formed a dense unitary"):  # the spy sits where the dense form is built
-        haar_random_unitaries(1, 2, rng(0))
+        haar_reflectors(1, 2, rng(0)).dense
     common = ["--config", "cfg.json", "--key", "k.json"]
     assert main(["trapdoor", "eval", *common, "--dump", "amplitudes", "--out", "a"]) == 0
     assert main(["trapdoor", "eval", *common, "--shots", "1000", "--out", "s"]) == 0

@@ -7,9 +7,9 @@ import lcuout.linalg
 from lcuout.circuit import CircuitSpec
 from lcuout.linalg import (
     HOUSEHOLDER_BLOCK,
+    RANK_RTOL,
     Reflectors,
     dft_matrix,
-    haar_random_unitaries,
     haar_random_unitary,
     haar_reflectors,
     hadamard_matrix,
@@ -112,7 +112,7 @@ def test_haar_random_unitary_matches_the_out_of_place_draw(dim, seed):
     # k successive draws from one generator are the k unitaries of one stack, each bit for bit
     again = rng(seed)
     singles = [haar_random_unitary(dim, again) for _ in range(3)]
-    stack = haar_random_unitaries(3, dim, rng(seed))
+    stack = haar_reflectors(3, dim, rng(seed)).dense
     assert stack.shape == (3, dim, dim)
     assert all(u.tobytes() == s.tobytes() for u, s in zip(stack, singles))
     assert gen.random() == ref.random()
@@ -197,7 +197,7 @@ def haar_moments(us):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_haar_draws_have_the_haar_moments(sampler, seed):
     if sampler == "reflectors":
-        us = haar_random_unitaries(DRAWS, HAAR_N, rng(seed))
+        us = haar_reflectors(DRAWS, HAAR_N, rng(seed)).dense
     else:
         gen = rng(seed)
         us = np.stack([qr_haar_unitary(HAAR_N, gen) for _ in range(DRAWS)])
@@ -263,7 +263,7 @@ def test_reflectors_check_their_shapes_and_hold_read_only_copies():
 
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_haar_random_unitaries_are_unitary_to_1e_13(n):
-    us = haar_random_unitaries(2, 2**n, rng(n))
+    us = haar_reflectors(2, 2**n, rng(n)).dense
     gram = np.einsum("kji,kjl->kil", us.conj(), us)
     assert np.abs(gram - np.eye(2**n)).max() <= 1e-13
 
@@ -301,9 +301,11 @@ def test_numerical_rank():
     x = gen.standard_normal((3, 20)) + 1j * gen.standard_normal((3, 20))
     assert numerical_rank(c @ x) == 3
     assert numerical_rank(np.zeros((4, 4))) == 0
-    # tolerance is relative to the top singular value
+    # the cutoff is RANK_RTOL times the top singular value
+    assert RANK_RTOL == 1e-10
     assert numerical_rank(np.diag([1.0, 1e-14])) == 1
-    assert numerical_rank(np.diag([1.0, 1e-6]), tol=1e-8) == 2
+    assert numerical_rank(np.diag([4.0, 4.0 * 1.5 * RANK_RTOL])) == 2
+    assert numerical_rank(np.diag([4.0, 4.0 * RANK_RTOL / 1.5])) == 1
 
 
 def svd_truncation(a, rank):

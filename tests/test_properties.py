@@ -15,10 +15,7 @@ from lcuout.circuit import (
     apply_circuit,
     circuit_unitary,
     matrix_from_pairs,
-    matrix_to_pairs,
     output_states,
-    pauli_string_matrix,
-    permutation_matrix,
     row_matrix,
     sample_shots,
 )
@@ -32,6 +29,8 @@ from lcuout.outputs import (
     output_matrix,
 )
 from lcuout.recovery import ObservedEntries, factorized_complete, make_mask
+
+from helpers import matrix_to_pairs, pauli_string_matrix, permutation_matrix
 
 # r = sqrt(1 - w^2) vanishes at the endpoints, so they are drawn on purpose
 weights_in_range = st.one_of(st.sampled_from([-1.0, 1.0, -0.0, 0.0]), st.floats(-1.0, 1.0))

@@ -19,12 +19,13 @@ from lcuout.recovery import (
     factorized_complete,
     make_mask,
     observe,
-    random_instance,
     recovery_errors,
     svp_complete,
     sweep,
     sweep_instance,
 )
+
+from helpers import random_instance
 
 
 def instance(seed=77, k=4, n=8):

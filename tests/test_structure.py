@@ -16,7 +16,6 @@ from lcuout.circuit import (
     circuit_unitary,
     coefficient_matrix,
     mixing_layers,
-    permutation_matrix,
 )
 from lcuout.linalg import haar_random_unitary, numerical_rank, random_state, rng
 from lcuout.structure import (
@@ -28,7 +27,7 @@ from lcuout.structure import (
     verify,
 )
 
-from helpers import make_spec
+from helpers import make_spec, permutation_matrix
 
 
 def regrouped(spec):

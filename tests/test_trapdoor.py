@@ -6,7 +6,7 @@ import pytest
 
 import lcuout.circuit
 from lcuout.circuit import (
-    Monomial, coefficients, mixing_layers, pauli_string_matrix, sample_shots, unitary_source,
+    Monomial, coefficients, mixing_layers, sample_shots, unitary_source,
 )
 from lcuout.linalg import Reflectors, haar_reflectors, haar_random_unitary, hadamard_matrix, random_state, rng
 from lcuout.outputs import coefficient_matrix, output_matrix, row_matrix
@@ -27,7 +27,7 @@ from lcuout.trapdoor import (
     mixing_from_key,
 )
 
-from helpers import assert_same_spec
+from helpers import assert_same_spec, pauli_string_matrix
 
 
 def make_pub(k=4, n=4, seed=0, scheme="hadamard", variant="reflection"):
