@@ -43,6 +43,7 @@ __all__ = [
     "output_states",
     "pauli_string_monomial",
     "permutation_monomial",
+    "real_array",
     "real_value",
     "reject_unread_keys",
     "rotation_gate",
@@ -101,9 +102,7 @@ def checked_parameters(k, n, weights, mixing, variant, mixing_matrix) -> tuple[n
     another mixing is given.  Both arrays come back read-only.
     """
     check_layout(k, n, variant, mixing)
-    if np.iscomplexobj(weights):
-        raise ValueError("weights must be real, not complex")
-    w = np.asarray(weights, dtype=float)
+    w = real_array("weights", weights)
     if w.shape != (k,):
         raise ValueError(f"expected {k} weights, got shape {w.shape}")
     if not np.all(np.abs(w) <= 1 + 1e-12):
@@ -262,8 +261,8 @@ class CircuitSpec:
     whose bound implies the dense check, with its message.
 
     :func:`row_matrix` and :func:`apply_circuit` apply every form with
-    ``@``; everything else (the structure checks of ``verify`` and
-    :func:`circuit_unitary`) reads :attr:`dense_unitaries`.
+    ``@``; all else (``verify``'s two Gram matrices, the involution cipher's
+    squares, :func:`circuit_unitary`) reads :attr:`dense_unitaries`.
 
     Like every record of the package, a spec compares and hashes by
     identity, so ``==`` never raises and two specs built alike are two.
@@ -354,17 +353,16 @@ class CircuitSpec:
 
 
 def matrix_from_pairs(data: list) -> np.ndarray:
-    """A complex matrix from nested lists of ``[re, im]`` float pairs, one list per row.
+    """A complex matrix from nested lists of ``[re, im]`` pairs of JSON numbers, one list per row.
 
-    Keeps every bit, signed zeros included.
+    Keeps every bit, signed zeros included.  ``ValueError`` for rows of no
+    or unequal length and for an entry that is not two ints or floats.
     """
-    try:
-        arr = np.array(data, dtype=float)
-    except TypeError:  # a JSON object among the entries
-        raise ValueError("matrix entries must be [re, im] pairs") from None
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    rows = data if type(data) is list and data else [[]]
+    if any(type(row) is not list or not row or len(row) != len(rows[0]) for row in rows) or any(
+            type(e) is not list or len(e) != 2 or not set(map(type, e)) <= {int, float} for r in rows for e in r):
         raise ValueError("matrix entries must be [re, im] pairs")
-    return arr.view(complex)[..., 0]
+    return np.array(rows, dtype=float).view(complex)[..., 0]
 
 
 _PAULI = {
@@ -429,6 +427,14 @@ def real_value(name: str, value) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def real_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array, not copied if one; ``ValueError`` for bool, string, object or complex input."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real, not complex, bool, text or an object; got dtype {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 def list_value(name: str, value) -> list:

@@ -17,9 +17,9 @@ combination is formed.  The identities that involve products of blocks
 (``U^dag U = I``, the weight-free square U^2 and the two-block form) hold for
 any matrices U_t, so their residuals are certified upper bounds built from
 the coefficients and from two numbers per unitary, ``eta_t = |U_t^dag U_t -
-I|_F`` and ``|U_t|_F``.  The K products ``U_t^dag U_t`` are the only N x N
-products multiplied out; neither A, B nor U is built, and no singular value
-of A or B is computed.
+I|_F`` and ``|U_t|_F``.  The unitaries are read only through two Gram
+matrices, :attr:`ShuffledUnitary.traces` and ``defect_gram``, whose K products
+``U_t^dag U_t`` are the only N x N products; neither A, B nor U is built.
 :func:`verify` runs every check of this module, plus the Phi = C X
 factorization against the layer-by-layer circuit
 :func:`~lcuout.circuit.apply_circuit`, as one battery.
@@ -37,6 +37,7 @@ from .circuit import (
     CircuitSpec,
     apply_circuit,
     block_coefficients,
+    checked_parameters,
     coefficient_matrix,
     mixing_layers,
     row_matrix,
@@ -66,21 +67,27 @@ class ShuffledUnitary:
     ``sum_t coef[r, i, s, j, t] U_t``.  U equals ``[[A, B], [B, -A]]`` for
     the reflection variant and ``[[A, B], [-B, A]]`` for the cyclic one,
     where A has the blocks ``coef[0, :, 0]`` and B the blocks
-    ``coef[0, :, 1]``; neither is assembled.  The trace Gram matrix of the
-    unitaries and that of the unitarity defects ``E_t = U_t^dag U_t - I``,
-    and the two diagonal gaps of A and B, are computed on first use and
-    kept; the defects themselves are not.
+    ``coef[0, :, 1]``; neither is assembled.  The unitaries are read only
+    through the trace Gram matrix and that of the unitarity defects
+    ``E_t = U_t^dag U_t - I``; they, the block residual and the two diagonal
+    gaps of A and B are computed on first use and kept, the defects not.
     """
 
     spec: CircuitSpec
     coef: np.ndarray
-    block_residual: float
 
     @cached_property
     def traces(self) -> np.ndarray:
         """``traces[t, u] = tr(U_t^dag U_u)``, the Gram matrix of the unitaries."""
         flat = self.spec.dense_unitaries.reshape(self.spec.k, -1)
         return flat.conj() @ flat.T
+
+    @cached_property
+    def block_residual(self) -> float:
+        """``|lower block row - [B, -A]|_F`` (``[-B, A]`` if cyclic) from :attr:`traces`; it bounds every entry."""
+        c, sign = self.coef, (1.0 if self.spec.variant == "reflection" else -1.0)
+        lower_gap = np.stack([c[1, :, 0] - sign * c[0, :, 1], c[1, :, 1] + sign * c[0, :, 0]])
+        return _frobenius(lower_gap, self.traces)
 
     @cached_property
     def diagonal_gaps(self) -> tuple[float, float]:
@@ -151,20 +158,14 @@ def shuffle(spec: CircuitSpec) -> ShuffledUnitary:
 
     The circuit orders its basis index x rotation x system; the regrouped
     unitary is rotation-major.  The lower block row is compared with
-    ``[B, -A]`` (reflection) or ``[-B, A]`` (cyclic) through the difference
-    ``dc`` of its coefficients: a lower block differs from its target by
-    ``sum_t dc_t U_t``, whose largest entry is at most ``sum_t |dc_t|
-    max|U_t|``.  The largest such bound is the block residual; no block is
-    formed.
+    ``[B, -A]`` (reflection) or ``[-B, A]`` (cyclic) through
+    :attr:`ShuffledUnitary.block_residual`, read from the trace Gram matrix;
+    ``CheckFailed`` when it exceeds 1e-6.  No block is formed.
     """
-    coef = block_coefficients(spec.weights, spec.mixing, spec.variant, spec.mixing_matrix)
-    sign = 1.0 if spec.variant == "reflection" else -1.0
-    lower_gap = np.stack([coef[1, :, 0] - sign * coef[0, :, 1], coef[1, :, 1] + sign * coef[0, :, 0]])
-    peaks = np.abs(spec.dense_unitaries).max(axis=(1, 2))
-    residual = float((np.abs(lower_gap) @ peaks).max())
-    if residual > 1e6 * _BLOCK_ATOL:
-        raise CheckFailed("two-block symmetry", residual)
-    return ShuffledUnitary(spec=spec, coef=coef, block_residual=residual)
+    shuffled = ShuffledUnitary(spec, block_coefficients(spec.weights, spec.mixing, spec.variant, spec.mixing_matrix))
+    if shuffled.block_residual > 1e6 * _BLOCK_ATOL:
+        raise CheckFailed("two-block symmetry", shuffled.block_residual)
+    return shuffled
 
 
 def _public_mixing(spec: CircuitSpec) -> np.ndarray:
@@ -287,27 +288,28 @@ def involution_check(shuffled: ShuffledUnitary, weights: np.ndarray) -> tuple[fl
     """Verify that squaring the regrouped circuit erases the weights.
 
     The second circuit is ``shuffled``'s spec under ``weights`` (K values in
-    [-1, 1], else ``ValueError``); it shares the unitaries, which are not
-    checked again, so a spec whose unitaries fail the unitarity check still
-    gets this one.  Returns ``(structure_residual, key_cancel_residual)``,
-    certified upper bounds on ``|U^2 - I_2 (x) Q diag(U_t^2) Q^dag|_F`` and on
-    the distance between U^2 for the two weight vectors.  Block (a, c) of
-    either difference is ``sum_tu d_actu U_t U_u`` for a coefficient
-    difference d, so each bound is ``sqrt(sum_ac (sum_tu |d_actu| s_t
-    |U_u|_F)^2)``, since ``|U_t U_u|_F <= s_t |U_u|_F``
-    (:attr:`ShuffledUnitary.product_bound`).  The spec must use the
-    reflection variant and a public mixing layer.
+    [-1, 1], else ``ValueError``), of which only the block coefficients are
+    built; it shares the unitaries, which are not checked again, so a spec
+    whose unitaries fail the unitarity check still gets this one.  Returns
+    ``(structure_residual, key_cancel_residual)``, certified upper bounds on
+    ``|U^2 - I_2 (x) Q diag(U_t^2) Q^dag|_F`` and on the distance between
+    U^2 for the two weight vectors.  Block (a, c) of either difference is
+    ``sum_tu d_actu U_t U_u`` for a coefficient difference d, so each bound
+    is ``sqrt(sum_ac (sum_tu |d_actu| s_t |U_u|_F)^2)``, since ``|U_t
+    U_u|_F <= s_t |U_u|_F`` (:attr:`ShuffledUnitary.product_bound`).  The
+    spec must use the reflection variant and a public mixing layer.
     """
     spec = shuffled.spec
     if spec.variant != "reflection":
         raise ValueError("weight cancellation in U^2 needs the reflection variant")
     g = _public_mixing(spec)
-    alt = shuffle(spec.with_weights(weights))
+    alt_weights, _ = checked_parameters(spec.k, spec.n, weights, spec.mixing, spec.variant, spec.mixing_matrix)
+    alt = block_coefficients(alt_weights, spec.mixing, spec.variant, spec.mixing_matrix)
     k = spec.k
     bound = shuffled.product_bound
 
-    def square(sh: ShuffledUnitary) -> np.ndarray:
-        c = sh.coef.reshape(2 * k, 2 * k, k)
+    def square(coef: np.ndarray) -> np.ndarray:
+        c = coef.reshape(2 * k, 2 * k, k)
         return np.einsum("abt,bcu->actu", c, c)
 
     def residual(d: np.ndarray) -> float:
@@ -315,7 +317,7 @@ def involution_check(shuffled: ShuffledUnitary, weights: np.ndarray) -> tuple[fl
 
     # I_2 (x) Q diag(U_t^2) Q^dag puts G[i, t] conj(G[j, t]) on U_t U_t in both diagonal rotation blocks
     target = np.einsum("rs,it,jt,tu->risjtu", np.eye(2), g, g.conj(), np.eye(k)).reshape(2 * k, 2 * k, k, k)
-    u_sq = square(shuffled)
+    u_sq = square(shuffled.coef)
     return residual(u_sq - target), residual(u_sq - square(alt))
 
 
@@ -326,18 +328,17 @@ def verify(spec: CircuitSpec, seed: int) -> list[dict]:
     per check: unitarity, block-structure, similarity, singular-multiset,
     csd (the larger of the two :attr:`ShuffledUnitary.diagonal_gaps`, which
     are the residuals of the closed-form CS factors), csd-sigma
-    (``sigma_w^2 + sigma_r^2 = 1``),
-    involution, factorization (C X against the outcome rows of
-    :func:`~lcuout.circuit.apply_circuit`), column-orthogonality, rank.
-    Every check reads the block coefficients of one :func:`shuffle` of
-    ``spec`` (plus the one :func:`involution_check` builds) and the N x N
-    unitaries, as :attr:`~lcuout.circuit.CircuitSpec.dense_unitaries`
-    (built once, by block products, for a Haar spec, whose unitaries are
-    held as Householder reflectors, and for a Pauli-string or permutation
-    spec, whose unitaries are held as a monomial stack); no (2KN)^2 matrix
-    is built.  Checks that do
-    not apply are skipped and pass.  ``seed`` draws psi (``random_state(N, seed)``) and the
-    involution check's second weight vector (``rng(seed + 1)``).
+    (``sigma_w^2 + sigma_r^2 = 1``), involution, factorization (C X against
+    the outcome rows of :func:`~lcuout.circuit.apply_circuit`),
+    column-orthogonality, rank.  The structure checks read the block
+    coefficients of one :func:`shuffle` of ``spec`` (and those of
+    :func:`involution_check`'s second weights) and the unitaries only
+    through its two Gram matrices, each formed from
+    :attr:`~lcuout.circuit.CircuitSpec.dense_unitaries` (built once, by
+    block products, for a Haar spec, held as Householder reflectors, and for
+    a Pauli-string or permutation spec, held as a monomial stack); no
+    (2KN)^2 matrix is built.  Checks that do not apply are skipped and pass.
+    ``seed`` draws psi (``random_state(N, seed)``) and the involution check's second weights (``rng(seed + 1)``).
     """
     checks = []
 

@@ -22,10 +22,8 @@ both rotation variants, when full complex amplitudes leak and fails on
 magnitudes alone (no magnitude-only attack is implemented, so that failure
 does not show that magnitudes hide the weights), and the involution
 encrypt/decrypt demo (squaring the circuit cancels the weights whenever
-every U_t is an involution).  Its usual unitaries, Pauli strings and
-permutations, are held as a :class:`~lcuout.circuit.Monomial` stack, so the
-demo checks and applies them in O(K N) time and memory and forms no N x N
-matrix.
+every U_t is an involution), which checks and applies its usual unitaries,
+Pauli strings and permutations, in O(K N) and forms no N x N matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import numpy as np
 
 from .circuit import (
     CircuitSpec, Monomial, apply_circuit, check_layout, check_state, checked_parameters, coefficients, integer_value,
-    list_value, output_states, real_value, rotation_gate, sample_shots,
+    list_value, output_states, real_array, real_value, rotation_gate, sample_shots,
 )
 from .linalg import Reflectors, haar_random_unitary, hadamard_matrix, rng
 from .recovery import ObservedEntries, factorized_complete
@@ -151,9 +149,7 @@ class SecretKey:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if np.iscomplexobj(self.weights):
-            raise ValueError("key weights must be real, not complex")
-        w = np.array(self.weights, dtype=float)
+        w = real_array("key weights", self.weights).copy()
         if w.ndim != 1:
             raise ValueError(f"key weights must be a 1-D array, got shape {w.shape}")
         if not np.isfinite(w).all():
@@ -375,31 +371,28 @@ def hadamard_attack(pub: PublicLayout, phi: np.ndarray) -> AttackResult:
     return AttackResult(weights=weights, recoverable=recoverable, residual=residual)
 
 
-def _involution_residuals(unitaries: np.ndarray | Monomial | Reflectors) -> Iterator[float]:
-    """``|U_t^2 - I|_F`` for each public unitary, in order: O(N) per monomial unitary, one N x N product per dense one.
+def _involution_residuals(spec: CircuitSpec) -> Iterator[float]:
+    """``|U_t^2 - I|_F`` for each unitary of ``spec``, in order: O(N) per monomial unitary, a probe for any other.
 
     A monomial U sends e_j to ``p_j p_{a(j)} e_{a(a(j))}`` under U^2, with a
     the images and p the phases, so column j of ``U^2 - I`` is
     ``p_j p_{a(j)} - 1`` on the diagonal where ``a(a(j)) = j``, and
     otherwise holds ``p_j p_{a(j)}`` and -1 in two rows.
 
-    A reflector stack is first probed in O(K N^2) through ``@`` with one
-    fixed unit x: ``|(U_t^2 - I) x| <= |U_t^2 - I|_F``, so a probe above
-    ``INVOLUTION_ATOL`` stands in for the residual of its unitary and
-    refuses it as the residual would.  The dense stack is built only when
-    the caller reaches a unitary whose probe passes.
+    Any other stack is probed in O(K N^2) through ``@`` with one fixed unit
+    x: ``|(U_t^2 - I) x| <= |U_t^2 - I|_F``, so a probe above
+    ``INVOLUTION_ATOL`` refuses its unitary as the residual would; only a
+    unitary whose probe passes, once reached, is squared in dense form.
     """
-    if isinstance(unitaries, Monomial):
-        images, phases = unitaries.images, unitaries.phases
+    us = spec.unitaries
+    if isinstance(us, Monomial):
+        images, phases = us.images, us.phases
         square = phases * np.take_along_axis(phases, images, axis=-1)
         fixed = np.take_along_axis(images, images, axis=-1) == np.arange(images.shape[-1])
         return iter(np.sqrt(np.where(fixed, np.abs(square - 1) ** 2, np.abs(square) ** 2 + 1).sum(axis=-1)))
-    if isinstance(unitaries, Reflectors):
-        big_n = unitaries.shape[-1]
-        x = np.full(big_n, big_n**-0.5)
-        probes = np.linalg.norm((unitaries @ (unitaries @ x)[..., None])[..., 0] - x, axis=-1)
-        return (p if p > INVOLUTION_ATOL else _square_residual(unitaries.dense[t]) for t, p in enumerate(probes))
-    return map(_square_residual, unitaries)
+    x = np.full(spec.big_n, spec.big_n**-0.5)
+    probes = np.linalg.norm((us @ (us @ x)[..., None])[..., 0] - x, axis=-1)
+    return (p if p > INVOLUTION_ATOL else _square_residual(spec.dense_unitaries[t]) for t, p in enumerate(probes))
 
 
 def _square_residual(u: np.ndarray) -> float:
@@ -423,13 +416,13 @@ def involution_encrypt_decrypt(
     names the first unitary t with ``|U_t^2 - I|_F > INVOLUTION_ATOL``: O(N)
     for each unitary of a monomial stack, whose circuits also apply in O(K N
     + K^2 N), so Pauli strings and permutations need no N x N matrix at any
-    step; a Haar stack, almost surely no involution, is refused in O(K N^2)
-    by a probe, before its dense form.
+    step; any other stack is probed in O(K N^2) first, so a Haar stack,
+    almost surely no involution, is refused before its dense form.
     """
     if pub.scheme != "hadamard" or pub.variant != "reflection":
         raise ValueError("the involution cipher needs the Hadamard reflection circuit")
     big_n = 2**pub.n
-    for t, residual in enumerate(_involution_residuals(pub.unitaries)):
+    for t, residual in enumerate(_involution_residuals(pub.base_spec)):
         if residual > INVOLUTION_ATOL:
             raise ValueError(f"unitary {t} is not an involution")
     spec, spec2 = key_spec(key, pub), key_spec(key2, pub)

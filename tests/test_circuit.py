@@ -17,6 +17,7 @@ from lcuout.circuit import (
     Monomial,
     apply_circuit,
     block_coefficients,
+    checked_parameters,
     circuit_unitary,
     coefficient_matrix,
     coefficients,
@@ -354,6 +355,65 @@ def test_complex_weights_are_refused(weights):
         make_spec(k=4, n=2, seed=1).with_weights(weights)
     with pytest.raises(ValueError, match="^key weights must be real, not complex"):
         SecretKey("hadamard", weights)
+
+
+WEIGHT_READERS = {
+    "checked_parameters": lambda w: checked_parameters(len(w), 1, w, "hadamard", "reflection", None),
+    "key": lambda w: SecretKey("hadamard", w),
+}
+
+
+@pytest.mark.parametrize("read", WEIGHT_READERS.values(), ids=WEIGHT_READERS)
+@pytest.mark.parametrize("weights", [["0.5", 0.5], ["0.5", "0.2"], [{}, 0.5], [None, 0.5], [True, False],
+                                     np.array([1, 0], dtype=bool), [0.5 + 0j, 0.5]],
+                         ids=["string", "strings", "object", "null", "bools", "bool-array", "complex"])
+def test_weights_of_another_dtype_than_integer_or_float_are_refused(read, weights):
+    # one dtype rule for both readers of weights: no string parsed as a number, no bool taken as 1 or 0, and no
+    # TypeError from inside numpy
+    with pytest.raises(ValueError, match="weights must be real, not complex, bool, text or an object"):
+        read(weights)
+
+
+@pytest.mark.parametrize("read", WEIGHT_READERS.values(), ids=WEIGHT_READERS)
+def test_integer_weights_are_read_as_floats(read):
+    for weights in ([1, 0], np.array([1, 0], dtype=np.int8), np.array([1, 0], dtype=np.float32)):
+        w = read(weights)
+        w = w[0] if isinstance(w, tuple) else w.weights
+        assert w.dtype == np.float64 and w.tolist() == [1.0, 0.0]
+
+
+X_PAIRS = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+BAD_PAIRS = {
+    "string": [[[0, 0], ["1", 0]], [[1, 0], [0, 0]]],
+    "bool": [[[0, 0], [True, 0]], [[1, 0], [0, 0]]],
+    "null": [[[0, 0], [1, None]], [[1, 0], [0, 0]]],
+    "object": [[[0, 0], {}], [[1, 0], [0, 0]]],
+    "number": [[[0, 0], 1], [[1, 0], [0, 0]]],
+    "triple": [[[0, 0], [1, 0, 0]], [[1, 0], [0, 0]]],
+    "ragged": [[[0, 0], [1, 0]], [[1, 0]]],
+    "empty-row": [[], []],
+    "no-rows": [],
+    "not-a-list": "X",
+}
+
+
+@pytest.mark.parametrize("where", ["explicit", "mixing_matrix"])
+@pytest.mark.parametrize("bad", BAD_PAIRS.values(), ids=BAD_PAIRS)
+def test_pair_entries_must_be_pairs_of_json_numbers(where, bad):
+    # "1" is no 1, true no 1 and null no NaN; a ragged row is no numpy error
+    doc = {"K": 2, "n": 1, "weights": [0.9, 0.4], "unitaries": {"kind": "explicit", "data": [X_PAIRS, X_PAIRS]}}
+    if where == "explicit":
+        doc["unitaries"]["data"][0] = bad
+    else:
+        doc.update(mixing="secret", mixing_matrix=bad)
+    with pytest.raises(ValueError, match=r"^matrix entries must be \[re, im\] pairs$"):
+        CircuitSpec.from_json(json.dumps(doc))
+
+
+def test_pair_entries_keep_their_bits_integers_and_signed_zeros_included():
+    m = matrix_from_pairs(json.loads("[[[1, -0.0], [-0.0, 0]], [[0.1, -2], [3, 0.5]]]"))
+    expected = np.array([[1.0, -0.0, -0.0, 0.0], [0.1, -2.0, 3.0, 0.5]]).view(complex)
+    assert m.dtype == np.complex128 and m.tobytes() == expected.tobytes()
 
 
 def test_with_weights_shares_the_unitaries_and_checks_the_parameters():

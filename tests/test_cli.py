@@ -367,6 +367,32 @@ def test_malformed_config_is_rejected_without_a_traceback(tmp_path, capsys, comm
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("entry", ["1", True, None], ids=["string", "bool", "null"])
+@pytest.mark.parametrize("command", [["trapdoor", "eval"], ["verify"]], ids=["eval", "verify"])
+def test_a_pair_entry_that_is_no_json_number_is_a_config_error(tmp_path, capsys, command, entry):
+    # the explicit X matrix with "1", true or null for one of its ones: eval exits 2, verify records a failed
+    # spec-validation (exit 1), as for any other malformed spec; none is read as 1 or NaN
+    x = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    x[0][1][0] = entry
+    source = {"kind": "explicit", "data": [x, [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]]}
+    doc = ({"K": 2, "n": 1, "weights": [0.9, 0.4], "unitaries": source} if command == ["verify"] else
+           {**lcuout.cli.DEFAULT_TRAPDOOR, "K": 2, "n": 1, "unitaries": source})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    key = tmp_path / "k_key.json"
+    key.write_text(key_to_json(keygen(2, "hadamard", 0)))
+    extra = ["--key", str(key)] if command[0] == "trapdoor" else []
+    code = main([*command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")])
+    if command == ["verify"]:
+        assert code == 1
+        (check,) = json.loads((tmp_path / "o_verify.json").read_text())["checks"]
+        assert check["name"] == "spec-validation" and "matrix entries must be [re, im] pairs" in check["error"]
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == "error: matrix entries must be [re, im] pairs\n"
+        assert list(tmp_path.glob("*.csv")) == []
+
+
 NULL_INTEGER = {
     "haar-seed": {**lcuout.cli.DEFAULT_TRAPDOOR, "unitaries": {"kind": "haar", "seed": None}},
     "verify-haar-seed": {**lcuout.cli.DEFAULT_VERIFY, "unitaries": {"kind": "haar", "seed": None}},

@@ -188,6 +188,59 @@ def test_involution_check_rejects_a_second_weight_vector_of_the_wrong_length_or_
         involution_check(sh, np.array(weights))
 
 
+def old_involution_residuals(sh, weights):
+    """The two residuals of :func:`involution_check` as it took them from a second spec and its shuffle."""
+    spec, k = sh.spec, sh.spec.k
+    g = mixing_layers(spec)[1]
+
+    def square(coef):
+        c = coef.reshape(2 * k, 2 * k, k)
+        return np.einsum("abt,bcu->actu", c, c)
+
+    def residual(d):
+        return float(np.sqrt(np.sum(np.einsum("actu,tu->ac", np.abs(d), sh.product_bound) ** 2)))
+
+    target = np.einsum("rs,it,jt,tu->risjtu", np.eye(2), g, g.conj(), np.eye(k)).reshape(2 * k, 2 * k, k, k)
+    u_sq = square(sh.coef)
+    return residual(u_sq - target), residual(u_sq - square(shuffle(spec.with_weights(weights)).coef))
+
+
+def no_second_spec(*args, **kwargs):
+    raise RuntimeError("built a second spec")
+
+
+@pytest.mark.parametrize("spec, weights", [
+    (make_spec(k=4, n=2, seed=20), [0.2, 0.9, 0.4, 0.7]),
+    (make_spec(k=4, n=2, seed=21, mixing="dft", weights=[0.9, -0.4, 1.0, -1.0]), [1.0 + 1e-13, -0.3, 0.0, 0.5]),
+    (make_spec(k=2, n=3, seed=22), [-1.0 - 1e-13, 0.6]),
+], ids=["hadamard", "dft-signed", "clipped"])
+def test_involution_check_keeps_the_bits_of_the_second_circuit_without_building_it(monkeypatch, spec, weights):
+    # the second weight vector's coefficients come from block_coefficients, not from a second spec and shuffle
+    sh = shuffle(spec)
+    expected = old_involution_residuals(sh, np.array(weights))
+    monkeypatch.setattr(CircuitSpec, "with_weights", no_second_spec)
+    assert np.array(involution_check(sh, np.array(weights))).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("source", [{"kind": "haar", "seed": 23}, {"kind": "pauli_strings", "data": ["XY", "ZZ", "IY", "XI"]}],
+                         ids=["haar", "pauli"])
+def test_verify_reads_the_unitaries_through_two_grams_and_builds_no_second_circuit(monkeypatch, source):
+    # one read for the trace Gram and one for the defect Gram; an entry-peak pass and a second shuffle read it 4 times
+    spec = CircuitSpec.from_json(json.dumps({"K": 4, "n": 2, "weights": [1.0, 0.8, 0.5, 0.3], "unitaries": source}))
+    dense = CircuitSpec.dense_unitaries
+    reads = []
+
+    def counted(self):
+        reads.append(self)
+        return dense.fget(self)
+
+    monkeypatch.setattr(CircuitSpec, "dense_unitaries", property(counted))
+    monkeypatch.setattr(CircuitSpec, "with_weights", no_second_spec)
+    checks = verify(spec, seed=3)
+    assert len(reads) == 2 and all(r is spec for r in reads)
+    assert _skipped(checks) == set() and all(c["pass"] for c in checks)
+
+
 def test_structure_suite_twenty_seeded_specs():
     # broad sweep across sizes and mixings; every residual at once
     cases = 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lcuout.circuit
+import lcuout.trapdoor
 from lcuout.circuit import (
     Monomial, coefficients, mixing_layers, sample_shots, unitary_source,
 )
@@ -439,6 +440,22 @@ def test_involution_check_decides_at_its_threshold(theta):
             involution_encrypt_decrypt(pub, psi, *keys)
     else:
         assert theta < 0.5e-10 and abs(involution_encrypt_decrypt(pub, psi, *keys) - 1.0) < 1e-9
+
+
+def test_a_dense_stack_is_probed_before_any_square(monkeypatch):
+    # diag(1, i) squares to diag(1, -1): the probe along the uniform vector refuses it, so no N x N square is formed;
+    # dense Pauli matrices pass their probes and their squares, and still decrypt
+    psi, keys = random_state(2, 45), (keygen(4, "hadamard", 46), keygen(4, "hadamard", 47))
+    assert abs(involution_encrypt_decrypt(pauli_pub(0), random_state(4, 45), *keys) - 1.0) < 1e-10
+    pub = PublicParams(k=4, n=1, unitaries=(np.diag([1.0, 1j]),) * 4)
+    assert isinstance(pub.unitaries, np.ndarray)
+
+    def no_square(u):
+        raise RuntimeError("formed a dense square")
+
+    monkeypatch.setattr(lcuout.trapdoor, "_square_residual", no_square)
+    with pytest.raises(ValueError, match="unitary 0 is not an involution"):
+        involution_encrypt_decrypt(pub, psi, *keys)
 
 
 def householder_involutions(k, dim, seed):
