@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import copy
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import UNIT_ATOL, Reflectors, dft_matrix, haar_reflectors, hadamard_matrix, readonly, rng
+from .linalg import (
+    UNIT_ATOL, Dense, UnitaryStack, dft_matrix, haar_reflectors, hadamard_matrix, is_unitary, readonly, rng,
+)
 
 __all__ = [
     "CheckFailed",
@@ -118,20 +121,13 @@ def checked_parameters(k, n, weights, mixing, variant, mixing_matrix) -> tuple[n
     m = readonly(mixing_matrix, complex)
     if m.shape != (k, k):
         raise ValueError(f"mixing matrix has shape {m.shape}, expected {(k, k)}")
-    if not _is_unitary(m):
+    if not is_unitary(m):
         raise ValueError("mixing matrix is not unitary")
     return w, m
 
 
-def _is_unitary(m: np.ndarray) -> bool:
-    """``np.allclose(m^H m, I, rtol=0, atol=UNIT_ATOL)``, NaN and inf included, with the Gram as the one temporary."""
-    g = m.conj().T @ m
-    g[np.diag_indices_from(g)] -= 1
-    return bool(np.max(np.abs(g)) <= UNIT_ATOL)
-
-
 @dataclass(frozen=True, eq=False)
-class Monomial:
+class Monomial(UnitaryStack):
     """Unitaries with one nonzero entry per column, held as that entry's row and value.
 
     ``U e_j = phases[..., j] e_{images[..., j]}``: ``images`` is an integer
@@ -144,9 +140,12 @@ class Monomial:
     ``U @ x`` is the dense product.  Pauli strings and permutations take
     this form (:func:`pauli_string_monomial`, :func:`permutation_monomial`):
     O(N) memory per unitary, and O(N) to apply one, where the dense form
-    needs N^2.  Nothing here checks that the entries form a unitary;
-    :class:`CircuitSpec` does.  Like every record of the package, a
-    monomial compares and hashes by identity, so ``==`` never raises.
+    needs N^2; a stack's two Gram matrices and involution residuals have
+    closed forms in the images and phases, O(K^2 N) and O(K N), so no
+    N x N matrix is formed for them either.  Nothing here checks that the
+    entries form a unitary; :class:`CircuitSpec` does.  Like every record
+    of the package, a monomial compares and hashes by identity, so ``==``
+    never raises.
     """
 
     images: np.ndarray
@@ -203,7 +202,7 @@ class Monomial:
         return out[..., 0] if x.ndim == 1 else out
 
     def non_unitary(self) -> np.ndarray:
-        """Per unitary of a stack, whether it fails :func:`_is_unitary`, decided in O(N).
+        """Per unitary of a stack, whether it fails :func:`~lcuout.linalg.is_unitary`, decided in O(N).
 
         ``U^H U`` has the diagonal ``|p_j|^2`` and, for two columns j != k
         with one image, the entry ``conj(p_j) p_k``.  So ``max|U^H U - I| <=
@@ -217,6 +216,46 @@ class Monomial:
         p = self.phases
         return ~(permutes & (np.abs(p.real**2 + p.imag**2 - 1) <= UNIT_ATOL).all(axis=-1))
 
+    def trace_gram(self) -> np.ndarray:
+        """``tr(U_t^H U_u) = sum_j conj(p_t[j]) p_u[j] [a_t(j) = a_u(j)]`` for a stack, in O(K^2 N).
+
+        Column j of U_t and of U_u (images a, phases p) meet only where they
+        share an image.  Each entry sums the products the dense Gram sums,
+        less its zeros, so for the exact phases +-1 and +-i of Pauli strings
+        and permutations it has the dense Gram's bits.
+        """
+        shared = self.images[:, None] == self.images[None]
+        return np.where(shared, self.phases.conj()[:, None] * self.phases[None], 0).sum(axis=-1)
+
+    def defect_gram(self) -> np.ndarray:
+        """:meth:`UnitaryStack.defect_gram` of a stack from ``E_t = diag(|p_t|^2 - 1)``, in O(K^2 N).
+
+        ``U^H U`` is diagonal only when the images are a permutation, which
+        they are in every stack a spec keeps (:meth:`non_unitary` refuses any
+        other), so the formula holds for those.
+        """
+        p = self.phases
+        d = p.real**2 + p.imag**2 - 1
+        k = len(d)
+        gram = np.full((k + 1, k + 1), d.shape[-1], dtype=complex)
+        gram[:k, :k] = d @ d.T
+        gram[k, :k] = d.sum(axis=-1)
+        gram[:k, k] = gram[k, :k].conj()
+        return gram
+
+    def involution_residuals(self) -> Iterator[float]:
+        """``|U_t^2 - I|_F`` for each unitary of a stack, in order, in O(N) each.
+
+        U^2 sends e_j to ``p_j p_{a(j)} e_{a(a(j))}``, with a the images and
+        p the phases, so column j of ``U^2 - I`` is ``p_j p_{a(j)} - 1`` on
+        the diagonal where ``a(a(j)) = j``, and otherwise holds ``p_j
+        p_{a(j)}`` and -1 in two rows.
+        """
+        images, phases = self.images, self.phases
+        square = phases * np.take_along_axis(phases, images, axis=-1)
+        fixed = np.take_along_axis(images, images, axis=-1) == np.arange(images.shape[-1])
+        return iter(np.sqrt(np.where(fixed, np.abs(square - 1) ** 2, np.abs(square) ** 2 + 1).sum(axis=-1)))
+
 
 @dataclass(frozen=True, eq=False)
 class CircuitSpec:
@@ -226,19 +265,22 @@ class CircuitSpec:
         k: number of combined unitaries (power of two for Hadamard and secret mixing).
         n: number of system qubits; the system dimension is ``N = 2**n``.
         weights: K real rotation weights, each in [-1, 1].
-        unitaries: the K unitaries U_t as one (K, N, N) complex stack, as
-            one (K, N) :class:`Monomial` stack, or as one
-            :class:`~lcuout.linalg.Reflectors` stack; given as a generator,
-            the Haar source of :func:`unitary_source`, they are drawn from
-            it as reflectors.
+        unitaries: the K unitaries U_t as one
+            :class:`~lcuout.linalg.UnitaryStack`: a
+            :class:`~lcuout.linalg.Dense` (K, N, N) array, a (K, N)
+            :class:`Monomial` stack or a :class:`~lcuout.linalg.Reflectors`
+            stack; given as a generator, the Haar source of
+            :func:`unitary_source`, they are drawn from it as reflectors.
         mixing: "hadamard", "dft", or "secret" (requires ``mixing_matrix``).
         mixing_matrix: K x K unitary used when ``mixing == "secret"``.
         variant: "reflection" (symmetric rotation gate) or "cyclic".
 
     ``unitaries`` may be given as a tuple or a list of N x N matrices, each
-    of whose shape is checked before they are copied once into the stack,
-    or as a stack.  The spec holds the stack and the mixing matrix once,
-    read-only: a complex one that is already read-only and owns its data is
+    of whose shape is checked before they are copied once into a
+    :class:`~lcuout.linalg.Dense` stack, as an array, or as a stack of any
+    form, which is kept as given.  The spec holds the array of a dense stack
+    and the mixing matrix once, read-only: a complex one that is already
+    read-only and owns its data is
     kept as given, not copied; an array of another dtype is converted once
     into the spec's own array; anything else (a writeable array, a view, an
     ``__array__`` holder) is copied, so no later write through the caller's
@@ -260,9 +302,11 @@ class CircuitSpec:
     decided in O(K N^2) by :meth:`~lcuout.linalg.Reflectors.non_unitary`,
     whose bound implies the dense check, with its message.
 
-    :func:`row_matrix` and :func:`apply_circuit` apply every form with
-    ``@``; all else (``verify``'s two Gram matrices, the involution cipher's
-    squares, :func:`circuit_unitary`) reads :attr:`dense_unitaries`.
+    Which form the spec holds is decided here alone, and then read only
+    through the stack's interface: :func:`row_matrix` and
+    :func:`apply_circuit` apply every form with ``@``, ``verify`` reads its
+    two Gram matrices, the involution cipher its involution residuals, and
+    the dense oracle :func:`circuit_unitary` its ``dense`` array.
 
     Like every record of the package, a spec compares and hashes by
     identity, so ``==`` never raises and two specs built alike are two.
@@ -271,7 +315,7 @@ class CircuitSpec:
     k: int
     n: int
     weights: np.ndarray
-    unitaries: np.ndarray
+    unitaries: UnitaryStack
     mixing: str = "hadamard"
     mixing_matrix: np.ndarray | None = None
     variant: str = "reflection"
@@ -281,7 +325,7 @@ class CircuitSpec:
         given = self.unitaries
         if isinstance(given, np.random.Generator):
             given = haar_reflectors(self.k, self.big_n, given)
-        stacked = isinstance(given, (Monomial, Reflectors))
+        stacked = isinstance(given, UnitaryStack)
         given = given if stacked or isinstance(given, (tuple, list)) else np.asarray(given)
         if len(given) != self.k:
             raise ValueError(f"expected {self.k} unitaries, got {len(given)}")
@@ -293,8 +337,8 @@ class CircuitSpec:
         elif all(isinstance(u, Monomial) for u in given):
             us = Monomial(np.stack([u.images for u in given]), np.stack([u.phases for u in given]))
         else:
-            us = readonly(given, complex)
-        defects = [not _is_unitary(u) for u in us] if isinstance(us, np.ndarray) else us.non_unitary()
+            us = Dense(given)
+        defects = us.non_unitary()
         if any(defects):
             raise ValueError(f"matrix {int(np.argmax(defects))} is not unitary")
         object.__setattr__(self, "unitaries", us)
@@ -318,12 +362,6 @@ class CircuitSpec:
             object.__setattr__(spec, "mixing_matrix", mixing_matrix)
         spec._check_parameters()
         return spec
-
-    @property
-    def dense_unitaries(self) -> np.ndarray:
-        """The unitaries as a read-only (K, N, N) stack: ``unitaries`` itself, or a structured stack's kept dense form."""
-        us = self.unitaries
-        return us if isinstance(us, np.ndarray) else us.dense
 
     @property
     def big_n(self) -> int:
@@ -430,10 +468,17 @@ def real_value(name: str, value) -> float:
 
 
 def real_array(name: str, values) -> np.ndarray:
-    """``values`` as a float array, not copied if one; ``ValueError`` for bool, string, object or complex input."""
+    """``values`` as a float array, not copied if one; ``ValueError`` for bool, string, object or complex input.
+
+    A list or tuple with a bool among its numbers is refused too: numpy
+    would promote it to a float array, with the bool as 1.0 or 0.0.
+    """
     a = np.asarray(values)
-    if a.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be real, not complex, bool, text or an object; got dtype {a.dtype}")
+    mixed = isinstance(values, (list, tuple)) and any(
+        np.asarray(v).dtype.kind == "b" for v in np.asarray(values, dtype=object).flat)
+    if mixed or a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real, not complex, bool, text or an object; got dtype "
+                         f"{'bool' if mixed else a.dtype}")
     return a.astype(float, copy=False)
 
 
@@ -607,13 +652,13 @@ def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
     operator.  For ``k == 1`` the mixing layers are the scalar 1 and ``V`` is
     just ``R_0 (x) U_0``.  Building it costs two (2KN)^3 products; the
     package itself uses :func:`apply_circuit`, and this dense form, built
-    from :attr:`CircuitSpec.dense_unitaries`, is the oracle the tests
+    from the ``dense`` array of the spec's stack, is the oracle the tests
     compare it against.
     """
     g1, g2 = mixing_layers(spec)
     block = 2 * spec.big_n
     m = np.zeros((spec.k * block, spec.k * block), dtype=complex)
-    for t, (r, u) in enumerate(zip(_rotations(spec.weights, spec.variant), spec.dense_unitaries)):
+    for t, (r, u) in enumerate(zip(_rotations(spec.weights, spec.variant), spec.unitaries.dense)):
         m[t * block : (t + 1) * block, t * block : (t + 1) * block] = np.kron(r, u)
     eye = np.eye(block)
     return np.kron(g2, eye) @ m @ np.kron(g1, eye)

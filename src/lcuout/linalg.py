@@ -1,26 +1,33 @@
-"""Linear-algebra kernel: SVD, rank truncation, structured unitaries, seeded sampling.
+"""Linear-algebra kernel: SVD, rank truncation, stacks of unitaries, seeded sampling.
 
 Everything is plain numpy.  Randomness always flows through :func:`rng`,
 a counter-based Philox generator keyed by an explicit integer seed, so every
-experiment in the package is reproducible from its seed alone.  Haar
-unitaries are drawn as :class:`Reflectors`, stacks of Householder
-reflectors that are drawn, checked and applied in O(N^2) per unitary; the
-dense N x N form is built only when a caller asks for it.
+experiment in the package is reproducible from its seed alone.  Every stack
+of K unitaries is a :class:`UnitaryStack`, read through ``@``, its two Gram
+matrices and its involution residuals, whatever form holds it: a
+:class:`Dense` array, or :class:`Reflectors`, the form Haar unitaries are
+drawn in, checked and applied in O(N^2) per unitary, whose dense N x N form
+is built only when a caller asks for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
+    "INVOLUTION_ATOL",
+    "Dense",
     "Reflectors",
+    "UnitaryStack",
     "dft_matrix",
     "hadamard_matrix",
     "haar_random_unitary",
     "haar_reflectors",
+    "is_unitary",
     "numerical_rank",
     "random_state",
     "readonly",
@@ -38,6 +45,9 @@ SEED_BOUND = 2**128
 
 # how far from 1 a state's norm, and from I a unitary's Gram U^H U, may lie
 UNIT_ATOL = 1e-10
+
+# how far from I, in Frobenius norm, the square of a unitary may lie and it still counts as an involution
+INVOLUTION_ATOL = 1e-10
 
 # numerical_rank counts the singular values above this fraction of the largest one
 RANK_RTOL = 1e-10
@@ -161,8 +171,114 @@ def readonly(value, dtype=None) -> np.ndarray:
     return a
 
 
+def is_unitary(m: np.ndarray) -> bool:
+    """``np.allclose(m^H m, I, rtol=0, atol=UNIT_ATOL)``, NaN and inf included, with the Gram as the one temporary."""
+    g = m.conj().T @ m
+    g[np.diag_indices_from(g)] -= 1
+    return bool(np.max(np.abs(g)) <= UNIT_ATOL)
+
+
+class UnitaryStack:
+    """K unitaries of order N, read as the (K, N, N) stack they stand for, whatever form holds them.
+
+    Every form gives ``shape``, ``len``, ``stack @ x`` with the shape
+    ``np.matmul`` gives on the dense stack, ``non_unitary()`` (per
+    unitary, True unless ``max|U^H U - I| <= UNIT_ATOL`` holds, shown by
+    that test or by a bound that implies it), and ``dense``, the read-only
+    (K, N, N) array itself, for the forms that hold it and for test
+    oracles.  :meth:`trace_gram`, :meth:`defect_gram` and
+    :meth:`involution_residuals` are written here once against ``dense`` and
+    ``@``; a form with a closed form overrides them.  Nothing else of the
+    package asks which form a stack has.
+    """
+
+    shape: tuple[int, int, int]
+    dense: np.ndarray
+
+    def trace_gram(self) -> np.ndarray:
+        """``gram[t, u] = tr(U_t^H U_u)``, the K x K Gram matrix of the unitaries."""
+        flat = self.dense.reshape(len(self), -1)
+        return flat.conj() @ flat.T
+
+    def defect_gram(self) -> np.ndarray:
+        """Gram matrix ``tr(X^H Y)`` of ``E_t = U_t^H U_t - I`` at index t < K and of I at index K.
+
+        The K products ``U_t^H U_t`` are its only N x N products.
+        ``gram[K, t] = tr(E_t) = |U_t|_F^2 - N``.  Each entry ``t <= u`` is
+        one ``np.vdot``, which conjugates as it reads, so the stack of
+        defects is the one (K, N, N) array held.
+        """
+        k, big_n = len(self), self.shape[-1]
+        defects = np.empty((k, big_n, big_n), dtype=complex)
+        diag = np.arange(big_n)
+        for t, u in enumerate(self.dense):
+            np.matmul(u.conj().T, u, out=defects[t])
+            defects[t, diag, diag] -= 1.0
+        flat = defects.reshape(k, -1)
+        gram = np.full((k + 1, k + 1), big_n, dtype=complex)
+        for t in range(k):
+            for u in range(t, k):
+                gram[t, u] = np.vdot(flat[t], flat[u])
+                gram[u, t] = gram[t, u].conjugate()
+        gram[k, :k] = np.trace(defects, axis1=1, axis2=2)
+        gram[:k, k] = gram[k, :k].conj()
+        return gram
+
+    def involution_residuals(self) -> Iterator[float]:
+        """``|U_t^2 - I|_F`` for each unitary, in order, each probed in O(N^2) through ``@`` before any square.
+
+        One fixed unit x: ``|(U_t^2 - I) x| <= |U_t^2 - I|_F``, so a probe
+        above ``INVOLUTION_ATOL`` refuses its unitary as the residual would,
+        and is what is yielded for it; only a unitary whose probe passes,
+        once reached, is squared from ``dense``.
+        """
+        big_n = self.shape[-1]
+        x = np.full(big_n, big_n**-0.5)
+        probes = np.linalg.norm((self @ (self @ x)[..., None])[..., 0] - x, axis=-1)
+        return (p if p > INVOLUTION_ATOL else _square_residual(self.dense[t]) for t, p in enumerate(probes))
+
+
+def _square_residual(u: np.ndarray) -> float:
+    square = u @ u
+    square[np.diag_indices_from(square)] -= 1  # U^2 - I in place, the same Frobenius norm bit for bit
+    return np.linalg.norm(square)
+
+
 @dataclass(frozen=True, eq=False)
-class Reflectors:
+class Dense(UnitaryStack):
+    """K unitaries of order N held as their (K, N, N) complex array, read-only, taken as :func:`readonly` takes arrays.
+
+    ``stack @ x`` is ``np.matmul(dense, x)``, and :meth:`non_unitary`
+    applies :func:`is_unitary` to each matrix.  An array that is not one
+    stack of square matrices is a ``ValueError``.  Like every record of the
+    package, a stack compares and hashes by identity.
+    """
+
+    dense: np.ndarray
+
+    def __post_init__(self):
+        a = readonly(self.dense, complex)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise ValueError(f"an array of shape {a.shape} is no (K, N, N) stack")
+        object.__setattr__(self, "dense", a)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.dense.shape
+
+    def __len__(self) -> int:
+        return len(self.dense)
+
+    def __matmul__(self, x) -> np.ndarray:
+        return np.matmul(self.dense, x)
+
+    def non_unitary(self) -> np.ndarray:
+        """Per unitary, whether it fails :func:`is_unitary`: O(N^3) each."""
+        return np.array([not is_unitary(u) for u in self.dense])
+
+
+@dataclass(frozen=True, eq=False)
+class Reflectors(UnitaryStack):
     """K unitaries of order N, each a product of N Householder reflectors and a diagonal of signs.
 
     Unitary t is ``H_0 H_1 ... H_{N-1} diag(signs[t])`` with ``H_j = I -
@@ -178,8 +294,10 @@ class Reflectors:
     ``y -= V_b T_b V_b^H y`` in O(K N^2) per column of ``x``;
     :attr:`factors` holds the compact-WY factors T_b, and :attr:`dense` the
     dense stack, each built on first use and kept.  Nothing here checks
-    that the stack is unitary; :meth:`non_unitary` decides it.  Like every
-    record of the package, a stack compares and hashes by identity.
+    that the stack is unitary; :meth:`non_unitary` decides it.  The Gram
+    matrices and the involution residuals are :class:`UnitaryStack`'s, so
+    the Grams read the kept dense stack.  Like every record of the package,
+    a stack compares and hashes by identity.
     """
 
     panels: tuple

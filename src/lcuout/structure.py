@@ -17,9 +17,11 @@ combination is formed.  The identities that involve products of blocks
 (``U^dag U = I``, the weight-free square U^2 and the two-block form) hold for
 any matrices U_t, so their residuals are certified upper bounds built from
 the coefficients and from two numbers per unitary, ``eta_t = |U_t^dag U_t -
-I|_F`` and ``|U_t|_F``.  The unitaries are read only through two Gram
-matrices, :attr:`ShuffledUnitary.traces` and ``defect_gram``, whose K products
-``U_t^dag U_t`` are the only N x N products; neither A, B nor U is built.
+I|_F`` and ``|U_t|_F``.  The unitaries are read only through the two Gram
+matrices of the spec's :class:`~lcuout.linalg.UnitaryStack`,
+:attr:`ShuffledUnitary.traces` and ``defect_gram``, whatever form holds
+them: a monomial stack gives both in closed form, any other stack from K
+products ``U_t^dag U_t``; neither A, B nor U is built.
 :func:`verify` runs every check of this module, plus the Phi = C X
 factorization against the layer-by-layer circuit
 :func:`~lcuout.circuit.apply_circuit`, as one battery.
@@ -68,9 +70,10 @@ class ShuffledUnitary:
     the reflection variant and ``[[A, B], [-B, A]]`` for the cyclic one,
     where A has the blocks ``coef[0, :, 0]`` and B the blocks
     ``coef[0, :, 1]``; neither is assembled.  The unitaries are read only
-    through the trace Gram matrix and that of the unitarity defects
-    ``E_t = U_t^dag U_t - I``; they, the block residual and the two diagonal
-    gaps of A and B are computed on first use and kept, the defects not.
+    through the stack's trace Gram matrix and that of the unitarity defects
+    ``E_t = U_t^dag U_t - I``, each asked of the stack once; they, the
+    block residual and the two diagonal gaps of A and B are computed on
+    first use and kept.
     """
 
     spec: CircuitSpec
@@ -79,8 +82,7 @@ class ShuffledUnitary:
     @cached_property
     def traces(self) -> np.ndarray:
         """``traces[t, u] = tr(U_t^dag U_u)``, the Gram matrix of the unitaries."""
-        flat = self.spec.dense_unitaries.reshape(self.spec.k, -1)
-        return flat.conj() @ flat.T
+        return self.spec.unitaries.trace_gram()
 
     @cached_property
     def block_residual(self) -> float:
@@ -105,26 +107,9 @@ class ShuffledUnitary:
     def defect_gram(self) -> np.ndarray:
         """Gram matrix ``tr(X^dag Y)`` of ``E_t = U_t^dag U_t - I`` at index t < K and of I at index K.
 
-        The K products ``U_t^dag U_t`` are the only N x N products this
-        module multiplies out.  ``defect_gram[K, t] = tr(E_t) = |U_t|_F^2 - N``.
-        Each entry ``t <= u`` is one ``np.vdot``, which conjugates as it
-        reads, so the stack of defects is the one (K, N, N) array held.
+        ``defect_gram[K, t] = tr(E_t) = |U_t|_F^2 - N``.
         """
-        k, big_n = self.spec.k, self.spec.big_n
-        defects = np.empty((k, big_n, big_n), dtype=complex)
-        diag = np.arange(big_n)
-        for t, u in enumerate(self.spec.dense_unitaries):
-            np.matmul(u.conj().T, u, out=defects[t])
-            defects[t, diag, diag] -= 1.0
-        flat = defects.reshape(k, -1)
-        gram = np.full((k + 1, k + 1), big_n, dtype=complex)
-        for t in range(k):
-            for u in range(t, k):
-                gram[t, u] = np.vdot(flat[t], flat[u])
-                gram[u, t] = gram[t, u].conjugate()
-        gram[k, :k] = np.trace(defects, axis1=1, axis2=2)
-        gram[:k, k] = gram[k, :k].conj()
-        return gram
+        return self.spec.unitaries.defect_gram()
 
     @property
     def eta(self) -> np.ndarray:
@@ -333,11 +318,11 @@ def verify(spec: CircuitSpec, seed: int) -> list[dict]:
     column-orthogonality, rank.  The structure checks read the block
     coefficients of one :func:`shuffle` of ``spec`` (and those of
     :func:`involution_check`'s second weights) and the unitaries only
-    through its two Gram matrices, each formed from
-    :attr:`~lcuout.circuit.CircuitSpec.dense_unitaries` (built once, by
-    block products, for a Haar spec, held as Householder reflectors, and for
-    a Pauli-string or permutation spec, held as a monomial stack); no
-    (2KN)^2 matrix is built.  Checks that do not apply are skipped and pass.
+    through the two Gram matrices of its stack, each asked for once: in
+    closed form, O(K^2 N), for a Pauli-string or permutation spec, and from
+    the dense (K, N, N) stack for any other (built once, by block products,
+    for a Haar spec, held as Householder reflectors); no (2KN)^2 matrix is
+    built.  Checks that do not apply are skipped and pass.
     ``seed`` draws psi (``random_state(N, seed)``) and the involution check's second weights (``rng(seed + 1)``).
     """
     checks = []

@@ -29,16 +29,15 @@ Pauli strings and permutations, in O(K N) and forms no N x N matrix.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import (
-    CircuitSpec, Monomial, apply_circuit, check_layout, check_state, checked_parameters, coefficients, integer_value,
+    CircuitSpec, apply_circuit, check_layout, check_state, checked_parameters, coefficients, integer_value,
     list_value, output_states, real_array, real_value, rotation_gate, sample_shots,
 )
-from .linalg import Reflectors, haar_random_unitary, hadamard_matrix, rng
+from .linalg import INVOLUTION_ATOL, UnitaryStack, haar_random_unitary, hadamard_matrix, rng
 from .recovery import ObservedEntries, factorized_complete
 
 __all__ = [
@@ -60,9 +59,6 @@ __all__ = [
 ]
 
 _SCHEMES = ("hadamard", "secret_mixing")
-
-# how far from I, in Frobenius norm, the square of a public unitary of the involution cipher may lie
-INVOLUTION_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +98,11 @@ class PublicParams(PublicLayout):
 
     Building it checks the layout, then the unitaries once, through
     ``base_spec``, the zero-weight circuit over them, and keeps the spec's
-    read-only stack as ``unitaries``: the given stack when it is read-only
-    and owns its data, a copy of a tuple of matrices or of any other stack,
-    the :class:`~lcuout.linalg.Reflectors` of the K Haar unitaries the spec
+    read-only :class:`~lcuout.linalg.UnitaryStack` as ``unitaries``: a
+    stack given as it is, a :class:`~lcuout.linalg.Dense` stack over a
+    tuple of matrices or an array (over the array itself when it is
+    read-only and owns its data, else over a copy), the
+    :class:`~lcuout.linalg.Reflectors` of the K Haar unitaries the spec
     draws, after the layout checks, from a generator given as
     ``unitaries`` (the Haar source of
     :func:`~lcuout.circuit.unitary_source`), or, for Pauli strings and
@@ -117,7 +115,7 @@ class PublicParams(PublicLayout):
     layout.  They compare and hash by identity, as their layout does.
     """
 
-    unitaries: np.ndarray | Monomial | Reflectors = field(kw_only=True)
+    unitaries: UnitaryStack = field(kw_only=True)
     base_spec: CircuitSpec = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -371,36 +369,6 @@ def hadamard_attack(pub: PublicLayout, phi: np.ndarray) -> AttackResult:
     return AttackResult(weights=weights, recoverable=recoverable, residual=residual)
 
 
-def _involution_residuals(spec: CircuitSpec) -> Iterator[float]:
-    """``|U_t^2 - I|_F`` for each unitary of ``spec``, in order: O(N) per monomial unitary, a probe for any other.
-
-    A monomial U sends e_j to ``p_j p_{a(j)} e_{a(a(j))}`` under U^2, with a
-    the images and p the phases, so column j of ``U^2 - I`` is
-    ``p_j p_{a(j)} - 1`` on the diagonal where ``a(a(j)) = j``, and
-    otherwise holds ``p_j p_{a(j)}`` and -1 in two rows.
-
-    Any other stack is probed in O(K N^2) through ``@`` with one fixed unit
-    x: ``|(U_t^2 - I) x| <= |U_t^2 - I|_F``, so a probe above
-    ``INVOLUTION_ATOL`` refuses its unitary as the residual would; only a
-    unitary whose probe passes, once reached, is squared in dense form.
-    """
-    us = spec.unitaries
-    if isinstance(us, Monomial):
-        images, phases = us.images, us.phases
-        square = phases * np.take_along_axis(phases, images, axis=-1)
-        fixed = np.take_along_axis(images, images, axis=-1) == np.arange(images.shape[-1])
-        return iter(np.sqrt(np.where(fixed, np.abs(square - 1) ** 2, np.abs(square) ** 2 + 1).sum(axis=-1)))
-    x = np.full(spec.big_n, spec.big_n**-0.5)
-    probes = np.linalg.norm((us @ (us @ x)[..., None])[..., 0] - x, axis=-1)
-    return (p if p > INVOLUTION_ATOL else _square_residual(spec.dense_unitaries[t]) for t, p in enumerate(probes))
-
-
-def _square_residual(u: np.ndarray) -> float:
-    square = u @ u
-    square[np.diag_indices_from(square)] -= 1  # U^2 - I in place, the same Frobenius norm bit for bit
-    return np.linalg.norm(square)
-
-
 def involution_encrypt_decrypt(
     pub: PublicParams, psi: np.ndarray, key: SecretKey, key2: SecretKey
 ) -> float:
@@ -413,16 +381,18 @@ def involution_encrypt_decrypt(
     extended input — the weight cancellation makes it 1 for any key pair.
     ``psi`` is checked by :func:`~lcuout.circuit.check_state`, as every
     circuit input is, so the overlap is a fidelity in [0, 1].  ``ValueError``
-    names the first unitary t with ``|U_t^2 - I|_F > INVOLUTION_ATOL``: O(N)
-    for each unitary of a monomial stack, whose circuits also apply in O(K N
-    + K^2 N), so Pauli strings and permutations need no N x N matrix at any
-    step; any other stack is probed in O(K N^2) first, so a Haar stack,
-    almost surely no involution, is refused before its dense form.
+    names the first unitary t with ``|U_t^2 - I|_F > INVOLUTION_ATOL``, read
+    from the public stack's
+    :meth:`~lcuout.linalg.UnitaryStack.involution_residuals`: O(N) for each
+    unitary of a monomial stack, whose circuits also apply in O(K N + K^2
+    N), so Pauli strings and permutations need no N x N matrix at any step;
+    any other stack is probed in O(K N^2) first, so a Haar stack, almost
+    surely no involution, is refused before its dense form.
     """
     if pub.scheme != "hadamard" or pub.variant != "reflection":
         raise ValueError("the involution cipher needs the Hadamard reflection circuit")
     big_n = 2**pub.n
-    for t, residual in enumerate(_involution_residuals(pub.base_spec)):
+    for t, residual in enumerate(pub.unitaries.involution_residuals()):
         if residual > INVOLUTION_ATOL:
             raise ValueError(f"unitary {t} is not an involution")
     spec, spec2 = key_spec(key, pub), key_spec(key2, pub)

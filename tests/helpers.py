@@ -39,7 +39,7 @@ def assert_same_spec(a, b):
         np.testing.assert_array_equal(a.unitaries.taus, b.unitaries.taus)
         np.testing.assert_array_equal(a.unitaries.signs, b.unitaries.signs)
     else:
-        np.testing.assert_array_equal(a.unitaries, b.unitaries)
+        np.testing.assert_array_equal(a.unitaries.dense, b.unitaries.dense)
 
 
 def qr_haar_unitary(dim, gen):

@@ -181,7 +181,7 @@ def test_spec_copies_a_writeable_unitary_or_a_view(given):
         given.flags.writeable = False
     else:
         given = writer if given == "writeable" else _Holder(writer)
-    kept = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=given).unitaries
+    kept = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=given).unitaries.dense
     assert kept.shape == (2, 4, 4) and kept.dtype == complex
     assert not np.shares_memory(kept, writer) and not kept.flags.writeable and kept.base is None
     before = kept.copy()
@@ -194,16 +194,16 @@ def test_spec_keeps_a_read_only_unitary_that_owns_its_data():
     us = haar_reflectors(2, 4, rng(22)).dense
     assert not us.flags.writeable and us.flags.owndata and us.base is None
     spec = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=us)
-    assert spec.unitaries is us
+    assert spec.unitaries.dense is us
     mix = dft_matrix(2)
     mix.flags.writeable = False
     secret = CircuitSpec(k=2, n=2, weights=np.ones(2), unitaries=us, mixing="secret", mixing_matrix=mix)
-    assert secret.mixing_matrix is mix and secret.unitaries is us
+    assert secret.mixing_matrix is mix and secret.unitaries.dense is us
     # a float stack or a list is converted into the spec's own read-only array
     eye = np.eye(4)
-    converted = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=eye[None]).unitaries
+    converted = CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=eye[None]).unitaries.dense
     assert converted.dtype == complex and converted.base is None and not np.shares_memory(converted, eye)
-    assert not CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=[eye.tolist()]).unitaries.flags.writeable
+    assert not CircuitSpec(k=1, n=2, weights=np.ones(1), unitaries=[eye.tolist()]).unitaries.dense.flags.writeable
     # a tuple is copied once into the stack, and a float stack converted once into it, not converted and then
     # copied: the unitarity check's Gram and its conjugate add half a unit
     k, n = 4, 7
@@ -230,7 +230,7 @@ def test_spec_draws_a_generator_as_haar_random_unitaries_and_keeps_the_draw(seed
     assert isinstance(us, Reflectors) and us.shape == (k, 2**n, 2**n) and "dense" not in vars(us)
     assert not any(a.flags.writeable for a in (*us.panels, us.taus, us.signs))
     dense = haar_reflectors(k, 2**n, dense_gen).dense
-    assert dense.tobytes() == spec.dense_unitaries.tobytes() and spec.dense_unitaries is us.dense
+    assert dense.tobytes() == spec.unitaries.dense.tobytes() and spec.unitaries.dense is us.dense
     assert not dense.flags.writeable and dense.flags.owndata and dense.base is None
     # the generator is left where the direct draw leaves it, so what is drawn from it next is unchanged
     assert gen.random() == direct.random() == dense_gen.random()
@@ -257,17 +257,17 @@ def test_unitary_sources_hand_over_read_only_matrices(kind, data):
         unitaries = unitaries.dense
     elif kind == "explicit":
         # spelled-out matrices are a tuple, stacked into the spec's own array
-        assert isinstance(unitaries, tuple) and spec.unitaries.base is None
-        assert not any(np.shares_memory(spec.unitaries, u) for u in unitaries)
+        assert isinstance(unitaries, tuple) and spec.unitaries.dense.base is None
+        assert not any(np.shares_memory(spec.unitaries.dense, u) for u in unitaries)
     else:
         # Pauli strings and permutations are a tuple of monomials, stacked into one read-only monomial stack
         assert isinstance(unitaries, tuple) and all(isinstance(u, Monomial) for u in unitaries)
         assert isinstance(spec.unitaries, Monomial) and spec.unitaries.images.shape == (2, 4)
         assert not spec.unitaries.images.flags.writeable and not spec.unitaries.phases.flags.writeable
         oracle = pauli_string_matrix if kind == "pauli_strings" else permutation_matrix
-        np.testing.assert_array_equal(spec.dense_unitaries, [oracle(d) for d in data])
+        np.testing.assert_array_equal(spec.unitaries.dense, [oracle(d) for d in data])
         unitaries = tuple(u.dense for u in unitaries)
-    np.testing.assert_array_equal(spec.dense_unitaries, unitaries)
+    np.testing.assert_array_equal(spec.unitaries.dense, unitaries)
 
 
 def test_haar_spec_from_json_peaks_below_two_copies_of_its_unitaries():
@@ -374,6 +374,20 @@ def test_weights_of_another_dtype_than_integer_or_float_are_refused(read, weight
         read(weights)
 
 
+def test_a_bool_among_numbers_is_refused():
+    # numpy promotes [True, 0.5] to [1.0, 0.5]; the element types are read before it can
+    message = "weights must be real, not complex, bool, text or an object; got dtype bool$"
+    with pytest.raises(ValueError, match="^key " + message):
+        SecretKey("hadamard", [True, 0.5])
+    with pytest.raises(ValueError, match="^" + message):
+        checked_parameters(2, 1, [0.5, True], "hadamard", "reflection", None)
+    for weights in ((0.5, np.bool_(False)), [np.array(True), 0.5], [[0.5, True]]):
+        with pytest.raises(ValueError, match="^" + message):
+            checked_parameters(2, 1, weights, "hadamard", "reflection", None)
+    assert SecretKey("hadamard", [1, 0.5]).weights.tolist() == [1.0, 0.5]
+    assert checked_parameters(2, 1, [1, 0.5], "hadamard", "reflection", None)[0].tolist() == [1.0, 0.5]
+
+
 @pytest.mark.parametrize("read", WEIGHT_READERS.values(), ids=WEIGHT_READERS)
 def test_integer_weights_are_read_as_floats(read):
     for weights in ([1, 0], np.array([1, 0], dtype=np.int8), np.array([1, 0], dtype=np.float32)):
@@ -446,13 +460,13 @@ def test_spec_json_round_trip_haar_source():
     gen = rng(3)
     drawn = [haar_random_unitary(4, gen) for _ in range(4)]
     np.testing.assert_array_equal(spec.weights, doc["weights"])
-    for a, b in zip(spec.dense_unitaries, drawn):
+    for a, b in zip(spec.unitaries.dense, drawn):
         np.testing.assert_array_equal(a, b)
     # the same seed gives the same draw, and the drawn matrices written out explicitly load bit for bit
     doc["unitaries"] = {"kind": "explicit", "data": [matrix_to_pairs(u) for u in drawn]}
     again = CircuitSpec.from_json(json.dumps(doc))
     np.testing.assert_array_equal(spec.weights, again.weights)
-    for a, b in zip(spec.dense_unitaries, again.unitaries):
+    for a, b in zip(spec.unitaries.dense, again.unitaries.dense):
         np.testing.assert_array_equal(a, b)
 
 
@@ -464,8 +478,8 @@ def test_spec_json_round_trip_explicit_and_secret():
     }))
     np.testing.assert_array_equal(spec.weights, [0.9, 0.4])
     np.testing.assert_array_equal(spec.mixing_matrix, mix)
-    np.testing.assert_array_equal(spec.unitaries[0], [[0, 1], [1, 0]])
-    np.testing.assert_array_equal(spec.unitaries[1], [[1, 0], [0, -1]])
+    np.testing.assert_array_equal(spec.unitaries.dense[0], [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(spec.unitaries.dense[1], [[1, 0], [0, -1]])
     assert spec.variant == "reflection"
 
 
@@ -554,8 +568,8 @@ def test_a_monomial_spec_holds_and_applies_no_dense_matrix():
     dense = np.stack([pauli_string_matrix(s) for s in ("XY", "ZZ", "IY", "YX")])
     np.testing.assert_array_equal(x, dense @ psi)
     # the dense form is built once, on first use, and kept read-only
-    assert spec.dense_unitaries is spec.dense_unitaries and not spec.dense_unitaries.flags.writeable
-    np.testing.assert_array_equal(spec.dense_unitaries, dense)
+    assert spec.unitaries.dense is spec.unitaries.dense and not spec.unitaries.dense.flags.writeable
+    np.testing.assert_array_equal(spec.unitaries.dense, dense)
     for given, message in [(mono[:3], "expected 4 unitaries, got 3"),
                            (mono[:3] + (pauli_string_monomial("XYZ"),), r"unitary 3 has shape \(8, 8\), expected \(4, 4\)")]:
         with pytest.raises(ValueError, match=message):
@@ -656,7 +670,7 @@ def test_coefficients_are_the_input_slice_of_the_block_coefficients(k, mixing, v
                      weights=weights).with_weights(weights, mix)
     big_n = spec.big_n
     blocks = circuit_unitary(spec).reshape(k, 2, big_n, k, 2, big_n)  # rows (i, r, m), columns (j, s, m')
-    combined = np.einsum("risjt,tmn->irmjsn", coef, np.stack(spec.unitaries))
+    combined = np.einsum("risjt,tmn->irmjsn", coef, spec.unitaries.dense)
     np.testing.assert_allclose(blocks, combined, rtol=0, atol=1e-12)
 
 
@@ -733,7 +747,7 @@ def test_success_probabilities_identity():
                        unitaries=tuple(haar_random_unitary(16, gen) for _ in range(k)))
     psi = random_state(16, 22)
     p00_sim, p00, p0_any, p_std = success_probabilities(spec, psi)
-    t_psi = sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries))
+    t_psi = sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries.dense))
     assert abs(p00 - np.linalg.norm(t_psi) ** 2 / (c * k) ** 2) < 1e-14
     assert p_std >= p00 > 0
     assert p0_any >= p00
@@ -752,7 +766,7 @@ def test_success_probabilities_match_the_closed_forms_of_unscaled_coefficients()
     spec = CircuitSpec(k=k, n=n, weights=beta, unitaries=tuple(haar_random_unitary(8, gen) for _ in range(k)))
     psi = random_state(8, 32)
     _, p00, _, p_std = success_probabilities(spec, psi)
-    target_sq = np.linalg.norm(sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries))) ** 2
+    target_sq = np.linalg.norm(sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries.dense))) ** 2
     assert abs(p00 - target_sq / (c * k) ** 2) <= 1e-15 * p00
     assert abs(p_std - target_sq / np.sum(np.abs(alpha)) ** 2) <= 1e-15 * p_std
 

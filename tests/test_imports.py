@@ -87,6 +87,42 @@ def test_detector_sees_dense_oracle_uses():
     assert dense_oracle_uses(source) == ["circuit_unitary", "circuit_unitary"]
 
 
+# what only the stack classes may know of a stack's form: its dense array and the names of its forms
+STACK_FORMS = {"dense", "dense_unitaries", "Monomial", "Reflectors"}
+
+
+def stack_form_uses(source: str) -> list[str]:
+    """Every import, name or attribute of ``source`` that is one of ``STACK_FORMS``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [a.name for a in node.names if a.name.split(".")[-1] in STACK_FORMS]
+        elif isinstance(node, ast.Name) and node.id in STACK_FORMS:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in STACK_FORMS:
+            found.append(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("name", ["structure.py", "trapdoor.py"])
+def test_structure_and_trapdoor_read_the_unitaries_only_through_the_stack_interface(name):
+    # verify reads the two Gram matrices of the spec's stack and the cipher its involution residuals, whatever
+    # form holds the unitaries; which form that is, and its dense array, stay behind the stack classes
+    assert stack_form_uses((ROOT / "src" / "lcuout" / name).read_text()) == []
+
+
+def test_detector_sees_stack_form_uses():
+    source = (
+        "from .circuit import CircuitSpec, Monomial\n"
+        "from .linalg import Reflectors as R, UnitaryStack\n"
+        "def f(spec: CircuitSpec, us: UnitaryStack):\n"
+        "    dense = spec.unitaries.dense\n"
+        "    return isinstance(us, Monomial), spec.dense_unitaries, us.trace_gram(), dense\n"
+    )
+    assert sorted(stack_form_uses(source)) == ["Monomial", "Monomial", "Reflectors", "dense", "dense", "dense",
+                                               "dense_unitaries"]
+
+
 def export_mismatches(source: str) -> list[str]:
     """For a module that declares ``__all__``: each public top-level function or class it leaves out
     (``unlisted``) and each entry that no top-level definition, import or assignment binds (``unbound``)."""

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import lcuout.linalg
-from lcuout.circuit import CircuitSpec
+from lcuout.circuit import CircuitSpec, Monomial, pauli_string_monomial
 from lcuout.linalg import (
     HOUSEHOLDER_BLOCK,
+    INVOLUTION_ATOL,
     RANK_RTOL,
+    UNIT_ATOL,
+    Dense,
     Reflectors,
     dft_matrix,
     haar_random_unitary,
@@ -21,8 +24,8 @@ from lcuout.linalg import (
 )
 
 from helpers import (
-    apply_by_conj_copy, column_by_column_haar, qr_haar_unitary, reflector_product, reflector_vectors,
-    wy_factors_by_inverse,
+    apply_by_conj_copy, column_by_column_haar, pauli_string_matrix, qr_haar_unitary, reflector_product,
+    reflector_vectors, wy_factors_by_inverse,
 )
 
 
@@ -229,6 +232,85 @@ def test_spec_refuses_a_reflector_stack_that_is_not_unitary(corrupt):
     with pytest.raises(ValueError, match="matrix 2 is not unitary"):
         CircuitSpec(k=4, n=3, weights=np.ones(4), unitaries=bent)
     assert not CircuitSpec(k=4, n=3, weights=np.ones(4), unitaries=stack).unitaries.non_unitary().any()
+
+
+def dense_stack():
+    """A Haar unitary, a Pauli string, a Haar unitary scaled off unitarity and a real Householder reflection."""
+    gen = rng(80)
+    v = gen.standard_normal(8)
+    return Dense(np.stack([haar_random_unitary(8, gen), pauli_string_matrix("XYZ"),
+                           haar_random_unitary(8, gen) * (1 + 1e-6), np.eye(8) - 2 * np.outer(v, v) / (v @ v)]))
+
+
+def pauli_stack(*labels):
+    strings = [pauli_string_monomial(s) for s in labels]
+    return Monomial(np.stack([m.images for m in strings]), np.stack([m.phases for m in strings]))
+
+
+def permutation_stack(phases):
+    """Four permutations of 8, two of them involutions, with the given (4, 8) phases."""
+    images = [[1, 0, 3, 2, 5, 4, 7, 6], [3, 0, 1, 2, 7, 4, 5, 6], [0, 2, 1, 3, 4, 6, 5, 7], [7, 6, 5, 4, 0, 1, 2, 3]]
+    return Monomial(np.array(images), phases)
+
+
+def e_i_theta_phases():
+    """Phases e^{i theta} off the exact +-1, +-i, one of them scaled 1e-6 off the unit circle."""
+    phases = np.exp(1j * rng(81).uniform(0, 2 * np.pi, (4, 8)))
+    phases[1, 5] *= 1 + 1e-6
+    return phases
+
+
+STACKS = {
+    "dense": (dense_stack, False),
+    "reflectors": (lambda: haar_reflectors(4, 40, rng(82)), False),  # two blocks of reflectors
+    "pauli": (lambda: pauli_stack("XYZ", "ZZI", "IYX", "YXY"), True),
+    "permutation": (lambda: permutation_stack(np.array([1, -1, 1j, -1j] * 8).reshape(4, 8)), True),
+    "permutation-e-i-theta": (lambda: permutation_stack(e_i_theta_phases()), False),
+}
+
+
+def oracle_grams(dense):
+    """The trace Gram, the defect Gram (with I at index K) and the unitarity flags of a dense stack."""
+    k, big_n = dense.shape[:2]
+    flat = dense.reshape(k, -1)
+    defects = dense.conj().transpose(0, 2, 1) @ dense - np.eye(big_n)
+    gram = np.full((k + 1, k + 1), big_n, dtype=complex)
+    gram[:k, :k] = defects.reshape(k, -1).conj() @ defects.reshape(k, -1).T
+    gram[k, :k] = np.trace(defects, axis1=1, axis2=2)
+    gram[:k, k] = gram[k, :k].conj()
+    return flat.conj() @ flat.T, gram, np.abs(defects).max(axis=(1, 2)) > UNIT_ATOL
+
+
+def oracle_involution_residuals(dense):
+    """``|U_t^2 - I|_F`` of each unitary and ``|(U_t^2 - I) x|`` along the uniform unit x."""
+    big_n = dense.shape[-1]
+    squares = dense @ dense - np.eye(big_n)
+    return np.linalg.norm(squares, axis=(1, 2)), np.linalg.norm(squares @ np.full(big_n, big_n**-0.5), axis=-1)
+
+
+@pytest.mark.parametrize("make, exact", STACKS.values(), ids=STACKS)
+def test_every_stack_form_reads_as_its_dense_stack(make, exact):
+    # one interface: the two Grams, the unitarity flags and the involution residuals of every form are those of
+    # its dense stack, bit for bit for the exact phases of Pauli strings and permutations
+    stack = make()
+    got = (stack.trace_gram(), stack.defect_gram(), stack.non_unitary())
+    residuals = np.array(list(stack.involution_residuals()))
+    if isinstance(stack, Monomial):
+        assert "dense" not in vars(stack)  # every closed form reads the images and phases alone
+    want = oracle_grams(stack.dense)
+    frobenius, probes = oracle_involution_residuals(stack.dense)
+    # a form that probes returns its probe where the probe already exceeds the threshold, which then the
+    # residual does too
+    probed = (probes > INVOLUTION_ATOL) & (not isinstance(stack, Monomial))
+    want_residuals = np.where(probed, probes, frobenius)
+    assert (residuals > INVOLUTION_ATOL).tolist() == (frobenius > INVOLUTION_ATOL).tolist()
+    np.testing.assert_array_equal(got[2], want[2])
+    for a, b in [*zip(got[:2], want[:2]), (residuals, want_residuals)]:
+        assert a.shape == b.shape
+        if exact:
+            assert a.tobytes() == b.tobytes()
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14 * np.abs(b).max())
 
 
 def test_reflector_unitarity_bound_covers_the_dense_defect():

@@ -53,7 +53,7 @@ def test_row_matrix_is_unitary_rows():
     x = row_matrix(spec, psi)
     assert x.shape == (4, 8)
     for t in range(4):
-        np.testing.assert_allclose(x[t], spec.unitaries[t] @ psi, atol=1e-15)
+        np.testing.assert_allclose(x[t], spec.unitaries.dense[t] @ psi, atol=1e-15)
         assert abs(np.linalg.norm(x[t]) - 1) < 1e-10
 
 
@@ -117,7 +117,7 @@ def test_target_row_combination_scaling_consistency():
     phi = output_matrix(spec, psi)
     x = solve_full(coefficient_matrix(spec), phi).x
     t_psi = alpha @ x
-    direct = sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries))
+    direct = sum(a * (u @ psi) for a, u in zip(alpha, spec.unitaries.dense))
     np.testing.assert_allclose(t_psi, direct, atol=1e-10)
     np.testing.assert_allclose(t_psi, k * c_scale * phi[0], atol=1e-10)
 

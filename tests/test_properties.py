@@ -19,7 +19,7 @@ from lcuout.circuit import (
     row_matrix,
     sample_shots,
 )
-from lcuout.linalg import dft_matrix, haar_random_unitary, haar_reflectors, numerical_rank, random_state, rng
+from lcuout.linalg import Dense, dft_matrix, haar_random_unitary, haar_reflectors, numerical_rank, random_state, rng
 from lcuout.structure import verify
 from lcuout.trapdoor import PublicParams, involution_encrypt_decrypt, keygen
 from lcuout.outputs import (
@@ -149,7 +149,7 @@ def test_explicit_spec_json_round_trip_is_bit_exact(data, k, n, secret, variant)
     spec = CircuitSpec.from_json(json.dumps(doc))
     assert (spec.k, spec.n, spec.mixing, spec.variant) == (k, n, doc["mixing"], variant)
     assert spec.weights.tobytes() == weights.tobytes()
-    assert all(same_bits(a, b) for a, b in zip(spec.unitaries, us))
+    assert all(same_bits(a, b) for a, b in zip(spec.unitaries.dense, us))
     if secret:
         assert same_bits(spec.mixing_matrix, mix)
     else:
@@ -196,9 +196,9 @@ def test_monomial_spec_matches_its_dense_oracle_bit_for_bit(data, k, n, mixing, 
     oracle = pauli_string_matrix if source["kind"] == "pauli_strings" else permutation_matrix
     dense_us = tuple(oracle(d) for d in source["data"])
     dense = CircuitSpec(k=k, n=n, weights=weights, unitaries=dense_us, mixing=mixing, mixing_matrix=mix, variant=variant)
-    assert isinstance(mono.unitaries, Monomial) and isinstance(dense.unitaries, np.ndarray)
+    assert isinstance(mono.unitaries, Monomial) and isinstance(dense.unitaries, Dense)
     # each monomial entry has the bits of the oracle's entry, signed zeros included
-    support = dense.unitaries[np.arange(k)[:, None], mono.unitaries.images, np.arange(2**n)]
+    support = dense.unitaries.dense[np.arange(k)[:, None], mono.unitaries.images, np.arange(2**n)]
     assert same_bits(support, mono.unitaries.phases)
     psi = random_state(2**n, seed)
     assert same_bits(row_matrix(mono, psi), row_matrix(dense, psi))

@@ -17,7 +17,7 @@ from lcuout.circuit import (
     coefficient_matrix,
     mixing_layers,
 )
-from lcuout.linalg import haar_random_unitary, numerical_rank, random_state, rng
+from lcuout.linalg import Dense, haar_random_unitary, numerical_rank, random_state, rng
 from lcuout.structure import (
     csd_assemble,
     involution_check,
@@ -41,7 +41,7 @@ def assembled(sh):
     """The KN x KN blocks A and B of a shuffle: block (i, j) of A (B) is sum_t coef[0, i, s, j, t] U_t, s = 0 (1)."""
     spec = sh.spec
     k, big_n = spec.k, spec.big_n
-    us = np.stack(spec.unitaries).reshape(k, -1)
+    us = spec.unitaries.dense.reshape(k, -1)
     return tuple((sh.coef[0, :, s].reshape(-1, k) @ us).reshape(k, k, big_n, big_n)
                  .transpose(0, 2, 1, 3).reshape(k * big_n, k * big_n) for s in (0, 1))
 
@@ -138,7 +138,7 @@ def test_csd_assemble_reconstructs_blocks():
         big_n, dim = spec.big_n, spec.k * spec.big_n
         q2 = np.kron(csd.g, np.eye(big_n))
         diag_u = np.zeros((dim, dim), dtype=complex)
-        for t, u in enumerate(spec.unitaries):
+        for t, u in enumerate(spec.unitaries.dense):
             diag_u[t * big_n:(t + 1) * big_n, t * big_n:(t + 1) * big_n] = u
         q1 = q2 @ diag_u
         np.testing.assert_allclose(q1.conj().T @ q1, np.eye(dim), atol=1e-10)
@@ -225,20 +225,28 @@ def test_involution_check_keeps_the_bits_of_the_second_circuit_without_building_
 @pytest.mark.parametrize("source", [{"kind": "haar", "seed": 23}, {"kind": "pauli_strings", "data": ["XY", "ZZ", "IY", "XI"]}],
                          ids=["haar", "pauli"])
 def test_verify_reads_the_unitaries_through_two_grams_and_builds_no_second_circuit(monkeypatch, source):
-    # one read for the trace Gram and one for the defect Gram; an entry-peak pass and a second shuffle read it 4 times
+    # one trace Gram and one defect Gram, each asked of the spec's stack once; an entry-peak pass and a second
+    # shuffle read the unitaries 4 times
     spec = CircuitSpec.from_json(json.dumps({"K": 4, "n": 2, "weights": [1.0, 0.8, 0.5, 0.3], "unitaries": source}))
-    dense = CircuitSpec.dense_unitaries
-    reads = []
+    calls = []
 
-    def counted(self):
-        reads.append(self)
-        return dense.fget(self)
+    def counted(name):
+        gram = getattr(type(spec.unitaries), name)
 
-    monkeypatch.setattr(CircuitSpec, "dense_unitaries", property(counted))
+        def call(self):
+            calls.append((name, self))
+            return gram(self)
+        return call
+
+    for name in ("trace_gram", "defect_gram"):
+        monkeypatch.setattr(type(spec.unitaries), name, counted(name))
     monkeypatch.setattr(CircuitSpec, "with_weights", no_second_spec)
     checks = verify(spec, seed=3)
-    assert len(reads) == 2 and all(r is spec for r in reads)
+    assert sorted(name for name, _ in calls) == ["defect_gram", "trace_gram"]
+    assert all(stack is spec.unitaries for _, stack in calls)
     assert _skipped(checks) == set() and all(c["pass"] for c in checks)
+    if source["kind"] == "pauli_strings":
+        assert "dense" not in vars(spec.unitaries)  # both Grams in closed form, no N x N matrix
 
 
 def test_structure_suite_twenty_seeded_specs():
@@ -342,7 +350,7 @@ def dense_battery(spec, seed):
 
         def diag_blocks(scale):
             d = np.zeros((half, half), dtype=complex)
-            for t, ut in enumerate(spec.unitaries):
+            for t, ut in enumerate(spec.unitaries.dense):
                 d[t * big_n:(t + 1) * big_n, t * big_n:(t + 1) * big_n] = scale[t] * ut
             return d
 
@@ -363,7 +371,7 @@ def dense_battery(spec, seed):
     psi = random_state(big_n, seed)
     phi = (u[:, :big_n] @ psi).reshape(2 * k, big_n)
     c = coefficient_matrix(spec)
-    x = np.stack([ut @ psi for ut in spec.unitaries])
+    x = np.stack([ut @ psi for ut in spec.unitaries.dense])
     out["factorization"] = np.linalg.norm(c @ x - phi)
     out["column-orthogonality"] = np.abs(c.conj().T @ c - np.eye(k) / k).max()
     out["rank"] = 0.0 if numerical_rank(phi) <= k else 1.0
@@ -411,9 +419,9 @@ def test_verify_secret_mixing_matches_the_dense_oracle():
 def test_perturbed_unitary_fails_the_same_checks_as_the_dense_oracle():
     # scaled after validation, so the spec itself no longer holds unitaries
     spec = make_spec(k=4, n=2, seed=64)
-    us = spec.unitaries.copy()
+    us = spec.unitaries.dense.copy()
     us[0] *= 1 + 1e-6
-    object.__setattr__(spec, "unitaries", us)
+    object.__setattr__(spec, "unitaries", Dense(us))
     dense = dense_battery(spec, seed=9)
     checks = verify(spec, seed=9)
     failed = {c["name"] for c in checks if not c["pass"]}
@@ -441,12 +449,12 @@ def test_multiset_bound_covers_the_dense_svd_of_perturbed_unitaries(k, n, mixing
     else:
         spec = make_spec(k=k, n=n, seed=seed, mixing=mixing, variant=variant, weights=weights)
     # one U_t scaled or perturbed by 10^-p after validation
-    us = spec.unitaries.copy()
+    us = spec.unitaries.dense.copy()
     t = seed % k
     shape = us[t].shape
     us[t] = us[t] * (1 + 10.0**-p) if scaled else us[t] + 10.0**-p * (gen.standard_normal(shape)
                                                                        + 1j * gen.standard_normal(shape))
-    object.__setattr__(spec, "unitaries", us)
+    object.__setattr__(spec, "unitaries", Dense(us))
     # unitarity, involution and block-structure are certified bounds too
     dense = dense_battery(spec, seed)
     bounds = {c["name"]: c["residual"] for c in verify(spec, seed) if not c["skipped"]}
@@ -468,11 +476,11 @@ def test_bounds_cover_the_dense_residuals_of_coefficients_off_the_formula():
     coef = sh.coef.copy()
     coef[..., 0] += 1e-6 * rng(68).standard_normal(coef.shape[:-1])
     moved = dataclasses.replace(sh, coef=coef)
-    us = np.stack(spec.unitaries)
+    us = spec.unitaries.dense
     u, u_ref = (np.einsum("act,tmn->amcn", c.reshape(2 * k, 2 * k, k), us).reshape(2 * k * big_n, -1)
                 for c in (coef, sh.coef))
     squares = np.zeros((k * big_n, k * big_n), dtype=complex)
-    for t, ut in enumerate(spec.unitaries):
+    for t, ut in enumerate(spec.unitaries.dense):
         squares[t * big_n:(t + 1) * big_n, t * big_n:(t + 1) * big_n] = ut @ ut
     q = np.kron(mixing_layers(spec)[1], np.eye(big_n))
     dense = (np.linalg.norm(u.conj().T @ u - np.eye(len(u))),

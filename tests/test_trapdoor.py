@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import lcuout.circuit
-import lcuout.trapdoor
+import lcuout.linalg
 from lcuout.circuit import (
     Monomial, coefficients, mixing_layers, sample_shots, unitary_source,
 )
-from lcuout.linalg import Reflectors, haar_reflectors, haar_random_unitary, hadamard_matrix, random_state, rng
+from lcuout.linalg import Dense, Reflectors, haar_reflectors, haar_random_unitary, hadamard_matrix, random_state, rng
 from lcuout.outputs import coefficient_matrix, output_matrix, row_matrix
 from lcuout.recovery import ObservedEntries, make_mask, observe
 from lcuout.trapdoor import (
@@ -48,7 +48,7 @@ def test_public_params_check_their_unitaries_when_built():
         pub = make_pub(k=4, n=2, seed=3, scheme=scheme)
         assert pub.unitaries is pub.base_spec.unitaries
         assert key_spec(keygen(4, scheme, 1), pub).unitaries is pub.unitaries
-    us = tuple(make_pub(k=4, n=2, seed=4).unitaries)
+    us = tuple(make_pub(k=4, n=2, seed=4).unitaries.dense)
     for k, unitaries, match in [
         (4, us[:3] + (us[3] * (1 + 1e-6),), "matrix 3 is not unitary"),
         (4, us[:3] + (np.eye(2),), "unitary 3 has shape"),
@@ -448,12 +448,12 @@ def test_a_dense_stack_is_probed_before_any_square(monkeypatch):
     psi, keys = random_state(2, 45), (keygen(4, "hadamard", 46), keygen(4, "hadamard", 47))
     assert abs(involution_encrypt_decrypt(pauli_pub(0), random_state(4, 45), *keys) - 1.0) < 1e-10
     pub = PublicParams(k=4, n=1, unitaries=(np.diag([1.0, 1j]),) * 4)
-    assert isinstance(pub.unitaries, np.ndarray)
+    assert isinstance(pub.unitaries, Dense)
 
     def no_square(u):
         raise RuntimeError("formed a dense square")
 
-    monkeypatch.setattr(lcuout.trapdoor, "_square_residual", no_square)
+    monkeypatch.setattr(lcuout.linalg, "_square_residual", no_square)
     with pytest.raises(ValueError, match="unitary 0 is not an involution"):
         involution_encrypt_decrypt(pub, psi, *keys)
 
