@@ -786,11 +786,22 @@ def shot_counts(states: np.ndarray, shots: int, seed: int) -> np.ndarray:
     cumulative probability and at or above the previous cell's, which gives
     the counts of searching every u_j in the cumulative probabilities, in
     O(shots log shots + cells) with no per-shot index.  ``ValueError``
-    for ``shots < 1``.
+    for ``shots < 1``, and for a non-finite entry or a total probability
+    more than ``2 * cells * UNIT_ATOL`` from 1.  That bound admits every
+    :func:`output_states` of a spec the package accepts: its (2K, N) states
+    carry total probability ``|V psi|^2`` with ``|psi|`` within UNIT_ATOL of
+    1 (:func:`check_state`), and V's layers each leave it within ``UNIT_ATOL``
+    times their order: a dense U_t passes with entries of ``U^H U - I`` up to
+    UNIT_ATOL, so ``|U_t psi|^2`` may sit N UNIT_ATOL from 1, and a secret
+    mixing matrix K UNIT_ATOL.  To first order that is (N + K + 2)
+    UNIT_ATOL, below 4KN UNIT_ATOL for every K >= 1 and N >= 2.
     """
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
     cdf = np.cumsum(np.abs(states) ** 2)
+    tol = 2 * cdf.size * UNIT_ATOL
+    if not abs(cdf[-1] - 1.0) <= tol:  # also false for a nan or inf total, which a non-finite entry gives
+        raise ValueError(f"outcome probabilities must be finite and sum to 1 within {tol:.3g}, got {float(cdf[-1])!r}")
     cdf[-1] = 1.0  # guard the top bin against float round-off
     uniforms = rng(seed).random(shots)
     uniforms.sort()

@@ -149,6 +149,14 @@ def dft_matrix(k: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / k) / np.sqrt(k)
 
 
+def _check_dimension(dim: int) -> None:
+    """``ValueError`` unless ``dim`` is a positive ``int`` or numpy integer, no bool, as :func:`rng` takes seeds."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"a dimension must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+
+
 def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else rng(seed)
 
@@ -416,12 +424,15 @@ class Reflectors(UnitaryStack):
 def haar_reflectors(k: int, dim: int, seed: int | np.random.Generator) -> Reflectors:
     """``k`` successive Haar-distributed random unitaries of order ``dim`` as :class:`Reflectors`, in O(dim^2) each.
 
-    For each unitary, one call draws dim independent complex Gaussian
-    columns of lengths dim, dim - 1, ..., 1, end to end (real and imaginary
-    parts interleaved).  Column j becomes reflector j by LAPACK's zlarfg
-    rule: with alpha its head, ``beta = -sign(Re alpha) |x|``, ``tau =
-    (beta - alpha) / beta``, ``v = x / (alpha - beta)`` with a unit head,
-    and sign(beta) as the phase fix.  This is the law of the QR of a dim x
+    For each unitary, dim independent complex Gaussian columns of lengths
+    dim, dim - 1, ..., 1 are drawn end to end (real and imaginary parts
+    interleaved), one call per block of ``HOUSEHOLDER_BLOCK`` columns,
+    straight into the block's panel; numpy's generator draws normals as one
+    stream, so the blocks read the bits one call of dim (dim + 1) / 2 would.
+    Column j becomes reflector j by LAPACK's zlarfg rule: with alpha its
+    head, ``beta = -sign(Re alpha) |x|``, ``tau = (beta - alpha) / beta``,
+    ``v = x / (alpha - beta)`` with a unit head, and sign(beta) as the phase
+    fix.  This is the law of the QR of a dim x
     dim complex Gaussian matrix with R's diagonal phases divided out, which
     is exactly Haar (Stewart, SIAM J. Numer. Anal. 17, 1980; Mezzadri,
     Notices AMS 54, 2007): Householder QR makes the same reflectors from
@@ -429,24 +440,22 @@ def haar_reflectors(k: int, dim: int, seed: int | np.random.Generator) -> Reflec
     Gaussians cancels.  ``seed`` may be an integer or an already-running
     generator, which is left after the k draws; unitary t is drawn and
     turned into reflectors before unitary t + 1 is drawn, so besides the
-    stack a draw holds one unitary's Gaussians at a time.
+    stack a draw holds one block's Gaussians at a time, at most
+    ``HOUSEHOLDER_BLOCK * dim`` complex numbers.  ``ValueError`` for a
+    dimension that is not a positive integer.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    _check_dimension(dim)
     gen = _as_generator(seed)
     starts = range(0, dim, HOUSEHOLDER_BLOCK)
     panels = [np.zeros((k, dim - c0, min(HOUSEHOLDER_BLOCK, dim - c0)), dtype=complex) for c0 in starts]
+    # entry r of column c lies on or below row c
+    lowers = [np.arange(p.shape[1]) >= np.arange(p.shape[2])[:, None] for p in panels]
     taus, signs = np.empty((k, dim), dtype=complex), np.empty((k, dim))
     for t in range(k):
-        z = gen.standard_normal((dim * (dim + 1) // 2, 2)).view(complex)[:, 0]
-        used = 0
-        for c0, panel in zip(starts, panels):
+        for c0, panel, lower in zip(starts, panels, lowers):
             v = panel[t]
-            rows, width = v.shape
-            lower = np.arange(rows) >= np.arange(width)[:, None]  # entry r of column c lies on or below row c
-            count = width * rows - width * (width - 1) // 2
-            v.T[lower] = z[used : used + count]
-            used += count
+            width = v.shape[1]
+            v.T[lower] = gen.standard_normal((np.count_nonzero(lower), 2)).view(complex)[:, 0]
             alpha = np.diagonal(v).copy()
             beta = -np.copysign(np.linalg.norm(v, axis=0), alpha.real)
             taus[t, c0 : c0 + width] = (beta - alpha) / beta
@@ -469,9 +478,11 @@ def haar_random_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray
 
 
 def random_state(dim: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Normalized complex Gaussian vector (uniform on the unit sphere)."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    """Normalized complex Gaussian vector (uniform on the unit sphere).
+
+    ``ValueError`` for a dimension that is not a positive integer.
+    """
+    _check_dimension(dim)
     gen = _as_generator(seed)
     z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
     return z / np.linalg.norm(z)

@@ -50,8 +50,11 @@ def matrix_to_csv(m: np.ndarray) -> str:
 
     Each row is one ``%`` operation over the Python floats of its real and
     imaginary parts, side by side, which give the bytes
-    ``f"{z.real:.17g}{z.imag:+.17g}j"`` gives cell by cell.
+    ``f"{z.real:.17g}{z.imag:+.17g}j"`` gives cell by cell.  ``ValueError``,
+    naming the shape, for an array that is not 2-D.
     """
+    if np.ndim(m) != 2:
+        raise ValueError(f"a CSV matrix must be 2-D, got shape {np.shape(m)}")
     cells = np.ascontiguousarray(m, dtype=complex)
     row = ",".join(["%.17g%+.17gj"] * cells.shape[-1])
     return "\n".join(row % tuple(parts) for parts in cells.view(float).tolist()) + "\n"

@@ -97,6 +97,36 @@ def column_by_column_haar(dim, gen):
     return u * signs
 
 
+def one_call_haar_reflectors(k, dim, gen):
+    """``k`` Haar unitaries as :class:`Reflectors`, each from one call of dim (dim + 1) / 2 complex Gaussians.
+
+    The sampler the package used before it drew each block of reflectors
+    straight into its panel: it staged one whole unitary's Gaussians and then
+    copied them block by block.  Kept only as a bit-for-bit oracle of
+    :func:`~lcuout.linalg.haar_reflectors`, generator position included.
+    """
+    starts = range(0, dim, HOUSEHOLDER_BLOCK)
+    panels = [np.zeros((k, dim - c0, min(HOUSEHOLDER_BLOCK, dim - c0)), dtype=complex) for c0 in starts]
+    taus, signs = np.empty((k, dim), dtype=complex), np.empty((k, dim))
+    for t in range(k):
+        z = gen.standard_normal((dim * (dim + 1) // 2, 2)).view(complex)[:, 0]
+        used = 0
+        for c0, panel in zip(starts, panels):
+            v = panel[t]
+            rows, width = v.shape
+            lower = np.arange(rows) >= np.arange(width)[:, None]  # entry r of column c lies on or below row c
+            count = width * rows - width * (width - 1) // 2
+            v.T[lower] = z[used : used + count]
+            used += count
+            alpha = np.diagonal(v).copy()
+            beta = -np.copysign(np.linalg.norm(v, axis=0), alpha.real)
+            taus[t, c0 : c0 + width] = (beta - alpha) / beta
+            signs[t, c0 : c0 + width] = np.sign(beta)
+            v /= alpha - beta
+            v[np.arange(width), np.arange(width)] = 1.0
+    return Reflectors(tuple(panels), taus, signs)
+
+
 def wy_factors_by_inverse(stack):
     """The compact-WY factors of a :class:`Reflectors` stack by the closed form ``diag(tau) (I + striu(V_b^H V_b) diag(tau))^-1``.
 

@@ -853,6 +853,15 @@ def test_shot_counts_equal_the_per_shot_search(case, shots):
         np.testing.assert_array_equal(counts, searched_counts(states, shots, seed))
 
 
+@pytest.mark.parametrize("states, total", [([[0.1, 0.1]], "0.020000000000000004"), ([[np.nan, 1.0]], "nan"),
+                                           ([[np.inf, 0.0]], "inf")], ids=["short-of-one", "nan", "inf"])
+def test_shot_counts_refuse_states_that_are_not_a_distribution(states, total):
+    # the clamp of the top cell to 1 is for round-off; it would hand the missing 0.98 to the last cell, and a nan
+    # cumulative probability every shot to the first
+    with pytest.raises(ValueError, match=f"must be finite and sum to 1 within 4e-10, got {total}$"):
+        shot_counts(np.array(states), 10, 1)
+
+
 def test_sample_shots_are_the_shot_counts_of_the_outcome_states():
     spec, psi = make_spec(k=4, n=3, seed=33), random_state(8, 34)
     expected = shot_counts(output_states(spec, psi).states, 5000, 35)

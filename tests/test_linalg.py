@@ -1,4 +1,6 @@
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from lcuout.linalg import (
 )
 
 from helpers import (
-    apply_by_conj_copy, column_by_column_haar, pauli_string_matrix, qr_haar_unitary, reflector_product,
-    reflector_vectors, wy_factors_by_inverse,
+    apply_by_conj_copy, column_by_column_haar, one_call_haar_reflectors, pauli_string_matrix, qr_haar_unitary,
+    reflector_product, reflector_vectors, wy_factors_by_inverse,
 )
 
 
@@ -119,6 +121,33 @@ def test_haar_random_unitary_matches_the_out_of_place_draw(dim, seed):
     assert stack.shape == (3, dim, dim)
     assert all(u.tobytes() == s.tobytes() for u, s in zip(stack, singles))
     assert gen.random() == ref.random()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 31, 32, 33, 64, 100, 128, 256, 257])
+def test_haar_reflectors_give_the_bits_of_the_one_call_draw(dim):
+    # numpy's generator draws normals as one stream, so one call per block reads the bits one call per unitary read,
+    # across one to nine blocks and narrower last blocks, and leaves the generator where that call left it
+    for k, seed in itertools.product((1, 2, 4), (0, 5, 2**40 + 3)):
+        gen, ref = rng(seed), rng(seed)
+        stack, oracle = haar_reflectors(k, dim, gen), one_call_haar_reflectors(k, dim, ref)
+        assert len(stack.panels) == len(oracle.panels)
+        for got, want in zip((*stack.panels, stack.taus, stack.signs), (*oracle.panels, oracle.taus, oracle.signs)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, seed)
+        assert gen.random() == ref.random()
+
+
+def test_haar_draw_holds_one_block_of_gaussians_besides_the_stack():
+    # at N = 1024 one block's Gaussians take 0.5 MiB and the lower-triangle masks of all blocks as much again;
+    # staging one whole unitary's N (N + 1) / 2 Gaussians would take 8 MiB
+    haar_reflectors(1, 64, 0)  # lazy imports and one-time buffers
+    tracemalloc.start()
+    try:
+        stack = haar_reflectors(4, 1024, 9)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= sum(p.nbytes for p in stack.panels) + stack.taus.nbytes + stack.signs.nbytes
+    assert peak - held <= 2 * 2**20, (peak - held) / 2**20
 
 
 @pytest.mark.parametrize("dim", [1, 3, 31, 32, 33, 100])
@@ -465,6 +494,17 @@ def test_truncate_rank_full_rank_request_returns_input(shape, rank):
 def test_sizes_and_shapes_that_give_no_matrix_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("dim", [4.0, np.float64(4.0), True, np.bool_(True), "4", None],
+                         ids=["float", "numpy-float", "true", "numpy-bool", "str", "none"])
+@pytest.mark.parametrize("draw", [lambda dim, seed: haar_reflectors(2, dim, seed).dense, haar_random_unitary,
+                                  random_state], ids=["haar-reflectors", "haar-unitary", "state"])
+def test_dimensions_that_are_not_integers_are_refused(draw, dim):
+    # as rng takes seeds: an int or a numpy integer, and no bool
+    with pytest.raises(ValueError, match=re.escape(f"a dimension must be an integer, got {dim!r}")):
+        draw(dim, 1)
+    np.testing.assert_array_equal(draw(np.int64(4), 1), draw(4, 1))
 
 
 def test_truncate_rank_rejects_bad_arguments():

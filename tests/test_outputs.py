@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,12 @@ def test_csv_writes_the_bytes_of_the_per_cell_format(case):
          "empty-rows": np.zeros((3, 0), complex), "no-rows": np.zeros((0, 4), complex)}[case]
     assert case != "transposed-view" or not m.flags.c_contiguous
     assert matrix_to_csv(m) == csv_by_cells(m)
+
+
+@pytest.mark.parametrize("m", [np.ones(3), np.float64(1.0), np.ones((2, 2, 2))], ids=["1-D", "0-D", "3-D"])
+def test_csv_refuses_an_array_that_is_not_a_matrix_and_names_its_shape(m):
+    with pytest.raises(ValueError, match=re.escape(f"a CSV matrix must be 2-D, got shape {np.shape(m)}")):
+        matrix_to_csv(m)
 
 
 def test_csv_skips_comment_lines():
