@@ -786,8 +786,8 @@ def shot_counts(states: np.ndarray, shots: int, seed: int) -> np.ndarray:
     cumulative probability and at or above the previous cell's, which gives
     the counts of searching every u_j in the cumulative probabilities, in
     O(shots log shots + cells) with no per-shot index.  ``ValueError``
-    for ``shots < 1``, and for a non-finite entry or a total probability
-    more than ``2 * cells * UNIT_ATOL`` from 1.  That bound admits every
+    for ``shots < 1``, for states with no cell, and for a non-finite entry
+    or a total probability more than ``2 * cells * UNIT_ATOL`` from 1.  That bound admits every
     :func:`output_states` of a spec the package accepts: its (2K, N) states
     carry total probability ``|V psi|^2`` with ``|psi|`` within UNIT_ATOL of
     1 (:func:`check_state`), and V's layers each leave it within ``UNIT_ATOL``
@@ -799,6 +799,8 @@ def shot_counts(states: np.ndarray, shots: int, seed: int) -> np.ndarray:
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
     cdf = np.cumsum(np.abs(states) ** 2)
+    if not cdf.size:
+        raise ValueError(f"no outcome to sample: states of shape {np.shape(states)}")
     tol = 2 * cdf.size * UNIT_ATOL
     if not abs(cdf[-1] - 1.0) <= tol:  # also false for a nan or inf total, which a non-finite entry gives
         raise ValueError(f"outcome probabilities must be finite and sum to 1 within {tol:.3g}, got {float(cdf[-1])!r}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "INVOLUTION_ATOL",
@@ -39,6 +40,14 @@ __all__ = [
 # truncate_rank falls back to the SVD when the Gram eigenvalues at the cut are
 # this close relative to the largest one (the Gram squares the conditioning)
 GRAM_GAP_RTOL = 1e-8
+
+# the dtypes of np.linalg.eigh's eigenvalues and eigenvectors for each floating input dtype it accepts
+_EIGH_RESULTS = {
+    np.dtype(np.float32): (np.float32, np.float32),
+    np.dtype(np.complex64): (np.float32, np.complex64),
+    np.dtype(np.float64): (np.float64, np.float64),
+    np.dtype(np.complex128): (np.float64, np.complex128),
+}
 
 # seeds are integers in [0, SEED_BOUND): Philox's 128-bit key
 SEED_BOUND = 2**128
@@ -86,20 +95,52 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(a, full_matrices=False)
 
 
+def _eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(gram)`` of a square Hermitian array, bit for bit, from one direct call of its kernel.
+
+    numpy's wrapper resolves types, enters an ``errstate`` and casts its
+    results on every call: at 8 x 8 (one BLAS thread) ``np.linalg.eigh``
+    takes about 14.3 us, of which its kernel, the ``eigh_lo`` gufunc, takes
+    10.5 us.  Here ``eigh_lo`` runs with the signature ``np.linalg.eigh``
+    picks, double precision and complex for a complex input, and its
+    results are cast to the dtypes ``np.linalg.eigh`` returns: single
+    precision for a float32 or complex64 input, double for an integer one.
+    A float16 or long double input is a ``TypeError``, as there.  Unlike
+    ``np.linalg.eigh``, a kernel that does not converge raises nothing: its
+    eigenvalues and eigenvectors come back NaN, under numpy's "invalid
+    value" ``RuntimeWarning``.  The one import from ``numpy.linalg``'s
+    private kernels is this helper's.
+    """
+    dtype = gram.dtype
+    if dtype.kind not in "fc":
+        dtype = np.dtype(float)
+    elif dtype not in _EIGH_RESULTS:
+        raise TypeError(f"array type {dtype.name} is unsupported in linalg")
+    lam, vecs = _umath_linalg.eigh_lo(gram, signature="D->dD" if dtype.kind == "c" else "d->dd")
+    lam_type, vecs_type = _EIGH_RESULTS[dtype]
+    return lam.astype(lam_type, copy=False), vecs.astype(vecs_type, copy=False)
+
+
 def truncate_rank(a: np.ndarray, rank: int) -> np.ndarray:
     """Best rank-``rank`` approximation of a 2-D array (Eckart-Young).
 
     Forms the Gram matrix on the smaller side (``a a^H`` for wide inputs,
     ``a^H a`` for tall ones), takes its eigendecomposition and projects ``a``
     onto the top ``rank`` eigenvectors, which for a 2K x N iterate costs a
-    2K x 2K ``eigh`` instead of a thin SVD.  The projection is one matmul
-    with the small-side projector ``P = top top^H``: ``P a`` for wide
-    inputs, ``a P`` for tall ones, which passes over ``a`` once instead of
-    twice through ``top^H a``.  The Gram squares the condition
-    number, so when the eigenvalue gap at the cut is at most
-    ``GRAM_GAP_RTOL`` times the largest eigenvalue (a near-degenerate cut, a
-    rank-deficient or a zero input) the result comes from :func:`svd`
-    instead.  Returns ``a`` itself when ``rank >= min(a.shape)``.
+    2K x 2K ``eigh`` instead of a thin SVD.  The eigendecomposition calls
+    numpy's ``eigh_lo`` gufunc directly (:func:`_eigh`): numpy's wrapper
+    around it is about a quarter of the 8 x 8 ``eigh`` and several percent
+    of an SVP trial, and the direct call returns ``np.linalg.eigh``'s
+    bits.  The projection is one matmul with the small-side projector ``P =
+    top top^H``: ``P a`` for wide inputs, ``a P`` for tall ones, which
+    passes over ``a`` once instead of twice through ``top^H a``.  The Gram
+    squares the condition number, so unless the eigenvalue gap at the cut
+    exceeds ``GRAM_GAP_RTOL`` times the largest eigenvalue (a
+    near-degenerate cut, a rank-deficient or a zero input, and a NaN
+    spectrum: an ``eigh`` that did not converge, or the Gram of a finite
+    input that overflows) the result comes from :func:`svd` instead, which
+    raises ``numpy.linalg.LinAlgError`` if it too fails.  Returns ``a``
+    itself when ``rank >= min(a.shape)``.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -110,8 +151,8 @@ def truncate_rank(a: np.ndarray, rank: int) -> np.ndarray:
         return a
     wide = a.shape[0] <= a.shape[1]
     gram = a @ a.conj().T if wide else a.conj().T @ a
-    lam, vecs = np.linalg.eigh(gram)  # ascending
-    if lam[-rank] - lam[-rank - 1] <= GRAM_GAP_RTOL * lam[-1]:
+    lam, vecs = _eigh(gram)  # ascending
+    if not (lam[-rank] - lam[-rank - 1] > GRAM_GAP_RTOL * lam[-1]):  # also true for NaN
         u, s, vh = svd(a)
         return (u[:, :rank] * s[:rank]) @ vh[:rank]
     top = vecs[:, -rank:]
@@ -149,12 +190,15 @@ def dft_matrix(k: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / k) / np.sqrt(k)
 
 
-def _check_dimension(dim: int) -> None:
-    """``ValueError`` unless ``dim`` is a positive ``int`` or numpy integer, no bool, as :func:`rng` takes seeds."""
+def _check_dimension(dim: int, name: str = "dimension") -> None:
+    """``ValueError`` unless ``dim`` is a positive ``int`` or numpy integer, no bool, as :func:`rng` takes seeds.
+
+    The message calls it ``name``.
+    """
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"a dimension must be an integer, got {dim!r}")
+        raise ValueError(f"a {name} must be an integer, got {dim!r}")
     if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+        raise ValueError(f"{name} must be positive, got {dim}")
 
 
 def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
@@ -442,8 +486,9 @@ def haar_reflectors(k: int, dim: int, seed: int | np.random.Generator) -> Reflec
     turned into reflectors before unitary t + 1 is drawn, so besides the
     stack a draw holds one block's Gaussians at a time, at most
     ``HOUSEHOLDER_BLOCK * dim`` complex numbers.  ``ValueError`` for a
-    dimension that is not a positive integer.
+    count K or a dimension that is not a positive integer.
     """
+    _check_dimension(k, "count K")
     _check_dimension(dim)
     gen = _as_generator(seed)
     starts = range(0, dim, HOUSEHOLDER_BLOCK)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -853,12 +854,16 @@ def test_shot_counts_equal_the_per_shot_search(case, shots):
         np.testing.assert_array_equal(counts, searched_counts(states, shots, seed))
 
 
-@pytest.mark.parametrize("states, total", [([[0.1, 0.1]], "0.020000000000000004"), ([[np.nan, 1.0]], "nan"),
-                                           ([[np.inf, 0.0]], "inf")], ids=["short-of-one", "nan", "inf"])
-def test_shot_counts_refuse_states_that_are_not_a_distribution(states, total):
+@pytest.mark.parametrize("states, message", [
+    ([[0.1, 0.1]], "must be finite and sum to 1 within 4e-10, got 0.020000000000000004"),
+    ([[np.nan, 1.0]], "must be finite and sum to 1 within 4e-10, got nan"),
+    ([[np.inf, 0.0]], "must be finite and sum to 1 within 4e-10, got inf"),
+    (np.zeros((2, 0)), "no outcome to sample: states of shape (2, 0)"),
+], ids=["short-of-one", "nan", "inf", "empty"])
+def test_shot_counts_refuse_states_that_are_not_a_distribution(states, message):
     # the clamp of the top cell to 1 is for round-off; it would hand the missing 0.98 to the last cell, and a nan
-    # cumulative probability every shot to the first
-    with pytest.raises(ValueError, match=f"must be finite and sum to 1 within 4e-10, got {total}$"):
+    # cumulative probability every shot to the first; states with no cell have no top cell to clamp
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
         shot_counts(np.array(states), 10, 1)
 
 

@@ -1,5 +1,6 @@
 """The package modules and the acceptance gate use only public names of other lcuout modules,
-only the tests use the dense circuit oracle, no package module imports a name it does not use,
+only linalg calls numpy's private linalg kernels, only the tests use the dense circuit oracle,
+no package module imports a name it does not use,
 every top-level function and class is used by package code or else read by the benchmark or the
 acceptance gate, every memo is small and bounded,
 every record compares by identity, and every source file parses under the grammar of the oldest
@@ -50,6 +51,11 @@ def test_detector_sees_private_imports():
         "import lcuout._internal\n"
     )
     assert sorted(private_imports(source)) == [".trapdoor._hidden", "lcuout._internal", "lcuout.recovery._helper"]
+
+
+def test_only_linalg_calls_numpy_linalg_kernels_directly():
+    # linalg._eigh calls numpy's eigh gufunc without its wrapper; its tests pin the bits to np.linalg.eigh's
+    assert [p.name for p in FILES if "_umath_linalg" in p.read_text()] == ["linalg.py"]
 
 
 DENSE_ORACLE = {"circuit_unitary"}

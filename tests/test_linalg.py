@@ -479,6 +479,51 @@ def test_truncate_rank_zero_and_rank_deficient_inputs(rank):
         assert np.linalg.matrix_rank(out, tol=1e-10 * max(s[0], 1.0)) <= rank
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.clongdouble])
+def test_the_direct_eigh_kernel_refuses_the_dtypes_np_linalg_eigh_refuses(dtype):
+    gram = np.eye(3, dtype=dtype)
+    with pytest.raises(TypeError, match=f"array type {np.dtype(dtype).name} is unsupported in linalg"):
+        np.linalg.eigh(gram)
+    with pytest.raises(TypeError, match=f"array type {np.dtype(dtype).name} is unsupported in linalg"):
+        lcuout.linalg._eigh(gram)
+
+
+@pytest.mark.parametrize("shape", [(8, 64), (64, 8)], ids=["wide", "tall"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.complex64, np.int64])
+def test_truncate_rank_keeps_the_bits_of_the_np_linalg_eigh_route(dtype, shape, monkeypatch):
+    # the same formula with numpy's wrapper in place of the direct kernel call: every value and the dtype agree
+    gen = rng(37)
+    a = gen.standard_normal(shape) * 4
+    if np.issubdtype(dtype, np.complexfloating):
+        a = a + 1j * gen.standard_normal(shape)
+    a = a.astype(dtype)
+    outs = [truncate_rank(a, rank) for rank in range(1, 8)]
+    monkeypatch.setattr(lcuout.linalg, "_eigh", np.linalg.eigh)
+    for rank, out in enumerate(outs, start=1):
+        expected = truncate_rank(a, rank)
+        assert out.dtype == expected.dtype == (np.float64 if dtype is np.int64 else dtype)
+        np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("shape", [(8, 64), (64, 8)], ids=["wide", "tall"])
+@pytest.mark.parametrize("big, complex_input", [(1e200, True), (1e160, False)], ids=["complex", "real"])
+def test_truncate_rank_of_a_finite_input_whose_gram_overflows_is_the_svd_truncation(big, complex_input, shape):
+    # the Gram's entry |big|^2 overflows and its spectrum comes back NaN, which is no gap, so the SVD decides
+    gen = rng(38)
+    a = gen.standard_normal(shape) + (1j * gen.standard_normal(shape) if complex_input else 0)
+    a[2, 5] = big
+    with pytest.warns(RuntimeWarning, match="encountered in matmul"):  # the overflow, and for complex a NaN
+        out = truncate_rank(a, 4)
+    np.testing.assert_array_equal(out, svd_truncation(a, 4))
+    assert np.abs(out).max() == pytest.approx(big)
+
+
+def test_truncate_rank_of_a_nan_input_raises_linalg_error():
+    # the kernel returns a NaN spectrum (under its "invalid value" warning), and the SVD fallback raises
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        truncate_rank(np.full((8, 64), np.nan), 4)
+
+
 @pytest.mark.parametrize("shape, rank", [((4, 9), 4), ((4, 9), 7), ((9, 4), 4), ((3, 3), 3)])
 def test_truncate_rank_full_rank_request_returns_input(shape, rank):
     a = rng(34).standard_normal(shape)
@@ -505,6 +550,20 @@ def test_dimensions_that_are_not_integers_are_refused(draw, dim):
     with pytest.raises(ValueError, match=re.escape(f"a dimension must be an integer, got {dim!r}")):
         draw(dim, 1)
     np.testing.assert_array_equal(draw(np.int64(4), 1), draw(4, 1))
+
+
+@pytest.mark.parametrize("k, message", [
+    (2.0, "a count K must be an integer, got 2.0"),
+    (np.float64(2.0), f"a count K must be an integer, got {np.float64(2.0)!r}"),
+    (True, "a count K must be an integer, got True"),
+    (np.bool_(True), f"a count K must be an integer, got {np.bool_(True)!r}"),
+    ("2", "a count K must be an integer, got '2'"), (None, "a count K must be an integer, got None"),
+    (0, "count K must be positive, got 0"), (-1, "count K must be positive, got -1"),
+], ids=["float", "numpy-float", "true", "numpy-bool", "str", "none", "zero", "negative"])
+def test_haar_reflectors_refuse_a_count_that_is_no_positive_integer(k, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        haar_reflectors(k, 4, 1)
+    np.testing.assert_array_equal(haar_reflectors(np.int64(2), 4, 1).dense, haar_reflectors(2, 4, 1).dense)
 
 
 def test_truncate_rank_rejects_bad_arguments():

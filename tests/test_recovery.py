@@ -252,6 +252,20 @@ def test_svp_matches_the_reference_loop(n, rank, fraction, monkeypatch):
     np.testing.assert_array_equal(z, z_ref)
 
 
+@pytest.mark.parametrize("fraction", [0.2, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("n", [8, 10], ids=["N256", "N1024"])
+def test_svp_keeps_the_bits_of_np_linalg_eigh(n, fraction, monkeypatch):
+    # fig3's instances: truncate_rank's direct eigh kernel call and numpy's wrapper around it give the same
+    # bytes and the same iteration count, though the accept and stall tests decide at rounding level
+    _, c, x = sweep_instance(4, n, 61 + n)
+    entries = observe(c @ x, make_mask(8, 2**n, 62 + n, "uniform", density=fraction), 0.0)
+    z, iters = svp_complete(entries, 4)
+    monkeypatch.setattr(lcuout.linalg, "_eigh", np.linalg.eigh)
+    z_ref, iters_ref = svp_complete(entries, 4)
+    assert iters == iters_ref
+    assert z.dtype == z_ref.dtype and z.tobytes() == z_ref.tobytes()
+
+
 @pytest.mark.parametrize("solver", [svp_complete, als_complete])
 @pytest.mark.parametrize(
     "rank, max_iters", [(0, 10), (-1, 10), (4.0, 10), (True, 10), (None, 10), (4, 0), (4, -3), (4, 2.0)]
